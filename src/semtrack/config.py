@@ -4,7 +4,7 @@ and seed a run needs, so a saved snapshot reproduces the run byte-for-byte."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain
@@ -31,20 +31,6 @@ class DetectorParams:
 
 
 @dataclass(frozen=True)
-class DswrParams:
-    clarity_range: tuple[float, float] = (0.0, 0.02)
-    noise_range: tuple[float, float] = (0.0, 0.1)
-    contrast_range: tuple[float, float] = (0.0, 0.35)
-    w_init: float = -4.0
-    b_init: float = 2.0
-
-    def ranges(self) -> QualityRanges:
-        return QualityRanges(clarity=tuple(self.clarity_range),
-                             noise=tuple(self.noise_range),
-                             contrast=tuple(self.contrast_range))
-
-
-@dataclass(frozen=True)
 class Seeds:
     scenes: int = 100
     detector: int = 200
@@ -63,9 +49,8 @@ class ExperimentConfig:
     student: dict = field(default_factory=lambda: {
         "input_dim": 256, "hidden_dim": 256, "num_layers": 3, "num_heads": 4,
         "ff_dim": 1024, "output_dim": 256, "residual_projection": False})
-    temperature: float = 2.0
     alpha: float = 0.4
-    dswr: DswrParams = DswrParams()
+    dswr: QualityRanges = QualityRanges()
     training: dict = field(default_factory=lambda: {
         "epochs": 12, "learning_rate": 5e-3, "decay_factor": 0.1,
         "decay_at": 2.0 / 3.0, "contrastive_temperature": 0.1,
@@ -94,7 +79,7 @@ class ExperimentConfig:
                                           master_seed=self.seeds.degradation)
 
     def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(quality_ranges=self.dswr.ranges(), **self.tracker)
+        return TrackerConfig(quality_ranges=self.dswr, **self.tracker)
 
     def train_config(self, alpha: float | None = None) -> TrainConfig:
         return TrainConfig(alpha=self.alpha if alpha is None else alpha,
@@ -109,27 +94,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-
-        def tup(value):
-            return tuple(value) if isinstance(value, list) else value
-
-        if "scene" in raw:
-            raw["scene"] = SceneParams(**raw["scene"])
-        if "detector" in raw:
-            raw["detector"] = DetectorParams(**raw["detector"])
-        if "dswr" in raw:
-            dswr = dict(raw["dswr"])
-            for key in ("clarity_range", "noise_range", "contrast_range"):
-                if key in dswr:
-                    dswr[key] = tup(dswr[key])
-            raw["dswr"] = DswrParams(**dswr)
-        if "seeds" in raw:
-            raw["seeds"] = Seeds(**raw["seeds"])
-        if "degradation_chain" in raw:
-            raw["degradation_chain"] = tuple(dict(s) for s in raw["degradation_chain"])
-        if "ratio" in raw:
-            raw["ratio"] = tup(raw["ratio"])
+        """Inverse of :meth:`to_dict`; JSON lists become tuples again, and an
+        unknown key at any level raises ``ValueError``."""
+        raw = _known_fields(cls, raw, "config")
+        for key, kind in _NESTED.items():
+            if key in raw:
+                raw[key] = kind(**_known_fields(kind, raw[key], key))
         return cls(**raw)
 
     def to_json(self) -> str:
@@ -151,3 +121,15 @@ class ExperimentConfig:
 
     def with_ratio(self, ratio: tuple[int, int]) -> "ExperimentConfig":
         return replace(self, ratio=ratio)
+
+
+_NESTED = {"scene": SceneParams, "detector": DetectorParams, "dswr": QualityRanges,
+           "seeds": Seeds}
+
+
+def _known_fields(kind, raw: dict, where: str) -> dict:
+    """``raw`` with lists turned to tuples; raises on a key ``kind`` lacks."""
+    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}

@@ -2,15 +2,16 @@
 teacher vector.
 
 Pipeline: project the 1x1024 teacher vector to 256, align it to the student
-sequence length by linear interpolation, L2-normalize both sides, form the
-temperature-scaled attention map between them, aggregate the aligned teacher
-through that map, then combine a local MSE term and a global L1-of-means term
-with softmax-normalized learnable weights.
+sequence length by linear interpolation, then combine a local MSE term and a
+global L1-of-means term with softmax-normalized learnable weights.
 
-With a single teacher row the aligned teacher has identical rows and every
-attention row sums to one, so the aggregated teacher equals the aligned
-teacher exactly; the attention map is still computed and surfaced for
-diagnostics.
+The paper's local term compares the student with the teacher aggregated
+through a temperature-scaled attention map between the two L2-normalized
+sequences. Here the teacher is a single row, so the aligned teacher has n
+identical rows: every logit in a row of the map is equal, the map is uniform
+(1/n), and each aggregated row is the mean of n identical rows, i.e. the
+aligned teacher itself. The local term is therefore ``mse(s, t_align)``, and
+the attention map is not computed.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from semtrack.autodiff import DimensionError, Matrix, Parameter
 from semtrack.teacher import TEACHER_DIM, TeacherEmbedding
 
 STUDENT_DIM = 256
-DEFAULT_TEMPERATURE = 2.0
 
 
 @dataclass
 class DcsdBreakdown:
-    """Per-call loss components; values are plain floats, nodes kept for
-    backprop and inspection."""
+    """Per-call loss components; values are plain floats, the loss node is
+    kept for backprop."""
 
     l_local: float
     l_global: float
@@ -39,17 +39,12 @@ class DcsdBreakdown:
     w2: float
     l_distill: float
     loss_node: Matrix
-    attention: np.ndarray
 
 
 class DcsdHead:
     """Teacher projection + learnable loss-weight logits."""
 
-    def __init__(self, seed: int = 0, temperature: float = DEFAULT_TEMPERATURE,
-                 student_dim: int = STUDENT_DIM):
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        self.temperature = float(temperature)
+    def __init__(self, seed: int = 0, student_dim: int = STUDENT_DIM):
         self.student_dim = student_dim
         rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(TEACHER_DIM)
@@ -64,10 +59,6 @@ class DcsdHead:
 
     def parameters(self) -> list[Parameter]:
         return [self.teacher_weight, self.teacher_bias, self.loss_logits]
-
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def parameter_count(self) -> int:
         return sum(p.value.rows * p.value.cols for p in self.parameters() if p.trainable)
@@ -90,13 +81,8 @@ class DcsdHead:
 
         t_proj = self.project_teacher(t)                       # 1 x 256
         t_align = ad.interpolate_rows(t_proj, s.rows)          # n x 256
-        s_norm = ad.l2_normalize_rows(s)
-        t_norm = ad.l2_normalize_rows(t_align)
-        attention = ad.softmax_rows(ad.matmul(s_norm, ad.transpose(t_norm)),
-                                    temperature=self.temperature)  # n x n
-        t_weighted = ad.matmul(attention, t_align)             # n x 256
 
-        l_local = ad.mse(s, t_weighted)
+        l_local = ad.mse(s, t_align)
         l_global = ad.l1_of_means(s, t_align)
 
         weights = ad.softmax_rows(self.loss_logits.value)      # 1 x 2
@@ -111,10 +97,4 @@ class DcsdHead:
             w2=w2.item(),
             l_distill=l_distill.item(),
             loss_node=l_distill,
-            attention=attention.data,
         )
-
-
-def dcsd_loss(head: DcsdHead, s: Matrix, t: TeacherEmbedding) -> DcsdBreakdown:
-    """Functional alias for :meth:`DcsdHead.loss`."""
-    return head.loss(s, t)

@@ -14,7 +14,7 @@ init (W = -4, b = 2) already realizes "lower quality, higher semantic weight".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,23 +85,12 @@ class DswrHead:
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def parameter_count(self) -> int:
-        return 2
-
     def semantic_weight(self, q: float) -> Matrix:
         """sigmoid(W*q + b) as a differentiable 1x1 node, strictly in (0, 1)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quality score must lie in [0, 1], got {q}")
         affine = ad.add(ad.scale(self.w.value, q), self.b.value)
         return ad.sigmoid(affine)
-
-
-def semantic_weight(head: DswrHead, q: float) -> Matrix:
-    return head.semantic_weight(q)
 
 
 def fuse(w: Matrix, f_semantic: Matrix, f_query: Matrix) -> Matrix:

@@ -8,10 +8,8 @@ Layers are post-norm (attention -> add -> norm -> feed-forward -> add -> norm).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -59,7 +57,6 @@ class StudentModel:
 
     def __init__(self, config: StudentConfig = StudentConfig(), seed: int = 0):
         self.config = config
-        self.seed = seed
         self._params: dict[str, Parameter] = {}
         rng = np.random.default_rng(seed)
 
@@ -90,15 +87,8 @@ class StudentModel:
                 rng.uniform(-bound, bound, size=(c.input_dim, c.output_dim)),
                 name="residual_proj.weight")
 
-    def parameters(self) -> list[Parameter]:
-        return list(self._params.values())
-
     def named_parameters(self) -> dict[str, Parameter]:
         return dict(self._params)
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
 
     def parameter_count(self) -> int:
         """Exact number of trainable scalar parameters."""
@@ -148,56 +138,3 @@ class StudentModel:
 
     def __call__(self, x: Matrix) -> Matrix:
         return self.forward(x)
-
-    # -- persistence: JSON header line + flat little-endian float64 blob --
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        entries = []
-        offset = 0
-        blobs = []
-        for name, p in self._params.items():
-            raw = np.ascontiguousarray(p.value.data, dtype="<f8").tobytes()
-            entries.append({"name": name, "rows": p.value.rows, "cols": p.value.cols,
-                            "offset": offset})
-            offset += len(raw)
-            blobs.append(raw)
-        header = {
-            "format": "semtrack-student-v1",
-            "config": {
-                "input_dim": self.config.input_dim,
-                "hidden_dim": self.config.hidden_dim,
-                "num_layers": self.config.num_layers,
-                "num_heads": self.config.num_heads,
-                "ff_dim": self.config.ff_dim,
-                "output_dim": self.config.output_dim,
-                "residual_projection": self.config.residual_projection,
-            },
-            "seed": self.seed,
-            "params": entries,
-        }
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            for raw in blobs:
-                fh.write(raw)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "StudentModel":
-        path = Path(path)
-        with open(path, "rb") as fh:
-            header_line = fh.readline()
-            blob = fh.read()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") != "semtrack-student-v1":
-            raise ValueError(f"{path}: not a student model file")
-        model = cls(StudentConfig(**header["config"]), seed=header.get("seed", 0))
-        for entry in header["params"]:
-            name, rows, cols = entry["name"], entry["rows"], entry["cols"]
-            if name not in model._params:
-                raise ValueError(f"{path}: unknown parameter {name!r}")
-            start = entry["offset"]
-            count = rows * cols
-            values = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-            model._params[name] = Parameter(values.reshape(rows, cols).copy(), name=name)
-        return model

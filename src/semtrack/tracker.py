@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix, Parameter
 from semtrack.distill import DcsdHead
 from semtrack.frames import resize
-from semtrack.quality import DswrHead, QualityRanges, assess_quality
+from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse
 from semtrack.scenes import Detection
 from semtrack.student import StudentConfig, StudentModel
 from semtrack.tracks import TrackRecord, TrackSet, box_iou
@@ -32,6 +32,8 @@ from semtrack.tracks import TrackRecord, TrackSet, box_iou
 PATCH = 8
 DESCRIPTOR_DIM = 4 + PATCH * PATCH + 2
 FEATURE_DIM = 256
+MODEL_FORMAT = "semtrack-tracker-v1"
+_TRACKER_PREFIXES = ("embed.", "box_head.")
 
 
 @dataclass(frozen=True)
@@ -92,21 +94,22 @@ class TrackerModel:
         self.train_loss_weights = train_loss_weights
         self.seed = seed
 
-    # -- parameter plumbing --
+    # -- the parameter tree; every other view of the parameters derives from it --
 
-    def tracker_parameters(self) -> list[Parameter]:
-        """Parameters of the bare tracker (no student / distillation / DSWR)."""
-        return [self.embed_weight, self.embed_bias, self.box_weight, self.box_bias]
+    def named_parameters(self) -> dict[str, Parameter]:
+        """Every parameter, keyed by the name the model file stores it under."""
+        named = {"embed.weight": self.embed_weight, "embed.bias": self.embed_bias,
+                 "box_head.weight": self.box_weight, "box_head.bias": self.box_bias}
+        if self.student is not None:
+            named.update((f"student.{name}", p)
+                         for name, p in self.student.named_parameters().items())
+        for head in (self.dcsd, self.dswr):
+            if head is not None:
+                named.update((p.name, p) for p in head.parameters())
+        return named
 
     def parameters(self) -> list[Parameter]:
-        params = self.tracker_parameters()
-        if self.student is not None:
-            params += self.student.parameters()
-        if self.dcsd is not None:
-            params += self.dcsd.parameters()
-        if self.dswr is not None:
-            params += self.dswr.parameters()
-        return params
+        return list(self.named_parameters().values())
 
     def zero_grads(self) -> None:
         for p in self.parameters():
@@ -117,18 +120,16 @@ class TrackerModel:
             p.step(learning_rate)
 
     def tracker_parameter_count(self) -> int:
-        return sum(p.value.rows * p.value.cols for p in self.tracker_parameters())
+        """Scalars of the bare tracker: query embedding and box head."""
+        return sum(p.value.rows * p.value.cols
+                   for name, p in self.named_parameters().items()
+                   if name.startswith(_TRACKER_PREFIXES))
 
     def added_parameter_count(self) -> int:
-        """Scalars added by the student, distillation head and DSWR."""
-        total = 0
-        if self.student is not None:
-            total += self.student.parameter_count()
-        if self.dcsd is not None:
-            total += self.dcsd.parameter_count()
-        if self.dswr is not None:
-            total += self.dswr.parameter_count()
-        return total
+        """Trainable scalars added by the student, distillation head and DSWR."""
+        return sum(p.value.rows * p.value.cols
+                   for name, p in self.named_parameters().items()
+                   if p.trainable and not name.startswith(_TRACKER_PREFIXES))
 
     # -- differentiable building blocks (shared by inference and training) --
 
@@ -147,10 +148,7 @@ class TrackerModel:
         """Queries -> fused features (identity for the bare tracker)."""
         if self.student is None:
             return x
-        semantic = self.student(x)
-        weight = self.fusion_weight(frame, config)
-        one_minus = ad.sub(Matrix([[1.0]]), weight)
-        return ad.add(ad.scalar_mul(weight, semantic), ad.scalar_mul(one_minus, x))
+        return fuse(self.fusion_weight(frame, config), self.student(x), x)
 
     def predict_boxes(self, features: Matrix) -> Matrix:
         return ad.add_bias(ad.matmul(features, self.box_weight.value), self.box_bias.value)
@@ -158,106 +156,79 @@ class TrackerModel:
     # -- persistence --
 
     def save(self, path: str | Path) -> None:
-        named: dict[str, Parameter] = {p.name: p for p in self.tracker_parameters()}
-        if self.student is not None:
-            for name, p in self.student.named_parameters().items():
-                named[f"student.{name}"] = p
-        if self.dcsd is not None:
-            for p in self.dcsd.parameters():
-                named[p.name] = p
-        if self.dswr is not None:
-            for p in self.dswr.parameters():
-                named[p.name] = p
+        """Write a ``semtrack-tracker-v1`` file: one sorted-key JSON header
+        line (build flags, seed, student config, and each parameter's name,
+        shape and byte offset), then every parameter as a little-endian
+        float64 blob, in name order with no gaps. :meth:`load` accepts only
+        that layout."""
+        named = self.named_parameters()
         entries = []
-        offset = 0
         blobs = []
+        offset = 0
         for name in sorted(named):
             value = named[name].value
-            raw = np.ascontiguousarray(value.data, dtype="<f8").tobytes()
+            blobs.append(np.ascontiguousarray(value.data, dtype="<f8").tobytes())
             entries.append({"name": name, "rows": value.rows, "cols": value.cols,
                             "offset": offset})
-            offset += len(raw)
-            blobs.append(raw)
-        sc = self.student.config if self.student is not None else StudentConfig()
+            offset += len(blobs[-1])
+        student_config = (self.student.config if self.student is not None
+                          else StudentConfig())
         header = {
-            "format": "semtrack-tracker-v1",
+            "format": MODEL_FORMAT,
             "use_student": self.use_student,
             "use_dswr": self.use_dswr,
             "train_loss_weights": self.train_loss_weights,
             "seed": self.seed,
-            "student_config": {
-                "input_dim": sc.input_dim, "hidden_dim": sc.hidden_dim,
-                "num_layers": sc.num_layers, "num_heads": sc.num_heads,
-                "ff_dim": sc.ff_dim, "output_dim": sc.output_dim,
-                "residual_projection": sc.residual_projection,
-            },
+            "student_config": asdict(student_config),
             "params": entries,
         }
         with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            for raw in blobs:
-                fh.write(raw)
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            fh.write(b"".join(blobs))
 
     @classmethod
     def load(cls, path: str | Path) -> "TrackerModel":
+        """Rebuild the model a :meth:`save` file describes and copy the stored
+        values into its parameters, each keeping its ``trainable`` flag.
+
+        Strict: raises ``ValueError`` unless the header line names the
+        ``semtrack-tracker-v1`` format, its entries name exactly the
+        parameters of the rebuilt model with their shapes, and the blobs
+        follow one another in name order and end where the file ends.
+        """
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
             blob = fh.read()
-        if header.get("format") != "semtrack-tracker-v1":
-            raise ValueError(f"{path}: not a tracker model file")
+        if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+            raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
         model = cls(use_student=header["use_student"], use_dswr=header["use_dswr"],
                     train_loss_weights=header["train_loss_weights"],
                     student_config=StudentConfig(**header["student_config"]),
-                    seed=header.get("seed", 0))
-        named: dict[str, Parameter] = {p.name: p for p in model.tracker_parameters()}
-        if model.student is not None:
-            for name, p in model.student.named_parameters().items():
-                named[f"student.{name}"] = p
-        if model.dcsd is not None:
-            for p in model.dcsd.parameters():
-                named[p.name] = p
-        if model.dswr is not None:
-            for p in model.dswr.parameters():
-                named[p.name] = p
-        for entry in header["params"]:
-            name = entry["name"]
-            if name not in named:
-                raise ValueError(f"{path}: unknown parameter {name!r}")
-            count = entry["rows"] * entry["cols"]
-            values = np.frombuffer(blob, dtype="<f8", count=count,
-                                   offset=entry["offset"])
-            target = named[name]
-            trainable = target.trainable
-            fresh = Parameter(values.reshape(entry["rows"], entry["cols"]).copy(),
-                              trainable=trainable, name=name)
-            _assign_parameter(model, name, fresh)
+                    seed=header["seed"])
+        named = model.named_parameters()
+        entries = {entry["name"]: entry for entry in header["params"]}
+        missing = sorted(named.keys() - entries.keys())
+        extra = sorted(entries.keys() - named.keys())
+        if missing or extra:
+            raise ValueError(f"{path}: missing parameters {missing}, "
+                             f"unknown parameters {extra}")
+        end = 0
+        for name in sorted(named):
+            p, entry = named[name], entries[name]
+            shape = (entry["rows"], entry["cols"])
+            if shape != p.value.shape:
+                raise ValueError(f"{path}: parameter {name!r} is {shape}, "
+                                 f"the model needs {p.value.shape}")
+            if entry["offset"] != end:
+                raise ValueError(f"{path}: parameter {name!r} starts at byte "
+                                 f"{entry['offset']}, expected {end}")
+            values = np.frombuffer(blob, dtype="<f8", count=shape[0] * shape[1],
+                                   offset=end)
+            p.value = Matrix(values.reshape(shape), requires_grad=p.trainable)
+            end += values.nbytes
+        if end != len(blob):
+            raise ValueError(f"{path}: {len(blob) - end} bytes after the last parameter")
         return model
-
-
-def _assign_parameter(model: TrackerModel, name: str, parameter: Parameter) -> None:
-    if name.startswith("student."):
-        model.student._params[name[len("student."):]] = parameter
-    elif name == "embed.weight":
-        model.embed_weight = parameter
-    elif name == "embed.bias":
-        model.embed_bias = parameter
-    elif name == "box_head.weight":
-        model.box_weight = parameter
-    elif name == "box_head.bias":
-        model.box_bias = parameter
-    elif name == "dcsd.teacher_proj.weight":
-        model.dcsd.teacher_weight = parameter
-    elif name == "dcsd.teacher_proj.bias":
-        model.dcsd.teacher_bias = parameter
-    elif name == "dcsd.loss_logits":
-        model.dcsd.loss_logits = parameter
-    elif name == "dswr.w":
-        model.dswr.w = parameter
-    elif name == "dswr.b":
-        model.dswr.b = parameter
-    else:  # pragma: no cover
-        raise ValueError(f"unknown parameter name {name!r}")
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Tape
-from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse, semantic_weight
+from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse
 
 from gradcheck import check_against_fd
 
@@ -77,21 +77,21 @@ def test_invalid_range_rejected():
 
 def test_semantic_weight_forced_values():
     head = DswrHead()  # W=-4, b=2
-    assert semantic_weight(head, 0.5).item() == pytest.approx(0.5, abs=1e-12)
-    assert semantic_weight(head, 0.0).item() == pytest.approx(1 / (1 + math.exp(-2)), abs=1e-12)
-    assert semantic_weight(head, 1.0).item() == pytest.approx(1 / (1 + math.exp(2)), abs=1e-12)
+    assert head.semantic_weight(0.5).item() == pytest.approx(0.5, abs=1e-12)
+    assert head.semantic_weight(0.0).item() == pytest.approx(1 / (1 + math.exp(-2)), abs=1e-12)
+    assert head.semantic_weight(1.0).item() == pytest.approx(1 / (1 + math.exp(2)), abs=1e-12)
 
 
 def test_semantic_weight_open_interval_and_domain():
     rng = np.random.default_rng(5)
     for _ in range(30):
         head = DswrHead(w_init=rng.normal(scale=5), b_init=rng.normal(scale=5))
-        w = semantic_weight(head, float(rng.uniform())).item()
+        w = head.semantic_weight(float(rng.uniform())).item()
         assert 0.0 < w < 1.0
     with pytest.raises(ValueError):
-        semantic_weight(DswrHead(), 1.5)
+        DswrHead().semantic_weight(1.5)
     with pytest.raises(ValueError):
-        semantic_weight(DswrHead(), -0.01)
+        DswrHead().semantic_weight(-0.01)
 
 
 def test_lower_quality_higher_weight_monotonicity():
@@ -101,7 +101,7 @@ def test_lower_quality_higher_weight_monotonicity():
         q1, q2 = sorted(rng.uniform(0, 1, size=2))
         if q1 == q2:
             continue
-        assert semantic_weight(head, q1).item() > semantic_weight(head, q2).item()
+        assert head.semantic_weight(q1).item() > head.semantic_weight(q2).item()
 
 
 def test_semantic_weight_gradients():

@@ -137,21 +137,3 @@ def test_forward_gradient_matches_fd(seed):
     target = Matrix(rng.standard_normal((3, 12)))
     check_against_fd(lambda m: ad.mse(model(m), target), [x],
                      label=f"student_forward[{seed}]")
-
-
-def test_save_load_round_trip(tmp_path):
-    model = StudentModel(SMALL, seed=9)
-    path = tmp_path / "student.bin"
-    model.save(path)
-    loaded = StudentModel.load(path)
-    for name, p in model.named_parameters().items():
-        assert np.array_equal(loaded.named_parameters()[name].value.data, p.value.data)
-    x = Matrix(np.random.default_rng(1).standard_normal((3, 12)))
-    assert np.array_equal(model(x).data, loaded(x).data)
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "bogus.bin"
-    path.write_bytes(b'{"format": "other"}\n')
-    with pytest.raises(ValueError):
-        StudentModel.load(path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,59 @@ def test_model_save_load_round_trip(tmp_path):
     after = track_sequence(frames, dets, loaded)
     assert [(r.frame, r.track_id, r.box) for r in before] \
         == [(r.frame, r.track_id, r.box) for r in after]
+
+
+def _drop_dswr_b(header, blob):
+    header["params"] = [e for e in header["params"] if e["name"] != "dswr.b"]
+    return header, blob
+
+
+def _add_extra(header, blob):
+    header["params"].append({"name": "dswr.extra", "rows": 1, "cols": 1,
+                             "offset": len(blob)})
+    return header, blob + np.zeros(1, dtype="<f8").tobytes()
+
+
+def _transpose_embed_bias(header, blob):
+    entry = next(e for e in header["params"] if e["name"] == "embed.bias")
+    entry["rows"], entry["cols"] = entry["cols"], entry["rows"]
+    return header, blob
+
+
+def _trailing_bytes(header, blob):
+    return header, blob + b"\0" * 8
+
+
+def _shift_offset(header, blob):
+    entry = next(e for e in header["params"] if e["name"] == "dswr.w")
+    entry["offset"] += 8
+    return header, blob
+
+
+def _foreign_format(header, blob):
+    header["format"] = "semtrack-student-v1"
+    return header, blob
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_dswr_b, r"missing parameters \['dswr.b'\]"),
+    (_add_extra, r"unknown parameters \['dswr.extra'\]"),
+    (_transpose_embed_bias, r"'embed.bias' is \(256, 1\)"),
+    (_trailing_bytes, "8 bytes after the last parameter"),
+    (_shift_offset, "'dswr.w' starts at byte"),
+    (_foreign_format, "not a semtrack-tracker-v1 model file"),
+], ids=["missing", "extra", "shape", "trailing", "offset", "format"])
+def test_load_rejects_malformed_file(tmp_path, corrupt, message):
+    path = tmp_path / "model.bin"
+    TrackerModel(use_student=True, use_dswr=True, student_config=TINY_STUDENT,
+                 seed=3).save(path)
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        blob = fh.read()
+    header, blob = corrupt(header, blob)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match=message):
+        TrackerModel.load(path)
 
 
 def test_frozen_loss_logits_variant():
