@@ -5,10 +5,17 @@ executed inside an active :class:`Tape` context record a backward rule; a
 later ``tape.backward(loss)`` replays the rules in reverse and accumulates
 gradients into the leaf matrices that require them (typically the values of
 :class:`Parameter` objects). Outside a tape, operations are plain numpy math.
+
+A backward rule is a closure over its op's inputs and the tape's set of
+produced-node ids, never over the tape itself. Nothing in a recorded graph
+points back at its tape, so a tape and every activation it keeps are freed by
+reference counting as soon as the last name for the tape goes; nothing waits
+on the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -20,12 +27,12 @@ __all__ = [
     "Parameter",
     "Tape",
     "matmul",
+    "linear",
     "add",
     "sub",
     "multiply",
     "scale",
     "scalar_mul",
-    "add_bias",
     "transpose",
     "slice_cols",
     "slice_rows",
@@ -35,6 +42,7 @@ __all__ = [
     "sigmoid",
     "tanh",
     "softmax_rows",
+    "multi_head_attention",
     "l2_normalize_rows",
     "layer_norm_rows",
     "mse",
@@ -215,15 +223,18 @@ class Tape:
 
 
 def _leaf_accum(node: Matrix, delta: np.ndarray) -> None:
+    # the first contribution is copied, so the leaf owns its buffer and later
+    # ones can be added in place
     if node.grad is None:
         node.grad = delta.copy()
     else:
-        node.grad = node.grad + delta
+        node.grad += delta
 
 
-def _accum(tape: Tape, node: Matrix, delta: np.ndarray, grads: dict) -> None:
-    """Route a gradient contribution to an intermediate buffer or a leaf."""
-    if id(node) in tape._produced:
+def _accum(produced: set[int], node: Matrix, delta: np.ndarray, grads: dict) -> None:
+    """Route a gradient contribution to an intermediate buffer (``node`` was
+    produced on the tape) or a leaf."""
+    if id(node) in produced:
         prev = grads.get(id(node))
         grads[id(node)] = delta if prev is None else prev + delta
     elif node.requires_grad:
@@ -231,13 +242,16 @@ def _accum(tape: Tape, node: Matrix, delta: np.ndarray, grads: dict) -> None:
 
 
 def _emit(inputs: Sequence[Matrix], data: np.ndarray,
-          vjp_builder: Callable[[Tape], Callable[[np.ndarray, dict], None]]) -> Matrix:
-    """Wrap an op result, recording its backward rule when a tape is active."""
+          vjp_builder: Callable[[set[int]], Callable[[np.ndarray, dict], None]]) -> Matrix:
+    """Wrap an op result, recording its backward rule when a tape is active.
+
+    The builder gets the tape's produced-id set, not the tape, so the rule it
+    returns keeps no reference to the tape."""
     tape = _active_tape()
     needs = tape is not None and any(m.requires_grad for m in inputs)
     out = Matrix._wrap(data, requires_grad=bool(needs))
     if needs:
-        tape._record(out, vjp_builder(tape))
+        tape._record(out, vjp_builder(tape._produced))
     return out
 
 
@@ -256,15 +270,37 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g: np.ndarray, grads: dict) -> None:
-            if a.requires_grad or id(a) in tape._produced:
-                _accum(tape, a, g @ b.data.T, grads)
-            if b.requires_grad or id(b) in tape._produced:
-                _accum(tape, b, a.data.T @ g, grads)
+            if a.requires_grad or id(a) in produced:
+                _accum(produced, a, g @ b.data.T, grads)
+            if b.requires_grad or id(b) in produced:
+                _accum(produced, b, a.data.T @ g, grads)
         return vjp
 
     return _emit((a, b), data, build)
+
+
+def linear(x: Matrix, weight: Matrix, bias: Matrix) -> Matrix:
+    """``x @ weight`` plus a 1 x cols bias row added to every row, recorded
+    as one op."""
+    x, weight, bias = _as_matrix(x), _as_matrix(weight), _as_matrix(bias)
+    if x.cols != weight.rows:
+        raise DimensionError(f"linear shape mismatch: {x.shape} @ {weight.shape}")
+    if bias.shape != (1, weight.cols):
+        raise DimensionError(f"bias must be 1x{weight.cols}, got {bias.shape}")
+    data = x.data @ weight.data + bias.data
+
+    def build(produced: set[int]):
+        def vjp(g, grads):
+            if x.requires_grad or id(x) in produced:
+                _accum(produced, x, g @ weight.data.T, grads)
+            if weight.requires_grad or id(weight) in produced:
+                _accum(produced, weight, x.data.T @ g, grads)
+            _accum(produced, bias, g.sum(axis=0, keepdims=True), grads)
+        return vjp
+
+    return _emit((x, weight, bias), data, build)
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
@@ -273,10 +309,10 @@ def add(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
     data = a.data + b.data
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, a, g, grads)
-            _accum(tape, b, g, grads)
+            _accum(produced, a, g, grads)
+            _accum(produced, b, g, grads)
         return vjp
 
     return _emit((a, b), data, build)
@@ -288,10 +324,10 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
     data = a.data - b.data
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, a, g, grads)
-            _accum(tape, b, -g, grads)
+            _accum(produced, a, g, grads)
+            _accum(produced, b, -g, grads)
         return vjp
 
     return _emit((a, b), data, build)
@@ -304,10 +340,10 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"multiply shape mismatch: {a.shape} vs {b.shape}")
     data = a.data * b.data
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, a, g * b.data, grads)
-            _accum(tape, b, g * a.data, grads)
+            _accum(produced, a, g * b.data, grads)
+            _accum(produced, b, g * a.data, grads)
         return vjp
 
     return _emit((a, b), data, build)
@@ -319,9 +355,9 @@ def scale(m: Matrix, factor: float) -> Matrix:
     factor = float(factor)
     data = m.data * factor
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, m, g * factor, grads)
+            _accum(produced, m, g * factor, grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -335,38 +371,22 @@ def scalar_mul(s: Matrix, m: Matrix) -> Matrix:
     sval = s.data[0, 0]
     data = m.data * sval
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, s, np.array([[float(np.sum(g * m.data))]]), grads)
-            _accum(tape, m, g * sval, grads)
+            _accum(produced, s, np.array([[float(np.sum(g * m.data))]]), grads)
+            _accum(produced, m, g * sval, grads)
         return vjp
 
     return _emit((s, m), data, build)
-
-
-def add_bias(m: Matrix, bias: Matrix) -> Matrix:
-    """Add a 1 x cols bias row to every row of ``m``."""
-    m, bias = _as_matrix(m), _as_matrix(bias)
-    if bias.rows != 1 or bias.cols != m.cols:
-        raise DimensionError(f"bias must be 1x{m.cols}, got {bias.shape}")
-    data = m.data + bias.data
-
-    def build(tape: Tape):
-        def vjp(g, grads):
-            _accum(tape, m, g, grads)
-            _accum(tape, bias, g.sum(axis=0, keepdims=True), grads)
-        return vjp
-
-    return _emit((m, bias), data, build)
 
 
 def transpose(m: Matrix) -> Matrix:
     m = _as_matrix(m)
     data = m.data.T.copy()
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, m, g.T, grads)
+            _accum(produced, m, g.T, grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -378,11 +398,11 @@ def slice_cols(m: Matrix, start: int, stop: int) -> Matrix:
         raise DimensionError(f"column slice [{start}:{stop}] out of range for {m.shape}")
     data = m.data[:, start:stop].copy()
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             full = np.zeros(m.shape)
             full[:, start:stop] = g
-            _accum(tape, m, full, grads)
+            _accum(produced, m, full, grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -394,11 +414,11 @@ def slice_rows(m: Matrix, start: int, stop: int) -> Matrix:
         raise DimensionError(f"row slice [{start}:{stop}] out of range for {m.shape}")
     data = m.data[start:stop, :].copy()
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             full = np.zeros(m.shape)
             full[start:stop, :] = g
-            _accum(tape, m, full, grads)
+            _accum(produced, m, full, grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -414,11 +434,11 @@ def concat_cols(parts: Iterable[Matrix]) -> Matrix:
     data = np.concatenate([p.data for p in parts], axis=1)
     widths = [p.cols for p in parts]
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             at = 0
             for p, w in zip(parts, widths):
-                _accum(tape, p, g[:, at:at + w], grads)
+                _accum(produced, p, g[:, at:at + w], grads)
                 at += w
         return vjp
 
@@ -435,11 +455,11 @@ def concat_rows(parts: Iterable[Matrix]) -> Matrix:
     data = np.concatenate([p.data for p in parts], axis=0)
     heights = [p.rows for p in parts]
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             at = 0
             for p, h in zip(parts, heights):
-                _accum(tape, p, g[at:at + h, :], grads)
+                _accum(produced, p, g[at:at + h, :], grads)
                 at += h
         return vjp
 
@@ -455,9 +475,9 @@ def relu(m: Matrix) -> Matrix:
     mask = m.data > 0
     data = np.where(mask, m.data, 0.0)
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, m, g * mask, grads)
+            _accum(produced, m, g * mask, grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -467,9 +487,9 @@ def sigmoid(m: Matrix) -> Matrix:
     m = _as_matrix(m)
     data = 1.0 / (1.0 + np.exp(-m.data))
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, m, g * data * (1.0 - data), grads)
+            _accum(produced, m, g * data * (1.0 - data), grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -479,9 +499,9 @@ def tanh(m: Matrix) -> Matrix:
     m = _as_matrix(m)
     data = np.tanh(m.data)
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, m, g * (1.0 - data * data), grads)
+            _accum(produced, m, g * (1.0 - data * data), grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -498,13 +518,66 @@ def softmax_rows(m: Matrix, temperature: float = 1.0) -> Matrix:
     e = np.exp(z)
     data = e / e.sum(axis=1, keepdims=True)
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             inner = (g * data).sum(axis=1, keepdims=True)
-            _accum(tape, m, data * (g - inner) / temperature, grads)
+            _accum(produced, m, data * (g - inner) / temperature, grads)
         return vjp
 
     return _emit((m,), data, build)
+
+
+def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Matrix:
+    """Scaled dot-product self-attention over ``num_heads`` column blocks,
+    recorded as one op.
+
+    Head ``i`` takes columns ``[i*d, (i+1)*d)`` of ``q``, ``k`` and ``v``
+    (``d = cols / num_heads``) and computes
+    ``softmax_rows(q_i @ k_i^T / sqrt(d)) @ v_i``; the heads' outputs are
+    concatenated in head order. The heads run as one batched matmul, each
+    head's matrices laid out as the per-head slices would be, so the result
+    equals the slice/softmax/concat composition.
+    """
+    q, k, v = _as_matrix(q), _as_matrix(k), _as_matrix(v)
+    if not q.shape == k.shape == v.shape:
+        raise DimensionError(
+            f"attention needs equal q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
+    n, width = q.shape
+    if num_heads < 1 or width % num_heads:
+        raise DimensionError(f"width {width} is not divisible by {num_heads} heads")
+    head_dim = width // num_heads
+    inv_scale = 1.0 / math.sqrt(head_dim)
+
+    def heads(m: np.ndarray) -> np.ndarray:   # n x width -> heads x n x head_dim
+        return m.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
+
+    def merge(m: np.ndarray) -> np.ndarray:   # heads x n x head_dim -> n x width
+        # C order always: a reshape that happens to be a view can come out
+        # column-major, and BLAS rounds a product differently for that layout
+        return np.ascontiguousarray(m.transpose(1, 0, 2).reshape(n, width))
+
+    qh = np.ascontiguousarray(heads(q.data))
+    kt = np.ascontiguousarray(heads(k.data).transpose(0, 2, 1))
+    vh = np.ascontiguousarray(heads(v.data))
+    z = (qh @ kt) * inv_scale
+    z = z - z.max(axis=2, keepdims=True)
+    e = np.exp(z)
+    attn = e / e.sum(axis=2, keepdims=True)
+    data = merge(attn @ vh)
+
+    def build(produced: set[int]):
+        def vjp(g, grads):
+            gh = heads(g)
+            dattn = gh @ vh.transpose(0, 2, 1)
+            inner = (dattn * attn).sum(axis=2, keepdims=True)
+            dz = attn * (dattn - inner) * inv_scale
+            _accum(produced, q, merge(dz @ kt.transpose(0, 2, 1)), grads)
+            _accum(produced, k, merge((qh.transpose(0, 2, 1) @ dz).transpose(0, 2, 1)),
+                   grads)
+            _accum(produced, v, merge(attn.transpose(0, 2, 1) @ gh), grads)
+        return vjp
+
+    return _emit((q, k, v), data, build)
 
 
 def l2_normalize_rows(m: Matrix) -> Matrix:
@@ -514,13 +587,13 @@ def l2_normalize_rows(m: Matrix) -> Matrix:
     safe = np.maximum(norms, NORMALIZE_EPS)
     data = m.data / safe
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             # Degenerate rows (norm <= eps) get zero gradient: the forward
             # guard's kink, where 1/eps scaling would explode training.
             live = (norms > NORMALIZE_EPS).astype(np.float64)
             inner = (g * data).sum(axis=1, keepdims=True)
-            _accum(tape, m, live * (g - data * inner) / safe, grads)
+            _accum(produced, m, live * (g - data * inner) / safe, grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -538,15 +611,15 @@ def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) ->
     data = xhat * gain.data + bias.data
     d = x.cols
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, gain, (g * xhat).sum(axis=0, keepdims=True), grads)
-            _accum(tape, bias, g.sum(axis=0, keepdims=True), grads)
+            _accum(produced, gain, (g * xhat).sum(axis=0, keepdims=True), grads)
+            _accum(produced, bias, g.sum(axis=0, keepdims=True), grads)
             dxhat = g * gain.data
             gx = inv * (dxhat
                         - dxhat.mean(axis=1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-            _accum(tape, x, gx, grads)
+            _accum(produced, x, gx, grads)
         return vjp
 
     return _emit((x, gain, bias), data, build)
@@ -560,9 +633,9 @@ def sum_all(m: Matrix) -> Matrix:
     m = _as_matrix(m)
     data = np.array([[m.data.sum()]])
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, m, np.full(m.shape, g[0, 0]), grads)
+            _accum(produced, m, np.full(m.shape, g[0, 0]), grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -577,11 +650,11 @@ def mse(a: Matrix, b: Matrix) -> Matrix:
     count = diff.size
     data = np.array([[float((diff * diff).mean())]])
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             d = g[0, 0] * 2.0 * diff / count
-            _accum(tape, a, d, grads)
-            _accum(tape, b, -d, grads)
+            _accum(produced, a, d, grads)
+            _accum(produced, b, -d, grads)
         return vjp
 
     return _emit((a, b), data, build)
@@ -596,11 +669,11 @@ def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:
     count = diff.size
     data = np.array([[float(np.abs(diff).mean())]])
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             d = g[0, 0] * np.sign(diff) / count
-            _accum(tape, a, d, grads)
-            _accum(tape, b, -d, grads)
+            _accum(produced, a, d, grads)
+            _accum(produced, b, -d, grads)
         return vjp
 
     return _emit((a, b), data, build)
@@ -612,9 +685,9 @@ def sequence_mean(m: Matrix) -> Matrix:
     data = m.data.mean(axis=0, keepdims=True)
     rows = m.rows
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
-            _accum(tape, m, np.broadcast_to(g / rows, m.shape).copy(), grads)
+            _accum(produced, m, np.broadcast_to(g / rows, m.shape).copy(), grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -642,9 +715,9 @@ def interpolate_rows(m: Matrix, target_len: int) -> Matrix:
     if r == 1:
         data = np.repeat(m.data, target_len, axis=0)
 
-        def build(tape: Tape):
+        def build(produced: set[int]):
             def vjp(g, grads):
-                _accum(tape, m, g.sum(axis=0, keepdims=True), grads)
+                _accum(produced, m, g.sum(axis=0, keepdims=True), grads)
             return vjp
 
         return _emit((m,), data, build)
@@ -659,12 +732,12 @@ def interpolate_rows(m: Matrix, target_len: int) -> Matrix:
     hi = np.minimum(lo + 1, r - 1)
     data = (1.0 - frac)[:, None] * m.data[lo] + frac[:, None] * m.data[hi]
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             dm = np.zeros(m.shape)
             np.add.at(dm, lo, (1.0 - frac)[:, None] * g)
             np.add.at(dm, hi, frac[:, None] * g)
-            _accum(tape, m, dm, grads)
+            _accum(produced, m, dm, grads)
         return vjp
 
     return _emit((m,), data, build)
@@ -685,11 +758,11 @@ def cross_entropy_rows(logits: Matrix, targets: Sequence[int]) -> Matrix:
     losses = -np.log(np.maximum(p[rows, targets], 1e-300))
     data = np.array([[float(losses.mean())]])
 
-    def build(tape: Tape):
+    def build(produced: set[int]):
         def vjp(g, grads):
             d = p.copy()
             d[rows, targets] -= 1.0
-            _accum(tape, logits, g[0, 0] * d / logits.rows, grads)
+            _accum(produced, logits, g[0, 0] * d / logits.rows, grads)
         return vjp
 
     return _emit((logits,), data, build)

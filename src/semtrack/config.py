@@ -68,6 +68,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        for key, kind in _MODULE_CONFIGS.items():
+            given = getattr(self, key)
+            _reject_unknown(kind, given, key)
+            for name, source in _DERIVED.get(key, {}).items():
+                if name in given:
+                    raise ValueError(f"{key}: {name!r} is taken from {source!r}, "
+                                     "not set here")
 
     # -- derived module configs --
 
@@ -125,11 +132,21 @@ class ExperimentConfig:
 
 _NESTED = {"scene": SceneParams, "detector": DetectorParams, "dswr": QualityRanges,
            "seeds": Seeds}
+# the dict-valued fields and the module config each one's keys are passed to
+_MODULE_CONFIGS = {"student": StudentConfig, "training": TrainConfig,
+                   "tracker": TrackerConfig}
+# module config fields the derived-config methods fill in from other fields
+_DERIVED = {"training": {"alpha": "alpha", "teacher_seed": "seeds.teacher"},
+            "tracker": {"quality_ranges": "dswr"}}
+
+
+def _reject_unknown(kind, raw: dict, where: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
 
 
 def _known_fields(kind, raw: dict, where: str) -> dict:
     """``raw`` with lists turned to tuples; raises on a key ``kind`` lacks."""
-    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
+    _reject_unknown(kind, raw, where)
     return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}

@@ -69,8 +69,7 @@ class DcsdHead:
         return float(w[0, 0]), float(w[0, 1])
 
     def project_teacher(self, t: TeacherEmbedding) -> Matrix:
-        return ad.add_bias(ad.matmul(t.vector, self.teacher_weight.value),
-                           self.teacher_bias.value)
+        return ad.linear(t.vector, self.teacher_weight.value, self.teacher_bias.value)
 
     def loss(self, s: Matrix, t: TeacherEmbedding) -> DcsdBreakdown:
         if s.cols != self.student_dim:

@@ -15,8 +15,7 @@ Definitions follow the reference evaluators for the three metric families:
   association Jaccard over TPs, HOTA(alpha) = sqrt(DetA*AssA); final scores
   average over the alpha grid.
 
-All scores are fractions in [0, 1] (MOTA can go negative); the CLI layer
-formats percentages.
+All scores are fractions in [0, 1] (MOTA can go negative).
 """
 
 from __future__ import annotations

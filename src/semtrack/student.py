@@ -4,6 +4,9 @@ projection with a residual connection.
 The inputs are per-object query vectors, an unordered set, so the encoder
 uses no positional encoding; the forward pass is permutation-equivariant.
 Layers are post-norm (attention -> add -> norm -> feed-forward -> add -> norm).
+Each layer's multi-head attention is one ``autodiff.multi_head_attention`` op
+over the query, key and value projections, and every projection one
+``autodiff.linear`` op.
 """
 
 from __future__ import annotations
@@ -96,28 +99,18 @@ class StudentModel:
                    for p in self._params.values() if p.trainable)
 
     def _apply_linear(self, name: str, x: Matrix) -> Matrix:
-        return ad.add_bias(ad.matmul(x, self._params[f"{name}.weight"].value),
-                           self._params[f"{name}.bias"].value)
+        return ad.linear(x, self._params[f"{name}.weight"].value,
+                         self._params[f"{name}.bias"].value)
 
     def _apply_norm(self, name: str, x: Matrix) -> Matrix:
         return ad.layer_norm_rows(x, self._params[f"{name}.gain"].value,
                                   self._params[f"{name}.bias"].value)
 
     def _attention(self, layer: int, h: Matrix) -> Matrix:
-        c = self.config
         q = self._apply_linear(f"layer{layer}.query", h)
         k = self._apply_linear(f"layer{layer}.key", h)
         v = self._apply_linear(f"layer{layer}.value", h)
-        heads = []
-        inv_scale = 1.0 / math.sqrt(c.head_dim)
-        for i in range(c.num_heads):
-            lo, hi = i * c.head_dim, (i + 1) * c.head_dim
-            qh = ad.slice_cols(q, lo, hi)
-            kh = ad.slice_cols(k, lo, hi)
-            vh = ad.slice_cols(v, lo, hi)
-            logits = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_scale)
-            heads.append(ad.matmul(ad.softmax_rows(logits), vh))
-        merged = heads[0] if len(heads) == 1 else ad.concat_cols(heads)
+        merged = ad.multi_head_attention(q, k, v, self.config.num_heads)
         return self._apply_linear(f"layer{layer}.attn_out", merged)
 
     def forward(self, x: Matrix) -> Matrix:

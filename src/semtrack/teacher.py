@@ -9,6 +9,7 @@ matrix and applies tanh. Teacher vectors never participate in gradient flow.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -76,9 +77,16 @@ def save_embeddings(embeddings: dict[int, TeacherEmbedding], path: str | Path) -
             fh.write(json.dumps({"frame": frame, "values": values}) + "\n")
 
 
+@functools.lru_cache(maxsize=4)
 def _projection(seed: int) -> np.ndarray:
+    """The seed's fixed 256 x 1024 projection, built once and shared read-only.
+
+    A run uses one teacher seed; the bound keeps a sweep over many seeds from
+    holding 2 MB per seed for the life of the process."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((_POOL * _POOL, TEACHER_DIM)) / math.sqrt(_POOL * _POOL)
+    out = rng.standard_normal((_POOL * _POOL, TEACHER_DIM)) / math.sqrt(_POOL * _POOL)
+    out.flags.writeable = False
+    return out
 
 
 def _block_average(frame: np.ndarray) -> np.ndarray:

@@ -134,8 +134,8 @@ class TrackerModel:
     # -- differentiable building blocks (shared by inference and training) --
 
     def embed_descriptors(self, descriptors: np.ndarray) -> Matrix:
-        return ad.add_bias(ad.matmul(Matrix(descriptors), self.embed_weight.value),
-                           self.embed_bias.value)
+        return ad.linear(Matrix(descriptors), self.embed_weight.value,
+                         self.embed_bias.value)
 
     def fusion_weight(self, frame: np.ndarray, config: TrackerConfig) -> Matrix:
         if self.dswr is not None:
@@ -144,14 +144,19 @@ class TrackerModel:
         return Matrix([[config.fixed_fusion_weight]])
 
     def encode_queries(self, x: Matrix, frame: np.ndarray,
-                       config: TrackerConfig) -> Matrix:
-        """Queries -> fused features (identity for the bare tracker)."""
+                       config: TrackerConfig) -> tuple[Matrix, Matrix | None]:
+        """Queries -> (fused features, the student's semantic features).
+
+        The bare tracker returns ``(x, None)``. Training feeds the semantic
+        features to the distillation loss, so the student runs once per frame.
+        """
         if self.student is None:
-            return x
-        return fuse(self.fusion_weight(frame, config), self.student(x), x)
+            return x, None
+        semantic = self.student(x)
+        return fuse(self.fusion_weight(frame, config), semantic, x), semantic
 
     def predict_boxes(self, features: Matrix) -> Matrix:
-        return ad.add_bias(ad.matmul(features, self.box_weight.value), self.box_bias.value)
+        return ad.linear(features, self.box_weight.value, self.box_bias.value)
 
     # -- persistence --
 
@@ -278,7 +283,7 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
             embedded = model.embed_descriptors(np.concatenate(descriptors, axis=0))
             rows.extend(embedded.data[i:i + 1] for i in range(len(descriptors)))
         x = Matrix(np.concatenate(rows, axis=0)) if rows else None
-        fused = model.encode_queries(x, frame, config).data if x is not None else None
+        fused = model.encode_queries(x, frame, config)[0].data if x is not None else None
 
         track_feats = fused[:n_carried] if fused is not None else np.zeros((0, FEATURE_DIM))
         prop_feats = (fused[n_carried:] if fused is not None

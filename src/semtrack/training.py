@@ -108,12 +108,11 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
         descriptors = np.concatenate(
             [box_descriptor(frame, det.box) for det in dets], axis=0)
         x = model.embed_descriptors(descriptors)
-        fused = model.encode_queries(x, frame, tracker_config)
+        fused, semantic = model.encode_queries(x, frame, tracker_config)
         fused_rows[frame_index] = fused
         labels[frame_index] = match_detections_to_gt(
             dets, gt_by_frame.get(frame_index, []), train.match_iou)
-        if model.student is not None:
-            semantic = model.student(x)
+        if semantic is not None:
             breakdown = model.dcsd.loss(semantic, teacher_provider(frame_index, frame))
             distill_terms.append(breakdown.loss_node)
             breakdowns.append(breakdown)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -215,9 +217,9 @@ def test_elementwise_ops_match_fd(seed):
 def test_structural_ops_match_fd(seed):
     rng = np.random.default_rng(100 + seed)
     a = rng.standard_normal((4, 6))
-    bias = rng.standard_normal((1, 6))
-    check_against_fd(weighted_scalar(lambda m, v: ad.add_bias(m, v)), [a, bias],
-                     label="add_bias")
+    w = rng.standard_normal((6, 3))
+    bias = rng.standard_normal((1, 3))
+    check_against_fd(weighted_scalar(ad.linear), [a, w, bias], label="linear")
     check_against_fd(weighted_scalar(lambda m: ad.slice_cols(m, 1, 4)), [a],
                      label="slice_cols")
     check_against_fd(weighted_scalar(lambda m: ad.slice_rows(m, 1, 3)), [a],
@@ -278,3 +280,99 @@ def test_grad_of_sum_matmul_matches_fd_closely():
         tape.backward(ad.sum_all(ad.matmul(ma, Matrix(b))))
     expected = np.ones((3, 4)) @ b.T
     assert np.all(np.abs(ma.grad - expected) < 1e-6)
+
+
+def composed_attention(q, k, v, num_heads):
+    """Per-head slice/scale/softmax/matmul/concat: the reference composition."""
+    head_dim = q.cols // num_heads
+    heads = []
+    for i in range(num_heads):
+        lo, hi = i * head_dim, (i + 1) * head_dim
+        logits = ad.scale(ad.matmul(ad.slice_cols(q, lo, hi),
+                                    ad.transpose(ad.slice_cols(k, lo, hi))),
+                          1.0 / math.sqrt(head_dim))
+        heads.append(ad.matmul(ad.softmax_rows(logits), ad.slice_cols(v, lo, hi)))
+    return heads[0] if num_heads == 1 else ad.concat_cols(heads)
+
+
+def test_linear_single_row_matches_fd_and_numpy():
+    rng = np.random.default_rng(400)
+    x = rng.standard_normal((1, 5))
+    w = rng.standard_normal((5, 3))
+    b = rng.standard_normal((1, 3))
+    check_against_fd(weighted_scalar(ad.linear), [x, w, b], label="linear[1 row]")
+    assert np.array_equal(ad.linear(Matrix(x), Matrix(w), Matrix(b)).data, x @ w + b)
+
+
+def test_linear_shape_errors():
+    x = Matrix(np.zeros((2, 3)))
+    with pytest.raises(DimensionError, match="linear"):
+        ad.linear(x, Matrix(np.zeros((4, 2))), Matrix(np.zeros((1, 2))))
+    with pytest.raises(DimensionError, match="bias"):
+        ad.linear(x, Matrix(np.zeros((3, 2))), Matrix(np.zeros((1, 3))))
+
+
+@pytest.mark.parametrize("rows, num_heads", [(1, 1), (1, 4), (5, 1), (5, 4)])
+def test_multi_head_attention_matches_fd(rows, num_heads):
+    rng = np.random.default_rng(500 + 10 * rows + num_heads)
+    q, k, v = (rng.standard_normal((rows, 8)) for _ in range(3))
+    attention = weighted_scalar(lambda a, b, c: ad.multi_head_attention(a, b, c, num_heads))
+    check_against_fd(attention, [q, k, v], label=f"attention[{rows}x8, {num_heads} heads]")
+
+
+@pytest.mark.parametrize("rows, num_heads", [(1, 1), (1, 4), (3, 2), (9, 4), (17, 8)])
+def test_multi_head_attention_matches_composition(rows, num_heads):
+    rng = np.random.default_rng(600 + rows)
+    q, k, v = (Matrix(rng.standard_normal((rows, 64)) * 3.0) for _ in range(3))
+    fused = ad.multi_head_attention(q, k, v, num_heads).data
+    reference = composed_attention(q, k, v, num_heads).data
+    assert fused.shape == (rows, 64)
+    assert np.max(np.abs(fused - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [2, 3, 5])
+def test_multi_head_attention_gradient_through_projections_equals_composition(rows):
+    # q, k and v are produced on the tape here, so the gradient each one sends
+    # on goes through another matmul; it must come out as the composition's
+    rng = np.random.default_rng(700 + rows)
+    x = rng.standard_normal((rows, 32))
+    weights = [rng.standard_normal((32, 32)) for _ in range(3)]
+    upstream = rng.standard_normal((rows, 32))
+    grads = []
+    for attention in (ad.multi_head_attention, composed_attention):
+        leaf = Matrix(x, requires_grad=True)
+        with Tape() as tape:
+            q, k, v = (ad.matmul(leaf, Matrix(w)) for w in weights)
+            out = attention(q, k, v, 4)
+            tape.backward(ad.sum_all(ad.multiply(out, Matrix(upstream))))
+        grads.append(leaf.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_multi_head_attention_shape_errors():
+    m = Matrix(np.zeros((3, 8)))
+    with pytest.raises(DimensionError, match="shapes"):
+        ad.multi_head_attention(m, Matrix(np.zeros((2, 8))), m, 2)
+    with pytest.raises(DimensionError, match="shapes"):
+        ad.multi_head_attention(m, m, Matrix(np.zeros((3, 4))), 2)
+    with pytest.raises(DimensionError, match="divisible"):
+        ad.multi_head_attention(m, m, m, 3)
+    with pytest.raises(DimensionError, match="divisible"):
+        ad.multi_head_attention(m, m, m, 0)
+
+
+def test_tape_is_freed_without_the_cyclic_gc():
+    rng = np.random.default_rng(8)
+    w = Parameter(rng.standard_normal((8, 8)))
+    b = Parameter(rng.standard_normal((3, 8)))
+    gc.disable()
+    try:
+        with Tape() as tape:
+            h = ad.add(ad.matmul(Matrix(rng.standard_normal((3, 8))), w.value), b.value)
+            tape.backward(ad.sum_all(ad.relu(h)))
+        freed = weakref.ref(tape)
+        del tape
+        assert freed() is None
+    finally:
+        gc.enable()
+    assert w.value.grad is not None and b.value.grad is not None

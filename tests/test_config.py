@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +44,39 @@ def test_unknown_key_raises(where, key):
     (raw if where is None else raw[where])[key] = 1.0
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("where, key", [
+    ("student", "no_such_knob"),
+    ("training", "bogus"),
+    ("tracker", "match_gat"),
+    ("training", "alpha"),
+    ("training", "teacher_seed"),
+    ("tracker", "quality_ranges"),
+])
+def test_module_config_dict_keys_checked_on_build(where, key):
+    # unknown keys, and keys the derived configs fill in from alpha,
+    # seeds.teacher and dswr, raise when the config is built, not later
+    raw = json.loads(ExperimentConfig().to_json())
+    raw[where][key] = 1
+    with pytest.raises(ValueError, match=f"{where}.*{key}"):
+        ExperimentConfig.from_dict(raw)
+    with pytest.raises(ValueError, match=f"{where}.*{key}"):
+        ExperimentConfig(**{where: raw[where]})
+    with pytest.raises(ValueError, match=f"{where}.*{key}"):
+        replace(ExperimentConfig(), **{where: raw[where]})
+
+
+def test_module_config_dicts_accept_every_module_field():
+    config = ExperimentConfig(
+        student=dict(ExperimentConfig().student, hidden_dim=32, num_heads=2),
+        training=dict(ExperimentConfig().training, epochs=1, match_iou=0.4),
+        tracker=dict(ExperimentConfig().tracker, max_age=5))
+    assert config.student_config().hidden_dim == 32
+    assert config.train_config().epochs == 1
+    assert config.train_config().match_iou == 0.4
+    assert config.tracker_config().max_age == 5
+    assert ExperimentConfig.from_json(config.to_json()) == config
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semtrack import autodiff as ad
+from semtrack import teacher
 from semtrack.autodiff import Matrix, Parameter, Tape
 from semtrack.teacher import (TEACHER_DIM, TeacherEmbedding, TeacherFormatError,
                               load_embeddings, pseudo_teacher, save_embeddings)
@@ -109,3 +110,12 @@ def test_teacher_never_receives_gradient():
 def test_embedding_shape_enforced():
     with pytest.raises(TeacherFormatError):
         TeacherEmbedding(Matrix(np.zeros((1, 512))), "file")
+
+
+def test_projection_is_built_once_and_read_only():
+    first = teacher._projection(11)
+    assert teacher._projection(11) is first
+    assert first.shape == (256, TEACHER_DIM)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0

@@ -6,14 +6,18 @@ import pytest
 from semtrack import autodiff as ad
 from semtrack.autodiff import Tape
 from semtrack.degrade import DegradationChain
-from semtrack.scenes import DetectorNoise, generate_scene, random_scene_config, synth_detector
-from semtrack.student import StudentConfig
+from semtrack.scenes import (DetectorNoise, detections_by_frame, generate_scene,
+                             random_scene_config, synth_detector)
+from semtrack.student import StudentConfig, StudentModel
 from semtrack.tracker import TrackerConfig, TrackerModel
 from semtrack.training import (LOG_COLUMNS, SceneSample, TrainConfig, scene_losses,
                                train, write_training_log)
 
 from gradcheck import assert_grad_close, finite_diff
 
+# scene_losses total for make_sample(seed=2, num_frames=5) and a full model with
+# seed 3, as computed when the student still ran twice per frame
+TOTAL_SEED2_FULL = 0.4095100522416797
 TINY_STUDENT = StudentConfig(input_dim=256, hidden_dim=16, num_heads=2, ff_dim=32,
                              output_dim=256)
 
@@ -58,6 +62,26 @@ def test_alpha_mixing_identities():
     assert abs(total - m) <= 1e-12
     d, m, total = parts(1.0 - 1e-15)
     assert abs(total - d) <= 1e-12
+
+
+def test_student_runs_once_per_frame_with_detections(monkeypatch):
+    # the distillation loss reuses the features encode_queries computed
+    sample = make_sample(seed=2, num_frames=5)
+    model = TrackerModel(use_student=True, use_dswr=True,
+                         student_config=TINY_STUDENT, seed=3)
+    calls = []
+    forward = StudentModel.forward
+
+    def counted(self, x):
+        calls.append(x.rows)
+        return forward(self, x)
+
+    monkeypatch.setattr(StudentModel, "forward", counted)
+    with Tape():
+        losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+    per_frame = detections_by_frame(sample.detections)
+    assert calls == [len(per_frame[f]) for f in sorted(per_frame)]
+    assert losses["total"].item() == TOTAL_SEED2_FULL
 
 
 def test_baseline_total_is_mot_loss():
