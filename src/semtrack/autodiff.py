@@ -1,16 +1,19 @@
 """Dense float64 matrices with reverse-mode gradient recording.
 
-Values are immutable 2-D numpy arrays wrapped in :class:`Matrix`. Operations
-executed inside an active :class:`Tape` context record a backward rule; a
-later ``tape.backward(loss)`` replays the rules in reverse and accumulates
-gradients into the leaf matrices that require them (typically the values of
-:class:`Parameter` objects). Outside a tape, operations are plain numpy math.
+Values are immutable 2-D numpy arrays wrapped in :class:`Matrix`. An
+operation executed inside an active :class:`Tape` context records its output,
+its inputs and a backward rule. The rule maps the gradient of the output to
+one gradient per input, or ``None`` for an input that needs none; it does not
+know where those gradients go. A later ``tape.backward(loss)`` replays the
+records in reverse and routes every gradient itself: into the tape's buffer
+for an input that an earlier record produced, or into the ``grad`` of a leaf
+matrix that requires it (typically the value of a :class:`Parameter`).
+Outside a tape, operations are plain numpy math.
 
-A backward rule is a closure over its op's inputs and the tape's set of
-produced-node ids, never over the tape itself. Nothing in a recorded graph
-points back at its tape, so a tape and every activation it keeps are freed by
-reference counting as soon as the last name for the tape goes; nothing waits
-on the cyclic garbage collector.
+A backward rule closes over its op's inputs and forward arrays, never over
+the tape. Nothing in a recorded graph points back at its tape, so a tape and
+every activation it keeps are freed by reference counting as soon as the last
+name for the tape goes; nothing waits on the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "concat_rows",
     "relu",
     "sigmoid",
-    "tanh",
     "softmax_rows",
     "multi_head_attention",
     "l2_normalize_rows",
@@ -49,12 +51,15 @@ __all__ = [
     "mean_abs_diff",
     "sequence_mean",
     "l1_of_means",
-    "interpolate_rows",
+    "repeat_row",
     "cross_entropy_rows",
     "sum_all",
 ]
 
 NORMALIZE_EPS = 1e-12
+
+# A backward rule: output gradient -> one gradient (or None) per input.
+Vjp = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
 
 
 class DimensionError(ValueError):
@@ -99,10 +104,6 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
 
     @property
     def rows(self) -> int:
@@ -180,16 +181,19 @@ def _active_tape() -> "Tape | None":
 
 
 class Tape:
-    """Ordered record of differentiable operations.
+    """Ordered record of differentiable operations, one ``(output, inputs,
+    vjp)`` entry per op.
 
-    Execution order is a topological order, so backward simply replays the
-    records in reverse. Each backward pass uses fresh intermediate buffers and
-    accumulates (adds) into the ``grad`` of leaf matrices, so repeated calls
-    accumulate additively, matching the training contract.
+    Execution order is a topological order, so backward replays the records
+    in reverse. The tape alone decides where each gradient a rule returns
+    goes: an input some record produced collects its gradient in a buffer
+    that lives for one backward pass; any other input is a leaf, and adds it
+    to its ``grad`` when it requires one. Repeated backward calls therefore
+    accumulate additively into leaves, matching the training contract.
     """
 
     def __init__(self):
-        self._records: list[tuple[Matrix, Callable[[np.ndarray, dict], None]]] = []
+        self._records: list[tuple[Matrix, Sequence[Matrix], Vjp]] = []
         self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
@@ -202,23 +206,29 @@ class Tape:
             raise RuntimeError("tape context exited out of order")
         stack.pop()
 
-    def _record(self, out: Matrix, vjp: Callable[[np.ndarray, dict], None]) -> None:
-        self._records.append((out, vjp))
-        self._produced.add(id(out))
-
     def backward(self, loss: Matrix) -> None:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``."""
         if loss.shape != (1, 1):
             raise DimensionError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
+        produced = self._produced
         grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-        for out, vjp in reversed(self._records):
-            g = grads.get(id(out))
+        for out, inputs, vjp in reversed(self._records):
+            # every consumer of ``out`` comes later on the tape, so its
+            # gradient is complete here and the buffer can go
+            g = grads.pop(id(out), None)
             if g is None:
                 continue
-            vjp(g, grads)
-        # leaves receive gradient inside the vjp closures; the seed itself is
-        # a leaf only when the "loss" was never produced by a recorded op
-        if loss.requires_grad and id(loss) not in self._produced:
+            for node, delta in zip(inputs, vjp(g)):
+                if delta is None:
+                    continue
+                if id(node) in produced:
+                    prev = grads.get(id(node))
+                    grads[id(node)] = delta if prev is None else prev + delta
+                elif node.requires_grad:
+                    _leaf_accum(node, delta)
+        # the seed is a leaf only when the "loss" was never produced by a
+        # recorded op
+        if loss.requires_grad and id(loss) not in produced:
             _leaf_accum(loss, grads[id(loss)])
 
 
@@ -231,27 +241,18 @@ def _leaf_accum(node: Matrix, delta: np.ndarray) -> None:
         node.grad += delta
 
 
-def _accum(produced: set[int], node: Matrix, delta: np.ndarray, grads: dict) -> None:
-    """Route a gradient contribution to an intermediate buffer (``node`` was
-    produced on the tape) or a leaf."""
-    if id(node) in produced:
-        prev = grads.get(id(node))
-        grads[id(node)] = delta if prev is None else prev + delta
-    elif node.requires_grad:
-        _leaf_accum(node, delta)
+def _emit(inputs: Sequence[Matrix], data: np.ndarray, vjp: Vjp) -> Matrix:
+    """Wrap an op result; inside an active tape, record ``(out, inputs, vjp)``
+    when any input requires a gradient.
 
-
-def _emit(inputs: Sequence[Matrix], data: np.ndarray,
-          vjp_builder: Callable[[set[int]], Callable[[np.ndarray, dict], None]]) -> Matrix:
-    """Wrap an op result, recording its backward rule when a tape is active.
-
-    The builder gets the tape's produced-id set, not the tape, so the rule it
-    returns keeps no reference to the tape."""
+    ``vjp(g)`` returns one gradient per input, in input order, or ``None`` for
+    an input that needs none; the tape routes them."""
     tape = _active_tape()
     needs = tape is not None and any(m.requires_grad for m in inputs)
     out = Matrix._wrap(data, requires_grad=bool(needs))
     if needs:
-        tape._record(out, vjp_builder(tape._produced))
+        tape._records.append((out, inputs, vjp))
+        tape._produced.add(id(out))
     return out
 
 
@@ -270,15 +271,11 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
-    def build(produced: set[int]):
-        def vjp(g: np.ndarray, grads: dict) -> None:
-            if a.requires_grad or id(a) in produced:
-                _accum(produced, a, g @ b.data.T, grads)
-            if b.requires_grad or id(b) in produced:
-                _accum(produced, b, a.data.T @ g, grads)
-        return vjp
+    def vjp(g):
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
-    return _emit((a, b), data, build)
+    return _emit((a, b), data, vjp)
 
 
 def linear(x: Matrix, weight: Matrix, bias: Matrix) -> Matrix:
@@ -291,46 +288,26 @@ def linear(x: Matrix, weight: Matrix, bias: Matrix) -> Matrix:
         raise DimensionError(f"bias must be 1x{weight.cols}, got {bias.shape}")
     data = x.data @ weight.data + bias.data
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            if x.requires_grad or id(x) in produced:
-                _accum(produced, x, g @ weight.data.T, grads)
-            if weight.requires_grad or id(weight) in produced:
-                _accum(produced, weight, x.data.T @ g, grads)
-            _accum(produced, bias, g.sum(axis=0, keepdims=True), grads)
-        return vjp
+    def vjp(g):
+        return (g @ weight.data.T if x.requires_grad else None,
+                x.data.T @ g if weight.requires_grad else None,
+                g.sum(axis=0, keepdims=True))
 
-    return _emit((x, weight, bias), data, build)
+    return _emit((x, weight, bias), data, vjp)
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    data = a.data + b.data
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, a, g, grads)
-            _accum(produced, b, g, grads)
-        return vjp
-
-    return _emit((a, b), data, build)
+    return _emit((a, b), a.data + b.data, lambda g: (g, g))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
     a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    data = a.data - b.data
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, a, g, grads)
-            _accum(produced, b, -g, grads)
-        return vjp
-
-    return _emit((a, b), data, build)
+    return _emit((a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
@@ -338,29 +315,14 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
     a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"multiply shape mismatch: {a.shape} vs {b.shape}")
-    data = a.data * b.data
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, a, g * b.data, grads)
-            _accum(produced, b, g * a.data, grads)
-        return vjp
-
-    return _emit((a, b), data, build)
+    return _emit((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
 
 
 def scale(m: Matrix, factor: float) -> Matrix:
     """Multiply by a non-differentiable constant."""
     m = _as_matrix(m)
     factor = float(factor)
-    data = m.data * factor
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, m, g * factor, grads)
-        return vjp
-
-    return _emit((m,), data, build)
+    return _emit((m,), m.data * factor, lambda g: (g * factor,))
 
 
 def scalar_mul(s: Matrix, m: Matrix) -> Matrix:
@@ -369,59 +331,42 @@ def scalar_mul(s: Matrix, m: Matrix) -> Matrix:
     if s.shape != (1, 1):
         raise DimensionError(f"scalar_mul needs a 1x1 scalar, got {s.shape}")
     sval = s.data[0, 0]
-    data = m.data * sval
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, s, np.array([[float(np.sum(g * m.data))]]), grads)
-            _accum(produced, m, g * sval, grads)
-        return vjp
+    def vjp(g):
+        return np.array([[float(np.sum(g * m.data))]]), g * sval
 
-    return _emit((s, m), data, build)
+    return _emit((s, m), m.data * sval, vjp)
 
 
 def transpose(m: Matrix) -> Matrix:
     m = _as_matrix(m)
-    data = m.data.T.copy()
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, m, g.T, grads)
-        return vjp
-
-    return _emit((m,), data, build)
+    return _emit((m,), m.data.T.copy(), lambda g: (g.T,))
 
 
 def slice_cols(m: Matrix, start: int, stop: int) -> Matrix:
     m = _as_matrix(m)
     if not (0 <= start < stop <= m.cols):
         raise DimensionError(f"column slice [{start}:{stop}] out of range for {m.shape}")
-    data = m.data[:, start:stop].copy()
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            full = np.zeros(m.shape)
-            full[:, start:stop] = g
-            _accum(produced, m, full, grads)
-        return vjp
+    def vjp(g):
+        full = np.zeros(m.shape)
+        full[:, start:stop] = g
+        return (full,)
 
-    return _emit((m,), data, build)
+    return _emit((m,), m.data[:, start:stop].copy(), vjp)
 
 
 def slice_rows(m: Matrix, start: int, stop: int) -> Matrix:
     m = _as_matrix(m)
     if not (0 <= start < stop <= m.rows):
         raise DimensionError(f"row slice [{start}:{stop}] out of range for {m.shape}")
-    data = m.data[start:stop, :].copy()
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            full = np.zeros(m.shape)
-            full[start:stop, :] = g
-            _accum(produced, m, full, grads)
-        return vjp
+    def vjp(g):
+        full = np.zeros(m.shape)
+        full[start:stop, :] = g
+        return (full,)
 
-    return _emit((m,), data, build)
+    return _emit((m,), m.data[start:stop, :].copy(), vjp)
 
 
 def concat_cols(parts: Iterable[Matrix]) -> Matrix:
@@ -431,18 +376,12 @@ def concat_cols(parts: Iterable[Matrix]) -> Matrix:
     rows = parts[0].rows
     if any(p.rows != rows for p in parts):
         raise DimensionError("concat_cols row mismatch")
-    data = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.cols for p in parts]
+    edges = np.cumsum([0] + [p.cols for p in parts])
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            at = 0
-            for p, w in zip(parts, widths):
-                _accum(produced, p, g[:, at:at + w], grads)
-                at += w
-        return vjp
+    def vjp(g):
+        return [g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
 
-    return _emit(parts, data, build)
+    return _emit(parts, np.concatenate([p.data for p in parts], axis=1), vjp)
 
 
 def concat_rows(parts: Iterable[Matrix]) -> Matrix:
@@ -452,18 +391,12 @@ def concat_rows(parts: Iterable[Matrix]) -> Matrix:
     cols = parts[0].cols
     if any(p.cols != cols for p in parts):
         raise DimensionError("concat_rows column mismatch")
-    data = np.concatenate([p.data for p in parts], axis=0)
-    heights = [p.rows for p in parts]
+    edges = np.cumsum([0] + [p.rows for p in parts])
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            at = 0
-            for p, h in zip(parts, heights):
-                _accum(produced, p, g[at:at + h, :], grads)
-                at += h
-        return vjp
+    def vjp(g):
+        return [g[lo:hi, :] for lo, hi in zip(edges[:-1], edges[1:])]
 
-    return _emit(parts, data, build)
+    return _emit(parts, np.concatenate([p.data for p in parts], axis=0), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -473,58 +406,25 @@ def concat_rows(parts: Iterable[Matrix]) -> Matrix:
 def relu(m: Matrix) -> Matrix:
     m = _as_matrix(m)
     mask = m.data > 0
-    data = np.where(mask, m.data, 0.0)
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, m, g * mask, grads)
-        return vjp
-
-    return _emit((m,), data, build)
+    return _emit((m,), np.where(mask, m.data, 0.0), lambda g: (g * mask,))
 
 
 def sigmoid(m: Matrix) -> Matrix:
     m = _as_matrix(m)
     data = 1.0 / (1.0 + np.exp(-m.data))
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, m, g * data * (1.0 - data), grads)
-        return vjp
-
-    return _emit((m,), data, build)
+    return _emit((m,), data, lambda g: (g * data * (1.0 - data),))
 
 
-def tanh(m: Matrix) -> Matrix:
+def softmax_rows(m: Matrix) -> Matrix:
+    """Row-wise softmax, computed with max subtraction."""
     m = _as_matrix(m)
-    data = np.tanh(m.data)
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, m, g * (1.0 - data * data), grads)
-        return vjp
-
-    return _emit((m,), data, build)
-
-
-def softmax_rows(m: Matrix, temperature: float = 1.0) -> Matrix:
-    """Row-wise softmax of m / temperature, computed with max subtraction."""
-    m = _as_matrix(m)
-    temperature = float(temperature)
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = m.data / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(m.data - m.data.max(axis=1, keepdims=True))
     data = e / e.sum(axis=1, keepdims=True)
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            inner = (g * data).sum(axis=1, keepdims=True)
-            _accum(produced, m, data * (g - inner) / temperature, grads)
-        return vjp
+    def vjp(g):
+        return (data * (g - (g * data).sum(axis=1, keepdims=True)),)
 
-    return _emit((m,), data, build)
+    return _emit((m,), data, vjp)
 
 
 def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Matrix:
@@ -565,19 +465,16 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Mat
     attn = e / e.sum(axis=2, keepdims=True)
     data = merge(attn @ vh)
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            gh = heads(g)
-            dattn = gh @ vh.transpose(0, 2, 1)
-            inner = (dattn * attn).sum(axis=2, keepdims=True)
-            dz = attn * (dattn - inner) * inv_scale
-            _accum(produced, q, merge(dz @ kt.transpose(0, 2, 1)), grads)
-            _accum(produced, k, merge((qh.transpose(0, 2, 1) @ dz).transpose(0, 2, 1)),
-                   grads)
-            _accum(produced, v, merge(attn.transpose(0, 2, 1) @ gh), grads)
-        return vjp
+    def vjp(g):
+        gh = heads(g)
+        dattn = gh @ vh.transpose(0, 2, 1)
+        inner = (dattn * attn).sum(axis=2, keepdims=True)
+        dz = attn * (dattn - inner) * inv_scale
+        return (merge(dz @ kt.transpose(0, 2, 1)),
+                merge((qh.transpose(0, 2, 1) @ dz).transpose(0, 2, 1)),
+                merge(attn.transpose(0, 2, 1) @ gh))
 
-    return _emit((q, k, v), data, build)
+    return _emit((q, k, v), data, vjp)
 
 
 def l2_normalize_rows(m: Matrix) -> Matrix:
@@ -587,16 +484,14 @@ def l2_normalize_rows(m: Matrix) -> Matrix:
     safe = np.maximum(norms, NORMALIZE_EPS)
     data = m.data / safe
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            # Degenerate rows (norm <= eps) get zero gradient: the forward
-            # guard's kink, where 1/eps scaling would explode training.
-            live = (norms > NORMALIZE_EPS).astype(np.float64)
-            inner = (g * data).sum(axis=1, keepdims=True)
-            _accum(produced, m, live * (g - data * inner) / safe, grads)
-        return vjp
+    def vjp(g):
+        # Degenerate rows (norm <= eps) get zero gradient: the forward
+        # guard's kink, where 1/eps scaling would explode training.
+        live = (norms > NORMALIZE_EPS).astype(np.float64)
+        inner = (g * data).sum(axis=1, keepdims=True)
+        return (live * (g - data * inner) / safe,)
 
-    return _emit((m,), data, build)
+    return _emit((m,), data, vjp)
 
 
 def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) -> Matrix:
@@ -609,20 +504,15 @@ def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) ->
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
-    d = x.cols
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, gain, (g * xhat).sum(axis=0, keepdims=True), grads)
-            _accum(produced, bias, g.sum(axis=0, keepdims=True), grads)
-            dxhat = g * gain.data
-            gx = inv * (dxhat
-                        - dxhat.mean(axis=1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-            _accum(produced, x, gx, grads)
-        return vjp
+    def vjp(g):
+        dxhat = g * gain.data
+        gx = inv * (dxhat
+                    - dxhat.mean(axis=1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
-    return _emit((x, gain, bias), data, build)
+    return _emit((x, gain, bias), data, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +521,7 @@ def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) ->
 
 def sum_all(m: Matrix) -> Matrix:
     m = _as_matrix(m)
-    data = np.array([[m.data.sum()]])
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, m, np.full(m.shape, g[0, 0]), grads)
-        return vjp
-
-    return _emit((m,), data, build)
+    return _emit((m,), np.array([[m.data.sum()]]), lambda g: (np.full(m.shape, g[0, 0]),))
 
 
 def mse(a: Matrix, b: Matrix) -> Matrix:
@@ -648,16 +531,12 @@ def mse(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"mse shape mismatch: {a.shape} vs {b.shape}")
     diff = a.data - b.data
     count = diff.size
-    data = np.array([[float((diff * diff).mean())]])
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            d = g[0, 0] * 2.0 * diff / count
-            _accum(produced, a, d, grads)
-            _accum(produced, b, -d, grads)
-        return vjp
+    def vjp(g):
+        d = g[0, 0] * 2.0 * diff / count
+        return d, -d
 
-    return _emit((a, b), data, build)
+    return _emit((a, b), np.array([[float((diff * diff).mean())]]), vjp)
 
 
 def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:
@@ -667,30 +546,23 @@ def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"l1 shape mismatch: {a.shape} vs {b.shape}")
     diff = a.data - b.data
     count = diff.size
-    data = np.array([[float(np.abs(diff).mean())]])
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            d = g[0, 0] * np.sign(diff) / count
-            _accum(produced, a, d, grads)
-            _accum(produced, b, -d, grads)
-        return vjp
+    def vjp(g):
+        d = g[0, 0] * np.sign(diff) / count
+        return d, -d
 
-    return _emit((a, b), data, build)
+    return _emit((a, b), np.array([[float(np.abs(diff).mean())]]), vjp)
 
 
 def sequence_mean(m: Matrix) -> Matrix:
     """Column-wise mean over rows (the mean feature of a sequence), 1 x cols."""
     m = _as_matrix(m)
-    data = m.data.mean(axis=0, keepdims=True)
     rows = m.rows
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            _accum(produced, m, np.broadcast_to(g / rows, m.shape).copy(), grads)
-        return vjp
+    def vjp(g):
+        return (np.broadcast_to(g / rows, m.shape).copy(),)
 
-    return _emit((m,), data, build)
+    return _emit((m,), m.data.mean(axis=0, keepdims=True), vjp)
 
 
 def l1_of_means(a: Matrix, b: Matrix) -> Matrix:
@@ -701,46 +573,16 @@ def l1_of_means(a: Matrix, b: Matrix) -> Matrix:
     return mean_abs_diff(sequence_mean(a), sequence_mean(b))
 
 
-def interpolate_rows(m: Matrix, target_len: int) -> Matrix:
-    """Linear interpolation along the row axis to ``target_len`` rows.
-
-    Uses the align-corners convention, so ``target_len == rows`` is an exact
-    identity and a single input row is repeated. ``target_len == 1`` on a
-    multi-row input returns the first row.
-    """
+def repeat_row(m: Matrix, times: int) -> Matrix:
+    """Stack ``times`` copies of the single row of ``m``; the gradient is the
+    column-wise sum of the copies' gradients."""
     m = _as_matrix(m)
-    if target_len < 1:
-        raise DimensionError(f"target_len must be >= 1, got {target_len}")
-    r = m.rows
-    if r == 1:
-        data = np.repeat(m.data, target_len, axis=0)
-
-        def build(produced: set[int]):
-            def vjp(g, grads):
-                _accum(produced, m, g.sum(axis=0, keepdims=True), grads)
-            return vjp
-
-        return _emit((m,), data, build)
-
-    if target_len == 1:
-        lo = np.array([0])
-        frac = np.array([0.0])
-    else:
-        pos = np.arange(target_len) * ((r - 1) / (target_len - 1))
-        lo = np.minimum(pos.astype(np.int64), r - 2)
-        frac = pos - lo
-    hi = np.minimum(lo + 1, r - 1)
-    data = (1.0 - frac)[:, None] * m.data[lo] + frac[:, None] * m.data[hi]
-
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            dm = np.zeros(m.shape)
-            np.add.at(dm, lo, (1.0 - frac)[:, None] * g)
-            np.add.at(dm, hi, frac[:, None] * g)
-            _accum(produced, m, dm, grads)
-        return vjp
-
-    return _emit((m,), data, build)
+    if m.rows != 1:
+        raise DimensionError(f"repeat_row needs a single row, got {m.shape}")
+    if times < 1:
+        raise DimensionError(f"times must be >= 1, got {times}")
+    return _emit((m,), np.repeat(m.data, times, axis=0),
+                 lambda g: (g.sum(axis=0, keepdims=True),))
 
 
 def cross_entropy_rows(logits: Matrix, targets: Sequence[int]) -> Matrix:
@@ -756,13 +598,10 @@ def cross_entropy_rows(logits: Matrix, targets: Sequence[int]) -> Matrix:
     p = e / e.sum(axis=1, keepdims=True)
     rows = np.arange(logits.rows)
     losses = -np.log(np.maximum(p[rows, targets], 1e-300))
-    data = np.array([[float(losses.mean())]])
 
-    def build(produced: set[int]):
-        def vjp(g, grads):
-            d = p.copy()
-            d[rows, targets] -= 1.0
-            _accum(produced, logits, g[0, 0] * d / logits.rows, grads)
-        return vjp
+    def vjp(g):
+        d = p.copy()
+        d[rows, targets] -= 1.0
+        return (g[0, 0] * d / logits.rows,)
 
-    return _emit((logits,), data, build)
+    return _emit((logits,), np.array([[float(losses.mean())]]), vjp)

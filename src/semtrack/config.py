@@ -9,6 +9,7 @@ from pathlib import Path
 
 from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain
 from semtrack.quality import QualityRanges
+from semtrack.scenes import DetectorNoise
 from semtrack.student import StudentConfig
 from semtrack.tracker import TrackerConfig
 from semtrack.training import TrainConfig
@@ -68,6 +69,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        for name in ("num_train_scenes", "num_eval_scenes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if len(self.ratio) != 2 or self.ratio[0] < 1 or self.ratio[1] < 0:
+            raise ValueError(f"ratio must be (low >= 1, high >= 0), got {self.ratio}")
         for key, kind in _MODULE_CONFIGS.items():
             given = getattr(self, key)
             _reject_unknown(kind, given, key)
@@ -75,6 +81,12 @@ class ExperimentConfig:
                 if name in given:
                     raise ValueError(f"{key}: {name!r} is taken from {source!r}, "
                                      "not set here")
+        # the derived configs validate their own values; build each once so a
+        # bad value fails here rather than when a run first needs it
+        self.chain()
+        self.student_config()
+        self.train_config()
+        self.detector_noise()
 
     # -- derived module configs --
 
@@ -84,6 +96,9 @@ class ExperimentConfig:
     def chain(self) -> DegradationChain:
         return DegradationChain.from_spec(list(self.degradation_chain),
                                           master_seed=self.seeds.degradation)
+
+    def detector_noise(self) -> DetectorNoise:
+        return DetectorNoise(**asdict(self.detector))
 
     def tracker_config(self) -> TrackerConfig:
         return TrackerConfig(quality_ranges=self.dswr, **self.tracker)

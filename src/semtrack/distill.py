@@ -2,8 +2,11 @@
 teacher vector.
 
 Pipeline: project the 1x1024 teacher vector to 256, align it to the student
-sequence length by linear interpolation, then combine a local MSE term and a
-global L1-of-means term with softmax-normalized learnable weights.
+sequence length by repeating the projected row once per student row, then
+combine a local MSE term and a global L1-of-means term with softmax-normalized
+learnable weights. A repeat is all the alignment there is to do:
+:class:`TeacherEmbedding` holds exactly one 1x1024 row per frame, and
+interpolating a single row to any length gives copies of it.
 
 The paper's local term compares the student with the teacher aggregated
 through a temperature-scaled attention map between the two L2-normalized
@@ -79,7 +82,7 @@ class DcsdHead:
             raise DimensionError("student sequence must be non-empty")
 
         t_proj = self.project_teacher(t)                       # 1 x 256
-        t_align = ad.interpolate_rows(t_proj, s.rows)          # n x 256
+        t_align = ad.repeat_row(t_proj, s.rows)                # n x 256
 
         l_local = ad.mse(s, t_align)
         l_global = ad.l1_of_means(s, t_align)

@@ -23,8 +23,7 @@ import numpy as np
 from semtrack.config import ExperimentConfig
 from semtrack.degrade import apply_chain, partition_sequences
 from semtrack.metrics import MetricReport, evaluate
-from semtrack.scenes import (DetectorNoise, generate_scene, random_scene_config,
-                             synth_detector)
+from semtrack.scenes import generate_scene, random_scene_config, synth_detector
 from semtrack.tracker import TrackerModel, track_sequence
 from semtrack.training import SceneSample, train
 from semtrack.tracks import TrackSet
@@ -67,10 +66,7 @@ def _make_sample(config: ExperimentConfig, scene_seed: int, detector_seed: int,
         chain = config.chain()
         frames = [apply_chain(chain, frame, sequence_id=name, frame_index=i)
                   for i, frame in enumerate(frames)]
-    noise = DetectorNoise(jitter_sigma=config.detector.jitter_sigma,
-                          fp_rate=config.detector.fp_rate,
-                          fn_rate=config.detector.fn_rate)
-    detections = synth_detector(frames, gt, noise, seed=detector_seed)
+    detections = synth_detector(frames, gt, config.detector_noise(), seed=detector_seed)
     return SceneSample(frames=frames, detections=detections, gt=gt, name=name)
 
 

@@ -30,6 +30,12 @@ class QualityRanges:
     noise: tuple[float, float] = (0.0, 0.1)
     contrast: tuple[float, float] = (0.0, 0.35)
 
+    def __post_init__(self):
+        for name in ("clarity", "noise", "contrast"):
+            lo, hi = getattr(self, name)
+            if hi <= lo:
+                raise ValueError(f"invalid {name} normalization range [{lo}, {hi}]")
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -41,8 +47,6 @@ class QualityReport:
 
 def _normalize(value: float, bounds: tuple[float, float]) -> float:
     lo, hi = bounds
-    if hi <= lo:
-        raise ValueError(f"invalid normalization range [{lo}, {hi}]")
     return min(max((value - lo) / (hi - lo), 0.0), 1.0)
 
 

@@ -101,12 +101,11 @@ def _block_average(frame: np.ndarray) -> np.ndarray:
         w = frame.shape[1]
     row_edges = (np.arange(_POOL + 1) * h) // _POOL
     col_edges = (np.arange(_POOL + 1) * w) // _POOL
-    pooled = np.empty((_POOL, _POOL))
-    for i in range(_POOL):
-        for j in range(_POOL):
-            block = frame[row_edges[i]:row_edges[i + 1], col_edges[j]:col_edges[j + 1]]
-            pooled[i, j] = block.mean()
-    return pooled
+    # both sides are now >= 16, so the edges strictly increase: reduceat
+    # would return a lone row or column, not an empty sum, for an empty block
+    sums = np.add.reduceat(np.add.reduceat(frame, row_edges[:-1], axis=0),
+                           col_edges[:-1], axis=1)
+    return sums / np.outer(np.diff(row_edges), np.diff(col_edges))
 
 
 def pseudo_teacher(frame: np.ndarray, seed: int) -> TeacherEmbedding:

@@ -269,13 +269,6 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
         dets = per_frame.get(frame_index, [])
         carried = [trk for trk in active
                    if trk.confidence > config.propagate_confidence]
-        if not dets and not carried:
-            for trk in active:
-                trk.misses += 1
-                trk.confidence *= config.miss_decay
-            active = [t for t in active if t.misses <= config.max_age]
-            continue
-
         rows: list[np.ndarray] = [trk.feature for trk in carried]
         descriptors = [box_descriptor(frame, det.box) for det in dets]
         n_carried = len(rows)

@@ -93,3 +93,23 @@ def test_tracker_config_takes_quality_ranges_from_dswr():
     config = custom_config()
     assert config.tracker_config().quality_ranges == config.dswr
     assert ExperimentConfig().tracker_config().quality_ranges == QualityRanges()
+
+
+@pytest.mark.parametrize("where, key, value, match", [
+    (None, "num_eval_scenes", 0, "num_eval_scenes"),
+    (None, "num_train_scenes", -2, "num_train_scenes"),
+    (None, "ratio", [0, 1], "ratio"),
+    (None, "ratio", [1, 2, 3], "ratio"),
+    (None, "degradation_chain", [{"kind": "nope"}], "nope"),
+    ("student", "num_heads", 3, "num_heads"),
+    ("training", "epochs", 0, "epochs"),
+    ("detector", "fp_rate", 2.0, "fp_rate"),
+    ("dswr", "clarity", [1.0, 0.0], "clarity"),
+], ids=["no-eval-scenes", "negative-train-scenes", "ratio-no-low", "ratio-three",
+        "unknown-degradation", "heads-not-dividing", "no-epochs", "fp-rate-above-one",
+        "clarity-range-reversed"])
+def test_malformed_value_raises_when_built(where, key, value, match):
+    raw = json.loads(ExperimentConfig().to_json())
+    (raw if where is None else raw[where])[key] = value
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict(raw)

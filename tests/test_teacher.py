@@ -119,3 +119,34 @@ def test_projection_is_built_once_and_read_only():
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 1.0
+
+
+def block_average_loop(frame):
+    """Reference pooling: repeat small frames up to 16 px, then one Python
+    ``mean`` per block of the 16x16 grid."""
+    h, w = frame.shape
+    if h < 16:
+        frame = np.repeat(frame, -(-16 // h), axis=0)
+        h = frame.shape[0]
+    if w < 16:
+        frame = np.repeat(frame, -(-16 // w), axis=1)
+        w = frame.shape[1]
+    row_edges = (np.arange(17) * h) // 16
+    col_edges = (np.arange(17) * w) // 16
+    pooled = np.empty((16, 16))
+    for i in range(16):
+        for j in range(16):
+            pooled[i, j] = frame[row_edges[i]:row_edges[i + 1],
+                                 col_edges[j]:col_edges[j + 1]].mean()
+    return pooled
+
+
+@pytest.mark.parametrize("shape", [(96, 128), (5, 7), (1, 40), (37, 53), (16, 16)],
+                         ids=["default", "small", "one-row", "uneven", "exact"])
+def test_block_average_matches_loop(shape):
+    # summation order differs from the per-block mean, so equal to 1e-12,
+    # not bit for bit
+    frame = np.random.default_rng(sum(shape)).uniform(0, 1, size=shape)
+    pooled = teacher._block_average(frame)
+    assert pooled.shape == (16, 16)
+    assert np.allclose(pooled, block_average_loop(frame), rtol=0.0, atol=1e-12)
