@@ -4,7 +4,7 @@ and seed a run needs, so a saved snapshot reproduces the run byte-for-byte."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain
@@ -13,6 +13,10 @@ from semtrack.scenes import DetectorNoise
 from semtrack.student import StudentConfig
 from semtrack.tracker import TrackerConfig
 from semtrack.training import TrainConfig
+
+# evaluation scene i takes the scene and detector seeds of training scene
+# EVAL_SEED_OFFSET + i, so no config may train on that many scenes
+EVAL_SEED_OFFSET = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,20 +64,22 @@ class ExperimentConfig:
         "match_gate": 0.7, "iou_weight": 0.5, "birth_confidence": 0.6,
         "propagate_confidence": 0.5, "max_age": 3, "miss_decay": 0.7,
         "fixed_fusion_weight": 0.5})
-    ratio: tuple[int, int] = (2, 1)
+    ratio: tuple[int, int] | None = (2, 1)      # low:high; None degrades nothing
     num_train_scenes: int = 6
     num_eval_scenes: int = 8
     seeds: Seeds = Seeds()
     output_dir: str = "runs/default"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         for name in ("num_train_scenes", "num_eval_scenes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if len(self.ratio) != 2 or self.ratio[0] < 1 or self.ratio[1] < 0:
-            raise ValueError(f"ratio must be (low >= 1, high >= 0), got {self.ratio}")
+        if self.num_train_scenes > EVAL_SEED_OFFSET:
+            raise ValueError(f"num_train_scenes must be <= {EVAL_SEED_OFFSET}, the "
+                             f"evaluation seed offset, got {self.num_train_scenes}")
+        ratio = self.ratio
+        if ratio is not None and (len(ratio) != 2 or ratio[0] < 1 or ratio[1] < 0):
+            raise ValueError(f"ratio must be (low >= 1, high >= 0) or None, got {ratio}")
         for key, kind in _MODULE_CONFIGS.items():
             given = getattr(self, key)
             _reject_unknown(kind, given, key)
@@ -103,9 +109,9 @@ class ExperimentConfig:
     def tracker_config(self) -> TrackerConfig:
         return TrackerConfig(quality_ranges=self.dswr, **self.tracker)
 
-    def train_config(self, alpha: float | None = None) -> TrainConfig:
-        return TrainConfig(alpha=self.alpha if alpha is None else alpha,
-                           teacher_seed=self.seeds.teacher, **self.training)
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(alpha=self.alpha, teacher_seed=self.seeds.teacher,
+                           **self.training)
 
     # -- serialization --
 
@@ -137,12 +143,6 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
-    def with_alpha(self, alpha: float) -> "ExperimentConfig":
-        return replace(self, alpha=alpha)
-
-    def with_ratio(self, ratio: tuple[int, int]) -> "ExperimentConfig":
-        return replace(self, ratio=ratio)
 
 
 _NESTED = {"scene": SceneParams, "detector": DetectorParams, "dswr": QualityRanges,

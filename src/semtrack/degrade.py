@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +75,6 @@ def op_from_dict(spec: dict) -> DegradationOp:
     return kinds[kind](**spec)
 
 
-def op_to_dict(op: DegradationOp) -> dict:
-    if isinstance(op, GaussianBlur):
-        return {"kind": op.kind, "sigma": op.sigma, "kernel_size": op.kernel_size}
-    if isinstance(op, Downsample):
-        return {"kind": op.kind, "scale": op.scale, "resample": op.resample}
-    return {"kind": op.kind, "sigma": op.sigma, "seed": op.seed}
-
-
 @dataclass(frozen=True)
 class DegradationChain:
     ops: tuple[DegradationOp, ...] = ()
@@ -97,7 +89,7 @@ class DegradationChain:
         return cls.from_spec(DEFAULT_CHAIN_SPEC, master_seed=master_seed)
 
     def to_spec(self) -> list[dict]:
-        return [op_to_dict(op) for op in self.ops]
+        return [asdict(op) for op in self.ops]
 
 
 def _gaussian_kernel(sigma: float, size: int) -> np.ndarray:

@@ -47,7 +47,8 @@ class DcsdBreakdown:
 class DcsdHead:
     """Teacher projection + learnable loss-weight logits."""
 
-    def __init__(self, seed: int = 0, student_dim: int = STUDENT_DIM):
+    def __init__(self, seed: int = 0, student_dim: int = STUDENT_DIM,
+                 train_loss_weights: bool = True):
         self.student_dim = student_dim
         rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(TEACHER_DIM)
@@ -58,7 +59,8 @@ class DcsdHead:
             rng.uniform(-bound, bound, size=(1, student_dim)),
             name="dcsd.teacher_proj.bias")
         # logits start equal: w1 = w2 = 0.5
-        self.loss_logits = Parameter(np.zeros((1, 2)), name="dcsd.loss_logits")
+        self.loss_logits = Parameter(np.zeros((1, 2)), trainable=train_loss_weights,
+                                     name="dcsd.loss_logits")
 
     def parameters(self) -> list[Parameter]:
         return [self.teacher_weight, self.teacher_bias, self.loss_logits]

@@ -8,19 +8,28 @@ Variants mirror the ablation ladder:
 * ``dcsd``: same with the loss-weight logits trainable.
 * ``full``: adds quality-driven fusion.
 
-All corpora are derived deterministically from one ExperimentConfig: scene i
-uses seed ``seeds.scenes + i`` (training) or ``seeds.scenes + 10_000 + i``
-(evaluation), detections use ``seeds.detector + i``, and degradation keys off
-the sequence name, so every run of the same snapshot is bit-identical.
+A run is one ExperimentConfig plus a variant name, and every corpus derives
+deterministically from the config. Training scene i uses scene seed
+``seeds.scenes + i`` and detector seed ``seeds.detector + i``; evaluation
+scene i adds ``EVAL_SEED_OFFSET`` to both, and the config caps
+``num_train_scenes`` at that offset, so the two corpora never share a seed.
+Degradation keys off the sequence name, so every run of the same snapshot is
+bit-identical. ``ratio`` picks the degraded share of the training scenes;
+``ratio=None`` degrades none of them. Every evaluation scene is degraded by
+``degradation_chain``; an empty chain gives a clean corpus.
+
+The sweeps (:func:`ablation_trend`, :func:`alpha_sweep`, :func:`ratio_sweep`)
+only build ``{name: (config, variant)}``; :func:`run_sweep` trains and scores
+each run from its own config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from semtrack.config import ExperimentConfig
+from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig
 from semtrack.degrade import apply_chain, partition_sequences
 from semtrack.metrics import MetricReport, evaluate
 from semtrack.scenes import generate_scene, random_scene_config, synth_detector
@@ -29,7 +38,6 @@ from semtrack.training import SceneSample, train
 from semtrack.tracks import TrackSet
 
 VARIANTS = ("baseline", "distill", "dcsd", "full")
-EVAL_SEED_OFFSET = 10_000
 
 RATIO_GRID: dict[str, tuple[int, int] | None] = {
     "all-high": None,          # no degradation at all
@@ -70,19 +78,12 @@ def _make_sample(config: ExperimentConfig, scene_seed: int, detector_seed: int,
     return SceneSample(frames=frames, detections=detections, gt=gt, name=name)
 
 
-def training_corpus(config: ExperimentConfig,
-                    ratio: tuple[int, int] | None = "config") -> list[SceneSample]:
-    """Mixed training scenes at the configured (or overridden) low:high ratio.
-
-    ``ratio=None`` means all-high (nothing degraded).
-    """
-    if ratio == "config":
-        ratio = config.ratio
+def training_corpus(config: ExperimentConfig) -> list[SceneSample]:
+    """Training scenes, degraded in the configured low:high ratio."""
     names = [f"train{i:03d}" for i in range(config.num_train_scenes)]
-    if ratio is None:
-        low: list[str] = []
-    else:
-        low, _ = partition_sequences(names, ratio, seed=config.seeds.partition)
+    low: list[str] = []
+    if config.ratio is not None:
+        low, _ = partition_sequences(names, config.ratio, seed=config.seeds.partition)
     return [
         _make_sample(config, config.seeds.scenes + i, config.seeds.detector + i,
                      name, degraded=name in low)
@@ -90,27 +91,21 @@ def training_corpus(config: ExperimentConfig,
     ]
 
 
-def evaluation_corpus(config: ExperimentConfig, count: int | None = None,
-                      degraded: bool = True) -> list[SceneSample]:
-    count = config.num_eval_scenes if count is None else count
+def evaluation_corpus(config: ExperimentConfig) -> list[SceneSample]:
     return [
         _make_sample(config,
                      config.seeds.scenes + EVAL_SEED_OFFSET + i,
                      config.seeds.detector + EVAL_SEED_OFFSET + i,
-                     f"eval{i:03d}", degraded=degraded)
-        for i in range(count)
+                     f"eval{i:03d}", degraded=True)
+        for i in range(config.num_eval_scenes)
     ]
 
 
-def train_variant(config: ExperimentConfig, variant: str,
-                  samples: list[SceneSample] | None = None,
-                  alpha: float | None = None,
-                  log_path=None) -> tuple[TrackerModel, list[dict]]:
+def train_variant(config: ExperimentConfig, variant: str
+                  ) -> tuple[TrackerModel, list[dict]]:
     model = build_model(config, variant)
-    if samples is None:
-        samples = training_corpus(config)
-    log = train(model, samples, config.train_config(alpha=alpha),
-                config.tracker_config(), log_path=log_path)
+    log = train(model, training_corpus(config), config.train_config(),
+                config.tracker_config())
     return model, log
 
 
@@ -136,6 +131,8 @@ class MeanScores:
 
 def evaluate_samples(model: TrackerModel, samples: list[SceneSample],
                      config: ExperimentConfig) -> tuple[MeanScores, dict[str, MetricReport]]:
+    if not samples:
+        raise ValueError("no evaluation scenes")
     predictions = track_samples(model, samples, config)
     reports = {s.name: evaluate(s.gt, predictions[s.name]) for s in samples}
     scores = MeanScores(
@@ -148,36 +145,28 @@ def evaluate_samples(model: TrackerModel, samples: list[SceneSample],
     return scores, reports
 
 
-def ablation_trend(config: ExperimentConfig, eval_count: int | None = None
-                   ) -> dict[str, MeanScores]:
-    """Train each variant on the same corpus; evaluate on degraded scenes."""
-    train_set = training_corpus(config)
-    eval_set = evaluation_corpus(config, count=eval_count, degraded=True)
+Runs = dict[str, tuple[ExperimentConfig, str]]
+
+
+def run_sweep(runs: Runs) -> dict[str, MeanScores]:
+    """Train each run's variant on its config's corpus; score it on the
+    config's evaluation corpus."""
     out: dict[str, MeanScores] = {}
-    for variant in VARIANTS:
-        model, _ = train_variant(config, variant, samples=train_set)
-        out[variant], _ = evaluate_samples(model, eval_set, config)
+    for name, (config, variant) in runs.items():
+        model, _ = train_variant(config, variant)
+        out[name], _ = evaluate_samples(model, evaluation_corpus(config), config)
     return out
 
 
-def alpha_sweep(config: ExperimentConfig, alphas=(0.2, 0.4, 0.6),
-                eval_count: int | None = None) -> dict[float, MeanScores]:
-    train_set = training_corpus(config)
-    eval_set = evaluation_corpus(config, count=eval_count, degraded=True)
-    out: dict[float, MeanScores] = {}
-    for alpha in alphas:
-        model, _ = train_variant(config, "full", samples=train_set, alpha=alpha)
-        out[alpha], _ = evaluate_samples(model, eval_set, config)
-    return out
+def ablation_trend(config: ExperimentConfig) -> Runs:
+    return {variant: (config, variant) for variant in VARIANTS}
 
 
-def ratio_sweep(config: ExperimentConfig, ratios=None,
-                eval_count: int | None = None) -> dict[str, MeanScores]:
-    ratios = RATIO_GRID if ratios is None else ratios
-    eval_set = evaluation_corpus(config, count=eval_count, degraded=True)
-    out: dict[str, MeanScores] = {}
-    for name, ratio in ratios.items():
-        train_set = training_corpus(config, ratio=ratio)
-        model, _ = train_variant(config, "full", samples=train_set)
-        out[name], _ = evaluate_samples(model, eval_set, config)
-    return out
+def alpha_sweep(config: ExperimentConfig, alphas=(0.2, 0.4, 0.6)) -> Runs:
+    return {f"alpha={alpha:g}": (replace(config, alpha=alpha), "full")
+            for alpha in alphas}
+
+
+def ratio_sweep(config: ExperimentConfig, ratios=RATIO_GRID) -> Runs:
+    return {name: (replace(config, ratio=ratio), "full")
+            for name, ratio in ratios.items()}

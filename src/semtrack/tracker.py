@@ -84,10 +84,8 @@ class TrackerModel:
         self.box_bias = Parameter(rng.uniform(-bound, bound, (1, 4)),
                                   name="box_head.bias")
         self.student = StudentModel(student_config, seed=seed + 1) if use_student else None
-        self.dcsd = DcsdHead(seed=seed + 2) if use_student else None
-        if self.dcsd is not None and not train_loss_weights:
-            self.dcsd.loss_logits.trainable = False
-            self.dcsd.loss_logits.value.requires_grad = False
+        self.dcsd = (DcsdHead(seed=seed + 2, train_loss_weights=train_loss_weights)
+                     if use_student else None)
         self.dswr = DswrHead() if (use_student and use_dswr) else None
         self.use_student = use_student
         self.use_dswr = use_student and use_dswr

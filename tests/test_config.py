@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from semtrack.config import ExperimentConfig, SceneParams
+from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig, SceneParams
 from semtrack.quality import QualityRanges
 
 
@@ -31,6 +31,19 @@ def test_json_round_trip(tmp_path, config):
     path = tmp_path / "config.json"
     config.save(path)
     assert ExperimentConfig.load(path) == config
+
+
+def test_ratio_none_round_trips_as_null():
+    config = replace(ExperimentConfig(), ratio=None)
+    assert json.loads(config.to_json())["ratio"] is None
+    assert ExperimentConfig.from_json(config.to_json()) == config
+
+
+def test_train_scene_count_capped_at_eval_seed_offset():
+    # more training scenes would reuse the evaluation scenes' seeds
+    ExperimentConfig(num_train_scenes=EVAL_SEED_OFFSET)
+    with pytest.raises(ValueError, match="num_train_scenes"):
+        ExperimentConfig(num_train_scenes=EVAL_SEED_OFFSET + 1)
 
 
 @pytest.mark.parametrize("where, key", [

@@ -1,11 +1,15 @@
+import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semtrack import experiment
-from semtrack.config import ExperimentConfig, SceneParams, Seeds
-from semtrack.experiment import (build_model, evaluation_corpus, training_corpus)
+from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig, SceneParams, Seeds
+from semtrack.experiment import (RATIO_GRID, VARIANTS, ablation_trend, alpha_sweep,
+                                 build_model, evaluate_samples, evaluation_corpus,
+                                 ratio_sweep, run_sweep, training_corpus)
 from semtrack.scenes import generate_scene, random_scene_config
 
 
@@ -58,14 +62,36 @@ def clean_frames(config, index):
     return generate_scene(scene)[0]
 
 
+def is_clean(sample, config, index):
+    return all(np.array_equal(a, b) for a, b in zip(sample.frames, clean_frames(config, index)))
+
+
+def is_degraded(sample, config, index):
+    return not any(np.array_equal(a, b)
+                   for a, b in zip(sample.frames, clean_frames(config, index)))
+
+
 def test_training_corpus_without_ratio_degrades_nothing():
     config = small_config()
-    for i, sample in enumerate(training_corpus(config, ratio=None)):
-        assert all(np.array_equal(a, b) for a, b in zip(sample.frames, clean_frames(config, i)))
+    for i, sample in enumerate(training_corpus(replace(config, ratio=None))):
+        assert is_clean(sample, config, i)
     # the comparison can tell: with every scene low-quality, no frame is clean
-    for i, sample in enumerate(training_corpus(config, ratio=(1, 0))):
-        assert not any(np.array_equal(a, b)
-                       for a, b in zip(sample.frames, clean_frames(config, i)))
+    for i, sample in enumerate(training_corpus(replace(config, ratio=(1, 0)))):
+        assert is_degraded(sample, config, i)
+
+
+def test_evaluation_corpus_with_empty_chain_is_clean():
+    config = small_config()
+    for i, sample in enumerate(evaluation_corpus(replace(config, degradation_chain=()))):
+        assert is_clean(sample, config, EVAL_SEED_OFFSET + i)
+    for i, sample in enumerate(evaluation_corpus(config)):
+        assert is_degraded(sample, config, EVAL_SEED_OFFSET + i)
+
+
+def test_evaluate_samples_rejects_empty_corpus():
+    config = small_config()
+    with pytest.raises(ValueError, match="no evaluation scenes"):
+        evaluate_samples(build_model(config, "baseline"), [], config)
 
 
 def test_evaluation_seeds_never_overlap_training_seeds(monkeypatch):
@@ -92,3 +118,64 @@ def test_evaluation_seeds_never_overlap_training_seeds(monkeypatch):
     assert len(set(seen["scene"])) == config.num_eval_scenes
     for kind in seen:
         assert not train_seeds[kind] & set(seen[kind])
+
+
+def sweep_config():
+    return ExperimentConfig(scene=SceneParams(width=64, height=48, num_frames=8,
+                                              num_targets=2),
+                            training=dict(ExperimentConfig().training, epochs=1),
+                            num_train_scenes=2, num_eval_scenes=2)
+
+
+@pytest.fixture
+def trained(monkeypatch):
+    """(model, samples, train_config) of every run, in the order trained."""
+    runs = []
+    real_train = experiment.train
+
+    def spy(model, samples, train_config, *args, **kwargs):
+        runs.append((model, samples, train_config))
+        return real_train(model, samples, train_config, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "train", spy)
+    return runs
+
+
+def assert_scored(scores, names):
+    assert list(scores) == list(names)
+    assert all(math.isfinite(v) for score in scores.values() for v in score.row().values())
+
+
+def test_ablation_trains_every_variant_on_one_config(trained):
+    config = sweep_config()
+    runs = ablation_trend(config)
+    assert runs == {variant: (config, variant) for variant in VARIANTS}
+    assert_scored(run_sweep(runs), VARIANTS)
+    wiring = [(m.use_student, m.use_dswr, m.train_loss_weights) for m, _, _ in trained]
+    assert wiring == [(False, False, False), (True, False, False),
+                      (True, False, True), (True, True, True)]
+
+
+def test_alpha_sweep_trains_each_point_with_its_alpha(trained):
+    runs = alpha_sweep(sweep_config())
+    assert [c.alpha for c, _ in runs.values()] == [0.2, 0.4, 0.6]
+    assert_scored(run_sweep(runs), ["alpha=0.2", "alpha=0.4", "alpha=0.6"])
+    assert [train_config.alpha for _, _, train_config in trained] == [0.2, 0.4, 0.6]
+    assert all(model.use_dswr for model, _, _ in trained)
+
+
+def test_ratio_sweep_trains_each_point_on_its_mix(trained):
+    config = sweep_config()
+    runs = ratio_sweep(config)
+    assert {name: c.ratio for name, (c, _) in runs.items()} == RATIO_GRID
+    assert_scored(run_sweep(runs), RATIO_GRID)
+    samples = dict(zip(RATIO_GRID, (s for _, s, _ in trained)))
+    assert all(is_clean(s, config, i) for i, s in enumerate(samples["all-high"]))
+    assert all(is_degraded(s, config, i) for i, s in enumerate(samples["all-low"]))
+
+
+def test_every_sweep_point_config_survives_json():
+    config = sweep_config()
+    for runs in (ablation_trend(config), alpha_sweep(config), ratio_sweep(config)):
+        for point, _ in runs.values():
+            assert ExperimentConfig.from_json(point.to_json()) == point
