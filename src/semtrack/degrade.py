@@ -1,22 +1,22 @@
-"""Composable frame-degradation operators and mixed training-set assembly.
+"""Composable frame-degradation operators and the low/high split of a
+training corpus.
 
 A chain applies its operators in listed order (first entry first). Downsample
 restores the original resolution immediately afterwards so frame geometry and
 ground-truth boxes stay valid; every chain output is clamped to [0, 1]. Noise
 draws are keyed by (master seed, op seed, sequence id, frame index), so whole
-datasets regenerate bit-identically without global RNG state.
+corpora regenerate bit-identically without global RNG state. Chains are built
+from the JSON op specs an ``ExperimentConfig`` holds; frames stay in memory.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from semtrack.frames import read_pgm, resize, write_pgm
+from semtrack.frames import resize
 
 DEFAULT_CHAIN_SPEC = [
     {"kind": "gaussian_blur", "sigma": 1.5, "kernel_size": 7},
@@ -72,6 +72,9 @@ def op_from_dict(spec: dict) -> DegradationOp:
     kind = spec.pop("kind", None)
     if kind not in kinds:
         raise ValueError(f"unknown degradation op kind: {kind!r}")
+    unknown = sorted(set(spec) - {f.name for f in fields(kinds[kind])})
+    if unknown:
+        raise ValueError(f"{kind}: unknown keys {unknown}")
     return kinds[kind](**spec)
 
 
@@ -83,13 +86,6 @@ class DegradationChain:
     @classmethod
     def from_spec(cls, spec: list[dict], master_seed: int = 0) -> "DegradationChain":
         return cls(ops=tuple(op_from_dict(s) for s in spec), master_seed=master_seed)
-
-    @classmethod
-    def default(cls, master_seed: int = 0) -> "DegradationChain":
-        return cls.from_spec(DEFAULT_CHAIN_SPEC, master_seed=master_seed)
-
-    def to_spec(self) -> list[dict]:
-        return [asdict(op) for op in self.ops]
 
 
 def _gaussian_kernel(sigma: float, size: int) -> np.ndarray:
@@ -169,45 +165,3 @@ def partition_sequences(sequence_ids: list[str], ratio: tuple[int, int],
     low = sorted(ids[i] for i in order[:n_low])
     high = sorted(ids[i] for i in order[n_low:])
     return low, high
-
-
-def build_mixed_set(sequence_ids: list[str], ratio: tuple[int, int],
-                    chain: DegradationChain, seed: int,
-                    source_root: str | Path | None = None,
-                    output_root: str | Path | None = None) -> dict:
-    """Partition sequences, degrade the low share, and return the manifest.
-
-    Sequences are directories of ``*.pgm`` frames under ``source_root``. When
-    roots are omitted only the manifest is produced (no file I/O).
-    """
-    low, high = partition_sequences(sequence_ids, ratio, seed)
-    manifest = {
-        "ratio": {"low": ratio[0], "high": ratio[1]},
-        "seed": seed,
-        "chain": {"master_seed": chain.master_seed, "ops": chain.to_spec()},
-        "sequences": sorted(sequence_ids),
-        "low": low,
-        "high": high,
-    }
-    if source_root is None or output_root is None:
-        return manifest
-    source_root = Path(source_root)
-    output_root = Path(output_root)
-    output_root.mkdir(parents=True, exist_ok=True)
-    for seq in sorted(sequence_ids):
-        src = source_root / seq
-        dst = output_root / seq
-        dst.mkdir(parents=True, exist_ok=True)
-        frame_paths = sorted(src.glob("*.pgm"))
-        if not frame_paths:
-            raise FileNotFoundError(f"sequence {seq!r} has no .pgm frames under {src}")
-        degrade = seq in low
-        for index, frame_path in enumerate(frame_paths):
-            frame = read_pgm(frame_path)
-            if degrade:
-                frame = apply_chain(chain, frame, sequence_id=seq, frame_index=index)
-            write_pgm(frame, dst / frame_path.name)
-    with open(output_root / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest

@@ -20,7 +20,8 @@ bit-identical. ``ratio`` picks the degraded share of the training scenes;
 
 The sweeps (:func:`ablation_trend`, :func:`alpha_sweep`, :func:`ratio_sweep`)
 only build ``{name: (config, variant)}``; :func:`run_sweep` trains and scores
-each run from its own config.
+each run from its own config. :func:`ratio_sweep` rejects two ratios that
+degrade the same training scenes, which a small corpus can make them do.
 """
 
 from __future__ import annotations
@@ -78,16 +79,26 @@ def _make_sample(config: ExperimentConfig, scene_seed: int, detector_seed: int,
     return SceneSample(frames=frames, detections=detections, gt=gt, name=name)
 
 
+def _train_names(config: ExperimentConfig) -> list[str]:
+    return [f"train{i:03d}" for i in range(config.num_train_scenes)]
+
+
+def degraded_train_scenes(config: ExperimentConfig) -> list[str]:
+    """Names of the training scenes ``config.ratio`` degrades; none for None."""
+    if config.ratio is None:
+        return []
+    low, _ = partition_sequences(_train_names(config), config.ratio,
+                                 seed=config.seeds.partition)
+    return low
+
+
 def training_corpus(config: ExperimentConfig) -> list[SceneSample]:
     """Training scenes, degraded in the configured low:high ratio."""
-    names = [f"train{i:03d}" for i in range(config.num_train_scenes)]
-    low: list[str] = []
-    if config.ratio is not None:
-        low, _ = partition_sequences(names, config.ratio, seed=config.seeds.partition)
+    low = degraded_train_scenes(config)
     return [
         _make_sample(config, config.seeds.scenes + i, config.seeds.detector + i,
                      name, degraded=name in low)
-        for i, name in enumerate(names)
+        for i, name in enumerate(_train_names(config))
     ]
 
 
@@ -168,5 +179,16 @@ def alpha_sweep(config: ExperimentConfig, alphas=(0.2, 0.4, 0.6)) -> Runs:
 
 
 def ratio_sweep(config: ExperimentConfig, ratios=RATIO_GRID) -> Runs:
-    return {name: (replace(config, ratio=ratio), "full")
+    """One ``full`` run per ratio; raises ``ValueError`` when two ratios
+    degrade the same training scenes, since they would train the same model."""
+    runs = {name: (replace(config, ratio=ratio), "full")
             for name, ratio in ratios.items()}
+    seen: dict[tuple[str, ...], str] = {}
+    for name, (point, _) in runs.items():
+        low = tuple(degraded_train_scenes(point))
+        if low in seen:
+            raise ValueError(
+                f"ratio points {seen[low]!r} and {name!r} both degrade {len(low)} of "
+                f"{config.num_train_scenes} training scenes, the same ones")
+        seen[low] = name
+    return runs

@@ -1,9 +1,6 @@
-"""Binary PGM (P5, 8-bit) frame files and raster resampling for [0, 1]
-grayscale arrays."""
+"""Raster resampling for [0, 1] grayscale frames held as 2-D float arrays."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -36,49 +33,3 @@ def resize(frame: np.ndarray, out_h: int, out_w: int, method: str = "bilinear"
     top = frame[r0][:, c0] * (1 - fc) + frame[r0][:, c1] * fc
     bottom = frame[r1][:, c0] * (1 - fc) + frame[r1][:, c1] * fc
     return top * (1 - fr) + bottom * fr
-
-
-def write_pgm(frame: np.ndarray, path: str | Path) -> None:
-    """Quantize by round(v * 255) and write a P5 file."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 2 or frame.size == 0:
-        raise ValueError(f"frame must be a non-empty 2-D array, got {frame.shape}")
-    if frame.min() < 0.0 or frame.max() > 1.0:
-        raise ValueError("frame values must lie in [0, 1]")
-    levels = np.rint(frame * 255.0).astype(np.uint8)
-    h, w = frame.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(levels.tobytes())
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a P5 file back to a float frame in [0, 1]."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
-    # header: magic, width, height, maxval; '#' comments allowed between tokens
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PGM header")
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = (int(t) for t in tokens)
-    if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    data = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
-    if data.size != width * height:
-        raise ValueError(f"{path}: pixel data truncated")
-    return data.reshape(height, width).astype(np.float64) / 255.0

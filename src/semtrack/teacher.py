@@ -1,19 +1,16 @@
-"""Frozen 1x1024 teacher embeddings.
+"""Frozen 1x1024 teacher embeddings from a deterministic pseudo-teacher.
 
-Real encoder features can be precomputed offline and ingested from a
-JSON-lines file (one ``{"frame": i, "values": [...]}`` record per line), or a
-deterministic pseudo-teacher can stand in: it block-averages the frame to
-16x16, projects the 256 pooled values through a fixed seed-derived 256x1024
+The paper's teacher is a frozen CLIP image encoder. No encoder weights ship
+with this testbed, so a stand-in takes its place: it block-averages the frame
+to 16x16, projects the 256 pooled values through a fixed seed-derived 256x1024
 matrix and applies tanh. Teacher vectors never participate in gradient flow.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,58 +20,16 @@ TEACHER_DIM = 1024
 _POOL = 16
 
 
-class TeacherFormatError(ValueError):
-    """Raised for malformed or dimensionally wrong embedding records."""
-
-
 @dataclass(frozen=True)
 class TeacherEmbedding:
     vector: Matrix  # 1 x 1024, frozen (requires_grad stays False)
-    source: str     # "file" or "pseudo"
 
     def __post_init__(self):
         if self.vector.shape != (1, TEACHER_DIM):
-            raise TeacherFormatError(
+            raise ValueError(
                 f"teacher embedding must be 1x{TEACHER_DIM}, got {self.vector.shape}")
         if self.vector.requires_grad:
-            raise TeacherFormatError("teacher embeddings are frozen")
-
-
-def load_embeddings(path: str | Path) -> dict[int, TeacherEmbedding]:
-    """Read one embedding per frame index; duplicate frames are rejected."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"embedding file not found: {path}")
-    out: dict[int, TeacherEmbedding] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                frame = int(record["frame"])
-                values = record["values"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise TeacherFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if frame in out:
-                raise TeacherFormatError(f"{path}:{lineno}: duplicate frame {frame}")
-            if not isinstance(values, list) or len(values) != TEACHER_DIM:
-                raise TeacherFormatError(
-                    f"{path}:{lineno}: frame {frame} has dimension "
-                    f"{len(values) if isinstance(values, list) else '?'}, expected {TEACHER_DIM}")
-            vec = np.asarray(values, dtype=np.float64).reshape(1, TEACHER_DIM)
-            out[frame] = TeacherEmbedding(vector=Matrix(vec), source="file")
-    return out
-
-
-def save_embeddings(embeddings: dict[int, TeacherEmbedding], path: str | Path) -> None:
-    """Write embeddings as JSON lines; floats round-trip bit-exactly."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in sorted(embeddings):
-            values = embeddings[frame].vector.data[0].tolist()
-            fh.write(json.dumps({"frame": frame, "values": values}) + "\n")
+            raise ValueError("teacher embeddings are frozen")
 
 
 @functools.lru_cache(maxsize=4)
@@ -115,4 +70,4 @@ def pseudo_teacher(frame: np.ndarray, seed: int) -> TeacherEmbedding:
         raise ValueError(f"frame must be a non-empty 2-D array, got shape {frame.shape}")
     pooled = _block_average(frame).reshape(1, _POOL * _POOL)
     vec = np.tanh(pooled @ _projection(seed))
-    return TeacherEmbedding(vector=Matrix(vec), source="pseudo")
+    return TeacherEmbedding(vector=Matrix(vec))

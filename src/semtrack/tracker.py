@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,9 @@ DESCRIPTOR_DIM = 4 + PATCH * PATCH + 2
 FEATURE_DIM = 256
 MODEL_FORMAT = "semtrack-tracker-v1"
 _TRACKER_PREFIXES = ("embed.", "box_head.")
+_HEADER_KEYS = {"format", "use_student", "use_dswr", "train_loss_weights", "seed",
+                "student_config", "params"}
+_ENTRY_KEYS = {"name", "rows", "cols", "offset"}
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,8 @@ class TrackerModel:
         values into its parameters, each keeping its ``trainable`` flag.
 
         Strict: raises ``ValueError`` unless the header line names the
-        ``semtrack-tracker-v1`` format, its entries name exactly the
+        ``semtrack-tracker-v1`` format, it and each of its objects hold
+        exactly the keys :meth:`save` writes, its entries name exactly the
         parameters of the rebuilt model with their shapes, and the blobs
         follow one another in name order and end where the file ends.
         """
@@ -204,6 +208,11 @@ class TrackerModel:
             blob = fh.read()
         if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
+        _require_keys(path, "header", header, _HEADER_KEYS)
+        _require_keys(path, "student_config", header["student_config"],
+                      {f.name for f in fields(StudentConfig)})
+        for entry in header["params"]:
+            _require_keys(path, "parameter entry", entry, _ENTRY_KEYS)
         model = cls(use_student=header["use_student"], use_dswr=header["use_dswr"],
                     train_loss_weights=header["train_loss_weights"],
                     student_config=StudentConfig(**header["student_config"]),
@@ -232,6 +241,16 @@ class TrackerModel:
         if end != len(blob):
             raise ValueError(f"{path}: {len(blob) - end} bytes after the last parameter")
         return model
+
+
+def _require_keys(path, where: str, raw, keys: set[str]) -> None:
+    """Raise ``ValueError`` unless ``raw`` is an object with exactly ``keys``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {where} is not an object")
+    missing, unknown = sorted(keys - raw.keys()), sorted(raw.keys() - keys)
+    if missing or unknown:
+        raise ValueError(f"{path}: {where} is missing keys {missing}, "
+                         f"has unknown keys {unknown}")
 
 
 @dataclass

@@ -5,7 +5,9 @@ tracker's objective: a contrastive association term (cross-entropy over
 temperature-scaled cosine similarities between a frame's ground-truth-matched
 queries and the next frame's candidates) plus an L1 box-regression term from
 a linear box head, summed 1:1. The total per step is
-``alpha * distillation + (1 - alpha) * tracking`` with alpha in (0, 1).
+``alpha * distillation + (1 - alpha) * tracking`` with alpha in (0, 1). The
+distillation target of each frame is its pseudo-teacher embedding
+(:func:`semtrack.teacher.pseudo_teacher` under ``teacher_seed``).
 
 One training step consumes one scene; plain gradient descent with a single
 x0.1 learning-rate drop two-thirds of the way through the epoch budget.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -24,7 +26,7 @@ from scipy.optimize import linear_sum_assignment
 from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix, Tape
 from semtrack.scenes import Detection, detections_by_frame
-from semtrack.teacher import TeacherEmbedding, pseudo_teacher
+from semtrack.teacher import pseudo_teacher
 from semtrack.tracker import TrackerConfig, TrackerModel, box_descriptor
 from semtrack.tracks import TrackSet, box_iou
 
@@ -54,6 +56,13 @@ class TrainConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for name in ("learning_rate", "decay_factor", "contrastive_temperature"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.decay_at <= 1.0:
+            raise ValueError(f"decay_at must lie in [0, 1], got {self.decay_at}")
+        if not 0.0 < self.match_iou < 1.0:
+            raise ValueError(f"match_iou must lie in (0, 1), got {self.match_iou}")
 
 
 @dataclass
@@ -78,21 +87,13 @@ def match_detections_to_gt(dets: Sequence[Detection], gt_records,
             if ious[r, c] >= iou_threshold}
 
 
-def default_teacher_provider(seed: int) -> Callable[[int, np.ndarray], TeacherEmbedding]:
-    return lambda frame_index, frame: pseudo_teacher(frame, seed)
-
-
 def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
-                 tracker_config: TrackerConfig,
-                 teacher_provider: Callable[[int, np.ndarray], TeacherEmbedding] | None = None,
-                 ) -> dict:
+                 tracker_config: TrackerConfig) -> dict:
     """Differentiable distillation + tracking losses for one scene.
 
     Returns node and float views of every component; must run inside a Tape
     for gradients to be recorded.
     """
-    if teacher_provider is None:
-        teacher_provider = default_teacher_provider(train.teacher_seed)
     per_frame = detections_by_frame(sample.detections)
     gt_by_frame = sample.gt.by_frame()
     height, width = sample.frames[0].shape
@@ -113,7 +114,7 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
         labels[frame_index] = match_detections_to_gt(
             dets, gt_by_frame.get(frame_index, []), train.match_iou)
         if semantic is not None:
-            breakdown = model.dcsd.loss(semantic, teacher_provider(frame_index, frame))
+            breakdown = model.dcsd.loss(semantic, pseudo_teacher(frame, train.teacher_seed))
             distill_terms.append(breakdown.loss_node)
             breakdowns.append(breakdown)
 
@@ -194,7 +195,6 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
 
 def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: TrainConfig,
           tracker_config: TrackerConfig = TrackerConfig(),
-          teacher_provider: Callable[[int, np.ndarray], TeacherEmbedding] | None = None,
           log_path: str | Path | None = None) -> list[dict]:
     """Run the full schedule; returns (and optionally writes) the step log."""
     if not samples:
@@ -209,8 +209,7 @@ def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: Tra
         for sample in samples:
             step += 1
             with Tape() as tape:
-                losses = scene_losses(model, sample, train_config, tracker_config,
-                                      teacher_provider)
+                losses = scene_losses(model, sample, train_config, tracker_config)
                 total = losses["total"].item()
                 if not np.isfinite(total):
                     raise TrainingDivergedError(step)

@@ -114,13 +114,24 @@ def test_tracker_config_takes_quality_ranges_from_dswr():
     (None, "ratio", [0, 1], "ratio"),
     (None, "ratio", [1, 2, 3], "ratio"),
     (None, "degradation_chain", [{"kind": "nope"}], "nope"),
+    (None, "degradation_chain",
+     [{"kind": "gaussian_blur", "sigma": 1.0, "kernel_size": 3, "bogus": 1}], "bogus"),
     ("student", "num_heads", 3, "num_heads"),
     ("training", "epochs", 0, "epochs"),
+    ("training", "contrastive_temperature", 0.0, "contrastive_temperature"),
+    ("training", "learning_rate", -5e-3, "learning_rate"),
+    ("training", "decay_factor", 0.0, "decay_factor"),
+    ("training", "decay_at", 5, "decay_at"),
+    ("training", "decay_at", -0.5, "decay_at"),
+    ("training", "match_iou", 0.0, "match_iou"),
+    ("training", "match_iou", 1.0, "match_iou"),
     ("detector", "fp_rate", 2.0, "fp_rate"),
     ("dswr", "clarity", [1.0, 0.0], "clarity"),
 ], ids=["no-eval-scenes", "negative-train-scenes", "ratio-no-low", "ratio-three",
-        "unknown-degradation", "heads-not-dividing", "no-epochs", "fp-rate-above-one",
-        "clarity-range-reversed"])
+        "unknown-degradation", "unknown-degradation-key", "heads-not-dividing",
+        "no-epochs", "zero-temperature", "negative-learning-rate", "zero-decay-factor",
+        "decay-after-last-epoch", "decay-before-first-epoch", "match-iou-zero",
+        "match-iou-one", "fp-rate-above-one", "clarity-range-reversed"])
 def test_malformed_value_raises_when_built(where, key, value, match):
     raw = json.loads(ExperimentConfig().to_json())
     (raw if where is None else raw[where])[key] = value

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from semtrack.degrade import (DegradationChain, Downsample, GaussianBlur, GaussianNoise,
-                              apply_chain, build_mixed_set, partition_sequences)
-from semtrack.frames import read_pgm, write_pgm
+from semtrack.degrade import (DEFAULT_CHAIN_SPEC, DegradationChain, Downsample, GaussianBlur,
+                              GaussianNoise, apply_chain, op_from_dict, partition_sequences)
 from semtrack.quality import assess_quality
 
 
@@ -11,27 +10,6 @@ def checkerboard(h=40, w=40, cell=4):
     rows = (np.arange(h) // cell)[:, None]
     cols = (np.arange(w) // cell)[None, :]
     return ((rows + cols) % 2).astype(np.float64)
-
-
-def test_pgm_round_trip_exact(tmp_path):
-    frame = np.random.default_rng(0).integers(0, 256, size=(17, 23)) / 255.0
-    path = tmp_path / "frame.pgm"
-    write_pgm(frame, path)
-    back = read_pgm(path)
-    assert np.array_equal(back, frame)
-
-
-def test_pgm_rejects_out_of_range(tmp_path):
-    with pytest.raises(ValueError):
-        write_pgm(np.full((4, 4), 1.2), tmp_path / "bad.pgm")
-
-
-def test_pgm_header_with_comment(tmp_path):
-    path = tmp_path / "c.pgm"
-    path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 128, 255, 64]))
-    frame = read_pgm(path)
-    assert frame.shape == (2, 2)
-    assert frame[0, 1] == 128 / 255.0
 
 
 def test_empty_chain_is_identity():
@@ -50,7 +28,7 @@ def test_degenerate_ops_are_identity():
 
 def test_chain_preserves_shape_and_range():
     frame = checkerboard()
-    out = apply_chain(DegradationChain.default(master_seed=3), frame)
+    out = apply_chain(DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=3), frame)
     assert out.shape == frame.shape
     assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -66,13 +44,13 @@ def test_composition_is_order_sensitive():
 
 def test_determinism_given_seeds():
     frame = np.random.default_rng(1).uniform(0, 1, size=(32, 48))
-    chain = DegradationChain.default(master_seed=11)
+    chain = DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=11)
     a = apply_chain(chain, frame, sequence_id="seq-3", frame_index=5)
     b = apply_chain(chain, frame, sequence_id="seq-3", frame_index=5)
     assert np.array_equal(a, b)
     c = apply_chain(chain, frame, sequence_id="seq-3", frame_index=6)
     assert not np.array_equal(a, c)
-    d = apply_chain(DegradationChain.default(master_seed=12), frame,
+    d = apply_chain(DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=12), frame,
                     sequence_id="seq-3", frame_index=5)
     assert not np.array_equal(a, d)
 
@@ -117,42 +95,8 @@ def test_partition_all_low_and_rejections():
         partition_sequences([], (2, 1), seed=0)
 
 
-def test_manifest_determinism():
-    ids = [f"s{i}" for i in range(7)]
-    chain = DegradationChain.default(master_seed=2)
-    a = build_mixed_set(ids, (2, 1), chain, seed=5)
-    b = build_mixed_set(ids, (2, 1), chain, seed=5)
-    assert a == b
-    c = build_mixed_set(ids, (2, 1), chain, seed=6)
-    assert a != c
-
-
-def test_build_mixed_set_writes_degraded_copies(tmp_path):
-    src = tmp_path / "src"
-    rng = np.random.default_rng(3)
-    for seq in ("s0", "s1", "s2"):
-        (src / seq).mkdir(parents=True)
-        for i in range(2):
-            write_pgm(rng.uniform(0, 1, size=(16, 16)), src / seq / f"{i:06d}.pgm")
-    chain = DegradationChain.default(master_seed=1)
-    manifest = build_mixed_set(["s0", "s1", "s2"], (2, 1), chain, seed=8,
-                               source_root=src, output_root=tmp_path / "out")
-    assert len(manifest["low"]) == 2 and len(manifest["high"]) == 1
-    assert (tmp_path / "out" / "manifest.json").exists()
-    for seq in manifest["high"]:
-        for i in range(2):
-            a = read_pgm(src / seq / f"{i:06d}.pgm")
-            b = read_pgm(tmp_path / "out" / seq / f"{i:06d}.pgm")
-            assert np.array_equal(a, b)
-    for seq in manifest["low"]:
-        changed = any(
-            not np.array_equal(read_pgm(src / seq / f"{i:06d}.pgm"),
-                               read_pgm(tmp_path / "out" / seq / f"{i:06d}.pgm"))
-            for i in range(2))
-        assert changed
-
-
-def test_chain_spec_round_trip():
-    chain = DegradationChain.default(master_seed=4)
-    again = DegradationChain.from_spec(chain.to_spec(), master_seed=4)
-    assert again == chain
+def test_op_from_dict_rejects_unknown_keys():
+    spec = {"kind": "gaussian_blur", "sigma": 1.0, "kernel_size": 3}
+    assert op_from_dict(spec) == GaussianBlur(sigma=1.0, kernel_size=3)
+    with pytest.raises(ValueError, match=r"gaussian_blur: unknown keys \['bogus'\]"):
+        op_from_dict(dict(spec, bogus=1))

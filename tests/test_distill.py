@@ -17,7 +17,7 @@ TEMPERATURE = 2.0
 
 def make_teacher(seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    return TeacherEmbedding(Matrix(scale * rng.standard_normal((1, TEACHER_DIM))), "file")
+    return TeacherEmbedding(Matrix(scale * rng.standard_normal((1, TEACHER_DIM))))
 
 
 def oracle_dcsd(head: DcsdHead, s: np.ndarray, t: np.ndarray) -> dict:

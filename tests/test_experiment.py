@@ -8,8 +8,9 @@ import pytest
 from semtrack import experiment
 from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig, SceneParams, Seeds
 from semtrack.experiment import (RATIO_GRID, VARIANTS, ablation_trend, alpha_sweep,
-                                 build_model, evaluate_samples, evaluation_corpus,
-                                 ratio_sweep, run_sweep, training_corpus)
+                                 build_model, degraded_train_scenes, evaluate_samples,
+                                 evaluation_corpus, ratio_sweep, run_sweep,
+                                 training_corpus)
 from semtrack.scenes import generate_scene, random_scene_config
 
 
@@ -120,11 +121,11 @@ def test_evaluation_seeds_never_overlap_training_seeds(monkeypatch):
         assert not train_seeds[kind] & set(seen[kind])
 
 
-def sweep_config():
+def sweep_config(num_train_scenes=2):
     return ExperimentConfig(scene=SceneParams(width=64, height=48, num_frames=8,
                                               num_targets=2),
                             training=dict(ExperimentConfig().training, epochs=1),
-                            num_train_scenes=2, num_eval_scenes=2)
+                            num_train_scenes=num_train_scenes, num_eval_scenes=2)
 
 
 @pytest.fixture
@@ -165,7 +166,8 @@ def test_alpha_sweep_trains_each_point_with_its_alpha(trained):
 
 
 def test_ratio_sweep_trains_each_point_on_its_mix(trained):
-    config = sweep_config()
+    # with 2 training scenes 1:1 and 2:1 degrade the same one
+    config = sweep_config(num_train_scenes=4)
     runs = ratio_sweep(config)
     assert {name: c.ratio for name, (c, _) in runs.items()} == RATIO_GRID
     assert_scored(run_sweep(runs), RATIO_GRID)
@@ -175,7 +177,14 @@ def test_ratio_sweep_trains_each_point_on_its_mix(trained):
 
 
 def test_every_sweep_point_config_survives_json():
-    config = sweep_config()
+    config = sweep_config(num_train_scenes=4)
     for runs in (ablation_trend(config), alpha_sweep(config), ratio_sweep(config)):
         for point, _ in runs.values():
             assert ExperimentConfig.from_json(point.to_json()) == point
+
+
+def test_ratio_sweep_rejects_points_that_degrade_the_same_scenes():
+    with pytest.raises(ValueError, match=r"'1:1' and '2:1' both degrade 1 of 2 training"):
+        ratio_sweep(sweep_config(num_train_scenes=2))
+    runs = ratio_sweep(sweep_config(num_train_scenes=4))
+    assert [len(degraded_train_scenes(c)) for c, _ in runs.values()] == [0, 2, 3, 4]

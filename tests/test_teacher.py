@@ -1,67 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from semtrack import autodiff as ad
 from semtrack import teacher
 from semtrack.autodiff import Matrix, Parameter, Tape
-from semtrack.teacher import (TEACHER_DIM, TeacherEmbedding, TeacherFormatError,
-                              load_embeddings, pseudo_teacher, save_embeddings)
-
-
-def _write_records(path, records):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def test_load_three_records(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    _write_records(path, [{"frame": i, "values": [float(i)] * TEACHER_DIM} for i in range(3)])
-    loaded = load_embeddings(path)
-    assert set(loaded) == {0, 1, 2}
-    assert loaded[2].vector.data[0, 0] == 2.0
-    assert loaded[0].source == "file"
-
-
-def test_wrong_dimension_error_cites_expected(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    _write_records(path, [{"frame": 5, "values": [0.0] * 512}])
-    with pytest.raises(TeacherFormatError, match="frame 5.*1024"):
-        load_embeddings(path)
-
-
-def test_duplicate_frame_rejected(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    _write_records(path, [{"frame": 1, "values": [0.0] * TEACHER_DIM}] * 2)
-    with pytest.raises(TeacherFormatError, match="duplicate frame 1"):
-        load_embeddings(path)
-
-
-def test_malformed_record_names_line(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    path.write_text('{"frame": 0, "values": [0.0]}\nnot json\n')
-    with pytest.raises(TeacherFormatError):
-        load_embeddings(path)
-
-
-def test_missing_file():
-    with pytest.raises(FileNotFoundError):
-        load_embeddings("/nonexistent/embeddings.jsonl")
-
-
-def test_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    original = {
-        i: TeacherEmbedding(Matrix(rng.standard_normal((1, TEACHER_DIM))), "pseudo")
-        for i in range(4)
-    }
-    path = tmp_path / "emb.jsonl"
-    save_embeddings(original, path)
-    loaded = load_embeddings(path)
-    for i in range(4):
-        assert np.array_equal(loaded[i].vector.data, original[i].vector.data)
+from semtrack.teacher import TEACHER_DIM, TeacherEmbedding, pseudo_teacher
 
 
 def test_pseudo_teacher_deterministic():
@@ -108,8 +51,8 @@ def test_teacher_never_receives_gradient():
 
 
 def test_embedding_shape_enforced():
-    with pytest.raises(TeacherFormatError):
-        TeacherEmbedding(Matrix(np.zeros((1, 512))), "file")
+    with pytest.raises(ValueError, match="1x1024"):
+        TeacherEmbedding(Matrix(np.zeros((1, 512))))
 
 
 def test_projection_is_built_once_and_read_only():

@@ -176,6 +176,21 @@ def _foreign_format(header, blob):
     return header, blob
 
 
+def _drop_use_student(header, blob):
+    del header["use_student"]
+    return header, blob
+
+
+def _unknown_student_key(header, blob):
+    header["student_config"]["bogus"] = 1
+    return header, blob
+
+
+def _entry_without_rows(header, blob):
+    del next(e for e in header["params"] if e["name"] == "dswr.w")["rows"]
+    return header, blob
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_dswr_b, r"missing parameters \['dswr.b'\]"),
     (_add_extra, r"unknown parameters \['dswr.extra'\]"),
@@ -183,7 +198,11 @@ def _foreign_format(header, blob):
     (_trailing_bytes, "8 bytes after the last parameter"),
     (_shift_offset, "'dswr.w' starts at byte"),
     (_foreign_format, "not a semtrack-tracker-v1 model file"),
-], ids=["missing", "extra", "shape", "trailing", "offset", "format"])
+    (_drop_use_student, r"header is missing keys \['use_student'\]"),
+    (_unknown_student_key, r"student_config .*unknown keys \['bogus'\]"),
+    (_entry_without_rows, r"parameter entry is missing keys \['rows'\]"),
+], ids=["missing", "extra", "shape", "trailing", "offset", "format", "no-use-student",
+        "unknown-student-key", "entry-without-rows"])
 def test_load_rejects_malformed_file(tmp_path, corrupt, message):
     path = tmp_path / "model.bin"
     TrackerModel(use_student=True, use_dswr=True, student_config=TINY_STUDENT,

@@ -5,7 +5,7 @@ import pytest
 
 from semtrack import autodiff as ad
 from semtrack.autodiff import Tape
-from semtrack.degrade import DegradationChain
+from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain, apply_chain
 from semtrack.scenes import (DetectorNoise, detections_by_frame, generate_scene,
                              random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
@@ -26,12 +26,9 @@ def make_sample(seed=0, degraded=False, num_frames=8):
     config = random_scene_config(seed=seed, num_targets=2, num_frames=num_frames)
     frames, gt = generate_scene(config)
     if degraded:
-        chain = DegradationChain.default(master_seed=seed)
-        frames = [
-            __import__("semtrack.degrade", fromlist=["apply_chain"]).apply_chain(
-                chain, f, sequence_id=f"s{seed}", frame_index=i)
-            for i, f in enumerate(frames)
-        ]
+        chain = DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=seed)
+        frames = [apply_chain(chain, f, sequence_id=f"s{seed}", frame_index=i)
+                  for i, f in enumerate(frames)]
     dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=0.5), seed=seed + 1)
     return SceneSample(frames=frames, detections=dets, gt=gt, name=f"s{seed}")
 
