@@ -4,7 +4,9 @@ and seed a run needs, so a saved snapshot reproduces the run byte-for-byte."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain
@@ -29,13 +31,6 @@ class SceneParams:
 
 
 @dataclass(frozen=True)
-class DetectorParams:
-    jitter_sigma: float = 0.6
-    fp_rate: float = 0.1
-    fn_rate: float = 0.05
-
-
-@dataclass(frozen=True)
 class Seeds:
     scenes: int = 100
     detector: int = 200
@@ -48,22 +43,14 @@ class Seeds:
 @dataclass(frozen=True)
 class ExperimentConfig:
     scene: SceneParams = SceneParams()
-    detector: DetectorParams = DetectorParams()
+    detector: DetectorNoise = DetectorNoise(jitter_sigma=0.6, fp_rate=0.1, fn_rate=0.05)
     degradation_chain: tuple[dict, ...] = tuple(
         {k: v for k, v in spec.items()} for spec in DEFAULT_CHAIN_SPEC)
-    student: dict = field(default_factory=lambda: {
-        "input_dim": 256, "hidden_dim": 256, "num_layers": 3, "num_heads": 4,
-        "ff_dim": 1024, "output_dim": 256, "residual_projection": False})
+    student: dict = field(default_factory=lambda: _module_defaults("student"))
     alpha: float = 0.4
     dswr: QualityRanges = QualityRanges()
-    training: dict = field(default_factory=lambda: {
-        "epochs": 12, "learning_rate": 5e-3, "decay_factor": 0.1,
-        "decay_at": 2.0 / 3.0, "contrastive_temperature": 0.1,
-        "box_loss_weight": 1.0})
-    tracker: dict = field(default_factory=lambda: {
-        "match_gate": 0.7, "iou_weight": 0.5, "birth_confidence": 0.6,
-        "propagate_confidence": 0.5, "max_age": 3, "miss_decay": 0.7,
-        "fixed_fusion_weight": 0.5})
+    training: dict = field(default_factory=lambda: _module_defaults("training"))
+    tracker: dict = field(default_factory=lambda: _module_defaults("tracker"))
     ratio: tuple[int, int] | None = (2, 1)      # low:high; None degrades nothing
     num_train_scenes: int = 6
     num_eval_scenes: int = 8
@@ -82,17 +69,19 @@ class ExperimentConfig:
             raise ValueError(f"ratio must be (low >= 1, high >= 0) or None, got {ratio}")
         for key, kind in _MODULE_CONFIGS.items():
             given = getattr(self, key)
-            _reject_unknown(kind, given, key)
+            _check_object(kind, given, key)
             for name, source in _DERIVED.get(key, {}).items():
                 if name in given:
                     raise ValueError(f"{key}: {name!r} is taken from {source!r}, "
                                      "not set here")
         # the derived configs validate their own values; build each once so a
         # bad value fails here rather than when a run first needs it
-        self.chain()
+        try:
+            self.chain()
+        except TypeError as err:    # an op field of the wrong type
+            raise ValueError(f"degradation_chain: {err}") from None
         self.student_config()
         self.train_config()
-        self.detector_noise()
 
     # -- derived module configs --
 
@@ -102,9 +91,6 @@ class ExperimentConfig:
     def chain(self) -> DegradationChain:
         return DegradationChain.from_spec(list(self.degradation_chain),
                                           master_seed=self.seeds.degradation)
-
-    def detector_noise(self) -> DetectorNoise:
-        return DetectorNoise(**asdict(self.detector))
 
     def tracker_config(self) -> TrackerConfig:
         return TrackerConfig(quality_ranges=self.dswr, **self.tracker)
@@ -122,13 +108,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`; JSON lists become tuples again, and an
-        unknown key at any level raises ``ValueError``."""
-        raw = _known_fields(cls, raw, "config")
-        for key, kind in _NESTED.items():
-            if key in raw:
-                raw[key] = kind(**_known_fields(kind, raw[key], key))
-        return cls(**raw)
+        """Inverse of :meth:`to_dict`; JSON lists become tuples again. An
+        unknown key at any level, or a value whose JSON type does not fit its
+        field, raises ``ValueError`` naming the key."""
+        return _from_json(cls, raw, "")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -145,8 +128,6 @@ class ExperimentConfig:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-_NESTED = {"scene": SceneParams, "detector": DetectorParams, "dswr": QualityRanges,
-           "seeds": Seeds}
 # the dict-valued fields and the module config each one's keys are passed to
 _MODULE_CONFIGS = {"student": StudentConfig, "training": TrainConfig,
                    "tracker": TrackerConfig}
@@ -155,13 +136,62 @@ _DERIVED = {"training": {"alpha": "alpha", "teacher_seed": "seeds.teacher"},
             "tracker": {"quality_ranges": "dswr"}}
 
 
-def _reject_unknown(kind, raw: dict, where: str) -> None:
+def _module_defaults(key: str) -> dict:
+    """The defaults of a module config, minus the fields derived elsewhere."""
+    return {name: value for name, value in asdict(_MODULE_CONFIGS[key]()).items()
+            if name not in _DERIVED.get(key, {})}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type: a bool is no int, an int is a
+    float, and a list is a tuple."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _key(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _check_object(kind, raw, where: str) -> None:
+    """Raise ``ValueError`` unless ``raw`` is an object whose keys are fields
+    of the dataclass ``kind`` and whose non-dataclass values fit their types.
+    ``where`` is the object's dotted key, empty for the whole config."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where or 'config'}: expected an object, got {raw!r}")
     unknown = sorted(set(raw) - {f.name for f in fields(kind)})
     if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
+        raise ValueError(f"{where or 'config'}: unknown keys {unknown}")
+    hints = typing.get_type_hints(kind)
+    for key, value in raw.items():
+        hint = hints[key]
+        if not is_dataclass(hint) and not _fits(value, hint):
+            name = str(hint) if typing.get_args(hint) else hint.__name__
+            raise ValueError(f"{_key(where, key)}: expected {name}, got {value!r}")
 
 
-def _known_fields(kind, raw: dict, where: str) -> dict:
-    """``raw`` with lists turned to tuples; raises on a key ``kind`` lacks."""
-    _reject_unknown(kind, raw, where)
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+def _from_json(kind, raw, where: str):
+    """The dataclass ``kind`` built from a checked JSON object: lists become
+    tuples, and objects for dataclass fields become those dataclasses."""
+    _check_object(kind, raw, where)
+    hints = typing.get_type_hints(kind)
+    values = {}
+    for key, value in raw.items():
+        if is_dataclass(hints[key]):
+            value = _from_json(hints[key], value, _key(where, key))
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[key] = value
+    return kind(**values)

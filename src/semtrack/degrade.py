@@ -12,7 +12,7 @@ from the JSON op specs an ``ExperimentConfig`` holds; frames stay in memory.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -75,6 +75,10 @@ def op_from_dict(spec: dict) -> DegradationOp:
     unknown = sorted(set(spec) - {f.name for f in fields(kinds[kind])})
     if unknown:
         raise ValueError(f"{kind}: unknown keys {unknown}")
+    missing = [f.name for f in fields(kinds[kind])
+               if f.default is MISSING and f.name not in spec]
+    if missing:
+        raise ValueError(f"{kind}: missing keys {missing}")
     return kinds[kind](**spec)
 
 

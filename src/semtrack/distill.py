@@ -26,9 +26,8 @@ import numpy as np
 
 from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Parameter
+from semtrack.student import FEATURE_DIM
 from semtrack.teacher import TEACHER_DIM, TeacherEmbedding
-
-STUDENT_DIM = 256
 
 
 @dataclass
@@ -47,16 +46,14 @@ class DcsdBreakdown:
 class DcsdHead:
     """Teacher projection + learnable loss-weight logits."""
 
-    def __init__(self, seed: int = 0, student_dim: int = STUDENT_DIM,
-                 train_loss_weights: bool = True):
-        self.student_dim = student_dim
+    def __init__(self, seed: int = 0, train_loss_weights: bool = True):
         rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(TEACHER_DIM)
         self.teacher_weight = Parameter(
-            rng.uniform(-bound, bound, size=(TEACHER_DIM, student_dim)),
+            rng.uniform(-bound, bound, size=(TEACHER_DIM, FEATURE_DIM)),
             name="dcsd.teacher_proj.weight")
         self.teacher_bias = Parameter(
-            rng.uniform(-bound, bound, size=(1, student_dim)),
+            rng.uniform(-bound, bound, size=(1, FEATURE_DIM)),
             name="dcsd.teacher_proj.bias")
         # logits start equal: w1 = w2 = 0.5
         self.loss_logits = Parameter(np.zeros((1, 2)), trainable=train_loss_weights,
@@ -77,9 +74,9 @@ class DcsdHead:
         return ad.linear(t.vector, self.teacher_weight.value, self.teacher_bias.value)
 
     def loss(self, s: Matrix, t: TeacherEmbedding) -> DcsdBreakdown:
-        if s.cols != self.student_dim:
+        if s.cols != FEATURE_DIM:
             raise DimensionError(
-                f"student features must have {self.student_dim} columns, got {s.cols}")
+                f"student features must have {FEATURE_DIM} columns, got {s.cols}")
         if s.rows < 1:
             raise DimensionError("student sequence must be non-empty")
 

@@ -1,17 +1,10 @@
-"""Experiment orchestration: corpora, model variants, training runs, sweeps.
+"""Experiment orchestration: corpora, training runs, sweeps.
 
-Variants mirror the ablation ladder:
-
-* ``baseline``: bare tracker, no student, trained on the tracking loss only.
-* ``distill``: student attached, distillation on, loss weights frozen at
-  0.5/0.5, fixed 0.5 fusion.
-* ``dcsd``: same with the loss-weight logits trainable.
-* ``full``: adds quality-driven fusion.
-
-A run is one ExperimentConfig plus a variant name, and every corpus derives
-deterministically from the config. Training scene i uses scene seed
-``seeds.scenes + i`` and detector seed ``seeds.detector + i``; evaluation
-scene i adds ``EVAL_SEED_OFFSET`` to both, and the config caps
+A run is one ExperimentConfig plus a variant name: one rung of the ablation
+ladder in :data:`VARIANTS`, each described on :class:`TrackerModel`. Every
+corpus derives deterministically from the config. Training scene i uses
+scene seed ``seeds.scenes + i`` and detector seed ``seeds.detector + i``;
+evaluation scene i adds ``EVAL_SEED_OFFSET`` to both, and the config caps
 ``num_train_scenes`` at that offset, so the two corpora never share a seed.
 Degradation keys off the sequence name, so every run of the same snapshot is
 bit-identical. ``ratio`` picks the degraded share of the training scenes;
@@ -34,11 +27,9 @@ from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig
 from semtrack.degrade import apply_chain, partition_sequences
 from semtrack.metrics import MetricReport, evaluate
 from semtrack.scenes import generate_scene, random_scene_config, synth_detector
-from semtrack.tracker import TrackerModel, track_sequence
+from semtrack.tracker import VARIANTS, TrackerModel, track_sequence
 from semtrack.training import SceneSample, train
 from semtrack.tracks import TrackSet
-
-VARIANTS = ("baseline", "distill", "dcsd", "full")
 
 RATIO_GRID: dict[str, tuple[int, int] | None] = {
     "all-high": None,          # no degradation at all
@@ -49,15 +40,7 @@ RATIO_GRID: dict[str, tuple[int, int] | None] = {
 
 
 def build_model(config: ExperimentConfig, variant: str) -> TrackerModel:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return TrackerModel(
-        use_student=variant != "baseline",
-        use_dswr=variant == "full",
-        train_loss_weights=variant in ("dcsd", "full"),
-        student_config=config.student_config(),
-        seed=config.seeds.model,
-    )
+    return TrackerModel(variant, config.student_config(), config.seeds.model)
 
 
 def _make_sample(config: ExperimentConfig, scene_seed: int, detector_seed: int,
@@ -75,7 +58,7 @@ def _make_sample(config: ExperimentConfig, scene_seed: int, detector_seed: int,
         chain = config.chain()
         frames = [apply_chain(chain, frame, sequence_id=name, frame_index=i)
                   for i, frame in enumerate(frames)]
-    detections = synth_detector(frames, gt, config.detector_noise(), seed=detector_seed)
+    detections = synth_detector(frames, gt, config.detector, seed=detector_seed)
     return SceneSample(frames=frames, detections=detections, gt=gt, name=name)
 
 

@@ -3,17 +3,18 @@
 Definitions follow the reference evaluators for the three metric families:
 
 * MOTA: per frame, predictions are matched to ground truth among pairs with
-  IoU >= threshold, maximizing match count first and total IoU second.
-  Identity switches compare a ground-truth id's matched prediction id against
-  its last matched frame (gaps allowed). MOTA = 1 - (FN + FP + IDSW) / num_gt.
+  IoU >= :data:`IOU_THRESHOLD` (0.5), maximizing match count first and total
+  IoU second. Identity switches compare a ground-truth id's matched prediction
+  id against its last matched frame (gaps allowed).
+  MOTA = 1 - (FN + FP + IDSW) / num_gt.
 * IDF1: one global bipartite matching between ground-truth and prediction ids
-  maximizes identity-consistent frame matches (IoU >= threshold per frame);
+  maximizes identity-consistent frame matches (IoU >= 0.5 per frame);
   IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
 * HOTA: per localization threshold alpha, detections are matched per frame by
   maximizing global-alignment-weighted similarity (the reference two-pass
   scheme), gated at alpha; DetA = TP/(TP+FN+FP), AssA averages the pairwise
   association Jaccard over TPs, HOTA(alpha) = sqrt(DetA*AssA); final scores
-  average over the alpha grid.
+  average over the alpha grid :data:`ALPHAS` (0.05, 0.10, ..., 0.95).
 
 All scores are fractions in [0, 1] (MOTA can go negative).
 """
@@ -27,24 +28,13 @@ from scipy.optimize import linear_sum_assignment
 
 from semtrack.tracks import TrackSet, box_iou
 
-DEFAULT_ALPHAS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2).tolist())
+ALPHAS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2).tolist())
+IOU_THRESHOLD = 0.5
 _BIG_COST = 1e9
 
 
 class UndefinedMetricError(ValueError):
     """Raised when a metric is undefined (empty ground truth)."""
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
-    iou_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not all(0.0 < a < 1.0 for a in self.alphas):
-            raise ValueError("alpha grid values must lie in (0, 1)")
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise ValueError("iou threshold must lie in (0, 1)")
 
 
 @dataclass
@@ -81,8 +71,7 @@ def _iou_matrix(gt_recs, pred_recs) -> np.ndarray:
     return out
 
 
-def mota(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5
-         ) -> tuple[float, MetricCounts]:
+def mota(gt: TrackSet, pred: TrackSet) -> tuple[float, MetricCounts]:
     """CLEAR-style accuracy with per-frame count-then-IoU optimal matching."""
     if len(gt) == 0:
         raise UndefinedMetricError("MOTA is undefined for empty ground truth")
@@ -95,10 +84,10 @@ def mota(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5
         ious = _iou_matrix(gt_recs, pred_recs)
         matches = []
         if gt_recs and pred_recs:
-            cost = np.where(ious >= iou_threshold, 1.0 - ious, _BIG_COST)
+            cost = np.where(ious >= IOU_THRESHOLD, 1.0 - ious, _BIG_COST)
             rows, cols = linear_sum_assignment(cost)
             matches = [(r, c) for r, c in zip(rows, cols)
-                       if ious[r, c] >= iou_threshold]
+                       if ious[r, c] >= IOU_THRESHOLD]
         counts.tp += len(matches)
         counts.fn += len(gt_recs) - len(matches)
         counts.fp += len(pred_recs) - len(matches)
@@ -112,7 +101,7 @@ def mota(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5
     return value, counts
 
 
-def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
+def idf1(gt: TrackSet, pred: TrackSet) -> float:
     """F1 over identity-consistent matches under optimal global id pairing."""
     if len(gt) == 0:
         raise UndefinedMetricError("IDF1 is undefined for empty ground truth")
@@ -127,7 +116,7 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     for frame in frames:
         for g in gt_by_frame.get(frame, []):
             for p in pred_by_frame.get(frame, []):
-                if box_iou(g.box, p.box) >= iou_threshold:
+                if box_iou(g.box, p.box) >= IOU_THRESHOLD:
                     overlap[gt_index[g.track_id], pred_index[p.track_id]] += 1
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
@@ -137,7 +126,7 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     return float(2 * idtp / denominator) if denominator else 0.0
 
 
-def hota(gt: TrackSet, pred: TrackSet, config: MatchConfig = MatchConfig()
+def hota(gt: TrackSet, pred: TrackSet
          ) -> tuple[float, float, float, dict[float, tuple[float, float, float]]]:
     """HOTA / DetA / AssA averaged over the alpha grid, plus per-alpha values."""
     if len(gt) == 0:
@@ -146,7 +135,7 @@ def hota(gt: TrackSet, pred: TrackSet, config: MatchConfig = MatchConfig()
     pred_ids = pred.ids()
     per_alpha: dict[float, tuple[float, float, float]] = {}
     if not pred_ids:
-        for alpha in config.alphas:
+        for alpha in ALPHAS:
             per_alpha[alpha] = (0.0, 0.0, 0.0)
         return 0.0, 0.0, 0.0, per_alpha
 
@@ -177,7 +166,7 @@ def hota(gt: TrackSet, pred: TrackSet, config: MatchConfig = MatchConfig()
     union = gt_count[:, None] + pred_count[None, :] - potential
     alignment = np.where(union > 0, potential / np.maximum(union, 1e-12), 0.0)
 
-    n_alphas = len(config.alphas)
+    n_alphas = len(ALPHAS)
     tp = np.zeros(n_alphas)
     fn = np.zeros(n_alphas)
     fp = np.zeros(n_alphas)
@@ -188,7 +177,7 @@ def hota(gt: TrackSet, pred: TrackSet, config: MatchConfig = MatchConfig()
             rows, cols = linear_sum_assignment(-score)
         else:
             rows = cols = np.array([], dtype=int)
-        for a, alpha in enumerate(config.alphas):
+        for a, alpha in enumerate(ALPHAS):
             if rows.size:
                 keep = sim[rows, cols] >= alpha
                 kept_rows, kept_cols = rows[keep], cols[keep]
@@ -201,7 +190,7 @@ def hota(gt: TrackSet, pred: TrackSet, config: MatchConfig = MatchConfig()
             if n_match:
                 match_counts[a][gi[kept_rows], pj[kept_cols]] += 1
 
-    for a, alpha in enumerate(config.alphas):
+    for a, alpha in enumerate(ALPHAS):
         det_denom = tp[a] + fn[a] + fp[a]
         deta = tp[a] / det_denom if det_denom else 0.0
         if tp[a]:
@@ -218,11 +207,10 @@ def hota(gt: TrackSet, pred: TrackSet, config: MatchConfig = MatchConfig()
     return hota_avg, deta_avg, assa_avg, per_alpha
 
 
-def evaluate(gt: TrackSet, pred: TrackSet, config: MatchConfig = MatchConfig()
-             ) -> MetricReport:
+def evaluate(gt: TrackSet, pred: TrackSet) -> MetricReport:
     """Full metric report over one sequence."""
-    hota_v, deta_v, assa_v, per_alpha = hota(gt, pred, config)
-    mota_v, counts = mota(gt, pred, config.iou_threshold)
-    idf1_v = idf1(gt, pred, config.iou_threshold)
+    hota_v, deta_v, assa_v, per_alpha = hota(gt, pred)
+    mota_v, counts = mota(gt, pred)
+    idf1_v = idf1(gt, pred)
     return MetricReport(hota=hota_v, deta=deta_v, assa=assa_v, mota=mota_v,
                         idf1=idf1_v, counts=counts, per_alpha=per_alpha)

@@ -1,12 +1,14 @@
 """Student network: input projection, 3 transformer encoder layers, output
-projection with a residual connection.
+projection, and an identity shortcut from input to output.
 
-The inputs are per-object query vectors, an unordered set, so the encoder
-uses no positional encoding; the forward pass is permutation-equivariant.
-Layers are post-norm (attention -> add -> norm -> feed-forward -> add -> norm).
-Each layer's multi-head attention is one ``autodiff.multi_head_attention`` op
-over the query, key and value projections, and every projection one
-``autodiff.linear`` op.
+The student reads and writes the tracker's 256-wide query features
+(:data:`FEATURE_DIM`) and is :data:`NUM_LAYERS` layers deep; only the inner
+widths are configurable. The inputs are per-object query vectors, an
+unordered set, so the encoder uses no positional encoding; the forward pass
+is permutation-equivariant. Layers are post-norm (attention -> add -> norm ->
+feed-forward -> add -> norm). Each layer's multi-head attention is one
+``autodiff.multi_head_attention`` op over the query, key and value
+projections, and every projection one ``autodiff.linear`` op.
 """
 
 from __future__ import annotations
@@ -19,36 +21,23 @@ import numpy as np
 from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Parameter
 
+FEATURE_DIM = 256
+NUM_LAYERS = 3
+
 
 @dataclass(frozen=True)
 class StudentConfig:
-    input_dim: int = 256
     hidden_dim: int = 256
-    num_layers: int = 3
     num_heads: int = 4
     ff_dim: int = 1024
-    output_dim: int = 256
-    # Force a learned residual projection even when input_dim == output_dim
-    # (the identity shortcut is used by default in that case).
-    residual_projection: bool = False
 
     def __post_init__(self):
-        if self.num_layers != 3:
-            raise ValueError(f"encoder depth is fixed at 3 layers, got {self.num_layers}")
+        for name in ("hidden_dim", "num_heads", "ff_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}")
-        for name in ("input_dim", "hidden_dim", "num_heads", "ff_dim", "output_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.num_heads
-
-    @property
-    def uses_identity_residual(self) -> bool:
-        return self.input_dim == self.output_dim and not self.residual_projection
 
 
 class StudentModel:
@@ -75,20 +64,15 @@ class StudentModel:
             self._params[f"{name}.bias"] = Parameter(np.zeros((1, dim)), name=f"{name}.bias")
 
         c = config
-        linear("input_proj", c.input_dim, c.hidden_dim)
-        for i in range(c.num_layers):
+        linear("input_proj", FEATURE_DIM, c.hidden_dim)
+        for i in range(NUM_LAYERS):
             for proj in ("query", "key", "value", "attn_out"):
                 linear(f"layer{i}.{proj}", c.hidden_dim, c.hidden_dim)
             norm(f"layer{i}.norm1", c.hidden_dim)
             linear(f"layer{i}.ff1", c.hidden_dim, c.ff_dim)
             linear(f"layer{i}.ff2", c.ff_dim, c.hidden_dim)
             norm(f"layer{i}.norm2", c.hidden_dim)
-        linear("output_proj", c.hidden_dim, c.output_dim)
-        if not c.uses_identity_residual:
-            bound = 1.0 / math.sqrt(c.input_dim)
-            self._params["residual_proj.weight"] = Parameter(
-                rng.uniform(-bound, bound, size=(c.input_dim, c.output_dim)),
-                name="residual_proj.weight")
+        linear("output_proj", c.hidden_dim, FEATURE_DIM)
 
     def named_parameters(self) -> dict[str, Parameter]:
         return dict(self._params)
@@ -114,20 +98,17 @@ class StudentModel:
         return self._apply_linear(f"layer{layer}.attn_out", merged)
 
     def forward(self, x: Matrix) -> Matrix:
-        """Encode an n x input_dim query sequence to n x output_dim features."""
-        if x.cols != self.config.input_dim:
+        """Encode an n x 256 query sequence to n x 256 features."""
+        if x.cols != FEATURE_DIM:
             raise DimensionError(
-                f"student expects {self.config.input_dim} input columns, got {x.cols}")
+                f"student expects {FEATURE_DIM} input columns, got {x.cols}")
         h = self._apply_linear("input_proj", x)
-        for i in range(self.config.num_layers):
+        for i in range(NUM_LAYERS):
             h = self._apply_norm(f"layer{i}.norm1", ad.add(h, self._attention(i, h)))
             ff = self._apply_linear(
                 f"layer{i}.ff2", ad.relu(self._apply_linear(f"layer{i}.ff1", h)))
             h = self._apply_norm(f"layer{i}.norm2", ad.add(h, ff))
-        out = self._apply_linear("output_proj", h)
-        if self.config.uses_identity_residual:
-            return ad.add(out, x)
-        return ad.add(out, ad.matmul(x, self._params["residual_proj.weight"].value))
+        return ad.add(self._apply_linear("output_proj", h), x)
 
     def __call__(self, x: Matrix) -> Matrix:
         return self.forward(x)

@@ -3,11 +3,12 @@
 Each detection becomes a proposal query: a 70-value descriptor (normalized
 box geometry, an 8x8 appearance patch, and the patch mean/std) mapped through
 a learned embedding to 256 features. Track queries carry over from the
-previous frame while their confidence stays above 0.5. The optional student
-encoder turns the stacked queries into semantic features which are fused
-back into the queries, with a fixed ratio or a quality-driven one. Fused
-track and proposal features are associated one-to-one per frame by Hungarian
-assignment on cosine-plus-IoU cost.
+previous frame while their confidence stays above 0.5. Every variant but
+``baseline`` runs the student encoder, which turns the stacked queries into
+semantic features that are fused back into the queries, with a fixed ratio or
+(``full``) a quality-driven one. Fused track and proposal features are
+associated one-to-one per frame by Hungarian assignment on cosine-plus-IoU
+cost.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ from semtrack.distill import DcsdHead
 from semtrack.frames import resize
 from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse
 from semtrack.scenes import Detection
-from semtrack.student import StudentConfig, StudentModel
+from semtrack.student import FEATURE_DIM, StudentConfig, StudentModel
 from semtrack.tracks import TrackRecord, TrackSet, box_iou
 
 PATCH = 8
 DESCRIPTOR_DIM = 4 + PATCH * PATCH + 2
-FEATURE_DIM = 256
-MODEL_FORMAT = "semtrack-tracker-v1"
+VARIANTS = ("baseline", "distill", "dcsd", "full")
+MODEL_FORMAT = "semtrack-tracker-v2"
 _TRACKER_PREFIXES = ("embed.", "box_head.")
-_HEADER_KEYS = {"format", "use_student", "use_dswr", "train_loss_weights", "seed",
-                "student_config", "params"}
+_HEADER_KEYS = {"format", "variant", "seed", "student_config", "params"}
 _ENTRY_KEYS = {"name", "rows", "cols", "offset"}
 
 
@@ -68,12 +68,19 @@ def box_descriptor(frame: np.ndarray, box: tuple[float, float, float, float]
 
 
 class TrackerModel:
-    """Learnable tracker pieces: query embedding, box head, optional student,
-    distillation head and fusion head."""
+    """Learnable tracker pieces of one variant of the ablation ladder:
 
-    def __init__(self, use_student: bool = True, use_dswr: bool = True,
-                 train_loss_weights: bool = True,
+    * ``baseline``: query embedding and box head only.
+    * ``distill``: adds the student and the distillation head, with the
+      loss-weight logits frozen at 0.5/0.5, and fuses at a fixed weight.
+    * ``dcsd``: the same with the loss-weight logits trainable.
+    * ``full``: adds the quality-driven fusion head (DSWR).
+    """
+
+    def __init__(self, variant: str = "full",
                  student_config: StudentConfig = StudentConfig(), seed: int = 0):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(DESCRIPTOR_DIM)
         self.embed_weight = Parameter(
@@ -86,13 +93,13 @@ class TrackerModel:
                                     name="box_head.weight")
         self.box_bias = Parameter(rng.uniform(-bound, bound, (1, 4)),
                                   name="box_head.bias")
-        self.student = StudentModel(student_config, seed=seed + 1) if use_student else None
-        self.dcsd = (DcsdHead(seed=seed + 2, train_loss_weights=train_loss_weights)
-                     if use_student else None)
-        self.dswr = DswrHead() if (use_student and use_dswr) else None
-        self.use_student = use_student
-        self.use_dswr = use_student and use_dswr
-        self.train_loss_weights = train_loss_weights
+        with_student = variant != "baseline"
+        self.student = StudentModel(student_config, seed=seed + 1) if with_student else None
+        self.dcsd = (DcsdHead(seed=seed + 2, train_loss_weights=variant != "distill")
+                     if with_student else None)
+        self.dswr = DswrHead() if variant == "full" else None
+        self.variant = variant
+        self.student_config = student_config
         self.seed = seed
 
     # -- the parameter tree; every other view of the parameters derives from it --
@@ -162,11 +169,11 @@ class TrackerModel:
     # -- persistence --
 
     def save(self, path: str | Path) -> None:
-        """Write a ``semtrack-tracker-v1`` file: one sorted-key JSON header
-        line (build flags, seed, student config, and each parameter's name,
-        shape and byte offset), then every parameter as a little-endian
-        float64 blob, in name order with no gaps. :meth:`load` accepts only
-        that layout."""
+        """Write a ``semtrack-tracker-v2`` file: one sorted-key JSON header
+        line (variant, seed, student config, and each parameter's name, shape
+        and byte offset), then every parameter as a little-endian float64
+        blob, in name order with no gaps. :meth:`load` accepts only that
+        layout."""
         named = self.named_parameters()
         entries = []
         blobs = []
@@ -177,15 +184,11 @@ class TrackerModel:
             entries.append({"name": name, "rows": value.rows, "cols": value.cols,
                             "offset": offset})
             offset += len(blobs[-1])
-        student_config = (self.student.config if self.student is not None
-                          else StudentConfig())
         header = {
             "format": MODEL_FORMAT,
-            "use_student": self.use_student,
-            "use_dswr": self.use_dswr,
-            "train_loss_weights": self.train_loss_weights,
+            "variant": self.variant,
             "seed": self.seed,
-            "student_config": asdict(student_config),
+            "student_config": asdict(self.student_config),
             "params": entries,
         }
         with open(path, "wb") as fh:
@@ -198,10 +201,10 @@ class TrackerModel:
         values into its parameters, each keeping its ``trainable`` flag.
 
         Strict: raises ``ValueError`` unless the header line names the
-        ``semtrack-tracker-v1`` format, it and each of its objects hold
-        exactly the keys :meth:`save` writes, its entries name exactly the
-        parameters of the rebuilt model with their shapes, and the blobs
-        follow one another in name order and end where the file ends.
+        ``semtrack-tracker-v2`` format and a known variant, it and each of its
+        objects hold exactly the keys :meth:`save` writes, its entries name
+        exactly the parameters of the rebuilt model with their shapes, and the
+        blobs follow one another in name order and end where the file ends.
         """
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -213,10 +216,8 @@ class TrackerModel:
                       {f.name for f in fields(StudentConfig)})
         for entry in header["params"]:
             _require_keys(path, "parameter entry", entry, _ENTRY_KEYS)
-        model = cls(use_student=header["use_student"], use_dswr=header["use_dswr"],
-                    train_loss_weights=header["train_loss_weights"],
-                    student_config=StudentConfig(**header["student_config"]),
-                    seed=header["seed"])
+        model = cls(header["variant"], StudentConfig(**header["student_config"]),
+                    header["seed"])
         named = model.named_parameters()
         entries = {entry["name"]: entry for entry in header["params"]}
         missing = sorted(named.keys() - entries.keys())

@@ -5,6 +5,10 @@ import pytest
 
 from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig, SceneParams
 from semtrack.quality import QualityRanges
+from semtrack.scenes import DetectorNoise
+from semtrack.student import StudentConfig
+from semtrack.tracker import TrackerConfig
+from semtrack.training import TrainConfig
 
 
 def custom_config():
@@ -127,13 +131,55 @@ def test_tracker_config_takes_quality_ranges_from_dswr():
     ("training", "match_iou", 1.0, "match_iou"),
     ("detector", "fp_rate", 2.0, "fp_rate"),
     ("dswr", "clarity", [1.0, 0.0], "clarity"),
+    ("training", "epochs", "3", r"training\.epochs: expected int, got '3'"),
+    ("student", "ff_dim", "1024", r"student\.ff_dim: expected int"),
+    ("detector", "fp_rate", "0.1", r"detector\.fp_rate: expected float"),
+    ("dswr", "clarity", 0.5, r"dswr\.clarity: expected tuple\[float, float\]"),
+    (None, "ratio", 5, r"ratio: expected tuple\[int, int\] \| None"),
+    (None, "scene", None, "scene: expected an object"),
+    (None, "degradation_chain", [{"kind": "gaussian_blur"}],
+     r"gaussian_blur: missing keys \['sigma', 'kernel_size'\]"),
+    (None, "degradation_chain", [{"kind": "gaussian_blur", "sigma": "1", "kernel_size": 3}],
+     "degradation_chain: "),
+    ("scene", "num_targets", "3", r"scene\.num_targets: expected int"),
+    ("seeds", "model", "x", r"seeds\.model: expected int"),
 ], ids=["no-eval-scenes", "negative-train-scenes", "ratio-no-low", "ratio-three",
         "unknown-degradation", "unknown-degradation-key", "heads-not-dividing",
         "no-epochs", "zero-temperature", "negative-learning-rate", "zero-decay-factor",
         "decay-after-last-epoch", "decay-before-first-epoch", "match-iou-zero",
-        "match-iou-one", "fp-rate-above-one", "clarity-range-reversed"])
+        "match-iou-one", "fp-rate-above-one", "clarity-range-reversed",
+        "string-epochs", "string-ff-dim", "string-fp-rate", "scalar-clarity",
+        "scalar-ratio", "null-scene", "op-missing-fields", "string-op-sigma",
+        "string-num-targets", "string-model-seed"])
 def test_malformed_value_raises_when_built(where, key, value, match):
     raw = json.loads(ExperimentConfig().to_json())
     (raw if where is None else raw[where])[key] = value
     with pytest.raises(ValueError, match=match):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("where, key, value, accepted", [
+    ("seeds", "model", True, False),
+    ("training", "epochs", False, False),
+    ("detector", "fp_rate", 0, True),
+    ("dswr", "noise", [0, 1], True),
+    ("training", "learning_rate", 1, True),
+    ("tracker", "max_age", 3.0, False),
+])
+def test_json_types_bool_is_no_int_and_int_is_a_float(where, key, value, accepted):
+    raw = json.loads(ExperimentConfig().to_json())
+    raw[where][key] = value
+    if accepted:
+        assert json.loads(ExperimentConfig.from_dict(raw).to_json())[where][key] == value
+    else:
+        with pytest.raises(ValueError, match=rf"{where}\.{key}: expected int"):
+            ExperimentConfig.from_dict(raw)
+
+
+def test_module_dict_defaults_are_the_module_defaults():
+    config = ExperimentConfig()
+    assert config.student_config() == StudentConfig()
+    assert config.train_config() == TrainConfig(teacher_seed=config.seeds.teacher)
+    assert config.tracker_config() == TrackerConfig()
+    assert config.training["match_iou"] == 0.5
+    assert config.detector == DetectorNoise(jitter_sigma=0.6, fp_rate=0.1, fn_rate=0.05)

@@ -100,3 +100,12 @@ def test_op_from_dict_rejects_unknown_keys():
     assert op_from_dict(spec) == GaussianBlur(sigma=1.0, kernel_size=3)
     with pytest.raises(ValueError, match=r"gaussian_blur: unknown keys \['bogus'\]"):
         op_from_dict(dict(spec, bogus=1))
+
+
+def test_op_from_dict_rejects_missing_keys():
+    with pytest.raises(ValueError,
+                       match=r"gaussian_blur: missing keys \['sigma', 'kernel_size'\]"):
+        op_from_dict({"kind": "gaussian_blur"})
+    with pytest.raises(ValueError, match=r"downsample: missing keys \['scale'\]"):
+        op_from_dict({"kind": "downsample", "resample": "nearest"})
+    assert op_from_dict({"kind": "gaussian_noise", "sigma": 0.1}) == GaussianNoise(sigma=0.1)

@@ -29,11 +29,12 @@ def small_config(**overrides):
 def test_build_model_wires_each_variant(variant, student, dswr, logits_trainable):
     config = ExperimentConfig(seeds=Seeds(model=7))
     model = build_model(config, variant)
+    assert model.variant == variant
     assert (model.student is not None) == student
     assert (model.dcsd is not None) == student
     assert (model.dswr is not None) == dswr
-    assert model.use_dswr == dswr
     assert model.seed == 7
+    assert model.student_config == config.student_config()
     if student:
         assert model.student.config == config.student_config()
         logits = model.dcsd.loss_logits
@@ -152,9 +153,7 @@ def test_ablation_trains_every_variant_on_one_config(trained):
     runs = ablation_trend(config)
     assert runs == {variant: (config, variant) for variant in VARIANTS}
     assert_scored(run_sweep(runs), VARIANTS)
-    wiring = [(m.use_student, m.use_dswr, m.train_loss_weights) for m, _, _ in trained]
-    assert wiring == [(False, False, False), (True, False, False),
-                      (True, False, True), (True, True, True)]
+    assert [m.variant for m, _, _ in trained] == list(VARIANTS)
 
 
 def test_alpha_sweep_trains_each_point_with_its_alpha(trained):
@@ -162,7 +161,7 @@ def test_alpha_sweep_trains_each_point_with_its_alpha(trained):
     assert [c.alpha for c, _ in runs.values()] == [0.2, 0.4, 0.6]
     assert_scored(run_sweep(runs), ["alpha=0.2", "alpha=0.4", "alpha=0.6"])
     assert [train_config.alpha for _, _, train_config in trained] == [0.2, 0.4, 0.6]
-    assert all(model.use_dswr for model, _, _ in trained)
+    assert all(model.variant == "full" for model, _, _ in trained)
 
 
 def test_ratio_sweep_trains_each_point_on_its_mix(trained):

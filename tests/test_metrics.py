@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from semtrack.metrics import (MatchConfig, UndefinedMetricError, evaluate, hota,
-                              idf1, mota)
+from semtrack.metrics import ALPHAS, UndefinedMetricError, evaluate, hota, idf1, mota
 from semtrack.tracks import TrackRecord, TrackSet, box_iou
 
 from oracles import brute_hota, brute_idf1, brute_mota, random_tiny_case
-
-ALPHAS = MatchConfig().alphas
 
 
 def simple_track(track_id, frames, box):

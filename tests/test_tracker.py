@@ -7,11 +7,10 @@ from semtrack.metrics import evaluate
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig
-from semtrack.tracker import (DESCRIPTOR_DIM, TrackerConfig, TrackerModel,
+from semtrack.tracker import (DESCRIPTOR_DIM, VARIANTS, TrackerConfig, TrackerModel,
                               box_descriptor, track_sequence)
 
-TINY_STUDENT = StudentConfig(input_dim=256, hidden_dim=32, num_heads=2, ff_dim=64,
-                             output_dim=256)
+TINY_STUDENT = StudentConfig(hidden_dim=32, num_heads=2, ff_dim=64)
 
 
 def separated_scene(seed=0):
@@ -38,8 +37,7 @@ def test_descriptor_shape_and_geometry():
 def test_untrained_tracker_perfect_on_separated_targets():
     frames, gt = generate_scene(separated_scene(seed=3))
     dets = synth_detector(frames, gt, DetectorNoise(), seed=1)
-    model = TrackerModel(use_student=True, use_dswr=True,
-                         student_config=TINY_STUDENT, seed=42)
+    model = TrackerModel("full", TINY_STUDENT, seed=42)
     pred = track_sequence(frames, dets, model)
     report = evaluate(gt, pred)
     assert report.mota == 1.0
@@ -49,7 +47,7 @@ def test_untrained_tracker_perfect_on_separated_targets():
 def test_untrained_baseline_tracker_also_perfect_when_separated():
     frames, gt = generate_scene(separated_scene(seed=5))
     dets = synth_detector(frames, gt, DetectorNoise(), seed=2)
-    model = TrackerModel(use_student=False, seed=0)
+    model = TrackerModel("baseline", seed=0)
     pred = track_sequence(frames, dets, model)
     report = evaluate(gt, pred)
     assert report.mota == 1.0
@@ -58,14 +56,14 @@ def test_untrained_baseline_tracker_also_perfect_when_separated():
 
 def test_empty_detections_give_empty_trackset():
     frames, _ = generate_scene(separated_scene(seed=7))
-    model = TrackerModel(use_student=False, seed=0)
+    model = TrackerModel("baseline", seed=0)
     pred = track_sequence(frames, [], model)
     assert len(pred) == 0
 
 
 def test_detection_outside_sequence_rejected():
     frames, _ = generate_scene(separated_scene(seed=9))
-    model = TrackerModel(use_student=False, seed=0)
+    model = TrackerModel("baseline", seed=0)
     with pytest.raises(ValueError):
         track_sequence(frames, [Detection(frame=99, box=(0, 0, 5, 5), confidence=0.9)],
                        model)
@@ -82,7 +80,7 @@ def test_low_confidence_detections_do_not_start_tracks():
     frames, gt = generate_scene(separated_scene(seed=11))
     low = [Detection(frame=r.frame, box=r.box, confidence=0.3)
            for r in sorted(gt, key=lambda r: (r.frame, r.track_id))]
-    model = TrackerModel(use_student=False, seed=0)
+    model = TrackerModel("baseline", seed=0)
     pred = track_sequence(frames, low, model)
     assert len(pred) == 0  # below the birth threshold, never matched
 
@@ -91,7 +89,7 @@ def test_association_is_one_to_one_per_frame():
     frames, gt = generate_scene(random_scene_config(seed=13, num_targets=4))
     dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=1.0, fp_rate=0.3),
                           seed=3)
-    model = TrackerModel(use_student=False, seed=1)
+    model = TrackerModel("baseline", seed=1)
     pred = track_sequence(frames, dets, model)
     for frame, records in pred.by_frame().items():
         ids = [r.track_id for r in records]
@@ -102,10 +100,8 @@ def test_tracker_determinism():
     frames, gt = generate_scene(random_scene_config(seed=17))
     dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=0.8, fp_rate=0.2),
                           seed=4)
-    model_args = dict(use_student=True, use_dswr=True, student_config=TINY_STUDENT,
-                      seed=5)
-    pred_a = track_sequence(frames, dets, TrackerModel(**model_args))
-    pred_b = track_sequence(frames, dets, TrackerModel(**model_args))
+    pred_a = track_sequence(frames, dets, TrackerModel("full", TINY_STUDENT, seed=5))
+    pred_b = track_sequence(frames, dets, TrackerModel("full", TINY_STUDENT, seed=5))
     assert [(r.frame, r.track_id, r.box, r.confidence) for r in pred_a] \
         == [(r.frame, r.track_id, r.box, r.confidence) for r in pred_b]
 
@@ -115,15 +111,15 @@ def test_track_survives_short_gap_with_same_id():
     dets = synth_detector(frames, gt, DetectorNoise(), seed=5)
     # drop all detections from one middle frame: tracks must coast through
     dets = [d for d in dets if d.frame != 5]
-    model = TrackerModel(use_student=False, seed=0)
+    model = TrackerModel("baseline", seed=0)
     pred = track_sequence(frames, dets, model)
     assert len(pred.ids()) == 2
 
 
 def test_parameter_counts():
-    base = TrackerModel(use_student=False, seed=0)
+    base = TrackerModel("baseline", seed=0)
     assert base.added_parameter_count() == 0
-    full = TrackerModel(use_student=True, use_dswr=True, seed=0)
+    full = TrackerModel("full", seed=0)
     expected_tracker = (DESCRIPTOR_DIM * 256 + 256) + (256 * 4 + 4)
     assert full.tracker_parameter_count() == expected_tracker
     added = full.added_parameter_count()
@@ -131,8 +127,7 @@ def test_parameter_counts():
 
 
 def test_model_save_load_round_trip(tmp_path):
-    model = TrackerModel(use_student=True, use_dswr=True, student_config=TINY_STUDENT,
-                         seed=21)
+    model = TrackerModel("full", TINY_STUDENT, seed=21)
     frames, gt = generate_scene(separated_scene(seed=23))
     dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=0.5), seed=6)
     before = track_sequence(frames, dets, model)
@@ -142,6 +137,23 @@ def test_model_save_load_round_trip(tmp_path):
     after = track_sequence(frames, dets, loaded)
     assert [(r.frame, r.track_id, r.box) for r in before] \
         == [(r.frame, r.track_id, r.box) for r in after]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_model_file_names_its_variant(tmp_path, variant):
+    model = TrackerModel(variant, TINY_STUDENT, seed=4)
+    path = tmp_path / "model.bin"
+    model.save(path)
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+    assert set(header) == {"format", "variant", "seed", "student_config", "params"}
+    assert (header["format"], header["variant"]) == ("semtrack-tracker-v2", variant)
+    loaded = TrackerModel.load(path)
+    assert (loaded.variant, loaded.student_config, loaded.seed) == (variant, TINY_STUDENT, 4)
+    named = model.named_parameters()
+    assert {name: (p.value.data.tobytes(), p.trainable)
+            for name, p in loaded.named_parameters().items()} \
+        == {name: (p.value.data.tobytes(), p.trainable) for name, p in named.items()}
 
 
 def _drop_dswr_b(header, blob):
@@ -176,8 +188,18 @@ def _foreign_format(header, blob):
     return header, blob
 
 
-def _drop_use_student(header, blob):
-    del header["use_student"]
+def _previous_format(header, blob):
+    header["format"] = "semtrack-tracker-v1"
+    return header, blob
+
+
+def _drop_variant(header, blob):
+    del header["variant"]
+    return header, blob
+
+
+def _unknown_variant(header, blob):
+    header["variant"] = "dswr"
     return header, blob
 
 
@@ -197,16 +219,17 @@ def _entry_without_rows(header, blob):
     (_transpose_embed_bias, r"'embed.bias' is \(256, 1\)"),
     (_trailing_bytes, "8 bytes after the last parameter"),
     (_shift_offset, "'dswr.w' starts at byte"),
-    (_foreign_format, "not a semtrack-tracker-v1 model file"),
-    (_drop_use_student, r"header is missing keys \['use_student'\]"),
+    (_foreign_format, "not a semtrack-tracker-v2 model file"),
+    (_previous_format, "not a semtrack-tracker-v2 model file"),
+    (_drop_variant, r"header is missing keys \['variant'\]"),
+    (_unknown_variant, "unknown variant 'dswr'"),
     (_unknown_student_key, r"student_config .*unknown keys \['bogus'\]"),
     (_entry_without_rows, r"parameter entry is missing keys \['rows'\]"),
-], ids=["missing", "extra", "shape", "trailing", "offset", "format", "no-use-student",
-        "unknown-student-key", "entry-without-rows"])
+], ids=["missing", "extra", "shape", "trailing", "offset", "format", "v1-format",
+        "no-variant", "unknown-variant", "unknown-student-key", "entry-without-rows"])
 def test_load_rejects_malformed_file(tmp_path, corrupt, message):
     path = tmp_path / "model.bin"
-    TrackerModel(use_student=True, use_dswr=True, student_config=TINY_STUDENT,
-                 seed=3).save(path)
+    TrackerModel("full", TINY_STUDENT, seed=3).save(path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
         blob = fh.read()
@@ -217,7 +240,6 @@ def test_load_rejects_malformed_file(tmp_path, corrupt, message):
 
 
 def test_frozen_loss_logits_variant():
-    model = TrackerModel(use_student=True, use_dswr=False, train_loss_weights=False,
-                         student_config=TINY_STUDENT, seed=2)
+    model = TrackerModel("distill", TINY_STUDENT, seed=2)
     assert not model.dcsd.loss_logits.trainable
     assert model.dswr is None

@@ -18,8 +18,7 @@ from gradcheck import assert_grad_close, finite_diff
 # scene_losses total for make_sample(seed=2, num_frames=5) and a full model with
 # seed 3, as computed when the student still ran twice per frame
 TOTAL_SEED2_FULL = 0.4095100522416797
-TINY_STUDENT = StudentConfig(input_dim=256, hidden_dim=16, num_heads=2, ff_dim=32,
-                             output_dim=256)
+TINY_STUDENT = StudentConfig(hidden_dim=16, num_heads=2, ff_dim=32)
 
 
 def make_sample(seed=0, degraded=False, num_frames=8):
@@ -44,8 +43,7 @@ def test_train_config_validation():
 
 def test_alpha_mixing_identities():
     sample = make_sample(seed=2, num_frames=5)
-    model = TrackerModel(use_student=True, use_dswr=True,
-                         student_config=TINY_STUDENT, seed=3)
+    model = TrackerModel("full", TINY_STUDENT, seed=3)
     tracker_config = TrackerConfig()
 
     def parts(alpha):
@@ -64,8 +62,7 @@ def test_alpha_mixing_identities():
 def test_student_runs_once_per_frame_with_detections(monkeypatch):
     # the distillation loss reuses the features encode_queries computed
     sample = make_sample(seed=2, num_frames=5)
-    model = TrackerModel(use_student=True, use_dswr=True,
-                         student_config=TINY_STUDENT, seed=3)
+    model = TrackerModel("full", TINY_STUDENT, seed=3)
     calls = []
     forward = StudentModel.forward
 
@@ -83,7 +80,7 @@ def test_student_runs_once_per_frame_with_detections(monkeypatch):
 
 def test_baseline_total_is_mot_loss():
     sample = make_sample(seed=4, num_frames=5)
-    model = TrackerModel(use_student=False, seed=5)
+    model = TrackerModel("baseline", seed=5)
     losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
     assert losses["total"].item() == losses["l_mot"].item()
     assert losses["l_distill"].item() == 0.0
@@ -91,8 +88,7 @@ def test_baseline_total_is_mot_loss():
 
 def test_distillation_loss_decreases_over_60_steps():
     sample = make_sample(seed=6, num_frames=6)
-    model = TrackerModel(use_student=True, use_dswr=True,
-                         student_config=TINY_STUDENT, seed=7)
+    model = TrackerModel("full", TINY_STUDENT, seed=7)
     log = train(model, [sample], TrainConfig(alpha=0.4, epochs=60))
     assert len(log) == 60
     assert log[-1]["l_distill"] < log[0]["l_distill"]
@@ -100,7 +96,7 @@ def test_distillation_loss_decreases_over_60_steps():
 
 def test_mot_loss_decreases():
     sample = make_sample(seed=8, num_frames=6)
-    model = TrackerModel(use_student=False, seed=9)
+    model = TrackerModel("baseline", seed=9)
     log = train(model, [sample], TrainConfig(alpha=0.4, epochs=40))
     assert log[-1]["l_mot"] < log[0]["l_mot"]
 
@@ -108,8 +104,7 @@ def test_mot_loss_decreases():
 def test_training_determinism():
     def run():
         sample = make_sample(seed=10, num_frames=5)
-        model = TrackerModel(use_student=True, use_dswr=True,
-                             student_config=TINY_STUDENT, seed=11)
+        model = TrackerModel("full", TINY_STUDENT, seed=11)
         return train(model, [sample], TrainConfig(alpha=0.4, epochs=3))
 
     assert run() == run()
@@ -117,8 +112,7 @@ def test_training_determinism():
 
 def test_training_log_csv_format(tmp_path):
     sample = make_sample(seed=12, num_frames=5)
-    model = TrackerModel(use_student=True, use_dswr=True,
-                         student_config=TINY_STUDENT, seed=13)
+    model = TrackerModel("full", TINY_STUDENT, seed=13)
     path = tmp_path / "log.csv"
     log = train(model, [sample], TrainConfig(alpha=0.4, epochs=2), log_path=path)
     with open(path) as fh:
@@ -130,8 +124,7 @@ def test_training_log_csv_format(tmp_path):
 
 def test_frozen_loss_logits_stay_fixed_under_training():
     sample = make_sample(seed=14, num_frames=5)
-    model = TrackerModel(use_student=True, use_dswr=False, train_loss_weights=False,
-                         student_config=TINY_STUDENT, seed=15)
+    model = TrackerModel("distill", TINY_STUDENT, seed=15)
     before = model.dcsd.loss_logits.value.data.copy()
     train(model, [sample], TrainConfig(alpha=0.4, epochs=3))
     assert np.array_equal(model.dcsd.loss_logits.value.data, before)
@@ -141,8 +134,7 @@ def test_frozen_loss_logits_stay_fixed_under_training():
 
 def test_trainable_loss_logits_move():
     sample = make_sample(seed=16, num_frames=5)
-    model = TrackerModel(use_student=True, use_dswr=False, train_loss_weights=True,
-                         student_config=TINY_STUDENT, seed=17)
+    model = TrackerModel("dcsd", TINY_STUDENT, seed=17)
     before = model.dcsd.loss_logits.value.data.copy()
     train(model, [sample], TrainConfig(alpha=0.4, epochs=5))
     assert not np.array_equal(model.dcsd.loss_logits.value.data, before)
@@ -150,8 +142,7 @@ def test_trainable_loss_logits_move():
 
 def test_dswr_parameters_receive_gradients():
     sample = make_sample(seed=18, degraded=True, num_frames=5)
-    model = TrackerModel(use_student=True, use_dswr=True,
-                         student_config=TINY_STUDENT, seed=19)
+    model = TrackerModel("full", TINY_STUDENT, seed=19)
     with Tape() as tape:
         losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
         tape.backward(losses["total"])
@@ -162,7 +153,7 @@ def test_dswr_parameters_receive_gradients():
 def test_mot_loss_gradient_matches_fd_on_embed_bias():
     # spot-check the full tracking-loss graph against finite differences
     sample = make_sample(seed=20, num_frames=4)
-    model = TrackerModel(use_student=False, seed=21)
+    model = TrackerModel("baseline", seed=21)
     train_config = TrainConfig(alpha=0.4)
     tracker_config = TrackerConfig()
 
