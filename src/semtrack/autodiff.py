@@ -1,14 +1,16 @@
 """Dense float64 matrices with reverse-mode gradient recording.
 
-Values are immutable 2-D numpy arrays wrapped in :class:`Matrix`. An
-operation executed inside an active :class:`Tape` context records its output,
-its inputs and a backward rule. The rule maps the gradient of the output to
-one gradient per input, or ``None`` for an input that needs none; it does not
-know where those gradients go. A later ``tape.backward(loss)`` replays the
-records in reverse and routes every gradient itself: into the tape's buffer
-for an input that an earlier record produced, or into the ``grad`` of a leaf
-matrix that requires it (typically the value of a :class:`Parameter`).
-Outside a tape, operations are plain numpy math.
+Values are immutable 2-D numpy arrays wrapped in :class:`Matrix`; every op
+takes :class:`Matrix` operands (``concat_*`` a list of them), never raw
+arrays. One :class:`Tape` records at a time: an operation executed while it
+is active records its output, its inputs and a backward rule. The rule maps
+the gradient of the output to one gradient per input, or ``None`` for an
+input that needs none; it does not know where those gradients go. A later
+``tape.backward(loss)`` replays the records in reverse and routes every
+gradient itself: into the tape's buffer for an input that an earlier record
+produced, or into the ``grad`` of a leaf matrix that requires it (typically
+the value of a :class:`Parameter`). Outside a tape, operations are plain
+numpy math.
 
 A backward rule closes over its op's inputs and forward arrays, never over
 the tape. Nothing in a recorded graph points back at its tape, so a tape and
@@ -19,8 +21,7 @@ name for the tape goes; nothing waits on the cyclic garbage collector.
 from __future__ import annotations
 
 import math
-import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = [
     "scalar_mul",
     "transpose",
     "slice_cols",
-    "slice_rows",
+    "take_rows",
     "concat_cols",
     "concat_rows",
     "relu",
@@ -77,8 +78,6 @@ class Matrix:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -101,10 +100,6 @@ class Matrix:
         out.requires_grad = requires_grad
         return out
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -121,9 +116,6 @@ class Matrix:
         if self.data.shape != (1, 1):
             raise DimensionError(f"item() needs a 1x1 matrix, got {self.shape}")
         return float(self.data[0, 0])
-
-    def tolist(self) -> list[list[float]]:
-        return self.data.tolist()
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -145,7 +137,7 @@ class Parameter:
     @property
     def grad(self) -> Matrix:
         if self.value.grad is None:
-            return Matrix.zeros(self.value.rows, self.value.cols)
+            return Matrix(np.zeros(self.value.shape))
         return Matrix(self.value.grad)
 
     def zero_grad(self) -> None:
@@ -164,20 +156,8 @@ class Parameter:
         return f"Parameter({self.name or '?'}, {self.value.rows}x{self.value.cols}, {tag})"
 
 
-_ACTIVE = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = []
-        _ACTIVE.stack = stack
-    return stack
-
-
-def _active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+# the tape recording now, if any; only one records at a time
+_active: "Tape | None" = None
 
 
 class Tape:
@@ -197,14 +177,15 @@ class Tape:
         self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        global _active
+        if _active is not None:
+            raise RuntimeError("a tape is already recording; tapes do not nest")
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("tape context exited out of order")
-        stack.pop()
+        global _active
+        _active = None
 
     def backward(self, loss: Matrix) -> None:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``."""
@@ -247,7 +228,7 @@ def _emit(inputs: Sequence[Matrix], data: np.ndarray, vjp: Vjp) -> Matrix:
 
     ``vjp(g)`` returns one gradient per input, in input order, or ``None`` for
     an input that needs none; the tape routes them."""
-    tape = _active_tape()
+    tape = _active
     needs = tape is not None and any(m.requires_grad for m in inputs)
     out = Matrix._wrap(data, requires_grad=bool(needs))
     if needs:
@@ -256,17 +237,12 @@ def _emit(inputs: Sequence[Matrix], data: np.ndarray, vjp: Vjp) -> Matrix:
     return out
 
 
-def _as_matrix(m) -> Matrix:
-    return m if isinstance(m, Matrix) else Matrix(m)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product; gradients d(AB) = G @ B^T and A^T @ G."""
-    a, b = _as_matrix(a), _as_matrix(b)
     if a.cols != b.rows:
         raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
@@ -281,7 +257,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def linear(x: Matrix, weight: Matrix, bias: Matrix) -> Matrix:
     """``x @ weight`` plus a 1 x cols bias row added to every row, recorded
     as one op."""
-    x, weight, bias = _as_matrix(x), _as_matrix(weight), _as_matrix(bias)
     if x.cols != weight.rows:
         raise DimensionError(f"linear shape mismatch: {x.shape} @ {weight.shape}")
     if bias.shape != (1, weight.cols):
@@ -297,14 +272,12 @@ def linear(x: Matrix, weight: Matrix, bias: Matrix) -> Matrix:
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return _emit((a, b), a.data + b.data, lambda g: (g, g))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
-    a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
     return _emit((a, b), a.data - b.data, lambda g: (g, -g))
@@ -312,7 +285,6 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
     """Element-wise (Hadamard) product."""
-    a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"multiply shape mismatch: {a.shape} vs {b.shape}")
     return _emit((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
@@ -320,14 +292,12 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
 
 def scale(m: Matrix, factor: float) -> Matrix:
     """Multiply by a non-differentiable constant."""
-    m = _as_matrix(m)
     factor = float(factor)
     return _emit((m,), m.data * factor, lambda g: (g * factor,))
 
 
 def scalar_mul(s: Matrix, m: Matrix) -> Matrix:
     """Multiply a matrix by a 1x1 node, differentiable in both."""
-    s, m = _as_matrix(s), _as_matrix(m)
     if s.shape != (1, 1):
         raise DimensionError(f"scalar_mul needs a 1x1 scalar, got {s.shape}")
     sval = s.data[0, 0]
@@ -339,12 +309,10 @@ def scalar_mul(s: Matrix, m: Matrix) -> Matrix:
 
 
 def transpose(m: Matrix) -> Matrix:
-    m = _as_matrix(m)
     return _emit((m,), m.data.T.copy(), lambda g: (g.T,))
 
 
 def slice_cols(m: Matrix, start: int, stop: int) -> Matrix:
-    m = _as_matrix(m)
     if not (0 <= start < stop <= m.cols):
         raise DimensionError(f"column slice [{start}:{stop}] out of range for {m.shape}")
 
@@ -356,21 +324,24 @@ def slice_cols(m: Matrix, start: int, stop: int) -> Matrix:
     return _emit((m,), m.data[:, start:stop].copy(), vjp)
 
 
-def slice_rows(m: Matrix, start: int, stop: int) -> Matrix:
-    m = _as_matrix(m)
-    if not (0 <= start < stop <= m.rows):
-        raise DimensionError(f"row slice [{start}:{stop}] out of range for {m.shape}")
+def take_rows(m: Matrix, rows: Sequence[int]) -> Matrix:
+    """The rows of ``m`` at the given indices, in that order; the gradient of
+    a row taken more than once is the sum of its copies' gradients."""
+    index = np.asarray(rows)
+    if index.ndim != 1 or index.size == 0 or index.dtype.kind not in "iu":
+        raise DimensionError(f"take_rows needs a non-empty 1-D list of ints, got {rows!r}")
+    if index.min() < 0 or index.max() >= m.rows:
+        raise DimensionError(f"row index out of range for {m.shape}: {rows!r}")
 
     def vjp(g):
         full = np.zeros(m.shape)
-        full[start:stop, :] = g
+        np.add.at(full, index, g)
         return (full,)
 
-    return _emit((m,), m.data[start:stop, :].copy(), vjp)
+    return _emit((m,), m.data[index], vjp)
 
 
-def concat_cols(parts: Iterable[Matrix]) -> Matrix:
-    parts = [_as_matrix(p) for p in parts]
+def concat_cols(parts: list[Matrix]) -> Matrix:
     if not parts:
         raise DimensionError("concat_cols needs at least one matrix")
     rows = parts[0].rows
@@ -384,8 +355,7 @@ def concat_cols(parts: Iterable[Matrix]) -> Matrix:
     return _emit(parts, np.concatenate([p.data for p in parts], axis=1), vjp)
 
 
-def concat_rows(parts: Iterable[Matrix]) -> Matrix:
-    parts = [_as_matrix(p) for p in parts]
+def concat_rows(parts: list[Matrix]) -> Matrix:
     if not parts:
         raise DimensionError("concat_rows needs at least one matrix")
     cols = parts[0].cols
@@ -404,20 +374,17 @@ def concat_rows(parts: Iterable[Matrix]) -> Matrix:
 
 
 def relu(m: Matrix) -> Matrix:
-    m = _as_matrix(m)
     mask = m.data > 0
     return _emit((m,), np.where(mask, m.data, 0.0), lambda g: (g * mask,))
 
 
 def sigmoid(m: Matrix) -> Matrix:
-    m = _as_matrix(m)
     data = 1.0 / (1.0 + np.exp(-m.data))
     return _emit((m,), data, lambda g: (g * data * (1.0 - data),))
 
 
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise softmax, computed with max subtraction."""
-    m = _as_matrix(m)
     e = np.exp(m.data - m.data.max(axis=1, keepdims=True))
     data = e / e.sum(axis=1, keepdims=True)
 
@@ -438,7 +405,6 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Mat
     head's matrices laid out as the per-head slices would be, so the result
     equals the slice/softmax/concat composition.
     """
-    q, k, v = _as_matrix(q), _as_matrix(k), _as_matrix(v)
     if not q.shape == k.shape == v.shape:
         raise DimensionError(
             f"attention needs equal q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
@@ -479,7 +445,6 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Mat
 
 def l2_normalize_rows(m: Matrix) -> Matrix:
     """Divide each row by max(||row||_2, eps); zero rows stay zero."""
-    m = _as_matrix(m)
     norms = np.sqrt((m.data * m.data).sum(axis=1, keepdims=True))
     safe = np.maximum(norms, NORMALIZE_EPS)
     data = m.data / safe
@@ -496,7 +461,6 @@ def l2_normalize_rows(m: Matrix) -> Matrix:
 
 def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) -> Matrix:
     """Per-row layer normalization with 1 x cols gain and bias."""
-    x, gain, bias = _as_matrix(x), _as_matrix(gain), _as_matrix(bias)
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
         raise DimensionError(f"layer norm gain/bias must be 1x{x.cols}")
     mu = x.data.mean(axis=1, keepdims=True)
@@ -520,13 +484,11 @@ def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) ->
 
 
 def sum_all(m: Matrix) -> Matrix:
-    m = _as_matrix(m)
     return _emit((m,), np.array([[m.data.sum()]]), lambda g: (np.full(m.shape, g[0, 0]),))
 
 
 def mse(a: Matrix, b: Matrix) -> Matrix:
     """Mean over all elements of (a - b)^2, as a 1x1 node."""
-    a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"mse shape mismatch: {a.shape} vs {b.shape}")
     diff = a.data - b.data
@@ -541,7 +503,6 @@ def mse(a: Matrix, b: Matrix) -> Matrix:
 
 def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:
     """Mean over all elements of |a - b| (L1 loss), as a 1x1 node."""
-    a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"l1 shape mismatch: {a.shape} vs {b.shape}")
     diff = a.data - b.data
@@ -556,7 +517,6 @@ def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:
 
 def sequence_mean(m: Matrix) -> Matrix:
     """Column-wise mean over rows (the mean feature of a sequence), 1 x cols."""
-    m = _as_matrix(m)
     rows = m.rows
 
     def vjp(g):
@@ -567,7 +527,6 @@ def sequence_mean(m: Matrix) -> Matrix:
 
 def l1_of_means(a: Matrix, b: Matrix) -> Matrix:
     """Mean absolute difference between the two sequences' mean vectors."""
-    a, b = _as_matrix(a), _as_matrix(b)
     if a.cols != b.cols:
         raise DimensionError(f"l1_of_means column mismatch: {a.cols} vs {b.cols}")
     return mean_abs_diff(sequence_mean(a), sequence_mean(b))
@@ -576,7 +535,6 @@ def l1_of_means(a: Matrix, b: Matrix) -> Matrix:
 def repeat_row(m: Matrix, times: int) -> Matrix:
     """Stack ``times`` copies of the single row of ``m``; the gradient is the
     column-wise sum of the copies' gradients."""
-    m = _as_matrix(m)
     if m.rows != 1:
         raise DimensionError(f"repeat_row needs a single row, got {m.shape}")
     if times < 1:
@@ -587,7 +545,6 @@ def repeat_row(m: Matrix, times: int) -> Matrix:
 
 def cross_entropy_rows(logits: Matrix, targets: Sequence[int]) -> Matrix:
     """Mean cross-entropy of row-wise softmax against integer targets."""
-    logits = _as_matrix(logits)
     targets = np.asarray(list(targets), dtype=np.int64)
     if targets.shape != (logits.rows,):
         raise DimensionError(f"need {logits.rows} targets, got {targets.shape}")

@@ -58,6 +58,8 @@ class ExperimentConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self):
+        # a field of the wrong type fails here, however the config was built
+        _check_value(self, ExperimentConfig, "")
         for name in ("num_train_scenes", "num_eval_scenes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -165,6 +167,20 @@ def _key(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _check_value(value, hint, key: str) -> None:
+    """Raise ``ValueError`` naming the dotted ``key`` unless ``value`` fits
+    ``hint``; a dataclass value must be an instance whose fields fit theirs."""
+    if is_dataclass(hint):
+        if not isinstance(value, hint):
+            raise ValueError(f"{key}: expected {hint.__name__}, got {value!r}")
+        hints = typing.get_type_hints(hint)
+        for f in fields(hint):
+            _check_value(getattr(value, f.name), hints[f.name], _key(key, f.name))
+    elif not _fits(value, hint):
+        name = str(hint) if typing.get_args(hint) else hint.__name__
+        raise ValueError(f"{key}: expected {name}, got {value!r}")
+
+
 def _check_object(kind, raw, where: str) -> None:
     """Raise ``ValueError`` unless ``raw`` is an object whose keys are fields
     of the dataclass ``kind`` and whose non-dataclass values fit their types.
@@ -176,10 +192,8 @@ def _check_object(kind, raw, where: str) -> None:
         raise ValueError(f"{where or 'config'}: unknown keys {unknown}")
     hints = typing.get_type_hints(kind)
     for key, value in raw.items():
-        hint = hints[key]
-        if not is_dataclass(hint) and not _fits(value, hint):
-            name = str(hint) if typing.get_args(hint) else hint.__name__
-            raise ValueError(f"{_key(where, key)}: expected {name}, got {value!r}")
+        if not is_dataclass(hints[key]):
+            _check_value(value, hints[key], _key(where, key))
 
 
 def _from_json(kind, raw, where: str):

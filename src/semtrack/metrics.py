@@ -64,11 +64,8 @@ def _frame_tables(gt: TrackSet, pred: TrackSet):
 
 
 def _iou_matrix(gt_recs, pred_recs) -> np.ndarray:
-    out = np.zeros((len(gt_recs), len(pred_recs)))
-    for i, g in enumerate(gt_recs):
-        for j, p in enumerate(pred_recs):
-            out[i, j] = box_iou(g.box, p.box)
-    return out
+    return np.array([[box_iou(g.box, p.box) for p in pred_recs] for g in gt_recs],
+                    dtype=np.float64).reshape(len(gt_recs), len(pred_recs))
 
 
 def mota(gt: TrackSet, pred: TrackSet) -> tuple[float, MetricCounts]:
@@ -114,10 +111,10 @@ def idf1(gt: TrackSet, pred: TrackSet) -> float:
     pred_index = {p: j for j, p in enumerate(pred_ids)}
     frames, gt_by_frame, pred_by_frame = _frame_tables(gt, pred)
     for frame in frames:
-        for g in gt_by_frame.get(frame, []):
-            for p in pred_by_frame.get(frame, []):
-                if box_iou(g.box, p.box) >= IOU_THRESHOLD:
-                    overlap[gt_index[g.track_id], pred_index[p.track_id]] += 1
+        gt_recs = gt_by_frame.get(frame, [])
+        pred_recs = pred_by_frame.get(frame, [])
+        for r, c in zip(*np.nonzero(_iou_matrix(gt_recs, pred_recs) >= IOU_THRESHOLD)):
+            overlap[gt_index[gt_recs[r].track_id], pred_index[pred_recs[c].track_id]] += 1
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
     idfn = len(gt) - idtp

@@ -248,8 +248,14 @@ def synth_detector(frames: list[np.ndarray], gt: TrackSet,
     return detections
 
 
-def detections_by_frame(detections: list[Detection]) -> dict[int, list[Detection]]:
+def detections_by_frame(detections: list[Detection], num_frames: int
+                        ) -> dict[int, list[Detection]]:
+    """Detections grouped by frame index, in input order; raises
+    ``ValueError`` for a detection outside a sequence of ``num_frames``."""
     out: dict[int, list[Detection]] = {}
     for det in detections:
+        if not 0 <= det.frame < num_frames:
+            raise ValueError(f"detection frame {det.frame} outside sequence "
+                             f"of {num_frames} frames")
         out.setdefault(det.frame, []).append(det)
     return out

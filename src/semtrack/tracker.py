@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from semtrack.autodiff import Matrix, Parameter
 from semtrack.distill import DcsdHead
 from semtrack.frames import resize
 from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse
-from semtrack.scenes import Detection
+from semtrack.scenes import Detection, detections_by_frame
 from semtrack.student import FEATURE_DIM, StudentConfig, StudentModel
 from semtrack.tracks import TrackRecord, TrackSet, box_iou
 
@@ -35,8 +36,11 @@ DESCRIPTOR_DIM = 4 + PATCH * PATCH + 2
 VARIANTS = ("baseline", "distill", "dcsd", "full")
 MODEL_FORMAT = "semtrack-tracker-v2"
 _TRACKER_PREFIXES = ("embed.", "box_head.")
-_HEADER_KEYS = {"format", "variant", "seed", "student_config", "params"}
-_ENTRY_KEYS = {"name", "rows", "cols", "offset"}
+# the keys of each object in a model file's header, with their JSON types
+_HEADER_TYPES = {"format": str, "variant": str, "seed": int, "student_config": dict,
+                 "params": list}
+_STUDENT_TYPES = typing.get_type_hints(StudentConfig)
+_ENTRY_TYPES = {"name": str, "rows": int, "cols": int, "offset": int}
 
 
 @dataclass(frozen=True)
@@ -202,20 +206,20 @@ class TrackerModel:
 
         Strict: raises ``ValueError`` unless the header line names the
         ``semtrack-tracker-v2`` format and a known variant, it and each of its
-        objects hold exactly the keys :meth:`save` writes, its entries name
-        exactly the parameters of the rebuilt model with their shapes, and the
-        blobs follow one another in name order and end where the file ends.
+        objects hold exactly the keys :meth:`save` writes, each with a value
+        of the JSON type :meth:`save` gives it, its entries name exactly the
+        parameters of the rebuilt model with their shapes, and the blobs
+        follow one another in name order and end where the file ends.
         """
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
             blob = fh.read()
         if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
-        _require_keys(path, "header", header, _HEADER_KEYS)
-        _require_keys(path, "student_config", header["student_config"],
-                      {f.name for f in fields(StudentConfig)})
+        _require_fields(path, "header", header, _HEADER_TYPES)
+        _require_fields(path, "student_config", header["student_config"], _STUDENT_TYPES)
         for entry in header["params"]:
-            _require_keys(path, "parameter entry", entry, _ENTRY_KEYS)
+            _require_fields(path, "parameter entry", entry, _ENTRY_TYPES)
         model = cls(header["variant"], StudentConfig(**header["student_config"]),
                     header["seed"])
         named = model.named_parameters()
@@ -244,14 +248,20 @@ class TrackerModel:
         return model
 
 
-def _require_keys(path, where: str, raw, keys: set[str]) -> None:
-    """Raise ``ValueError`` unless ``raw`` is an object with exactly ``keys``."""
+def _require_fields(path, where: str, raw, types: dict[str, type]) -> None:
+    """Raise ``ValueError`` unless ``raw`` is an object with exactly the keys
+    of ``types``, each holding a value of its type (a bool is no int)."""
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: {where} is not an object")
-    missing, unknown = sorted(keys - raw.keys()), sorted(raw.keys() - keys)
+    missing, unknown = sorted(types.keys() - raw.keys()), sorted(raw.keys() - types.keys())
     if missing or unknown:
         raise ValueError(f"{path}: {where} is missing keys {missing}, "
                          f"has unknown keys {unknown}")
+    for key, kind in types.items():
+        value = raw[key]
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+            raise ValueError(f"{path}: {where} key {key!r} must be {kind.__name__}, "
+                             f"got {value!r}")
 
 
 @dataclass
@@ -273,13 +283,7 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
                    model: TrackerModel,
                    config: TrackerConfig = TrackerConfig()) -> TrackSet:
     """Run the tracker over a frame sequence; returns per-frame records."""
-    per_frame: dict[int, list[Detection]] = {}
-    for det in detections:
-        if det.frame < 0 or det.frame >= len(frames):
-            raise ValueError(f"detection frame {det.frame} outside sequence "
-                             f"of {len(frames)} frames")
-        per_frame.setdefault(det.frame, []).append(det)
-
+    per_frame = detections_by_frame(detections, len(frames))
     output = TrackSet()
     active: list[_ActiveTrack] = []
     next_id = 1

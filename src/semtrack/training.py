@@ -94,7 +94,7 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
     Returns node and float views of every component; must run inside a Tape
     for gradients to be recorded.
     """
-    per_frame = detections_by_frame(sample.detections)
+    per_frame = detections_by_frame(sample.detections, len(sample.frames))
     gt_by_frame = sample.gt.by_frame()
     height, width = sample.frames[0].shape
 
@@ -138,9 +138,7 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
                 targets.append(id_to_next[gid])
         if not anchor_rows:
             continue
-        cur = fused_rows[frame_index]
-        anchors = ad.concat_rows([ad.slice_rows(cur, i, i + 1) for i in anchor_rows]) \
-            if len(anchor_rows) > 1 else ad.slice_rows(cur, anchor_rows[0], anchor_rows[0] + 1)
+        anchors = ad.take_rows(fused_rows[frame_index], anchor_rows)
         sims = ad.matmul(ad.l2_normalize_rows(anchors),
                          ad.transpose(ad.l2_normalize_rows(fused_rows[nxt])))
         logits = ad.scale(sims, 1.0 / train.contrastive_temperature)
@@ -152,16 +150,15 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
     for frame_index, frame_labels in sorted(labels.items()):
         if not frame_labels:
             continue
-        dets = per_frame[frame_index]
         gt_recs = {r.track_id: r for r in gt_by_frame.get(frame_index, [])}
-        pred = model.predict_boxes(fused_rows[frame_index])
-        for det_idx, gid in sorted(frame_labels.items()):
-            l, t, w, h = gt_recs[gid].box
-            box_preds.append(ad.slice_rows(pred, det_idx, det_idx + 1))
+        rows = sorted(frame_labels)
+        box_preds.append(ad.take_rows(model.predict_boxes(fused_rows[frame_index]), rows))
+        for det_idx in rows:
+            l, t, w, h = gt_recs[frame_labels[det_idx]].box
             box_targets.append([l / width, t / height, w / width, h / height])
     if box_preds:
-        stacked = box_preds[0] if len(box_preds) == 1 else ad.concat_rows(box_preds)
-        box_loss = ad.mean_abs_diff(stacked, Matrix(np.array(box_targets)))
+        box_loss = ad.mean_abs_diff(ad.concat_rows(box_preds),
+                                    Matrix(np.array(box_targets)))
         mot_terms.append(ad.scale(box_loss, train.box_loss_weight))
 
     def mean_node(terms):

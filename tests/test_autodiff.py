@@ -1,6 +1,9 @@
+import ast
 import gc
+import inspect
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,13 @@ def test_matrix_rejects_non_finite():
         Matrix([[1.0, float("nan")]])
     with pytest.raises(ValueError):
         Matrix([[float("inf")]])
+
+
+@pytest.mark.parametrize("data", [[1.0, 2.0], np.zeros((1, 2, 2))],
+                         ids=["1-D", "3-D"])
+def test_matrix_must_be_2d(data):
+    with pytest.raises(DimensionError, match="2-D"):
+        Matrix(data)
 
 
 def test_matrix_is_immutable():
@@ -209,8 +219,8 @@ def test_structural_ops_match_fd(seed):
     check_against_fd(weighted_scalar(ad.linear), [a, w, bias], label="linear")
     check_against_fd(weighted_scalar(lambda m: ad.slice_cols(m, 1, 4)), [a],
                      label="slice_cols")
-    check_against_fd(weighted_scalar(lambda m: ad.slice_rows(m, 1, 3)), [a],
-                     label="slice_rows")
+    check_against_fd(weighted_scalar(lambda m: ad.take_rows(m, [3, 1])), [a],
+                     label="take_rows")
     b = rng.standard_normal((4, 3))
     check_against_fd(weighted_scalar(lambda x, y: ad.concat_cols([x, y])), [a, b],
                      label="concat_cols")
@@ -230,11 +240,11 @@ def test_nonlinear_ops_match_fd(seed):
     check_against_fd(weighted_scalar(ad.relu), [a], label="relu")
     check_against_fd(weighted_scalar(ad.sigmoid), [a], label="sigmoid")
     check_against_fd(weighted_scalar(ad.softmax_rows), [a], label="softmax_rows")
-    check_against_fd(weighted_scalar(ad.l2_normalize_rows), [a], label="l2_normalize")
+    check_against_fd(weighted_scalar(ad.l2_normalize_rows), [a], label="l2_normalize_rows")
     gain = rng.standard_normal((1, 7))
     bias = rng.standard_normal((1, 7))
     check_against_fd(weighted_scalar(lambda x, g, b: ad.layer_norm_rows(x, g, b)),
-                     [a, gain, bias], label="layer_norm")
+                     [a, gain, bias], label="layer_norm_rows")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -251,7 +261,57 @@ def test_reduction_ops_match_fd(seed):
     logits = rng.standard_normal((4, 6))
     targets = rng.integers(0, 6, size=4).tolist()
     check_against_fd(lambda m: ad.cross_entropy_rows(m, targets), [logits],
-                     label="cross_entropy")
+                     label="cross_entropy_rows")
+
+
+@pytest.mark.parametrize("rows", [[2, 0, 2, 2], [1], [3, 2, 1, 0]])
+def test_take_rows_matches_fd_and_sums_a_repeated_row(rows):
+    rng = np.random.default_rng(150 + len(rows))
+    a = rng.standard_normal((4, 5))
+    check_against_fd(weighted_scalar(lambda m: ad.take_rows(m, rows)), [a],
+                     label=f"take_rows[{rows}]")
+    assert np.array_equal(ad.take_rows(Matrix(a), rows).data, a[rows])
+
+
+@pytest.mark.parametrize("rows", [[], [4], [-1], [[0, 1]], [0.0], [True, False]],
+                         ids=["empty", "past-end", "negative", "2-D", "float", "bool"])
+def test_take_rows_rejects_bad_index_lists(rows):
+    with pytest.raises(DimensionError, match="take_rows|out of range"):
+        ad.take_rows(Matrix(np.zeros((4, 3))), rows)
+
+
+def test_one_tape_records_at_a_time():
+    p = Parameter([[2.0]])
+    with Tape() as outer:
+        with pytest.raises(RuntimeError, match="already recording"):
+            with Tape():
+                pass
+        # the refused tape leaves the outer one recording
+        outer.backward(ad.mse(p.value, Matrix([[0.0]])))
+    assert np.allclose(p.grad.data, [[4.0]])
+    with Tape() as again:   # and a finished tape frees the slot
+        again.backward(ad.mse(p.value, Matrix([[0.0]])))
+    assert np.allclose(p.grad.data, [[8.0]])
+
+
+def test_every_op_has_an_fd_gradcheck():
+    # a label names its op, optionally followed by "[case]"
+    labels = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                    == "check_against_fd"):
+                continue
+            for kw in node.keywords:
+                if kw.arg != "label":
+                    continue
+                value = kw.value
+                if isinstance(value, ast.JoinedStr):
+                    value = value.values[0]
+                if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    labels.add(value.value.split("[")[0])
+    ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))}
+    assert ops and sorted(ops - labels) == []
 
 
 def test_input_used_twice_in_one_op_gets_both_gradients():
@@ -310,7 +370,8 @@ def test_multi_head_attention_matches_fd(rows, num_heads):
     rng = np.random.default_rng(500 + 10 * rows + num_heads)
     q, k, v = (rng.standard_normal((rows, 8)) for _ in range(3))
     attention = weighted_scalar(lambda a, b, c: ad.multi_head_attention(a, b, c, num_heads))
-    check_against_fd(attention, [q, k, v], label=f"attention[{rows}x8, {num_heads} heads]")
+    check_against_fd(attention, [q, k, v],
+                     label=f"multi_head_attention[{rows}x8, {num_heads} heads]")
 
 
 @pytest.mark.parametrize("rows, num_heads", [(1, 1), (1, 4), (3, 2), (9, 4), (17, 8)])

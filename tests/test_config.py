@@ -158,6 +158,21 @@ def test_malformed_value_raises_when_built(where, key, value, match):
         ExperimentConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("ratio", 5, r"ratio: expected tuple\[int, int\] \| None, got 5"),
+    ("num_eval_scenes", "3", "num_eval_scenes: expected int, got '3'"),
+    ("alpha", "0.4", "alpha: expected float, got '0.4'"),
+    ("output_dir", 3, "output_dir: expected str, got 3"),
+    ("scene", SceneParams(width="128"), r"scene\.width: expected int, got '128'"),
+], ids=["int-ratio", "string-eval-scenes", "string-alpha", "int-output-dir",
+        "nested-string-width"])
+def test_built_config_is_type_checked_like_a_loaded_one(key, value, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**{key: value})
+    with pytest.raises(ValueError, match=match):
+        replace(ExperimentConfig(), **{key: value})
+
+
 @pytest.mark.parametrize("where, key, value, accepted", [
     ("seeds", "model", True, False),
     ("training", "epochs", False, False),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from semtrack.scenes import (DetectorNoise, SceneConfig, TargetSpec, crossing_preset,
-                             detections_by_frame, generate_scene, random_scene_config,
-                             synth_detector)
+from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
+                             crossing_preset, detections_by_frame, generate_scene,
+                             random_scene_config, synth_detector)
 from semtrack.tracks import box_iou
 
 
@@ -109,8 +109,15 @@ def test_detector_determinism_and_grouping():
     a = synth_detector(frames, gt, DetectorNoise(jitter_sigma=1.0, fp_rate=0.2), seed=6)
     b = synth_detector(frames, gt, DetectorNoise(jitter_sigma=1.0, fp_rate=0.2), seed=6)
     assert a == b
-    grouped = detections_by_frame(a)
+    grouped = detections_by_frame(a, len(frames))
     assert sum(len(v) for v in grouped.values()) == len(a)
+
+
+@pytest.mark.parametrize("frame", [-1, 32])
+def test_detections_by_frame_rejects_a_frame_outside_the_sequence(frame):
+    det = Detection(frame=frame, box=(0.0, 0.0, 5.0, 5.0), confidence=0.9)
+    with pytest.raises(ValueError, match=f"frame {frame} outside sequence of 32"):
+        detections_by_frame([det], 32)
 
 
 def test_jittered_confidence_below_point_nine():

@@ -213,6 +213,17 @@ def _entry_without_rows(header, blob):
     return header, blob
 
 
+def _set(*keys, value):
+    """A corruption that sets the header value ``keys`` lead to."""
+    def corrupt(header, blob):
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return header, blob
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_dswr_b, r"missing parameters \['dswr.b'\]"),
     (_add_extra, r"unknown parameters \['dswr.extra'\]"),
@@ -225,8 +236,19 @@ def _entry_without_rows(header, blob):
     (_unknown_variant, "unknown variant 'dswr'"),
     (_unknown_student_key, r"student_config .*unknown keys \['bogus'\]"),
     (_entry_without_rows, r"parameter entry is missing keys \['rows'\]"),
+    (_set("variant", value=1), "header key 'variant' must be str, got 1"),
+    (_set("seed", value="x"), "header key 'seed' must be int, got 'x'"),
+    (_set("seed", value=True), "header key 'seed' must be int, got True"),
+    (_set("student_config", "hidden_dim", value="8"),
+     "student_config key 'hidden_dim' must be int, got '8'"),
+    (_set("params", 0, "name", value=3), "parameter entry key 'name' must be str, got 3"),
+    (_set("params", 0, "rows", value=1.0), "parameter entry key 'rows' must be int"),
+    (_set("params", 0, "cols", value="1"), "parameter entry key 'cols' must be int"),
+    (_set("params", 0, "offset", value=None), "parameter entry key 'offset' must be int"),
 ], ids=["missing", "extra", "shape", "trailing", "offset", "format", "v1-format",
-        "no-variant", "unknown-variant", "unknown-student-key", "entry-without-rows"])
+        "no-variant", "unknown-variant", "unknown-student-key", "entry-without-rows",
+        "variant-int", "seed-str", "seed-bool", "student-value-str", "entry-name-int",
+        "entry-rows-float", "entry-cols-str", "entry-offset-null"])
 def test_load_rejects_malformed_file(tmp_path, corrupt, message):
     path = tmp_path / "model.bin"
     TrackerModel("full", TINY_STUDENT, seed=3).save(path)

@@ -6,8 +6,8 @@ import pytest
 from semtrack import autodiff as ad
 from semtrack.autodiff import Tape
 from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain, apply_chain
-from semtrack.scenes import (DetectorNoise, detections_by_frame, generate_scene,
-                             random_scene_config, synth_detector)
+from semtrack.scenes import (Detection, DetectorNoise, detections_by_frame,
+                             generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
 from semtrack.tracker import TrackerConfig, TrackerModel
 from semtrack.training import (LOG_COLUMNS, SceneSample, TrainConfig, scene_losses,
@@ -73,9 +73,18 @@ def test_student_runs_once_per_frame_with_detections(monkeypatch):
     monkeypatch.setattr(StudentModel, "forward", counted)
     with Tape():
         losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
-    per_frame = detections_by_frame(sample.detections)
+    per_frame = detections_by_frame(sample.detections, len(sample.frames))
     assert calls == [len(per_frame[f]) for f in sorted(per_frame)]
     assert losses["total"].item() == TOTAL_SEED2_FULL
+
+
+def test_detection_outside_the_scene_is_rejected():
+    # a detection past the last frame must fail here as it does in tracking
+    sample = make_sample(seed=4, num_frames=32)
+    sample.detections.append(Detection(frame=37, box=(0, 0, 5, 5), confidence=0.9))
+    with pytest.raises(ValueError, match="frame 37 outside sequence of 32"):
+        scene_losses(TrackerModel("baseline", seed=5), sample, TrainConfig(alpha=0.4),
+                     TrackerConfig())
 
 
 def test_baseline_total_is_mot_loss():
