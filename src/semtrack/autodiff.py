@@ -5,7 +5,9 @@ takes :class:`Matrix` operands (``concat_*`` a list of them), never raw
 arrays. One :class:`Tape` records at a time: an operation executed while it
 is active records its output, its inputs and a backward rule. The rule maps
 the gradient of the output to one gradient per input, or ``None`` for an
-input that needs none; it does not know where those gradients go. A later
+input that needs none; it does not know where those gradients go. A gradient
+is a full array, except that ``take_rows`` returns only the rows it took,
+which the tape adds in place into a buffer of its own. A later
 ``tape.backward(loss)`` replays the records in reverse and routes every
 gradient itself: into the tape's buffer for an input that an earlier record
 produced, or into the ``grad`` of a leaf matrix that requires it (typically
@@ -21,7 +23,7 @@ name for the tape goes; nothing waits on the cyclic garbage collector.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +61,18 @@ __all__ = [
 
 NORMALIZE_EPS = 1e-12
 
+
+class _Rows(NamedTuple):
+    """A gradient that is zero outside some rows: ``values[i]`` adds to row
+    ``index[i]``. The tape adds it into a buffer in place, so taking a few
+    rows of a large matrix costs the rows taken, not the matrix."""
+
+    index: np.ndarray
+    values: np.ndarray
+
+
 # A backward rule: output gradient -> one gradient (or None) per input.
-Vjp = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
+Vjp = Callable[[np.ndarray], Sequence["np.ndarray | _Rows | None"]]
 
 
 class DimensionError(ValueError):
@@ -193,30 +205,50 @@ class Tape:
             raise DimensionError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
         produced = self._produced
         grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+        # buffers this pass allocated: only these may be added into in place,
+        # since a rule may hand one array to several inputs
+        owned: set[int] = set()
         for out, inputs, vjp in reversed(self._records):
             # every consumer of ``out`` comes later on the tape, so its
             # gradient is complete here and the buffer can go
             g = grads.pop(id(out), None)
             if g is None:
                 continue
+            owned.discard(id(out))
             for node, delta in zip(inputs, vjp(g)):
                 if delta is None:
                     continue
-                if id(node) in produced:
-                    prev = grads.get(id(node))
-                    grads[id(node)] = delta if prev is None else prev + delta
-                elif node.requires_grad:
-                    _leaf_accum(node, delta)
+                key = id(node)
+                if key not in produced:
+                    if node.requires_grad:
+                        _leaf_accum(node, delta)
+                    continue
+                prev = grads.get(key)
+                if isinstance(delta, _Rows):
+                    if key not in owned:
+                        prev = np.zeros(node.shape) if prev is None else prev.copy()
+                        owned.add(key)
+                    np.add.at(prev, delta.index, delta.values)
+                    grads[key] = prev
+                elif prev is None:
+                    grads[key] = delta
+                else:
+                    grads[key] = prev + delta
+                    owned.add(key)
         # the seed is a leaf only when the "loss" was never produced by a
         # recorded op
         if loss.requires_grad and id(loss) not in produced:
             _leaf_accum(loss, grads[id(loss)])
 
 
-def _leaf_accum(node: Matrix, delta: np.ndarray) -> None:
+def _leaf_accum(node: Matrix, delta: "np.ndarray | _Rows") -> None:
     # the first contribution is copied, so the leaf owns its buffer and later
     # ones can be added in place
-    if node.grad is None:
+    if isinstance(delta, _Rows):
+        if node.grad is None:
+            node.grad = np.zeros(node.shape)
+        np.add.at(node.grad, delta.index, delta.values)
+    elif node.grad is None:
         node.grad = delta.copy()
     else:
         node.grad += delta
@@ -333,12 +365,7 @@ def take_rows(m: Matrix, rows: Sequence[int]) -> Matrix:
     if index.min() < 0 or index.max() >= m.rows:
         raise DimensionError(f"row index out of range for {m.shape}: {rows!r}")
 
-    def vjp(g):
-        full = np.zeros(m.shape)
-        np.add.at(full, index, g)
-        return (full,)
-
-    return _emit((m,), m.data[index], vjp)
+    return _emit((m,), m.data[index], lambda g: (_Rows(index, g),))
 
 
 def concat_cols(parts: list[Matrix]) -> Matrix:
@@ -394,7 +421,8 @@ def softmax_rows(m: Matrix) -> Matrix:
     return _emit((m,), data, vjp)
 
 
-def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Matrix:
+def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int,
+                         segments: Sequence[int] | None = None) -> Matrix:
     """Scaled dot-product self-attention over ``num_heads`` column blocks,
     recorded as one op.
 
@@ -404,6 +432,11 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Mat
     concatenated in head order. The heads run as one batched matmul, each
     head's matrices laid out as the per-head slices would be, so the result
     equals the slice/softmax/concat composition.
+
+    ``segments``, one label per row, makes the attention block-diagonal: a
+    row attends only to rows with its own label, as if each segment ran on
+    its own. The logits between segments are ``-inf`` before the softmax, so
+    their weights are exactly 0 and the backward rule needs no mask.
     """
     if not q.shape == k.shape == v.shape:
         raise DimensionError(
@@ -411,6 +444,11 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Mat
     n, width = q.shape
     if num_heads < 1 or width % num_heads:
         raise DimensionError(f"width {width} is not divisible by {num_heads} heads")
+    if segments is not None:
+        labels = np.asarray(segments)
+        if labels.shape != (n,):
+            raise DimensionError(
+                f"attention needs one segment label per row ({n}), got shape {labels.shape}")
     head_dim = width // num_heads
     inv_scale = 1.0 / math.sqrt(head_dim)
 
@@ -426,6 +464,8 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int) -> Mat
     kt = np.ascontiguousarray(heads(k.data).transpose(0, 2, 1))
     vh = np.ascontiguousarray(heads(v.data))
     z = (qh @ kt) * inv_scale
+    if segments is not None:
+        z = np.where(labels[:, None] == labels[None, :], z, -np.inf)
     z = z - z.max(axis=2, keepdims=True)
     e = np.exp(z)
     attn = e / e.sum(axis=2, keepdims=True)

@@ -1,11 +1,11 @@
-"""Dual-constraint distillation loss between student features and a frozen
-teacher vector.
+"""Dual-constraint distillation loss between student features and frozen
+teacher vectors.
 
-Pipeline: project the 1x1024 teacher vector to 256, align it to the student
-sequence length by repeating the projected row once per student row, then
-combine a local MSE term and a global L1-of-means term with softmax-normalized
-learnable weights. A repeat is all the alignment there is to do:
-:class:`TeacherEmbedding` holds exactly one 1x1024 row per frame, and
+Pipeline, per frame: project the frame's 1x1024 teacher vector to 256, align
+it to the frame's student rows by repeating the projected row once per row,
+then combine a local MSE term and a global L1-of-means term with
+softmax-normalized learnable weights. A repeat is all the alignment there is
+to do: :class:`TeacherEmbedding` holds exactly one 1x1024 row per frame, and
 interpolating a single row to any length gives copies of it.
 
 The paper's local term compares the student with the teacher aggregated
@@ -15,12 +15,18 @@ identical rows: every logit in a row of the map is equal, the map is uniform
 (1/n), and each aggregated row is the mean of n identical rows, i.e. the
 aligned teacher itself. The local term is therefore ``mse(s, t_align)``, and
 the attention map is not computed.
+
+A training scene passes all its frames at once: the student rows stacked, a
+frame index per row, and one teacher per frame. Each term is the mean over
+frames of its per-frame value, taken through a constant frames x rows
+averaging matrix, so a frame with few rows weighs as much as one with many.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,23 +76,41 @@ class DcsdHead:
         w = ad.softmax_rows(self.loss_logits.value).data
         return float(w[0, 0]), float(w[0, 1])
 
-    def project_teacher(self, t: TeacherEmbedding) -> Matrix:
-        return ad.linear(t.vector, self.teacher_weight.value, self.teacher_bias.value)
+    def project_teacher(self, teachers: Sequence[TeacherEmbedding]) -> Matrix:
+        """The teachers' vectors projected to 256, one row per teacher."""
+        stacked = Matrix(np.concatenate([t.vector.data for t in teachers], axis=0))
+        return ad.linear(stacked, self.teacher_weight.value, self.teacher_bias.value)
 
-    def loss(self, s: Matrix, t: TeacherEmbedding) -> DcsdBreakdown:
+    def loss(self, s: Matrix, segments: Sequence[int],
+             teachers: Sequence[TeacherEmbedding]) -> DcsdBreakdown:
+        """The loss of student rows ``s``, row ``i`` from frame ``segments[i]``
+        and distilled towards ``teachers[segments[i]]``; every frame needs at
+        least one row. Each component is the mean of its per-frame values."""
         if s.cols != FEATURE_DIM:
             raise DimensionError(
                 f"student features must have {FEATURE_DIM} columns, got {s.cols}")
         if s.rows < 1:
             raise DimensionError("student sequence must be non-empty")
+        frames = np.asarray(segments)
+        if (frames.shape != (s.rows,) or frames.dtype.kind not in "iu"
+                or not np.array_equal(np.unique(frames), np.arange(len(teachers)))):
+            raise DimensionError(
+                f"need one frame index per row ({s.rows}) that covers each of the "
+                f"{len(teachers)} teachers, got {segments!r}")
+        counts = np.bincount(frames)
+        averaging = np.zeros((len(teachers), s.rows))             # F x n
+        averaging[frames, np.arange(s.rows)] = 1.0 / counts[frames]
+        averaging = Matrix(averaging)
 
-        t_proj = self.project_teacher(t)                       # 1 x 256
-        t_align = ad.repeat_row(t_proj, s.rows)                # n x 256
+        t_proj = self.project_teacher(teachers)                    # F x 256
+        t_align = ad.take_rows(t_proj, frames)                     # n x 256
 
-        l_local = ad.mse(s, t_align)
-        l_global = ad.l1_of_means(s, t_align)
+        diff = ad.sub(s, t_align)
+        per_frame_sq = ad.matmul(averaging, ad.multiply(diff, diff))   # F x 256
+        l_local = ad.scale(ad.sum_all(per_frame_sq), 1.0 / per_frame_sq.data.size)
+        l_global = ad.mean_abs_diff(ad.matmul(averaging, s), t_proj)
 
-        weights = ad.softmax_rows(self.loss_logits.value)      # 1 x 2
+        weights = ad.softmax_rows(self.loss_logits.value)          # 1 x 2
         w1 = ad.slice_cols(weights, 0, 1)
         w2 = ad.slice_cols(weights, 1, 2)
         l_distill = ad.add(ad.scalar_mul(w1, l_local), ad.scalar_mul(w2, l_global))

@@ -7,8 +7,10 @@ deviation). Each raw value is min-max normalized against a configured range
 and the score is q = (clarity_n + (1 - noise_n) + contrast_n) / 3, so lower q
 means poorer quality.
 
-The semantic weight is sigmoid(W*q + b) with learnable scalars; the default
-init (W = -4, b = 2) already realizes "lower quality, higher semantic weight".
+The semantic weight is sigmoid(W*q + b) with learnable scalars W and b, taken
+row by row over a column of q values, one per query: a query gets the weight
+of the frame it comes from. The default init (W = -4, b = 2) already realizes
+"lower quality, higher semantic weight".
 """
 
 from __future__ import annotations
@@ -89,20 +91,26 @@ class DswrHead:
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
-    def semantic_weight(self, q: float) -> Matrix:
-        """sigmoid(W*q + b) as a differentiable 1x1 node, strictly in (0, 1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quality score must lie in [0, 1], got {q}")
-        affine = ad.add(ad.scale(self.w.value, q), self.b.value)
-        return ad.sigmoid(affine)
+    def semantic_weight(self, q: Matrix) -> Matrix:
+        """sigmoid(W*q + b) of an n x 1 column of quality scores, as a
+        differentiable n x 1 node strictly in (0, 1)."""
+        if q.cols != 1:
+            raise DimensionError(f"quality scores must be an n x 1 column, got {q.shape}")
+        if np.any(q.data < 0.0) or np.any(q.data > 1.0):
+            raise ValueError(f"quality scores must lie in [0, 1], got {q.data.ravel()}")
+        return ad.sigmoid(ad.linear(q, self.w.value, self.b.value))
 
 
 def fuse(w: Matrix, f_semantic: Matrix, f_query: Matrix) -> Matrix:
-    """Convex combination w*f_semantic + (1-w)*f_query with a shared scalar."""
+    """Row-wise convex combination w*f_semantic + (1-w)*f_query: the n x 1
+    weight ``w`` holds one weight per row, spread over the columns by a
+    product with a row of ones (exact, as each entry is ``w_i * 1``)."""
     if f_semantic.shape != f_query.shape:
         raise DimensionError(
             f"fuse shape mismatch: {f_semantic.shape} vs {f_query.shape}")
-    if w.shape != (1, 1):
-        raise DimensionError(f"fusion weight must be 1x1, got {w.shape}")
-    one_minus = ad.sub(Matrix([[1.0]]), w)
-    return ad.add(ad.scalar_mul(w, f_semantic), ad.scalar_mul(one_minus, f_query))
+    rows, cols = f_semantic.shape
+    if w.shape != (rows, 1):
+        raise DimensionError(f"fusion weight must be {rows}x1, got {w.shape}")
+    spread = ad.matmul(w, Matrix(np.ones((1, cols))))
+    one_minus = ad.sub(Matrix(np.ones((rows, cols))), spread)
+    return ad.add(ad.multiply(spread, f_semantic), ad.multiply(one_minus, f_query))

@@ -9,12 +9,18 @@ is permutation-equivariant. Layers are post-norm (attention -> add -> norm ->
 feed-forward -> add -> norm). Each layer's multi-head attention is one
 ``autodiff.multi_head_attention`` op over the query, key and value
 projections, and every projection one ``autodiff.linear`` op.
+
+Attention is the only step that mixes rows, so many independent sets (the
+frames of a training scene) run as one stacked call: ``segments`` labels
+each row with its set, and attention stays within a set. Every other step
+is row-wise, so each set's rows come out as the set would alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -90,25 +96,28 @@ class StudentModel:
         return ad.layer_norm_rows(x, self._params[f"{name}.gain"].value,
                                   self._params[f"{name}.bias"].value)
 
-    def _attention(self, layer: int, h: Matrix) -> Matrix:
+    def _attention(self, layer: int, h: Matrix, segments: Sequence[int] | None) -> Matrix:
         q = self._apply_linear(f"layer{layer}.query", h)
         k = self._apply_linear(f"layer{layer}.key", h)
         v = self._apply_linear(f"layer{layer}.value", h)
-        merged = ad.multi_head_attention(q, k, v, self.config.num_heads)
+        merged = ad.multi_head_attention(q, k, v, self.config.num_heads, segments)
         return self._apply_linear(f"layer{layer}.attn_out", merged)
 
-    def forward(self, x: Matrix) -> Matrix:
-        """Encode an n x 256 query sequence to n x 256 features."""
+    def forward(self, x: Matrix, segments: Sequence[int] | None = None) -> Matrix:
+        """Encode an n x 256 query sequence to n x 256 features; with
+        ``segments`` (one label per row), each labelled set of rows on its
+        own."""
         if x.cols != FEATURE_DIM:
             raise DimensionError(
                 f"student expects {FEATURE_DIM} input columns, got {x.cols}")
         h = self._apply_linear("input_proj", x)
         for i in range(NUM_LAYERS):
-            h = self._apply_norm(f"layer{i}.norm1", ad.add(h, self._attention(i, h)))
+            attended = self._attention(i, h, segments)
+            h = self._apply_norm(f"layer{i}.norm1", ad.add(h, attended))
             ff = self._apply_linear(
                 f"layer{i}.ff2", ad.relu(self._apply_linear(f"layer{i}.ff1", h)))
             h = self._apply_norm(f"layer{i}.norm2", ad.add(h, ff))
         return ad.add(self._apply_linear("output_proj", h), x)
 
-    def __call__(self, x: Matrix) -> Matrix:
-        return self.forward(x)
+    def __call__(self, x: Matrix, segments: Sequence[int] | None = None) -> Matrix:
+        return self.forward(x, segments)

@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import math
 import typing
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -149,23 +151,32 @@ class TrackerModel:
         return ad.linear(Matrix(descriptors), self.embed_weight.value,
                          self.embed_bias.value)
 
-    def fusion_weight(self, frame: np.ndarray, config: TrackerConfig) -> Matrix:
+    def fusion_weight(self, frames: Sequence[np.ndarray], rows: np.ndarray,
+                      config: TrackerConfig) -> Matrix:
+        """n x 1 fusion weight: row ``i`` gets the weight of ``frames[rows[i]]``,
+        from its quality (DSWR) or fixed. Each frame is assessed once."""
         if self.dswr is not None:
-            q = assess_quality(frame, config.quality_ranges).q
-            return self.dswr.semantic_weight(q)
-        return Matrix([[config.fixed_fusion_weight]])
+            q = np.array([[assess_quality(frame, config.quality_ranges).q]
+                          for frame in frames])
+            return self.dswr.semantic_weight(Matrix(q[rows]))
+        return Matrix(np.full((len(rows), 1), config.fixed_fusion_weight))
 
-    def encode_queries(self, x: Matrix, frame: np.ndarray,
-                       config: TrackerConfig) -> tuple[Matrix, Matrix | None]:
+    def encode_queries(self, x: Matrix, frames: Sequence[np.ndarray], config: TrackerConfig,
+                       segments: np.ndarray | None = None) -> tuple[Matrix, Matrix | None]:
         """Queries -> (fused features, the student's semantic features).
 
-        The bare tracker returns ``(x, None)``. Training feeds the semantic
-        features to the distillation loss, so the student runs once per frame.
+        Row ``i`` of ``x`` comes from ``frames[segments[i]]``; without
+        ``segments`` every row comes from ``frames[0]``, as in tracking. The
+        student attends within a frame only, and each row is fused at its
+        frame's weight. The bare tracker returns ``(x, None)``. Training feeds
+        the semantic features to the distillation loss, so the student runs
+        once per scene.
         """
         if self.student is None:
             return x, None
-        semantic = self.student(x)
-        return fuse(self.fusion_weight(frame, config), semantic, x), semantic
+        semantic = self.student(x, segments)
+        rows = np.zeros(x.rows, dtype=np.intp) if segments is None else segments
+        return fuse(self.fusion_weight(frames, rows, config), semantic, x), semantic
 
     def predict_boxes(self, features: Matrix) -> Matrix:
         return ad.linear(features, self.box_weight.value, self.box_bias.value)
@@ -208,8 +219,8 @@ class TrackerModel:
         ``semtrack-tracker-v2`` format and a known variant, it and each of its
         objects hold exactly the keys :meth:`save` writes, each with a value
         of the JSON type :meth:`save` gives it, its entries name exactly the
-        parameters of the rebuilt model with their shapes, and the blobs
-        follow one another in name order and end where the file ends.
+        parameters of the rebuilt model, each once, with their shapes, and the
+        blobs follow one another in name order and end where the file ends.
         """
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -223,6 +234,10 @@ class TrackerModel:
         model = cls(header["variant"], StudentConfig(**header["student_config"]),
                     header["seed"])
         named = model.named_parameters()
+        listed = Counter(entry["name"] for entry in header["params"])
+        repeated = sorted(name for name, count in listed.items() if count > 1)
+        if repeated:
+            raise ValueError(f"{path}: parameters listed more than once: {repeated}")
         entries = {entry["name"]: entry for entry in header["params"]}
         missing = sorted(named.keys() - entries.keys())
         extra = sorted(entries.keys() - named.keys())
@@ -298,7 +313,7 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
             embedded = model.embed_descriptors(np.concatenate(descriptors, axis=0))
             rows.extend(embedded.data[i:i + 1] for i in range(len(descriptors)))
         x = Matrix(np.concatenate(rows, axis=0)) if rows else None
-        fused = model.encode_queries(x, frame, config)[0].data if x is not None else None
+        fused = model.encode_queries(x, [frame], config)[0].data if x is not None else None
 
         track_feats = fused[:n_carried] if fused is not None else np.zeros((0, FEATURE_DIM))
         prop_feats = (fused[n_carried:] if fused is not None

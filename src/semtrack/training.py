@@ -7,7 +7,13 @@ queries and the next frame's candidates) plus an L1 box-regression term from
 a linear box head, summed 1:1. The total per step is
 ``alpha * distillation + (1 - alpha) * tracking`` with alpha in (0, 1). The
 distillation target of each frame is its pseudo-teacher embedding
-(:func:`semtrack.teacher.pseudo_teacher` under ``teacher_seed``).
+(:func:`semtrack.teacher.pseudo_teacher` under ``teacher_seed``), and the
+distillation loss is the mean of the per-frame losses.
+
+A scene's frames are independent sets of queries, so a step runs the whole
+scene as one stack of rows: one query embedding, one student call (its
+attention masked to each frame's rows) and one box-head call per scene. The
+losses are those of running the frames one by one, up to summation order.
 
 One training step consumes one scene; plain gradient descent with a single
 x0.1 learning-rate drop two-thirds of the way through the epoch budget.
@@ -91,42 +97,50 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
                  tracker_config: TrackerConfig) -> dict:
     """Differentiable distillation + tracking losses for one scene.
 
-    Returns node and float views of every component; must run inside a Tape
-    for gradients to be recorded.
+    The rows of every frame with detections are stacked into one matrix and
+    embedded, encoded and box-predicted in one call each; ``segments`` gives
+    each row's frame, counted over the frames with detections only. Returns
+    node and float views of every component; must run inside a Tape for
+    gradients to be recorded.
     """
     per_frame = detections_by_frame(sample.detections, len(sample.frames))
     gt_by_frame = sample.gt.by_frame()
     height, width = sample.frames[0].shape
 
-    fused_rows: dict[int, Matrix] = {}
-    labels: dict[int, dict[int, int]] = {}
-    distill_terms = []
-    breakdowns = []
-    for frame_index, frame in enumerate(sample.frames):
-        dets = per_frame.get(frame_index, [])
-        if not dets:
-            continue
-        descriptors = np.concatenate(
-            [box_descriptor(frame, det.box) for det in dets], axis=0)
-        x = model.embed_descriptors(descriptors)
-        fused, semantic = model.encode_queries(x, frame, tracker_config)
-        fused_rows[frame_index] = fused
-        labels[frame_index] = match_detections_to_gt(
-            dets, gt_by_frame.get(frame_index, []), train.match_iou)
-        if semantic is not None:
-            breakdown = model.dcsd.loss(semantic, pseudo_teacher(frame, train.teacher_seed))
-            distill_terms.append(breakdown.loss_node)
-            breakdowns.append(breakdown)
+    # one pass over the scene: segment k holds the rows of frame frame_ids[k],
+    # rows first_row[k] to first_row[k + 1]
+    frame_ids = sorted(per_frame)
+    descriptors = []
+    segments = []
+    first_row = [0]
+    labels: list[dict[int, int]] = []
+    for segment, frame_index in enumerate(frame_ids):
+        dets = per_frame[frame_index]
+        first_row.append(first_row[-1] + len(dets))
+        descriptors.extend(box_descriptor(sample.frames[frame_index], det.box)
+                           for det in dets)
+        segments.extend([segment] * len(dets))
+        labels.append(match_detections_to_gt(
+            dets, gt_by_frame.get(frame_index, []), train.match_iou))
+    zero = Matrix([[0.0]])
+    losses = {"total": zero, "l_mot": zero, "l_distill": zero,
+              "l_local": 0.0, "l_global": 0.0, "w1": 0.0, "w2": 0.0}
+    if not frame_ids:
+        return losses
+    segments = np.array(segments)
+    frames = [sample.frames[frame_index] for frame_index in frame_ids]
+    x = model.embed_descriptors(np.concatenate(descriptors, axis=0))
+    fused, semantic = model.encode_queries(x, frames, tracker_config, segments)
 
     mot_terms = []
     # association: every gt id seen in consecutive frames must pick its own
     # detection among all of the next frame's candidates
-    for frame_index in sorted(fused_rows):
-        nxt = frame_index + 1
-        if nxt not in fused_rows:
+    normed = ad.l2_normalize_rows(fused)
+    for segment in range(len(frame_ids) - 1):
+        if frame_ids[segment + 1] != frame_ids[segment] + 1:
             continue
-        cur_labels = labels[frame_index]
-        nxt_labels = labels[nxt]
+        cur_labels = labels[segment]
+        nxt_labels = labels[segment + 1]
         if not cur_labels or not nxt_labels:
             continue
         id_to_next = {gid: det_idx for det_idx, gid in nxt_labels.items()}
@@ -134,60 +148,45 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
         targets = []
         for det_idx, gid in sorted(cur_labels.items()):
             if gid in id_to_next:
-                anchor_rows.append(det_idx)
+                anchor_rows.append(first_row[segment] + det_idx)
                 targets.append(id_to_next[gid])
         if not anchor_rows:
             continue
-        anchors = ad.take_rows(fused_rows[frame_index], anchor_rows)
-        sims = ad.matmul(ad.l2_normalize_rows(anchors),
-                         ad.transpose(ad.l2_normalize_rows(fused_rows[nxt])))
+        candidates = range(first_row[segment + 1], first_row[segment + 2])
+        sims = ad.matmul(ad.take_rows(normed, anchor_rows),
+                         ad.transpose(ad.take_rows(normed, candidates)))
         logits = ad.scale(sims, 1.0 / train.contrastive_temperature)
         mot_terms.append(ad.cross_entropy_rows(logits, targets))
 
     # box regression on every gt-matched query
-    box_preds = []
+    box_rows = []
     box_targets = []
-    for frame_index, frame_labels in sorted(labels.items()):
-        if not frame_labels:
-            continue
-        gt_recs = {r.track_id: r for r in gt_by_frame.get(frame_index, [])}
-        rows = sorted(frame_labels)
-        box_preds.append(ad.take_rows(model.predict_boxes(fused_rows[frame_index]), rows))
-        for det_idx in rows:
+    for segment, frame_labels in enumerate(labels):
+        gt_recs = {r.track_id: r for r in gt_by_frame.get(frame_ids[segment], [])}
+        for det_idx in sorted(frame_labels):
+            box_rows.append(first_row[segment] + det_idx)
             l, t, w, h = gt_recs[frame_labels[det_idx]].box
             box_targets.append([l / width, t / height, w / width, h / height])
-    if box_preds:
-        box_loss = ad.mean_abs_diff(ad.concat_rows(box_preds),
+    if box_rows:
+        box_loss = ad.mean_abs_diff(model.predict_boxes(ad.take_rows(fused, box_rows)),
                                     Matrix(np.array(box_targets)))
         mot_terms.append(ad.scale(box_loss, train.box_loss_weight))
 
-    def mean_node(terms):
-        if not terms:
-            return Matrix([[0.0]])
-        total = terms[0]
-        for term in terms[1:]:
-            total = ad.add(total, term)
-        return ad.scale(total, 1.0 / len(terms))
-
-    l_mot = mean_node(mot_terms)
-    if model.student is not None:
-        l_distill = mean_node(distill_terms)
-        total = ad.add(ad.scale(l_distill, train.alpha),
-                       ad.scale(l_mot, 1.0 - train.alpha))
-    else:
-        l_distill = Matrix([[0.0]])
-        total = l_mot
-
-    n = max(len(breakdowns), 1)
-    return {
-        "total": total,
-        "l_mot": l_mot,
-        "l_distill": l_distill,
-        "l_local": sum(b.l_local for b in breakdowns) / n if breakdowns else 0.0,
-        "l_global": sum(b.l_global for b in breakdowns) / n if breakdowns else 0.0,
-        "w1": breakdowns[0].w1 if breakdowns else 0.0,
-        "w2": breakdowns[0].w2 if breakdowns else 0.0,
-    }
+    if mot_terms:
+        l_mot = mot_terms[0]
+        for term in mot_terms[1:]:
+            l_mot = ad.add(l_mot, term)
+        losses["total"] = losses["l_mot"] = ad.scale(l_mot, 1.0 / len(mot_terms))
+    if semantic is None:
+        return losses
+    breakdown = model.dcsd.loss(
+        semantic, segments, [pseudo_teacher(frame, train.teacher_seed) for frame in frames])
+    losses.update(
+        total=ad.add(ad.scale(breakdown.loss_node, train.alpha),
+                     ad.scale(losses["l_mot"], 1.0 - train.alpha)),
+        l_distill=breakdown.loss_node, l_local=breakdown.l_local,
+        l_global=breakdown.l_global, w1=breakdown.w1, w2=breakdown.w2)
+    return losses
 
 
 def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: TrainConfig,
@@ -211,6 +210,9 @@ def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: Tra
                 if not np.isfinite(total):
                     raise TrainingDivergedError(step)
                 tape.backward(losses["total"])
+            # the tape keeps every activation and the weights it read; free it
+            # before the update allocates the new weights
+            del tape
             model.step(lr)
             model.zero_grads()
             log.append({

@@ -1,14 +1,28 @@
-"""Exhaustive brute-force metric oracles for tiny cases.
+"""Reference implementations for tests: brute-force metric oracles for tiny
+cases, and a frame-by-frame reference for the training losses.
 
-Everything here is recomputed from the metric definitions with plain loops
-and dicts; optimal assignments are found by enumerating every matching
-instead of the Hungarian algorithm the implementation uses.
+The metric oracles recompute everything from the metric definitions with
+plain loops and dicts; optimal assignments are found by enumerating every
+matching instead of the Hungarian algorithm the implementation uses.
+
+:func:`per_frame_scene_losses` computes the losses of one training scene the
+way the tracker sees frames: one embedding, one student call and one fusion
+per frame, a one-frame distillation loss per frame averaged over frames, and
+the contrastive and box terms built from those per-frame features.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from semtrack import autodiff as ad
+from semtrack.autodiff import Matrix
+from semtrack.scenes import detections_by_frame
+from semtrack.teacher import pseudo_teacher
+from semtrack.tracker import box_descriptor
+from semtrack.training import match_detections_to_gt
 from semtrack.tracks import TrackSet, box_iou
 
 
@@ -183,3 +197,74 @@ def random_tiny_case(rng, max_ids=3, max_frames=4):
                 return TrackSet(records)
 
     return random_set(True), random_set(False)
+
+
+def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
+    """The dict :func:`semtrack.training.scene_losses` returns, computed one
+    frame at a time."""
+    per_frame = detections_by_frame(sample.detections, len(sample.frames))
+    gt_by_frame = sample.gt.by_frame()
+    height, width = sample.frames[0].shape
+
+    def mean(terms):
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return ad.scale(total, 1.0 / len(terms))
+
+    fused, labels, breakdowns = {}, {}, []
+    for f in sorted(per_frame):
+        frame, dets = sample.frames[f], per_frame[f]
+        x = model.embed_descriptors(
+            np.concatenate([box_descriptor(frame, det.box) for det in dets], axis=0))
+        fused[f], semantic = model.encode_queries(x, [frame], tracker_config)
+        labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []), train.match_iou)
+        if semantic is not None:
+            breakdowns.append(model.dcsd.loss(semantic, [0] * semantic.rows,
+                                              [pseudo_teacher(frame, train.teacher_seed)]))
+
+    mot_terms = []
+    for f in sorted(fused):
+        if f + 1 not in fused or not labels[f] or not labels[f + 1]:
+            continue
+        id_to_next = {gid: det for det, gid in labels[f + 1].items()}
+        pairs = [(det, id_to_next[gid]) for det, gid in sorted(labels[f].items())
+                 if gid in id_to_next]
+        if not pairs:
+            continue
+        anchors = ad.take_rows(fused[f], [det for det, _ in pairs])
+        sims = ad.matmul(ad.l2_normalize_rows(anchors),
+                         ad.transpose(ad.l2_normalize_rows(fused[f + 1])))
+        mot_terms.append(ad.cross_entropy_rows(
+            ad.scale(sims, 1.0 / train.contrastive_temperature), [nxt for _, nxt in pairs]))
+
+    preds, targets = [], []
+    for f, frame_labels in sorted(labels.items()):
+        if not frame_labels:
+            continue
+        gt_recs = {r.track_id: r for r in gt_by_frame.get(f, [])}
+        rows = sorted(frame_labels)
+        preds.append(ad.take_rows(model.predict_boxes(fused[f]), rows))
+        for det in rows:
+            l, t, w, h = gt_recs[frame_labels[det]].box
+            targets.append([l / width, t / height, w / width, h / height])
+    if preds:
+        box_loss = ad.mean_abs_diff(ad.concat_rows(preds), Matrix(np.array(targets)))
+        mot_terms.append(ad.scale(box_loss, train.box_loss_weight))
+
+    zero = Matrix([[0.0]])
+    l_mot = mean(mot_terms) if mot_terms else zero
+    if not breakdowns:
+        return {"total": l_mot, "l_mot": l_mot, "l_distill": zero,
+                "l_local": 0.0, "l_global": 0.0, "w1": 0.0, "w2": 0.0}
+    l_distill = mean([b.loss_node for b in breakdowns])
+    n = len(breakdowns)
+    return {
+        "total": ad.add(ad.scale(l_distill, train.alpha), ad.scale(l_mot, 1.0 - train.alpha)),
+        "l_mot": l_mot,
+        "l_distill": l_distill,
+        "l_local": sum(b.l_local for b in breakdowns) / n,
+        "l_global": sum(b.l_global for b in breakdowns) / n,
+        "w1": breakdowns[0].w1,
+        "w2": breakdowns[0].w2,
+    }

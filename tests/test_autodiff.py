@@ -273,6 +273,22 @@ def test_take_rows_matches_fd_and_sums_a_repeated_row(rows):
     assert np.array_equal(ad.take_rows(Matrix(a), rows).data, a[rows])
 
 
+def test_take_rows_gradient_never_adds_into_a_shared_buffer():
+    # add hands one array to both its inputs; the rows take_rows sends to h
+    # afterwards must not be added into that array, which k's gradient is too
+    rng = np.random.default_rng(160)
+    a = rng.standard_normal((4, 5))
+
+    def build(x):
+        h = ad.scale(x, 1.5)
+        k = ad.scale(x, -0.5)
+        taken = ad.take_rows(h, [3, 0, 3])
+        both = ad.add(h, k)
+        return ad.add(weighted_scalar(lambda m: m)(both), weighted_scalar(lambda m: m)(taken))
+
+    check_against_fd(build, [a], label="take_rows[after a shared gradient]")
+
+
 @pytest.mark.parametrize("rows", [[], [4], [-1], [[0, 1]], [0.0], [True, False]],
                          ids=["empty", "past-end", "negative", "2-D", "float", "bool"])
 def test_take_rows_rejects_bad_index_lists(rows):
@@ -413,6 +429,48 @@ def test_multi_head_attention_shape_errors():
         ad.multi_head_attention(m, m, m, 3)
     with pytest.raises(DimensionError, match="divisible"):
         ad.multi_head_attention(m, m, m, 0)
+
+
+# three segments, interleaved and of unequal sizes, one of a single row
+SEGMENTS = [2, 0, 0, 1, 2, 0, 2]
+
+
+@pytest.mark.parametrize("num_heads", [1, 4])
+def test_masked_multi_head_attention_matches_fd(num_heads):
+    rng = np.random.default_rng(800 + num_heads)
+    q, k, v = (rng.standard_normal((len(SEGMENTS), 8)) for _ in range(3))
+    attention = weighted_scalar(
+        lambda a, b, c: ad.multi_head_attention(a, b, c, num_heads, SEGMENTS))
+    check_against_fd(attention, [q, k, v],
+                     label=f"multi_head_attention[segments {SEGMENTS}, {num_heads} heads]")
+
+
+@pytest.mark.parametrize("num_heads", [1, 2, 4])
+def test_masked_attention_equals_each_segment_on_its_own(num_heads):
+    rng = np.random.default_rng(810 + num_heads)
+    q, k, v = (rng.standard_normal((len(SEGMENTS), 16)) * 3.0 for _ in range(3))
+    masked = ad.multi_head_attention(Matrix(q), Matrix(k), Matrix(v), num_heads,
+                                     SEGMENTS).data
+    labels = np.array(SEGMENTS)
+    for segment in set(SEGMENTS):
+        rows = labels == segment
+        alone = ad.multi_head_attention(Matrix(q[rows]), Matrix(k[rows]), Matrix(v[rows]),
+                                        num_heads).data
+        assert np.max(np.abs(masked[rows] - alone)) <= 1e-12
+
+
+def test_one_segment_mask_changes_nothing():
+    rng = np.random.default_rng(820)
+    q, k, v = (Matrix(rng.standard_normal((5, 8))) for _ in range(3))
+    assert np.array_equal(ad.multi_head_attention(q, k, v, 2, [7] * 5).data,
+                          ad.multi_head_attention(q, k, v, 2).data)
+
+
+@pytest.mark.parametrize("segments", [[0, 0, 1], [0, 0, 1, 1, 1], [[0, 0, 1, 1]], 0])
+def test_multi_head_attention_rejects_segments_of_the_wrong_shape(segments):
+    m = Matrix(np.zeros((4, 8)))
+    with pytest.raises(DimensionError, match="segment"):
+        ad.multi_head_attention(m, m, m, 2, segments)
 
 
 def test_tape_is_freed_without_the_cyclic_gc():

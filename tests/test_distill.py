@@ -20,6 +20,11 @@ def make_teacher(seed=0, scale=1.0):
     return TeacherEmbedding(Matrix(scale * rng.standard_normal((1, TEACHER_DIM))))
 
 
+def one_frame_loss(head: DcsdHead, s: Matrix, t: TeacherEmbedding):
+    """The loss of a single frame: every row of ``s`` distilled towards ``t``."""
+    return head.loss(s, [0] * s.rows, [t])
+
+
 def oracle_dcsd(head: DcsdHead, s: np.ndarray, t: np.ndarray) -> dict:
     """Step-by-step plain-numpy recomputation of the paper's loss pipeline,
     attention-weighted local term included."""
@@ -59,7 +64,7 @@ def test_aggregated_teacher_equals_aligned_teacher():
     rng = np.random.default_rng(5)
     s_arr = rng.standard_normal((6, 256))
     t = make_teacher(6)
-    out = head.loss(Matrix(s_arr), t)
+    out = one_frame_loss(head, Matrix(s_arr), t)
     reference = oracle_dcsd(head, s_arr, t.vector.data)
     assert np.max(np.abs(reference["attention"] - 1.0 / 6)) < 1e-12
     assert abs(out.l_local - reference["l_local"]) < 1e-12
@@ -69,7 +74,7 @@ def test_perfect_alignment_gives_zero_loss():
     head = DcsdHead(seed=7)
     t = make_teacher(8)
     t_align = oracle_dcsd(head, np.zeros((4, 256)), t.vector.data)["t_align"]
-    out = head.loss(Matrix(t_align), t)
+    out = one_frame_loss(head, Matrix(t_align), t)
     assert out.l_local == 0.0
     assert out.l_global == 0.0
     assert out.l_distill == 0.0
@@ -82,7 +87,7 @@ def test_seeded_pipeline_matches_oracle():
     rng = np.random.default_rng(7)
     s_arr = rng.standard_normal((3, 256))
     t = make_teacher(7)
-    out = head.loss(Matrix(s_arr), t)
+    out = one_frame_loss(head, Matrix(s_arr), t)
     ref = oracle_dcsd(head, s_arr, t.vector.data)
     for key in ("l_local", "l_global", "w1", "w2", "l_distill"):
         assert abs(getattr(out, key) - ref[key]) < 1e-10, key
@@ -93,7 +98,7 @@ def test_breakdown_combination_identity():
     rng = np.random.default_rng(10)
     for trial in range(20):
         s = Matrix(rng.standard_normal((int(rng.integers(1, 8)), 256)))
-        out = head.loss(s, make_teacher(trial))
+        out = one_frame_loss(head, s, make_teacher(trial))
         assert abs(out.l_distill - (out.w1 * out.l_local + out.w2 * out.l_global)) < 1e-12
         lo, hi = sorted((out.l_local, out.l_global))
         assert lo - 1e-12 <= out.l_distill <= hi + 1e-12
@@ -118,7 +123,7 @@ def test_gradient_flow_targets():
     s = Matrix(np.random.default_rng(13).standard_normal((4, 256)), requires_grad=True)
     t = make_teacher(14)
     with Tape() as tape:
-        out = head.loss(s, t)
+        out = one_frame_loss(head, s, t)
         tape.backward(out.loss_node)
     assert s.grad is not None and np.any(s.grad != 0)
     assert head.teacher_weight.value.grad is not None
@@ -133,19 +138,63 @@ def test_dcsd_loss_gradient_matches_fd(seed):
     rng = np.random.default_rng(30 + seed)
     s_arr = rng.standard_normal((3, 256))
     t = make_teacher(40 + seed)
-    check_against_fd(lambda s: head.loss(s, t).loss_node, [s_arr], sample=40,
+    check_against_fd(lambda s: one_frame_loss(head, s, t).loss_node, [s_arr], sample=40,
                      seed=seed, label=f"dcsd[{seed}]")
 
 
 def test_dimension_errors():
     head = DcsdHead(seed=0)
     with pytest.raises(DimensionError, match="256"):
-        head.loss(Matrix(np.zeros((2, 128))), make_teacher(0))
+        one_frame_loss(head, Matrix(np.zeros((2, 128))), make_teacher(0))
 
 
 def test_works_with_pseudo_teacher():
     head = DcsdHead(seed=1)
     frame = np.random.default_rng(5).uniform(0, 1, (24, 32))
-    out = head.loss(Matrix(np.random.default_rng(6).standard_normal((2, 256))),
-                    pseudo_teacher(frame, seed=9))
+    out = one_frame_loss(head, Matrix(np.random.default_rng(6).standard_normal((2, 256))),
+                         pseudo_teacher(frame, seed=9))
     assert np.isfinite(out.l_distill)
+
+
+# rows of three frames, deliberately interleaved and of unequal sizes
+SEGMENTS = [1, 0, 2, 1, 1, 0, 2, 1]
+
+
+def test_stacked_frames_give_the_mean_of_the_per_frame_losses():
+    head = DcsdHead(seed=23)
+    head.loss_logits = type(head.loss_logits)(np.array([[0.4, -0.1]]),
+                                              name="dcsd.loss_logits")
+    rng = np.random.default_rng(24)
+    s_arr = rng.standard_normal((len(SEGMENTS), 256))
+    teachers = [make_teacher(25 + f) for f in range(3)]
+    out = head.loss(Matrix(s_arr), SEGMENTS, teachers)
+    frames = np.array(SEGMENTS)
+    per_frame = [oracle_dcsd(head, s_arr[frames == f], teachers[f].vector.data)
+                 for f in range(3)]
+    for key in ("l_local", "l_global", "l_distill"):
+        expected = sum(ref[key] for ref in per_frame) / 3
+        assert abs(getattr(out, key) - expected) <= 1e-12 * abs(expected), key
+    assert (out.w1, out.w2) == head.loss_weights()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_dcsd_loss_gradient_matches_fd(seed):
+    head = DcsdHead(seed=60 + seed)
+    rng = np.random.default_rng(70 + seed)
+    s_arr = rng.standard_normal((len(SEGMENTS), 256))
+    teachers = [make_teacher(80 + 3 * seed + f) for f in range(3)]
+    check_against_fd(lambda s: head.loss(s, SEGMENTS, teachers).loss_node, [s_arr],
+                     sample=40, seed=seed, label=f"dcsd[3 frames, {seed}]")
+
+
+@pytest.mark.parametrize("segments", [
+    [0, 0, 1],          # one label short
+    [0, 0, 1, 1, 3],    # frame 2 has no row, frame 3 no teacher
+    [0, 0, 1, -1, 2],   # negative
+    [0, 0, 1, 1.0, 2],  # not integers
+    [[0, 0, 1, 1, 2]],  # not 1-D
+])
+def test_frame_indices_must_label_every_row_and_cover_every_teacher(segments):
+    head = DcsdHead(seed=0)
+    with pytest.raises(DimensionError, match="frame index"):
+        head.loss(Matrix(np.zeros((5, 256))), segments, [make_teacher(f) for f in range(3)])

@@ -7,7 +7,7 @@ from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Tape
 from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse
 
-from gradcheck import check_against_fd
+from gradcheck import check_against_fd, weighted_scalar
 
 
 def checkerboard(h=64, w=64, cell=4):
@@ -75,23 +75,29 @@ def test_invalid_range_rejected():
         assess_quality(np.zeros((8, 8)), QualityRanges(clarity=(0.5, 0.5)))
 
 
+def weight_of(head: DswrHead, q: float) -> float:
+    return head.semantic_weight(Matrix([[q]])).item()
+
+
 def test_semantic_weight_forced_values():
     head = DswrHead()  # W=-4, b=2
-    assert head.semantic_weight(0.5).item() == pytest.approx(0.5, abs=1e-12)
-    assert head.semantic_weight(0.0).item() == pytest.approx(1 / (1 + math.exp(-2)), abs=1e-12)
-    assert head.semantic_weight(1.0).item() == pytest.approx(1 / (1 + math.exp(2)), abs=1e-12)
+    assert weight_of(head, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert weight_of(head, 0.0) == pytest.approx(1 / (1 + math.exp(-2)), abs=1e-12)
+    assert weight_of(head, 1.0) == pytest.approx(1 / (1 + math.exp(2)), abs=1e-12)
 
 
 def test_semantic_weight_open_interval_and_domain():
     rng = np.random.default_rng(5)
     for _ in range(30):
         head = DswrHead(w_init=rng.normal(scale=5), b_init=rng.normal(scale=5))
-        w = head.semantic_weight(float(rng.uniform())).item()
+        w = weight_of(head, float(rng.uniform()))
         assert 0.0 < w < 1.0
     with pytest.raises(ValueError):
-        DswrHead().semantic_weight(1.5)
+        weight_of(DswrHead(), 1.5)
     with pytest.raises(ValueError):
-        DswrHead().semantic_weight(-0.01)
+        DswrHead().semantic_weight(Matrix([[0.3], [-0.01]]))
+    with pytest.raises(DimensionError, match="column"):
+        DswrHead().semantic_weight(Matrix([[0.3, 0.4]]))
 
 
 def test_lower_quality_higher_weight_monotonicity():
@@ -101,13 +107,13 @@ def test_lower_quality_higher_weight_monotonicity():
         q1, q2 = sorted(rng.uniform(0, 1, size=2))
         if q1 == q2:
             continue
-        assert head.semantic_weight(q1).item() > head.semantic_weight(q2).item()
+        assert weight_of(head, q1) > weight_of(head, q2)
 
 
 def test_semantic_weight_gradients():
     head = DswrHead()
     with Tape() as tape:
-        w = head.semantic_weight(0.3)
+        w = head.semantic_weight(Matrix([[0.3]]))
         tape.backward(w)
     assert head.w.value.grad is not None
     assert head.b.value.grad is not None
@@ -121,10 +127,10 @@ def test_fuse_limit_and_fixed_point():
     rng = np.random.default_rng(7)
     f_sem = Matrix(rng.standard_normal((4, 8)))
     f_query = Matrix(rng.standard_normal((4, 8)))
-    near_one = Matrix([[1.0 - 1e-15]])
+    near_one = Matrix(np.full((4, 1), 1.0 - 1e-15))
     fused = fuse(near_one, f_sem, f_query)
     assert np.max(np.abs(fused.data - f_sem.data)) < 1e-12
-    same = fuse(Matrix([[0.5]]), f_sem, f_sem)
+    same = fuse(Matrix(np.full((4, 1), 0.5)), f_sem, f_sem)
     assert np.allclose(same.data, f_sem.data, atol=1e-15)
 
 
@@ -132,7 +138,7 @@ def test_fuse_convexity_bounds():
     rng = np.random.default_rng(8)
     f_sem = Matrix(rng.standard_normal((5, 6)))
     f_query = Matrix(rng.standard_normal((5, 6)))
-    fused = fuse(Matrix([[0.37]]), f_sem, f_query).data
+    fused = fuse(Matrix([[0.37], [0.9], [0.0], [1.0], [0.5]]), f_sem, f_query).data
     lo = np.minimum(f_sem.data, f_query.data)
     hi = np.maximum(f_sem.data, f_query.data)
     assert np.all(fused >= lo - 1e-12) and np.all(fused <= hi + 1e-12)
@@ -140,15 +146,42 @@ def test_fuse_convexity_bounds():
 
 def test_fuse_shape_errors():
     with pytest.raises(DimensionError):
-        fuse(Matrix([[0.5]]), Matrix(np.zeros((2, 3))), Matrix(np.zeros((3, 2))))
+        fuse(Matrix([[0.5], [0.5]]), Matrix(np.zeros((2, 3))), Matrix(np.zeros((3, 2))))
     with pytest.raises(DimensionError):
         fuse(Matrix(np.zeros((2, 2))), Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3))))
+    with pytest.raises(DimensionError, match="2x1"):   # no scalar broadcast
+        fuse(Matrix([[0.5]]), Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3))))
+
+
+def test_fuse_of_a_repeated_weight_is_the_scalar_combination_bit_for_bit():
+    # one frame's rows share one weight; spreading it by a product with ones
+    # is exact, so the result is w*f_sem + (1-w)*f_query to the last bit
+    rng = np.random.default_rng(9)
+    f_sem = rng.standard_normal((6, 256))
+    f_query = rng.standard_normal((6, 256))
+    head = DswrHead(w_init=-3.3, b_init=1.7)
+    q = 0.61803
+    w = head.semantic_weight(Matrix(np.full((6, 1), q)))
+    scalar = 1.0 / (1.0 + np.exp(-np.full((6, 1), -3.3 * q + 1.7)))
+    assert np.array_equal(w.data, scalar)
+    fused = fuse(w, Matrix(f_sem), Matrix(f_query)).data
+    assert np.array_equal(fused, f_sem * scalar + f_query * (1.0 - scalar))
+
+
+def test_fuse_weighs_each_row_by_its_own_weight():
+    rng = np.random.default_rng(10)
+    f_sem = rng.standard_normal((3, 5))
+    f_query = rng.standard_normal((3, 5))
+    weights = [0.2, 0.9, 0.5]
+    fused = fuse(Matrix(np.array(weights)[:, None]), Matrix(f_sem), Matrix(f_query)).data
+    for i, w in enumerate(weights):
+        assert np.array_equal(fused[i], w * f_sem[i] + (1.0 - w) * f_query[i])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fuse_gradient_matches_fd(seed):
     rng = np.random.default_rng(40 + seed)
-    w = np.array([[rng.uniform(0.1, 0.9)]])
+    w = rng.uniform(0.1, 0.9, size=(3, 1))
     f_sem = rng.standard_normal((3, 5))
     f_query = rng.standard_normal((3, 5))
     target = Matrix(rng.standard_normal((3, 5)))
@@ -159,12 +192,13 @@ def test_fuse_gradient_matches_fd(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_semantic_weight_gradient_matches_fd(seed):
     rng = np.random.default_rng(50 + seed)
-    q = float(rng.uniform(0.05, 0.95))
+    q = Matrix(rng.uniform(0.05, 0.95, size=(4, 1)))
     w0 = rng.standard_normal((1, 1))
     b0 = rng.standard_normal((1, 1))
+    head = DswrHead()
 
     def build(wm, bm):
-        affine = ad.add(ad.scale(wm, q), bm)
-        return ad.sigmoid(affine)
+        head.w.value, head.b.value = wm, bm
+        return head.semantic_weight(q)
 
-    check_against_fd(build, [w0, b0], label=f"semantic_weight[{seed}]")
+    check_against_fd(weighted_scalar(build), [w0, b0], label=f"semantic_weight[{seed}]")

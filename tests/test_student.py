@@ -125,3 +125,26 @@ def test_forward_gradient_matches_fd(seed):
     target = Matrix(rng.standard_normal((3, FEATURE_DIM)))
     check_against_fd(lambda m: ad.mse(model(m), target), [x], sample=48, seed=seed,
                      label=f"student_forward[{seed}]")
+
+
+def test_segmented_forward_equals_each_frame_on_its_own():
+    # frames of 3, 1 and 4 rows stacked in one call; attention is the only
+    # step that mixes rows, so each frame must come out as it does alone
+    model = StudentModel(StudentConfig(hidden_dim=32, num_heads=4, ff_dim=64), seed=30)
+    rng = np.random.default_rng(31)
+    sizes = [3, 1, 4]
+    x = rng.standard_normal((sum(sizes), FEATURE_DIM))
+    segments = np.repeat(np.arange(len(sizes)), sizes)
+    stacked = model(Matrix(x), segments).data
+    start = 0
+    for size in sizes:
+        alone = model(Matrix(x[start:start + size])).data
+        assert np.max(np.abs(stacked[start:start + size] - alone)) <= 1e-12
+        start += size
+
+
+@pytest.mark.parametrize("segments", [[0, 0, 1], [[0, 0, 1, 1]]])
+def test_forward_rejects_segments_of_the_wrong_shape(segments):
+    model = StudentModel(SMALL, seed=1)
+    with pytest.raises(DimensionError, match="segment"):
+        model(Matrix(np.zeros((4, FEATURE_DIM))), segments)

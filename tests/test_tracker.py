@@ -213,6 +213,11 @@ def _entry_without_rows(header, blob):
     return header, blob
 
 
+def _duplicate_first_entry(header, blob):
+    header["params"].append(dict(header["params"][0]))
+    return header, blob
+
+
 def _set(*keys, value):
     """A corruption that sets the header value ``keys`` lead to."""
     def corrupt(header, blob):
@@ -245,10 +250,11 @@ def _set(*keys, value):
     (_set("params", 0, "rows", value=1.0), "parameter entry key 'rows' must be int"),
     (_set("params", 0, "cols", value="1"), "parameter entry key 'cols' must be int"),
     (_set("params", 0, "offset", value=None), "parameter entry key 'offset' must be int"),
+    (_duplicate_first_entry, r"parameters listed more than once: \['box_head.bias'\]"),
 ], ids=["missing", "extra", "shape", "trailing", "offset", "format", "v1-format",
         "no-variant", "unknown-variant", "unknown-student-key", "entry-without-rows",
         "variant-int", "seed-str", "seed-bool", "student-value-str", "entry-name-int",
-        "entry-rows-float", "entry-cols-str", "entry-offset-null"])
+        "entry-rows-float", "entry-cols-str", "entry-offset-null", "duplicate-entry"])
 def test_load_rejects_malformed_file(tmp_path, corrupt, message):
     path = tmp_path / "model.bin"
     TrackerModel("full", TINY_STUDENT, seed=3).save(path)

@@ -9,11 +9,12 @@ from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain, apply_chain
 from semtrack.scenes import (Detection, DetectorNoise, detections_by_frame,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
-from semtrack.tracker import TrackerConfig, TrackerModel
+from semtrack.tracker import VARIANTS, TrackerConfig, TrackerModel
 from semtrack.training import (LOG_COLUMNS, SceneSample, TrainConfig, scene_losses,
                                train, write_training_log)
 
 from gradcheck import assert_grad_close, finite_diff
+from oracles import per_frame_scene_losses
 
 # scene_losses total for make_sample(seed=2, num_frames=5) and a full model with
 # seed 3, as computed when the student still ran twice per frame
@@ -59,23 +60,115 @@ def test_alpha_mixing_identities():
     assert abs(total - d) <= 1e-12
 
 
-def test_student_runs_once_per_frame_with_detections(monkeypatch):
-    # the distillation loss reuses the features encode_queries computed
+def test_student_runs_once_per_scene_on_all_rows(monkeypatch):
+    # one call on every frame's rows, each row labelled with its frame among
+    # the frames with detections; the distillation loss reuses its features
     sample = make_sample(seed=2, num_frames=5)
     model = TrackerModel("full", TINY_STUDENT, seed=3)
     calls = []
     forward = StudentModel.forward
 
-    def counted(self, x):
-        calls.append(x.rows)
-        return forward(self, x)
+    def counted(self, x, segments=None):
+        calls.append((x.rows, list(segments)))
+        return forward(self, x, segments)
 
     monkeypatch.setattr(StudentModel, "forward", counted)
     with Tape():
         losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
     per_frame = detections_by_frame(sample.detections, len(sample.frames))
-    assert calls == [len(per_frame[f]) for f in sorted(per_frame)]
+    rows = [k for k, f in enumerate(sorted(per_frame)) for _ in per_frame[f]]
+    assert calls == [(len(rows), rows)]
     assert losses["total"].item() == TOTAL_SEED2_FULL
+
+
+LOSS_KEYS = ("total", "l_mot", "l_distill", "l_local", "l_global", "w1", "w2")
+
+
+def losses_and_grads(loss_fn, model, sample):
+    with Tape() as tape:
+        losses = loss_fn(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+        tape.backward(losses["total"])
+    values = {k: v.item() if k in ("total", "l_mot", "l_distill") else v
+              for k, v in losses.items()}
+    grads = {name: p.value.grad for name, p in model.named_parameters().items()}
+    model.zero_grads()
+    return values, grads
+
+
+def assert_matches_per_frame_reference(model, sample):
+    # the stacked scene differs from the frame-by-frame reference only in
+    # summation order: every loss agrees to 1e-12 relative, and every
+    # gradient entry to 1e-12 of the model's largest one. (An entry-wise
+    # bound cannot hold: the attention key biases shift every logit of a
+    # softmax row equally, so their true gradient is 0 and both sides hold
+    # rounding noise near 1e-19.)
+    got, got_grads = losses_and_grads(scene_losses, model, sample)
+    ref, ref_grads = losses_and_grads(per_frame_scene_losses, model, sample)
+    assert got.keys() == ref.keys() == set(LOSS_KEYS)
+    for key in LOSS_KEYS:
+        assert abs(got[key] - ref[key]) <= 1e-12 * abs(ref[key]), key
+    assert got_grads.keys() == ref_grads.keys()
+    assert [n for n, g in got_grads.items() if g is None] == \
+        [n for n, g in ref_grads.items() if g is None]
+    scale = max(np.max(np.abs(g)) for g in ref_grads.values() if g is not None)
+    for name, ref_grad in ref_grads.items():
+        if ref_grad is not None:
+            assert np.max(np.abs(got_grads[name] - ref_grad)) <= 1e-12 * scale, name
+    return got
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_scene_losses_match_the_per_frame_reference(variant):
+    sample = make_sample(seed=22, degraded=True, num_frames=6)
+    model = TrackerModel(variant, TINY_STUDENT, seed=23)
+    got = assert_matches_per_frame_reference(model, sample)
+    assert got["l_mot"] > 0.0
+    assert (got["l_distill"] > 0.0) == (variant != "baseline")
+
+
+def test_detection_free_frames_keep_numbering_and_pairing(monkeypatch):
+    # frame 2 of 5 has no detection: frames 0, 1, 3, 4 become segments 0-3,
+    # and only the consecutive pairs (0, 1) and (3, 4) give contrastive terms
+    sample = make_sample(seed=24, degraded=True, num_frames=5)
+    sample.detections = [d for d in sample.detections if d.frame != 2]
+    model = TrackerModel("full", TINY_STUDENT, seed=25)
+    assert_matches_per_frame_reference(model, sample)
+
+    segments, pairs = [], []
+    forward, cross_entropy = StudentModel.forward, ad.cross_entropy_rows
+
+    def recorded_forward(self, x, labels=None):
+        segments.append(list(labels))
+        return forward(self, x, labels)
+
+    def recorded_cross_entropy(logits, targets):
+        pairs.append(logits.shape)
+        return cross_entropy(logits, targets)
+
+    monkeypatch.setattr(StudentModel, "forward", recorded_forward)
+    monkeypatch.setattr(ad, "cross_entropy_rows", recorded_cross_entropy)
+    with Tape():
+        scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+    per_frame = detections_by_frame(sample.detections, len(sample.frames))
+    assert sorted(per_frame) == [0, 1, 3, 4]
+    assert segments == [[k for k, f in enumerate([0, 1, 3, 4]) for _ in per_frame[f]]]
+    assert [cols for _, cols in pairs] == [len(per_frame[1]), len(per_frame[4])]
+
+
+@pytest.mark.parametrize("variant", ["baseline", "full"])
+def test_scene_without_detections_trains_a_zero_step(variant):
+    sample = make_sample(seed=26, num_frames=4)
+    sample.detections = []
+    model = TrackerModel(variant, TINY_STUDENT, seed=27)
+    before = {name: p.value.data.copy() for name, p in model.named_parameters().items()}
+    with Tape() as tape:
+        losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+        tape.backward(losses["total"])
+    assert all(p.value.grad is None for p in model.parameters())
+    (row,) = train(model, [sample], TrainConfig(alpha=0.4, epochs=1))
+    assert row == dict.fromkeys(LOG_COLUMNS, 0.0) | {"step": 1}
+    for name, p in model.named_parameters().items():
+        assert np.array_equal(p.value.data, before[name]), name
 
 
 def test_detection_outside_the_scene_is_rejected():
