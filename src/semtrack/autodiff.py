@@ -52,9 +52,6 @@ __all__ = [
     "layer_norm_rows",
     "mse",
     "mean_abs_diff",
-    "sequence_mean",
-    "l1_of_means",
-    "repeat_row",
     "cross_entropy_rows",
     "sum_all",
 ]
@@ -159,9 +156,8 @@ class Parameter:
         """Gradient-descent update; no-op for frozen or gradient-less params."""
         if not self.trainable or self.value.grad is None:
             return
-        new_value = Matrix(self.value.data - learning_rate * self.value.grad)
-        new_value.requires_grad = True
-        self.value = new_value
+        self.value = Matrix._wrap(self.value.data - learning_rate * self.value.grad,
+                                  requires_grad=True)
 
     def __repr__(self) -> str:
         tag = "trainable" if self.trainable else "frozen"
@@ -553,34 +549,6 @@ def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:
         return d, -d
 
     return _emit((a, b), np.array([[float(np.abs(diff).mean())]]), vjp)
-
-
-def sequence_mean(m: Matrix) -> Matrix:
-    """Column-wise mean over rows (the mean feature of a sequence), 1 x cols."""
-    rows = m.rows
-
-    def vjp(g):
-        return (np.broadcast_to(g / rows, m.shape).copy(),)
-
-    return _emit((m,), m.data.mean(axis=0, keepdims=True), vjp)
-
-
-def l1_of_means(a: Matrix, b: Matrix) -> Matrix:
-    """Mean absolute difference between the two sequences' mean vectors."""
-    if a.cols != b.cols:
-        raise DimensionError(f"l1_of_means column mismatch: {a.cols} vs {b.cols}")
-    return mean_abs_diff(sequence_mean(a), sequence_mean(b))
-
-
-def repeat_row(m: Matrix, times: int) -> Matrix:
-    """Stack ``times`` copies of the single row of ``m``; the gradient is the
-    column-wise sum of the copies' gradients."""
-    if m.rows != 1:
-        raise DimensionError(f"repeat_row needs a single row, got {m.shape}")
-    if times < 1:
-        raise DimensionError(f"times must be >= 1, got {times}")
-    return _emit((m,), np.repeat(m.data, times, axis=0),
-                 lambda g: (g.sum(axis=0, keepdims=True),))
 
 
 def cross_entropy_rows(logits: Matrix, targets: Sequence[int]) -> Matrix:

@@ -50,7 +50,6 @@ class ExperimentConfig:
     alpha: float = 0.4
     dswr: QualityRanges = QualityRanges()
     training: dict = field(default_factory=lambda: _module_defaults("training"))
-    tracker: dict = field(default_factory=lambda: _module_defaults("tracker"))
     ratio: tuple[int, int] | None = (2, 1)      # low:high; None degrades nothing
     num_train_scenes: int = 6
     num_eval_scenes: int = 8
@@ -95,7 +94,7 @@ class ExperimentConfig:
                                           master_seed=self.seeds.degradation)
 
     def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(quality_ranges=self.dswr, **self.tracker)
+        return TrackerConfig(quality_ranges=self.dswr)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(alpha=self.alpha, teacher_seed=self.seeds.teacher,
@@ -131,11 +130,9 @@ class ExperimentConfig:
 
 
 # the dict-valued fields and the module config each one's keys are passed to
-_MODULE_CONFIGS = {"student": StudentConfig, "training": TrainConfig,
-                   "tracker": TrackerConfig}
+_MODULE_CONFIGS = {"student": StudentConfig, "training": TrainConfig}
 # module config fields the derived-config methods fill in from other fields
-_DERIVED = {"training": {"alpha": "alpha", "teacher_seed": "seeds.teacher"},
-            "tracker": {"quality_ranges": "dswr"}}
+_DERIVED = {"training": {"alpha": "alpha", "teacher_seed": "seeds.teacher"}}
 
 
 def _module_defaults(key: str) -> dict:

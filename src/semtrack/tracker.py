@@ -45,15 +45,19 @@ _STUDENT_TYPES = typing.get_type_hints(StudentConfig)
 _ENTRY_TYPES = {"name": str, "rows": int, "cols": int, "offset": int}
 
 
+# association gates, track ages and the fixed fusion weight; the paper tunes
+# none of them
+MATCH_GATE = 0.7
+IOU_WEIGHT = 0.5
+BIRTH_CONFIDENCE = 0.6
+PROPAGATE_CONFIDENCE = 0.5          # strictly-greater propagation threshold
+MAX_AGE = 3
+MISS_DECAY = 0.7
+FIXED_FUSION_WEIGHT = 0.5           # used when the student runs without DSWR
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
-    match_gate: float = 0.7
-    iou_weight: float = 0.5
-    birth_confidence: float = 0.6
-    propagate_confidence: float = 0.5   # strictly-greater propagation threshold
-    max_age: int = 3
-    miss_decay: float = 0.7
-    fixed_fusion_weight: float = 0.5    # used when the student runs without DSWR
     quality_ranges: QualityRanges = QualityRanges()
 
 
@@ -159,7 +163,7 @@ class TrackerModel:
             q = np.array([[assess_quality(frame, config.quality_ranges).q]
                           for frame in frames])
             return self.dswr.semantic_weight(Matrix(q[rows]))
-        return Matrix(np.full((len(rows), 1), config.fixed_fusion_weight))
+        return Matrix(np.full((len(rows), 1), FIXED_FUSION_WEIGHT))
 
     def encode_queries(self, x: Matrix, frames: Sequence[np.ndarray], config: TrackerConfig,
                        segments: np.ndarray | None = None) -> tuple[Matrix, Matrix | None]:
@@ -304,8 +308,7 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
     next_id = 1
     for frame_index, frame in enumerate(frames):
         dets = per_frame.get(frame_index, [])
-        carried = [trk for trk in active
-                   if trk.confidence > config.propagate_confidence]
+        carried = [trk for trk in active if trk.confidence > PROPAGATE_CONFIDENCE]
         rows: list[np.ndarray] = [trk.feature for trk in carried]
         descriptors = [box_descriptor(frame, det.box) for det in dets]
         n_carried = len(rows)
@@ -323,13 +326,13 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
         matched_props: set[int] = set()
         if carried and dets:
             cost = (1.0 - _cosine(track_feats, prop_feats)
-                    + config.iou_weight * (1.0 - np.array(
+                    + IOU_WEIGHT * (1.0 - np.array(
                         [[box_iou(trk.box, det.box) for det in dets]
                          for trk in carried])))
-            gated = np.where(cost <= config.match_gate, cost, 1e9)
+            gated = np.where(cost <= MATCH_GATE, cost, 1e9)
             rows_idx, cols_idx = linear_sum_assignment(gated)
             for r, c in zip(rows_idx, cols_idx):
-                if cost[r, c] <= config.match_gate:
+                if cost[r, c] <= MATCH_GATE:
                     trk = carried[r]
                     trk.box = dets[c].box
                     trk.feature = prop_feats[c:c + 1].copy()
@@ -343,7 +346,7 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
 
         newborn: set[int] = set()
         for c, det in enumerate(dets):
-            if c in matched_props or det.confidence < config.birth_confidence:
+            if c in matched_props or det.confidence < BIRTH_CONFIDENCE:
                 continue
             track = _ActiveTrack(track_id=next_id, feature=prop_feats[c:c + 1].copy(),
                                  box=det.box, confidence=det.confidence)
@@ -360,8 +363,8 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
                 survivors.append(trk)
                 continue
             trk.misses += 1
-            trk.confidence *= config.miss_decay
-            if trk.misses <= config.max_age:
+            trk.confidence *= MISS_DECAY
+            if trk.misses <= MAX_AGE:
                 survivors.append(trk)
         active = survivors
     return output

@@ -38,37 +38,25 @@ from semtrack.tracks import TrackSet, box_iou
 
 LOG_COLUMNS = ("step", "l_local", "l_global", "w1", "w2", "l_distill", "l_mot", "total")
 
-
-class TrainingDivergedError(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"loss became non-finite at step {step}")
-        self.step = step
+# the schedule and loss settings; the paper tunes none of them
+LEARNING_RATE = 5e-3
+DECAY_FACTOR = 0.1
+DECAY_AT = 2.0 / 3.0                # fraction of epochs before the lr drop
+CONTRASTIVE_TEMPERATURE = 0.1
+MATCH_IOU = 0.5                     # gt-to-detection supervision matching
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 0.4
     epochs: int = 12
-    learning_rate: float = 5e-3
-    decay_factor: float = 0.1
-    decay_at: float = 2.0 / 3.0          # fraction of epochs before the lr drop
-    contrastive_temperature: float = 0.1
-    box_loss_weight: float = 1.0
     teacher_seed: int = 0
-    match_iou: float = 0.5               # gt-to-detection supervision matching
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        for name in ("learning_rate", "decay_factor", "contrastive_temperature"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 <= self.decay_at <= 1.0:
-            raise ValueError(f"decay_at must lie in [0, 1], got {self.decay_at}")
-        if not 0.0 < self.match_iou < 1.0:
-            raise ValueError(f"match_iou must lie in (0, 1), got {self.match_iou}")
 
 
 @dataclass
@@ -81,16 +69,15 @@ class SceneSample:
     name: str = ""
 
 
-def match_detections_to_gt(dets: Sequence[Detection], gt_records,
-                           iou_threshold: float) -> dict[int, int]:
+def match_detections_to_gt(dets: Sequence[Detection], gt_records) -> dict[int, int]:
     """Index of detection -> ground-truth id, by optimal IoU matching."""
     if not dets or not gt_records:
         return {}
     ious = np.array([[box_iou(g.box, d.box) for d in dets] for g in gt_records])
-    cost = np.where(ious >= iou_threshold, 1.0 - ious, 1e9)
+    cost = np.where(ious >= MATCH_IOU, 1.0 - ious, 1e9)
     rows, cols = linear_sum_assignment(cost)
     return {int(c): gt_records[r].track_id for r, c in zip(rows, cols)
-            if ious[r, c] >= iou_threshold}
+            if ious[r, c] >= MATCH_IOU}
 
 
 def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
@@ -120,8 +107,7 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
         descriptors.extend(box_descriptor(sample.frames[frame_index], det.box)
                            for det in dets)
         segments.extend([segment] * len(dets))
-        labels.append(match_detections_to_gt(
-            dets, gt_by_frame.get(frame_index, []), train.match_iou))
+        labels.append(match_detections_to_gt(dets, gt_by_frame.get(frame_index, [])))
     zero = Matrix([[0.0]])
     losses = {"total": zero, "l_mot": zero, "l_distill": zero,
               "l_local": 0.0, "l_global": 0.0, "w1": 0.0, "w2": 0.0}
@@ -155,7 +141,7 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
         candidates = range(first_row[segment + 1], first_row[segment + 2])
         sims = ad.matmul(ad.take_rows(normed, anchor_rows),
                          ad.transpose(ad.take_rows(normed, candidates)))
-        logits = ad.scale(sims, 1.0 / train.contrastive_temperature)
+        logits = ad.scale(sims, 1.0 / CONTRASTIVE_TEMPERATURE)
         mot_terms.append(ad.cross_entropy_rows(logits, targets))
 
     # box regression on every gt-matched query
@@ -168,9 +154,8 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
             l, t, w, h = gt_recs[frame_labels[det_idx]].box
             box_targets.append([l / width, t / height, w / width, h / height])
     if box_rows:
-        box_loss = ad.mean_abs_diff(model.predict_boxes(ad.take_rows(fused, box_rows)),
-                                    Matrix(np.array(box_targets)))
-        mot_terms.append(ad.scale(box_loss, train.box_loss_weight))
+        predicted = model.predict_boxes(ad.take_rows(fused, box_rows))
+        mot_terms.append(ad.mean_abs_diff(predicted, Matrix(np.array(box_targets))))
 
     if mot_terms:
         l_mot = mot_terms[0]
@@ -195,20 +180,17 @@ def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: Tra
     """Run the full schedule; returns (and optionally writes) the step log."""
     if not samples:
         raise ValueError("no training scenes")
-    decay_epoch = int(train_config.epochs * train_config.decay_at)
+    decay_epoch = int(train_config.epochs * DECAY_AT)
     log: list[dict] = []
     step = 0
     for epoch in range(train_config.epochs):
-        lr = train_config.learning_rate
+        lr = LEARNING_RATE
         if epoch >= decay_epoch:
-            lr *= train_config.decay_factor
+            lr *= DECAY_FACTOR
         for sample in samples:
             step += 1
             with Tape() as tape:
                 losses = scene_losses(model, sample, train_config, tracker_config)
-                total = losses["total"].item()
-                if not np.isfinite(total):
-                    raise TrainingDivergedError(step)
                 tape.backward(losses["total"])
             # the tape keeps every activation and the weights it read; free it
             # before the update allocates the new weights
@@ -223,7 +205,7 @@ def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: Tra
                 "w2": losses["w2"],
                 "l_distill": losses["l_distill"].item(),
                 "l_mot": losses["l_mot"].item(),
-                "total": total,
+                "total": losses["total"].item(),
             })
     if log_path is not None:
         write_training_log(log, log_path)

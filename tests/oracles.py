@@ -22,7 +22,7 @@ from semtrack.autodiff import Matrix
 from semtrack.scenes import detections_by_frame
 from semtrack.teacher import pseudo_teacher
 from semtrack.tracker import box_descriptor
-from semtrack.training import match_detections_to_gt
+from semtrack.training import CONTRASTIVE_TEMPERATURE, match_detections_to_gt
 from semtrack.tracks import TrackSet, box_iou
 
 
@@ -218,7 +218,7 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
         x = model.embed_descriptors(
             np.concatenate([box_descriptor(frame, det.box) for det in dets], axis=0))
         fused[f], semantic = model.encode_queries(x, [frame], tracker_config)
-        labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []), train.match_iou)
+        labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []))
         if semantic is not None:
             breakdowns.append(model.dcsd.loss(semantic, [0] * semantic.rows,
                                               [pseudo_teacher(frame, train.teacher_seed)]))
@@ -236,7 +236,7 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
         sims = ad.matmul(ad.l2_normalize_rows(anchors),
                          ad.transpose(ad.l2_normalize_rows(fused[f + 1])))
         mot_terms.append(ad.cross_entropy_rows(
-            ad.scale(sims, 1.0 / train.contrastive_temperature), [nxt for _, nxt in pairs]))
+            ad.scale(sims, 1.0 / CONTRASTIVE_TEMPERATURE), [nxt for _, nxt in pairs]))
 
     preds, targets = [], []
     for f, frame_labels in sorted(labels.items()):
@@ -249,8 +249,7 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
             l, t, w, h = gt_recs[frame_labels[det]].box
             targets.append([l / width, t / height, w / width, h / height])
     if preds:
-        box_loss = ad.mean_abs_diff(ad.concat_rows(preds), Matrix(np.array(targets)))
-        mot_terms.append(ad.scale(box_loss, train.box_loss_weight))
+        mot_terms.append(ad.mean_abs_diff(ad.concat_rows(preds), Matrix(np.array(targets))))
 
     zero = Matrix([[0.0]])
     l_mot = mean(mot_terms) if mot_terms else zero

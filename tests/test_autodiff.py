@@ -114,34 +114,6 @@ def test_mse_gradient_closed_form():
     assert np.allclose(ma.grad, 2.0 * (a - b) / a.size, atol=1e-9)
 
 
-def test_l1_of_means_trivial_cases():
-    a = Matrix([[2.0], [4.0]])
-    b = Matrix([[3.0], [3.0]])
-    assert ad.l1_of_means(a, a).item() == 0.0
-    assert ad.l1_of_means(a, b).item() == 0.0  # equal means, unequal matrices
-    assert ad.l1_of_means(Matrix([[1.0, 1.0]]), Matrix([[0.0, 2.0]])).item() == 1.0
-
-
-def test_l1_of_means_column_mismatch():
-    with pytest.raises(DimensionError):
-        ad.l1_of_means(Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 4))))
-
-
-def test_repeat_row_broadcasts_single_row():
-    row = np.arange(256.0).reshape(1, 256)
-    out = ad.repeat_row(Matrix(row), 7)
-    assert out.shape == (7, 256)
-    assert np.array_equal(out.data, np.repeat(row, 7, axis=0))
-    assert np.array_equal(ad.repeat_row(Matrix(row), 1).data, row)
-
-
-def test_repeat_row_rejects_zero_times_and_many_rows():
-    with pytest.raises(DimensionError, match="times"):
-        ad.repeat_row(Matrix([[1.0]]), 0)
-    with pytest.raises(DimensionError, match="single row"):
-        ad.repeat_row(Matrix([[0.0], [2.0]]), 3)
-
-
 def test_backward_closed_form_on_mse():
     p = Parameter([[3.0]], name="p")
     with Tape() as tape:
@@ -252,12 +224,7 @@ def test_reduction_ops_match_fd(seed):
     rng = np.random.default_rng(300 + seed)
     a = rng.standard_normal((4, 5))
     b = rng.standard_normal((4, 5))
-    c = rng.standard_normal((2, 5))
     check_against_fd(lambda x, y: ad.mean_abs_diff(x, y), [a, b], label="mean_abs_diff")
-    check_against_fd(weighted_scalar(ad.sequence_mean), [a], label="sequence_mean")
-    check_against_fd(lambda x, y: ad.l1_of_means(x, y), [a, c], label="l1_of_means")
-    check_against_fd(weighted_scalar(lambda m: ad.repeat_row(m, 7)), [a[:1]],
-                     label="repeat_row")
     logits = rng.standard_normal((4, 6))
     targets = rng.integers(0, 6, size=4).tolist()
     check_against_fd(lambda m: ad.cross_entropy_rows(m, targets), [logits],
@@ -328,6 +295,38 @@ def test_every_op_has_an_fd_gradcheck():
                     labels.add(value.value.split("[")[0])
     ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))}
     assert ops and sorted(ops - labels) == []
+
+
+# ops no run reaches, each kept for the test code that calls it
+TEST_ONLY_OPS = {
+    "concat_cols": "the attention oracle composes multi-head attention from it",
+    "concat_rows": "oracles.per_frame_scene_losses stacks its box predictions with it",
+    "mse": "the tests' scalar loss",
+}
+
+
+def ops_called_in(tree: ast.Module) -> set[str]:
+    """Names of the autodiff functions a module calls as ``ad.op(...)``, under
+    whatever name it imports ``semtrack.autodiff`` as."""
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "semtrack"
+               for a in node.names if a.name == "autodiff"}
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) in modules}
+
+
+def test_every_op_has_a_caller_in_src():
+    # a call inside autodiff.py does not count: an op that only another op
+    # calls is reached only through that one
+    called = set()
+    for path in Path(ad.__file__).parent.rglob("*.py"):
+        if path.name != "autodiff.py":
+            called |= ops_called_in(ast.parse(path.read_text(encoding="utf-8")))
+    ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))}
+    assert sorted(ops - called - TEST_ONLY_OPS.keys()) == []
+    # a kept op that gains a caller, or is deleted, leaves the list
+    assert sorted(TEST_ONLY_OPS.keys() - (ops - called)) == []
 
 
 def test_input_used_twice_in_one_op_gets_both_gradients():

@@ -55,6 +55,7 @@ def test_train_scene_count_capped_at_eval_seed_offset():
     (None, "no_such_knob"),
     ("dswr", "w_init"),
     ("seeds", "no_such_seed"),
+    (None, "tracker"),          # snapshots from before the tracker constants had one
 ])
 def test_unknown_key_raises(where, key):
     raw = json.loads(ExperimentConfig().to_json())
@@ -66,14 +67,13 @@ def test_unknown_key_raises(where, key):
 @pytest.mark.parametrize("where, key", [
     ("student", "no_such_knob"),
     ("training", "bogus"),
-    ("tracker", "match_gat"),
+    ("training", "learning_rate"),  # a knob of a snapshot from before the constants
     ("training", "alpha"),
     ("training", "teacher_seed"),
-    ("tracker", "quality_ranges"),
 ])
 def test_module_config_dict_keys_checked_on_build(where, key):
-    # unknown keys, and keys the derived configs fill in from alpha,
-    # seeds.teacher and dswr, raise when the config is built, not later
+    # unknown keys, and keys the derived configs fill in from alpha and
+    # seeds.teacher, raise when the config is built, not later
     raw = json.loads(ExperimentConfig().to_json())
     raw[where][key] = 1
     with pytest.raises(ValueError, match=f"{where}.*{key}"):
@@ -87,12 +87,9 @@ def test_module_config_dict_keys_checked_on_build(where, key):
 def test_module_config_dicts_accept_every_module_field():
     config = ExperimentConfig(
         student=dict(ExperimentConfig().student, hidden_dim=32, num_heads=2),
-        training=dict(ExperimentConfig().training, epochs=1, match_iou=0.4),
-        tracker=dict(ExperimentConfig().tracker, max_age=5))
+        training=dict(ExperimentConfig().training, epochs=1))
     assert config.student_config().hidden_dim == 32
     assert config.train_config().epochs == 1
-    assert config.train_config().match_iou == 0.4
-    assert config.tracker_config().max_age == 5
     assert ExperimentConfig.from_json(config.to_json()) == config
 
 
@@ -122,13 +119,6 @@ def test_tracker_config_takes_quality_ranges_from_dswr():
      [{"kind": "gaussian_blur", "sigma": 1.0, "kernel_size": 3, "bogus": 1}], "bogus"),
     ("student", "num_heads", 3, "num_heads"),
     ("training", "epochs", 0, "epochs"),
-    ("training", "contrastive_temperature", 0.0, "contrastive_temperature"),
-    ("training", "learning_rate", -5e-3, "learning_rate"),
-    ("training", "decay_factor", 0.0, "decay_factor"),
-    ("training", "decay_at", 5, "decay_at"),
-    ("training", "decay_at", -0.5, "decay_at"),
-    ("training", "match_iou", 0.0, "match_iou"),
-    ("training", "match_iou", 1.0, "match_iou"),
     ("detector", "fp_rate", 2.0, "fp_rate"),
     ("dswr", "clarity", [1.0, 0.0], "clarity"),
     ("training", "epochs", "3", r"training\.epochs: expected int, got '3'"),
@@ -145,9 +135,7 @@ def test_tracker_config_takes_quality_ranges_from_dswr():
     ("seeds", "model", "x", r"seeds\.model: expected int"),
 ], ids=["no-eval-scenes", "negative-train-scenes", "ratio-no-low", "ratio-three",
         "unknown-degradation", "unknown-degradation-key", "heads-not-dividing",
-        "no-epochs", "zero-temperature", "negative-learning-rate", "zero-decay-factor",
-        "decay-after-last-epoch", "decay-before-first-epoch", "match-iou-zero",
-        "match-iou-one", "fp-rate-above-one", "clarity-range-reversed",
+        "no-epochs", "fp-rate-above-one", "clarity-range-reversed",
         "string-epochs", "string-ff-dim", "string-fp-rate", "scalar-clarity",
         "scalar-ratio", "null-scene", "op-missing-fields", "string-op-sigma",
         "string-num-targets", "string-model-seed"])
@@ -178,8 +166,7 @@ def test_built_config_is_type_checked_like_a_loaded_one(key, value, match):
     ("training", "epochs", False, False),
     ("detector", "fp_rate", 0, True),
     ("dswr", "noise", [0, 1], True),
-    ("training", "learning_rate", 1, True),
-    ("tracker", "max_age", 3.0, False),
+    ("student", "ff_dim", 1024.0, False),
 ])
 def test_json_types_bool_is_no_int_and_int_is_a_float(where, key, value, accepted):
     raw = json.loads(ExperimentConfig().to_json())
@@ -196,5 +183,5 @@ def test_module_dict_defaults_are_the_module_defaults():
     assert config.student_config() == StudentConfig()
     assert config.train_config() == TrainConfig(teacher_seed=config.seeds.teacher)
     assert config.tracker_config() == TrackerConfig()
-    assert config.training["match_iou"] == 0.5
+    assert config.training == {"epochs": 12}
     assert config.detector == DetectorNoise(jitter_sigma=0.6, fp_rate=0.1, fn_rate=0.05)

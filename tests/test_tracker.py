@@ -7,7 +7,7 @@ from semtrack.metrics import evaluate
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig
-from semtrack.tracker import (DESCRIPTOR_DIM, VARIANTS, TrackerConfig, TrackerModel,
+from semtrack.tracker import (DESCRIPTOR_DIM, PROPAGATE_CONFIDENCE, VARIANTS, TrackerModel,
                               box_descriptor, track_sequence)
 
 TINY_STUDENT = StudentConfig(hidden_dim=32, num_heads=2, ff_dim=64)
@@ -70,10 +70,9 @@ def test_detection_outside_sequence_rejected():
 
 
 def test_propagation_threshold_is_strict():
-    cfg = TrackerConfig()
     # a track at exactly 0.5 confidence must not be carried; 0.5 + eps must be
-    assert not (0.5 > cfg.propagate_confidence)
-    assert 0.5 + 1e-9 > cfg.propagate_confidence
+    assert not (0.5 > PROPAGATE_CONFIDENCE)
+    assert 0.5 + 1e-9 > PROPAGATE_CONFIDENCE
 
 
 def test_low_confidence_detections_do_not_start_tracks():

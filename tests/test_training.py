@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semtrack import autodiff as ad
-from semtrack.autodiff import Tape
+from semtrack.autodiff import Matrix, Tape
 from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain, apply_chain
 from semtrack.scenes import (Detection, DetectorNoise, detections_by_frame,
                              generate_scene, random_scene_config, synth_detector)
@@ -186,6 +186,20 @@ def test_baseline_total_is_mot_loss():
     losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
     assert losses["total"].item() == losses["l_mot"].item()
     assert losses["l_distill"].item() == 0.0
+
+
+@pytest.mark.parametrize("variant", ["baseline", "full"])
+def test_non_finite_loss_fails_loudly(variant):
+    # every op output is checked, so a diverging run raises at the first op
+    # whose output overflows (baseline: in the second step); numpy's overflow
+    # warning is silenced to reach that check
+    sample = make_sample(seed=28, num_frames=4)
+    model = TrackerModel(variant, TINY_STUDENT, seed=29)
+    model.embed_weight.value = Matrix(np.full(model.embed_weight.value.shape, 1e200),
+                                      requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="operation produced non-finite values"):
+            train(model, [sample], TrainConfig(alpha=0.4, epochs=2))
 
 
 def test_distillation_loss_decreases_over_60_steps():
