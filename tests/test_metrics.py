@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semtrack
 from semtrack.metrics import ALPHAS, UndefinedMetricError, evaluate, hota, idf1, mota
-from semtrack.tracks import TrackRecord, TrackSet, box_iou
+from semtrack.tracks import TrackRecord, TrackSet, box_iou, iou_matrix
 
 from oracles import brute_hota, brute_idf1, brute_mota, random_tiny_case
 
@@ -16,6 +20,55 @@ def test_box_iou_basics():
     assert box_iou((0, 0, 10, 10), (20, 20, 5, 5)) == 0.0
     assert box_iou((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(50 / 150)
     assert box_iou((0, 0, 0, 10), (0, 0, 10, 10)) == 0.0  # degenerate
+
+
+def assert_iou_matrix_is_box_iou(a, b):
+    got = iou_matrix(a, b)
+    assert got.shape == (len(a), len(b))
+    assert [[v.hex() for v in row] for row in got.tolist()] == \
+        [[box_iou(x, y).hex() for y in b] for x in a]
+
+
+def random_boxes(rng, n):
+    return [tuple(box) for box in np.column_stack(
+        [rng.uniform(0, 60, (n, 2)), rng.uniform(1, 30, (n, 2))]).tolist()]
+
+
+def test_iou_matrix_equals_box_iou_on_random_boxes():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        n_a, n_b = rng.integers(1, 12, size=2)
+        assert_iou_matrix_is_box_iou(random_boxes(rng, n_a), random_boxes(rng, n_b))
+
+
+def test_iou_matrix_equals_box_iou_on_degenerate_and_touching_boxes():
+    boxes = [(0.0, 0.0, 10.0, 10.0),
+             (0.0, 0.0, 0.0, 10.0), (2.0, 2.0, 0.0, 5.0),        # zero width
+             (0.0, 0.0, 10.0, -4.0), (1.0, 8.0, 3.0, -10.0),     # negative height
+             (10.0, 0.0, 5.0, 10.0), (0.0, 10.0, 10.0, 5.0),     # touch at an edge
+             (10.0, 10.0, 3.0, 3.0),                             # touch at a corner
+             (5.0, 5.0, 10.0, 10.0), (0.0, 0.0, 10.0, 10.0)]
+    assert_iou_matrix_is_box_iou(boxes, boxes)
+    assert np.count_nonzero(iou_matrix(boxes[:1], boxes[1:8])) == 0
+
+
+@pytest.mark.parametrize("n_a, n_b", [(0, 3), (3, 0), (0, 0)])
+def test_iou_matrix_of_no_boxes_is_empty(n_a, n_b):
+    boxes = [(float(i), 0.0, 5.0, 5.0) for i in range(3)]
+    assert_iou_matrix_is_box_iou(boxes[:n_a], boxes[:n_b])
+
+
+def test_no_module_in_src_calls_box_iou():
+    # box_iou is the scalar reference for tests (and a binding the benchmark
+    # reads); the program scores box pairs through iou_matrix only
+    callers = []
+    for path in sorted(Path(semtrack.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "box_iou"):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
 
 
 def test_trackset_validation():
@@ -134,6 +187,15 @@ def test_id_relabeling_does_not_change_scores():
     assert b.idf1 == pytest.approx(a.idf1, abs=1e-12)
     assert b.hota == pytest.approx(a.hota, abs=1e-12)
     assert b.assa == pytest.approx(a.assa, abs=1e-12)
+
+
+def test_hota_keeps_a_match_at_an_alpha_equal_to_its_iou():
+    gt = TrackSet(simple_track(1, [0], (0.0, 0.0, 10.0, 10.0)))
+    pred = TrackSet(simple_track(1, [0], (0.0, 0.0, 10.0, 5.0)))   # IoU exactly 0.5
+    _, _, _, per_alpha = hota(gt, pred)
+    assert [a for a, (_, deta, _) in per_alpha.items() if deta == 1.0] == \
+        [a for a in ALPHAS if a <= 0.5]
+    assert all(deta == 0.0 for a, (_, deta, _) in per_alpha.items() if a > 0.5)
 
 
 def test_removing_correct_prediction_never_raises_deta():

@@ -10,6 +10,8 @@ from semtrack.student import StudentConfig
 from semtrack.tracker import (DESCRIPTOR_DIM, PROPAGATE_CONFIDENCE, VARIANTS, TrackerModel,
                               box_descriptor, track_sequence)
 
+from oracles import per_box_descriptor
+
 TINY_STUDENT = StudentConfig(hidden_dim=32, num_heads=2, ff_dim=64)
 
 
@@ -32,6 +34,45 @@ def test_descriptor_shape_and_geometry():
     assert desc[0, 1] == pytest.approx(24.0 / 96)
     assert desc[0, 2] == pytest.approx(16.0 / 128)
     assert desc[0, 3] == pytest.approx(32.0 / 96)
+
+
+# (l, t, w, h) on a 48 x 64 frame, by the crop each box gives
+DESCRIPTOR_CASES = {
+    "clipped-left": [(-5.5, 10.2, 12.0, 9.0)],
+    "clipped-top": [(20.3, -3.0, 7.5, 11.0)],
+    "clipped-right": [(58.6, 12.0, 15.0, 10.0)],
+    "clipped-bottom": [(30.0, 44.2, 9.0, 20.0)],
+    "negative-origin": [(-9.0, -7.5, 20.0, 14.0), (-30.0, -30.0, 10.0, 10.0)],
+    "one-row": [(10.2, 20.3, 5.5, 0.4)],
+    "one-column": [(33.1, 5.0, 0.3, 17.0)],
+    "one-pixel": [(40.25, 30.5, 0.2, 0.1)],
+    "exactly-8x8": [(16.0, 8.0, 8.0, 8.0), (3.5, 4.5, 7.0, 7.0)],
+    "16x8": [(2.0, 30.0, 8.0, 16.0)],
+}
+
+
+@pytest.mark.parametrize("boxes", [
+    *DESCRIPTOR_CASES.values(),
+    [box for boxes in DESCRIPTOR_CASES.values() for box in boxes],
+], ids=[*DESCRIPTOR_CASES, "all-at-once"])
+def test_box_descriptor_equals_the_per_box_reference(boxes):
+    frame = np.random.default_rng(0).uniform(0, 1, (48, 64))
+    expected = np.concatenate([per_box_descriptor(frame, box) for box in boxes])
+    got = box_descriptor(frame, boxes)
+    assert got.shape == (len(boxes), DESCRIPTOR_DIM)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_box_descriptor_equals_the_per_box_reference_on_random_boxes():
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        height, width = (int(v) for v in rng.integers(12, 120, size=2))
+        frame = rng.uniform(0, 1, (height, width))
+        boxes = [(float(rng.uniform(-10, width)), float(rng.uniform(-10, height)),
+                  float(rng.uniform(0.1, 40)), float(rng.uniform(0.1, 40)))
+                 for _ in range(int(rng.integers(1, 25)))]
+        expected = np.concatenate([per_box_descriptor(frame, box) for box in boxes])
+        assert box_descriptor(frame, boxes).tobytes() == expected.tobytes()
 
 
 def test_untrained_tracker_perfect_on_separated_targets():
@@ -70,9 +111,21 @@ def test_detection_outside_sequence_rejected():
 
 
 def test_propagation_threshold_is_strict():
-    # a track at exactly 0.5 confidence must not be carried; 0.5 + eps must be
-    assert not (0.5 > PROPAGATE_CONFIDENCE)
-    assert 0.5 + 1e-9 > PROPAGATE_CONFIDENCE
+    # a track matched at frame 1 takes that detection's confidence; it is
+    # carried into frame 2 only if the confidence exceeds the threshold, and
+    # otherwise frame 2's detection is born under a new id
+    frames = [np.random.default_rng(0).uniform(0, 1, (32, 32))] * 3
+    box = (8.0, 8.0, 10.0, 10.0)
+
+    def ids(frame1_confidence):
+        dets = [Detection(frame=0, box=box, confidence=0.9),
+                Detection(frame=1, box=box, confidence=frame1_confidence),
+                Detection(frame=2, box=box, confidence=0.9)]
+        pred = track_sequence(frames, dets, TrackerModel("baseline", seed=0))
+        return [(r.frame, r.track_id) for r in pred]
+
+    assert ids(PROPAGATE_CONFIDENCE) == [(0, 1), (1, 1), (2, 2)]
+    assert ids(PROPAGATE_CONFIDENCE + 1e-9) == [(0, 1), (1, 1), (2, 1)]
 
 
 def test_low_confidence_detections_do_not_start_tracks():
