@@ -16,9 +16,15 @@ Definitions follow the reference evaluators for the three metric families:
   association Jaccard over TPs, HOTA(alpha) = sqrt(DetA*AssA); final scores
   average over the alpha grid :data:`ALPHAS` (0.05, 0.10, ..., 0.95).
 
-Each metric scores a frame's box pairs through one ground-truth-by-prediction
-IoU matrix (:func:`semtrack.tracks.iou_matrix`), and HOTA gates a frame's
-matches at every alpha with one comparison.
+The three metrics read one :class:`FrameTable` of the sequence: every frame
+either track set has, its ground-truth and prediction records in
+``TrackSet.by_frame`` order (row and column order decide assignment ties),
+their positions in the sorted id lists, and the frame's ground-truth-by-
+prediction IoU block. :func:`frame_table` computes the blocks of every frame
+in one :func:`semtrack.tracks.broadcast_iou` call over all within-frame box
+pairs; :func:`evaluate` builds the table once and hands it to :func:`hota`,
+:func:`mota` and :func:`idf1`, which build it themselves only when called
+without one. HOTA gates a frame's matches at every alpha with one comparison.
 
 All scores are fractions in [0, 1] (MOTA can go negative).
 """
@@ -26,12 +32,13 @@ All scores are fractions in [0, 1] (MOTA can go negative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # box_iou is unused here but stays bound: the benchmark's harness tests read it
-from semtrack.tracks import TrackSet, box_iou, iou_matrix
+from semtrack.tracks import TrackRecord, TrackSet, box_iou, broadcast_iou
 
 ALPHAS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2).tolist())
 IOU_THRESHOLD = 0.5
@@ -61,30 +68,80 @@ class MetricReport:
     per_alpha: dict[float, tuple[float, float, float]] = field(default_factory=dict)
 
 
-def _frames(gt: TrackSet, pred: TrackSet):
-    """(gt records, pred records, their IoU matrix) for every frame either has."""
+@dataclass(frozen=True)
+class FrameTable:
+    """Per-frame view of one sequence that every metric reads. Lists run over
+    ``frames`` (sorted); frame k's IoU block ``ious[k]`` has one row per
+    ``gt[k]`` record and one column per ``pred[k]`` record, in that order, and
+    ``gt_index[k]`` / ``pred_index[k]`` give each record's position in
+    ``gt_ids`` / ``pred_ids``."""
+    frames: list[int]
+    gt: list[list[TrackRecord]]
+    pred: list[list[TrackRecord]]
+    gt_ids: list[int]
+    pred_ids: list[int]
+    gt_index: list[np.ndarray]
+    pred_index: list[np.ndarray]
+    ious: list[np.ndarray]
+
+
+def _split(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """``flat`` cut into consecutive pieces of ``sizes`` items."""
+    return [flat[end - n:end] for end, n in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
+
+
+def _side(by_frame: dict[int, list[TrackRecord]], frames: list[int], ids: list[int]):
+    """(records per frame, record count per frame, the boxes of all of them
+    as an n x 4 array, each record's position in the sorted ``ids``)."""
+    records = [by_frame.get(f, []) for f in frames]
+    flat = [r for recs in records for r in recs]
+    sizes = np.array([len(recs) for recs in records], dtype=np.intp)
+    boxes = np.array([r.box for r in flat], dtype=np.float64).reshape(-1, 4)
+    index = np.searchsorted(np.array(ids, dtype=np.int64),
+                            np.array([r.track_id for r in flat], dtype=np.int64))
+    return records, sizes, boxes, index
+
+
+def frame_table(gt: TrackSet, pred: TrackSet) -> FrameTable:
+    """The :class:`FrameTable` of ``gt`` against ``pred``; every frame's IoU
+    block comes from one aligned IoU call over all within-frame pairs."""
     gt_by_frame = gt.by_frame()
     pred_by_frame = pred.by_frame()
-    for frame in sorted(set(gt_by_frame) | set(pred_by_frame)):
-        gt_recs = gt_by_frame.get(frame, [])
-        pred_recs = pred_by_frame.get(frame, [])
-        yield gt_recs, pred_recs, iou_matrix([r.box for r in gt_recs],
-                                             [r.box for r in pred_recs])
+    frames = sorted(set(gt_by_frame) | set(pred_by_frame))
+    gt_ids, pred_ids = gt.ids(), pred.ids()
+    gt_recs, n_gt, gt_boxes, gt_index = _side(gt_by_frame, frames, gt_ids)
+    pred_recs, n_pred, pred_boxes, pred_index = _side(pred_by_frame, frames, pred_ids)
+
+    # pair p of frame k, counted from the frame's first pair, is gt row
+    # p // n_pred[k] and pred column p % n_pred[k] of that frame
+    n_pairs = n_gt * n_pred
+    p = np.arange(n_pairs.sum()) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    width = np.repeat(n_pred, n_pairs)
+    rows = np.repeat(np.cumsum(n_gt) - n_gt, n_pairs) + p // width
+    cols = np.repeat(np.cumsum(n_pred) - n_pred, n_pairs) + p % width
+    pair_ious = broadcast_iou(gt_boxes[rows], pred_boxes[cols])
+    ious = [block.reshape(g, q) for block, g, q in
+            zip(_split(pair_ious, n_pairs), n_gt.tolist(), n_pred.tolist())]
+    return FrameTable(frames, gt_recs, pred_recs, gt_ids, pred_ids,
+                      _split(gt_index, n_gt), _split(pred_index, n_pred), ious)
 
 
-def mota(gt: TrackSet, pred: TrackSet) -> tuple[float, MetricCounts]:
+def mota(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None
+         ) -> tuple[float, MetricCounts]:
     """CLEAR-style accuracy with per-frame count-then-IoU optimal matching."""
     if len(gt) == 0:
         raise UndefinedMetricError("MOTA is undefined for empty ground truth")
+    if table is None:
+        table = frame_table(gt, pred)
     counts = MetricCounts()
     last_match: dict[int, int] = {}  # gt id -> pred id at last matched frame
-    for gt_recs, pred_recs, ious in _frames(gt, pred):
+    for gt_recs, pred_recs, ious in zip(table.gt, table.pred, table.ious):
         matches = []
         if gt_recs and pred_recs:
             cost = np.where(ious >= IOU_THRESHOLD, 1.0 - ious, _BIG_COST)
             rows, cols = linear_sum_assignment(cost)
-            matches = [(r, c) for r, c in zip(rows, cols)
-                       if ious[r, c] >= IOU_THRESHOLD]
+            kept = ious[rows, cols] >= IOU_THRESHOLD
+            matches = list(zip(rows[kept].tolist(), cols[kept].tolist()))
         counts.tp += len(matches)
         counts.fn += len(gt_recs) - len(matches)
         counts.fp += len(pred_recs) - len(matches)
@@ -98,21 +155,17 @@ def mota(gt: TrackSet, pred: TrackSet) -> tuple[float, MetricCounts]:
     return value, counts
 
 
-def idf1(gt: TrackSet, pred: TrackSet) -> float:
+def idf1(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None) -> float:
     """F1 over identity-consistent matches under optimal global id pairing."""
     if len(gt) == 0:
         raise UndefinedMetricError("IDF1 is undefined for empty ground truth")
     if len(pred) == 0:
         return 0.0
-    gt_ids = gt.ids()
-    pred_ids = pred.ids()
-    overlap = np.zeros((len(gt_ids), len(pred_ids)))
-    gt_index = {g: i for i, g in enumerate(gt_ids)}
-    pred_index = {p: j for j, p in enumerate(pred_ids)}
-    for gt_recs, pred_recs, ious in _frames(gt, pred):
+    if table is None:
+        table = frame_table(gt, pred)
+    overlap = np.zeros((len(table.gt_ids), len(table.pred_ids)))
+    for gi, pj, ious in zip(table.gt_index, table.pred_index, table.ious):
         r, c = np.nonzero(ious >= IOU_THRESHOLD)
-        gi = np.array([gt_index[rec.track_id] for rec in gt_recs], dtype=np.intp)
-        pj = np.array([pred_index[rec.track_id] for rec in pred_recs], dtype=np.intp)
         # a frame holds each id once, so no (gt, pred) cell repeats
         overlap[gi[r], pj[c]] += 1
     rows, cols = linear_sum_assignment(-overlap)
@@ -123,38 +176,32 @@ def idf1(gt: TrackSet, pred: TrackSet) -> float:
     return float(2 * idtp / denominator) if denominator else 0.0
 
 
-def hota(gt: TrackSet, pred: TrackSet
+def hota(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None
          ) -> tuple[float, float, float, dict[float, tuple[float, float, float]]]:
     """HOTA / DetA / AssA averaged over the alpha grid, plus per-alpha values."""
     if len(gt) == 0:
         raise UndefinedMetricError("HOTA is undefined for empty ground truth")
-    gt_ids = gt.ids()
-    pred_ids = pred.ids()
     per_alpha: dict[float, tuple[float, float, float]] = {}
-    if not pred_ids:
+    if len(pred) == 0:
         for alpha in ALPHAS:
             per_alpha[alpha] = (0.0, 0.0, 0.0)
         return 0.0, 0.0, 0.0, per_alpha
-
-    gt_index = {g: i for i, g in enumerate(gt_ids)}
-    pred_index = {p: j for j, p in enumerate(pred_ids)}
+    if table is None:
+        table = frame_table(gt, pred)
+    shape = (len(ALPHAS), len(table.gt_ids), len(table.pred_ids))
 
     frame_data = []
-    potential = np.zeros((len(gt_ids), len(pred_ids)))
-    gt_count = np.zeros(len(gt_ids))
-    pred_count = np.zeros(len(pred_ids))
-    for gt_recs, pred_recs, sim in _frames(gt, pred):
-        gi = np.array([gt_index[r.track_id] for r in gt_recs], dtype=int)
-        pj = np.array([pred_index[r.track_id] for r in pred_recs], dtype=int)
+    potential = np.zeros(shape[1:])
+    for gi, pj, sim in zip(table.gt_index, table.pred_index, table.ious):
         if gi.size and pj.size:
             denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
-            ratio = np.zeros_like(sim)
-            positive = denom > 1e-12
-            ratio[positive] = sim[positive] / denom[positive]
-            potential[np.ix_(gi, pj)] += ratio
+            ratio = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
+            potential[gi[:, None], pj] += ratio
             frame_data.append((gi, pj, sim))
-        gt_count[gi] += 1
-        pred_count[pj] += 1
+    gt_count = np.bincount(np.concatenate(table.gt_index),
+                           minlength=shape[1]).astype(np.float64)
+    pred_count = np.bincount(np.concatenate(table.pred_index),
+                             minlength=shape[2]).astype(np.float64)
 
     union = gt_count[:, None] + pred_count[None, :] - potential
     alignment = np.where(union > 0, potential / np.maximum(union, 1e-12), 0.0)
@@ -163,13 +210,13 @@ def hota(gt: TrackSet, pred: TrackSet
     # similarity reaches, so one (alphas x matches) comparison serves them all
     matched = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
     for gi, pj, sim in frame_data:
-        rows, cols = linear_sum_assignment(-(alignment[np.ix_(gi, pj)] * sim))
+        rows, cols = linear_sum_assignment(-(alignment[gi[:, None], pj] * sim))
         matched.append((gi[rows], pj[cols], sim[rows, cols]))
     match_g, match_p, match_sim = (np.concatenate(part) for part in zip(*matched))
     kept = match_sim[None, :] >= np.array(ALPHAS)[:, None]
     a_idx, m_idx = np.nonzero(kept)
-    match_counts = np.zeros((len(ALPHAS), len(gt_ids), len(pred_ids)))
-    np.add.at(match_counts, (a_idx, match_g[m_idx], match_p[m_idx]), 1)
+    cells = np.ravel_multi_index((a_idx, match_g[m_idx], match_p[m_idx]), shape)
+    match_counts = np.bincount(cells, minlength=prod(shape)).reshape(shape)
     tp = kept.sum(axis=1).astype(np.float64)
     fn = len(gt) - tp
     fp = len(pred) - tp
@@ -192,9 +239,10 @@ def hota(gt: TrackSet, pred: TrackSet
 
 
 def evaluate(gt: TrackSet, pred: TrackSet) -> MetricReport:
-    """Full metric report over one sequence."""
-    hota_v, deta_v, assa_v, per_alpha = hota(gt, pred)
-    mota_v, counts = mota(gt, pred)
-    idf1_v = idf1(gt, pred)
+    """Full metric report over one sequence, from one :class:`FrameTable`."""
+    table = frame_table(gt, pred)
+    hota_v, deta_v, assa_v, per_alpha = hota(gt, pred, table)
+    mota_v, counts = mota(gt, pred, table)
+    idf1_v = idf1(gt, pred, table)
     return MetricReport(hota=hota_v, deta=deta_v, assa=assa_v, mota=mota_v,
                         idf1=idf1_v, counts=counts, per_alpha=per_alpha)

@@ -109,8 +109,10 @@ def _reflect(value: float, limit: float) -> float:
 def generate_scene(config: SceneConfig) -> tuple[list[np.ndarray], TrackSet]:
     """Render every frame and emit the exact ground-truth track set."""
     background = _background(config)
-    textures = {t.track_id: _texture(t.texture_seed, t.height, t.width, t.texture_amp)
-                for t in config.targets}
+    patches = {t.track_id: np.clip(t.intensity + _texture(t.texture_seed, t.height,
+                                                          t.width, t.texture_amp),
+                                   0.0, 1.0)
+               for t in config.targets}
     jitter_rng = np.random.default_rng(config.seed + 7919)
 
     frames: list[np.ndarray] = []
@@ -132,8 +134,7 @@ def generate_scene(config: SceneConfig) -> tuple[list[np.ndarray], TrackSet]:
             ix, iy = int(round(x)), int(round(y))
             ix = min(max(ix, 0), config.width - target.width)
             iy = min(max(iy, 0), config.height - target.height)
-            patch = np.clip(target.intensity + textures[target.track_id], 0.0, 1.0)
-            frame[iy:iy + target.height, ix:ix + target.width] = patch
+            frame[iy:iy + target.height, ix:ix + target.width] = patches[target.track_id]
             gt.add(TrackRecord(frame=frame_index, track_id=target.track_id,
                                box=(float(ix), float(iy), float(target.width),
                                     float(target.height)),

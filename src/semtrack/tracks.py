@@ -7,6 +7,7 @@ and 1-based in files; ids are 1-based everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,12 +90,11 @@ class TrackSet:
                 parts = line.split(",")
                 if len(parts) < 7:
                     raise ValueError(f"{path}:{lineno}: expected >= 7 fields")
-                frame = int(float(parts[0])) - 1
-                track_id = int(float(parts[1]))
-                box = tuple(float(v) for v in parts[2:6])
-                conf = float(parts[6])
-                out.add(TrackRecord(frame=frame, track_id=track_id, box=box,
-                                    confidence=conf))
+                values = [float(v) for v in parts[:7]]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"{path}:{lineno}: non-finite field")
+                out.add(TrackRecord(frame=int(values[0]) - 1, track_id=int(values[1]),
+                                    box=tuple(values[2:6]), confidence=values[6]))
         return out
 
 
@@ -113,15 +113,29 @@ def box_iou(a: tuple[float, float, float, float],
     return inter / (aw * ah + bw * bh - inter)
 
 
-def iou_matrix(a, b) -> np.ndarray:
-    """len(a) x len(b) IoUs of two sequences of (l, t, w, h) boxes: entry
-    (i, j) equals ``box_iou(a[i], b[j])`` bit for bit, 0 for degenerate or
-    disjoint pairs."""
-    al, at, aw, ah = np.asarray(a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
-    bl, bt, bw, bh = np.asarray(b, dtype=np.float64).reshape(-1, 4).T[:, None, :]
+def broadcast_iou(a, b) -> np.ndarray:
+    """IoUs of (l, t, w, h) boxes stored along the last axis of ``a`` and
+    ``b``, whose leading axes broadcast together: each entry equals
+    ``box_iou`` of its two boxes bit for bit, 0 for degenerate or disjoint
+    pairs. The one IoU formula of the program: :func:`iou_matrix` is its outer
+    product, and aligned ``k x 4`` arrays give the IoU of each pair ``k``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    al, at, aw, ah = (a[..., k] for k in range(4))
+    bl, bt, bw, bh = (b[..., k] for k in range(4))
     ix = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
     iy = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
     overlap = (aw > 0) & (ah > 0) & (bw > 0) & (bh > 0) & (ix > 0) & (iy > 0)
     inter = ix * iy
     return np.divide(inter, aw * ah + bw * bh - inter, out=np.zeros(inter.shape),
                      where=overlap)
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """len(a) x len(b) IoUs of two sequences of (l, t, w, h) boxes: entry
+    (i, j) equals ``box_iou(a[i], b[j])`` bit for bit, through the outer
+    product of :func:`broadcast_iou`. The tracker's cost matrix and training's
+    detection-to-ground-truth matching use it; the metrics score a whole
+    sequence's within-frame pairs in one aligned :func:`broadcast_iou` call."""
+    return broadcast_iou(np.asarray(a, dtype=np.float64).reshape(-1, 1, 4),
+                         np.asarray(b, dtype=np.float64).reshape(1, -1, 4))

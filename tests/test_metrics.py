@@ -1,12 +1,18 @@
 import ast
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semtrack
-from semtrack.metrics import ALPHAS, UndefinedMetricError, evaluate, hota, idf1, mota
-from semtrack.tracks import TrackRecord, TrackSet, box_iou, iou_matrix
+from semtrack import experiment, metrics
+from semtrack.config import ExperimentConfig, SceneParams
+from semtrack.metrics import (ALPHAS, UndefinedMetricError, evaluate, frame_table, hota,
+                              idf1, mota)
+from semtrack.tracker import track_sequence
+from semtrack.tracks import TrackRecord, TrackSet, box_iou, broadcast_iou, iou_matrix
 
 from oracles import brute_hota, brute_idf1, brute_mota, random_tiny_case
 
@@ -58,6 +64,16 @@ def test_iou_matrix_of_no_boxes_is_empty(n_a, n_b):
     assert_iou_matrix_is_box_iou(boxes[:n_a], boxes[:n_b])
 
 
+def test_broadcast_iou_of_aligned_pairs_equals_box_iou():
+    rng = np.random.default_rng(9)
+    a = random_boxes(rng, 20) + [(0.0, 0.0, 0.0, 4.0), (3.0, 3.0, 5.0, 5.0)]
+    b = random_boxes(rng, 20) + [(0.0, 0.0, 4.0, 4.0), (8.0, 3.0, 2.0, 2.0)]
+    got = broadcast_iou(np.array(a), np.array(b))
+    assert got.shape == (len(a),)
+    assert [v.hex() for v in got.tolist()] == [box_iou(x, y).hex() for x, y in zip(a, b)]
+    assert broadcast_iou(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
+
+
 def test_no_module_in_src_calls_box_iou():
     # box_iou is the scalar reference for tests (and a binding the benchmark
     # reads); the program scores box pairs through iou_matrix only
@@ -98,6 +114,107 @@ def test_mot_file_round_trip(tmp_path):
     back = TrackSet.read(path)
     assert len(back) == 3
     assert back.records[0].frame == 0 and back.records[0].track_id == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    (0, "nan"), (1, "inf"), (2, "nan"), (3, "inf"), (4, "-inf"), (5, "nan"),
+    (6, "nan"), (6, "inf")])
+def test_read_rejects_a_non_finite_field(tmp_path, field, value):
+    fields = "1,1,3.00,4.00,10.00,12.00,1.000000,-1,-1,-1".split(",")
+    fields[field] = value
+    path = tmp_path / "pred.txt"
+    path.write_text("1,2,0.00,0.00,5.00,5.00,0.500000,-1,-1,-1\n" + ",".join(fields) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: non-finite field")):
+        TrackSet.read(path)
+
+
+def table_case():
+    """Frames 0, 1 and 4 hold both sides (frame 1 two boxes of each), frame 2
+    ground truth only, frame 3 predictions only; ids not added in order."""
+    gt = TrackSet(simple_track(7, [0, 1, 2, 4], (0.0, 0.0, 10.0, 10.0))
+                  + simple_track(3, [1], (4.0, 4.0, 8.0, 6.0)))
+    pred = TrackSet(simple_track(5, [1, 3], (2.0, 1.0, 10.0, 10.0))
+                    + simple_track(2, [0, 1, 4], (0.0, 0.0, 10.0, 5.0))
+                    + [TrackRecord(frame=4, track_id=9, box=(20.0, 20.0, 0.0, 5.0))])
+    return gt, pred
+
+
+@pytest.mark.parametrize("empty_pred", [False, True])
+def test_frame_table_blocks_equal_iou_matrix_bit_for_bit(empty_pred):
+    gt, pred = table_case()
+    if empty_pred:
+        pred = TrackSet()
+    table = frame_table(gt, pred)
+    gt_by_frame, pred_by_frame = gt.by_frame(), pred.by_frame()
+    assert table.frames == sorted(set(gt_by_frame) | set(pred_by_frame))
+    assert (table.gt_ids, table.pred_ids) == (gt.ids(), pred.ids())
+    assert len(table.gt) == len(table.pred) == len(table.ious) == len(table.frames)
+    shapes = set()
+    for k, frame in enumerate(table.frames):
+        gt_recs, pred_recs = table.gt[k], table.pred[k]
+        assert gt_recs == gt_by_frame.get(frame, [])
+        assert pred_recs == pred_by_frame.get(frame, [])
+        assert table.gt_index[k].tolist() == [gt.ids().index(r.track_id) for r in gt_recs]
+        assert table.pred_index[k].tolist() == \
+            [pred.ids().index(r.track_id) for r in pred_recs]
+        expected = iou_matrix([r.box for r in gt_recs], [r.box for r in pred_recs])
+        assert table.ious[k].shape == expected.shape
+        assert [v.hex() for v in table.ious[k].ravel().tolist()] == \
+            [v.hex() for v in expected.ravel().tolist()]
+        shapes.add((bool(gt_recs), bool(pred_recs)))
+    assert shapes == ({(True, False)} if empty_pred
+                      else {(True, True), (True, False), (False, True)})
+
+
+def test_evaluate_equals_the_standalone_metrics():
+    rng = np.random.default_rng(4)
+    for case in range(20):
+        gt, pred = random_tiny_case(rng)
+        report = evaluate(gt, pred)
+        h, d, a, per_alpha = hota(gt, pred)
+        m, counts = mota(gt, pred)
+        assert (report.hota, report.deta, report.assa, report.per_alpha) == \
+            (h, d, a, per_alpha), f"case {case}"
+        assert (report.mota, report.counts) == (m, counts), f"case {case}"
+        assert report.idf1 == idf1(gt, pred), f"case {case}"
+
+
+def test_evaluate_builds_the_frame_table_once(monkeypatch):
+    built = []
+
+    def counting(gt, pred):
+        built.append(1)
+        return frame_table(gt, pred)
+
+    monkeypatch.setattr(metrics, "frame_table", counting)
+    gt, pred = random_tiny_case(np.random.default_rng(2))
+    evaluate(gt, pred)
+    assert len(built) == 1
+    hota(gt, pred)    # a direct call builds its own
+    assert len(built) == 2
+
+
+# One track-crowded-shaped sequence (16 targets, 64 frames, jitter 0.5,
+# degraded) tracked by the untrained baseline; the scores and counts were
+# taken from the code before the metrics shared one frame table, so a
+# reordered sum or a changed tie-break shows here first.
+CROWDED_PIN = dict(hota=0.71803192749447, deta=0.834929090418565,
+                   assa=0.6175810011989172, mota=0.927734375, idf1=0.7986006996501749)
+CROWDED_COUNTS = (974, 3, 50, 21)   # tp, fp, fn, idsw
+
+
+def test_crowded_sequence_scores_are_pinned():
+    config = replace(ExperimentConfig(), num_eval_scenes=1,
+                     scene=SceneParams(width=256, height=192, num_frames=64,
+                                       num_targets=16, motion_jitter=0.5))
+    (sample,) = experiment.evaluation_corpus(config)
+    pred = track_sequence(sample.frames, sample.detections,
+                          experiment.build_model(config, "baseline"),
+                          config.tracker_config())
+    report = evaluate(sample.gt, pred)
+    assert {k: getattr(report, k) for k in CROWDED_PIN} == CROWDED_PIN
+    c = report.counts
+    assert (c.tp, c.fp, c.fn, c.idsw) == CROWDED_COUNTS
 
 
 def test_perfect_prediction_scores():
