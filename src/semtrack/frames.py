@@ -30,6 +30,11 @@ def resize(frame: np.ndarray, out_h: int, out_w: int, method: str = "bilinear"
     c1 = np.minimum(c0 + 1, w - 1)
     fr = (src_r - r0)[:, None]
     fc = (src_c - c0)[None, :]
-    top = frame[r0][:, c0] * (1 - fc) + frame[r0][:, c1] * fc
-    bottom = frame[r1][:, c0] * (1 - fc) + frame[r1][:, c1] * fc
+    one_minus_fc = 1 - fc
+    # each row set is gathered once, and the second only after the first is
+    # used: fewer frame-sized temporaries live at once
+    upper = frame[r0]
+    top = upper[:, c0] * one_minus_fc + upper[:, c1] * fc
+    lower = frame[r1]
+    bottom = lower[:, c0] * one_minus_fc + lower[:, c1] * fc
     return top * (1 - fr) + bottom * fr

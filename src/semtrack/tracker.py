@@ -190,32 +190,38 @@ class TrackerModel:
         return ad.linear(Matrix(descriptors), self.embed_weight.value,
                          self.embed_bias.value)
 
-    def fusion_weight(self, frames: Sequence[np.ndarray], rows: np.ndarray,
-                      config: TrackerConfig) -> Matrix:
-        """n x 1 fusion weight: row ``i`` gets the weight of ``frames[rows[i]]``,
-        from its quality (DSWR) or fixed. Each frame is assessed once."""
+    def quality_column(self, frames: Sequence[np.ndarray], ranges: QualityRanges
+                       ) -> np.ndarray | None:
+        """F x 1 column of the frames' quality scores q, the input of DSWR's
+        fusion weight; ``None`` for a model without DSWR, which fuses at a
+        fixed weight and reads no quality. The one place frames are assessed."""
+        if self.dswr is None:
+            return None
+        return np.array([[assess_quality(frame, ranges).q] for frame in frames])
+
+    def fusion_weight(self, quality: np.ndarray | None, rows: np.ndarray) -> Matrix:
+        """n x 1 fusion weight: row ``i`` gets the weight of frame ``rows[i]``,
+        from row ``rows[i]`` of the :meth:`quality_column` (DSWR) or fixed."""
         if self.dswr is not None:
-            q = np.array([[assess_quality(frame, config.quality_ranges).q]
-                          for frame in frames])
-            return self.dswr.semantic_weight(Matrix(q[rows]))
+            return self.dswr.semantic_weight(Matrix(quality[rows]))
         return Matrix(np.full((len(rows), 1), FIXED_FUSION_WEIGHT))
 
-    def encode_queries(self, x: Matrix, frames: Sequence[np.ndarray], config: TrackerConfig,
+    def encode_queries(self, x: Matrix, quality: np.ndarray | None,
                        segments: np.ndarray | None = None) -> tuple[Matrix, Matrix | None]:
         """Queries -> (fused features, the student's semantic features).
 
-        Row ``i`` of ``x`` comes from ``frames[segments[i]]``; without
-        ``segments`` every row comes from ``frames[0]``, as in tracking. The
-        student attends within a frame only, and each row is fused at its
-        frame's weight. The bare tracker returns ``(x, None)``. Training feeds
-        the semantic features to the distillation loss, so the student runs
-        once per scene.
+        Row ``i`` of ``x`` comes from frame ``segments[i]``, and ``quality``
+        is the frames' :meth:`quality_column`; without ``segments`` every row
+        comes from frame 0, as in tracking. The student attends within a frame
+        only, and each row is fused at its frame's weight. The bare tracker
+        returns ``(x, None)``. Training feeds the semantic features to the
+        distillation loss, so the student runs once per scene.
         """
         if self.student is None:
             return x, None
         semantic = self.student(x, segments)
         rows = np.zeros(x.rows, dtype=np.intp) if segments is None else segments
-        return fuse(self.fusion_weight(frames, rows, config), semantic, x), semantic
+        return fuse(self.fusion_weight(quality, rows), semantic, x), semantic
 
     def predict_boxes(self, features: Matrix) -> Matrix:
         return ad.linear(features, self.box_weight.value, self.box_bias.value)
@@ -350,7 +356,10 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
             rows.append(model.embed_descriptors(
                 box_descriptor(frame, [det.box for det in dets])).data)
         x = Matrix(np.concatenate(rows, axis=0)) if rows else None
-        fused = model.encode_queries(x, [frame], config)[0].data if x is not None else None
+        fused = None
+        if x is not None:
+            quality = model.quality_column([frame], config.quality_ranges)
+            fused = model.encode_queries(x, quality)[0].data
 
         track_feats = fused[:n_carried] if fused is not None else np.zeros((0, FEATURE_DIM))
         prop_feats = (fused[n_carried:] if fused is not None

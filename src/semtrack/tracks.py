@@ -93,6 +93,10 @@ class TrackSet:
                 values = [float(v) for v in parts[:7]]
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"{path}:{lineno}: non-finite field")
+                if not (values[0].is_integer() and values[1].is_integer()):
+                    raise ValueError(f"{path}:{lineno}: frame and id must be integers")
+                if values[0] < 1:
+                    raise ValueError(f"{path}:{lineno}: frames start at 1, got {parts[0]}")
                 out.add(TrackRecord(frame=int(values[0]) - 1, track_id=int(values[1]),
                                     box=tuple(values[2:6]), confidence=values[6]))
         return out

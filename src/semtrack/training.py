@@ -15,6 +15,13 @@ scene as one stack of rows: one query embedding, one student call (its
 attention masked to each frame's rows) and one box-head call per scene. The
 losses are those of running the frames one by one, up to summation order.
 
+The teacher is frozen, so on a fixed corpus everything a step computes
+before the model runs is a constant of the scene: proposal descriptors,
+gt labels and what the losses derive from them, teacher embeddings and
+frame quality. Each :class:`SceneSample` caches them on its first step
+(keyed on the teacher seed and the quality ranges where those matter), so
+only the first epoch computes them; see :class:`SceneSample`.
+
 One training step consumes one scene; plain gradient descent with a single
 x0.1 learning-rate drop two-thirds of the way through the epoch budget.
 """
@@ -22,7 +29,7 @@ x0.1 learning-rate drop two-thirds of the way through the epoch budget.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +40,7 @@ from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix, Tape
 from semtrack.scenes import Detection, detections_by_frame
 from semtrack.teacher import pseudo_teacher
-from semtrack.tracker import TrackerConfig, TrackerModel, box_descriptor
+from semtrack.tracker import DESCRIPTOR_DIM, TrackerConfig, TrackerModel, box_descriptor
 from semtrack.tracks import TrackSet, iou_matrix
 
 LOG_COLUMNS = ("step", "l_local", "l_global", "w1", "w2", "l_distill", "l_mot", "total")
@@ -59,14 +66,58 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSample:
-    """One training scene: frames, detections and ground truth."""
+    """One training scene: frames, detections and ground truth.
+
+    Frozen, with a cache of the scene's training constants: everything a
+    step computes that no parameter changes. :func:`scene_losses` fills it on
+    the sample's first step and reads it on every later one, so a scene
+    trained for many epochs pays for the constants once. Entries, each built
+    on first use:
+
+    * ``"plan"``: the :class:`_ScenePlan`, with the stacked proposal
+      descriptors, frame numbering, contrastive pairs and box targets, from
+      the frames, detections and ground truth alone;
+    * ``("teacher", teacher_seed)``: each planned frame's pseudo-teacher
+      embedding, for a model with a student;
+    * ``("quality", quality_ranges)``: the planned frames' F x 1 quality
+      column, for a model with DSWR.
+
+    The cache starts empty, so building a corpus costs nothing extra, and a
+    sample that is never trained, or trained once, computes each constant at
+    most once, as an uncached step would. It is built from the fields, which is why they cannot be
+    reassigned: make a changed scene with ``dataclasses.replace``, which
+    starts an empty cache. The frames, detections and ground truth must not
+    be changed in place after the first step either.
+    """
 
     frames: list[np.ndarray]
     detections: list[Detection]
     gt: TrackSet
     name: str = ""
+    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class _ScenePlan:
+    """The model-independent part of a training step on one scene.
+
+    The rows of every frame with detections are stacked: frame
+    ``frame_ids[k]`` is segment ``k``, and ``segments`` gives each row's
+    segment. Each contrastive pair is (anchor rows, their target indices
+    among the candidates, candidate rows): the gt-matched rows of a frame
+    whose gt id is matched in the next frame too, and all of that next
+    frame's rows. ``box_targets`` holds the normalised gt box of each
+    ``box_rows`` row, every gt-matched row of the scene.
+    """
+
+    frame_ids: list[int]
+    descriptors: np.ndarray
+    segments: np.ndarray
+    pairs: list[tuple[list[int], list[int], range]]
+    box_rows: list[int]
+    box_targets: np.ndarray
 
 
 def match_detections_to_gt(dets: Sequence[Detection], gt_records) -> dict[int, int]:
@@ -80,25 +131,17 @@ def match_detections_to_gt(dets: Sequence[Detection], gt_records) -> dict[int, i
             if ious[r, c] >= MATCH_IOU}
 
 
-def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
-                 tracker_config: TrackerConfig) -> dict:
-    """Differentiable distillation + tracking losses for one scene.
-
-    The rows of every frame with detections are stacked into one matrix and
-    embedded, encoded and box-predicted in one call each; ``segments`` gives
-    each row's frame, counted over the frames with detections only. Returns
-    node and float views of every component; must run inside a Tape for
-    gradients to be recorded.
-    """
+def _scene_plan(sample: SceneSample) -> _ScenePlan:
+    """The scene's :class:`_ScenePlan`, computed afresh."""
     per_frame = detections_by_frame(sample.detections, len(sample.frames))
     gt_by_frame = sample.gt.by_frame()
     height, width = sample.frames[0].shape
 
-    # one pass over the scene: segment k holds the rows of frame frame_ids[k],
-    # rows first_row[k] to first_row[k + 1]
+    # segment k holds the rows of frame frame_ids[k], rows first_row[k] to
+    # first_row[k + 1]
     frame_ids = sorted(per_frame)
-    descriptors = []
-    segments = []
+    descriptors = [np.zeros((0, DESCRIPTOR_DIM))]
+    segments: list[int] = []
     first_row = [0]
     labels: list[dict[int, int]] = []
     for segment, frame_index in enumerate(frame_ids):
@@ -108,41 +151,23 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
                                           [det.box for det in dets]))
         segments.extend([segment] * len(dets))
         labels.append(match_detections_to_gt(dets, gt_by_frame.get(frame_index, [])))
-    zero = Matrix([[0.0]])
-    losses = {"total": zero, "l_mot": zero, "l_distill": zero,
-              "l_local": 0.0, "l_global": 0.0, "w1": 0.0, "w2": 0.0}
-    if not frame_ids:
-        return losses
-    segments = np.array(segments)
-    frames = [sample.frames[frame_index] for frame_index in frame_ids]
-    x = model.embed_descriptors(np.concatenate(descriptors, axis=0))
-    fused, semantic = model.encode_queries(x, frames, tracker_config, segments)
 
-    mot_terms = []
     # association: every gt id seen in consecutive frames must pick its own
     # detection among all of the next frame's candidates
-    normed = ad.l2_normalize_rows(fused)
+    pairs = []
     for segment in range(len(frame_ids) - 1):
         if frame_ids[segment + 1] != frame_ids[segment] + 1:
             continue
-        cur_labels = labels[segment]
-        nxt_labels = labels[segment + 1]
-        if not cur_labels or not nxt_labels:
-            continue
-        id_to_next = {gid: det_idx for det_idx, gid in nxt_labels.items()}
+        id_to_next = {gid: det_idx for det_idx, gid in labels[segment + 1].items()}
         anchor_rows = []
         targets = []
-        for det_idx, gid in sorted(cur_labels.items()):
+        for det_idx, gid in sorted(labels[segment].items()):
             if gid in id_to_next:
                 anchor_rows.append(first_row[segment] + det_idx)
                 targets.append(id_to_next[gid])
-        if not anchor_rows:
-            continue
-        candidates = range(first_row[segment + 1], first_row[segment + 2])
-        sims = ad.matmul(ad.take_rows(normed, anchor_rows),
-                         ad.transpose(ad.take_rows(normed, candidates)))
-        logits = ad.scale(sims, 1.0 / CONTRASTIVE_TEMPERATURE)
-        mot_terms.append(ad.cross_entropy_rows(logits, targets))
+        if anchor_rows:
+            pairs.append((anchor_rows, targets,
+                          range(first_row[segment + 1], first_row[segment + 2])))
 
     # box regression on every gt-matched query
     box_rows = []
@@ -153,9 +178,53 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
             box_rows.append(first_row[segment] + det_idx)
             l, t, w, h = gt_recs[frame_labels[det_idx]].box
             box_targets.append([l / width, t / height, w / width, h / height])
-    if box_rows:
-        predicted = model.predict_boxes(ad.take_rows(fused, box_rows))
-        mot_terms.append(ad.mean_abs_diff(predicted, Matrix(np.array(box_targets))))
+    return _ScenePlan(frame_ids, np.concatenate(descriptors, axis=0), np.array(segments),
+                     pairs, box_rows, np.array(box_targets))
+
+
+def _constant(sample: SceneSample, key, build):
+    """The sample's cached value under ``key``, from ``build()`` on first
+    use. A ``None`` is not kept: it is built again on the next use."""
+    value = sample._constants.get(key)
+    if value is None:
+        value = sample._constants[key] = build()
+    return value
+
+
+def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
+                 tracker_config: TrackerConfig) -> dict:
+    """Differentiable distillation + tracking losses for one scene.
+
+    The rows of every frame with detections are embedded, encoded and
+    box-predicted in one call each, as the sample's :class:`_ScenePlan`
+    stacks them. The plan, teacher embeddings and quality column come from
+    the sample's cache (see :class:`SceneSample`). Returns node and float
+    views of every component; must run inside a Tape for gradients to be
+    recorded.
+    """
+    plan = _constant(sample, "plan", lambda: _scene_plan(sample))
+    zero = Matrix([[0.0]])
+    losses = {"total": zero, "l_mot": zero, "l_distill": zero,
+              "l_local": 0.0, "l_global": 0.0, "w1": 0.0, "w2": 0.0}
+    if not plan.frame_ids:
+        return losses
+    frames = [sample.frames[frame_index] for frame_index in plan.frame_ids]
+    ranges = tracker_config.quality_ranges
+    quality = _constant(sample, ("quality", ranges),
+                        lambda: model.quality_column(frames, ranges))
+    x = model.embed_descriptors(plan.descriptors)
+    fused, semantic = model.encode_queries(x, quality, plan.segments)
+
+    mot_terms = []
+    normed = ad.l2_normalize_rows(fused)
+    for anchor_rows, targets, candidates in plan.pairs:
+        sims = ad.matmul(ad.take_rows(normed, anchor_rows),
+                         ad.transpose(ad.take_rows(normed, candidates)))
+        logits = ad.scale(sims, 1.0 / CONTRASTIVE_TEMPERATURE)
+        mot_terms.append(ad.cross_entropy_rows(logits, targets))
+    if plan.box_rows:
+        predicted = model.predict_boxes(ad.take_rows(fused, plan.box_rows))
+        mot_terms.append(ad.mean_abs_diff(predicted, Matrix(plan.box_targets)))
 
     if mot_terms:
         l_mot = mot_terms[0]
@@ -164,8 +233,10 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
         losses["total"] = losses["l_mot"] = ad.scale(l_mot, 1.0 / len(mot_terms))
     if semantic is None:
         return losses
-    breakdown = model.dcsd.loss(
-        semantic, segments, [pseudo_teacher(frame, train.teacher_seed) for frame in frames])
+    seed = train.teacher_seed
+    teachers = _constant(sample, ("teacher", seed),
+                         lambda: [pseudo_teacher(frame, seed) for frame in frames])
+    breakdown = model.dcsd.loss(semantic, plan.segments, teachers)
     losses.update(
         total=ad.add(ad.scale(breakdown.loss_node, train.alpha),
                      ad.scale(losses["l_mot"], 1.0 - train.alpha)),

@@ -1,6 +1,6 @@
 """Reference implementations for tests: brute-force metric oracles for tiny
-cases, a one-box-at-a-time proposal descriptor, and a frame-by-frame
-reference for the training losses.
+cases, the bilinear resize formula, a one-box-at-a-time proposal descriptor,
+and a frame-by-frame reference for the training losses.
 
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
@@ -201,6 +201,25 @@ def random_tiny_case(rng, max_ids=3, max_frames=4):
     return random_set(True), random_set(False)
 
 
+def reference_bilinear_resize(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """``frames.resize(frame, out_h, out_w, "bilinear")`` for a frame whose
+    size changes, written with one row gather per corner and each weight
+    spelled out where it is used."""
+    frame = np.asarray(frame, dtype=np.float64)
+    h, w = frame.shape
+    src_r = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
+    src_c = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
+    r0 = np.minimum(src_r.astype(np.int64), h - 2) if h > 1 else np.zeros(out_h, np.int64)
+    c0 = np.minimum(src_c.astype(np.int64), w - 2) if w > 1 else np.zeros(out_w, np.int64)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fr = (src_r - r0)[:, None]
+    fc = (src_c - c0)[None, :]
+    top = frame[r0][:, c0] * (1 - fc) + frame[r0][:, c1] * fc
+    bottom = frame[r1][:, c0] * (1 - fc) + frame[r1][:, c1] * fc
+    return top * (1 - fr) + bottom * fr
+
+
 def per_box_descriptor(frame: np.ndarray, box) -> np.ndarray:
     """1 x 70 descriptor of one box: its pixel crop resized to 8x8 by
     ``frames.resize``, as :func:`semtrack.tracker.box_descriptor` computes it
@@ -234,7 +253,8 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
     for f in sorted(per_frame):
         frame, dets = sample.frames[f], per_frame[f]
         x = model.embed_descriptors(box_descriptor(frame, [det.box for det in dets]))
-        fused[f], semantic = model.encode_queries(x, [frame], tracker_config)
+        quality = model.quality_column([frame], tracker_config.quality_ranges)
+        fused[f], semantic = model.encode_queries(x, quality)
         labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []))
         if semantic is not None:
             breakdowns.append(model.dcsd.loss(semantic, [0] * semantic.rows,

@@ -128,6 +128,28 @@ def test_read_rejects_a_non_finite_field(tmp_path, field, value):
         TrackSet.read(path)
 
 
+@pytest.mark.parametrize("frame, track_id, message", [
+    ("1.7", "2", "frame and id must be integers"),
+    ("2", "2.9", "frame and id must be integers"),
+    ("1.5e0", "1", "frame and id must be integers"),
+    ("0", "1", "frames start at 1, got 0"),
+    ("-3", "1", "frames start at 1, got -3")])
+def test_read_rejects_a_fractional_or_out_of_range_frame_or_id(tmp_path, frame, track_id,
+                                                              message):
+    path = tmp_path / "pred.txt"
+    path.write_text("1,2,0.00,0.00,5.00,5.00,0.500000,-1,-1,-1\n"
+                    f"{frame},{track_id},3.00,4.00,10.00,12.00,1.000000,-1,-1,-1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        TrackSet.read(path)
+
+
+def test_read_accepts_integers_written_as_floats(tmp_path):
+    path = tmp_path / "pred.txt"
+    path.write_text("2.0,3.00,0.00,0.00,5.00,5.00,0.500000,-1,-1,-1\n")
+    (record,) = TrackSet.read(path).records
+    assert (record.frame, record.track_id) == (1, 3)
+
+
 def table_case():
     """Frames 0, 1 and 4 hold both sides (frame 1 two boxes of each), frame 2
     ground truth only, frame 3 predictions only; ids not added in order."""

@@ -1,11 +1,14 @@
 import csv
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from semtrack import autodiff as ad
+from semtrack import tracker, training
 from semtrack.autodiff import Matrix, Tape
 from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain, apply_chain
+from semtrack.quality import QualityRanges
 from semtrack.scenes import (Detection, DetectorNoise, detections_by_frame,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
@@ -119,18 +122,76 @@ def assert_matches_per_frame_reference(model, sample):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_scene_losses_match_the_per_frame_reference(variant):
+    # the first call fills the sample's cache, the second reads it
     sample = make_sample(seed=22, degraded=True, num_frames=6)
     model = TrackerModel(variant, TINY_STUDENT, seed=23)
-    got = assert_matches_per_frame_reference(model, sample)
-    assert got["l_mot"] > 0.0
-    assert (got["l_distill"] > 0.0) == (variant != "baseline")
+    first = assert_matches_per_frame_reference(model, sample)
+    assert assert_matches_per_frame_reference(model, sample) == first
+    assert first["l_mot"] > 0.0
+    assert (first["l_distill"] > 0.0) == (variant != "baseline")
+
+
+CONSTANT_BUILDERS = ((training, "box_descriptor"), (training, "match_detections_to_gt"),
+                     (training, "pseudo_teacher"), (tracker, "assess_quality"))
+
+
+def test_later_steps_on_a_sample_reuse_its_constants(monkeypatch):
+    calls = {name: 0 for _, name in CONSTANT_BUILDERS}
+    for module, name in CONSTANT_BUILDERS:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    sample = make_sample(seed=2, num_frames=5)
+    model = TrackerModel("full", TINY_STUDENT, seed=3)
+    config = TrainConfig(alpha=0.4)
+
+    def step(scene):
+        before = dict(calls)
+        total = scene_losses(model, scene, config, TrackerConfig())["total"].item()
+        return total, {name: calls[name] - before[name] for name in calls}
+
+    total, first = step(sample)
+    assert total == TOTAL_SEED2_FULL
+    assert all(count > 0 for count in first.values()), first
+    assert step(sample) == (total, dict.fromkeys(calls, 0))
+    # a replaced sample starts with an empty cache
+    assert step(replace(sample)) == (total, first)
+
+
+def test_a_changed_key_gives_the_losses_of_a_fresh_sample():
+    sample = make_sample(seed=2, degraded=True, num_frames=5)
+    model = TrackerModel("full", TINY_STUDENT, seed=3)
+
+    def values(scene, train_config, tracker_config):
+        losses = scene_losses(model, scene, train_config, tracker_config)
+        return {k: v.item() if isinstance(v, Matrix) else v for k, v in losses.items()}
+
+    # a model without DSWR reads no quality, so it leaves none for the next
+    scene_losses(TrackerModel("distill", TINY_STUDENT, seed=3), sample,
+                 TrainConfig(alpha=0.4), TrackerConfig())
+    default = values(sample, TrainConfig(alpha=0.4), TrackerConfig())
+    for train_config, tracker_config in [
+            (TrainConfig(alpha=0.4, teacher_seed=1), TrackerConfig()),
+            (TrainConfig(alpha=0.4), TrackerConfig(QualityRanges(contrast=(0.0, 0.2)))),
+            (TrainConfig(alpha=0.4), TrackerConfig())]:
+        got = values(sample, train_config, tracker_config)
+        assert got == values(replace(sample), train_config, tracker_config)
+        assert (got == default) == (train_config.teacher_seed == 0
+                                    and tracker_config == TrackerConfig())
+
+
+def test_a_sample_cannot_be_reassigned():
+    sample = make_sample(seed=2, num_frames=5)
+    with pytest.raises(FrozenInstanceError):
+        sample.detections = []
 
 
 def test_detection_free_frames_keep_numbering_and_pairing(monkeypatch):
     # frame 2 of 5 has no detection: frames 0, 1, 3, 4 become segments 0-3,
     # and only the consecutive pairs (0, 1) and (3, 4) give contrastive terms
     sample = make_sample(seed=24, degraded=True, num_frames=5)
-    sample.detections = [d for d in sample.detections if d.frame != 2]
+    sample = replace(sample, detections=[d for d in sample.detections if d.frame != 2])
     model = TrackerModel("full", TINY_STUDENT, seed=25)
     assert_matches_per_frame_reference(model, sample)
 
@@ -157,8 +218,7 @@ def test_detection_free_frames_keep_numbering_and_pairing(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["baseline", "full"])
 def test_scene_without_detections_trains_a_zero_step(variant):
-    sample = make_sample(seed=26, num_frames=4)
-    sample.detections = []
+    sample = replace(make_sample(seed=26, num_frames=4), detections=[])
     model = TrackerModel(variant, TINY_STUDENT, seed=27)
     before = {name: p.value.data.copy() for name, p in model.named_parameters().items()}
     with Tape() as tape:
@@ -174,7 +234,8 @@ def test_scene_without_detections_trains_a_zero_step(variant):
 def test_detection_outside_the_scene_is_rejected():
     # a detection past the last frame must fail here as it does in tracking
     sample = make_sample(seed=4, num_frames=32)
-    sample.detections.append(Detection(frame=37, box=(0, 0, 5, 5), confidence=0.9))
+    sample = replace(sample, detections=sample.detections
+                     + [Detection(frame=37, box=(0, 0, 5, 5), confidence=0.9)])
     with pytest.raises(ValueError, match="frame 37 outside sequence of 32"):
         scene_losses(TrackerModel("baseline", seed=5), sample, TrainConfig(alpha=0.4),
                      TrackerConfig())
