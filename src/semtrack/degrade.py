@@ -7,12 +7,22 @@ ground-truth boxes stay valid; every chain output is clamped to [0, 1]. Noise
 draws are keyed by (master seed, op seed, sequence id, frame index), so whole
 corpora regenerate bit-identically without global RNG state. Chains are built
 from the JSON op specs an ``ExperimentConfig`` holds; frames stay in memory.
+
+:func:`apply_chain` degrades one whole sequence per call. Its frames are
+independent, so they are spread over a thread per CPU; each frame's result
+is what the chain gives that frame alone, bit for bit and in the same memory
+layout, whatever the number of workers.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -102,19 +112,49 @@ def _gaussian_kernel(sigma: float, size: int) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _convolve_axis(frame: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _reflect_index(size: int, half: int) -> np.ndarray:
+    """Source index of each position of a ``size`` axis reflect-padded by
+    ``half`` on both sides, as ``np.pad(..., mode="reflect")`` lays it out
+    (including axes shorter than the pad); read-only, since it is cached."""
+    index = np.pad(np.arange(size), half, mode="reflect")
+    index.setflags(write=False)
+    return index
+
+
+def _blur(frame: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Separable convolution with reflect padding, rows first, into a new array.
+
+    Each axis sums its taps in kernel order onto zeros, one scaled copy of the
+    padded frame at a time, so the result is the same bit for bit as adding
+    ``k * padded[i:i + n]`` tap by tap onto ``zeros_like(frame)``. One padded
+    buffer serves both axes, and the row pass's output is reused for the
+    column pass's once the padded buffer holds it."""
     half = kernel.size // 2
     if half == 0:
         return frame * kernel[0]
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (half, half)
-    padded = np.pad(frame, pad, mode="reflect")
+    h, w = frame.shape
+    rows, cols = _reflect_index(h, half), _reflect_index(w, half)
+    buffer = np.empty((h + 2 * half) * (w + 2 * half))
+    scratch = np.empty_like(frame)
     out = np.zeros_like(frame)
+
+    padded = buffer[:(h + 2 * half) * w].reshape(h + 2 * half, w)
+    padded[half:half + h] = frame
+    padded[:half] = frame[rows[:half]]
+    padded[half + h:] = frame[rows[half + h:]]
     for i, k in enumerate(kernel):
-        if axis == 0:
-            out += k * padded[i:i + frame.shape[0], :]
-        else:
-            out += k * padded[:, i:i + frame.shape[1]]
+        np.multiply(padded[i:i + h], k, out=scratch)
+        out += scratch
+
+    padded = buffer[:h * (w + 2 * half)].reshape(h, w + 2 * half)
+    padded[:, half:half + w] = out
+    padded[:, :half] = out[:, cols[:half]]
+    padded[:, half + w:] = out[:, cols[half + w:]]
+    out.fill(0.0)
+    for i, k in enumerate(kernel):
+        np.multiply(padded[:, i:i + w], k, out=scratch)
+        out += scratch
     return out
 
 
@@ -127,31 +167,89 @@ def _noise_rng(chain: DegradationChain, op: GaussianNoise,
     return np.random.Generator(np.random.Philox(seq))
 
 
-def apply_chain(chain: DegradationChain, frame: np.ndarray,
-                sequence_id: str = "", frame_index: int = 0) -> np.ndarray:
-    """Run the full operator chain on one frame; output clamped to [0, 1]."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 2 or frame.size == 0:
-        raise ValueError(f"frame must be a non-empty 2-D array, got {frame.shape}")
-    if frame.min() < 0.0 or frame.max() > 1.0:
-        raise ValueError("frame values must lie in [0, 1]")
+def _degrade_frame(chain: DegradationChain, frame: np.ndarray, sequence_id: str,
+                   frame_index: int) -> np.ndarray:
+    """The chain's output on one checked frame, before clamping. Never writes
+    to ``frame``."""
     h, w = frame.shape
-    out = frame.copy()
     for op in chain.ops:
         if isinstance(op, GaussianBlur):
-            kernel = _gaussian_kernel(op.sigma, op.kernel_size)
-            out = _convolve_axis(_convolve_axis(out, kernel, axis=0), kernel, axis=1)
+            frame = _blur(frame, _gaussian_kernel(op.sigma, op.kernel_size))
         elif isinstance(op, Downsample):
             small_h = max(1, int(round(h * op.scale)))
             small_w = max(1, int(round(w * op.scale)))
-            out = resize(resize(out, small_h, small_w, op.resample), h, w, op.resample)
+            frame = resize(resize(frame, small_h, small_w, op.resample), h, w, op.resample)
         elif isinstance(op, GaussianNoise):
             if op.sigma > 0.0:
                 rng = _noise_rng(chain, op, sequence_id, frame_index)
-                out = out + rng.normal(0.0, op.sigma, size=out.shape)
+                noise = rng.normal(0.0, op.sigma, size=frame.shape)
+                frame = np.add(frame, noise, out=noise)
         else:  # pragma: no cover - op types are closed
             raise TypeError(f"unknown op {op!r}")
-    return np.clip(out, 0.0, 1.0)
+    return frame
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _frame_pool() -> ThreadPoolExecutor:
+    """The module's frame workers, built on first use: at most one thread
+    per CPU this process may run on."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
+                                       thread_name_prefix="semtrack-degrade")
+        return _pool
+
+
+def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
+                sequence_id: str = "") -> list[np.ndarray]:
+    """Run the full operator chain on every frame of one sequence; frame i
+    draws its noise under frame index i. Returns the degraded frames, clamped
+    to [0, 1], as views of one F x h x w block.
+
+    Every frame is checked before any is degraded: each must be a non-empty
+    2-D array of finite values in [0, 1], all of one shape. The caller's
+    thread degrades frame 0, whose memory layout (set by the chain's last op,
+    and the same for every frame of one shape) the block's frames then share,
+    so later reductions over a frame sum in the same order as over a frame
+    degraded alone. The module's worker threads degrade the other frames, one
+    task per frame, each clamping its frame into its own slice of the block;
+    NumPy releases the interpreter lock in the arithmetic, so frames run on
+    every CPU, and since no frame reads another's result the output does not
+    depend on the number of workers.
+    """
+    frames = [np.ascontiguousarray(frame, dtype=np.float64) for frame in frames]
+    if not frames:
+        return []
+    for index, frame in enumerate(frames):
+        if frame.ndim != 2 or frame.size == 0:
+            raise ValueError(f"frame {index} must be a non-empty 2-D array, "
+                             f"got {frame.shape}")
+        if frame.shape != frames[0].shape:
+            raise ValueError(f"frame {index} has shape {frame.shape}, frame 0 "
+                             f"has {frames[0].shape}")
+        # written so that NaN fails too: every comparison with NaN is False
+        if not (frame.min() >= 0.0 and frame.max() <= 1.0):
+            raise ValueError(f"frame {index} must hold finite values in [0, 1]")
+    first = _degrade_frame(chain, frames[0], sequence_id, 0)
+    h, w = first.shape
+    if first.flags.c_contiguous:
+        block = np.empty((len(frames), h, w))
+    else:
+        block = np.empty((len(frames), w, h)).transpose(0, 2, 1)
+
+    def degrade(index: int) -> None:
+        np.clip(_degrade_frame(chain, frames[index], sequence_id, index), 0.0, 1.0,
+                out=block[index])
+
+    tasks = _frame_pool().map(degrade, range(1, len(frames)))
+    np.clip(first, 0.0, 1.0, out=block[0])
+    for _ in tasks:   # re-raises a worker's exception here
+        pass
+    return list(block)
 
 
 def partition_sequences(sequence_ids: list[str], ratio: tuple[int, int],

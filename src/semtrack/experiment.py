@@ -9,7 +9,10 @@ evaluation scene i adds ``EVAL_SEED_OFFSET`` to both, and the config caps
 Degradation keys off the sequence name, so every run of the same snapshot is
 bit-identical. ``ratio`` picks the degraded share of the training scenes;
 ``ratio=None`` degrades none of them. Every evaluation scene is degraded by
-``degradation_chain``; an empty chain gives a clean corpus.
+``degradation_chain``; an empty chain gives a clean corpus. A scene is
+degraded by one :func:`~semtrack.degrade.apply_chain` call over its frames,
+which spreads them over the CPUs; its output does not depend on the number
+of worker threads.
 
 The sweeps (:func:`ablation_trend`, :func:`alpha_sweep`, :func:`ratio_sweep`)
 only build ``{name: (config, variant)}``; :func:`run_sweep` trains and scores
@@ -55,9 +58,7 @@ def _make_sample(config: ExperimentConfig, scene_seed: int, detector_seed: int,
     )
     frames, gt = generate_scene(scene_config)
     if degraded:
-        chain = config.chain()
-        frames = [apply_chain(chain, frame, sequence_id=name, frame_index=i)
-                  for i, frame in enumerate(frames)]
+        frames = apply_chain(config.chain(), frames, sequence_id=name)
     detections = synth_detector(frames, gt, config.detector, seed=detector_seed)
     return SceneSample(frames=frames, detections=detections, gt=gt, name=name)
 

@@ -66,7 +66,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneSample:
     """One training scene: frames, detections and ground truth.
 
@@ -87,16 +87,25 @@ class SceneSample:
     The cache starts empty, so building a corpus costs nothing extra, and a
     sample that is never trained, or trained once, computes each constant at
     most once, as an uncached step would. It is built from the fields, which is why they cannot be
-    reassigned: make a changed scene with ``dataclasses.replace``, which
-    starts an empty cache. The frames, detections and ground truth must not
-    be changed in place after the first step either.
+    reassigned, and why ``frames`` and ``detections`` are stored as tuples,
+    whatever sequence they are given as: make a changed scene with
+    ``dataclasses.replace``, which starts an empty cache. The frame arrays
+    and the ground truth must not be changed in place after the first step
+    either.
+
+    Two samples are equal only when they are the same object: a field-wise
+    comparison would compare frame arrays, whose truth value is ambiguous.
     """
 
-    frames: list[np.ndarray]
-    detections: list[Detection]
+    frames: tuple[np.ndarray, ...]
+    detections: tuple[Detection, ...]
     gt: TrackSet
     name: str = ""
-    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _constants: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "detections", tuple(self.detections))
 
 
 @dataclass(frozen=True)

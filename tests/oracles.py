@@ -1,6 +1,7 @@
 """Reference implementations for tests: brute-force metric oracles for tiny
 cases, the bilinear resize formula, a one-box-at-a-time proposal descriptor,
-and a frame-by-frame reference for the training losses.
+a frame-by-frame reference for the training losses, and a one-frame
+degradation chain.
 
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
@@ -20,6 +21,8 @@ import numpy as np
 
 from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix
+from semtrack.degrade import (DegradationChain, Downsample, GaussianBlur, GaussianNoise,
+                              _gaussian_kernel, _noise_rng)
 from semtrack.frames import resize
 from semtrack.scenes import detections_by_frame
 from semtrack.teacher import pseudo_teacher
@@ -218,6 +221,46 @@ def reference_bilinear_resize(frame: np.ndarray, out_h: int, out_w: int) -> np.n
     top = frame[r0][:, c0] * (1 - fc) + frame[r0][:, c1] * fc
     bottom = frame[r1][:, c0] * (1 - fc) + frame[r1][:, c1] * fc
     return top * (1 - fr) + bottom * fr
+
+
+def _reference_convolve_axis(frame: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    half = kernel.size // 2
+    if half == 0:
+        return frame * kernel[0]
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (half, half)
+    padded = np.pad(frame, pad, mode="reflect")
+    out = np.zeros_like(frame)
+    for i, k in enumerate(kernel):
+        if axis == 0:
+            out += k * padded[i:i + frame.shape[0], :]
+        else:
+            out += k * padded[:, i:i + frame.shape[1]]
+    return out
+
+
+def reference_apply_chain(chain: DegradationChain, frame: np.ndarray,
+                          sequence_id: str = "", frame_index: int = 0) -> np.ndarray:
+    """Frame ``frame_index`` of :func:`semtrack.degrade.apply_chain` on a
+    sequence, computed for that frame alone: ``np.pad`` and one temporary per
+    blur tap, a fresh array per op, the noise keyed as the sequence call keys
+    it."""
+    frame = np.asarray(frame, dtype=np.float64)
+    h, w = frame.shape
+    out = frame.copy()
+    for op in chain.ops:
+        if isinstance(op, GaussianBlur):
+            kernel = _gaussian_kernel(op.sigma, op.kernel_size)
+            out = _reference_convolve_axis(_reference_convolve_axis(out, kernel, 0), kernel, 1)
+        elif isinstance(op, Downsample):
+            small_h = max(1, int(round(h * op.scale)))
+            small_w = max(1, int(round(w * op.scale)))
+            out = resize(resize(out, small_h, small_w, op.resample), h, w, op.resample)
+        elif isinstance(op, GaussianNoise):
+            if op.sigma > 0.0:
+                rng = _noise_rng(chain, op, sequence_id, frame_index)
+                out = out + rng.normal(0.0, op.sigma, size=out.shape)
+    return np.clip(out, 0.0, 1.0)
 
 
 def per_box_descriptor(frame: np.ndarray, box) -> np.ndarray:

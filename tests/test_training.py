@@ -30,8 +30,7 @@ def make_sample(seed=0, degraded=False, num_frames=8):
     frames, gt = generate_scene(config)
     if degraded:
         chain = DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=seed)
-        frames = [apply_chain(chain, f, sequence_id=f"s{seed}", frame_index=i)
-                  for i, f in enumerate(frames)]
+        frames = apply_chain(chain, frames, sequence_id=f"s{seed}")
     dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=0.5), seed=seed + 1)
     return SceneSample(frames=frames, detections=dets, gt=gt, name=f"s{seed}")
 
@@ -187,6 +186,24 @@ def test_a_sample_cannot_be_reassigned():
         sample.detections = []
 
 
+def test_a_sample_cannot_be_changed_in_place():
+    sample = make_sample(seed=2, num_frames=5)
+    scene_losses(TrackerModel("baseline", seed=3), sample, TrainConfig(), TrackerConfig())
+    with pytest.raises(TypeError):
+        sample.detections[:] = [d for d in sample.detections if d.frame != 2]
+    with pytest.raises(TypeError):
+        sample.frames[0] = np.zeros_like(sample.frames[0])
+    with pytest.raises(AttributeError):
+        sample.detections.append(sample.detections[0])
+    assert replace(sample, detections=list(sample.detections)).detections == sample.detections
+
+
+def test_samples_are_equal_only_to_themselves():
+    a, b = make_sample(seed=2, num_frames=5), make_sample(seed=2, num_frames=5)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_detection_free_frames_keep_numbering_and_pairing(monkeypatch):
     # frame 2 of 5 has no detection: frames 0, 1, 3, 4 become segments 0-3,
     # and only the consecutive pairs (0, 1) and (3, 4) give contrastive terms
@@ -235,7 +252,7 @@ def test_detection_outside_the_scene_is_rejected():
     # a detection past the last frame must fail here as it does in tracking
     sample = make_sample(seed=4, num_frames=32)
     sample = replace(sample, detections=sample.detections
-                     + [Detection(frame=37, box=(0, 0, 5, 5), confidence=0.9)])
+                     + (Detection(frame=37, box=(0, 0, 5, 5), confidence=0.9),))
     with pytest.raises(ValueError, match="frame 37 outside sequence of 32"):
         scene_losses(TrackerModel("baseline", seed=5), sample, TrainConfig(alpha=0.4),
                      TrackerConfig())
