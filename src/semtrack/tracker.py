@@ -3,7 +3,11 @@
 Each detection becomes a proposal query: a 70-value descriptor (normalized
 box geometry, an 8x8 appearance patch, and the patch mean/std) mapped through
 a learned embedding to 256 features. Track queries carry over from the
-previous frame while their confidence stays above 0.5. Every variant but
+previous frame while their confidence stays above 0.5, and a track that can
+no longer be carried is dropped. A match sets a track's confidence to its
+detection's, which is at most 1; a miss multiplies it by 0.7. So a track
+survives at most one missed frame (1 x 0.7^2 = 0.49), and only from a
+confidence above 0.5 / 0.7 ~ 0.714. Every variant but
 ``baseline`` runs the student encoder, which turns the stacked queries into
 semantic features that are fused back into the queries, with a fixed ratio or
 (``full``) a quality-driven one. Fused track and proposal features are
@@ -46,13 +50,12 @@ _STUDENT_TYPES = typing.get_type_hints(StudentConfig)
 _ENTRY_TYPES = {"name": str, "rows": int, "cols": int, "offset": int}
 
 
-# association gates, track ages and the fixed fusion weight; the paper tunes
-# none of them
+# association gates, confidence thresholds and the fixed fusion weight; the
+# paper tunes none of them
 MATCH_GATE = 0.7
 IOU_WEIGHT = 0.5
 BIRTH_CONFIDENCE = 0.6
 PROPAGATE_CONFIDENCE = 0.5          # strictly-greater propagation threshold
-MAX_AGE = 3
 MISS_DECAY = 0.7
 FIXED_FUSION_WEIGHT = 0.5           # used when the student runs without DSWR
 
@@ -330,7 +333,6 @@ class _ActiveTrack:
     feature: np.ndarray            # 1 x 256 fused feature
     box: tuple[float, float, float, float]
     confidence: float
-    misses: int = 0
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,71 +344,53 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def track_sequence(frames: list[np.ndarray], detections: list[Detection],
                    model: TrackerModel,
                    config: TrackerConfig = TrackerConfig()) -> TrackSet:
-    """Run the tracker over a frame sequence; returns per-frame records."""
+    """Run the tracker over a frame sequence; returns per-frame records.
+
+    Between frames ``active`` holds exactly the tracks that are carried into
+    the next one: those with confidence above ``PROPAGATE_CONFIDENCE``, in
+    birth order."""
     per_frame = detections_by_frame(detections, len(frames))
     output = TrackSet()
     active: list[_ActiveTrack] = []
     next_id = 1
     for frame_index, frame in enumerate(frames):
         dets = per_frame.get(frame_index, [])
-        carried = [trk for trk in active if trk.confidence > PROPAGATE_CONFIDENCE]
-        rows: list[np.ndarray] = [trk.feature for trk in carried]
-        n_carried = len(rows)
+        rows = [trk.feature for trk in active]
         if dets:
             rows.append(model.embed_descriptors(
                 box_descriptor(frame, [det.box for det in dets])).data)
-        x = Matrix(np.concatenate(rows, axis=0)) if rows else None
-        fused = None
-        if x is not None:
+        fused = np.zeros((0, FEATURE_DIM))
+        if rows:
             quality = model.quality_column([frame], config.quality_ranges)
-            fused = model.encode_queries(x, quality)[0].data
+            fused = model.encode_queries(Matrix(np.concatenate(rows, axis=0)),
+                                         quality)[0].data
+        track_feats, prop_feats = fused[:len(active)], fused[len(active):]
 
-        track_feats = fused[:n_carried] if fused is not None else np.zeros((0, FEATURE_DIM))
-        prop_feats = (fused[n_carried:] if fused is not None
-                      else np.zeros((0, FEATURE_DIM)))
-
-        matched_tracks: set[int] = set()
-        matched_props: set[int] = set()
-        if carried and dets:
+        # every track misses unless a match below gives it its detection's confidence
+        for trk in active:
+            trk.confidence *= MISS_DECAY
+        matched: set[int] = set()
+        if active and dets:
             cost = (1.0 - _cosine(track_feats, prop_feats)
-                    + IOU_WEIGHT * (1.0 - iou_matrix([trk.box for trk in carried],
+                    + IOU_WEIGHT * (1.0 - iou_matrix([trk.box for trk in active],
                                                      [det.box for det in dets])))
             gated = np.where(cost <= MATCH_GATE, cost, 1e9)
-            rows_idx, cols_idx = linear_sum_assignment(gated)
-            for r, c in zip(rows_idx, cols_idx):
+            for r, c in zip(*linear_sum_assignment(gated)):
                 if cost[r, c] <= MATCH_GATE:
-                    trk = carried[r]
-                    trk.box = dets[c].box
+                    trk = active[r]
+                    trk.box, trk.confidence = dets[c].box, dets[c].confidence
                     trk.feature = prop_feats[c:c + 1].copy()
-                    trk.confidence = dets[c].confidence
-                    trk.misses = 0
-                    matched_tracks.add(id(trk))
-                    matched_props.add(c)
+                    matched.add(c)
                     output.add(TrackRecord(frame=frame_index, track_id=trk.track_id,
-                                           box=dets[c].box,
-                                           confidence=dets[c].confidence))
+                                           box=trk.box, confidence=trk.confidence))
 
-        newborn: set[int] = set()
         for c, det in enumerate(dets):
-            if c in matched_props or det.confidence < BIRTH_CONFIDENCE:
+            if c in matched or det.confidence < BIRTH_CONFIDENCE:
                 continue
-            track = _ActiveTrack(track_id=next_id, feature=prop_feats[c:c + 1].copy(),
-                                 box=det.box, confidence=det.confidence)
-            next_id += 1
-            active.append(track)
-            newborn.add(id(track))
-            output.add(TrackRecord(frame=frame_index, track_id=track.track_id,
+            active.append(_ActiveTrack(track_id=next_id, feature=prop_feats[c:c + 1].copy(),
+                                       box=det.box, confidence=det.confidence))
+            output.add(TrackRecord(frame=frame_index, track_id=next_id,
                                    box=det.box, confidence=det.confidence))
-
-        # age everything that neither matched nor was born this frame
-        survivors = []
-        for trk in active:
-            if id(trk) in matched_tracks or id(trk) in newborn:
-                survivors.append(trk)
-                continue
-            trk.misses += 1
-            trk.confidence *= MISS_DECAY
-            if trk.misses <= MAX_AGE:
-                survivors.append(trk)
-        active = survivors
+            next_id += 1
+        active = [trk for trk in active if trk.confidence > PROPAGATE_CONFIDENCE]
     return output

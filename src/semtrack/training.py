@@ -66,6 +66,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
+def _read_only(frame) -> np.ndarray:
+    view = np.asarray(frame).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class SceneSample:
     """One training scene: frames, detections and ground truth.
@@ -88,10 +94,11 @@ class SceneSample:
     sample that is never trained, or trained once, computes each constant at
     most once, as an uncached step would. It is built from the fields, which is why they cannot be
     reassigned, and why ``frames`` and ``detections`` are stored as tuples,
-    whatever sequence they are given as: make a changed scene with
-    ``dataclasses.replace``, which starts an empty cache. The frame arrays
-    and the ground truth must not be changed in place after the first step
-    either.
+    whatever sequence they are given as, and each frame as a read-only view
+    of the array given: make a changed scene with ``dataclasses.replace``,
+    which starts an empty cache. The array given keeps its flags and shares
+    its memory with the view, so it, like the ground truth, must not be
+    changed in place after the first step.
 
     Two samples are equal only when they are the same object: a field-wise
     comparison would compare frame arrays, whose truth value is ambiguous.
@@ -104,7 +111,7 @@ class SceneSample:
     _constants: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "frames", tuple(_read_only(frame) for frame in self.frames))
         object.__setattr__(self, "detections", tuple(self.detections))
 
 

@@ -1,7 +1,7 @@
 """Reference implementations for tests: brute-force metric oracles for tiny
 cases, the bilinear resize formula, a one-box-at-a-time proposal descriptor,
-a frame-by-frame reference for the training losses, and a one-frame
-degradation chain.
+a frame-by-frame reference for the training losses, a one-frame
+degradation chain, and the tracker loop with its miss counter.
 
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
@@ -11,13 +11,19 @@ matching instead of the Hungarian algorithm the implementation uses.
 way the tracker sees frames: one embedding, one student call and one fusion
 per frame, a one-frame distillation loss per frame averaged over frames, and
 the contrastive and box terms built from those per-frame features.
+
+:func:`reference_track_sequence` is the tracker loop before tracks were
+dropped as soon as they could no longer be carried: it keeps every track for
+up to ``MAX_AGE`` misses and filters the carried ones out each frame.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix
@@ -25,10 +31,12 @@ from semtrack.degrade import (DegradationChain, Downsample, GaussianBlur, Gaussi
                               _gaussian_kernel, _noise_rng)
 from semtrack.frames import resize
 from semtrack.scenes import detections_by_frame
+from semtrack.student import FEATURE_DIM
 from semtrack.teacher import pseudo_teacher
-from semtrack.tracker import PATCH, box_descriptor
+from semtrack.tracker import (BIRTH_CONFIDENCE, IOU_WEIGHT, MATCH_GATE, MISS_DECAY, PATCH,
+                              PROPAGATE_CONFIDENCE, TrackerConfig, _cosine, box_descriptor)
 from semtrack.training import CONTRASTIVE_TEMPERATURE, match_detections_to_gt
-from semtrack.tracks import TrackSet, box_iou
+from semtrack.tracks import TrackRecord, TrackSet, box_iou, iou_matrix
 
 
 def all_matchings(n: int, m: int):
@@ -347,3 +355,89 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
         "w1": breakdowns[0].w1,
         "w2": breakdowns[0].w2,
     }
+
+
+MAX_AGE = 3
+
+
+@dataclass
+class _ReferenceTrack:
+    track_id: int
+    feature: np.ndarray
+    box: tuple[float, float, float, float]
+    confidence: float
+    misses: int = 0
+
+
+def reference_track_sequence(frames, detections, model,
+                             config: TrackerConfig = TrackerConfig()) -> TrackSet:
+    """:func:`semtrack.tracker.track_sequence` with every track kept for up
+    to ``MAX_AGE`` misses, carried only while its confidence exceeds
+    ``PROPAGATE_CONFIDENCE``."""
+    per_frame = detections_by_frame(detections, len(frames))
+    output = TrackSet()
+    active: list[_ReferenceTrack] = []
+    next_id = 1
+    for frame_index, frame in enumerate(frames):
+        dets = per_frame.get(frame_index, [])
+        carried = [trk for trk in active if trk.confidence > PROPAGATE_CONFIDENCE]
+        rows = [trk.feature for trk in carried]
+        n_carried = len(rows)
+        if dets:
+            rows.append(model.embed_descriptors(
+                box_descriptor(frame, [det.box for det in dets])).data)
+        x = Matrix(np.concatenate(rows, axis=0)) if rows else None
+        fused = None
+        if x is not None:
+            quality = model.quality_column([frame], config.quality_ranges)
+            fused = model.encode_queries(x, quality)[0].data
+
+        track_feats = fused[:n_carried] if fused is not None else np.zeros((0, FEATURE_DIM))
+        prop_feats = (fused[n_carried:] if fused is not None
+                      else np.zeros((0, FEATURE_DIM)))
+
+        matched_tracks: set[int] = set()
+        matched_props: set[int] = set()
+        if carried and dets:
+            cost = (1.0 - _cosine(track_feats, prop_feats)
+                    + IOU_WEIGHT * (1.0 - iou_matrix([trk.box for trk in carried],
+                                                     [det.box for det in dets])))
+            gated = np.where(cost <= MATCH_GATE, cost, 1e9)
+            rows_idx, cols_idx = linear_sum_assignment(gated)
+            for r, c in zip(rows_idx, cols_idx):
+                if cost[r, c] <= MATCH_GATE:
+                    trk = carried[r]
+                    trk.box = dets[c].box
+                    trk.feature = prop_feats[c:c + 1].copy()
+                    trk.confidence = dets[c].confidence
+                    trk.misses = 0
+                    matched_tracks.add(id(trk))
+                    matched_props.add(c)
+                    output.add(TrackRecord(frame=frame_index, track_id=trk.track_id,
+                                           box=dets[c].box,
+                                           confidence=dets[c].confidence))
+
+        newborn: set[int] = set()
+        for c, det in enumerate(dets):
+            if c in matched_props or det.confidence < BIRTH_CONFIDENCE:
+                continue
+            track = _ReferenceTrack(track_id=next_id, feature=prop_feats[c:c + 1].copy(),
+                                    box=det.box, confidence=det.confidence)
+            next_id += 1
+            active.append(track)
+            newborn.add(id(track))
+            output.add(TrackRecord(frame=frame_index, track_id=track.track_id,
+                                   box=det.box, confidence=det.confidence))
+
+        # age everything that neither matched nor was born this frame
+        survivors = []
+        for trk in active:
+            if id(trk) in matched_tracks or id(trk) in newborn:
+                survivors.append(trk)
+                continue
+            trk.misses += 1
+            trk.confidence *= MISS_DECAY
+            if trk.misses <= MAX_AGE:
+                survivors.append(trk)
+        active = survivors
+    return output

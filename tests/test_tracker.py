@@ -10,7 +10,7 @@ from semtrack.student import StudentConfig
 from semtrack.tracker import (DESCRIPTOR_DIM, PROPAGATE_CONFIDENCE, VARIANTS, TrackerModel,
                               box_descriptor, track_sequence)
 
-from oracles import per_box_descriptor
+from oracles import per_box_descriptor, reference_track_sequence
 
 TINY_STUDENT = StudentConfig(hidden_dim=32, num_heads=2, ff_dim=64)
 
@@ -128,6 +128,23 @@ def test_propagation_threshold_is_strict():
     assert ids(PROPAGATE_CONFIDENCE + 1e-9) == [(0, 1), (1, 1), (2, 1)]
 
 
+def test_one_missed_frame_is_bridged_only_from_above_the_decay_boundary():
+    # a miss multiplies the confidence by MISS_DECAY 0.7: a track born at
+    # 0.72 is still carried after missing frame 1 (0.504 > 0.5), one born at
+    # 0.71 is not (0.497), so frame 2's detection starts a new track
+    frames = [np.random.default_rng(0).uniform(0, 1, (32, 32))] * 3
+    box = (8.0, 8.0, 10.0, 10.0)
+
+    def ids(frame0_confidence):
+        dets = [Detection(frame=0, box=box, confidence=frame0_confidence),
+                Detection(frame=2, box=box, confidence=0.9)]
+        pred = track_sequence(frames, dets, TrackerModel("baseline", seed=0))
+        return [(r.frame, r.track_id) for r in pred]
+
+    assert ids(0.72) == [(0, 1), (2, 1)]
+    assert ids(0.71) == [(0, 1), (2, 2)]
+
+
 def test_low_confidence_detections_do_not_start_tracks():
     frames, gt = generate_scene(separated_scene(seed=11))
     low = [Detection(frame=r.frame, box=r.box, confidence=0.3)
@@ -156,6 +173,24 @@ def test_tracker_determinism():
     pred_b = track_sequence(frames, dets, TrackerModel("full", TINY_STUDENT, seed=5))
     assert [(r.frame, r.track_id, r.box, r.confidence) for r in pred_a] \
         == [(r.frame, r.track_id, r.box, r.confidence) for r in pred_b]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_track_sequence_equals_the_reference(variant):
+    frames, gt = generate_scene(random_scene_config(seed=0, num_targets=6, num_frames=24,
+                                                    jitter=1.5))
+    dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=2.0, fp_rate=0.4,
+                                                    fn_rate=0.3), seed=0)
+    model = TrackerModel(variant, TINY_STUDENT, seed=3)
+    records = [(r.frame, r.track_id, r.box, r.confidence)
+               for r in track_sequence(frames, dets, model)]
+    assert records == [(r.frame, r.track_id, r.box, r.confidence)
+                       for r in reference_track_sequence(frames, dets, model)]
+    # the scene exercises both ends of a track's life: a track carried
+    # through a missed frame, and a match too weak to be carried further
+    seen = {(frame, track_id) for frame, track_id, _, _ in records}
+    assert any((f + 1, i) not in seen and (f + 2, i) in seen for f, i in seen)
+    assert any(confidence <= PROPAGATE_CONFIDENCE for *_, confidence in records)
 
 
 def test_track_survives_short_gap_with_same_id():

@@ -198,6 +198,15 @@ def test_a_sample_cannot_be_changed_in_place():
     assert replace(sample, detections=list(sample.detections)).detections == sample.detections
 
 
+def test_a_sample_frame_is_read_only_but_the_callers_array_is_not():
+    frames, gt = generate_scene(random_scene_config(seed=2, num_targets=2, num_frames=5))
+    sample = SceneSample(frames=frames, detections=[], gt=gt)
+    with pytest.raises(ValueError):
+        sample.frames[0][:] = 0.0
+    assert all(frame.flags.writeable for frame in frames)
+    assert all(np.shares_memory(kept, given) for kept, given in zip(sample.frames, frames))
+
+
 def test_samples_are_equal_only_to_themselves():
     a, b = make_sample(seed=2, num_frames=5), make_sample(seed=2, num_frames=5)
     assert a == a and a != b
