@@ -1,4 +1,4 @@
-"""Dense float64 matrices with reverse-mode gradient recording.
+"""Dense float matrices with reverse-mode gradient recording.
 
 Values are immutable 2-D numpy arrays wrapped in :class:`Matrix`; every op
 takes :class:`Matrix` operands (``concat_*`` a list of them), never raw
@@ -18,11 +18,19 @@ A backward rule closes over its op's inputs and forward arrays, never over
 the tape. Nothing in a recorded graph points back at its tape, so a tape and
 every activation it keeps are freed by reference counting as soon as the last
 name for the tape goes; nothing waits on the cyclic garbage collector.
+
+A matrix holds float64, or float32 when it is given float32 data; every
+other input becomes float64. An op's result takes numpy's type of its
+inputs, so float32 stays float32 and a float32 with a float64 operand gives
+float64. Only float64 is ever recorded: a tape that would record an op with
+a float32 operand raises, so training and its gradients stay float64, and
+float32 serves untaped inference alone.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -76,17 +84,23 @@ class DimensionError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+def _float_type(data) -> type:
+    """float32 for float32 data, float64 for anything else."""
+    return np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+
+
 class Matrix:
-    """Immutable rows x cols float64 value, optionally tied to a tape.
+    """Immutable rows x cols float64 (or float32) value, optionally tied to a
+    tape.
 
     ``grad`` holds the accumulated gradient (a plain ndarray) once a backward
     pass has reached this matrix; it stays ``None`` until then.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64)
+        arr = np.array(data, dtype=_float_type(data))
         if arr.ndim != 2:
             raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -102,7 +116,7 @@ class Matrix:
         out = object.__new__(cls)
         if not np.all(np.isfinite(arr)):
             raise ValueError("operation produced non-finite values")
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.ascontiguousarray(arr, dtype=_float_type(arr))
         arr.flags.writeable = False
         out.data = arr
         out.grad = None
@@ -134,7 +148,8 @@ class Parameter:
     """A (possibly frozen) model weight with an accumulated gradient.
 
     Gradients accumulate across backward passes until :meth:`zero_grad`;
-    frozen parameters never receive gradient.
+    frozen parameters never receive gradient. ``value`` is float64;
+    :meth:`cast` gives it in float32 for inference.
     """
 
     def __init__(self, value, trainable: bool = True, name: str = ""):
@@ -142,6 +157,21 @@ class Parameter:
         self.value.requires_grad = trainable
         self.trainable = trainable
         self.name = name
+        # (the value it was cast from, held weakly; the float32 copy)
+        self._float32: tuple[weakref.ref, Matrix] | None = None
+
+    def cast(self, dtype) -> Matrix:
+        """The value in ``dtype``: ``value`` itself for float64, else a float32
+        copy, cast once per value object. A :meth:`step` or a load replaces
+        ``value``, so the next call casts the new one. The copy requires a
+        gradient as the value does, so a tape refuses to record it."""
+        if np.dtype(dtype) == np.float64:
+            return self.value
+        if self._float32 is None or self._float32[0]() is not self.value:
+            self._float32 = (weakref.ref(self.value),
+                             Matrix(self.value.data.astype(np.float32),
+                                    requires_grad=self.value.requires_grad))
+        return self._float32[1]
 
     @property
     def grad(self) -> Matrix:
@@ -255,11 +285,15 @@ def _emit(inputs: Sequence[Matrix], data: np.ndarray, vjp: Vjp) -> Matrix:
     when any input requires a gradient.
 
     ``vjp(g)`` returns one gradient per input, in input order, or ``None`` for
-    an input that needs none; the tape routes them."""
+    an input that needs none; the tape routes them. Raises ``TypeError``
+    rather than record an op with a float32 input."""
     tape = _active
     needs = tape is not None and any(m.requires_grad for m in inputs)
     out = Matrix._wrap(data, requires_grad=bool(needs))
     if needs:
+        if any(m.data.dtype != np.float64 for m in inputs):
+            raise TypeError("a tape records float64 ops only; float32 is for "
+                            "untaped inference")
         tape._records.append((out, inputs, vjp))
         tape._produced.add(id(out))
     return out

@@ -208,7 +208,8 @@ def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
                 sequence_id: str = "") -> list[np.ndarray]:
     """Run the full operator chain on every frame of one sequence; frame i
     draws its noise under frame index i. Returns the degraded frames, clamped
-    to [0, 1], as views of one F x h x w block.
+    to [0, 1], as read-only views of one F x h x w block, which is read-only
+    too, so no frame can change after a caller has used it.
 
     Every frame is checked before any is degraded: each must be a non-empty
     2-D array of finite values in [0, 1], all of one shape. The caller's
@@ -237,9 +238,10 @@ def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
     first = _degrade_frame(chain, frames[0], sequence_id, 0)
     h, w = first.shape
     if first.flags.c_contiguous:
-        block = np.empty((len(frames), h, w))
+        storage = block = np.empty((len(frames), h, w))
     else:
-        block = np.empty((len(frames), w, h)).transpose(0, 2, 1)
+        storage = np.empty((len(frames), w, h))
+        block = storage.transpose(0, 2, 1)
 
     def degrade(index: int) -> None:
         np.clip(_degrade_frame(chain, frames[index], sequence_id, index), 0.0, 1.0,
@@ -249,6 +251,7 @@ def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
     np.clip(first, 0.0, 1.0, out=block[0])
     for _ in tasks:   # re-raises a worker's exception here
         pass
+    storage.flags.writeable = block.flags.writeable = False
     return list(block)
 
 

@@ -107,7 +107,8 @@ def _reflect(value: float, limit: float) -> float:
 
 
 def generate_scene(config: SceneConfig) -> tuple[list[np.ndarray], TrackSet]:
-    """Render every frame and emit the exact ground-truth track set."""
+    """Render every frame, each a read-only array, and emit the exact
+    ground-truth track set."""
     background = _background(config)
     patches = {t.track_id: np.clip(t.intensity + _texture(t.texture_seed, t.height,
                                                           t.width, t.texture_amp),
@@ -139,6 +140,7 @@ def generate_scene(config: SceneConfig) -> tuple[list[np.ndarray], TrackSet]:
                                box=(float(ix), float(iy), float(target.width),
                                     float(target.height)),
                                confidence=1.0))
+        frame.flags.writeable = False
         frames.append(frame)
     return frames, gt
 

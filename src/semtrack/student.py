@@ -10,6 +10,11 @@ feed-forward -> add -> norm). Each layer's multi-head attention is one
 ``autodiff.multi_head_attention`` op over the query, key and value
 projections, and every projection one ``autodiff.linear`` op.
 
+The forward runs in the input's float type: a float32 input (tracking) reads
+each parameter's float32 copy (:meth:`~semtrack.autodiff.Parameter.cast`),
+so every step stays float32; a float64 input (training) reads the float64
+values.
+
 Attention is the only step that mixes rows, so many independent sets (the
 frames of a training scene) run as one stacked call: ``segments`` labels
 each row with its set, and attention stays within a set. Every other step
@@ -88,13 +93,16 @@ class StudentModel:
         return sum(p.value.rows * p.value.cols
                    for p in self._params.values() if p.trainable)
 
+    def _param(self, name: str, x: Matrix) -> Matrix:
+        """Parameter ``name`` in ``x``'s float type."""
+        return self._params[name].cast(x.data.dtype)
+
     def _apply_linear(self, name: str, x: Matrix) -> Matrix:
-        return ad.linear(x, self._params[f"{name}.weight"].value,
-                         self._params[f"{name}.bias"].value)
+        return ad.linear(x, self._param(f"{name}.weight", x), self._param(f"{name}.bias", x))
 
     def _apply_norm(self, name: str, x: Matrix) -> Matrix:
-        return ad.layer_norm_rows(x, self._params[f"{name}.gain"].value,
-                                  self._params[f"{name}.bias"].value)
+        return ad.layer_norm_rows(x, self._param(f"{name}.gain", x),
+                                  self._param(f"{name}.bias", x))
 
     def _attention(self, layer: int, h: Matrix, segments: Sequence[int] | None) -> Matrix:
         q = self._apply_linear(f"layer{layer}.query", h)

@@ -14,6 +14,12 @@ semantic features that are fused back into the queries, with a fixed ratio or
 associated one-to-one per frame by Hungarian assignment on cosine-plus-IoU
 cost. Per frame, one gather of every box's sample points gives all the
 descriptors, and one track-by-detection IoU matrix gives the IoU term.
+
+When tracking, the student runs in :data:`INFERENCE_DTYPE` (float32): a
+frame's call sees a few rows, so its cost is the reading of the student's
+weights, which float32 halves. Training, the query embedding, the
+quality-driven weight, the fusion (which promotes back to float64) and the
+association costs stay float64, and the bare tracker casts nothing.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ BIRTH_CONFIDENCE = 0.6
 PROPAGATE_CONFIDENCE = 0.5          # strictly-greater propagation threshold
 MISS_DECAY = 0.7
 FIXED_FUSION_WEIGHT = 0.5           # used when the student runs without DSWR
+# the float type of the queries a tracked student reads
+INFERENCE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -362,8 +370,10 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
         fused = np.zeros((0, FEATURE_DIM))
         if rows:
             quality = model.quality_column([frame], config.quality_ranges)
-            fused = model.encode_queries(Matrix(np.concatenate(rows, axis=0)),
-                                         quality)[0].data
+            queries = np.concatenate(rows, axis=0)
+            if model.student is not None:
+                queries = queries.astype(INFERENCE_DTYPE)
+            fused = model.encode_queries(Matrix(queries), quality)[0].data
         track_feats, prop_feats = fused[:len(active)], fused[len(active):]
 
         # every track misses unless a match below gives it its detection's confidence

@@ -98,7 +98,9 @@ class SceneSample:
     of the array given: make a changed scene with ``dataclasses.replace``,
     which starts an empty cache. The array given keeps its flags and shares
     its memory with the view, so it, like the ground truth, must not be
-    changed in place after the first step.
+    changed in place after the first step. The corpus builders cannot: the
+    frames of ``scenes.generate_scene`` and ``degrade.apply_chain`` are
+    read-only where they are made.
 
     Two samples are equal only when they are the same object: a field-wise
     comparison would compare frame arrays, whose truth value is ambiguous.

@@ -487,3 +487,110 @@ def test_tape_is_freed_without_the_cyclic_gc():
     finally:
         gc.enable()
     assert w.value.grad is not None and b.value.grad is not None
+
+
+# -- float types: float32 serves untaped inference, everything else is float64
+
+F32_OPS = {
+    "matmul": lambda a, b: ad.matmul(a, ad.transpose(b)),
+    "linear": lambda a, b: ad.linear(a, ad.transpose(b), ad.take_rows(a, [0])),
+    "add": ad.add,
+    "multiply": ad.multiply,
+    "scale": lambda a, b: ad.scale(a, 0.3),
+    "relu": lambda a, b: ad.relu(a),
+    "sigmoid": lambda a, b: ad.sigmoid(a),
+    "softmax_rows": lambda a, b: ad.softmax_rows(a),
+    "l2_normalize_rows": lambda a, b: ad.l2_normalize_rows(a),
+    "layer_norm_rows": lambda a, b: ad.layer_norm_rows(a, ad.take_rows(b, [0]),
+                                                       ad.take_rows(b, [1])),
+    "multi_head_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2),
+    "masked_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2, [0, 1, 1, 0]),
+    "sum_all": lambda a, b: ad.sum_all(a),
+}
+
+
+@pytest.mark.parametrize("op", F32_OPS.values(), ids=F32_OPS.keys())
+def test_float32_input_stays_float32(op):
+    rng = np.random.default_rng(31)
+    a, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    wide = op(Matrix(a), Matrix(b))
+    narrow = op(Matrix(a.astype(np.float32)), Matrix(b.astype(np.float32)))
+    assert wide.data.dtype == np.float64 and narrow.data.dtype == np.float32
+    assert not narrow.data.flags.writeable
+    np.testing.assert_allclose(narrow.data, wide.data, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("data", [
+    np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.float16),
+    np.ones((2, 3), dtype=bool), [[1, 2, 3]], [[1.0, 2.0, 3.0]]],
+    ids=["int64", "float16", "bool", "int-list", "float-list"])
+def test_every_other_input_becomes_float64(data):
+    assert Matrix(data).data.dtype == np.float64
+
+
+def test_float32_with_float64_gives_float64():
+    rng = np.random.default_rng(32)
+    narrow = Matrix(rng.standard_normal((3, 4)).astype(np.float32))
+    wide = Matrix(rng.standard_normal((3, 4)))
+    assert ad.add(narrow, wide).data.dtype == np.float64
+    assert ad.multiply(wide, narrow).data.dtype == np.float64
+    weight, bias = Matrix(rng.standard_normal((4, 2))), Matrix(np.zeros((1, 2)))
+    assert ad.linear(narrow, weight, bias).data.dtype == np.float64
+    assert ad.scalar_mul(Matrix([[2.0]]), narrow).data.dtype == np.float64
+
+
+def test_a_float32_op_that_overflows_still_raises():
+    big = np.full((1, 2), 3e38)
+    assert np.all(np.isfinite(ad.scale(Matrix(big), 10.0).data))   # fine in float64
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            ad.scale(Matrix(big.astype(np.float32)), 10.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            ad.matmul(Matrix(big.astype(np.float32)), Matrix(big.T.astype(np.float32)))
+    with pytest.raises(ValueError, match="non-finite"):
+        Matrix(np.array([[np.inf]], dtype=np.float32))
+
+
+def test_a_tape_refuses_to_record_a_float32_op():
+    rng = np.random.default_rng(33)
+    weight, bias = Parameter(rng.standard_normal((4, 2))), Parameter(np.zeros((1, 2)))
+    narrow = Matrix(rng.standard_normal((3, 4)).astype(np.float32))
+    with Tape() as tape:
+        with pytest.raises(TypeError, match="float64"):
+            ad.linear(narrow, weight.value, bias.value)
+        with pytest.raises(TypeError, match="float64"):
+            ad.relu(Matrix(narrow.data, requires_grad=True))
+        # nothing to record, so nothing to refuse: a constant may be float32
+        assert ad.relu(narrow).data.dtype == np.float32
+        tape.backward(ad.sum_all(ad.linear(Matrix(narrow.data.astype(np.float64)),
+                                           weight.value, bias.value)))
+    assert weight.value.grad.dtype == np.float64
+
+
+def test_cast_is_the_value_in_float64_and_a_cached_copy_in_float32():
+    p = Parameter(np.random.default_rng(34).standard_normal((3, 2)))
+    assert p.cast(np.float64) is p.value
+    narrow = p.cast(np.float32)
+    assert narrow.data.dtype == np.float32 and narrow.requires_grad
+    assert np.array_equal(narrow.data, p.value.data.astype(np.float32))
+    assert p.cast(np.float32) is narrow and p.value.data.dtype == np.float64
+    assert not Parameter([[1.0]], trainable=False).cast(np.float32).requires_grad
+
+
+def test_cast_follows_every_new_value():
+    p = Parameter(np.ones((2, 2)))
+    first = p.cast(np.float32)
+    p.value.grad = np.full((2, 2), 2.0)
+    p.step(0.25)
+    assert np.array_equal(p.cast(np.float32).data, np.full((2, 2), 0.5, dtype=np.float32))
+    p.value = Matrix(np.full((2, 2), 3.0))   # as a model file's load assigns it
+    assert np.array_equal(p.cast(np.float32).data, np.full((2, 2), 3.0, dtype=np.float32))
+    assert np.array_equal(first.data, np.ones((2, 2)))
+
+
+def test_cast_keeps_no_replaced_value_alive():
+    p = Parameter(np.ones((2, 2)))
+    p.cast(np.float32)
+    old = weakref.ref(p.value)
+    p.value = Matrix(np.zeros((2, 2)))
+    assert old() is None

@@ -128,6 +128,19 @@ def test_the_caller_frames_are_left_unchanged():
     assert all(np.array_equal(a, b) for a, b in zip(frames, copies))
 
 
+@pytest.mark.parametrize("chain", [DEFAULT, NOISE_FIRST, DegradationChain()],
+                         ids=["default", "noise-first", "empty"])
+def test_the_returned_block_cannot_be_written(chain):
+    # the block is what every frame's base is, whatever its memory layout
+    frames = apply_chain(chain, random_sequence(3, (16, 12)))
+    block = frames[0].base
+    assert all(frame.base is block for frame in frames)
+    for array in (*frames, block):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
+
+
 @pytest.mark.parametrize("workers", [1, 8])
 def test_output_does_not_depend_on_the_worker_count(monkeypatch, workers):
     # 8 workers, more than the CPUs, switching often: a frame written into

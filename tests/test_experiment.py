@@ -55,6 +55,18 @@ def test_corpora_rebuilt_from_one_config_are_byte_identical():
     assert pickle.dumps(training_corpus(rebuilt)) == pickle.dumps(training_corpus(config))
 
 
+@pytest.mark.parametrize("chain", [None, ()], ids=["degraded", "clean"])
+def test_no_corpus_frame_nor_the_memory_under_it_can_be_written(chain):
+    config = small_config(ratio=(1, 1))
+    if chain is not None:
+        config = replace(config, degradation_chain=chain)
+    for sample in training_corpus(config) + evaluation_corpus(config):
+        for frame in sample.frames:
+            assert not frame.flags.writeable and not frame.base.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                frame.base[...] = 0.0
+
+
 def clean_frames(config, index):
     scene = random_scene_config(seed=config.seeds.scenes + index,
                                 num_targets=config.scene.num_targets,

@@ -45,6 +45,14 @@ def test_frames_stay_in_unit_range():
         assert frame.min() >= 0.0 and frame.max() <= 1.0
 
 
+def test_frames_are_read_only():
+    frames, _ = generate_scene(random_scene_config(seed=5, num_frames=3))
+    for frame in frames:
+        assert frame.base is None and not frame.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0, 0] = 0.5
+
+
 def test_scene_validation():
     with pytest.raises(ValueError):
         SceneConfig(targets=())

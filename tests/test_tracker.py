@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from semtrack.autodiff import Matrix
 from semtrack.metrics import evaluate
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig
-from semtrack.tracker import (DESCRIPTOR_DIM, PROPAGATE_CONFIDENCE, VARIANTS, TrackerModel,
-                              box_descriptor, track_sequence)
+from semtrack.tracker import (DESCRIPTOR_DIM, INFERENCE_DTYPE, PROPAGATE_CONFIDENCE, VARIANTS,
+                              TrackerModel, box_descriptor, track_sequence)
 
 from oracles import per_box_descriptor, reference_track_sequence
 
@@ -175,15 +176,26 @@ def test_tracker_determinism():
         == [(r.frame, r.track_id, r.box, r.confidence) for r in pred_b]
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_track_sequence_equals_the_reference(variant):
+def noisy_scene():
+    """A 6-target jittery scene with detector jitter, false positives and misses."""
     frames, gt = generate_scene(random_scene_config(seed=0, num_targets=6, num_frames=24,
                                                     jitter=1.5))
     dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=2.0, fp_rate=0.4,
                                                     fn_rate=0.3), seed=0)
+    return frames, dets
+
+
+def records_of(frames, dets, model):
+    return [(r.frame, r.track_id, r.box, r.confidence)
+            for r in track_sequence(frames, dets, model)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_track_sequence_equals_the_reference(variant):
+    # the reference runs the student in float64, the tracker in float32
+    frames, dets = noisy_scene()
     model = TrackerModel(variant, TINY_STUDENT, seed=3)
-    records = [(r.frame, r.track_id, r.box, r.confidence)
-               for r in track_sequence(frames, dets, model)]
+    records = records_of(frames, dets, model)
     assert records == [(r.frame, r.track_id, r.box, r.confidence)
                        for r in reference_track_sequence(frames, dets, model)]
     # the scene exercises both ends of a track's life: a track carried
@@ -358,3 +370,72 @@ def test_frozen_loss_logits_variant():
     model = TrackerModel("distill", TINY_STUDENT, seed=2)
     assert not model.dcsd.loss_logits.trainable
     assert model.dswr is None
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_only_a_student_reads_float32_queries(monkeypatch, variant):
+    seen = set()
+    encode = TrackerModel.encode_queries
+
+    def spy(self, x, quality, segments=None):
+        fused, semantic = encode(self, x, quality, segments)
+        seen.add((x.data.dtype.type, fused.data.dtype.type))
+        return fused, semantic
+
+    monkeypatch.setattr(TrackerModel, "encode_queries", spy)
+    records_of(*noisy_scene(), TrackerModel(variant, TINY_STUDENT, seed=3))
+    # the fusion promotes back to float64, so the association costs are float64
+    queries = np.float64 if variant == "baseline" else INFERENCE_DTYPE
+    assert seen == {(queries, np.float64)}
+
+
+def holding_weights_of(model):
+    """A freshly built model of ``model``'s kind that holds copies of its weights."""
+    fresh = TrackerModel(model.variant, model.student_config, model.seed)
+    weights = model.named_parameters()
+    for name, p in fresh.named_parameters().items():
+        p.value = Matrix(weights[name].value.data, requires_grad=p.trainable)
+    return fresh
+
+
+def step_student_to(model, other, learning_rate=0.5):
+    """One :meth:`TrackerModel.step` that moves ``model``'s student, and only
+    it, to (within rounding) ``other``'s student."""
+    targets = other.named_parameters()
+    for name, p in model.named_parameters().items():
+        if name.startswith("student."):
+            p.value.grad = (p.value.data - targets[name].value.data) / learning_rate
+    model.step(learning_rate)
+
+
+def test_tracking_after_a_step_reads_the_stepped_student():
+    frames, dets = noisy_scene()
+    model = TrackerModel("full", TINY_STUDENT, seed=3)
+    before = records_of(frames, dets, model)       # casts the student to float32
+    step_student_to(model, TrackerModel("full", TINY_STUDENT, seed=11))
+    after = records_of(frames, dets, model)
+    assert after == records_of(frames, dets, holding_weights_of(model))
+    # the two students track the scene differently, so tracking with the
+    # float32 copy of the old weights would show
+    assert after != before
+
+
+def test_tracking_after_a_load_reads_the_loaded_student(tmp_path):
+    frames, dets = noisy_scene()
+    model = TrackerModel("full", TINY_STUDENT, seed=3)
+    built = records_of(frames, dets, model)
+    step_student_to(model, TrackerModel("full", TINY_STUDENT, seed=11))
+    model.save(tmp_path / "model.bin")
+    # load builds the seed's model, then replaces its values by the file's
+    loaded = records_of(frames, dets, TrackerModel.load(tmp_path / "model.bin"))
+    assert loaded == records_of(frames, dets, holding_weights_of(model))
+    assert loaded != built
+
+
+def test_tracking_leaves_the_model_file_unchanged(tmp_path):
+    model = TrackerModel("full", TINY_STUDENT, seed=3)
+    model.save(tmp_path / "before.bin")
+    records_of(*noisy_scene(), model)
+    model.save(tmp_path / "after.bin")
+    assert (tmp_path / "after.bin").read_bytes() == (tmp_path / "before.bin").read_bytes()
+    assert all(p.value.data.dtype == np.float64 for p in model.parameters())

@@ -199,7 +199,10 @@ def test_a_sample_cannot_be_changed_in_place():
 
 
 def test_a_sample_frame_is_read_only_but_the_callers_array_is_not():
+    # generate_scene's frames are read-only themselves; writable copies show
+    # that the sample leaves the caller's flags alone
     frames, gt = generate_scene(random_scene_config(seed=2, num_targets=2, num_frames=5))
+    frames = [frame.copy() for frame in frames]
     sample = SceneSample(frames=frames, detections=[], gt=gt)
     with pytest.raises(ValueError):
         sample.frames[0][:] = 0.0
