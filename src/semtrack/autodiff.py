@@ -58,7 +58,6 @@ __all__ = [
     "multi_head_attention",
     "l2_normalize_rows",
     "layer_norm_rows",
-    "mse",
     "mean_abs_diff",
     "cross_entropy_rows",
     "sum_all",
@@ -555,20 +554,6 @@ def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) ->
 
 def sum_all(m: Matrix) -> Matrix:
     return _emit((m,), np.array([[m.data.sum()]]), lambda g: (np.full(m.shape, g[0, 0]),))
-
-
-def mse(a: Matrix, b: Matrix) -> Matrix:
-    """Mean over all elements of (a - b)^2, as a 1x1 node."""
-    if a.shape != b.shape:
-        raise DimensionError(f"mse shape mismatch: {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    count = diff.size
-
-    def vjp(g):
-        d = g[0, 0] * 2.0 * diff / count
-        return d, -d
-
-    return _emit((a, b), np.array([[float((diff * diff).mean())]]), vjp)
 
 
 def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:

@@ -1,15 +1,26 @@
-"""Experiment configuration: one JSON-serializable object holding every knob
-and seed a run needs, so a saved snapshot reproduces the run byte-for-byte."""
+"""Experiment configuration: one typed, JSON-serializable object holding
+every knob and seed a run needs, so a saved snapshot reproduces the run
+byte-for-byte.
+
+Each section holds its module's own type: ``student`` a
+:class:`~semtrack.student.StudentConfig`, ``degradation_chain`` a tuple of
+degradation ops, whose ``kind`` names the op's class in a snapshot. One
+checker covers every field of a config, built in Python or loaded from JSON
+alike: a value of the wrong type, a non-finite float, an unknown key or a
+missing required key raises ``ValueError`` naming its dotted key, such as
+``degradation_chain[0].kernel_size``. ``training`` alone stays a dict, of
+:class:`~semtrack.training.TrainConfig` fields checked against that class."""
 
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain
+from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, DegradationOp
 from semtrack.quality import QualityRanges
 from semtrack.scenes import DetectorNoise
 from semtrack.student import StudentConfig
@@ -29,6 +40,13 @@ class SceneParams:
     num_targets: int = 3
     motion_jitter: float = 0.0
 
+    def __post_init__(self):
+        for name, least in (("num_frames", 2), ("num_targets", 1), ("motion_jitter", 0)):
+            # written so that NaN fails too
+            if not getattr(self, name) >= least:
+                raise ValueError(f"scene.{name} must be >= {least}, "
+                                 f"got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class Seeds:
@@ -44,12 +62,13 @@ class Seeds:
 class ExperimentConfig:
     scene: SceneParams = SceneParams()
     detector: DetectorNoise = DetectorNoise(jitter_sigma=0.6, fp_rate=0.1, fn_rate=0.05)
-    degradation_chain: tuple[dict, ...] = tuple(
-        {k: v for k, v in spec.items()} for spec in DEFAULT_CHAIN_SPEC)
-    student: dict = field(default_factory=lambda: _module_defaults("student"))
+    degradation_chain: tuple[DegradationOp, ...] = DEFAULT_CHAIN
+    student: StudentConfig = StudentConfig()
     alpha: float = 0.4
     dswr: QualityRanges = QualityRanges()
-    training: dict = field(default_factory=lambda: _module_defaults("training"))
+    # TrainConfig fields other than those in _DERIVED; a dict, so that a
+    # caller can override one key: dict(config.training, epochs=1)
+    training: dict = field(default_factory=lambda: {"epochs": TrainConfig.epochs})
     ratio: tuple[int, int] | None = (2, 1)      # low:high; None degrades nothing
     num_train_scenes: int = 6
     num_eval_scenes: int = 8
@@ -68,30 +87,19 @@ class ExperimentConfig:
         ratio = self.ratio
         if ratio is not None and (len(ratio) != 2 or ratio[0] < 1 or ratio[1] < 0):
             raise ValueError(f"ratio must be (low >= 1, high >= 0) or None, got {ratio}")
-        for key, kind in _MODULE_CONFIGS.items():
-            given = getattr(self, key)
-            _check_object(kind, given, key)
-            for name, source in _DERIVED.get(key, {}).items():
-                if name in given:
-                    raise ValueError(f"{key}: {name!r} is taken from {source!r}, "
-                                     "not set here")
-        # the derived configs validate their own values; build each once so a
-        # bad value fails here rather than when a run first needs it
-        try:
-            self.chain()
-        except TypeError as err:    # an op field of the wrong type
-            raise ValueError(f"degradation_chain: {err}") from None
-        self.student_config()
+        for name, source in _DERIVED.items():
+            if name in self.training:
+                raise ValueError(f"training: {name!r} is taken from {source!r}, "
+                                 "not set here")
+        # training's keys and types, then its values and alpha's, so a bad
+        # value fails here rather than when a run first builds its TrainConfig
+        _from_json(TrainConfig, self.training, "training")
         self.train_config()
 
     # -- derived module configs --
 
-    def student_config(self) -> StudentConfig:
-        return StudentConfig(**self.student)
-
     def chain(self) -> DegradationChain:
-        return DegradationChain.from_spec(list(self.degradation_chain),
-                                          master_seed=self.seeds.degradation)
+        return DegradationChain(self.degradation_chain, master_seed=self.seeds.degradation)
 
     def tracker_config(self) -> TrackerConfig:
         return TrackerConfig(quality_ranges=self.dswr)
@@ -103,15 +111,14 @@ class ExperimentConfig:
     # -- serialization --
 
     def to_dict(self) -> dict:
-        raw = asdict(self)
-        raw["degradation_chain"] = [dict(s) for s in self.degradation_chain]
-        return raw
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`; JSON lists become tuples again. An
-        unknown key at any level, or a value whose JSON type does not fit its
-        field, raises ``ValueError`` naming the key."""
+        """Inverse of :meth:`to_dict`; JSON lists become tuples again. A key
+        left out takes its field's default. An unknown key at any level, a
+        missing key of a field without a default, or a value whose JSON type
+        does not fit its field raises ``ValueError`` naming the key."""
         return _from_json(cls, raw, "")
 
     def to_json(self) -> str:
@@ -129,34 +136,25 @@ class ExperimentConfig:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-# the dict-valued fields and the module config each one's keys are passed to
-_MODULE_CONFIGS = {"student": StudentConfig, "training": TrainConfig}
-# module config fields the derived-config methods fill in from other fields
-_DERIVED = {"training": {"alpha": "alpha", "teacher_seed": "seeds.teacher"}}
-
-
-def _module_defaults(key: str) -> dict:
-    """The defaults of a module config, minus the fields derived elsewhere."""
-    return {name: value for name, value in asdict(_MODULE_CONFIGS[key]()).items()
-            if name not in _DERIVED.get(key, {})}
+# TrainConfig fields the config fills in from its own, and where from
+_DERIVED = {"alpha": "alpha", "teacher_seed": "seeds.teacher"}
+# the op class each chain entry's ``kind`` names
+_OPS = {op.kind: op for op in typing.get_args(DegradationOp)}
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field type: a bool is no int, an int is a
-    float, and a list is a tuple."""
+    float, a float must be finite, and a list is a tuple."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, arg) for arg in args)
     if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_fits(item, args[0]) for item in value)
-        return len(value) == len(args) and all(map(_fits, value, args))
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and math.isfinite(value)
     return isinstance(value, hint)
 
 
@@ -164,45 +162,58 @@ def _key(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _items(hint):
+    """``X`` for a ``tuple[X, ...]`` hint, else None."""
+    args = typing.get_args(hint)
+    return args[0] if typing.get_origin(hint) is tuple and args[-1] is Ellipsis else None
+
+
 def _check_value(value, hint, key: str) -> None:
     """Raise ``ValueError`` naming the dotted ``key`` unless ``value`` fits
-    ``hint``; a dataclass value must be an instance whose fields fit theirs."""
-    if is_dataclass(hint):
-        if not isinstance(value, hint):
-            raise ValueError(f"{key}: expected {hint.__name__}, got {value!r}")
-        hints = typing.get_type_hints(hint)
-        for f in fields(hint):
+    ``hint``: a ``tuple[X, ...]`` value must be a tuple of items that fit
+    ``X``, and a dataclass value (any op for ``DegradationOp``) an instance
+    whose fields fit theirs."""
+    items = _items(hint)
+    if items is not None and isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _check_value(item, items, f"{key}[{i}]")
+    elif (is_dataclass(hint) or hint is DegradationOp) and isinstance(value, hint):
+        hints = typing.get_type_hints(type(value))
+        for f in fields(value):
             _check_value(getattr(value, f.name), hints[f.name], _key(key, f.name))
-    elif not _fits(value, hint):
+    elif items is not None or not _fits(value, hint):
         name = str(hint) if typing.get_args(hint) else hint.__name__
         raise ValueError(f"{key}: expected {name}, got {value!r}")
 
 
-def _check_object(kind, raw, where: str) -> None:
-    """Raise ``ValueError`` unless ``raw`` is an object whose keys are fields
-    of the dataclass ``kind`` and whose non-dataclass values fit their types.
-    ``where`` is the object's dotted key, empty for the whole config."""
+def _from_json(hint, raw, key: str):
+    """The value of type ``hint`` that the JSON value ``raw`` stands for:
+    lists become tuples, and objects dataclasses, each checked before it is
+    built; a chain entry becomes the op class its ``kind`` names. ``key`` is
+    the dotted key of ``raw``, empty for the whole config, and every
+    ``ValueError`` names the key that does not fit."""
+    if hint is DegradationOp and isinstance(raw, dict):
+        if raw.get("kind") not in _OPS:
+            raise ValueError(f"{key}: unknown degradation op kind {raw.get('kind')!r}")
+        hint = _OPS[raw["kind"]]
+    if _items(hint) is not None:
+        if not isinstance(raw, list):
+            raise ValueError(f"{key}: expected a list, got {raw!r}")
+        return tuple(_from_json(_items(hint), item, f"{key}[{i}]")
+                     for i, item in enumerate(raw))
+    if not is_dataclass(hint):
+        _check_value(raw, hint, key)
+        return tuple(raw) if isinstance(raw, list) else raw
+    where = key or "config"
     if not isinstance(raw, dict):
-        raise ValueError(f"{where or 'config'}: expected an object, got {raw!r}")
-    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+        raise ValueError(f"{where}: expected an object, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(hint)})
     if unknown:
-        raise ValueError(f"{where or 'config'}: unknown keys {unknown}")
-    hints = typing.get_type_hints(kind)
-    for key, value in raw.items():
-        if not is_dataclass(hints[key]):
-            _check_value(value, hints[key], _key(where, key))
-
-
-def _from_json(kind, raw, where: str):
-    """The dataclass ``kind`` built from a checked JSON object: lists become
-    tuples, and objects for dataclass fields become those dataclasses."""
-    _check_object(kind, raw, where)
-    hints = typing.get_type_hints(kind)
-    values = {}
-    for key, value in raw.items():
-        if is_dataclass(hints[key]):
-            value = _from_json(hints[key], value, _key(where, key))
-        elif isinstance(value, list):
-            value = tuple(value)
-        values[key] = value
-    return kind(**values)
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    missing = [f.name for f in fields(hint) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+    hints = typing.get_type_hints(hint)
+    return hint(**{f.name: _from_json(hints[f.name], raw[f.name], _key(key, f.name))
+                   for f in fields(hint) if f.init and f.name in raw})

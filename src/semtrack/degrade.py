@@ -5,8 +5,9 @@ A chain applies its operators in listed order (first entry first). Downsample
 restores the original resolution immediately afterwards so frame geometry and
 ground-truth boxes stay valid; every chain output is clamped to [0, 1]. Noise
 draws are keyed by (master seed, op seed, sequence id, frame index), so whole
-corpora regenerate bit-identically without global RNG state. Chains are built
-from the JSON op specs an ``ExperimentConfig`` holds; frames stay in memory.
+corpora regenerate bit-identically without global RNG state. An
+``ExperimentConfig`` holds its chain as op instances, and a snapshot stores
+each op as an object whose ``kind`` names its class; frames stay in memory.
 
 :func:`apply_chain` degrades one whole sequence per call. Its frames are
 independent, so they are spread over a thread per CPU; each frame's result
@@ -21,25 +22,19 @@ import os
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from semtrack.frames import resize
 
-DEFAULT_CHAIN_SPEC = [
-    {"kind": "gaussian_blur", "sigma": 1.5, "kernel_size": 7},
-    {"kind": "downsample", "scale": 0.5, "resample": "bilinear"},
-    {"kind": "gaussian_noise", "sigma": 0.03, "seed": 0},
-]
-
 
 @dataclass(frozen=True)
 class GaussianBlur:
     sigma: float
     kernel_size: int
-    kind: str = "gaussian_blur"
+    kind: str = field(default="gaussian_blur", init=False)
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -52,7 +47,7 @@ class GaussianBlur:
 class Downsample:
     scale: float
     resample: str = "bilinear"
-    kind: str = "downsample"
+    kind: str = field(default="downsample", init=False)
 
     def __post_init__(self):
         if not 0.0 < self.scale <= 1.0:
@@ -65,7 +60,7 @@ class Downsample:
 class GaussianNoise:
     sigma: float
     seed: int = 0
-    kind: str = "gaussian_noise"
+    kind: str = field(default="gaussian_noise", init=False)
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -74,32 +69,15 @@ class GaussianNoise:
 
 DegradationOp = GaussianBlur | Downsample | GaussianNoise
 
-
-def op_from_dict(spec: dict) -> DegradationOp:
-    kinds = {"gaussian_blur": GaussianBlur, "downsample": Downsample,
-             "gaussian_noise": GaussianNoise}
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind not in kinds:
-        raise ValueError(f"unknown degradation op kind: {kind!r}")
-    unknown = sorted(set(spec) - {f.name for f in fields(kinds[kind])})
-    if unknown:
-        raise ValueError(f"{kind}: unknown keys {unknown}")
-    missing = [f.name for f in fields(kinds[kind])
-               if f.default is MISSING and f.name not in spec]
-    if missing:
-        raise ValueError(f"{kind}: missing keys {missing}")
-    return kinds[kind](**spec)
+DEFAULT_CHAIN = (GaussianBlur(sigma=1.5, kernel_size=7),
+                 Downsample(scale=0.5, resample="bilinear"),
+                 GaussianNoise(sigma=0.03, seed=0))
 
 
 @dataclass(frozen=True)
 class DegradationChain:
     ops: tuple[DegradationOp, ...] = ()
     master_seed: int = 0
-
-    @classmethod
-    def from_spec(cls, spec: list[dict], master_seed: int = 0) -> "DegradationChain":
-        return cls(ops=tuple(op_from_dict(s) for s in spec), master_seed=master_seed)
 
 
 def _gaussian_kernel(sigma: float, size: int) -> np.ndarray:

@@ -9,7 +9,9 @@ evaluation scene i adds ``EVAL_SEED_OFFSET`` to both, and the config caps
 Degradation keys off the sequence name, so every run of the same snapshot is
 bit-identical. ``ratio`` picks the degraded share of the training scenes;
 ``ratio=None`` degrades none of them. Every evaluation scene is degraded by
-``degradation_chain``; an empty chain gives a clean corpus. A scene is
+the ops of ``degradation_chain``, in order, under ``seeds.degradation``; an
+empty chain gives a clean corpus. The model's student is built from the
+config's ``student``, a :class:`~semtrack.student.StudentConfig`. A scene is
 degraded by one :func:`~semtrack.degrade.apply_chain` call over its frames,
 which spreads them over the CPUs; its output does not depend on the number
 of worker threads.
@@ -43,7 +45,7 @@ RATIO_GRID: dict[str, tuple[int, int] | None] = {
 
 
 def build_model(config: ExperimentConfig, variant: str) -> TrackerModel:
-    return TrackerModel(variant, config.student_config(), config.seeds.model)
+    return TrackerModel(variant, config.student, config.seeds.model)
 
 
 def _make_sample(config: ExperimentConfig, scene_seed: int, detector_seed: int,

@@ -86,3 +86,12 @@ def weighted_scalar(op):
         return ad.sum_all(ad.multiply(out, cache[key]))
 
     return build
+
+
+def mse(a: Matrix, b: Matrix) -> Matrix:
+    """Mean over all elements of (a - b)^2 as a 1x1 node, built from the
+    tape's elementwise ops: the tests' scalar loss."""
+    from semtrack import autodiff as ad
+
+    diff = ad.sub(a, b)
+    return ad.scale(ad.sum_all(ad.multiply(diff, diff)), 1.0 / diff.data.size)

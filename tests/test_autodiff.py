@@ -11,7 +11,7 @@ import pytest
 from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Parameter, Tape
 
-from gradcheck import check_against_fd, weighted_scalar
+from gradcheck import check_against_fd, mse, weighted_scalar
 
 
 def test_matrix_rejects_non_finite():
@@ -97,27 +97,10 @@ def test_l2_normalize_unit_norm_and_idempotent():
     assert np.allclose(again.data, out.data, atol=1e-12)
 
 
-def test_mse_trivial_cases():
-    x = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert ad.mse(x, x).item() == 0.0
-    assert ad.mse(Matrix([[1.0, 1.0]]), Matrix([[0.0, 0.0]])).item() == 1.0
-
-
-def test_mse_gradient_closed_form():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((3, 4))
-    ma = Matrix(a, requires_grad=True)
-    with Tape() as tape:
-        loss = ad.mse(ma, Matrix(b))
-        tape.backward(loss)
-    assert np.allclose(ma.grad, 2.0 * (a - b) / a.size, atol=1e-9)
-
-
 def test_backward_closed_form_on_mse():
     p = Parameter([[3.0]], name="p")
     with Tape() as tape:
-        loss = ad.mse(p.value, Matrix([[0.0]]))
+        loss = mse(p.value, Matrix([[0.0]]))
         tape.backward(loss)
     assert np.allclose(p.grad.data, [[6.0]])
 
@@ -133,7 +116,7 @@ def test_backward_requires_scalar_loss():
 def test_consecutive_backward_accumulates():
     p = Parameter([[3.0]])
     with Tape() as tape:
-        loss = ad.mse(p.value, Matrix([[0.0]]))
+        loss = mse(p.value, Matrix([[0.0]]))
         tape.backward(loss)
         tape.backward(loss)
     assert np.allclose(p.grad.data, [[12.0]])
@@ -161,7 +144,7 @@ def test_no_recording_outside_tape():
 def test_parameter_step_applies_gradient_descent():
     p = Parameter([[1.0]])
     with Tape() as tape:
-        tape.backward(ad.mse(p.value, Matrix([[0.0]])))
+        tape.backward(mse(p.value, Matrix([[0.0]])))
     p.step(0.5)
     assert np.allclose(p.value.data, [[0.0]])  # 1 - 0.5 * 2
 
@@ -171,10 +154,9 @@ def test_elementwise_ops_match_fd(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((3, 5))
     b = rng.standard_normal((3, 5))
-    check_against_fd(lambda x, y: ad.mse(x, y), [a, b], label="mse")
-    check_against_fd(lambda x, y: ad.mse(ad.add(x, y), Matrix(np.ones((3, 5)))),
+    check_against_fd(lambda x, y: mse(ad.add(x, y), Matrix(np.ones((3, 5)))),
                      [a, b], label="add")
-    check_against_fd(lambda x, y: ad.mse(ad.sub(x, y), Matrix(np.ones((3, 5)))),
+    check_against_fd(lambda x, y: mse(ad.sub(x, y), Matrix(np.ones((3, 5)))),
                      [a, b], label="sub")
     check_against_fd(lambda x, y: ad.sum_all(ad.multiply(x, y)), [a, b], label="multiply")
     check_against_fd(ad.sum_all, [a], label="sum_all")
@@ -270,10 +252,10 @@ def test_one_tape_records_at_a_time():
             with Tape():
                 pass
         # the refused tape leaves the outer one recording
-        outer.backward(ad.mse(p.value, Matrix([[0.0]])))
+        outer.backward(mse(p.value, Matrix([[0.0]])))
     assert np.allclose(p.grad.data, [[4.0]])
     with Tape() as again:   # and a finished tape frees the slot
-        again.backward(ad.mse(p.value, Matrix([[0.0]])))
+        again.backward(mse(p.value, Matrix([[0.0]])))
     assert np.allclose(p.grad.data, [[8.0]])
 
 
@@ -301,7 +283,6 @@ def test_every_op_has_an_fd_gradcheck():
 TEST_ONLY_OPS = {
     "concat_cols": "the attention oracle composes multi-head attention from it",
     "concat_rows": "oracles.per_frame_scene_losses stacks its box predictions with it",
-    "mse": "the tests' scalar loss",
 }
 
 

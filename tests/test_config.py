@@ -1,9 +1,13 @@
 import json
-from dataclasses import replace
+import math
+import re
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig, SceneParams
+from semtrack.degrade import DEFAULT_CHAIN, DegradationOp, Downsample, GaussianBlur, GaussianNoise
 from semtrack.quality import QualityRanges
 from semtrack.scenes import DetectorNoise
 from semtrack.student import StudentConfig
@@ -14,8 +18,8 @@ from semtrack.training import TrainConfig
 def custom_config():
     return ExperimentConfig(
         scene=SceneParams(num_targets=5, motion_jitter=0.25),
-        degradation_chain=({"kind": "gaussian_blur", "sigma": 2.0, "kernel_size": 5},
-                           {"kind": "gaussian_noise", "sigma": 0.05, "seed": 3}),
+        degradation_chain=(GaussianBlur(sigma=2.0, kernel_size=5),
+                           GaussianNoise(sigma=0.05, seed=3)),
         alpha=0.3,
         dswr=QualityRanges(clarity=(0.001, 0.03), noise=(0.0, 0.2)),
         ratio=(1, 1),
@@ -55,6 +59,7 @@ def test_train_scene_count_capped_at_eval_seed_offset():
     (None, "no_such_knob"),
     ("dswr", "w_init"),
     ("seeds", "no_such_seed"),
+    ("student", "no_such_knob"),
     (None, "tracker"),          # snapshots from before the tracker constants had one
 ])
 def test_unknown_key_raises(where, key):
@@ -65,7 +70,6 @@ def test_unknown_key_raises(where, key):
 
 
 @pytest.mark.parametrize("where, key", [
-    ("student", "no_such_knob"),
     ("training", "bogus"),
     ("training", "learning_rate"),  # a knob of a snapshot from before the constants
     ("training", "alpha"),
@@ -86,9 +90,9 @@ def test_module_config_dict_keys_checked_on_build(where, key):
 
 def test_module_config_dicts_accept_every_module_field():
     config = ExperimentConfig(
-        student=dict(ExperimentConfig().student, hidden_dim=32, num_heads=2),
+        student=StudentConfig(hidden_dim=32, num_heads=2),
         training=dict(ExperimentConfig().training, epochs=1))
-    assert config.student_config().hidden_dim == 32
+    assert config.student.hidden_dim == 32
     assert config.train_config().epochs == 1
     assert ExperimentConfig.from_json(config.to_json()) == config
 
@@ -107,6 +111,14 @@ def test_tracker_config_takes_quality_ranges_from_dswr():
     config = custom_config()
     assert config.tracker_config().quality_ranges == config.dswr
     assert ExperimentConfig().tracker_config().quality_ranges == QualityRanges()
+
+
+def section(raw, where):
+    """The object of a raw config at ``where``: a dotted path of keys and
+    list indices, or None for the top level."""
+    for part in where.split(".") if where else ():
+        raw = raw[int(part)] if isinstance(raw, list) else raw[part]
+    return raw
 
 
 @pytest.mark.parametrize("where, key, value, match", [
@@ -128,22 +140,54 @@ def test_tracker_config_takes_quality_ranges_from_dswr():
     (None, "ratio", 5, r"ratio: expected tuple\[int, int\] \| None"),
     (None, "scene", None, "scene: expected an object"),
     (None, "degradation_chain", [{"kind": "gaussian_blur"}],
-     r"gaussian_blur: missing keys \['sigma', 'kernel_size'\]"),
+     r"degradation_chain\[0\]: missing keys \['sigma', 'kernel_size'\]"),
     (None, "degradation_chain", [{"kind": "gaussian_blur", "sigma": "1", "kernel_size": 3}],
-     "degradation_chain: "),
+     r"degradation_chain\[0\]\.sigma: expected float, got '1'"),
     ("scene", "num_targets", "3", r"scene\.num_targets: expected int"),
     ("seeds", "model", "x", r"seeds\.model: expected int"),
+    (None, "degradation_chain", [{"kind": "downsample", "resample": "nearest"}],
+     r"degradation_chain\[0\]: missing keys \['scale'\]"),
+    (None, "degradation_chain", [{"kind": "downsample", "scale": 0.5, "bogus": 1}],
+     r"degradation_chain\[0\]: unknown keys \['bogus'\]"),
+    (None, "degradation_chain", [{"sigma": 1.0, "kernel_size": 3}],
+     r"degradation_chain\[0\]: unknown degradation op kind None"),
+    (None, "degradation_chain", [0.5], r"degradation_chain\[0\]: expected .*GaussianBlur"),
+    (None, "degradation_chain", {"kind": "downsample", "scale": 0.5},
+     "degradation_chain: expected a list"),
+    ("degradation_chain.0", "kernel_size", 7.5,
+     r"degradation_chain\[0\]\.kernel_size: expected int, got 7\.5"),
+    ("degradation_chain.0", "kernel_size", True,
+     r"degradation_chain\[0\]\.kernel_size: expected int, got True"),
+    ("degradation_chain.2", "seed", 1.5, r"degradation_chain\[2\]\.seed: expected int, got 1\.5"),
+    ("dswr", "clarity", [0.0, math.nan], r"dswr\.clarity: expected tuple\[float, float\]"),
+    ("dswr", "clarity", [0.0, math.inf], r"dswr\.clarity: expected tuple\[float, float\]"),
+    ("degradation_chain.0", "sigma", math.nan,
+     r"degradation_chain\[0\]\.sigma: expected float, got nan"),
+    ("degradation_chain.0", "sigma", math.inf,
+     r"degradation_chain\[0\]\.sigma: expected float, got inf"),
+    ("scene", "motion_jitter", math.nan, r"scene\.motion_jitter: expected float, got nan"),
+    ("scene", "motion_jitter", -math.inf, r"scene\.motion_jitter: expected float, got -inf"),
+    ("scene", "motion_jitter", -1, r"scene\.motion_jitter must be >= 0, got -1"),
+    ("scene", "num_targets", 0, r"scene\.num_targets must be >= 1, got 0"),
 ], ids=["no-eval-scenes", "negative-train-scenes", "ratio-no-low", "ratio-three",
         "unknown-degradation", "unknown-degradation-key", "heads-not-dividing",
         "no-epochs", "fp-rate-above-one", "clarity-range-reversed",
         "string-epochs", "string-ff-dim", "string-fp-rate", "scalar-clarity",
         "scalar-ratio", "null-scene", "op-missing-fields", "string-op-sigma",
-        "string-num-targets", "string-model-seed"])
+        "string-num-targets", "string-model-seed", "downsample-missing-scale",
+        "downsample-unknown-key", "op-without-kind", "op-not-an-object",
+        "chain-not-a-list", "fractional-kernel-size", "bool-kernel-size",
+        "fractional-noise-seed", "nan-clarity", "infinite-clarity", "nan-blur-sigma",
+        "infinite-blur-sigma", "nan-motion-jitter", "infinite-motion-jitter",
+        "negative-motion-jitter", "no-targets"])
 def test_malformed_value_raises_when_built(where, key, value, match):
     raw = json.loads(ExperimentConfig().to_json())
-    (raw if where is None else raw[where])[key] = value
+    section(raw, where)[key] = value
     with pytest.raises(ValueError, match=match):
         ExperimentConfig.from_dict(raw)
+    # JSON text reads NaN and Infinity too
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_json(json.dumps(raw))
 
 
 @pytest.mark.parametrize("key, value, match", [
@@ -152,13 +196,50 @@ def test_malformed_value_raises_when_built(where, key, value, match):
     ("alpha", "0.4", "alpha: expected float, got '0.4'"),
     ("output_dir", 3, "output_dir: expected str, got 3"),
     ("scene", SceneParams(width="128"), r"scene\.width: expected int, got '128'"),
+    ("student", {"hidden_dim": 32}, "student: expected StudentConfig"),
+    ("degradation_chain", ({"kind": "downsample", "scale": 0.5},),
+     r"degradation_chain\[0\]: expected .*GaussianBlur"),
+    ("degradation_chain", list(DEFAULT_CHAIN), r"degradation_chain: expected tuple\["),
+    ("degradation_chain", (GaussianBlur(sigma=1.0, kernel_size=7.5),),
+     r"degradation_chain\[0\]\.kernel_size: expected int, got 7\.5"),
+    ("degradation_chain", (GaussianBlur(sigma=1.0, kernel_size=True),),
+     r"degradation_chain\[0\]\.kernel_size: expected int, got True"),
+    ("degradation_chain", (Downsample(scale=0.5), GaussianNoise(sigma=0.1, seed=1.5)),
+     r"degradation_chain\[1\]\.seed: expected int, got 1\.5"),
+    ("dswr", QualityRanges(clarity=(0.0, math.nan)),
+     r"dswr\.clarity: expected tuple\[float, float\], got \(0\.0, nan\)"),
+    ("dswr", QualityRanges(clarity=(0.0, math.inf)),
+     r"dswr\.clarity: expected tuple\[float, float\], got \(0\.0, inf\)"),
+    ("degradation_chain", (GaussianBlur(sigma=math.nan, kernel_size=3),),
+     r"degradation_chain\[0\]\.sigma: expected float, got nan"),
+    ("degradation_chain", (GaussianBlur(sigma=math.inf, kernel_size=3),),
+     r"degradation_chain\[0\]\.sigma: expected float, got inf"),
+    # SceneParams turns NaN away itself, as it does every jitter below 0
+    ("scene", lambda: SceneParams(motion_jitter=math.nan),
+     r"scene\.motion_jitter must be >= 0, got nan"),
+    ("scene", SceneParams(motion_jitter=math.inf),
+     r"scene\.motion_jitter: expected float, got inf"),
 ], ids=["int-ratio", "string-eval-scenes", "string-alpha", "int-output-dir",
-        "nested-string-width"])
+        "nested-string-width", "dict-student", "dict-op", "list-chain",
+        "fractional-kernel-size", "bool-kernel-size", "fractional-noise-seed",
+        "nan-clarity", "infinite-clarity", "nan-blur-sigma", "infinite-blur-sigma",
+        "nan-motion-jitter", "infinite-motion-jitter"])
 def test_built_config_is_type_checked_like_a_loaded_one(key, value, match):
+    build = value if callable(value) else lambda: value
     with pytest.raises(ValueError, match=match):
-        ExperimentConfig(**{key: value})
+        ExperimentConfig(**{key: build()})
     with pytest.raises(ValueError, match=match):
-        replace(ExperimentConfig(), **{key: value})
+        replace(ExperimentConfig(), **{key: build()})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_frames", 1), ("num_targets", 0), ("num_targets", -3),
+    ("motion_jitter", -1.0), ("motion_jitter", -1e-9), ("motion_jitter", math.nan),
+])
+def test_scene_params_check_their_values(field, value):
+    with pytest.raises(ValueError, match=rf"scene\.{field} must be >= "):
+        SceneParams(**{field: value})
+    SceneParams(num_frames=2, num_targets=1, motion_jitter=0.0)
 
 
 @pytest.mark.parametrize("where, key, value, accepted", [
@@ -180,8 +261,159 @@ def test_json_types_bool_is_no_int_and_int_is_a_float(where, key, value, accepte
 
 def test_module_dict_defaults_are_the_module_defaults():
     config = ExperimentConfig()
-    assert config.student_config() == StudentConfig()
+    assert config.student == StudentConfig()
+    assert config.degradation_chain == DEFAULT_CHAIN
     assert config.train_config() == TrainConfig(teacher_seed=config.seeds.teacher)
     assert config.tracker_config() == TrackerConfig()
     assert config.training == {"epochs": 12}
     assert config.detector == DetectorNoise(jitter_sigma=0.6, fp_rate=0.1, fn_rate=0.05)
+
+
+def leaf_fields(kind, key=""):
+    """(dotted key, type) of every field of the dataclass ``kind`` that holds
+    a JSON scalar or array, walking into each nested dataclass, into each op of
+    the chain as its own class, and into the keys ``training`` holds."""
+    hints = typing.get_type_hints(kind)
+    for f in fields(kind):
+        name = f"{key}.{f.name}" if key else f.name
+        if not f.init:      # an op's kind, fixed by its class
+            continue
+        if is_dataclass(hints[f.name]):
+            yield from leaf_fields(hints[f.name], name)
+        elif f.name == "degradation_chain":
+            for i, op in enumerate(DEFAULT_CHAIN):
+                yield from leaf_fields(type(op), f"{name}[{i}]")
+        elif f.name == "training":
+            train_hints = typing.get_type_hints(TrainConfig)
+            for train_key in ExperimentConfig().training:
+                yield f"{name}.{train_key}", train_hints[train_key]
+        else:
+            yield name, hints[f.name]
+
+
+LEAVES = dict(leaf_fields(ExperimentConfig))
+# JSON values, each of a type some field may take, and the types taking it
+JSON_VALUES = [("1", {str}), (3, {int, float}), (1.5, {float}), (True, set()),
+               (None, {tuple[int, int] | None}), ([0.5, 2], {tuple[float, float]}),
+               ({}, set()), (math.nan, set()), (-math.inf, set())]
+
+
+def test_the_default_chain_holds_every_op_kind():
+    # so that the coverage test below walks the fields of every kind
+    assert {type(op) for op in DEFAULT_CHAIN} == set(typing.get_args(DegradationOp))
+    assert "degradation_chain[0].kernel_size" in LEAVES and "training.epochs" in LEAVES
+
+
+@pytest.mark.parametrize("key", sorted(LEAVES))
+def test_every_leaf_field_rejects_a_json_value_of_the_wrong_type(key):
+    path = re.sub(r"\[(\d+)\]", r".\1", key).split(".")
+    for value, takers in JSON_VALUES:
+        if LEAVES[key] in takers:
+            continue
+        raw = json.loads(ExperimentConfig().to_json())
+        section(raw, ".".join(path[:-1]))[path[-1]] = value
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}: expected "):
+            ExperimentConfig.from_json(json.dumps(raw))
+
+
+# ExperimentConfig().to_json() as the snapshots of earlier versions hold it
+DEFAULT_SNAPSHOT = """\
+{
+  "alpha": 0.4,
+  "degradation_chain": [
+    {
+      "kernel_size": 7,
+      "kind": "gaussian_blur",
+      "sigma": 1.5
+    },
+    {
+      "kind": "downsample",
+      "resample": "bilinear",
+      "scale": 0.5
+    },
+    {
+      "kind": "gaussian_noise",
+      "seed": 0,
+      "sigma": 0.03
+    }
+  ],
+  "detector": {
+    "fn_rate": 0.05,
+    "fp_rate": 0.1,
+    "jitter_sigma": 0.6
+  },
+  "dswr": {
+    "clarity": [
+      0.0,
+      0.02
+    ],
+    "contrast": [
+      0.0,
+      0.35
+    ],
+    "noise": [
+      0.0,
+      0.1
+    ]
+  },
+  "num_eval_scenes": 8,
+  "num_train_scenes": 6,
+  "output_dir": "runs/default",
+  "ratio": [
+    2,
+    1
+  ],
+  "scene": {
+    "height": 96,
+    "motion_jitter": 0.0,
+    "num_frames": 32,
+    "num_targets": 3,
+    "width": 128
+  },
+  "seeds": {
+    "degradation": 500,
+    "detector": 200,
+    "model": 400,
+    "partition": 600,
+    "scenes": 100,
+    "teacher": 300
+  },
+  "student": {
+    "ff_dim": 1024,
+    "hidden_dim": 256,
+    "num_heads": 4
+  },
+  "training": {
+    "epochs": 12
+  }
+}
+"""
+
+
+def test_default_snapshot_text_is_unchanged():
+    assert ExperimentConfig().to_json() == DEFAULT_SNAPSHOT
+    assert ExperimentConfig.from_json(DEFAULT_SNAPSHOT) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("spec, op", [
+    ({"kind": "gaussian_blur", "sigma": 1.0, "kernel_size": 3},
+     GaussianBlur(sigma=1.0, kernel_size=3)),
+    ({"kind": "downsample", "scale": 0.25}, Downsample(scale=0.25)),
+    ({"kind": "downsample", "scale": 0.5, "resample": "nearest"},
+     Downsample(scale=0.5, resample="nearest")),
+    ({"kind": "gaussian_noise", "sigma": 0.05}, GaussianNoise(sigma=0.05)),
+    ({"kind": "gaussian_noise", "sigma": 0.1, "seed": 4}, GaussianNoise(sigma=0.1, seed=4)),
+], ids=["blur", "downsample-default-resample", "downsample", "noise-default-seed", "noise"])
+def test_chain_specs_of_earlier_snapshots_load(spec, op):
+    # a key left out takes its default, as it did when the chain held dicts
+    raw = json.loads(DEFAULT_SNAPSHOT)
+    raw["degradation_chain"] = [spec, spec]
+    config = ExperimentConfig.from_dict(raw)
+    assert config == replace(ExperimentConfig(), degradation_chain=(op, op))
+    assert ExperimentConfig.from_json(config.to_json()) == config
+
+
+def test_a_snapshot_without_sections_takes_the_defaults():
+    assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+    assert ExperimentConfig.from_dict({"scene": {"num_targets": 5}}) == ExperimentConfig(
+        scene=SceneParams(num_targets=5))

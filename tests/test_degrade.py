@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from semtrack import degrade
-from semtrack.degrade import (DEFAULT_CHAIN_SPEC, DegradationChain, Downsample, GaussianBlur,
-                              GaussianNoise, apply_chain, op_from_dict, partition_sequences)
+from semtrack.degrade import (DEFAULT_CHAIN, DegradationChain, Downsample, GaussianBlur,
+                              GaussianNoise, apply_chain, partition_sequences)
 from semtrack.quality import assess_quality
 
 from oracles import reference_apply_chain
@@ -36,7 +36,7 @@ def test_degenerate_ops_are_identity():
 
 def test_chain_preserves_shape_and_range():
     frame = checkerboard()
-    [out] = apply_chain(DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=3), [frame])
+    [out] = apply_chain(DegradationChain(DEFAULT_CHAIN, master_seed=3), [frame])
     assert out.shape == frame.shape
     assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -52,14 +52,14 @@ def test_composition_is_order_sensitive():
 
 def test_determinism_given_seeds():
     frame = np.random.default_rng(1).uniform(0, 1, size=(32, 48))
-    chain = DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=11)
+    chain = DegradationChain(DEFAULT_CHAIN, master_seed=11)
     sequence = [frame] * 7
     a = apply_chain(chain, sequence, sequence_id="seq-3")[5]
     b = apply_chain(chain, sequence, sequence_id="seq-3")[5]
     assert np.array_equal(a, b)
     c = apply_chain(chain, sequence, sequence_id="seq-3")[6]
     assert not np.array_equal(a, c)
-    d = apply_chain(DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=12), sequence,
+    d = apply_chain(DegradationChain(DEFAULT_CHAIN, master_seed=12), sequence,
                     sequence_id="seq-3")[5]
     assert not np.array_equal(a, d)
 
@@ -74,7 +74,7 @@ def test_blur_lowers_clarity_noise_raises_estimate():
     assert assess_quality(noisy).noise_sigma > assess_quality(flat).noise_sigma
 
 
-DEFAULT = DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=5)
+DEFAULT = DegradationChain(DEFAULT_CHAIN, master_seed=5)
 NOISE_FIRST = DegradationChain(ops=(GaussianNoise(sigma=0.1, seed=3),
                                     Downsample(scale=0.5, resample="bilinear"),
                                     GaussianBlur(sigma=1.0, kernel_size=5)), master_seed=2)
@@ -228,17 +228,13 @@ def test_partition_all_low_and_rejections():
         partition_sequences([], (2, 1), seed=0)
 
 
-def test_op_from_dict_rejects_unknown_keys():
-    spec = {"kind": "gaussian_blur", "sigma": 1.0, "kernel_size": 3}
-    assert op_from_dict(spec) == GaussianBlur(sigma=1.0, kernel_size=3)
-    with pytest.raises(ValueError, match=r"gaussian_blur: unknown keys \['bogus'\]"):
-        op_from_dict(dict(spec, bogus=1))
-
-
-def test_op_from_dict_rejects_missing_keys():
-    with pytest.raises(ValueError,
-                       match=r"gaussian_blur: missing keys \['sigma', 'kernel_size'\]"):
-        op_from_dict({"kind": "gaussian_blur"})
-    with pytest.raises(ValueError, match=r"downsample: missing keys \['scale'\]"):
-        op_from_dict({"kind": "downsample", "resample": "nearest"})
-    assert op_from_dict({"kind": "gaussian_noise", "sigma": 0.1}) == GaussianNoise(sigma=0.1)
+def test_an_op_kind_is_fixed_by_its_class():
+    # a snapshot names each op's class by its kind, so no op may carry another
+    assert [op.kind for op in DEFAULT_CHAIN] == ["gaussian_blur", "downsample",
+                                                 "gaussian_noise"]
+    with pytest.raises(TypeError, match="kind"):
+        GaussianBlur(sigma=1.0, kernel_size=3, kind="downsample")
+    with pytest.raises(TypeError, match="kind"):
+        Downsample(scale=0.5, kind="downsample")
+    with pytest.raises(TypeError, match="kind"):
+        GaussianNoise(sigma=0.1, kind="gaussian_blur")

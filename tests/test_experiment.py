@@ -34,9 +34,9 @@ def test_build_model_wires_each_variant(variant, student, dswr, logits_trainable
     assert (model.dcsd is not None) == student
     assert (model.dswr is not None) == dswr
     assert model.seed == 7
-    assert model.student_config == config.student_config()
+    assert model.student_config == config.student
     if student:
-        assert model.student.config == config.student_config()
+        assert model.student.config == config.student
         logits = model.dcsd.loss_logits
         assert logits.trainable == logits_trainable
         assert logits.value.requires_grad == logits_trainable

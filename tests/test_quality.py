@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Tape
 from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse
 
-from gradcheck import check_against_fd, weighted_scalar
+from gradcheck import check_against_fd, mse, weighted_scalar
 
 
 def checkerboard(h=64, w=64, cell=4):
@@ -185,7 +184,7 @@ def test_fuse_gradient_matches_fd(seed):
     f_sem = rng.standard_normal((3, 5))
     f_query = rng.standard_normal((3, 5))
     target = Matrix(rng.standard_normal((3, 5)))
-    check_against_fd(lambda a, b, c: ad.mse(fuse(a, b, c), target),
+    check_against_fd(lambda a, b, c: mse(fuse(a, b, c), target),
                      [w, f_sem, f_query], label=f"fuse[{seed}]")
 
 

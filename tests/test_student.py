@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Tape
 from semtrack.student import FEATURE_DIM, NUM_LAYERS, StudentConfig, StudentModel
 
-from gradcheck import check_against_fd
+from gradcheck import check_against_fd, mse
 
 SMALL = StudentConfig(hidden_dim=8, num_heads=2, ff_dim=16)
 
@@ -111,7 +110,7 @@ def test_gradients_reach_every_parameter():
     x = Matrix(rng.standard_normal((4, FEATURE_DIM)))
     target = Matrix(rng.standard_normal((4, FEATURE_DIM)))
     with Tape() as tape:
-        tape.backward(ad.mse(model(x), target))
+        tape.backward(mse(model(x), target))
     for name, p in model.named_parameters().items():
         assert p.value.grad is not None, f"{name} got no gradient"
         assert np.any(p.value.grad != 0.0), f"{name} gradient identically zero"
@@ -123,7 +122,7 @@ def test_forward_gradient_matches_fd(seed):
     rng = np.random.default_rng(20 + seed)
     x = rng.standard_normal((3, FEATURE_DIM))
     target = Matrix(rng.standard_normal((3, FEATURE_DIM)))
-    check_against_fd(lambda m: ad.mse(model(m), target), [x], sample=48, seed=seed,
+    check_against_fd(lambda m: mse(model(m), target), [x], sample=48, seed=seed,
                      label=f"student_forward[{seed}]")
 
 

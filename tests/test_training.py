@@ -7,7 +7,7 @@ import pytest
 from semtrack import autodiff as ad
 from semtrack import tracker, training
 from semtrack.autodiff import Matrix, Tape
-from semtrack.degrade import DEFAULT_CHAIN_SPEC, DegradationChain, apply_chain
+from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, apply_chain
 from semtrack.quality import QualityRanges
 from semtrack.scenes import (Detection, DetectorNoise, detections_by_frame,
                              generate_scene, random_scene_config, synth_detector)
@@ -29,7 +29,7 @@ def make_sample(seed=0, degraded=False, num_frames=8):
     config = random_scene_config(seed=seed, num_targets=2, num_frames=num_frames)
     frames, gt = generate_scene(config)
     if degraded:
-        chain = DegradationChain.from_spec(DEFAULT_CHAIN_SPEC, master_seed=seed)
+        chain = DegradationChain(DEFAULT_CHAIN, master_seed=seed)
         frames = apply_chain(chain, frames, sequence_id=f"s{seed}")
     dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=0.5), seed=seed + 1)
     return SceneSample(frames=frames, detections=dets, gt=gt, name=f"s{seed}")
