@@ -46,7 +46,6 @@ __all__ = [
     "sub",
     "multiply",
     "scale",
-    "scalar_mul",
     "transpose",
     "slice_cols",
     "take_rows",
@@ -64,6 +63,7 @@ __all__ = [
 ]
 
 NORMALIZE_EPS = 1e-12
+LAYER_NORM_EPS = 1e-5
 
 
 class _Rows(NamedTuple):
@@ -146,9 +146,9 @@ class Matrix:
 class Parameter:
     """A (possibly frozen) model weight with an accumulated gradient.
 
-    Gradients accumulate across backward passes until :meth:`zero_grad`;
-    frozen parameters never receive gradient. ``value`` is float64;
-    :meth:`cast` gives it in float32 for inference.
+    Gradients accumulate in ``value.grad`` across backward passes until
+    :meth:`zero_grad`; frozen parameters never receive gradient. ``value``
+    is float64; :meth:`cast` gives it in float32 for inference.
     """
 
     def __init__(self, value, trainable: bool = True, name: str = ""):
@@ -171,12 +171,6 @@ class Parameter:
                              Matrix(self.value.data.astype(np.float32),
                                     requires_grad=self.value.requires_grad))
         return self._float32[1]
-
-    @property
-    def grad(self) -> Matrix:
-        if self.value.grad is None:
-            return Matrix(np.zeros(self.value.shape))
-        return Matrix(self.value.grad)
 
     def zero_grad(self) -> None:
         self.value.grad = None
@@ -357,18 +351,6 @@ def scale(m: Matrix, factor: float) -> Matrix:
     return _emit((m,), m.data * factor, lambda g: (g * factor,))
 
 
-def scalar_mul(s: Matrix, m: Matrix) -> Matrix:
-    """Multiply a matrix by a 1x1 node, differentiable in both."""
-    if s.shape != (1, 1):
-        raise DimensionError(f"scalar_mul needs a 1x1 scalar, got {s.shape}")
-    sval = s.data[0, 0]
-
-    def vjp(g):
-        return np.array([[float(np.sum(g * m.data))]]), g * sval
-
-    return _emit((s, m), m.data * sval, vjp)
-
-
 def transpose(m: Matrix) -> Matrix:
     return _emit((m,), m.data.T.copy(), lambda g: (g.T,))
 
@@ -528,13 +510,14 @@ def l2_normalize_rows(m: Matrix) -> Matrix:
     return _emit((m,), data, vjp)
 
 
-def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) -> Matrix:
-    """Per-row layer normalization with 1 x cols gain and bias."""
+def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
+    """Per-row layer normalization with 1 x cols gain and bias; the variance
+    gets :data:`LAYER_NORM_EPS` added."""
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
         raise DimensionError(f"layer norm gain/bias must be 1x{x.cols}")
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
 

@@ -8,13 +8,14 @@ degradation ops, whose ``kind`` names the op's class in a snapshot. One
 checker covers every field of a config, built in Python or loaded from JSON
 alike: a value of the wrong type, a non-finite float, an unknown key or a
 missing required key raises ``ValueError`` naming its dotted key, such as
-``degradation_chain[0].kernel_size``. ``training`` alone stays a dict, of
+``degradation_chain[0].kernel_size``; a loaded value that its section's own
+check turns away names the section. ``training`` alone stays a dict, of
 :class:`~semtrack.training.TrainConfig` fields checked against that class."""
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, DegradationOp
 from semtrack.quality import QualityRanges
-from semtrack.scenes import DetectorNoise
+from semtrack.scenes import MAX_FALSE_BOX, DetectorNoise
 from semtrack.student import StudentConfig
 from semtrack.tracker import TrackerConfig
 from semtrack.training import TrainConfig
@@ -41,11 +42,12 @@ class SceneParams:
     motion_jitter: float = 0.0
 
     def __post_init__(self):
-        for name, least in (("num_frames", 2), ("num_targets", 1), ("motion_jitter", 0)):
-            # written so that NaN fails too
-            if not getattr(self, name) >= least:
-                raise ValueError(f"scene.{name} must be >= {least}, "
-                                 f"got {getattr(self, name)}")
+        for name, least in (("width", MAX_FALSE_BOX), ("height", MAX_FALSE_BOX),
+                            ("num_frames", 2), ("num_targets", 1), ("motion_jitter", 0)):
+            value = getattr(self, name)
+            # NaN fails too; a value of the wrong type is the checker's to reject
+            if isinstance(value, (int, float)) and not value >= least:
+                raise ValueError(f"scene.{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,8 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        # NaN, the infinities and an int beyond the float range all fail
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 
@@ -191,7 +194,8 @@ def _from_json(hint, raw, key: str):
     lists become tuples, and objects dataclasses, each checked before it is
     built; a chain entry becomes the op class its ``kind`` names. ``key`` is
     the dotted key of ``raw``, empty for the whole config, and every
-    ``ValueError`` names the key that does not fit."""
+    ``ValueError`` names the key that does not fit, in front of the message of
+    a section's own value check."""
     if hint is DegradationOp and isinstance(raw, dict):
         if raw.get("kind") not in _OPS:
             raise ValueError(f"{key}: unknown degradation op kind {raw.get('kind')!r}")
@@ -215,5 +219,11 @@ def _from_json(hint, raw, key: str):
     if missing:
         raise ValueError(f"{where}: missing keys {missing}")
     hints = typing.get_type_hints(hint)
-    return hint(**{f.name: _from_json(hints[f.name], raw[f.name], _key(key, f.name))
-                   for f in fields(hint) if f.init and f.name in raw})
+    values = {f.name: _from_json(hints[f.name], raw[f.name], _key(key, f.name))
+              for f in fields(hint) if f.init and f.name in raw}
+    try:
+        return hint(**values)
+    except ValueError as err:   # a section's own check may not know its key
+        if not key or str(err).startswith(f"{key}."):
+            raise
+        raise ValueError(f"{key}: {err}") from None

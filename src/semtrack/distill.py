@@ -4,9 +4,11 @@ teacher vectors.
 Pipeline, per frame: project the frame's 1x1024 teacher vector to 256, align
 it to the frame's student rows by repeating the projected row once per row,
 then combine a local MSE term and a global L1-of-means term with
-softmax-normalized learnable weights. A repeat is all the alignment there is
-to do: :class:`TeacherEmbedding` holds exactly one 1x1024 row per frame, and
-interpolating a single row to any length gives copies of it.
+softmax-normalized learnable weights: ``w1 * l_local + w2 * l_global``,
+where ``(w1, w2)`` is the softmax of two logits. A repeat is all the
+alignment there is to do: :class:`TeacherEmbedding` holds exactly one
+1x1024 row per frame, and interpolating a single row to any length gives
+copies of it.
 
 The paper's local term compares the student with the teacher aggregated
 through a temperature-scaled attention map between the two L2-normalized
@@ -38,14 +40,14 @@ from semtrack.teacher import TEACHER_DIM, TeacherEmbedding
 
 @dataclass
 class DcsdBreakdown:
-    """Per-call loss components; values are plain floats, the loss node is
-    kept for backprop."""
+    """Per-call loss components: the two terms and their weights as plain
+    floats, and the combined loss as a node, kept for backprop; its value is
+    ``loss_node.item()``."""
 
     l_local: float
     l_global: float
     w1: float
     w2: float
-    l_distill: float
     loss_node: Matrix
 
 
@@ -70,11 +72,6 @@ class DcsdHead:
 
     def parameter_count(self) -> int:
         return sum(p.value.rows * p.value.cols for p in self.parameters() if p.trainable)
-
-    def loss_weights(self) -> tuple[float, float]:
-        """Softmax of the two logits: positive, summing to one."""
-        w = ad.softmax_rows(self.loss_logits.value).data
-        return float(w[0, 0]), float(w[0, 1])
 
     def project_teacher(self, teachers: Sequence[TeacherEmbedding]) -> Matrix:
         """The teachers' vectors projected to 256, one row per teacher."""
@@ -113,13 +110,12 @@ class DcsdHead:
         weights = ad.softmax_rows(self.loss_logits.value)          # 1 x 2
         w1 = ad.slice_cols(weights, 0, 1)
         w2 = ad.slice_cols(weights, 1, 2)
-        l_distill = ad.add(ad.scalar_mul(w1, l_local), ad.scalar_mul(w2, l_global))
+        l_distill = ad.add(ad.multiply(w1, l_local), ad.multiply(w2, l_global))
 
         return DcsdBreakdown(
             l_local=l_local.item(),
             l_global=l_global.item(),
             w1=w1.item(),
             w2=w2.item(),
-            l_distill=l_distill.item(),
             loss_node=l_distill,
         )

@@ -121,10 +121,6 @@ class MeanScores:
     mota: float
     idf1: float
 
-    def row(self) -> dict:
-        return {"HOTA": self.hota, "DetA": self.deta, "AssA": self.assa,
-                "MOTA": self.mota, "IDF1": self.idf1}
-
 
 def evaluate_samples(model: TrackerModel, samples: list[SceneSample],
                      config: ExperimentConfig) -> tuple[MeanScores, dict[str, MetricReport]]:

@@ -23,8 +23,9 @@ their positions in the sorted id lists, and the frame's ground-truth-by-
 prediction IoU block. :func:`frame_table` computes the blocks of every frame
 in one :func:`semtrack.tracks.broadcast_iou` call over all within-frame box
 pairs; :func:`evaluate` builds the table once and hands it to :func:`hota`,
-:func:`mota` and :func:`idf1`, which build it themselves only when called
-without one. HOTA gates a frame's matches at every alpha with one comparison.
+:func:`mota` and :func:`idf1`, which each take it as a required argument.
+They stay three module-level calls so that each can be timed on its own.
+HOTA gates a frame's matches at every alpha with one comparison.
 
 All scores are fractions in [0, 1] (MOTA can go negative).
 """
@@ -126,13 +127,10 @@ def frame_table(gt: TrackSet, pred: TrackSet) -> FrameTable:
                       _split(gt_index, n_gt), _split(pred_index, n_pred), ious)
 
 
-def mota(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None
-         ) -> tuple[float, MetricCounts]:
+def mota(gt: TrackSet, pred: TrackSet, table: FrameTable) -> tuple[float, MetricCounts]:
     """CLEAR-style accuracy with per-frame count-then-IoU optimal matching."""
     if len(gt) == 0:
         raise UndefinedMetricError("MOTA is undefined for empty ground truth")
-    if table is None:
-        table = frame_table(gt, pred)
     counts = MetricCounts()
     last_match: dict[int, int] = {}  # gt id -> pred id at last matched frame
     for gt_recs, pred_recs, ious in zip(table.gt, table.pred, table.ious):
@@ -155,14 +153,10 @@ def mota(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None
     return value, counts
 
 
-def idf1(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None) -> float:
+def idf1(gt: TrackSet, pred: TrackSet, table: FrameTable) -> float:
     """F1 over identity-consistent matches under optimal global id pairing."""
     if len(gt) == 0:
         raise UndefinedMetricError("IDF1 is undefined for empty ground truth")
-    if len(pred) == 0:
-        return 0.0
-    if table is None:
-        table = frame_table(gt, pred)
     overlap = np.zeros((len(table.gt_ids), len(table.pred_ids)))
     for gi, pj, ious in zip(table.gt_index, table.pred_index, table.ious):
         r, c = np.nonzero(ious >= IOU_THRESHOLD)
@@ -176,18 +170,11 @@ def idf1(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None) -> float
     return float(2 * idtp / denominator) if denominator else 0.0
 
 
-def hota(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None
+def hota(gt: TrackSet, pred: TrackSet, table: FrameTable
          ) -> tuple[float, float, float, dict[float, tuple[float, float, float]]]:
     """HOTA / DetA / AssA averaged over the alpha grid, plus per-alpha values."""
     if len(gt) == 0:
         raise UndefinedMetricError("HOTA is undefined for empty ground truth")
-    per_alpha: dict[float, tuple[float, float, float]] = {}
-    if len(pred) == 0:
-        for alpha in ALPHAS:
-            per_alpha[alpha] = (0.0, 0.0, 0.0)
-        return 0.0, 0.0, 0.0, per_alpha
-    if table is None:
-        table = frame_table(gt, pred)
     shape = (len(ALPHAS), len(table.gt_ids), len(table.pred_ids))
 
     frame_data = []
@@ -221,6 +208,7 @@ def hota(gt: TrackSet, pred: TrackSet, table: FrameTable | None = None
     fn = len(gt) - tp
     fp = len(pred) - tp
 
+    per_alpha: dict[float, tuple[float, float, float]] = {}
     for a, alpha in enumerate(ALPHAS):
         det_denom = tp[a] + fn[a] + fp[a]
         deta = tp[a] / det_denom if det_denom else 0.0

@@ -9,7 +9,7 @@ means poorer quality.
 
 The semantic weight is sigmoid(W*q + b) with learnable scalars W and b, taken
 row by row over a column of q values, one per query: a query gets the weight
-of the frame it comes from. The default init (W = -4, b = 2) already realizes
+of the frame it comes from. W and b start at -4 and 2, which already realize
 "lower quality, higher semantic weight".
 """
 
@@ -84,9 +84,9 @@ def assess_quality(frame: np.ndarray, ranges: QualityRanges = QualityRanges()) -
 class DswrHead:
     """Learnable scalar mapping from quality score to semantic weight."""
 
-    def __init__(self, w_init: float = -4.0, b_init: float = 2.0):
-        self.w = Parameter([[float(w_init)]], name="dswr.w")
-        self.b = Parameter([[float(b_init)]], name="dswr.b")
+    def __init__(self):
+        self.w = Parameter([[-4.0]], name="dswr.w")
+        self.b = Parameter([[2.0]], name="dswr.b")
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]

@@ -15,6 +15,13 @@ import numpy as np
 
 from semtrack.tracks import TrackRecord, TrackSet
 
+# the background's grey level and structure amplitude; a target's stripe amplitude
+BACKGROUND = 0.4
+BACKGROUND_AMP = 0.1
+TEXTURE_AMP = 0.25
+# the largest side of a false detection box, so the smallest side of a frame
+MAX_FALSE_BOX = 30
+
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -29,7 +36,6 @@ class TargetSpec:
     texture_seed: int
     start_frame: int = 0
     end_frame: int | None = None    # inclusive; None = last frame
-    texture_amp: float = 0.25
     jitter: float = 0.0
 
 
@@ -40,8 +46,6 @@ class SceneConfig:
     num_frames: int = 40
     targets: tuple[TargetSpec, ...] = ()
     seed: int = 0
-    background: float = 0.4
-    background_amp: float = 0.1
 
     def __post_init__(self):
         if self.num_frames < 2:
@@ -91,10 +95,9 @@ def _background(config: SceneConfig) -> np.ndarray:
     # also loses clarity under blur without reading as sensor noise
     rng = np.random.default_rng(config.seed)
     coarse = _smooth(rng.uniform(-1.0, 1.0, size=(config.height, config.width)),
-                     passes=3) * config.background_amp
-    clutter = _texture(config.seed + 1, config.height, config.width,
-                       config.background_amp)
-    return np.clip(config.background + coarse + clutter, 0.0, 1.0)
+                     passes=3) * BACKGROUND_AMP
+    clutter = _texture(config.seed + 1, config.height, config.width, BACKGROUND_AMP)
+    return np.clip(BACKGROUND + coarse + clutter, 0.0, 1.0)
 
 
 def _reflect(value: float, limit: float) -> float:
@@ -111,7 +114,7 @@ def generate_scene(config: SceneConfig) -> tuple[list[np.ndarray], TrackSet]:
     ground-truth track set."""
     background = _background(config)
     patches = {t.track_id: np.clip(t.intensity + _texture(t.texture_seed, t.height,
-                                                          t.width, t.texture_amp),
+                                                          t.width, TEXTURE_AMP),
                                    0.0, 1.0)
                for t in config.targets}
     jitter_rng = np.random.default_rng(config.seed + 7919)
@@ -242,8 +245,8 @@ def synth_detector(frames: list[np.ndarray], gt: TrackSet,
             detections.append(Detection(frame=frame_index, box=(l, t, w, h),
                                         confidence=confidence))
         if noise.fp_rate > 0.0 and rng.uniform() < noise.fp_rate:
-            w = float(rng.uniform(8.0, 30.0))
-            h = float(rng.uniform(8.0, 30.0))
+            w = float(rng.uniform(8.0, MAX_FALSE_BOX))
+            h = float(rng.uniform(8.0, MAX_FALSE_BOX))
             l = float(rng.uniform(0.0, width - w))
             t = float(rng.uniform(0.0, height - h))
             detections.append(Detection(frame=frame_index, box=(l, t, w, h),

@@ -7,10 +7,11 @@ previous frame while their confidence stays above 0.5, and a track that can
 no longer be carried is dropped. A match sets a track's confidence to its
 detection's, which is at most 1; a miss multiplies it by 0.7. So a track
 survives at most one missed frame (1 x 0.7^2 = 0.49), and only from a
-confidence above 0.5 / 0.7 ~ 0.714. Every variant but
-``baseline`` runs the student encoder, which turns the stacked queries into
-semantic features that are fused back into the queries, with a fixed ratio or
-(``full``) a quality-driven one. Fused track and proposal features are
+confidence above 0.5 / 0.7 ~ 0.714. Every variant but ``baseline`` runs the
+student encoder, which turns the stacked queries into semantic features that
+are fused back into the queries, with a fixed ratio or (``full``) a
+quality-driven one; a frame without detections runs none of this, since
+nothing would read its features. Fused track and proposal features are
 associated one-to-one per frame by Hungarian assignment on cosine-plus-IoU
 cost. Per frame, one gather of every box's sample points gives all the
 descriptors, and one track-by-detection IoU matrix gives the IoU term.
@@ -363,18 +364,16 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
     next_id = 1
     for frame_index, frame in enumerate(frames):
         dets = per_frame.get(frame_index, [])
-        rows = [trk.feature for trk in active]
+        # without detections nothing reads the features: no match, no birth
         if dets:
-            rows.append(model.embed_descriptors(
-                box_descriptor(frame, [det.box for det in dets])).data)
-        fused = np.zeros((0, FEATURE_DIM))
-        if rows:
+            proposals = model.embed_descriptors(
+                box_descriptor(frame, [det.box for det in dets])).data
+            queries = np.concatenate([trk.feature for trk in active] + [proposals], axis=0)
             quality = model.quality_column([frame], config.quality_ranges)
-            queries = np.concatenate(rows, axis=0)
             if model.student is not None:
                 queries = queries.astype(INFERENCE_DTYPE)
             fused = model.encode_queries(Matrix(queries), quality)[0].data
-        track_feats, prop_feats = fused[:len(active)], fused[len(active):]
+            track_feats, prop_feats = fused[:len(active)], fused[len(active):]
 
         # every track misses unless a match below gives it its detection's confidence
         for trk in active:

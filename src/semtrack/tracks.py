@@ -58,9 +58,6 @@ class TrackSet:
     def __iter__(self):
         return iter(self._records)
 
-    def frames(self) -> list[int]:
-        return sorted({r.frame for r in self._records})
-
     def ids(self) -> list[int]:
         return sorted({r.track_id for r in self._records})
 

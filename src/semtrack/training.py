@@ -264,9 +264,9 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
 
 
 def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: TrainConfig,
-          tracker_config: TrackerConfig = TrackerConfig(),
-          log_path: str | Path | None = None) -> list[dict]:
-    """Run the full schedule; returns (and optionally writes) the step log."""
+          tracker_config: TrackerConfig = TrackerConfig()) -> list[dict]:
+    """Run the full schedule; returns the step log, which
+    :func:`write_training_log` writes."""
     if not samples:
         raise ValueError("no training scenes")
     decay_epoch = int(train_config.epochs * DECAY_AT)
@@ -296,8 +296,6 @@ def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: Tra
                 "l_mot": losses["l_mot"].item(),
                 "total": losses["total"].item(),
             })
-    if log_path is not None:
-        write_training_log(log, log_path)
     return log
 
 

@@ -102,7 +102,7 @@ def test_backward_closed_form_on_mse():
     with Tape() as tape:
         loss = mse(p.value, Matrix([[0.0]]))
         tape.backward(loss)
-    assert np.allclose(p.grad.data, [[6.0]])
+    assert np.allclose(p.value.grad, [[6.0]])
 
 
 def test_backward_requires_scalar_loss():
@@ -119,9 +119,9 @@ def test_consecutive_backward_accumulates():
         loss = mse(p.value, Matrix([[0.0]]))
         tape.backward(loss)
         tape.backward(loss)
-    assert np.allclose(p.grad.data, [[12.0]])
+    assert np.allclose(p.value.grad, [[12.0]])
     p.zero_grad()
-    assert np.allclose(p.grad.data, [[0.0]])
+    assert p.value.grad is None
 
 
 def test_frozen_parameter_never_gets_grad():
@@ -131,7 +131,6 @@ def test_frozen_parameter_never_gets_grad():
         out = ad.matmul(live.value, frozen.value)
         tape.backward(ad.sum_all(out))
     assert frozen.value.grad is None
-    assert np.array_equal(frozen.grad.data, np.zeros((2, 2)))
     assert live.value.grad is not None
 
 
@@ -181,9 +180,6 @@ def test_structural_ops_match_fd(seed):
     c = rng.standard_normal((2, 6))
     check_against_fd(weighted_scalar(lambda x, y: ad.concat_rows([x, y])), [a, c],
                      label="concat_rows")
-    s = rng.standard_normal((1, 1))
-    check_against_fd(weighted_scalar(lambda x, y: ad.scalar_mul(x, y)), [s, a],
-                     label="scalar_mul")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -253,10 +249,10 @@ def test_one_tape_records_at_a_time():
                 pass
         # the refused tape leaves the outer one recording
         outer.backward(mse(p.value, Matrix([[0.0]])))
-    assert np.allclose(p.grad.data, [[4.0]])
+    assert np.allclose(p.value.grad, [[4.0]])
     with Tape() as again:   # and a finished tape frees the slot
         again.backward(mse(p.value, Matrix([[0.0]])))
-    assert np.allclose(p.grad.data, [[8.0]])
+    assert np.allclose(p.value.grad, [[8.0]])
 
 
 def test_every_op_has_an_fd_gradcheck():
@@ -277,37 +273,6 @@ def test_every_op_has_an_fd_gradcheck():
                     labels.add(value.value.split("[")[0])
     ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))}
     assert ops and sorted(ops - labels) == []
-
-
-# ops no run reaches, each kept for the test code that calls it
-TEST_ONLY_OPS = {
-    "concat_cols": "the attention oracle composes multi-head attention from it",
-    "concat_rows": "oracles.per_frame_scene_losses stacks its box predictions with it",
-}
-
-
-def ops_called_in(tree: ast.Module) -> set[str]:
-    """Names of the autodiff functions a module calls as ``ad.op(...)``, under
-    whatever name it imports ``semtrack.autodiff`` as."""
-    modules = {a.asname or a.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "semtrack"
-               for a in node.names if a.name == "autodiff"}
-    return {node.func.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and getattr(node.func.value, "id", None) in modules}
-
-
-def test_every_op_has_a_caller_in_src():
-    # a call inside autodiff.py does not count: an op that only another op
-    # calls is reached only through that one
-    called = set()
-    for path in Path(ad.__file__).parent.rglob("*.py"):
-        if path.name != "autodiff.py":
-            called |= ops_called_in(ast.parse(path.read_text(encoding="utf-8")))
-    ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))}
-    assert sorted(ops - called - TEST_ONLY_OPS.keys()) == []
-    # a kept op that gains a caller, or is deleted, leaves the list
-    assert sorted(TEST_ONLY_OPS.keys() - (ops - called)) == []
 
 
 def test_input_used_twice_in_one_op_gets_both_gradients():
@@ -517,7 +482,6 @@ def test_float32_with_float64_gives_float64():
     assert ad.multiply(wide, narrow).data.dtype == np.float64
     weight, bias = Matrix(rng.standard_normal((4, 2))), Matrix(np.zeros((1, 2)))
     assert ad.linear(narrow, weight, bias).data.dtype == np.float64
-    assert ad.scalar_mul(Matrix([[2.0]]), narrow).data.dtype == np.float64
 
 
 def test_a_float32_op_that_overflows_still_raises():

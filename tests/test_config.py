@@ -9,7 +9,7 @@ import pytest
 from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig, SceneParams
 from semtrack.degrade import DEFAULT_CHAIN, DegradationOp, Downsample, GaussianBlur, GaussianNoise
 from semtrack.quality import QualityRanges
-from semtrack.scenes import DetectorNoise
+from semtrack.scenes import MAX_FALSE_BOX, DetectorNoise
 from semtrack.student import StudentConfig
 from semtrack.tracker import TrackerConfig
 from semtrack.training import TrainConfig
@@ -169,6 +169,13 @@ def section(raw, where):
     ("scene", "motion_jitter", -math.inf, r"scene\.motion_jitter: expected float, got -inf"),
     ("scene", "motion_jitter", -1, r"scene\.motion_jitter must be >= 0, got -1"),
     ("scene", "num_targets", 0, r"scene\.num_targets must be >= 1, got 0"),
+    (None, "alpha", 10 ** 400, r"^alpha: expected float, got 1000"),
+    ("degradation_chain.0", "kernel_size", 4,
+     r"^degradation_chain\[0\]: kernel_size must be odd and >= 1, got 4"),
+    ("degradation_chain.1", "scale", 1.5, r"^degradation_chain\[1\]: scale must be in"),
+    ("degradation_chain.2", "sigma", -0.1, r"^degradation_chain\[2\]: noise sigma must be"),
+    ("scene", "width", 29, r"^scene\.width must be >= 30, got 29"),
+    ("scene", "height", 8, r"^scene\.height must be >= 30, got 8"),
 ], ids=["no-eval-scenes", "negative-train-scenes", "ratio-no-low", "ratio-three",
         "unknown-degradation", "unknown-degradation-key", "heads-not-dividing",
         "no-epochs", "fp-rate-above-one", "clarity-range-reversed",
@@ -179,7 +186,9 @@ def section(raw, where):
         "chain-not-a-list", "fractional-kernel-size", "bool-kernel-size",
         "fractional-noise-seed", "nan-clarity", "infinite-clarity", "nan-blur-sigma",
         "infinite-blur-sigma", "nan-motion-jitter", "infinite-motion-jitter",
-        "negative-motion-jitter", "no-targets"])
+        "negative-motion-jitter", "no-targets", "int-alpha-beyond-float",
+        "even-kernel-size", "downsample-scale-above-one", "negative-noise-sigma",
+        "narrow-frame", "low-frame"])
 def test_malformed_value_raises_when_built(where, key, value, match):
     raw = json.loads(ExperimentConfig().to_json())
     section(raw, where)[key] = value
@@ -235,11 +244,13 @@ def test_built_config_is_type_checked_like_a_loaded_one(key, value, match):
 @pytest.mark.parametrize("field, value", [
     ("num_frames", 1), ("num_targets", 0), ("num_targets", -3),
     ("motion_jitter", -1.0), ("motion_jitter", -1e-9), ("motion_jitter", math.nan),
+    ("width", 8), ("width", 21), ("width", 22), ("width", 29), ("height", 29),
 ])
 def test_scene_params_check_their_values(field, value):
     with pytest.raises(ValueError, match=rf"scene\.{field} must be >= "):
         SceneParams(**{field: value})
-    SceneParams(num_frames=2, num_targets=1, motion_jitter=0.0)
+    SceneParams(width=MAX_FALSE_BOX, height=MAX_FALSE_BOX, num_frames=2, num_targets=1,
+                motion_jitter=0.0)
 
 
 @pytest.mark.parametrize("where, key, value, accepted", [

@@ -77,7 +77,7 @@ def test_perfect_alignment_gives_zero_loss():
     out = one_frame_loss(head, Matrix(t_align), t)
     assert out.l_local == 0.0
     assert out.l_global == 0.0
-    assert out.l_distill == 0.0
+    assert out.loss_node.item() == 0.0
 
 
 def test_seeded_pipeline_matches_oracle():
@@ -89,8 +89,9 @@ def test_seeded_pipeline_matches_oracle():
     t = make_teacher(7)
     out = one_frame_loss(head, Matrix(s_arr), t)
     ref = oracle_dcsd(head, s_arr, t.vector.data)
-    for key in ("l_local", "l_global", "w1", "w2", "l_distill"):
+    for key in ("l_local", "l_global", "w1", "w2"):
         assert abs(getattr(out, key) - ref[key]) < 1e-10, key
+    assert abs(out.loss_node.item() - ref["l_distill"]) < 1e-10
 
 
 def test_breakdown_combination_identity():
@@ -99,21 +100,28 @@ def test_breakdown_combination_identity():
     for trial in range(20):
         s = Matrix(rng.standard_normal((int(rng.integers(1, 8)), 256)))
         out = one_frame_loss(head, s, make_teacher(trial))
-        assert abs(out.l_distill - (out.w1 * out.l_local + out.w2 * out.l_global)) < 1e-12
+        l_distill = out.loss_node.item()
+        assert abs(l_distill - (out.w1 * out.l_local + out.w2 * out.l_global)) < 1e-12
         lo, hi = sorted((out.l_local, out.l_global))
-        assert lo - 1e-12 <= out.l_distill <= hi + 1e-12
+        assert lo - 1e-12 <= l_distill <= hi + 1e-12
 
 
 def test_loss_weights_examples():
     head = DcsdHead(seed=0)
-    assert head.loss_weights() == (0.5, 0.5)
+    s, t = Matrix(np.zeros((2, 256))), make_teacher(0)
+
+    def loss_weights():
+        out = one_frame_loss(head, s, t)
+        return out.w1, out.w2
+
+    assert loss_weights() == (0.5, 0.5)
     head.loss_logits = type(head.loss_logits)(np.array([[math.log(3.0), 0.0]]))
-    w1, w2 = head.loss_weights()
+    w1, w2 = loss_weights()
     assert abs(w1 - 0.75) < 1e-12 and abs(w2 - 0.25) < 1e-12
     rng = np.random.default_rng(11)
     for _ in range(50):
         head.loss_logits = type(head.loss_logits)(rng.standard_normal((1, 2)) * 3)
-        w1, w2 = head.loss_weights()
+        w1, w2 = loss_weights()
         assert abs(w1 + w2 - 1.0) <= 1e-12
         assert 0.0 < w1 < 1.0 and 0.0 < w2 < 1.0
 
@@ -153,7 +161,7 @@ def test_works_with_pseudo_teacher():
     frame = np.random.default_rng(5).uniform(0, 1, (24, 32))
     out = one_frame_loss(head, Matrix(np.random.default_rng(6).standard_normal((2, 256))),
                          pseudo_teacher(frame, seed=9))
-    assert np.isfinite(out.l_distill)
+    assert np.isfinite(out.loss_node.item())
 
 
 # rows of three frames, deliberately interleaved and of unequal sizes
@@ -171,10 +179,11 @@ def test_stacked_frames_give_the_mean_of_the_per_frame_losses():
     frames = np.array(SEGMENTS)
     per_frame = [oracle_dcsd(head, s_arr[frames == f], teachers[f].vector.data)
                  for f in range(3)]
-    for key in ("l_local", "l_global", "l_distill"):
+    got = {"l_local": out.l_local, "l_global": out.l_global,
+           "l_distill": out.loss_node.item(), "w1": out.w1, "w2": out.w2}
+    for key, value in got.items():
         expected = sum(ref[key] for ref in per_frame) / 3
-        assert abs(getattr(out, key) - expected) <= 1e-12 * abs(expected), key
-    assert (out.w1, out.w2) == head.loss_weights()
+        assert abs(value - expected) <= 1e-12 * abs(expected), key
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,9 @@ from semtrack.experiment import (RATIO_GRID, VARIANTS, ablation_trend, alpha_swe
                                  build_model, degraded_train_scenes, evaluate_samples,
                                  evaluation_corpus, ratio_sweep, run_sweep,
                                  training_corpus)
-from semtrack.scenes import generate_scene, random_scene_config
+from semtrack.scenes import (MAX_FALSE_BOX, DetectorNoise, generate_scene,
+                             random_scene_config, synth_detector)
+from semtrack.tracks import TrackSet
 
 
 def small_config(**overrides):
@@ -102,6 +104,23 @@ def test_evaluation_corpus_with_empty_chain_is_clean():
         assert is_degraded(sample, config, EVAL_SEED_OFFSET + i)
 
 
+def test_the_smallest_frame_the_config_allows_builds_its_corpora():
+    # false detections are drawn up to MAX_FALSE_BOX on a side: a frame of
+    # that size holds every one, a frame a pixel smaller cannot
+    side = MAX_FALSE_BOX
+    config = replace(small_config(detector=DetectorNoise(fp_rate=0.9)),
+                     scene=SceneParams(width=side, height=side, num_frames=8,
+                                       num_targets=2))
+    samples = training_corpus(config) + evaluation_corpus(config)
+    false = [d.box for s in samples for d in s.detections if d.confidence < 0.5]
+    assert false and max(max(w, h) for _, _, w, h in false) > side - 1
+    assert all(l >= 0 and t >= 0 and l + w <= side + 1e-9 and t + h <= side + 1e-9
+               for l, t, w, h in false)
+    with pytest.raises(ValueError):
+        synth_detector([np.zeros((side - 1, side - 1))] * 64, TrackSet(),
+                       DetectorNoise(fp_rate=0.9), seed=0)
+
+
 def test_evaluate_samples_rejects_empty_corpus():
     config = small_config()
     with pytest.raises(ValueError, match="no evaluation scenes"):
@@ -157,7 +176,7 @@ def trained(monkeypatch):
 
 def assert_scored(scores, names):
     assert list(scores) == list(names)
-    assert all(math.isfinite(v) for score in scores.values() for v in score.row().values())
+    assert all(math.isfinite(v) for score in scores.values() for v in astuple(score))
 
 
 def test_ablation_trains_every_variant_on_one_config(trained):

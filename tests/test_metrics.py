@@ -193,12 +193,13 @@ def test_evaluate_equals_the_standalone_metrics():
     for case in range(20):
         gt, pred = random_tiny_case(rng)
         report = evaluate(gt, pred)
-        h, d, a, per_alpha = hota(gt, pred)
-        m, counts = mota(gt, pred)
+        table = frame_table(gt, pred)
+        h, d, a, per_alpha = hota(gt, pred, table)
+        m, counts = mota(gt, pred, table)
         assert (report.hota, report.deta, report.assa, report.per_alpha) == \
             (h, d, a, per_alpha), f"case {case}"
         assert (report.mota, report.counts) == (m, counts), f"case {case}"
-        assert report.idf1 == idf1(gt, pred), f"case {case}"
+        assert report.idf1 == idf1(gt, pred, table), f"case {case}"
 
 
 def test_evaluate_builds_the_frame_table_once(monkeypatch):
@@ -212,8 +213,6 @@ def test_evaluate_builds_the_frame_table_once(monkeypatch):
     gt, pred = random_tiny_case(np.random.default_rng(2))
     evaluate(gt, pred)
     assert len(built) == 1
-    hota(gt, pred)    # a direct call builds its own
-    assert len(built) == 2
 
 
 # One track-crowded-shaped sequence (16 targets, 64 frames, jitter 0.5,
@@ -255,7 +254,7 @@ def test_mota_formula_point_eight():
     gt = TrackSet(simple_track(1, range(10), (0, 0, 10, 10)))
     pred = TrackSet(simple_track(1, range(9), (0, 0, 10, 10))
                     + simple_track(2, [9], (50, 50, 5, 5)))
-    value, counts = mota(gt, pred)
+    value, counts = mota(gt, pred, frame_table(gt, pred))
     assert value == pytest.approx(0.8)
     assert counts.fn == 1 and counts.fp == 1 and counts.idsw == 0
 
@@ -266,7 +265,7 @@ def test_mota_can_go_negative():
         simple_track(1, [0, 1], (0, 0, 10, 10))
         + simple_track(2, [0, 1], (40, 40, 5, 5))
         + simple_track(3, [0], (60, 60, 5, 5)))
-    value, counts = mota(gt, pred)
+    value, counts = mota(gt, pred, frame_table(gt, pred))
     assert value == pytest.approx(1 - 3 / 2)
     assert counts.fp == 3 and counts.fn == 0
 
@@ -275,41 +274,57 @@ def test_mota_counts_identity_switch_across_gap():
     box = (0, 0, 10, 10)
     gt = TrackSet(simple_track(1, [0, 1, 2], box))
     pred = TrackSet(simple_track(1, [0], box) + simple_track(2, [2], box))
-    value, counts = mota(gt, pred)
+    value, counts = mota(gt, pred, frame_table(gt, pred))
     assert counts.idsw == 1  # id changed relative to last matched frame
     assert value == pytest.approx(1 - (1 + 0 + 1) / 3)
 
 
 def test_mota_undefined_for_empty_gt():
+    pred = TrackSet(simple_track(1, [0], (0, 0, 5, 5)))
     with pytest.raises(UndefinedMetricError):
-        mota(TrackSet(), TrackSet(simple_track(1, [0], (0, 0, 5, 5))))
+        mota(TrackSet(), pred, frame_table(TrackSet(), pred))
 
 
 def test_idf1_split_track_is_half():
     box = (0, 0, 10, 10)
     gt = TrackSet(simple_track(1, range(10), box))
     pred = TrackSet(simple_track(1, range(5), box) + simple_track(2, range(5, 10), box))
-    assert idf1(gt, pred) == pytest.approx(0.5)
+    assert idf1(gt, pred, frame_table(gt, pred)) == pytest.approx(0.5)
     assert brute_idf1(gt, pred) == pytest.approx(0.5)
 
 
 def test_idf1_empty_prediction_is_zero():
     gt = TrackSet(simple_track(1, [0], (0, 0, 10, 10)))
-    assert idf1(gt, TrackSet()) == 0.0
+    assert idf1(gt, TrackSet(), frame_table(gt, TrackSet())) == 0.0
 
 
 def test_hota_empty_prediction_all_zero():
     gt = TrackSet(simple_track(1, [0, 1], (0, 0, 10, 10)))
-    h, d, a, per_alpha = hota(gt, TrackSet())
+    h, d, a, per_alpha = hota(gt, TrackSet(), frame_table(gt, TrackSet()))
     assert h == d == a == 0.0
     assert all(v == (0.0, 0.0, 0.0) for v in per_alpha.values())
+
+
+def test_an_empty_prediction_scores_exactly_zero_on_random_ground_truths():
+    # an empty prediction takes the general path; it must give the plain
+    # zeros a special case would return
+    rng = np.random.default_rng(5)
+    for case in range(200):
+        gt, _ = random_tiny_case(rng)
+        report = evaluate(gt, TrackSet())
+        assert (report.hota, report.deta, report.assa, report.idf1, report.mota) == \
+            (0.0, 0.0, 0.0, 0.0, 0.0), f"case {case}"
+        assert report.per_alpha == {alpha: (0.0, 0.0, 0.0) for alpha in ALPHAS}
+        assert all(type(v) is float for v in report.per_alpha[ALPHAS[0]])
+        c = report.counts
+        assert (c.tp, c.fp, c.fn, c.idsw) == (0, 0, len(gt), 0), f"case {case}"
 
 
 def test_hota_geometric_mean_identity():
     rng = np.random.default_rng(0)
     for _ in range(10):
         gt, pred = random_tiny_case(rng)
-        _, _, _, per_alpha = hota(gt, pred)
+        _, _, _, per_alpha = hota(gt, pred, frame_table(gt, pred))
         for h, d, a in per_alpha.values():
             assert h == pytest.approx(np.sqrt(d * a), abs=1e-12)
 
@@ -331,7 +346,7 @@ def test_id_relabeling_does_not_change_scores():
 def test_hota_keeps_a_match_at_an_alpha_equal_to_its_iou():
     gt = TrackSet(simple_track(1, [0], (0.0, 0.0, 10.0, 10.0)))
     pred = TrackSet(simple_track(1, [0], (0.0, 0.0, 10.0, 5.0)))   # IoU exactly 0.5
-    _, _, _, per_alpha = hota(gt, pred)
+    _, _, _, per_alpha = hota(gt, pred, frame_table(gt, pred))
     assert [a for a, (_, deta, _) in per_alpha.items() if deta == 1.0] == \
         [a for a in ALPHAS if a <= 0.5]
     assert all(deta == 0.0 for a, (_, deta, _) in per_alpha.items() if a > 0.5)
@@ -342,8 +357,8 @@ def test_removing_correct_prediction_never_raises_deta():
     gt = TrackSet(simple_track(1, range(4), box))
     pred_full = TrackSet(simple_track(1, range(4), box))
     pred_miss = TrackSet(simple_track(1, range(3), box))
-    _, full_d, _, _ = hota(gt, pred_full)
-    _, miss_d, _, _ = hota(gt, pred_miss)
+    _, full_d, _, _ = hota(gt, pred_full, frame_table(gt, pred_full))
+    _, miss_d, _, _ = hota(gt, pred_miss, frame_table(gt, pred_miss))
     assert miss_d <= full_d
 
 

@@ -78,6 +78,14 @@ def weight_of(head: DswrHead, q: float) -> float:
     return head.semantic_weight(Matrix([[q]])).item()
 
 
+def head_holding(w: float, b: float) -> DswrHead:
+    """A DSWR head whose scalars were moved to ``w`` and ``b``, as training
+    moves them."""
+    head = DswrHead()
+    head.w.value, head.b.value = Matrix([[w]]), Matrix([[b]])
+    return head
+
+
 def test_semantic_weight_forced_values():
     head = DswrHead()  # W=-4, b=2
     assert weight_of(head, 0.5) == pytest.approx(0.5, abs=1e-12)
@@ -88,7 +96,7 @@ def test_semantic_weight_forced_values():
 def test_semantic_weight_open_interval_and_domain():
     rng = np.random.default_rng(5)
     for _ in range(30):
-        head = DswrHead(w_init=rng.normal(scale=5), b_init=rng.normal(scale=5))
+        head = head_holding(rng.normal(scale=5), rng.normal(scale=5))
         w = weight_of(head, float(rng.uniform()))
         assert 0.0 < w < 1.0
     with pytest.raises(ValueError):
@@ -158,7 +166,7 @@ def test_fuse_of_a_repeated_weight_is_the_scalar_combination_bit_for_bit():
     rng = np.random.default_rng(9)
     f_sem = rng.standard_normal((6, 256))
     f_query = rng.standard_normal((6, 256))
-    head = DswrHead(w_init=-3.3, b_init=1.7)
+    head = head_holding(-3.3, 1.7)
     q = 0.61803
     w = head.semantic_weight(Matrix(np.full((6, 1), q)))
     scalar = 1.0 / (1.0 + np.exp(-np.full((6, 1), -3.3 * q + 1.7)))

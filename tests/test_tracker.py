@@ -7,7 +7,7 @@ from semtrack.autodiff import Matrix
 from semtrack.metrics import evaluate
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
                              generate_scene, random_scene_config, synth_detector)
-from semtrack.student import StudentConfig
+from semtrack.student import StudentConfig, StudentModel
 from semtrack.tracker import (DESCRIPTOR_DIM, INFERENCE_DTYPE, PROPAGATE_CONFIDENCE, VARIANTS,
                               TrackerModel, box_descriptor, track_sequence)
 
@@ -203,6 +203,28 @@ def test_track_sequence_equals_the_reference(variant):
     seen = {(frame, track_id) for frame, track_id, _, _ in records}
     assert any((f + 1, i) not in seen and (f + 2, i) in seen for f, i in seen)
     assert any(confidence <= PROPAGATE_CONFIDENCE for *_, confidence in records)
+
+
+@pytest.mark.parametrize("variant", ["distill", "full"])
+def test_a_frame_without_detections_runs_no_student(monkeypatch, variant):
+    frames, dets = noisy_scene()
+    dets = [d for d in dets if d.frame not in (5, 6)]
+    model = TrackerModel(variant, TINY_STUDENT, seed=3)
+    expected = [(r.frame, r.track_id, r.box, r.confidence)
+                for r in reference_track_sequence(frames, dets, model)]
+    calls = []
+    forward = StudentModel.forward
+
+    def counting(self, x, segments=None):
+        calls.append(x.rows)
+        return forward(self, x, segments)
+
+    monkeypatch.setattr(StudentModel, "forward", counting)
+    records = records_of(frames, dets, model)
+    assert len(calls) == len({d.frame for d in dets}) == len(frames) - 2
+    assert records == expected
+    # a track is carried into frame 5, so the frame had rows to encode
+    assert any(f == 4 and c > PROPAGATE_CONFIDENCE for f, _, _, c in records)
 
 
 def test_track_survives_short_gap_with_same_id():

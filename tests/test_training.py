@@ -320,7 +320,8 @@ def test_training_log_csv_format(tmp_path):
     sample = make_sample(seed=12, num_frames=5)
     model = TrackerModel("full", TINY_STUDENT, seed=13)
     path = tmp_path / "log.csv"
-    log = train(model, [sample], TrainConfig(alpha=0.4, epochs=2), log_path=path)
+    log = train(model, [sample], TrainConfig(alpha=0.4, epochs=2))
+    write_training_log(log, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(LOG_COLUMNS)
@@ -332,10 +333,9 @@ def test_frozen_loss_logits_stay_fixed_under_training():
     sample = make_sample(seed=14, num_frames=5)
     model = TrackerModel("distill", TINY_STUDENT, seed=15)
     before = model.dcsd.loss_logits.value.data.copy()
-    train(model, [sample], TrainConfig(alpha=0.4, epochs=3))
+    log = train(model, [sample], TrainConfig(alpha=0.4, epochs=3))
     assert np.array_equal(model.dcsd.loss_logits.value.data, before)
-    w1, w2 = model.dcsd.loss_weights()
-    assert w1 == w2 == 0.5
+    assert all(row["w1"] == row["w2"] == 0.5 for row in log)
 
 
 def test_trainable_loss_logits_move():
