@@ -221,8 +221,14 @@ class DetectorNoise:
 def synth_detector(frames: list[np.ndarray], gt: TrackSet,
                    noise: DetectorNoise = DetectorNoise(),
                    seed: int = 0) -> list[Detection]:
-    """Jittered, thinned and polluted detections derived from ground truth."""
+    """Jittered, thinned and polluted detections derived from ground truth.
+
+    False boxes are up to ``MAX_FALSE_BOX`` pixels a side, so with
+    ``fp_rate > 0`` a frame smaller than that raises ``ValueError``."""
     height, width = frames[0].shape
+    if noise.fp_rate > 0.0 and min(height, width) < MAX_FALSE_BOX:
+        raise ValueError(f"false boxes need frames of at least {MAX_FALSE_BOX}x"
+                         f"{MAX_FALSE_BOX} (MAX_FALSE_BOX), got {height}x{width}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     by_frame = gt.by_frame()
     detections: list[Detection] = []

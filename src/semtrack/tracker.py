@@ -13,8 +13,15 @@ are fused back into the queries, with a fixed ratio or (``full``) a
 quality-driven one; a frame without detections runs none of this, since
 nothing would read its features. Fused track and proposal features are
 associated one-to-one per frame by Hungarian assignment on cosine-plus-IoU
-cost. Per frame, one gather of every box's sample points gives all the
-descriptors, and one track-by-detection IoU matrix gives the IoU term.
+cost, whose IoU term is one track-by-detection IoU matrix.
+
+What no tracking state feeds is computed once per sequence, before the frame
+loop: the detections' boxes grouped per frame, every box's descriptor (one
+:func:`box_descriptor` call, which gathers each frame's sample points in one
+index), and one quality column over the frames with detections. The query
+embedding and the student stay per frame: one matmul over a sequence's
+stacked rows rounds some row blocks differently from the per-frame calls, so
+track records would change.
 
 When tracking, the student runs in :data:`INFERENCE_DTYPE` (float32): a
 frame's call sees a few rows, so its cost is the reading of the student's
@@ -74,20 +81,28 @@ class TrackerConfig:
     quality_ranges: QualityRanges = QualityRanges()
 
 
-def box_descriptor(frame: np.ndarray, boxes) -> np.ndarray:
-    """n x 70 proposal descriptors of n (l, t, w, h) boxes (one box may be
-    given bare): geometry, an 8x8 bilinear patch of the box's pixel crop,
-    and the patch mean/std.
+def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> np.ndarray:
+    """Every box's 70-value proposal descriptor, stacked in frame order:
+    geometry, an 8x8 bilinear patch of the box's pixel crop, and the patch
+    mean/std. ``boxes_per_frame[f]`` holds frame ``f``'s (l, t, w, h) boxes
+    (one box may be given bare); a sequence without boxes gives 0 x 70.
 
     Equal bit for bit to cropping each box and calling
-    ``frames.resize(crop, 8, 8)``; every sample point of every box comes from
-    one gather. The mean and std sum in the order ``resize``'s result is laid
-    out: by columns, except for a crop of exactly 8x8, which ``resize`` copies
-    row by row.
+    ``frames.resize(crop, 8, 8)``. The frames share one shape, so the crop
+    bounds, sample taps, interpolation, mean/std and geometry are computed
+    once for all boxes; per frame with boxes there is only one gather of its
+    boxes' sample points. The mean and std sum in the order ``resize``'s
+    result is laid out: by columns, except for a crop of exactly 8x8, which
+    ``resize`` copies row by row.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    height, width = frame.shape
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if len(frames) != len(boxes_per_frame):
+        raise ValueError(f"{len(frames)} frames but boxes for {len(boxes_per_frame)}")
+    per_frame = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b in boxes_per_frame]
+    counts = [len(b) for b in per_frame]
+    if not any(counts):
+        return np.zeros((0, DESCRIPTOR_DIM))
+    boxes = np.concatenate(per_frame)
+    height, width = np.shape(frames[0])
     l, t, w, h = boxes.T
     # pixel crop [top, bottom) x [left, right) of each box, at least 1x1
     left = np.clip(np.floor(l), 0, width - 1).astype(np.intp)
@@ -96,10 +111,21 @@ def box_descriptor(frame: np.ndarray, boxes) -> np.ndarray:
     bottom = np.minimum(np.maximum(np.ceil(t + h).astype(np.intp), top + 1), height)
     r0, r1, fr = _sample_axis(bottom - top)
     c0, c1, fc = _sample_axis(right - left)
-    # corners[:, i, j] is the crop's pixel at rows (r0, r1)[i], columns (c0, c1)[j]
+    # corners[:, i, j] is the crop's pixel at rows (r0, r1)[i], columns (c0, c1)[j],
+    # gathered from each frame's pixels in row-major order
     rows = top[:, None, None] + np.stack([r0, r1], axis=1)
     cols = left[:, None, None] + np.stack([c0, c1], axis=1)
-    corners = frame[rows[:, :, None, :, None], cols[:, None, :, None, :]]
+    flat = rows[:, :, None, :, None] * width + cols[:, None, :, None, :]
+    corners = np.empty(flat.shape)
+    end = 0
+    for frame, count in zip(frames, counts):
+        if count:
+            frame = np.asarray(frame)
+            if frame.shape != (height, width):
+                raise ValueError(f"frame of shape {frame.shape} in a sequence of "
+                                 f"{(height, width)} frames")
+            start, end = end, end + count
+            corners[start:end] = frame.reshape(-1)[flat[start:end]]
     fc = fc[:, None, :]
     upper = corners[:, 0, 0] * (1 - fc) + corners[:, 0, 1] * fc
     lower = corners[:, 1, 0] * (1 - fc) + corners[:, 1, 1] * fc
@@ -359,20 +385,32 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
     the next one: those with confidence above ``PROPAGATE_CONFIDENCE``, in
     birth order."""
     per_frame = detections_by_frame(detections, len(frames))
+    # the sequence's constants, which no tracking state feeds: each frame's
+    # detections, and in frame_rows[f] the rows of frame f's boxes and
+    # descriptors; then the quality of each frame with detections, in frame order
+    dets_per_frame = [per_frame.get(frame_index, []) for frame_index in range(len(frames))]
+    boxes = np.array([det.box for dets in dets_per_frame for det in dets],
+                     dtype=np.float64).reshape(-1, 4)
+    first_row = np.cumsum([0] + [len(dets) for dets in dets_per_frame])
+    frame_rows = [slice(start, end) for start, end in zip(first_row[:-1], first_row[1:])]
+    boxes_per_frame = [boxes[rows] for rows in frame_rows]
+    descriptors = box_descriptor(frames, boxes_per_frame)
+    quality = model.quality_column([frames[f] for f in sorted(per_frame)],
+                                   config.quality_ranges)
     output = TrackSet()
     active: list[_ActiveTrack] = []
     next_id = 1
-    for frame_index, frame in enumerate(frames):
-        dets = per_frame.get(frame_index, [])
+    detected = 0                         # frames with detections seen so far
+    for frame_index, dets in enumerate(dets_per_frame):
         # without detections nothing reads the features: no match, no birth
         if dets:
-            proposals = model.embed_descriptors(
-                box_descriptor(frame, [det.box for det in dets])).data
+            proposals = model.embed_descriptors(descriptors[frame_rows[frame_index]]).data
             queries = np.concatenate([trk.feature for trk in active] + [proposals], axis=0)
-            quality = model.quality_column([frame], config.quality_ranges)
             if model.student is not None:
                 queries = queries.astype(INFERENCE_DTYPE)
-            fused = model.encode_queries(Matrix(queries), quality)[0].data
+            frame_quality = None if quality is None else quality[detected:detected + 1]
+            detected += 1
+            fused = model.encode_queries(Matrix(queries), frame_quality)[0].data
             track_feats, prop_feats = fused[:len(active)], fused[len(active):]
 
         # every track misses unless a match below gives it its detection's confidence
@@ -382,7 +420,7 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
         if active and dets:
             cost = (1.0 - _cosine(track_feats, prop_feats)
                     + IOU_WEIGHT * (1.0 - iou_matrix([trk.box for trk in active],
-                                                     [det.box for det in dets])))
+                                                     boxes_per_frame[frame_index])))
             gated = np.where(cost <= MATCH_GATE, cost, 1e9)
             for r, c in zip(*linear_sum_assignment(gated)):
                 if cost[r, c] <= MATCH_GATE:

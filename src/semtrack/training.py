@@ -16,11 +16,13 @@ attention masked to each frame's rows) and one box-head call per scene. The
 losses are those of running the frames one by one, up to summation order.
 
 The teacher is frozen, so on a fixed corpus everything a step computes
-before the model runs is a constant of the scene: proposal descriptors,
-gt labels and what the losses derive from them, teacher embeddings and
-frame quality. Each :class:`SceneSample` caches them on its first step
-(keyed on the teacher seed and the quality ranges where those matter), so
-only the first epoch computes them; see :class:`SceneSample`.
+before the model runs is a constant of the scene: proposal descriptors
+(one :func:`~semtrack.tracker.box_descriptor` call over the scene's frames
+with detections, as tracking makes one per sequence), gt labels and what
+the losses derive from them, teacher embeddings and frame quality. Each
+:class:`SceneSample` caches them on its first step (keyed on the teacher
+seed and the quality ranges where those matter), so only the first epoch
+computes them; see :class:`SceneSample`.
 
 One training step consumes one scene; plain gradient descent with a single
 x0.1 learning-rate drop two-thirds of the way through the epoch budget.
@@ -40,7 +42,7 @@ from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix, Tape
 from semtrack.scenes import Detection, detections_by_frame
 from semtrack.teacher import pseudo_teacher
-from semtrack.tracker import DESCRIPTOR_DIM, TrackerConfig, TrackerModel, box_descriptor
+from semtrack.tracker import TrackerConfig, TrackerModel, box_descriptor
 from semtrack.tracks import TrackSet, iou_matrix
 
 LOG_COLUMNS = ("step", "l_local", "l_global", "w1", "w2", "l_distill", "l_mot", "total")
@@ -123,11 +125,13 @@ class _ScenePlan:
 
     The rows of every frame with detections are stacked: frame
     ``frame_ids[k]`` is segment ``k``, and ``segments`` gives each row's
-    segment. Each contrastive pair is (anchor rows, their target indices
-    among the candidates, candidate rows): the gt-matched rows of a frame
-    whose gt id is matched in the next frame too, and all of that next
-    frame's rows. ``box_targets`` holds the normalised gt box of each
-    ``box_rows`` row, every gt-matched row of the scene.
+    segment. ``descriptors`` holds every row's proposal descriptor, from one
+    :func:`box_descriptor` call over those frames. Each contrastive pair is
+    (anchor rows, their target indices among the candidates, candidate
+    rows): the gt-matched rows of a frame whose gt id is matched in the next
+    frame too, and all of that next frame's rows. ``box_targets`` holds the
+    normalised gt box of each ``box_rows`` row, every gt-matched row of the
+    scene.
     """
 
     frame_ids: list[int]
@@ -158,17 +162,16 @@ def _scene_plan(sample: SceneSample) -> _ScenePlan:
     # segment k holds the rows of frame frame_ids[k], rows first_row[k] to
     # first_row[k + 1]
     frame_ids = sorted(per_frame)
-    descriptors = [np.zeros((0, DESCRIPTOR_DIM))]
     segments: list[int] = []
     first_row = [0]
     labels: list[dict[int, int]] = []
     for segment, frame_index in enumerate(frame_ids):
         dets = per_frame[frame_index]
         first_row.append(first_row[-1] + len(dets))
-        descriptors.append(box_descriptor(sample.frames[frame_index],
-                                          [det.box for det in dets]))
         segments.extend([segment] * len(dets))
         labels.append(match_detections_to_gt(dets, gt_by_frame.get(frame_index, [])))
+    descriptors = box_descriptor([sample.frames[f] for f in frame_ids],
+                                 [[det.box for det in per_frame[f]] for f in frame_ids])
 
     # association: every gt id seen in consecutive frames must pick its own
     # detection among all of the next frame's candidates
@@ -196,7 +199,7 @@ def _scene_plan(sample: SceneSample) -> _ScenePlan:
             box_rows.append(first_row[segment] + det_idx)
             l, t, w, h = gt_recs[frame_labels[det_idx]].box
             box_targets.append([l / width, t / height, w / width, h / height])
-    return _ScenePlan(frame_ids, np.concatenate(descriptors, axis=0), np.array(segments),
+    return _ScenePlan(frame_ids, descriptors, np.array(segments),
                      pairs, box_rows, np.array(box_targets))
 
 

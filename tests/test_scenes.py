@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
-                             crossing_preset, detections_by_frame, generate_scene,
-                             random_scene_config, synth_detector)
-from semtrack.tracks import box_iou
+from semtrack.scenes import (MAX_FALSE_BOX, Detection, DetectorNoise, SceneConfig,
+                             TargetSpec, crossing_preset, detections_by_frame,
+                             generate_scene, random_scene_config, synth_detector)
+from semtrack.tracks import TrackSet, box_iou
 
 
 def test_scene_determinism():
@@ -104,6 +104,16 @@ def test_false_positive_rate_binomial():
     n_false = len(dets) - len(gt)
     # Binomial(100, 0.5): 99% interval is about [37, 63]
     assert 37 <= n_false <= 63
+
+
+def test_false_boxes_need_frames_of_max_false_box():
+    frames = [np.zeros((29, 29))] * 64
+    with pytest.raises(ValueError, match="30x30 \\(MAX_FALSE_BOX\\), got 29x29"):
+        synth_detector(frames, TrackSet(), DetectorNoise(fp_rate=0.9), seed=0)
+    # without false boxes the frame size does not matter
+    assert synth_detector(frames, TrackSet(), DetectorNoise(fp_rate=0.0), seed=0) == []
+    frames = [np.zeros((MAX_FALSE_BOX, MAX_FALSE_BOX))] * 64
+    assert synth_detector(frames, TrackSet(), DetectorNoise(fp_rate=0.9), seed=0)
 
 
 def test_fn_rate_drops_boxes():

@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from semtrack import tracker
 from semtrack.autodiff import Matrix
+from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, apply_chain
 from semtrack.metrics import evaluate
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
 from semtrack.tracker import (DESCRIPTOR_DIM, INFERENCE_DTYPE, PROPAGATE_CONFIDENCE, VARIANTS,
                               TrackerModel, box_descriptor, track_sequence)
+from semtrack.tracks import TrackSet
 
 from oracles import per_box_descriptor, reference_track_sequence
 
@@ -29,7 +32,7 @@ def separated_scene(seed=0):
 
 def test_descriptor_shape_and_geometry():
     frame = np.random.default_rng(0).uniform(0, 1, (96, 128))
-    desc = box_descriptor(frame, (12.0, 24.0, 16.0, 32.0))
+    desc = box_descriptor([frame], [(12.0, 24.0, 16.0, 32.0)])
     assert desc.shape == (1, DESCRIPTOR_DIM)
     assert desc[0, 0] == pytest.approx(12.0 / 128)
     assert desc[0, 1] == pytest.approx(24.0 / 96)
@@ -59,7 +62,7 @@ DESCRIPTOR_CASES = {
 def test_box_descriptor_equals_the_per_box_reference(boxes):
     frame = np.random.default_rng(0).uniform(0, 1, (48, 64))
     expected = np.concatenate([per_box_descriptor(frame, box) for box in boxes])
-    got = box_descriptor(frame, boxes)
+    got = box_descriptor([frame], [boxes])
     assert got.shape == (len(boxes), DESCRIPTOR_DIM)
     assert got.tobytes() == expected.tobytes()
 
@@ -73,7 +76,65 @@ def test_box_descriptor_equals_the_per_box_reference_on_random_boxes():
                   float(rng.uniform(0.1, 40)), float(rng.uniform(0.1, 40)))
                  for _ in range(int(rng.integers(1, 25)))]
         expected = np.concatenate([per_box_descriptor(frame, box) for box in boxes])
-        assert box_descriptor(frame, boxes).tobytes() == expected.tobytes()
+        assert box_descriptor([frame], [boxes]).tobytes() == expected.tobytes()
+
+
+def per_box_reference(frames, boxes_per_frame):
+    rows = [per_box_descriptor(frame, box)
+            for frame, boxes in zip(frames, boxes_per_frame) for box in boxes]
+    return np.concatenate(rows) if rows else np.zeros((0, DESCRIPTOR_DIM))
+
+
+def random_boxes(rng, count, height, width):
+    return [(float(rng.uniform(-10, width)), float(rng.uniform(-10, height)),
+             float(rng.uniform(0.1, 40)), float(rng.uniform(0.1, 40)))
+            for _ in range(count)]
+
+
+# boxes per frame of a 7-frame sequence; 0 marks a frame without boxes
+SEQUENCE_COUNTS = {
+    "empty-start-middle-end": [0, 3, 5, 0, 1, 4, 0],
+    "every-frame": [2, 1, 6, 3, 1, 1, 2],
+    "one-frame": [0, 0, 0, 9, 0, 0, 0],
+    "no-boxes": [0] * 7,
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("counts", SEQUENCE_COUNTS.values(), ids=SEQUENCE_COUNTS)
+def test_sequence_box_descriptor_equals_the_per_box_reference(counts, order):
+    rng = np.random.default_rng(2)
+    frames = [np.asarray(rng.uniform(0, 1, (48, 64)), order=order) for _ in counts]
+    assert all(frame.flags.f_contiguous == (order == "F") for frame in frames)
+    boxes = [random_boxes(rng, count, 48, 64) for count in counts]
+    got = box_descriptor(frames, boxes)
+    expected = per_box_reference(frames, boxes)
+    assert got.shape == (sum(counts), DESCRIPTOR_DIM)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sequence_box_descriptor_of_an_empty_sequence_is_0_x_70():
+    assert box_descriptor([], []).shape == (0, DESCRIPTOR_DIM)
+
+
+def test_sequence_box_descriptor_on_read_only_views_of_one_degraded_block():
+    rng = np.random.default_rng(4)
+    clean = [rng.uniform(0, 1, (40, 56)) for _ in range(6)]
+    frames = apply_chain(DegradationChain(DEFAULT_CHAIN, master_seed=4), clean, "s")
+    assert not any(frame.flags.writeable for frame in frames)
+    assert all(frame.base is frames[0].base for frame in frames)
+    boxes = [random_boxes(rng, count, 40, 56) for count in (4, 0, 2, 7, 0, 3)]
+    assert box_descriptor(frames, boxes).tobytes() == \
+        per_box_reference(frames, boxes).tobytes()
+
+
+def test_sequence_box_descriptor_rejects_a_mismatched_sequence():
+    frames = [np.zeros((20, 30)), np.zeros((20, 31))]
+    box = (1.0, 2.0, 5.0, 5.0)
+    with pytest.raises(ValueError, match="2 frames but boxes for 1"):
+        box_descriptor(frames, [[box]])
+    with pytest.raises(ValueError, match="shape"):
+        box_descriptor(frames, [[box], [box]])
 
 
 def test_untrained_tracker_perfect_on_separated_targets():
@@ -225,6 +286,65 @@ def test_a_frame_without_detections_runs_no_student(monkeypatch, variant):
     assert records == expected
     # a track is carried into frame 5, so the frame had rows to encode
     assert any(f == 4 and c > PROPAGATE_CONFIDENCE for f, _, _, c in records)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_track_sequence_equals_the_reference_around_frames_without_detections(variant):
+    # the first, a middle and the last frame have no detections
+    frames, dets = noisy_scene()
+    empty = (0, 11, len(frames) - 1)
+    dets = [d for d in dets if d.frame not in empty]
+    model = TrackerModel(variant, TINY_STUDENT, seed=3)
+    records = records_of(frames, dets, model)
+    assert records == [(r.frame, r.track_id, r.box, r.confidence)
+                       for r in reference_track_sequence(frames, dets, model)]
+    assert not {f for f, *_ in records} & set(empty)
+    assert any(f == 10 and c > PROPAGATE_CONFIDENCE for f, _, _, c in records)
+
+
+def count_calls(monkeypatch, calls, owner, name):
+    """Replace ``owner.name`` by a wrapper that appends to ``calls[name]``."""
+    original = getattr(owner, name)
+    calls[name] = []
+
+    def counted(*args):
+        calls[name].append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_sequence_without_detections_gives_an_empty_trackset(monkeypatch, variant):
+    frames, _ = noisy_scene()
+    calls = {}
+    for owner, name in ((tracker, "assess_quality"), (StudentModel, "forward")):
+        count_calls(monkeypatch, calls, owner, name)
+    pred = track_sequence(frames, [], TrackerModel(variant, TINY_STUDENT, seed=3))
+    assert isinstance(pred, TrackSet) and len(pred) == 0
+    assert calls == {"assess_quality": [], "forward": []}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_sequence_gathers_its_descriptors_and_quality_once(monkeypatch, variant):
+    frames, dets = noisy_scene()
+    dets = [d for d in dets if d.frame not in (0, 7, 8)]
+    model = TrackerModel(variant, TINY_STUDENT, seed=3)
+    expected = records_of(frames, dets, model)
+    calls = {}
+    for owner, name in ((tracker, "box_descriptor"), (tracker, "assess_quality"),
+                        (TrackerModel, "quality_column"), (StudentModel, "forward")):
+        count_calls(monkeypatch, calls, owner, name)
+    assert records_of(frames, dets, model) == expected
+    detected = len({d.frame for d in dets})
+    assert len(calls["box_descriptor"]) == 1
+    assert len(calls["quality_column"]) == 1
+    assert len(calls["assess_quality"]) == (detected if variant == "full" else 0)
+    assert len(calls["forward"]) == (0 if variant == "baseline" else detected)
+    (sequence, boxes), = calls["box_descriptor"]
+    assert len(sequence) == len(boxes) == len(frames)
+    assert [len(b) for b in boxes] == [sum(d.frame == f for d in dets)
+                                       for f in range(len(frames))]
 
 
 def test_track_survives_short_gap_with_same_id():

@@ -158,6 +158,27 @@ def test_later_steps_on_a_sample_reuse_its_constants(monkeypatch):
     assert step(replace(sample)) == (total, first)
 
 
+def test_a_scene_plan_gathers_its_descriptors_once(monkeypatch):
+    # frame 2 of 5 has no detections; one call covers the other four
+    sample = make_sample(seed=2, num_frames=5)
+    sample = replace(sample, detections=[d for d in sample.detections if d.frame != 2])
+    calls = []
+    original = training.box_descriptor
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(training, "box_descriptor", counted)
+    plan = training._scene_plan(sample)
+    assert plan.frame_ids == [0, 1, 3, 4]
+    (frames, boxes), = calls
+    assert [len(b) for b in boxes] == [sum(d.frame == f for d in sample.detections)
+                                       for f in plan.frame_ids]
+    assert all(a is sample.frames[f] for a, f in zip(frames, plan.frame_ids))
+    assert plan.descriptors.shape == (len(plan.segments), tracker.DESCRIPTOR_DIM)
+
+
 def test_a_changed_key_gives_the_losses_of_a_fresh_sample():
     sample = make_sample(seed=2, degraded=True, num_frames=5)
     model = TrackerModel("full", TINY_STUDENT, seed=3)
