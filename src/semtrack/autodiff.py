@@ -25,6 +25,14 @@ inputs, so float32 stays float32 and a float32 with a float64 operand gives
 float64. Only float64 is ever recorded: a tape that would record an op with
 a float32 operand raises, so training and its gradients stay float64, and
 float32 serves untaped inference alone.
+
+A tracked frame runs the student on a few rows, so an op's fixed cost
+weighs about as much as its arithmetic. Each op therefore makes one
+finiteness scan of its result and nothing else beyond its arithmetic: a
+C-ordered float result is kept without a copy, a bias row is added in
+place where that keeps numpy's result type, and a leaf keeps as its
+``grad`` a gradient that its rule made for it alone. Every result is bit
+for bit the plain numpy expression's.
 """
 
 from __future__ import annotations
@@ -88,6 +96,10 @@ def _float_type(data) -> type:
     return np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
 
 
+_FLOAT64 = np.dtype(np.float64)
+_FLOAT_TYPES = (np.dtype(np.float32), _FLOAT64)
+
+
 class Matrix:
     """Immutable rows x cols float64 (or float32) value, optionally tied to a
     tape.
@@ -102,7 +114,7 @@ class Matrix:
         arr = np.array(data, dtype=_float_type(data))
         if arr.ndim != 2:
             raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("matrix contains non-finite values")
         arr.flags.writeable = False
         self.data = arr
@@ -111,11 +123,13 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Matrix":
-        # Internal fast path for freshly computed op outputs (no copy).
+        # Internal fast path for freshly computed op outputs: one finiteness
+        # scan, and a copy only of a result that is not C-ordered float32/64.
         out = object.__new__(cls)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("operation produced non-finite values")
-        arr = np.ascontiguousarray(arr, dtype=_float_type(arr))
+        if arr.dtype not in _FLOAT_TYPES or not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr, dtype=_float_type(arr))
         arr.flags.writeable = False
         out.data = arr
         out.grad = None
@@ -133,6 +147,17 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
+
+    def row_block(self, rows: slice) -> "Matrix":
+        """Rows ``rows`` as a constant: a view of this matrix's data, with no
+        copy and no scan, as its values are known finite. Nothing records it,
+        so no gradient flows back through it; :func:`take_rows` is the
+        differentiable row pick."""
+        out = object.__new__(Matrix)
+        out.data = self.data[rows]
+        out.grad = None
+        out.requires_grad = False
+        return out
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
@@ -164,7 +189,7 @@ class Parameter:
         copy, cast once per value object. A :meth:`step` or a load replaces
         ``value``, so the next call casts the new one. The copy requires a
         gradient as the value does, so a tape refuses to record it."""
-        if np.dtype(dtype) == np.float64:
+        if dtype is _FLOAT64 or np.dtype(dtype) == _FLOAT64:
             return self.value
         if self._float32 is None or self._float32[0]() is not self.value:
             self._float32 = (weakref.ref(self.value),
@@ -234,13 +259,14 @@ class Tape:
             if g is None:
                 continue
             owned.discard(id(out))
-            for node, delta in zip(inputs, vjp(g)):
+            deltas = vjp(g)
+            for node, delta in zip(inputs, deltas):
                 if delta is None:
                     continue
                 key = id(node)
                 if key not in produced:
                     if node.requires_grad:
-                        _leaf_accum(node, delta)
+                        _leaf_accum(node, delta, _made_for_one(delta, g, deltas))
                     continue
                 prev = grads.get(key)
                 if isinstance(delta, _Rows):
@@ -257,18 +283,27 @@ class Tape:
         # the seed is a leaf only when the "loss" was never produced by a
         # recorded op
         if loss.requires_grad and id(loss) not in produced:
-            _leaf_accum(loss, grads[id(loss)])
+            _leaf_accum(loss, grads[id(loss)], owned=False)
 
 
-def _leaf_accum(node: Matrix, delta: "np.ndarray | _Rows") -> None:
-    # the first contribution is copied, so the leaf owns its buffer and later
-    # ones can be added in place
+def _made_for_one(delta, g: np.ndarray, deltas: Sequence) -> bool:
+    """Whether a rule made ``delta`` for one input alone: an array of its own
+    (not a view, not the output gradient ``g``, which other holders may
+    share) that it returned once."""
+    return (isinstance(delta, np.ndarray) and delta.base is None and delta is not g
+            and sum(d is delta for d in deltas) == 1)
+
+
+def _leaf_accum(node: Matrix, delta: "np.ndarray | _Rows", owned: bool) -> None:
+    # the leaf owns its buffer, so later contributions can be added in place:
+    # its first one becomes the buffer when no one else holds it (``owned``),
+    # and is copied otherwise
     if isinstance(delta, _Rows):
         if node.grad is None:
             node.grad = np.zeros(node.shape)
         np.add.at(node.grad, delta.index, delta.values)
     elif node.grad is None:
-        node.grad = delta.copy()
+        node.grad = delta if owned else delta.copy()
     else:
         node.grad += delta
 
@@ -290,6 +325,15 @@ def _emit(inputs: Sequence[Matrix], data: np.ndarray, vjp: Vjp) -> Matrix:
         tape._records.append((out, inputs, vjp))
         tape._produced.add(id(out))
     return out
+
+
+def _add_row(data: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``data + row`` for a fresh ``data``: in place, unless the row's float
+    type is wider and numpy's sum would promote to it."""
+    if data.dtype == row.dtype or data.dtype == _FLOAT64:
+        data += row
+        return data
+    return data + row
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +360,7 @@ def linear(x: Matrix, weight: Matrix, bias: Matrix) -> Matrix:
         raise DimensionError(f"linear shape mismatch: {x.shape} @ {weight.shape}")
     if bias.shape != (1, weight.cols):
         raise DimensionError(f"bias must be 1x{weight.cols}, got {bias.shape}")
-    data = x.data @ weight.data + bias.data
+    data = _add_row(x.data @ weight.data, bias.data)
 
     def vjp(g):
         return (g @ weight.data.T if x.requires_grad else None,
@@ -412,8 +456,11 @@ def concat_rows(parts: list[Matrix]) -> Matrix:
 
 
 def relu(m: Matrix) -> Matrix:
-    mask = m.data > 0
-    return _emit((m,), np.where(mask, m.data, 0.0), lambda g: (g * mask,))
+    # max(x, 0), then + 0.0 turns a -0.0 into 0.0: the bits of
+    # where(x > 0, x, 0.0), without building the mask outside a tape
+    data = np.maximum(m.data, 0.0)
+    data += 0.0
+    return _emit((m,), data, lambda g: (g * (m.data > 0),))
 
 
 def sigmoid(m: Matrix) -> Matrix:
@@ -474,12 +521,14 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int,
     qh = np.ascontiguousarray(heads(q.data))
     kt = np.ascontiguousarray(heads(k.data).transpose(0, 2, 1))
     vh = np.ascontiguousarray(heads(v.data))
-    z = (qh @ kt) * inv_scale
+    # the logits' softmax, in place in one buffer
+    attn = qh @ kt
+    attn *= inv_scale
     if segments is not None:
-        z = np.where(labels[:, None] == labels[None, :], z, -np.inf)
-    z = z - z.max(axis=2, keepdims=True)
-    e = np.exp(z)
-    attn = e / e.sum(axis=2, keepdims=True)
+        attn = np.where(labels[:, None] == labels[None, :], attn, -np.inf)
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
     data = merge(attn @ vh)
 
     def vjp(g):
@@ -515,11 +564,18 @@ def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
     gets :data:`LAYER_NORM_EPS` added."""
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
         raise DimensionError(f"layer norm gain/bias must be 1x{x.cols}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    # numpy's mean and var, with the row mean taken once: each row sum is
+    # divided by the intp column count under unsafe casting, so a float32 sum
+    # is divided in float64, as np.mean and np.var divide it
+    count = np.intp(x.cols)
+    mu = x.data.sum(axis=1, keepdims=True)
+    np.true_divide(mu, count, out=mu, casting="unsafe")
+    centred = x.data - mu
+    var = np.square(centred).sum(axis=1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
-    data = xhat * gain.data + bias.data
+    xhat = centred * inv
+    data = _add_row(xhat * gain.data, bias.data)
 
     def vjp(g):
         dxhat = g * gain.data

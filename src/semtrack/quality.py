@@ -111,6 +111,20 @@ def fuse(w: Matrix, f_semantic: Matrix, f_query: Matrix) -> Matrix:
     rows, cols = f_semantic.shape
     if w.shape != (rows, 1):
         raise DimensionError(f"fusion weight must be {rows}x1, got {w.shape}")
-    spread = ad.matmul(w, Matrix(np.ones((1, cols))))
-    one_minus = ad.sub(Matrix(np.ones((rows, cols))), spread)
+    spread = ad.matmul(w, _ones(1, cols))
+    one_minus = ad.sub(_ones(rows, cols), spread)
     return ad.add(ad.multiply(spread, f_semantic), ad.multiply(one_minus, f_query))
+
+
+# per width, the tallest all-ones constant a fusion has needed so far
+_ONES: dict[int, Matrix] = {}
+
+
+def _ones(rows: int, cols: int) -> Matrix:
+    """A rows x cols all-ones constant: a row block of the shared all-ones
+    matrix of that width, so a call copies and scans nothing. A matrix's data
+    is read-only, and a constant never records a gradient."""
+    ones = _ONES.get(cols)
+    if ones is None or ones.rows < rows:
+        ones = _ONES[cols] = Matrix(np.ones((rows, cols)))
+    return ones.row_block(slice(0, rows))

@@ -18,7 +18,9 @@ cost, whose IoU term is one track-by-detection IoU matrix.
 What no tracking state feeds is computed once per sequence, before the frame
 loop: the detections' boxes grouped per frame, every box's descriptor (one
 :func:`box_descriptor` call, which gathers each frame's sample points in one
-index), and one quality column over the frames with detections. The query
+index, wrapped in one :class:`~semtrack.autodiff.Matrix` whose row block each
+frame embeds without a copy), and one quality column over the frames with
+detections. The query
 embedding and the student stay per frame: one matmul over a sequence's
 stacked rows rounds some row blocks differently from the per-frame calls, so
 track records would change.
@@ -91,7 +93,8 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
     ``frames.resize(crop, 8, 8)``. The frames share one shape, so the crop
     bounds, sample taps, interpolation, mean/std and geometry are computed
     once for all boxes; per frame with boxes there is only one gather of its
-    boxes' sample points. The mean and std sum in the order ``resize``'s
+    boxes' sample points, in the frame's own memory order, so a C- or
+    Fortran-ordered frame is never copied. The mean and std sum in the order ``resize``'s
     result is laid out: by columns, except for a crop of exactly 8x8, which
     ``resize`` copies row by row.
     """
@@ -112,11 +115,13 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
     r0, r1, fr = _sample_axis(bottom - top)
     c0, c1, fc = _sample_axis(right - left)
     # corners[:, i, j] is the crop's pixel at rows (r0, r1)[i], columns (c0, c1)[j],
-    # gathered from each frame's pixels in row-major order
-    rows = top[:, None, None] + np.stack([r0, r1], axis=1)
-    cols = left[:, None, None] + np.stack([c0, c1], axis=1)
-    flat = rows[:, :, None, :, None] * width + cols[:, None, :, None, :]
-    corners = np.empty(flat.shape)
+    # gathered from each frame's pixels in the frame's own memory order, so no
+    # frame is copied: row-major, or column-major for a Fortran-ordered frame
+    rows = (top[:, None, None] + np.stack([r0, r1], axis=1))[:, :, None, :, None]
+    cols = (left[:, None, None] + np.stack([c0, c1], axis=1))[:, None, :, None, :]
+    row_major = rows * width + cols
+    column_major = None                  # indexed on the first Fortran-ordered frame
+    corners = np.empty(row_major.shape)
     end = 0
     for frame, count in zip(frames, counts):
         if count:
@@ -124,8 +129,14 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
             if frame.shape != (height, width):
                 raise ValueError(f"frame of shape {frame.shape} in a sequence of "
                                  f"{(height, width)} frames")
+            if frame.flags.f_contiguous and not frame.flags.c_contiguous:
+                if column_major is None:
+                    column_major = rows + cols * height
+                pixels, index = frame.T.reshape(-1), column_major
+            else:
+                pixels, index = frame.reshape(-1), row_major
             start, end = end, end + count
-            corners[start:end] = frame.reshape(-1)[flat[start:end]]
+            corners[start:end] = pixels.take(index[start:end])
     fc = fc[:, None, :]
     upper = corners[:, 0, 0] * (1 - fc) + corners[:, 0, 1] * fc
     lower = corners[:, 1, 0] * (1 - fc) + corners[:, 1, 1] * fc
@@ -224,9 +235,8 @@ class TrackerModel:
 
     # -- differentiable building blocks (shared by inference and training) --
 
-    def embed_descriptors(self, descriptors: np.ndarray) -> Matrix:
-        return ad.linear(Matrix(descriptors), self.embed_weight.value,
-                         self.embed_bias.value)
+    def embed_descriptors(self, descriptors: Matrix) -> Matrix:
+        return ad.linear(descriptors, self.embed_weight.value, self.embed_bias.value)
 
     def quality_column(self, frames: Sequence[np.ndarray], ranges: QualityRanges
                        ) -> np.ndarray | None:
@@ -394,7 +404,7 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
     first_row = np.cumsum([0] + [len(dets) for dets in dets_per_frame])
     frame_rows = [slice(start, end) for start, end in zip(first_row[:-1], first_row[1:])]
     boxes_per_frame = [boxes[rows] for rows in frame_rows]
-    descriptors = box_descriptor(frames, boxes_per_frame)
+    descriptors = Matrix(box_descriptor(frames, boxes_per_frame))
     quality = model.quality_column([frames[f] for f in sorted(per_frame)],
                                    config.quality_ranges)
     output = TrackSet()
@@ -404,7 +414,8 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
     for frame_index, dets in enumerate(dets_per_frame):
         # without detections nothing reads the features: no match, no birth
         if dets:
-            proposals = model.embed_descriptors(descriptors[frame_rows[frame_index]]).data
+            proposals = model.embed_descriptors(
+                descriptors.row_block(frame_rows[frame_index])).data
             queries = np.concatenate([trk.feature for trk in active] + [proposals], axis=0)
             if model.student is not None:
                 queries = queries.astype(INFERENCE_DTYPE)

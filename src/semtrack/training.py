@@ -135,7 +135,7 @@ class _ScenePlan:
     """
 
     frame_ids: list[int]
-    descriptors: np.ndarray
+    descriptors: Matrix
     segments: np.ndarray
     pairs: list[tuple[list[int], list[int], range]]
     box_rows: list[int]
@@ -170,8 +170,8 @@ def _scene_plan(sample: SceneSample) -> _ScenePlan:
         first_row.append(first_row[-1] + len(dets))
         segments.extend([segment] * len(dets))
         labels.append(match_detections_to_gt(dets, gt_by_frame.get(frame_index, [])))
-    descriptors = box_descriptor([sample.frames[f] for f in frame_ids],
-                                 [[det.box for det in per_frame[f]] for f in frame_ids])
+    boxes = [[det.box for det in per_frame[f]] for f in frame_ids]
+    descriptors = Matrix(box_descriptor([sample.frames[f] for f in frame_ids], boxes))
 
     # association: every gt id seen in consecutive frames must pick its own
     # detection among all of the next frame's candidates

@@ -303,7 +303,8 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
     fused, labels, breakdowns = {}, {}, []
     for f in sorted(per_frame):
         frame, dets = sample.frames[f], per_frame[f]
-        x = model.embed_descriptors(box_descriptor([frame], [[det.box for det in dets]]))
+        descriptors = box_descriptor([frame], [[det.box for det in dets]])
+        x = model.embed_descriptors(Matrix(descriptors))
         quality = model.quality_column([frame], tracker_config.quality_ranges)
         fused[f], semantic = model.encode_queries(x, quality)
         labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []))
@@ -385,7 +386,7 @@ def reference_track_sequence(frames, detections, model,
         n_carried = len(rows)
         if dets:
             rows.append(model.embed_descriptors(
-                box_descriptor([frame], [[det.box for det in dets]])).data)
+                Matrix(box_descriptor([frame], [[det.box for det in dets]]))).data)
         x = Matrix(np.concatenate(rows, axis=0)) if rows else None
         fused = None
         if x is not None:

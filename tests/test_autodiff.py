@@ -539,3 +539,135 @@ def test_cast_keeps_no_replaced_value_alive():
     old = weakref.ref(p.value)
     p.value = Matrix(np.zeros((2, 2)))
     assert old() is None
+
+
+# -- the ops the tracked student runs, pinned bit for bit to plain numpy
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 3, 100, 255, 256, 1024])
+def test_layer_norm_rows_equals_numpys_mean_and_var(dtype, width):
+    # at a width that is not a power of two the row mean and variance round
+    # in the division; numpy divides a float32 sum by its intp count in float64
+    rng = np.random.default_rng(width)
+    x = (rng.standard_normal((7, width)) * 30.0 + 5.0).astype(dtype)
+    gain = rng.standard_normal((1, width)).astype(dtype)
+    bias = rng.standard_normal((1, width)).astype(dtype)
+    out = ad.layer_norm_rows(Matrix(x), Matrix(gain), Matrix(bias)).data
+    inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + ad.LAYER_NORM_EPS)
+    expected = (x - x.mean(axis=1, keepdims=True)) * inv * gain + bias
+    assert out.dtype == expected.dtype == dtype
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("x_type, weight_type, bias_type", [
+    (np.float64, np.float64, np.float64), (np.float32, np.float32, np.float32),
+    (np.float32, np.float32, np.float64), (np.float32, np.float64, np.float32),
+    (np.float64, np.float32, np.float32)])
+def test_linear_equals_matmul_plus_bias(x_type, weight_type, bias_type):
+    # a float64 bias on a float32 product must still promote the sum to float64
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((5, 256)).astype(x_type)
+    weight = (rng.standard_normal((256, 1024)) / 16.0).astype(weight_type)
+    bias = rng.standard_normal((1, 1024)).astype(bias_type)
+    out = ad.linear(Matrix(x), Matrix(weight), Matrix(bias)).data
+    expected = x @ weight + bias
+    assert out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_equals_where_including_negative_zero(dtype):
+    top = np.finfo(dtype).max
+    x = np.array([[-0.0, 0.0, -1.5, 2.5, 1e-40, -1e-40, -top, top]] * 3, dtype=dtype)
+    out = ad.relu(Matrix(x)).data
+    expected = np.where(x > 0, x, 0.0)
+    assert out.dtype == expected.dtype == dtype
+    assert out.tobytes() == expected.tobytes()
+    assert not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("segments", [None, [0, 1, 1, 0, 1]])
+def test_multi_head_attention_equals_numpys_softmax(dtype, segments):
+    rng = np.random.default_rng(42)
+    q, k, v = (rng.standard_normal((5, 8)).astype(dtype) for _ in range(3))
+    out = ad.multi_head_attention(Matrix(q), Matrix(k), Matrix(v), 2, segments).data
+
+    def heads(m):
+        return np.ascontiguousarray(m.reshape(5, 2, 4).transpose(1, 0, 2))
+
+    z = (heads(q) @ np.ascontiguousarray(heads(k).transpose(0, 2, 1))) * (1.0 / math.sqrt(4))
+    if segments is not None:
+        labels = np.asarray(segments)
+        z = np.where(labels[:, None] == labels[None, :], z, -np.inf)
+    e = np.exp(z - z.max(axis=2, keepdims=True))
+    expected = ((e / e.sum(axis=2, keepdims=True)) @ heads(v)).transpose(1, 0, 2).reshape(5, 8)
+    assert out.dtype == expected.dtype == dtype
+    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def _huge(dtype, shape=(2, 4)):
+    return Matrix(np.full(shape, np.finfo(dtype).max * 0.75, dtype=dtype))
+
+
+# each op the student and the fusion run, on finite operands whose result
+# overflows; relu has no case, as the relu of a finite matrix is finite
+STUDENT_OPS = {
+    "linear": lambda m: ad.linear(m, _huge(m.data.dtype, (4, 3)),
+                                  Matrix(np.zeros((1, 3), dtype=m.data.dtype))),
+    "add": lambda m: ad.add(m, m),
+    "sub": lambda m: ad.sub(m, ad.scale(m, -1.0)),
+    "multiply": lambda m: ad.multiply(m, m),
+    "matmul": lambda m: ad.matmul(m, ad.transpose(m)),
+    "layer_norm_rows": lambda m: ad.layer_norm_rows(
+        m, Matrix(np.ones((1, 4), dtype=m.data.dtype)),
+        Matrix(np.zeros((1, 4), dtype=m.data.dtype))),
+    "multi_head_attention": lambda m: ad.multi_head_attention(m, m, m, 2),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", STUDENT_OPS.values(), ids=STUDENT_OPS.keys())
+def test_every_student_op_raises_on_a_non_finite_result(op, dtype):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        op(_huge(dtype))
+
+
+# -- a leaf's gradient buffer is its own
+
+def test_both_leaves_of_add_get_their_own_gradient_across_two_backward_passes():
+    # add hands its one output gradient to both inputs
+    rng = np.random.default_rng(43)
+    p, q = Parameter(rng.standard_normal((3, 4))), Parameter(rng.standard_normal((3, 4)))
+    c = rng.standard_normal((3, 4))
+    with Tape() as tape:
+        loss = ad.sum_all(ad.multiply(ad.add(p.value, q.value), Matrix(c)))
+        tape.backward(loss)
+        tape.backward(loss)
+    assert np.array_equal(p.value.grad, 2 * c) and np.array_equal(q.value.grad, 2 * c)
+    assert not np.shares_memory(p.value.grad, q.value.grad)
+
+
+def test_a_leaf_keeps_a_gradient_made_for_it_and_copies_a_view():
+    rng = np.random.default_rng(44)
+    x = Matrix(rng.standard_normal((5, 3)))
+    weight, bias = Parameter(rng.standard_normal((3, 4))), Parameter(np.zeros((1, 4)))
+    other = Parameter(rng.standard_normal((4, 5)))
+    made = []
+    with Tape() as tape:
+        out = ad.linear(x, weight.value, bias.value)
+        (out_node, inputs, vjp), = tape._records
+
+        def spy(g):
+            grads = vjp(g)
+            made.append(grads[1])
+            return grads
+
+        tape._records[0] = (out_node, inputs, spy)
+        # the transpose's rule hands ``other`` a view of its output gradient
+        tape.backward(ad.add(ad.sum_all(out), ad.sum_all(ad.transpose(other.value))))
+    # x.T @ g is made for the weight alone, so the weight keeps it
+    assert weight.value.grad is made[0]
+    assert np.array_equal(weight.value.grad, x.data.T @ np.ones((5, 4)))
+    assert other.value.grad.base is None
+    assert np.array_equal(other.value.grad, np.ones((4, 5)))

@@ -1,11 +1,15 @@
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semtrack import tracker
 from semtrack.autodiff import Matrix
+from semtrack.config import ExperimentConfig
 from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, apply_chain
+from semtrack.experiment import build_model, evaluation_corpus
 from semtrack.metrics import evaluate
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
                              generate_scene, random_scene_config, synth_detector)
@@ -126,6 +130,20 @@ def test_sequence_box_descriptor_on_read_only_views_of_one_degraded_block():
     boxes = [random_boxes(rng, count, 40, 56) for count in (4, 0, 2, 7, 0, 3)]
     assert box_descriptor(frames, boxes).tobytes() == \
         per_box_reference(frames, boxes).tobytes()
+
+
+def test_a_fortran_ordered_frame_is_gathered_without_a_copy():
+    frame = np.asfortranarray(np.random.default_rng(5).uniform(0, 1, (1024, 768)))
+    boxes = [[(500.3, 700.6, 9.0, 13.5)]]
+    expected = per_box_reference([np.ascontiguousarray(frame)], boxes)
+    tracemalloc.start()
+    try:
+        descriptors = box_descriptor([frame], boxes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < frame.nbytes
+    assert descriptors.tobytes() == expected.tobytes()
 
 
 def test_sequence_box_descriptor_rejects_a_mismatched_sequence():
@@ -345,6 +363,29 @@ def test_a_sequence_gathers_its_descriptors_and_quality_once(monkeypatch, varian
     assert len(sequence) == len(boxes) == len(frames)
     assert [len(b) for b in boxes] == [sum(d.frame == f for d in dets)
                                        for f in range(len(frames))]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_sequence_wraps_its_descriptors_once(monkeypatch, variant):
+    # one Matrix (a copy and a scan) for the sequence's descriptors; then per
+    # frame with detections one for its queries, whose cast to float32 may
+    # overflow, and one for a student variant's fusion weight
+    frames, dets = noisy_scene()
+    dets = [d for d in dets if d.frame not in (0, 7, 8)]
+    model = TrackerModel(variant, TINY_STUDENT, seed=3)
+    expected = records_of(frames, dets, model)     # casts the student to float32
+    built = []
+    init = Matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(np.shape(args[0]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    assert records_of(frames, dets, model) == expected
+    detected = len({d.frame for d in dets})
+    assert built[0] == (len(dets), DESCRIPTOR_DIM)
+    assert len(built) == 1 + detected * (1 if variant == "baseline" else 2)
 
 
 def test_track_survives_short_gap_with_same_id():
@@ -581,3 +622,19 @@ def test_tracking_leaves_the_model_file_unchanged(tmp_path):
     model.save(tmp_path / "after.bin")
     assert (tmp_path / "after.bin").read_bytes() == (tmp_path / "before.bin").read_bytes()
     assert all(p.value.data.dtype == np.float64 for p in model.parameters())
+
+
+@pytest.mark.parametrize("variant", ["distill", "full"])
+def test_the_default_student_tracked_in_float32_gives_the_float64_records(variant):
+    # the full-size student on the first two sequences of the default
+    # evaluation corpus; the reference runs it in float64
+    config = replace(ExperimentConfig(), num_eval_scenes=2)
+    model = build_model(config, variant)
+    for sample in evaluation_corpus(config):
+        records = [(r.frame, r.track_id, r.box, r.confidence)
+                   for r in track_sequence(sample.frames, sample.detections, model,
+                                           config.tracker_config())]
+        reference = reference_track_sequence(sample.frames, sample.detections, model,
+                                             config.tracker_config())
+        assert records and records == [(r.frame, r.track_id, r.box, r.confidence)
+                                       for r in reference]
