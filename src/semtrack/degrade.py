@@ -11,13 +11,14 @@ each op as an object whose ``kind`` names its class; frames stay in memory.
 
 :func:`apply_chain` degrades one whole sequence per call. Its frames are
 independent, so they are spread over a thread per CPU; each frame's result
-is what the chain gives that frame alone, bit for bit and in the same memory
-layout, whatever the number of workers.
+is what the chain gives that frame alone, bit for bit, whatever the number
+of workers.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 import zlib
@@ -37,8 +38,8 @@ class GaussianBlur:
     kind: str = field(default="gaussian_blur", init=False)
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"blur sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"blur sigma must be finite and >= 0, got {self.sigma}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
 
@@ -63,8 +64,8 @@ class GaussianNoise:
     kind: str = field(default="gaussian_noise", init=False)
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
 
 
 DegradationOp = GaussianBlur | Downsample | GaussianNoise
@@ -186,19 +187,16 @@ def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
                 sequence_id: str = "") -> list[np.ndarray]:
     """Run the full operator chain on every frame of one sequence; frame i
     draws its noise under frame index i. Returns the degraded frames, clamped
-    to [0, 1], as read-only views of one F x h x w block, which is read-only
-    too, so no frame can change after a caller has used it.
+    to [0, 1], as read-only views of one C-ordered F x h x w block, which is
+    read-only too, so no frame can change after a caller has used it.
 
     Every frame is checked before any is degraded: each must be a non-empty
-    2-D array of finite values in [0, 1], all of one shape. The caller's
-    thread degrades frame 0, whose memory layout (set by the chain's last op,
-    and the same for every frame of one shape) the block's frames then share,
-    so later reductions over a frame sum in the same order as over a frame
-    degraded alone. The module's worker threads degrade the other frames, one
-    task per frame, each clamping its frame into its own slice of the block;
-    NumPy releases the interpreter lock in the arithmetic, so frames run on
-    every CPU, and since no frame reads another's result the output does not
-    depend on the number of workers.
+    2-D array of finite values in [0, 1], all of one shape. The module's
+    worker threads degrade frames 1 to F - 1 and the caller's thread frame 0,
+    one task per frame, each clamping its frame into its own slice of the
+    block; NumPy releases the interpreter lock in the arithmetic, so frames
+    run on every CPU, and since no frame reads another's result the output
+    does not depend on the number of workers.
     """
     frames = [np.ascontiguousarray(frame, dtype=np.float64) for frame in frames]
     if not frames:
@@ -213,23 +211,17 @@ def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
         # written so that NaN fails too: every comparison with NaN is False
         if not (frame.min() >= 0.0 and frame.max() <= 1.0):
             raise ValueError(f"frame {index} must hold finite values in [0, 1]")
-    first = _degrade_frame(chain, frames[0], sequence_id, 0)
-    h, w = first.shape
-    if first.flags.c_contiguous:
-        storage = block = np.empty((len(frames), h, w))
-    else:
-        storage = np.empty((len(frames), w, h))
-        block = storage.transpose(0, 2, 1)
+    block = np.empty((len(frames), *frames[0].shape))
 
     def degrade(index: int) -> None:
         np.clip(_degrade_frame(chain, frames[index], sequence_id, index), 0.0, 1.0,
                 out=block[index])
 
     tasks = _frame_pool().map(degrade, range(1, len(frames)))
-    np.clip(first, 0.0, 1.0, out=block[0])
+    degrade(0)
     for _ in tasks:   # re-raises a worker's exception here
         pass
-    storage.flags.writeable = block.flags.writeable = False
+    block.flags.writeable = False
     return list(block)
 
 

@@ -35,7 +35,7 @@ class QualityRanges:
     def __post_init__(self):
         for name in ("clarity", "noise", "contrast"):
             lo, hi = getattr(self, name)
-            if hi <= lo:
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"invalid {name} normalization range [{lo}, {hi}]")
 
 

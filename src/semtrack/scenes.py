@@ -201,6 +201,10 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
+        _, _, w, h = self.box
+        if not (all(map(math.isfinite, self.box)) and w > 0 and h > 0):
+            raise ValueError(f"box must be finite with a positive width and height, "
+                             f"got {self.box}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +218,8 @@ class DetectorNoise:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {rate}")
-        if self.jitter_sigma < 0.0:
-            raise ValueError("jitter_sigma must be >= 0")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0.0):
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
 
 
 def synth_detector(frames: list[np.ndarray], gt: TrackSet,

@@ -16,11 +16,11 @@ associated one-to-one per frame by Hungarian assignment on cosine-plus-IoU
 cost, whose IoU term is one track-by-detection IoU matrix.
 
 What no tracking state feeds is computed once per sequence, before the frame
-loop: the detections' boxes grouped per frame, every box's descriptor (one
-:func:`box_descriptor` call, which gathers each frame's sample points in one
-index, wrapped in one :class:`~semtrack.autodiff.Matrix` whose row block each
-frame embeds without a copy), and one quality column over the frames with
-detections. The query
+loop: :func:`sequence_rows` stacks the detections of the frames that have
+any, with their boxes, per-row segments and every row's descriptor (one
+:func:`box_descriptor` call, wrapped in one :class:`~semtrack.autodiff.Matrix`
+whose row block each frame embeds without a copy), and one quality column
+covers the same frames. Training's scene plan reads the same rows. The query
 embedding and the student stay per frame: one matmul over a sequence's
 stacked rows rounds some row blocks differently from the per-frame calls, so
 track records would change.
@@ -40,7 +40,7 @@ import typing
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -93,8 +93,7 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
     ``frames.resize(crop, 8, 8)``. The frames share one shape, so the crop
     bounds, sample taps, interpolation, mean/std and geometry are computed
     once for all boxes; per frame with boxes there is only one gather of its
-    boxes' sample points, in the frame's own memory order, so a C- or
-    Fortran-ordered frame is never copied. The mean and std sum in the order ``resize``'s
+    boxes' sample points. The mean and std sum in the order ``resize``'s
     result is laid out: by columns, except for a crop of exactly 8x8, which
     ``resize`` copies row by row.
     """
@@ -114,14 +113,11 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
     bottom = np.minimum(np.maximum(np.ceil(t + h).astype(np.intp), top + 1), height)
     r0, r1, fr = _sample_axis(bottom - top)
     c0, c1, fc = _sample_axis(right - left)
-    # corners[:, i, j] is the crop's pixel at rows (r0, r1)[i], columns (c0, c1)[j],
-    # gathered from each frame's pixels in the frame's own memory order, so no
-    # frame is copied: row-major, or column-major for a Fortran-ordered frame
+    # corners[:, i, j] is the crop's pixel at rows (r0, r1)[i], columns (c0, c1)[j]
     rows = (top[:, None, None] + np.stack([r0, r1], axis=1))[:, :, None, :, None]
     cols = (left[:, None, None] + np.stack([c0, c1], axis=1))[:, None, :, None, :]
-    row_major = rows * width + cols
-    column_major = None                  # indexed on the first Fortran-ordered frame
-    corners = np.empty(row_major.shape)
+    index = rows * width + cols
+    corners = np.empty(index.shape)
     end = 0
     for frame, count in zip(frames, counts):
         if count:
@@ -129,14 +125,8 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
             if frame.shape != (height, width):
                 raise ValueError(f"frame of shape {frame.shape} in a sequence of "
                                  f"{(height, width)} frames")
-            if frame.flags.f_contiguous and not frame.flags.c_contiguous:
-                if column_major is None:
-                    column_major = rows + cols * height
-                pixels, index = frame.T.reshape(-1), column_major
-            else:
-                pixels, index = frame.reshape(-1), row_major
             start, end = end, end + count
-            corners[start:end] = pixels.take(index[start:end])
+            corners[start:end] = frame.reshape(-1).take(index[start:end])
     fc = fc[:, None, :]
     upper = corners[:, 0, 0] * (1 - fc) + corners[:, 0, 1] * fc
     lower = corners[:, 1, 0] * (1 - fc) + corners[:, 1, 1] * fc
@@ -159,6 +149,42 @@ def _sample_axis(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo = np.minimum(src.astype(np.intp), np.maximum(size - 2, 0)[:, None])
     hi = np.minimum(lo + 1, size[:, None] - 1)
     return lo, hi, src - lo
+
+
+class SequenceRows(NamedTuple):
+    """A sequence's detections stacked as rows, the one layout that tracking
+    and training read. Segment ``k`` is the ``k``-th frame with detections:
+    frame ``frame_ids[k]``, that is ``frames[k]``, whose ``detections[k]``
+    (in input order) are rows ``starts[k]`` to ``starts[k + 1]``. Each row
+    has its segment in ``segments``, its (l, t, w, h) box in ``boxes`` and
+    its proposal descriptor in ``descriptors``."""
+
+    frame_ids: list[int]
+    frames: list[np.ndarray]
+    detections: list[list[Detection]]
+    starts: np.ndarray
+    segments: np.ndarray
+    boxes: np.ndarray
+    descriptors: Matrix
+
+
+def sequence_rows(frames: Sequence[np.ndarray], detections: Sequence[Detection]
+                  ) -> SequenceRows:
+    """The :class:`SequenceRows` of ``detections`` over ``frames``, with every
+    descriptor from one :func:`box_descriptor` call; raises ``ValueError``
+    for a detection outside the sequence."""
+    per_frame = detections_by_frame(detections, len(frames))
+    frame_ids = sorted(per_frame)
+    dets = [per_frame[f] for f in frame_ids]
+    counts = [len(frame_dets) for frame_dets in dets]
+    starts = np.cumsum([0] + counts)
+    boxes = np.array([det.box for frame_dets in dets for det in frame_dets],
+                     dtype=np.float64).reshape(-1, 4)
+    kept = [frames[f] for f in frame_ids]
+    descriptors = box_descriptor(kept, [boxes[a:b] for a, b in zip(starts[:-1], starts[1:])])
+    return SequenceRows(frame_ids, kept, dets, starts,
+                        np.repeat(np.arange(len(frame_ids)), counts), boxes,
+                        Matrix(descriptors))
 
 
 class TrackerModel:
@@ -394,33 +420,23 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
     Between frames ``active`` holds exactly the tracks that are carried into
     the next one: those with confidence above ``PROPAGATE_CONFIDENCE``, in
     birth order."""
-    per_frame = detections_by_frame(detections, len(frames))
-    # the sequence's constants, which no tracking state feeds: each frame's
-    # detections, and in frame_rows[f] the rows of frame f's boxes and
-    # descriptors; then the quality of each frame with detections, in frame order
-    dets_per_frame = [per_frame.get(frame_index, []) for frame_index in range(len(frames))]
-    boxes = np.array([det.box for dets in dets_per_frame for det in dets],
-                     dtype=np.float64).reshape(-1, 4)
-    first_row = np.cumsum([0] + [len(dets) for dets in dets_per_frame])
-    frame_rows = [slice(start, end) for start, end in zip(first_row[:-1], first_row[1:])]
-    boxes_per_frame = [boxes[rows] for rows in frame_rows]
-    descriptors = Matrix(box_descriptor(frames, boxes_per_frame))
-    quality = model.quality_column([frames[f] for f in sorted(per_frame)],
-                                   config.quality_ranges)
+    rows = sequence_rows(frames, detections)
+    quality = model.quality_column(rows.frames, config.quality_ranges)
+    segment_of = {frame_index: k for k, frame_index in enumerate(rows.frame_ids)}
     output = TrackSet()
     active: list[_ActiveTrack] = []
     next_id = 1
-    detected = 0                         # frames with detections seen so far
-    for frame_index, dets in enumerate(dets_per_frame):
+    for frame_index in range(len(frames)):
+        segment = segment_of.get(frame_index)
+        dets = [] if segment is None else rows.detections[segment]
         # without detections nothing reads the features: no match, no birth
         if dets:
-            proposals = model.embed_descriptors(
-                descriptors.row_block(frame_rows[frame_index])).data
+            block = slice(rows.starts[segment], rows.starts[segment + 1])
+            proposals = model.embed_descriptors(rows.descriptors.row_block(block)).data
             queries = np.concatenate([trk.feature for trk in active] + [proposals], axis=0)
             if model.student is not None:
                 queries = queries.astype(INFERENCE_DTYPE)
-            frame_quality = None if quality is None else quality[detected:detected + 1]
-            detected += 1
+            frame_quality = None if quality is None else quality[segment:segment + 1]
             fused = model.encode_queries(Matrix(queries), frame_quality)[0].data
             track_feats, prop_feats = fused[:len(active)], fused[len(active):]
 
@@ -431,7 +447,7 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
         if active and dets:
             cost = (1.0 - _cosine(track_feats, prop_feats)
                     + IOU_WEIGHT * (1.0 - iou_matrix([trk.box for trk in active],
-                                                     boxes_per_frame[frame_index])))
+                                                     rows.boxes[block])))
             gated = np.where(cost <= MATCH_GATE, cost, 1e9)
             for r, c in zip(*linear_sum_assignment(gated)):
                 if cost[r, c] <= MATCH_GATE:

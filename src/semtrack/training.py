@@ -16,13 +16,12 @@ attention masked to each frame's rows) and one box-head call per scene. The
 losses are those of running the frames one by one, up to summation order.
 
 The teacher is frozen, so on a fixed corpus everything a step computes
-before the model runs is a constant of the scene: proposal descriptors
-(one :func:`~semtrack.tracker.box_descriptor` call over the scene's frames
-with detections, as tracking makes one per sequence), gt labels and what
-the losses derive from them, teacher embeddings and frame quality. Each
-:class:`SceneSample` caches them on its first step (keyed on the teacher
-seed and the quality ranges where those matter), so only the first epoch
-computes them; see :class:`SceneSample`.
+before the model runs is a constant of the scene: the scene's stacked rows
+(one :func:`~semtrack.tracker.sequence_rows` call, the layout tracking reads
+too), gt labels and what the losses derive from them, teacher embeddings and
+frame quality. Each :class:`SceneSample` caches them on its first step (keyed
+on the teacher seed and the quality ranges where those matter), so only the
+first epoch computes them; see :class:`SceneSample`.
 
 One training step consumes one scene; plain gradient descent with a single
 x0.1 learning-rate drop two-thirds of the way through the epoch budget.
@@ -40,9 +39,9 @@ from scipy.optimize import linear_sum_assignment
 
 from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix, Tape
-from semtrack.scenes import Detection, detections_by_frame
+from semtrack.scenes import Detection
 from semtrack.teacher import pseudo_teacher
-from semtrack.tracker import TrackerConfig, TrackerModel, box_descriptor
+from semtrack.tracker import SequenceRows, TrackerConfig, TrackerModel, sequence_rows
 from semtrack.tracks import TrackSet, iou_matrix
 
 LOG_COLUMNS = ("step", "l_local", "l_global", "w1", "w2", "l_distill", "l_mot", "total")
@@ -84,9 +83,9 @@ class SceneSample:
     trained for many epochs pays for the constants once. Entries, each built
     on first use:
 
-    * ``"plan"``: the :class:`_ScenePlan`, with the stacked proposal
-      descriptors, frame numbering, contrastive pairs and box targets, from
-      the frames, detections and ground truth alone;
+    * ``"plan"``: the :class:`_ScenePlan`, with the scene's stacked rows,
+      contrastive pairs and box targets, from the frames, detections and
+      ground truth alone;
     * ``("teacher", teacher_seed)``: each planned frame's pseudo-teacher
       embedding, for a model with a student;
     * ``("quality", quality_ranges)``: the planned frames' F x 1 quality
@@ -123,20 +122,15 @@ class SceneSample:
 class _ScenePlan:
     """The model-independent part of a training step on one scene.
 
-    The rows of every frame with detections are stacked: frame
-    ``frame_ids[k]`` is segment ``k``, and ``segments`` gives each row's
-    segment. ``descriptors`` holds every row's proposal descriptor, from one
-    :func:`box_descriptor` call over those frames. Each contrastive pair is
-    (anchor rows, their target indices among the candidates, candidate
-    rows): the gt-matched rows of a frame whose gt id is matched in the next
-    frame too, and all of that next frame's rows. ``box_targets`` holds the
-    normalised gt box of each ``box_rows`` row, every gt-matched row of the
-    scene.
+    ``rows`` stacks the rows of every frame with detections, as tracking
+    does. Each contrastive pair is (anchor rows, their target indices among
+    the candidates, candidate rows): the gt-matched rows of a frame whose gt
+    id is matched in the next frame too, and all of that next frame's rows.
+    ``box_targets`` holds the normalised gt box of each ``box_rows`` row,
+    every gt-matched row of the scene.
     """
 
-    frame_ids: list[int]
-    descriptors: Matrix
-    segments: np.ndarray
+    rows: SequenceRows
     pairs: list[tuple[list[int], list[int], range]]
     box_rows: list[int]
     box_targets: np.ndarray
@@ -155,23 +149,13 @@ def match_detections_to_gt(dets: Sequence[Detection], gt_records) -> dict[int, i
 
 def _scene_plan(sample: SceneSample) -> _ScenePlan:
     """The scene's :class:`_ScenePlan`, computed afresh."""
-    per_frame = detections_by_frame(sample.detections, len(sample.frames))
+    rows = sequence_rows(sample.frames, sample.detections)
     gt_by_frame = sample.gt.by_frame()
     height, width = sample.frames[0].shape
-
-    # segment k holds the rows of frame frame_ids[k], rows first_row[k] to
-    # first_row[k + 1]
-    frame_ids = sorted(per_frame)
-    segments: list[int] = []
-    first_row = [0]
-    labels: list[dict[int, int]] = []
-    for segment, frame_index in enumerate(frame_ids):
-        dets = per_frame[frame_index]
-        first_row.append(first_row[-1] + len(dets))
-        segments.extend([segment] * len(dets))
-        labels.append(match_detections_to_gt(dets, gt_by_frame.get(frame_index, [])))
-    boxes = [[det.box for det in per_frame[f]] for f in frame_ids]
-    descriptors = Matrix(box_descriptor([sample.frames[f] for f in frame_ids], boxes))
+    # segment k is frame frame_ids[k], rows first_row[k] to first_row[k + 1]
+    frame_ids, first_row = rows.frame_ids, rows.starts.tolist()
+    labels = [match_detections_to_gt(dets, gt_by_frame.get(frame_index, []))
+              for frame_index, dets in zip(frame_ids, rows.detections)]
 
     # association: every gt id seen in consecutive frames must pick its own
     # detection among all of the next frame's candidates
@@ -199,8 +183,7 @@ def _scene_plan(sample: SceneSample) -> _ScenePlan:
             box_rows.append(first_row[segment] + det_idx)
             l, t, w, h = gt_recs[frame_labels[det_idx]].box
             box_targets.append([l / width, t / height, w / width, h / height])
-    return _ScenePlan(frame_ids, descriptors, np.array(segments),
-                     pairs, box_rows, np.array(box_targets))
+    return _ScenePlan(rows, pairs, box_rows, np.array(box_targets))
 
 
 def _constant(sample: SceneSample, key, build):
@@ -227,14 +210,14 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
     zero = Matrix([[0.0]])
     losses = {"total": zero, "l_mot": zero, "l_distill": zero,
               "l_local": 0.0, "l_global": 0.0, "w1": 0.0, "w2": 0.0}
-    if not plan.frame_ids:
+    if not plan.rows.frame_ids:
         return losses
-    frames = [sample.frames[frame_index] for frame_index in plan.frame_ids]
+    frames = plan.rows.frames
     ranges = tracker_config.quality_ranges
     quality = _constant(sample, ("quality", ranges),
                         lambda: model.quality_column(frames, ranges))
-    x = model.embed_descriptors(plan.descriptors)
-    fused, semantic = model.encode_queries(x, quality, plan.segments)
+    x = model.embed_descriptors(plan.rows.descriptors)
+    fused, semantic = model.encode_queries(x, quality, plan.rows.segments)
 
     mot_terms = []
     normed = ad.l2_normalize_rows(fused)
@@ -257,7 +240,7 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
     seed = train.teacher_seed
     teachers = _constant(sample, ("teacher", seed),
                          lambda: [pseudo_teacher(frame, seed) for frame in frames])
-    breakdown = model.dcsd.loss(semantic, plan.segments, teachers)
+    breakdown = model.dcsd.loss(semantic, plan.rows.segments, teachers)
     losses.update(
         total=ad.add(ad.scale(breakdown.loss_node, train.alpha),
                      ad.scale(losses["l_mot"], 1.0 - train.alpha)),

@@ -215,14 +215,15 @@ def test_malformed_value_raises_when_built(where, key, value, match):
      r"degradation_chain\[0\]\.kernel_size: expected int, got True"),
     ("degradation_chain", (Downsample(scale=0.5), GaussianNoise(sigma=0.1, seed=1.5)),
      r"degradation_chain\[1\]\.seed: expected int, got 1\.5"),
-    ("dswr", QualityRanges(clarity=(0.0, math.nan)),
-     r"dswr\.clarity: expected tuple\[float, float\], got \(0\.0, nan\)"),
-    ("dswr", QualityRanges(clarity=(0.0, math.inf)),
-     r"dswr\.clarity: expected tuple\[float, float\], got \(0\.0, inf\)"),
-    ("degradation_chain", (GaussianBlur(sigma=math.nan, kernel_size=3),),
-     r"degradation_chain\[0\]\.sigma: expected float, got nan"),
-    ("degradation_chain", (GaussianBlur(sigma=math.inf, kernel_size=3),),
-     r"degradation_chain\[0\]\.sigma: expected float, got inf"),
+    # QualityRanges and the ops turn NaN and infinity away themselves
+    ("dswr", lambda: QualityRanges(clarity=(0.0, math.nan)),
+     r"invalid clarity normalization range \[0\.0, nan\]"),
+    ("dswr", lambda: QualityRanges(clarity=(0.0, math.inf)),
+     r"invalid clarity normalization range \[0\.0, inf\]"),
+    ("degradation_chain", lambda: (GaussianBlur(sigma=math.nan, kernel_size=3),),
+     r"blur sigma must be finite and >= 0, got nan"),
+    ("degradation_chain", lambda: (GaussianBlur(sigma=math.inf, kernel_size=3),),
+     r"blur sigma must be finite and >= 0, got inf"),
     # SceneParams turns NaN away itself, as it does every jitter below 0
     ("scene", lambda: SceneParams(motion_jitter=math.nan),
      r"scene\.motion_jitter must be >= 0, got nan"),

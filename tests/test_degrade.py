@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -96,8 +97,6 @@ def random_sequence(num_frames, shape, seed=0):
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_sequence_equals_the_per_frame_reference(case):
-    # equal bit for bit and laid out alike in memory: later reductions over a
-    # frame sum in memory order
     chain, num_frames, shape = ORACLE_CASES[case]
     frames = random_sequence(num_frames, shape)
     got = apply_chain(chain, frames, sequence_id="seq-7")
@@ -106,7 +105,27 @@ def test_sequence_equals_the_per_frame_reference(case):
         ref = reference_apply_chain(chain, frame, sequence_id="seq-7", frame_index=index)
         assert out.shape == ref.shape
         assert out.tobytes() == ref.tobytes()
-        assert out.strides == ref.strides
+
+
+# a frame degraded alone is column-major after a downsample, and a blur
+# keeps the layout it is given
+LAST_OP_CHAINS = {
+    "blur": NOISE_FIRST,
+    "downsample": DegradationChain(ops=(GaussianBlur(sigma=1.0, kernel_size=5),
+                                        Downsample(scale=0.5, resample="bilinear"))),
+    "noise": DEFAULT,
+}
+
+
+@pytest.mark.parametrize("chain", LAST_OP_CHAINS.values(), ids=LAST_OP_CHAINS)
+def test_the_block_is_c_ordered_whatever_op_ends_the_chain(chain):
+    frames = random_sequence(3, (24, 32))
+    got = apply_chain(chain, frames, sequence_id="seq-7")
+    assert got[0].base.flags.c_contiguous
+    for index, (frame, out) in enumerate(zip(frames, got)):
+        assert out.flags.c_contiguous
+        ref = reference_apply_chain(chain, frame, sequence_id="seq-7", frame_index=index)
+        assert out.tobytes() == ref.tobytes()
 
 
 def test_a_fortran_ordered_frame_is_degraded_as_its_c_ordered_copy():
@@ -131,7 +150,7 @@ def test_the_caller_frames_are_left_unchanged():
 @pytest.mark.parametrize("chain", [DEFAULT, NOISE_FIRST, DegradationChain()],
                          ids=["default", "noise-first", "empty"])
 def test_the_returned_block_cannot_be_written(chain):
-    # the block is what every frame's base is, whatever its memory layout
+    # the block is what every frame's base is
     frames = apply_chain(chain, random_sequence(3, (16, 12)))
     block = frames[0].base
     assert all(frame.base is block for frame in frames)
@@ -209,6 +228,13 @@ def test_op_validation():
         Downsample(scale=0.5, resample="cubic")
     with pytest.raises(ValueError):
         GaussianNoise(sigma=-0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="blur sigma must be finite"):
+            GaussianBlur(sigma=bad, kernel_size=3)
+        with pytest.raises(ValueError, match="noise sigma must be finite"):
+            GaussianNoise(sigma=bad)
+        with pytest.raises(ValueError, match="scale must be in"):
+            Downsample(scale=bad)
 
 
 def test_partition_two_thirds_low():

@@ -72,6 +72,9 @@ def test_q_stays_in_unit_interval():
 def test_invalid_range_rejected():
     with pytest.raises(ValueError):
         assess_quality(np.zeros((8, 8)), QualityRanges(clarity=(0.5, 0.5)))
+    for bounds in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="invalid clarity normalization range"):
+            QualityRanges(clarity=bounds)
 
 
 def weight_of(head: DswrHead, q: float) -> float:

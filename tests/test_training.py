@@ -130,7 +130,7 @@ def test_scene_losses_match_the_per_frame_reference(variant):
     assert (first["l_distill"] > 0.0) == (variant != "baseline")
 
 
-CONSTANT_BUILDERS = ((training, "box_descriptor"), (training, "match_detections_to_gt"),
+CONSTANT_BUILDERS = ((training, "sequence_rows"), (training, "match_detections_to_gt"),
                      (training, "pseudo_teacher"), (tracker, "assess_quality"))
 
 
@@ -162,21 +162,22 @@ def test_a_scene_plan_gathers_its_descriptors_once(monkeypatch):
     # frame 2 of 5 has no detections; one call covers the other four
     sample = make_sample(seed=2, num_frames=5)
     sample = replace(sample, detections=[d for d in sample.detections if d.frame != 2])
-    calls = []
-    original = training.box_descriptor
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(training, "box_descriptor", counted)
+    calls = {"sequence_rows": [], "box_descriptor": []}
+    for module, name in ((training, "sequence_rows"), (tracker, "box_descriptor")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name].append(args)
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
     plan = training._scene_plan(sample)
-    assert plan.frame_ids == [0, 1, 3, 4]
-    (frames, boxes), = calls
+    assert len(calls["sequence_rows"]) == 1
+    rows = plan.rows
+    assert rows.frame_ids == [0, 1, 3, 4]
+    (frames, boxes), = calls["box_descriptor"]
     assert [len(b) for b in boxes] == [sum(d.frame == f for d in sample.detections)
-                                       for f in plan.frame_ids]
-    assert all(a is sample.frames[f] for a, f in zip(frames, plan.frame_ids))
-    assert plan.descriptors.shape == (len(plan.segments), tracker.DESCRIPTOR_DIM)
+                                       for f in rows.frame_ids]
+    assert all(a is sample.frames[f] for a, f in zip(frames, rows.frame_ids, strict=True))
+    assert all(a is b for a, b in zip(rows.frames, frames, strict=True))
+    assert rows.descriptors.shape == (len(rows.segments), tracker.DESCRIPTOR_DIM)
 
 
 def test_a_changed_key_gives_the_losses_of_a_fresh_sample():
