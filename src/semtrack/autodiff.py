@@ -53,6 +53,7 @@ __all__ = [
     "add",
     "sub",
     "multiply",
+    "blend_rows",
     "scale",
     "transpose",
     "slice_cols",
@@ -387,6 +388,30 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
     if a.shape != b.shape:
         raise DimensionError(f"multiply shape mismatch: {a.shape} vs {b.shape}")
     return _emit((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
+
+
+def blend_rows(w: Matrix, a: Matrix, b: Matrix) -> Matrix:
+    """Row-wise convex combination ``w * a + (1 - w) * b`` with one weight
+    per row in the n x 1 column ``w``, recorded as one op.
+
+    The same bits as spreading ``w`` over the columns with a product by a
+    1 x cols row of ones and combining element-wise: the spread is exact,
+    and ``w``'s gradient is the row sum that product's backward takes, a
+    product with a column of ones (numpy's ``sum`` rounds differently)."""
+    if a.shape != b.shape:
+        raise DimensionError(f"blend shape mismatch: {a.shape} vs {b.shape}")
+    rows, cols = a.shape
+    if w.shape != (rows, 1):
+        raise DimensionError(f"blend weight must be {rows}x1, got {w.shape}")
+    one_minus = 1.0 - w.data
+    data = w.data * a.data + one_minus * b.data
+
+    def vjp(g):
+        return ((g * a.data - g * b.data) @ np.ones((cols, 1)) if w.requires_grad else None,
+                g * w.data if a.requires_grad else None,
+                g * one_minus if b.requires_grad else None)
+
+    return _emit((w, a, b), data, vjp)
 
 
 def scale(m: Matrix, factor: float) -> Matrix:

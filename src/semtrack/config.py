@@ -25,7 +25,7 @@ from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, DegradationOp
 from semtrack.quality import QualityRanges
 from semtrack.scenes import MAX_FALSE_BOX, DetectorNoise
 from semtrack.student import StudentConfig
-from semtrack.tracker import TrackerConfig
+from semtrack.tracker import TrackerConfig, unique_keys
 from semtrack.training import TrainConfig
 
 # evaluation scene i takes the scene and detector seeds of training scene
@@ -128,7 +128,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json.loads(text, object_pairs_hook=unique_keys))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")

@@ -1,14 +1,13 @@
 """Dual-constraint distillation loss between student features and frozen
-teacher vectors.
+teacher rows.
 
-Pipeline, per frame: project the frame's 1x1024 teacher vector to 256, align
+Pipeline, per frame: project the frame's 1x1024 teacher row to 256, align
 it to the frame's student rows by repeating the projected row once per row,
 then combine a local MSE term and a global L1-of-means term with
 softmax-normalized learnable weights: ``w1 * l_local + w2 * l_global``,
 where ``(w1, w2)`` is the softmax of two logits. A repeat is all the
-alignment there is to do: :class:`TeacherEmbedding` holds exactly one
-1x1024 row per frame, and interpolating a single row to any length gives
-copies of it.
+alignment there is to do: the teacher gives one row per frame, and
+interpolating a single row to any length gives copies of it.
 
 The paper's local term compares the student with the teacher aggregated
 through a temperature-scaled attention map between the two L2-normalized
@@ -19,9 +18,10 @@ aligned teacher itself. The local term is therefore ``mse(s, t_align)``, and
 the attention map is not computed.
 
 A training scene passes all its frames at once: the student rows stacked, a
-frame index per row, and one teacher per frame. Each term is the mean over
-frames of its per-frame value, taken through a constant frames x rows
-averaging matrix, so a frame with few rows weighs as much as one with many.
+frame index per row, and an F x 1024 block with one teacher row per frame.
+Each term is the mean over frames of its per-frame value, taken through a
+constant frames x rows averaging matrix, so a frame with few rows weighs as
+much as one with many.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Parameter
 from semtrack.student import FEATURE_DIM
-from semtrack.teacher import TEACHER_DIM, TeacherEmbedding
+from semtrack.teacher import TEACHER_DIM
 
 
 @dataclass
@@ -70,18 +70,14 @@ class DcsdHead:
     def parameters(self) -> list[Parameter]:
         return [self.teacher_weight, self.teacher_bias, self.loss_logits]
 
-    def parameter_count(self) -> int:
-        return sum(p.value.rows * p.value.cols for p in self.parameters() if p.trainable)
+    def project_teacher(self, teachers: Matrix) -> Matrix:
+        """The F x 1024 teacher rows projected to F x 256; ``DimensionError``
+        for another width."""
+        return ad.linear(teachers, self.teacher_weight.value, self.teacher_bias.value)
 
-    def project_teacher(self, teachers: Sequence[TeacherEmbedding]) -> Matrix:
-        """The teachers' vectors projected to 256, one row per teacher."""
-        stacked = Matrix(np.concatenate([t.vector.data for t in teachers], axis=0))
-        return ad.linear(stacked, self.teacher_weight.value, self.teacher_bias.value)
-
-    def loss(self, s: Matrix, segments: Sequence[int],
-             teachers: Sequence[TeacherEmbedding]) -> DcsdBreakdown:
+    def loss(self, s: Matrix, segments: Sequence[int], teachers: Matrix) -> DcsdBreakdown:
         """The loss of student rows ``s``, row ``i`` from frame ``segments[i]``
-        and distilled towards ``teachers[segments[i]]``; every frame needs at
+        and distilled towards teacher row ``segments[i]``; every frame needs at
         least one row. Each component is the mean of its per-frame values."""
         if s.cols != FEATURE_DIM:
             raise DimensionError(
@@ -90,12 +86,12 @@ class DcsdHead:
             raise DimensionError("student sequence must be non-empty")
         frames = np.asarray(segments)
         if (frames.shape != (s.rows,) or frames.dtype.kind not in "iu"
-                or not np.array_equal(np.unique(frames), np.arange(len(teachers)))):
+                or not np.array_equal(np.unique(frames), np.arange(teachers.rows))):
             raise DimensionError(
                 f"need one frame index per row ({s.rows}) that covers each of the "
-                f"{len(teachers)} teachers, got {segments!r}")
+                f"{teachers.rows} teacher rows, got {segments!r}")
         counts = np.bincount(frames)
-        averaging = np.zeros((len(teachers), s.rows))             # F x n
+        averaging = np.zeros((teachers.rows, s.rows))             # F x n
         averaging[frames, np.arange(s.rows)] = 1.0 / counts[frames]
         averaging = Matrix(averaging)
 

@@ -14,22 +14,15 @@ def resize(frame: np.ndarray, out_h: int, out_w: int, method: str = "bilinear"
         raise ValueError(f"target size must be positive, got {out_h}x{out_w}")
     if (h, w) == (out_h, out_w):
         return frame.copy()
-    src_r = (np.arange(out_h) + 0.5) * h / out_h - 0.5
-    src_c = (np.arange(out_w) + 0.5) * w / out_w - 0.5
-    if method == "nearest":
-        rows = np.clip(np.rint(src_r).astype(np.int64), 0, h - 1)
-        cols = np.clip(np.rint(src_c).astype(np.int64), 0, w - 1)
-        return frame[rows][:, cols]
-    if method != "bilinear":
+    if method not in ("nearest", "bilinear"):
         raise ValueError(f"unknown resample method {method!r}")
-    src_r = np.clip(src_r, 0.0, h - 1.0)
-    src_c = np.clip(src_c, 0.0, w - 1.0)
-    r0 = np.minimum(src_r.astype(np.int64), h - 2) if h > 1 else np.zeros(out_h, np.int64)
-    c0 = np.minimum(src_c.astype(np.int64), w - 2) if w > 1 else np.zeros(out_w, np.int64)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = (src_r - r0)[:, None]
-    fc = (src_c - c0)[None, :]
+    r0, r1, fr = bilinear_taps(h, out_h)
+    c0, c1, fc = bilinear_taps(w, out_w)
+    if method == "nearest":
+        # lo + frac is the clipped sample point exactly, so its nearest pixel
+        return frame[np.rint(r0 + fr).astype(np.intp)][:, np.rint(c0 + fc).astype(np.intp)]
+    fr = fr[:, None]
+    fc = fc[None, :]
     one_minus_fc = 1 - fc
     # each row set is gathered once, and the second only after the first is
     # used: fewer frame-sized temporaries live at once
@@ -38,3 +31,15 @@ def resize(frame: np.ndarray, out_h: int, out_w: int, method: str = "bilinear"
     lower = frame[r1]
     bottom = lower[:, c0] * one_minus_fc + lower[:, c1] * fc
     return top * (1 - fr) + bottom * fr
+
+
+def bilinear_taps(size, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-pixel-centre bilinear taps of ``out`` samples along one axis of
+    length ``size`` (an int, or an array of lengths): the lower and upper
+    source indices of each sample and the weight of the upper one, each of
+    shape ``np.shape(size) + (out,)``. A sample point is clipped to
+    ``[0, size - 1]``, so the weight lies in [0, 1]."""
+    size = np.asarray(size, dtype=np.intp)[..., None]
+    src = np.clip((np.arange(out) + 0.5) * size / out - 0.5, 0.0, size - 1.0)
+    lo = np.minimum(src.astype(np.intp), np.maximum(size - 2, 0))
+    return lo, np.minimum(lo + 1, size - 1), src - lo

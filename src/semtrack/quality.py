@@ -1,4 +1,4 @@
-"""Frame-quality assessment and quality-driven feature fusion.
+"""Frame-quality assessment and the quality-driven fusion weight (DSWR).
 
 Quality combines three no-reference measurements on a grayscale frame in
 [0, 1]: clarity (variance of the 3x3 Laplacian response), noise (Immerkaer's
@@ -10,7 +10,8 @@ means poorer quality.
 The semantic weight is sigmoid(W*q + b) with learnable scalars W and b, taken
 row by row over a column of q values, one per query: a query gets the weight
 of the frame it comes from. W and b start at -4 and 2, which already realize
-"lower quality, higher semantic weight".
+"lower quality, higher semantic weight". The tracker fuses each row at its
+weight with :func:`semtrack.autodiff.blend_rows`.
 """
 
 from __future__ import annotations
@@ -99,32 +100,3 @@ class DswrHead:
         if np.any(q.data < 0.0) or np.any(q.data > 1.0):
             raise ValueError(f"quality scores must lie in [0, 1], got {q.data.ravel()}")
         return ad.sigmoid(ad.linear(q, self.w.value, self.b.value))
-
-
-def fuse(w: Matrix, f_semantic: Matrix, f_query: Matrix) -> Matrix:
-    """Row-wise convex combination w*f_semantic + (1-w)*f_query: the n x 1
-    weight ``w`` holds one weight per row, spread over the columns by a
-    product with a row of ones (exact, as each entry is ``w_i * 1``)."""
-    if f_semantic.shape != f_query.shape:
-        raise DimensionError(
-            f"fuse shape mismatch: {f_semantic.shape} vs {f_query.shape}")
-    rows, cols = f_semantic.shape
-    if w.shape != (rows, 1):
-        raise DimensionError(f"fusion weight must be {rows}x1, got {w.shape}")
-    spread = ad.matmul(w, _ones(1, cols))
-    one_minus = ad.sub(_ones(rows, cols), spread)
-    return ad.add(ad.multiply(spread, f_semantic), ad.multiply(one_minus, f_query))
-
-
-# per width, the tallest all-ones constant a fusion has needed so far
-_ONES: dict[int, Matrix] = {}
-
-
-def _ones(rows: int, cols: int) -> Matrix:
-    """A rows x cols all-ones constant: a row block of the shared all-ones
-    matrix of that width, so a call copies and scans nothing. A matrix's data
-    is read-only, and a constant never records a gradient."""
-    ones = _ONES.get(cols)
-    if ones is None or ones.rows < rows:
-        ones = _ONES[cols] = Matrix(np.ones((rows, cols)))
-    return ones.row_block(slice(0, rows))

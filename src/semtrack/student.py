@@ -88,11 +88,6 @@ class StudentModel:
     def named_parameters(self) -> dict[str, Parameter]:
         return dict(self._params)
 
-    def parameter_count(self) -> int:
-        """Exact number of trainable scalar parameters."""
-        return sum(p.value.rows * p.value.cols
-                   for p in self._params.values() if p.trainable)
-
     def _param(self, name: str, x: Matrix) -> Matrix:
         """Parameter ``name`` in ``x``'s float type."""
         return self._params[name].cast(x.data.dtype)

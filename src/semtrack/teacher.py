@@ -1,35 +1,22 @@
-"""Frozen 1x1024 teacher embeddings from a deterministic pseudo-teacher.
+"""Frozen 1x1024 teacher rows from a deterministic pseudo-teacher.
 
 The paper's teacher is a frozen CLIP image encoder. No encoder weights ship
 with this testbed, so a stand-in takes its place: it block-averages the frame
 to 16x16, projects the 256 pooled values through a fixed seed-derived 256x1024
-matrix and applies tanh. Teacher vectors never participate in gradient flow.
+matrix and applies tanh. A frame's teacher row is a plain array; training
+stacks a scene's rows into one constant F x 1024 matrix, which no gradient
+reaches.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from semtrack.autodiff import Matrix
-
 TEACHER_DIM = 1024
 _POOL = 16
-
-
-@dataclass(frozen=True)
-class TeacherEmbedding:
-    vector: Matrix  # 1 x 1024, frozen (requires_grad stays False)
-
-    def __post_init__(self):
-        if self.vector.shape != (1, TEACHER_DIM):
-            raise ValueError(
-                f"teacher embedding must be 1x{TEACHER_DIM}, got {self.vector.shape}")
-        if self.vector.requires_grad:
-            raise ValueError("teacher embeddings are frozen")
 
 
 @functools.lru_cache(maxsize=4)
@@ -63,11 +50,11 @@ def _block_average(frame: np.ndarray) -> np.ndarray:
     return sums / np.outer(np.diff(row_edges), np.diff(col_edges))
 
 
-def pseudo_teacher(frame: np.ndarray, seed: int) -> TeacherEmbedding:
-    """Deterministic content-correlated stand-in for a frozen image encoder."""
+def pseudo_teacher(frame: np.ndarray, seed: int) -> np.ndarray:
+    """The frame's 1 x 1024 teacher row: a deterministic, content-correlated
+    stand-in for a frozen image encoder."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2 or frame.size == 0:
         raise ValueError(f"frame must be a non-empty 2-D array, got shape {frame.shape}")
     pooled = _block_average(frame).reshape(1, _POOL * _POOL)
-    vec = np.tanh(pooled @ _projection(seed))
-    return TeacherEmbedding(vector=Matrix(vec))
+    return np.tanh(pooled @ _projection(seed))

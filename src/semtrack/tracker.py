@@ -28,8 +28,10 @@ track records would change.
 When tracking, the student runs in :data:`INFERENCE_DTYPE` (float32): a
 frame's call sees a few rows, so its cost is the reading of the student's
 weights, which float32 halves. Training, the query embedding, the
-quality-driven weight, the fusion (which promotes back to float64) and the
-association costs stay float64, and the bare tracker casts nothing.
+quality-driven weight and the association costs stay float64, and the bare
+tracker casts nothing. The fusion is one
+:func:`~semtrack.autodiff.blend_rows` op: its float64 weight column promotes
+the float32 features back to float64.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from scipy.optimize import linear_sum_assignment
 from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix, Parameter
 from semtrack.distill import DcsdHead
-from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse
+from semtrack.frames import bilinear_taps
+from semtrack.quality import DswrHead, QualityRanges, assess_quality
 from semtrack.scenes import Detection, detections_by_frame
 from semtrack.student import FEATURE_DIM, StudentConfig, StudentModel
 # box_iou is unused here but stays bound: the benchmark's harness tests read it
@@ -111,8 +114,8 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
     top = np.clip(np.floor(t), 0, height - 1).astype(np.intp)
     right = np.minimum(np.maximum(np.ceil(l + w).astype(np.intp), left + 1), width)
     bottom = np.minimum(np.maximum(np.ceil(t + h).astype(np.intp), top + 1), height)
-    r0, r1, fr = _sample_axis(bottom - top)
-    c0, c1, fc = _sample_axis(right - left)
+    r0, r1, fr = bilinear_taps(bottom - top, PATCH)
+    c0, c1, fc = bilinear_taps(right - left, PATCH)
     # corners[:, i, j] is the crop's pixel at rows (r0, r1)[i], columns (c0, c1)[j]
     rows = (top[:, None, None] + np.stack([r0, r1], axis=1))[:, :, None, :, None]
     cols = (left[:, None, None] + np.stack([c0, c1], axis=1))[:, None, :, None, :]
@@ -138,17 +141,6 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
     return np.concatenate([geometry, patch.reshape(-1, PATCH * PATCH),
                            in_sum_order.mean(axis=1, keepdims=True),
                            in_sum_order.std(axis=1, keepdims=True)], axis=1)
-
-
-def _sample_axis(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``frames.resize``'s bilinear taps along one axis, for crops of the
-    given sizes: the n x 8 lower and upper pixel indices and the weight of
-    the upper one."""
-    src = (np.arange(PATCH) + 0.5)[None, :] * size[:, None] / PATCH - 0.5
-    src = np.clip(src, 0.0, size[:, None] - 1.0)
-    lo = np.minimum(src.astype(np.intp), np.maximum(size - 2, 0)[:, None])
-    hi = np.minimum(lo + 1, size[:, None] - 1)
-    return lo, hi, src - lo
 
 
 class SequenceRows(NamedTuple):
@@ -295,7 +287,7 @@ class TrackerModel:
             return x, None
         semantic = self.student(x, segments)
         rows = np.zeros(x.rows, dtype=np.intp) if segments is None else segments
-        return fuse(self.fusion_weight(quality, rows), semantic, x), semantic
+        return ad.blend_rows(self.fusion_weight(quality, rows), semantic, x), semantic
 
     def predict_boxes(self, features: Matrix) -> Matrix:
         return ad.linear(features, self.box_weight.value, self.box_bias.value)
@@ -342,7 +334,7 @@ class TrackerModel:
         blobs follow one another in name order and end where the file ends.
         """
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
+            header = json.loads(fh.readline().decode("utf-8"), object_pairs_hook=unique_keys)
             blob = fh.read()
         if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
@@ -380,6 +372,18 @@ class TrackerModel:
         if end != len(blob):
             raise ValueError(f"{path}: {len(blob) - end} bytes after the last parameter")
         return model
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict, for ``json.loads``'s
+    ``object_pairs_hook``: a ``ValueError`` names a key the object repeats,
+    which plain ``json.loads`` would let the last value win."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _require_fields(path, where: str, raw, types: dict[str, type]) -> None:

@@ -6,7 +6,7 @@ temperature-scaled cosine similarities between a frame's ground-truth-matched
 queries and the next frame's candidates) plus an L1 box-regression term from
 a linear box head, summed 1:1. The total per step is
 ``alpha * distillation + (1 - alpha) * tracking`` with alpha in (0, 1). The
-distillation target of each frame is its pseudo-teacher embedding
+distillation target of each frame is its pseudo-teacher row
 (:func:`semtrack.teacher.pseudo_teacher` under ``teacher_seed``), and the
 distillation loss is the mean of the per-frame losses.
 
@@ -18,7 +18,7 @@ losses are those of running the frames one by one, up to summation order.
 The teacher is frozen, so on a fixed corpus everything a step computes
 before the model runs is a constant of the scene: the scene's stacked rows
 (one :func:`~semtrack.tracker.sequence_rows` call, the layout tracking reads
-too), gt labels and what the losses derive from them, teacher embeddings and
+too), gt labels and what the losses derive from them, the teacher block and
 frame quality. Each :class:`SceneSample` caches them on its first step (keyed
 on the teacher seed and the quality ranges where those matter), so only the
 first epoch computes them; see :class:`SceneSample`.
@@ -86,8 +86,8 @@ class SceneSample:
     * ``"plan"``: the :class:`_ScenePlan`, with the scene's stacked rows,
       contrastive pairs and box targets, from the frames, detections and
       ground truth alone;
-    * ``("teacher", teacher_seed)``: each planned frame's pseudo-teacher
-      embedding, for a model with a student;
+    * ``("teacher", teacher_seed)``: one F x 1024 :class:`Matrix` holding
+      each planned frame's pseudo-teacher row, for a model with a student;
     * ``("quality", quality_ranges)``: the planned frames' F x 1 quality
       column, for a model with DSWR.
 
@@ -201,7 +201,7 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
 
     The rows of every frame with detections are embedded, encoded and
     box-predicted in one call each, as the sample's :class:`_ScenePlan`
-    stacks them. The plan, teacher embeddings and quality column come from
+    stacks them. The plan, teacher block and quality column come from
     the sample's cache (see :class:`SceneSample`). Returns node and float
     views of every component; must run inside a Tape for gradients to be
     recorded.
@@ -238,8 +238,8 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
     if semantic is None:
         return losses
     seed = train.teacher_seed
-    teachers = _constant(sample, ("teacher", seed),
-                         lambda: [pseudo_teacher(frame, seed) for frame in frames])
+    teachers = _constant(sample, ("teacher", seed), lambda: Matrix(
+        np.concatenate([pseudo_teacher(frame, seed) for frame in frames])))
     breakdown = model.dcsd.loss(semantic, plan.rows.segments, teachers)
     losses.update(
         total=ad.add(ad.scale(breakdown.loss_node, train.alpha),

@@ -1,7 +1,8 @@
 """Reference implementations for tests: brute-force metric oracles for tiny
 cases, the bilinear resize formula, a one-box-at-a-time proposal descriptor,
-a frame-by-frame reference for the training losses, a one-frame
-degradation chain, and the tracker loop with its miss counter.
+the fusion as a composite of element-wise ops, a frame-by-frame reference
+for the training losses, a one-frame degradation chain, and the tracker loop
+with its miss counter.
 
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
@@ -287,6 +288,16 @@ def per_box_descriptor(frame: np.ndarray, box) -> np.ndarray:
                            [patch.mean(), patch.std()]]).reshape(1, -1)
 
 
+def composite_blend_rows(w: Matrix, a: Matrix, b: Matrix) -> Matrix:
+    """``autodiff.blend_rows`` as five ops: the n x 1 weight spread over the
+    columns by a product with a row of ones, then ``w*a + (1 - w)*b``
+    element-wise."""
+    rows, cols = a.shape
+    spread = ad.matmul(w, Matrix(np.ones((1, cols))))
+    one_minus = ad.sub(Matrix(np.ones((rows, cols))), spread)
+    return ad.add(ad.multiply(spread, a), ad.multiply(one_minus, b))
+
+
 def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
     """The dict :func:`semtrack.training.scene_losses` returns, computed one
     frame at a time."""
@@ -309,8 +320,8 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
         fused[f], semantic = model.encode_queries(x, quality)
         labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []))
         if semantic is not None:
-            breakdowns.append(model.dcsd.loss(semantic, [0] * semantic.rows,
-                                              [pseudo_teacher(frame, train.teacher_seed)]))
+            teacher = Matrix(pseudo_teacher(frame, train.teacher_seed))
+            breakdowns.append(model.dcsd.loss(semantic, [0] * semantic.rows, teacher))
 
     mot_terms = []
     for f in sorted(fused):

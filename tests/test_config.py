@@ -69,6 +69,24 @@ def test_unknown_key_raises(where, key):
         ExperimentConfig.from_dict(raw)
 
 
+def repeating(key: str, first) -> str:
+    """The default config's JSON text with its first ``key`` given twice, the
+    first time as ``first``."""
+    return ExperimentConfig().to_json().replace(
+        f'"{key}": ', f'"{key}": {json.dumps(first)}, "{key}": ', 1)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"alpha": 0.2, "alpha": 0.6}', "alpha"),
+    (repeating("clarity", [0.0, 0.03]), "clarity"),
+    (repeating("kind", "downsample"), "kind"),
+], ids=["alpha", "nested-clarity", "chain-op-kind"])
+def test_repeated_key_raises(text, key):
+    # json.loads alone keeps the last value, so each text would load
+    with pytest.raises(ValueError, match=f"repeated JSON key '{key}'"):
+        ExperimentConfig.from_json(text)
+
+
 @pytest.mark.parametrize("where, key", [
     ("training", "bogus"),
     ("training", "learning_rate"),  # a knob of a snapshot from before the constants

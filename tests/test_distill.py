@@ -6,7 +6,7 @@ import pytest
 from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Tape
 from semtrack.distill import DcsdHead
-from semtrack.teacher import TEACHER_DIM, TeacherEmbedding, pseudo_teacher
+from semtrack.teacher import TEACHER_DIM, pseudo_teacher
 
 from gradcheck import check_against_fd
 
@@ -16,13 +16,19 @@ TEMPERATURE = 2.0
 
 
 def make_teacher(seed=0, scale=1.0):
+    """One frame's 1 x 1024 teacher row."""
     rng = np.random.default_rng(seed)
-    return TeacherEmbedding(Matrix(scale * rng.standard_normal((1, TEACHER_DIM))))
+    return Matrix(scale * rng.standard_normal((1, TEACHER_DIM)))
 
 
-def one_frame_loss(head: DcsdHead, s: Matrix, t: TeacherEmbedding):
+def teacher_block(seeds) -> Matrix:
+    """An F x 1024 block, row ``f`` the teacher of ``seeds[f]``."""
+    return Matrix(np.concatenate([make_teacher(seed).data for seed in seeds]))
+
+
+def one_frame_loss(head: DcsdHead, s: Matrix, t: Matrix):
     """The loss of a single frame: every row of ``s`` distilled towards ``t``."""
-    return head.loss(s, [0] * s.rows, [t])
+    return head.loss(s, [0] * s.rows, t)
 
 
 def oracle_dcsd(head: DcsdHead, s: np.ndarray, t: np.ndarray) -> dict:
@@ -65,7 +71,7 @@ def test_aggregated_teacher_equals_aligned_teacher():
     s_arr = rng.standard_normal((6, 256))
     t = make_teacher(6)
     out = one_frame_loss(head, Matrix(s_arr), t)
-    reference = oracle_dcsd(head, s_arr, t.vector.data)
+    reference = oracle_dcsd(head, s_arr, t.data)
     assert np.max(np.abs(reference["attention"] - 1.0 / 6)) < 1e-12
     assert abs(out.l_local - reference["l_local"]) < 1e-12
 
@@ -73,7 +79,7 @@ def test_aggregated_teacher_equals_aligned_teacher():
 def test_perfect_alignment_gives_zero_loss():
     head = DcsdHead(seed=7)
     t = make_teacher(8)
-    t_align = oracle_dcsd(head, np.zeros((4, 256)), t.vector.data)["t_align"]
+    t_align = oracle_dcsd(head, np.zeros((4, 256)), t.data)["t_align"]
     out = one_frame_loss(head, Matrix(t_align), t)
     assert out.l_local == 0.0
     assert out.l_global == 0.0
@@ -88,7 +94,7 @@ def test_seeded_pipeline_matches_oracle():
     s_arr = rng.standard_normal((3, 256))
     t = make_teacher(7)
     out = one_frame_loss(head, Matrix(s_arr), t)
-    ref = oracle_dcsd(head, s_arr, t.vector.data)
+    ref = oracle_dcsd(head, s_arr, t.data)
     for key in ("l_local", "l_global", "w1", "w2"):
         assert abs(getattr(out, key) - ref[key]) < 1e-10, key
     assert abs(out.loss_node.item() - ref["l_distill"]) < 1e-10
@@ -137,7 +143,7 @@ def test_gradient_flow_targets():
     assert head.teacher_weight.value.grad is not None
     assert head.teacher_bias.value.grad is not None
     assert head.loss_logits.value.grad is not None
-    assert t.vector.grad is None
+    assert t.grad is None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -160,7 +166,7 @@ def test_works_with_pseudo_teacher():
     head = DcsdHead(seed=1)
     frame = np.random.default_rng(5).uniform(0, 1, (24, 32))
     out = one_frame_loss(head, Matrix(np.random.default_rng(6).standard_normal((2, 256))),
-                         pseudo_teacher(frame, seed=9))
+                         Matrix(pseudo_teacher(frame, seed=9)))
     assert np.isfinite(out.loss_node.item())
 
 
@@ -174,10 +180,10 @@ def test_stacked_frames_give_the_mean_of_the_per_frame_losses():
                                               name="dcsd.loss_logits")
     rng = np.random.default_rng(24)
     s_arr = rng.standard_normal((len(SEGMENTS), 256))
-    teachers = [make_teacher(25 + f) for f in range(3)]
+    teachers = teacher_block([25 + f for f in range(3)])
     out = head.loss(Matrix(s_arr), SEGMENTS, teachers)
     frames = np.array(SEGMENTS)
-    per_frame = [oracle_dcsd(head, s_arr[frames == f], teachers[f].vector.data)
+    per_frame = [oracle_dcsd(head, s_arr[frames == f], teachers.data[f:f + 1])
                  for f in range(3)]
     got = {"l_local": out.l_local, "l_global": out.l_global,
            "l_distill": out.loss_node.item(), "w1": out.w1, "w2": out.w2}
@@ -191,7 +197,7 @@ def test_stacked_dcsd_loss_gradient_matches_fd(seed):
     head = DcsdHead(seed=60 + seed)
     rng = np.random.default_rng(70 + seed)
     s_arr = rng.standard_normal((len(SEGMENTS), 256))
-    teachers = [make_teacher(80 + 3 * seed + f) for f in range(3)]
+    teachers = teacher_block([80 + 3 * seed + f for f in range(3)])
     check_against_fd(lambda s: head.loss(s, SEGMENTS, teachers).loss_node, [s_arr],
                      sample=40, seed=seed, label=f"dcsd[3 frames, {seed}]")
 
@@ -206,4 +212,4 @@ def test_stacked_dcsd_loss_gradient_matches_fd(seed):
 def test_frame_indices_must_label_every_row_and_cover_every_teacher(segments):
     head = DcsdHead(seed=0)
     with pytest.raises(DimensionError, match="frame index"):
-        head.loss(Matrix(np.zeros((5, 256))), segments, [make_teacher(f) for f in range(3)])
+        head.loss(Matrix(np.zeros((5, 256))), segments, teacher_block(range(3)))

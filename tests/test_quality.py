@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Tape
-from semtrack.quality import DswrHead, QualityRanges, assess_quality, fuse
+from semtrack.quality import DswrHead, QualityRanges, assess_quality
 
 from gradcheck import check_against_fd, mse, weighted_scalar
+from oracles import composite_blend_rows
 
 
 def checkerboard(h=64, w=64, cell=4):
@@ -138,9 +140,9 @@ def test_fuse_limit_and_fixed_point():
     f_sem = Matrix(rng.standard_normal((4, 8)))
     f_query = Matrix(rng.standard_normal((4, 8)))
     near_one = Matrix(np.full((4, 1), 1.0 - 1e-15))
-    fused = fuse(near_one, f_sem, f_query)
+    fused = ad.blend_rows(near_one, f_sem, f_query)
     assert np.max(np.abs(fused.data - f_sem.data)) < 1e-12
-    same = fuse(Matrix(np.full((4, 1), 0.5)), f_sem, f_sem)
+    same = ad.blend_rows(Matrix(np.full((4, 1), 0.5)), f_sem, f_sem)
     assert np.allclose(same.data, f_sem.data, atol=1e-15)
 
 
@@ -148,24 +150,25 @@ def test_fuse_convexity_bounds():
     rng = np.random.default_rng(8)
     f_sem = Matrix(rng.standard_normal((5, 6)))
     f_query = Matrix(rng.standard_normal((5, 6)))
-    fused = fuse(Matrix([[0.37], [0.9], [0.0], [1.0], [0.5]]), f_sem, f_query).data
+    fused = ad.blend_rows(Matrix([[0.37], [0.9], [0.0], [1.0], [0.5]]), f_sem, f_query).data
     lo = np.minimum(f_sem.data, f_query.data)
     hi = np.maximum(f_sem.data, f_query.data)
     assert np.all(fused >= lo - 1e-12) and np.all(fused <= hi + 1e-12)
 
 
 def test_fuse_shape_errors():
+    zeros = Matrix(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
-        fuse(Matrix([[0.5], [0.5]]), Matrix(np.zeros((2, 3))), Matrix(np.zeros((3, 2))))
+        ad.blend_rows(Matrix([[0.5], [0.5]]), zeros, Matrix(np.zeros((3, 2))))
     with pytest.raises(DimensionError):
-        fuse(Matrix(np.zeros((2, 2))), Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3))))
+        ad.blend_rows(Matrix(np.zeros((2, 2))), zeros, zeros)
     with pytest.raises(DimensionError, match="2x1"):   # no scalar broadcast
-        fuse(Matrix([[0.5]]), Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3))))
+        ad.blend_rows(Matrix([[0.5]]), zeros, zeros)
 
 
 def test_fuse_of_a_repeated_weight_is_the_scalar_combination_bit_for_bit():
-    # one frame's rows share one weight; spreading it by a product with ones
-    # is exact, so the result is w*f_sem + (1-w)*f_query to the last bit
+    # one frame's rows share one weight, so the result is
+    # w*f_sem + (1-w)*f_query to the last bit
     rng = np.random.default_rng(9)
     f_sem = rng.standard_normal((6, 256))
     f_query = rng.standard_normal((6, 256))
@@ -174,7 +177,7 @@ def test_fuse_of_a_repeated_weight_is_the_scalar_combination_bit_for_bit():
     w = head.semantic_weight(Matrix(np.full((6, 1), q)))
     scalar = 1.0 / (1.0 + np.exp(-np.full((6, 1), -3.3 * q + 1.7)))
     assert np.array_equal(w.data, scalar)
-    fused = fuse(w, Matrix(f_sem), Matrix(f_query)).data
+    fused = ad.blend_rows(w, Matrix(f_sem), Matrix(f_query)).data
     assert np.array_equal(fused, f_sem * scalar + f_query * (1.0 - scalar))
 
 
@@ -183,7 +186,8 @@ def test_fuse_weighs_each_row_by_its_own_weight():
     f_sem = rng.standard_normal((3, 5))
     f_query = rng.standard_normal((3, 5))
     weights = [0.2, 0.9, 0.5]
-    fused = fuse(Matrix(np.array(weights)[:, None]), Matrix(f_sem), Matrix(f_query)).data
+    fused = ad.blend_rows(Matrix(np.array(weights)[:, None]), Matrix(f_sem),
+                          Matrix(f_query)).data
     for i, w in enumerate(weights):
         assert np.array_equal(fused[i], w * f_sem[i] + (1.0 - w) * f_query[i])
 
@@ -195,8 +199,38 @@ def test_fuse_gradient_matches_fd(seed):
     f_sem = rng.standard_normal((3, 5))
     f_query = rng.standard_normal((3, 5))
     target = Matrix(rng.standard_normal((3, 5)))
-    check_against_fd(lambda a, b, c: mse(fuse(a, b, c), target),
-                     [w, f_sem, f_query], label=f"fuse[{seed}]")
+    check_against_fd(lambda a, b, c: mse(ad.blend_rows(a, b, c), target),
+                     [w, f_sem, f_query], label=f"blend_rows[{seed}]")
+
+
+def test_fuse_equals_the_five_op_composite_bit_for_bit():
+    # values and every gradient, in float64 as training records them
+    rng = np.random.default_rng(60)
+    w = Matrix(rng.uniform(0.05, 0.95, size=(7, 1)), requires_grad=True)
+    a = Matrix(rng.standard_normal((7, 256)), requires_grad=True)
+    b = Matrix(rng.standard_normal((7, 256)), requires_grad=True)
+    target = Matrix(rng.standard_normal((7, 256)))
+    results = []
+    for blend in (ad.blend_rows, composite_blend_rows):
+        with Tape() as tape:
+            out = blend(w, a, b)
+            tape.backward(ad.sum_all(ad.multiply(out, target)))
+        results.append([out.data, w.grad, a.grad, b.grad])
+        for m in (w, a, b):
+            m.grad = None
+    for got, expected in zip(*results, strict=True):
+        assert np.array_equal(got, expected)
+
+
+def test_fuse_of_float32_features_at_a_float64_weight_equals_the_composite():
+    # tracking: the student's float32 output and queries, DSWR's float64 weight
+    rng = np.random.default_rng(61)
+    w = Matrix(rng.uniform(0.05, 0.95, size=(5, 1)))
+    a = Matrix(rng.standard_normal((5, 256)).astype(np.float32))
+    b = Matrix(rng.standard_normal((5, 256)).astype(np.float32))
+    fused = ad.blend_rows(w, a, b).data
+    assert fused.dtype == np.float64
+    assert np.array_equal(fused, composite_blend_rows(w, a, b).data)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -39,10 +39,6 @@ KEPT = {
     "tracker.TrackerModel.save": "ROADMAP item 10: a run directory's model file",
     "tracker.TrackerModel.load": "ROADMAP item 10: a run directory's model file",
     "training.write_training_log": "ROADMAP item 10: a run directory's training CSV",
-    "student.StudentModel.parameter_count": "ROADMAP item 10: the metric report's "
-                                            "parameter counts",
-    "distill.DcsdHead.parameter_count": "ROADMAP item 10: the metric report's "
-                                        "parameter counts",
     "tracker.TrackerModel.tracker_parameter_count": "ROADMAP item 10: the metric "
                                                     "report's parameter counts",
     "tracker.TrackerModel.added_parameter_count": "ROADMAP item 10: the metric "

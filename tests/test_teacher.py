@@ -3,22 +3,23 @@ import pytest
 
 from semtrack import autodiff as ad
 from semtrack import teacher
-from semtrack.autodiff import Matrix, Parameter, Tape
-from semtrack.teacher import TEACHER_DIM, TeacherEmbedding, pseudo_teacher
+from semtrack.autodiff import DimensionError, Matrix, Parameter, Tape
+from semtrack.distill import DcsdHead
+from semtrack.teacher import TEACHER_DIM, pseudo_teacher
 
 
 def test_pseudo_teacher_deterministic():
     frame = np.random.default_rng(1).uniform(0, 1, size=(48, 64))
     a = pseudo_teacher(frame, seed=7)
     b = pseudo_teacher(frame, seed=7)
-    assert np.array_equal(a.vector.data, b.vector.data)
+    assert np.array_equal(a, b)
     c = pseudo_teacher(frame, seed=8)
-    assert not np.array_equal(a.vector.data, c.vector.data)
+    assert not np.array_equal(a, c)
 
 
 def test_pseudo_teacher_zero_frame_is_zero():
     out = pseudo_teacher(np.zeros((32, 32)), seed=3)
-    assert np.array_equal(out.vector.data, np.zeros((1, TEACHER_DIM)))
+    assert np.array_equal(out, np.zeros((1, TEACHER_DIM)))
 
 
 def test_pseudo_teacher_sensitive_to_single_pixel():
@@ -32,27 +33,28 @@ def test_pseudo_teacher_sensitive_to_single_pixel():
         bumped[r, c] = 1.0 - bumped[r, c] if abs(1.0 - 2 * bumped[r, c]) > 0.1 else 0.0
         a = pseudo_teacher(frame, seed=trial)
         b = pseudo_teacher(bumped, seed=trial)
-        assert not np.array_equal(a.vector.data, b.vector.data), f"trial {trial}"
+        assert not np.array_equal(a, b), f"trial {trial}"
 
 
 def test_pseudo_teacher_small_frames_supported():
     out = pseudo_teacher(np.full((3, 5), 0.25), seed=0)
-    assert out.vector.shape == (1, TEACHER_DIM)
+    assert out.shape == (1, TEACHER_DIM)
 
 
 def test_teacher_never_receives_gradient():
-    t = pseudo_teacher(np.random.default_rng(2).uniform(0, 1, (20, 20)), seed=1)
+    t = Matrix(pseudo_teacher(np.random.default_rng(2).uniform(0, 1, (20, 20)), seed=1))
     w = Parameter(np.random.default_rng(3).standard_normal((TEACHER_DIM, 4)))
     with Tape() as tape:
-        out = ad.matmul(t.vector, w.value)
+        out = ad.matmul(t, w.value)
         tape.backward(ad.sum_all(out))
-    assert t.vector.grad is None
+    assert t.grad is None
     assert w.value.grad is not None
 
 
 def test_embedding_shape_enforced():
-    with pytest.raises(ValueError, match="1x1024"):
-        TeacherEmbedding(Matrix(np.zeros((1, 512))))
+    # the teacher projection reads 1024-wide rows and turns any other width away
+    with pytest.raises(DimensionError, match="linear shape mismatch"):
+        DcsdHead(seed=0).loss(Matrix(np.zeros((2, 256))), [0, 0], Matrix(np.zeros((1, 512))))
 
 
 def test_projection_is_built_once_and_read_only():

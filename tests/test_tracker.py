@@ -423,7 +423,9 @@ def test_parameter_counts():
     expected_tracker = (DESCRIPTOR_DIM * 256 + 256) + (256 * 4 + 4)
     assert full.tracker_parameter_count() == expected_tracker
     added = full.added_parameter_count()
-    assert added == full.student.parameter_count() + full.dcsd.parameter_count() + 2
+    student = sum(p.value.data.size for p in full.student.named_parameters().values())
+    dcsd = sum(p.value.data.size for p in full.dcsd.parameters())
+    assert added == student + dcsd + 2
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -518,6 +520,11 @@ def _duplicate_first_entry(header, blob):
     return header, blob
 
 
+def _repeated_seed(header, blob):
+    # a header's JSON text with "seed" twice, the first value a valid one
+    return json.dumps(header, sort_keys=True).replace('"seed": ', '"seed": 3, "seed": '), blob
+
+
 def _set(*keys, value):
     """A corruption that sets the header value ``keys`` lead to."""
     def corrupt(header, blob):
@@ -551,10 +558,12 @@ def _set(*keys, value):
     (_set("params", 0, "cols", value="1"), "parameter entry key 'cols' must be int"),
     (_set("params", 0, "offset", value=None), "parameter entry key 'offset' must be int"),
     (_duplicate_first_entry, r"parameters listed more than once: \['box_head.bias'\]"),
+    (_repeated_seed, "repeated JSON key 'seed'"),
 ], ids=["missing", "extra", "shape", "trailing", "offset", "format", "v1-format",
         "no-variant", "unknown-variant", "unknown-student-key", "entry-without-rows",
         "variant-int", "seed-str", "seed-bool", "student-value-str", "entry-name-int",
-        "entry-rows-float", "entry-cols-str", "entry-offset-null", "duplicate-entry"])
+        "entry-rows-float", "entry-cols-str", "entry-offset-null", "duplicate-entry",
+        "repeated-key"])
 def test_load_rejects_malformed_file(tmp_path, corrupt, message):
     path = tmp_path / "model.bin"
     TrackerModel("full", TINY_STUDENT, seed=3).save(path)
@@ -562,7 +571,9 @@ def test_load_rejects_malformed_file(tmp_path, corrupt, message):
         header = json.loads(fh.readline())
         blob = fh.read()
     header, blob = corrupt(header, blob)
-    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    # a corruption returns the header as an object, or as JSON text of its own
+    text = header if isinstance(header, str) else json.dumps(header, sort_keys=True)
+    path.write_bytes(text.encode() + b"\n" + blob)
     with pytest.raises(ValueError, match=message):
         TrackerModel.load(path)
 

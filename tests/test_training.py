@@ -12,12 +12,13 @@ from semtrack.quality import QualityRanges
 from semtrack.scenes import (Detection, DetectorNoise, detections_by_frame,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
+from semtrack.teacher import TEACHER_DIM
 from semtrack.tracker import VARIANTS, TrackerConfig, TrackerModel
 from semtrack.training import (LOG_COLUMNS, SceneSample, TrainConfig, scene_losses,
                                train, write_training_log)
 
 from gradcheck import assert_grad_close, finite_diff
-from oracles import per_frame_scene_losses
+from oracles import composite_blend_rows, per_frame_scene_losses
 
 # scene_losses total for make_sample(seed=2, num_frames=5) and a full model with
 # seed 3, as computed when the student still ran twice per frame
@@ -178,6 +179,51 @@ def test_a_scene_plan_gathers_its_descriptors_once(monkeypatch):
     assert all(a is sample.frames[f] for a, f in zip(frames, rows.frame_ids, strict=True))
     assert all(a is b for a, b in zip(rows.frames, frames, strict=True))
     assert rows.descriptors.shape == (len(rows.segments), tracker.DESCRIPTOR_DIM)
+
+
+def test_the_teacher_block_is_one_frozen_matrix_built_once(monkeypatch):
+    # frame 2 of 5 has no detections, so four frames are planned
+    sample = make_sample(seed=2, num_frames=5)
+    sample = replace(sample, detections=[d for d in sample.detections if d.frame != 2])
+    original = training.pseudo_teacher
+    calls = []
+
+    def counted(frame, seed):
+        calls.append(frame)
+        return original(frame, seed)
+
+    monkeypatch.setattr(training, "pseudo_teacher", counted)
+    train(TrackerModel("full", TINY_STUDENT, seed=3), [sample], TrainConfig(epochs=2))
+    frames = sample._constants["plan"].rows.frames
+    assert len(calls) == len(frames) == 4
+    assert all(a is b for a, b in zip(calls, frames, strict=True))
+    block = sample._constants[("teacher", 0)]
+    assert isinstance(block, Matrix) and not block.requires_grad
+    assert block.shape == (4, TEACHER_DIM)
+    assert np.array_equal(block.data, np.concatenate([original(f, 0) for f in frames]))
+
+
+@pytest.mark.parametrize("variant, saved", [("full", 4), ("dcsd", 2), ("distill", 2)])
+def test_a_step_records_fewer_ops_than_the_composite_fusion(monkeypatch, variant, saved):
+    # the composite records its weight's spread and 1 - w only when DSWR's
+    # weight needs a gradient; either way the step's numbers are the same
+    sample = make_sample(seed=2, num_frames=5)
+
+    def step():
+        model = TrackerModel(variant, TINY_STUDENT, seed=3)
+        with Tape() as tape:
+            total = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())["total"]
+            tape.backward(total)
+        grads = [p.value.grad for p in model.parameters()]
+        return len(tape._records), total.item(), grads
+
+    ops, total, grads = step()
+    monkeypatch.setattr(ad, "blend_rows", composite_blend_rows)
+    composite_ops, composite_total, composite_grads = step()
+    assert composite_ops == ops + saved
+    assert total == composite_total
+    for got, expected in zip(grads, composite_grads, strict=True):
+        assert (got is None and expected is None) or np.array_equal(got, expected)
 
 
 def test_a_changed_key_gives_the_losses_of_a_fresh_sample():
