@@ -33,6 +33,18 @@ C-ordered float result is kept without a copy, a bias row is added in
 place where that keeps numpy's result type, and a leaf keeps as its
 ``grad`` a gradient that its rule made for it alone. Every result is bit
 for bit the plain numpy expression's.
+
+The student's two sublayer ops (:func:`attention_sublayer` and
+:func:`feed_forward_sublayer`) each run a chain of the small ops' formulas
+and record it as one op, so a forward pays 9 wrappings and scans, not 39.
+The small ops stay, as the composition the sublayers are tested against,
+and share each formula with them through a private helper. A fused op scans
+its result and, besides, each intermediate that a later step could turn
+finite again: the inputs of the softmax's ``exp`` (the query, key and value
+projections) and of a ReLU, both of which make ``-inf`` a finite 0. Every
+other step carries a non-finite value through to the result, so a
+non-finite value raises ``ValueError`` wherever in the chain it appears, as
+the small ops' own scans would make it.
 """
 
 from __future__ import annotations
@@ -66,6 +78,8 @@ __all__ = [
     "multi_head_attention",
     "l2_normalize_rows",
     "layer_norm_rows",
+    "attention_sublayer",
+    "feed_forward_sublayer",
     "mean_abs_diff",
     "cross_entropy_rows",
     "sum_all",
@@ -97,8 +111,9 @@ def _float_type(data) -> type:
     return np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
 
 
+_FLOAT32 = np.dtype(np.float32)
 _FLOAT64 = np.dtype(np.float64)
-_FLOAT_TYPES = (np.dtype(np.float32), _FLOAT64)
+_FLOAT_TYPES = (_FLOAT32, _FLOAT64)
 
 
 class Matrix:
@@ -127,8 +142,7 @@ class Matrix:
         # Internal fast path for freshly computed op outputs: one finiteness
         # scan, and a copy only of a result that is not C-ordered float32/64.
         out = object.__new__(cls)
-        if not np.isfinite(arr).all():
-            raise ValueError("operation produced non-finite values")
+        _require_finite(arr)
         if arr.dtype not in _FLOAT_TYPES or not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr, dtype=_float_type(arr))
         arr.flags.writeable = False
@@ -190,7 +204,8 @@ class Parameter:
         copy, cast once per value object. A :meth:`step` or a load replaces
         ``value``, so the next call casts the new one. The copy requires a
         gradient as the value does, so a tape refuses to record it."""
-        if dtype is _FLOAT64 or np.dtype(dtype) == _FLOAT64:
+        # the identity tests spare the student's many casts a dtype lookup
+        if dtype is _FLOAT64 or (dtype is not _FLOAT32 and np.dtype(dtype) == _FLOAT64):
             return self.value
         if self._float32 is None or self._float32[0]() is not self.value:
             self._float32 = (weakref.ref(self.value),
@@ -328,6 +343,14 @@ def _emit(inputs: Sequence[Matrix], data: np.ndarray, vjp: Vjp) -> Matrix:
     return out
 
 
+def _require_finite(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        # arr.all() without its Python wrapper, which costs as much as the
+        # scan of a tracked frame's few rows
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+            raise ValueError("operation produced non-finite values")
+
+
 def _add_row(data: np.ndarray, row: np.ndarray) -> np.ndarray:
     """``data + row`` for a fresh ``data``: in place, unless the row's float
     type is wider and numpy's sum would promote to it."""
@@ -335,6 +358,137 @@ def _add_row(data: np.ndarray, row: np.ndarray) -> np.ndarray:
         data += row
         return data
     return data + row
+
+
+# ---------------------------------------------------------------------------
+# formulas: one per op, on plain arrays, shared by the op that records it
+# alone and by the sublayer ops that record it inside one. Each returns the
+# result and its backward rule.
+
+
+def _check_linear(x_shape: tuple[int, int], weight: Matrix, bias: Matrix) -> None:
+    if x_shape[1] != weight.rows:
+        raise DimensionError(f"linear shape mismatch: {x_shape} @ {weight.shape}")
+    if bias.shape != (1, weight.cols):
+        raise DimensionError(f"bias must be 1x{weight.cols}, got {bias.shape}")
+
+
+def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, need_x: bool,
+            need_weight: bool):
+    """``x @ weight + bias``; the rule gives the gradients of x and of the
+    weight (each None unless needed) and of the bias."""
+    data = _add_row(x @ weight, bias)
+
+    def vjp(g):
+        return (g @ weight.T if need_x else None,
+                x.T @ g if need_weight else None,
+                g.sum(axis=0, keepdims=True))
+
+    return data, vjp
+
+
+def _relu(x: np.ndarray):
+    # max(x, 0), then + 0.0 turns a -0.0 into 0.0: the bits of
+    # where(x > 0, x, 0.0), without building the mask outside a tape
+    data = np.maximum(x, 0.0)
+    data += 0.0
+    return data, lambda g: g * (x > 0)
+
+
+def _attention_labels(shape: tuple[int, int], num_heads: int,
+                      segments: Sequence[int] | None) -> np.ndarray | None:
+    """Check attention's n x width operands against ``num_heads`` and
+    ``segments``; the segment labels as an array, or None."""
+    n, width = shape
+    if n == 0:
+        raise DimensionError("attention needs at least one row")
+    if num_heads < 1 or width % num_heads:
+        raise DimensionError(f"width {width} is not divisible by {num_heads} heads")
+    if segments is None:
+        return None
+    labels = np.asarray(segments)
+    if labels.shape != (n,):
+        raise DimensionError(
+            f"attention needs one segment label per row ({n}), got shape {labels.shape}")
+    return labels
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int,
+               labels: np.ndarray | None):
+    """:func:`multi_head_attention` on checked arrays; the rule gives the
+    gradients of q, k and v."""
+    n, width = q.shape
+    head_dim = width // num_heads
+    inv_scale = 1.0 / math.sqrt(head_dim)
+
+    def heads(m: np.ndarray) -> np.ndarray:   # n x width -> heads x n x head_dim
+        return m.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
+
+    def merge(m: np.ndarray) -> np.ndarray:   # heads x n x head_dim -> n x width
+        # C order always: a reshape that happens to be a view can come out
+        # column-major, and BLAS rounds a product differently for that layout
+        return np.ascontiguousarray(m.transpose(1, 0, 2).reshape(n, width))
+
+    qh = np.ascontiguousarray(heads(q))
+    kt = np.ascontiguousarray(heads(k).transpose(0, 2, 1))
+    vh = np.ascontiguousarray(heads(v))
+    # the logits' softmax, in place in one buffer
+    attn = qh @ kt
+    attn *= inv_scale
+    if labels is not None:
+        attn = np.where(labels[:, None] == labels[None, :], attn, -np.inf)
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
+    data = merge(attn @ vh)
+
+    def vjp(g):
+        gh = heads(g)
+        dattn = gh @ vh.transpose(0, 2, 1)
+        inner = (dattn * attn).sum(axis=2, keepdims=True)
+        dz = attn * (dattn - inner) * inv_scale
+        return (merge(dz @ kt.transpose(0, 2, 1)),
+                merge((qh.transpose(0, 2, 1) @ dz).transpose(0, 2, 1)),
+                merge(attn.transpose(0, 2, 1) @ gh))
+
+    return data, vjp
+
+
+def _check_norm(width: int, gain: Matrix, bias: Matrix) -> None:
+    if gain.shape != (1, width) or bias.shape != (1, width):
+        raise DimensionError(f"layer norm gain/bias must be 1x{width}")
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """:func:`layer_norm_rows` on checked arrays; the rule gives the
+    gradients of x, the gain and the bias."""
+    # numpy's mean and var, with the row mean taken once: each row sum is
+    # divided by the intp column count under unsafe casting, so a float32 sum
+    # is divided in float64, as np.mean and np.var divide it
+    count = np.intp(x.shape[1])
+    mu = x.sum(axis=1, keepdims=True)
+    np.true_divide(mu, count, out=mu, casting="unsafe")
+    centred = x - mu
+    var = np.square(centred).sum(axis=1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centred * inv
+    data = _add_row(xhat * gain, bias)
+
+    def vjp(g):
+        dxhat = g * gain
+        gx = inv * (dxhat
+                    - dxhat.mean(axis=1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    return data, vjp
+
+
+def _check_residual(width: int, weight: Matrix) -> None:
+    if weight.cols != width:
+        raise DimensionError(
+            f"the residual needs a {width}-wide projection, got {weight.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +511,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def linear(x: Matrix, weight: Matrix, bias: Matrix) -> Matrix:
     """``x @ weight`` plus a 1 x cols bias row added to every row, recorded
     as one op."""
-    if x.cols != weight.rows:
-        raise DimensionError(f"linear shape mismatch: {x.shape} @ {weight.shape}")
-    if bias.shape != (1, weight.cols):
-        raise DimensionError(f"bias must be 1x{weight.cols}, got {bias.shape}")
-    data = _add_row(x.data @ weight.data, bias.data)
-
-    def vjp(g):
-        return (g @ weight.data.T if x.requires_grad else None,
-                x.data.T @ g if weight.requires_grad else None,
-                g.sum(axis=0, keepdims=True))
-
+    _check_linear(x.shape, weight, bias)
+    data, vjp = _linear(x.data, weight.data, bias.data, x.requires_grad,
+                        weight.requires_grad)
     return _emit((x, weight, bias), data, vjp)
 
 
@@ -481,11 +627,8 @@ def concat_rows(parts: list[Matrix]) -> Matrix:
 
 
 def relu(m: Matrix) -> Matrix:
-    # max(x, 0), then + 0.0 turns a -0.0 into 0.0: the bits of
-    # where(x > 0, x, 0.0), without building the mask outside a tape
-    data = np.maximum(m.data, 0.0)
-    data += 0.0
-    return _emit((m,), data, lambda g: (g * (m.data > 0),))
+    data, rule = _relu(m.data)
+    return _emit((m,), data, lambda g: (rule(g),))
 
 
 def sigmoid(m: Matrix) -> Matrix:
@@ -524,47 +667,8 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int,
     if not q.shape == k.shape == v.shape:
         raise DimensionError(
             f"attention needs equal q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
-    n, width = q.shape
-    if num_heads < 1 or width % num_heads:
-        raise DimensionError(f"width {width} is not divisible by {num_heads} heads")
-    if segments is not None:
-        labels = np.asarray(segments)
-        if labels.shape != (n,):
-            raise DimensionError(
-                f"attention needs one segment label per row ({n}), got shape {labels.shape}")
-    head_dim = width // num_heads
-    inv_scale = 1.0 / math.sqrt(head_dim)
-
-    def heads(m: np.ndarray) -> np.ndarray:   # n x width -> heads x n x head_dim
-        return m.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
-
-    def merge(m: np.ndarray) -> np.ndarray:   # heads x n x head_dim -> n x width
-        # C order always: a reshape that happens to be a view can come out
-        # column-major, and BLAS rounds a product differently for that layout
-        return np.ascontiguousarray(m.transpose(1, 0, 2).reshape(n, width))
-
-    qh = np.ascontiguousarray(heads(q.data))
-    kt = np.ascontiguousarray(heads(k.data).transpose(0, 2, 1))
-    vh = np.ascontiguousarray(heads(v.data))
-    # the logits' softmax, in place in one buffer
-    attn = qh @ kt
-    attn *= inv_scale
-    if segments is not None:
-        attn = np.where(labels[:, None] == labels[None, :], attn, -np.inf)
-    attn -= attn.max(axis=2, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=2, keepdims=True)
-    data = merge(attn @ vh)
-
-    def vjp(g):
-        gh = heads(g)
-        dattn = gh @ vh.transpose(0, 2, 1)
-        inner = (dattn * attn).sum(axis=2, keepdims=True)
-        dz = attn * (dattn - inner) * inv_scale
-        return (merge(dz @ kt.transpose(0, 2, 1)),
-                merge((qh.transpose(0, 2, 1) @ dz).transpose(0, 2, 1)),
-                merge(attn.transpose(0, 2, 1) @ gh))
-
+    labels = _attention_labels(q.shape, num_heads, segments)
+    data, vjp = _attention(q.data, k.data, v.data, num_heads, labels)
     return _emit((q, k, v), data, vjp)
 
 
@@ -587,29 +691,92 @@ def l2_normalize_rows(m: Matrix) -> Matrix:
 def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
     """Per-row layer normalization with 1 x cols gain and bias; the variance
     gets :data:`LAYER_NORM_EPS` added."""
-    if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
-        raise DimensionError(f"layer norm gain/bias must be 1x{x.cols}")
-    # numpy's mean and var, with the row mean taken once: each row sum is
-    # divided by the intp column count under unsafe casting, so a float32 sum
-    # is divided in float64, as np.mean and np.var divide it
-    count = np.intp(x.cols)
-    mu = x.data.sum(axis=1, keepdims=True)
-    np.true_divide(mu, count, out=mu, casting="unsafe")
-    centred = x.data - mu
-    var = np.square(centred).sum(axis=1, keepdims=True)
-    np.true_divide(var, count, out=var, casting="unsafe")
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centred * inv
-    data = _add_row(xhat * gain.data, bias.data)
+    _check_norm(x.cols, gain, bias)
+    data, vjp = _layer_norm(x.data, gain.data, bias.data)
+    return _emit((x, gain, bias), data, vjp)
+
+
+# ---------------------------------------------------------------------------
+# transformer sublayers: a post-norm encoder layer's two halves, one op each
+
+
+def attention_sublayer(h: Matrix, wq: Matrix, bq: Matrix, wk: Matrix, bk: Matrix,
+                       wv: Matrix, bv: Matrix, wo: Matrix, bo: Matrix,
+                       gain: Matrix, bias: Matrix, num_heads: int,
+                       segments: Sequence[int] | None = None) -> Matrix:
+    """``layer_norm_rows(h + linear(multi_head_attention(linear(h, wq, bq),
+    linear(h, wk, bk), linear(h, wv, bv), num_heads, segments), wo, bo),
+    gain, bias)``, recorded as one op.
+
+    Its value and every gradient are the composition's bit for bit: each
+    step runs the composed op's formula, and ``h``'s gradient adds the
+    residual's share first, then the value, key and query projections'
+    shares, the order in which a tape replaying the composition adds them
+    when nothing later reads ``h``."""
+    n, width = h.shape
+    for weight, b in ((wq, bq), (wk, bk), (wv, bv)):
+        _check_linear(h.shape, weight, b)
+    if not wq.shape == wk.shape == wv.shape:
+        raise DimensionError(f"attention needs equal q/k/v projections, "
+                             f"got {wq.shape}, {wk.shape}, {wv.shape}")
+    labels = _attention_labels((n, wq.cols), num_heads, segments)
+    _check_residual(width, wo)
+    _check_linear((n, wq.cols), wo, bo)
+    _check_norm(width, gain, bias)
+    x, need_h = h.data, h.requires_grad
+    q, q_rule = _linear(x, wq.data, bq.data, need_h, wq.requires_grad)
+    k, k_rule = _linear(x, wk.data, bk.data, need_h, wk.requires_grad)
+    v, v_rule = _linear(x, wv.data, bv.data, need_h, wv.requires_grad)
+    # the softmax's exp would turn a -inf logit into a finite weight of 0
+    _require_finite(q, k, v)
+    merged, attention_rule = _attention(q, k, v, num_heads, labels)
+    out, out_rule = _linear(merged, wo.data, bo.data, True, wo.requires_grad)
+    out += x   # the residual, as x + out: addition commutes bit for bit
+    data, norm_rule = _layer_norm(out, gain.data, bias.data)
 
     def vjp(g):
-        dxhat = g * gain.data
-        gx = inv * (dxhat
-                    - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+        gs, ggain, gbias = norm_rule(g)
+        gmerged, gwo, gbo = out_rule(gs)
+        gq, gk, gv = attention_rule(gmerged)
+        ghv, gwv, gbv = v_rule(gv)
+        ghk, gwk, gbk = k_rule(gk)
+        ghq, gwq, gbq = q_rule(gq)
+        gh = None
+        if need_h:
+            gh = gs + ghv
+            gh += ghk
+            gh += ghq
+        return gh, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo, ggain, gbias
 
-    return _emit((x, gain, bias), data, vjp)
+    return _emit((h, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias), data, vjp)
+
+
+def feed_forward_sublayer(h: Matrix, w1: Matrix, b1: Matrix, w2: Matrix, b2: Matrix,
+                          gain: Matrix, bias: Matrix) -> Matrix:
+    """``layer_norm_rows(h + linear(relu(linear(h, w1, b1)), w2, b2), gain,
+    bias)``, recorded as one op; its value and every gradient are the
+    composition's bit for bit, ``h``'s the residual's share plus the first
+    projection's."""
+    _check_linear(h.shape, w1, b1)
+    _check_residual(h.cols, w2)
+    _check_linear((h.rows, w1.cols), w2, b2)
+    _check_norm(h.cols, gain, bias)
+    x = h.data
+    hidden, hidden_rule = _linear(x, w1.data, b1.data, h.requires_grad, w1.requires_grad)
+    # relu would turn a -inf into a finite 0
+    _require_finite(hidden)
+    active, relu_rule = _relu(hidden)
+    out, out_rule = _linear(active, w2.data, b2.data, True, w2.requires_grad)
+    out += x   # the residual, as x + out: addition commutes bit for bit
+    data, norm_rule = _layer_norm(out, gain.data, bias.data)
+
+    def vjp(g):
+        gs, ggain, gbias = norm_rule(g)
+        gactive, gw2, gb2 = out_rule(gs)
+        gx, gw1, gb1 = hidden_rule(relu_rule(gactive))
+        return (None if gx is None else gs + gx), gw1, gb1, gw2, gb2, ggain, gbias
+
+    return _emit((h, w1, b1, w2, b2, gain, bias), data, vjp)
 
 
 # ---------------------------------------------------------------------------

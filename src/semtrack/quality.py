@@ -53,27 +53,68 @@ def _normalize(value: float, bounds: tuple[float, float]) -> float:
     return min(max((value - lo) / (hi - lo), 0.0), 1.0)
 
 
+def _variance(x: np.ndarray, out: np.ndarray) -> float:
+    """``x.var()`` bit for bit, numpy's sums in numpy's order, with the
+    squared deviations written into ``out``, C-ordered and of ``x``'s
+    shape (``x`` itself may be ``out``)."""
+    mean = x.sum() / x.size
+    np.subtract(x, mean, out=out)
+    np.square(out, out=out)
+    return float(out.sum() / x.size)
+
+
 def assess_quality(frame: np.ndarray, ranges: QualityRanges = QualityRanges()) -> QualityReport:
-    """Compute the clarity / noise / contrast report for one frame."""
+    """Compute the clarity / noise / contrast report for one frame.
+
+    The two 3x3 filter responses are built in place in two frame-sized
+    buffers. Each kernel tap is one contiguous run of the flattened frame,
+    which covers the valid region row by row and, between rows, two
+    wrapped-around positions that are then dropped. Every response value is
+    its plain numpy expression's, and every sum runs over a C-ordered block,
+    as numpy's own do unless the frame is Fortran-ordered; so each figure is
+    that expression's bit for bit on a C-ordered or strided frame. Raises
+    ``ValueError`` for a frame with a non-finite pixel."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2 or frame.shape[0] < 3 or frame.shape[1] < 3:
         raise ValueError(f"frame must be at least 3x3, got shape {frame.shape}")
-
-    core = frame[1:-1, 1:-1]
-    # 3x3 Laplacian [[0,1,0],[1,-4,1],[0,1,0]], valid region
-    lap = (frame[:-2, 1:-1] + frame[2:, 1:-1] + frame[1:-1, :-2] + frame[1:-1, 2:]
-           - 4.0 * core)
-    clarity = float(lap.var())
-
-    # Immerkaer kernel [[1,-2,1],[-2,4,-2],[1,-2,1]], valid region
-    resid = (frame[:-2, :-2] - 2.0 * frame[:-2, 1:-1] + frame[:-2, 2:]
-             - 2.0 * frame[1:-1, :-2] + 4.0 * core - 2.0 * frame[1:-1, 2:]
-             + frame[2:, :-2] - 2.0 * frame[2:, 1:-1] + frame[2:, 2:])
+    if not np.isfinite(frame).all():
+        raise ValueError("frame has a non-finite pixel")
     h, w = frame.shape
-    noise_sigma = float(math.sqrt(math.pi / 2.0)
-                        * np.abs(resid).sum() / (6.0 * (w - 2) * (h - 2)))
+    flat = np.ascontiguousarray(frame).reshape(-1)
+    # output (i, j) sits at flat position i*w + j; tap (r, c) reads pixel
+    # (i + r, j + c), which is r*w + c further on
+    span = (h - 2) * w - 2
 
-    contrast = float(frame.std())
+    def tap(r: int, c: int) -> np.ndarray:
+        return flat[r * w + c:r * w + c + span]
+
+    scratch = np.empty((2, h * w))
+    resp, term = scratch[0, :span], scratch[1, :span]   # a response, a scaled tap
+    valid = scratch[0, :(h - 2) * w].reshape(h - 2, w)[:, :w - 2]
+    block = scratch[1, :(h - 2) * (w - 2)].reshape(h - 2, w - 2)   # valid, C-ordered
+
+    # 3x3 Laplacian [[0,1,0],[1,-4,1],[0,1,0]]: up + down + left + right - 4 * core
+    np.add(tap(0, 1), tap(2, 1), out=resp)
+    resp += tap(1, 0)
+    resp += tap(1, 2)
+    resp -= np.multiply(tap(1, 1), 4.0, out=term)
+    np.copyto(block, valid)
+    clarity = _variance(block, block)
+
+    # Immerkaer kernel [[1,-2,1],[-2,4,-2],[1,-2,1]], row by row from the top left
+    np.subtract(tap(0, 0), np.multiply(tap(0, 1), 2.0, out=term), out=resp)
+    resp += tap(0, 2)
+    resp -= np.multiply(tap(1, 0), 2.0, out=term)
+    resp += np.multiply(tap(1, 1), 4.0, out=term)
+    resp -= np.multiply(tap(1, 2), 2.0, out=term)
+    resp += tap(2, 0)
+    resp -= np.multiply(tap(2, 1), 2.0, out=term)
+    resp += tap(2, 2)
+    np.copyto(block, valid)
+    noise_sigma = float(math.sqrt(math.pi / 2.0)
+                        * np.abs(block, out=block).sum() / (6.0 * (w - 2) * (h - 2)))
+
+    contrast = math.sqrt(_variance(frame, scratch[0].reshape(h, w)))
 
     q = (_normalize(clarity, ranges.clarity)
          + (1.0 - _normalize(noise_sigma, ranges.noise))

@@ -6,9 +6,14 @@ The student reads and writes the tracker's 256-wide query features
 widths are configurable. The inputs are per-object query vectors, an
 unordered set, so the encoder uses no positional encoding; the forward pass
 is permutation-equivariant. Layers are post-norm (attention -> add -> norm ->
-feed-forward -> add -> norm). Each layer's multi-head attention is one
-``autodiff.multi_head_attention`` op over the query, key and value
-projections, and every projection one ``autodiff.linear`` op.
+feed-forward -> add -> norm), and each layer is two recorded ops:
+``autodiff.attention_sublayer`` (the query, key and value projections,
+multi-head attention, the output projection, the residual and the norm) and
+``autodiff.feed_forward_sublayer`` (two projections around a ReLU, the
+residual and the norm). With the input and output projections and the
+shortcut, a forward is 9 ops. The sublayers equal the composition of the
+small ops bit for bit, in value and every gradient, and save each small
+op's wrapping and scan, a fixed cost that a tracked frame's few rows feel.
 
 The forward runs in the input's float type: a float32 input (tracking) reads
 each parameter's float32 copy (:meth:`~semtrack.autodiff.Parameter.cast`),
@@ -34,6 +39,16 @@ from semtrack.autodiff import DimensionError, Matrix, Parameter
 
 FEATURE_DIM = 256
 NUM_LAYERS = 3
+
+# each sublayer op's parameters, in its argument order
+_ATTENTION = ("query.weight", "query.bias", "key.weight", "key.bias", "value.weight",
+              "value.bias", "attn_out.weight", "attn_out.bias", "norm1.gain", "norm1.bias")
+_FEED_FORWARD = ("ff1.weight", "ff1.bias", "ff2.weight", "ff2.bias", "norm2.gain",
+                 "norm2.bias")
+_LAYERS = [([f"layer{i}.{name}" for name in _ATTENTION],
+            [f"layer{i}.{name}" for name in _FEED_FORWARD]) for i in range(NUM_LAYERS)]
+_INPUT_PROJ = ("input_proj.weight", "input_proj.bias")
+_OUTPUT_PROJ = ("output_proj.weight", "output_proj.bias")
 
 
 @dataclass(frozen=True)
@@ -88,23 +103,9 @@ class StudentModel:
     def named_parameters(self) -> dict[str, Parameter]:
         return dict(self._params)
 
-    def _param(self, name: str, x: Matrix) -> Matrix:
-        """Parameter ``name`` in ``x``'s float type."""
-        return self._params[name].cast(x.data.dtype)
-
-    def _apply_linear(self, name: str, x: Matrix) -> Matrix:
-        return ad.linear(x, self._param(f"{name}.weight", x), self._param(f"{name}.bias", x))
-
-    def _apply_norm(self, name: str, x: Matrix) -> Matrix:
-        return ad.layer_norm_rows(x, self._param(f"{name}.gain", x),
-                                  self._param(f"{name}.bias", x))
-
-    def _attention(self, layer: int, h: Matrix, segments: Sequence[int] | None) -> Matrix:
-        q = self._apply_linear(f"layer{layer}.query", h)
-        k = self._apply_linear(f"layer{layer}.key", h)
-        v = self._apply_linear(f"layer{layer}.value", h)
-        merged = ad.multi_head_attention(q, k, v, self.config.num_heads, segments)
-        return self._apply_linear(f"layer{layer}.attn_out", merged)
+    def _cast(self, names: Sequence[str], dtype) -> list[Matrix]:
+        """The parameters ``names`` in the float type ``dtype``."""
+        return [self._params[name].cast(dtype) for name in names]
 
     def forward(self, x: Matrix, segments: Sequence[int] | None = None) -> Matrix:
         """Encode an n x 256 query sequence to n x 256 features; with
@@ -113,14 +114,13 @@ class StudentModel:
         if x.cols != FEATURE_DIM:
             raise DimensionError(
                 f"student expects {FEATURE_DIM} input columns, got {x.cols}")
-        h = self._apply_linear("input_proj", x)
-        for i in range(NUM_LAYERS):
-            attended = self._attention(i, h, segments)
-            h = self._apply_norm(f"layer{i}.norm1", ad.add(h, attended))
-            ff = self._apply_linear(
-                f"layer{i}.ff2", ad.relu(self._apply_linear(f"layer{i}.ff1", h)))
-            h = self._apply_norm(f"layer{i}.norm2", ad.add(h, ff))
-        return ad.add(self._apply_linear("output_proj", h), x)
+        dtype = x.data.dtype
+        h = ad.linear(x, *self._cast(_INPUT_PROJ, dtype))
+        for attention, feed_forward in _LAYERS:
+            h = ad.attention_sublayer(h, *self._cast(attention, dtype),
+                                      self.config.num_heads, segments)
+            h = ad.feed_forward_sublayer(h, *self._cast(feed_forward, dtype))
+        return ad.add(ad.linear(h, *self._cast(_OUTPUT_PROJ, dtype)), x)
 
     def __call__(self, x: Matrix, segments: Sequence[int] | None = None) -> Matrix:
         return self.forward(x, segments)

@@ -32,6 +32,15 @@ quality-driven weight and the association costs stay float64, and the bare
 tracker casts nothing. The fusion is one
 :func:`~semtrack.autodiff.blend_rows` op: its float64 weight column promotes
 the float32 features back to float64.
+
+Where a tracked frame's time goes, for the untrained ``full`` model on the
+default degraded corpus (one BLAS thread on the 2-CPU target host): about
+2.1 ms a frame. The student takes four fifths of it, about 1.65 ms, of which
+about 1.15 ms are its 20 float32 matmuls and the rest the small-array
+arithmetic of its norms, attention, bias rows and finiteness scans (each
+layer is two recorded ops). :func:`~semtrack.quality.assess_quality` takes
+about 0.15 ms, and the query embedding, fusion and association the
+remaining 0.27 ms.
 """
 
 from __future__ import annotations

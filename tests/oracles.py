@@ -288,6 +288,22 @@ def per_box_descriptor(frame: np.ndarray, box) -> np.ndarray:
                            [patch.mean(), patch.std()]]).reshape(1, -1)
 
 
+def reference_quality_figures(frame: np.ndarray) -> tuple[float, float, float]:
+    """Clarity, noise sigma and contrast as :func:`semtrack.quality.assess_quality`
+    defines them, each one plain numpy expression: the variance of the 3x3
+    Laplacian, Immerkaer's estimate and the pixel standard deviation."""
+    core = frame[1:-1, 1:-1]
+    lap = (frame[:-2, 1:-1] + frame[2:, 1:-1] + frame[1:-1, :-2] + frame[1:-1, 2:]
+           - 4.0 * core)
+    resid = (frame[:-2, :-2] - 2.0 * frame[:-2, 1:-1] + frame[:-2, 2:]
+             - 2.0 * frame[1:-1, :-2] + 4.0 * core - 2.0 * frame[1:-1, 2:]
+             + frame[2:, :-2] - 2.0 * frame[2:, 1:-1] + frame[2:, 2:])
+    h, w = frame.shape
+    noise_sigma = float(math.sqrt(math.pi / 2.0)
+                        * np.abs(resid).sum() / (6.0 * (w - 2) * (h - 2)))
+    return float(lap.var()), noise_sigma, float(frame.std())
+
+
 def composite_blend_rows(w: Matrix, a: Matrix, b: Matrix) -> Matrix:
     """``autodiff.blend_rows`` as five ops: the n x 1 weight spread over the
     columns by a product with a row of ones, then ``w*a + (1 - w)*b``
@@ -296,6 +312,26 @@ def composite_blend_rows(w: Matrix, a: Matrix, b: Matrix) -> Matrix:
     spread = ad.matmul(w, Matrix(np.ones((1, cols))))
     one_minus = ad.sub(Matrix(np.ones((rows, cols))), spread)
     return ad.add(ad.multiply(spread, a), ad.multiply(one_minus, b))
+
+
+def composite_attention_sublayer(h: Matrix, wq: Matrix, bq: Matrix, wk: Matrix, bk: Matrix,
+                                 wv: Matrix, bv: Matrix, wo: Matrix, bo: Matrix,
+                                 gain: Matrix, bias: Matrix, num_heads: int,
+                                 segments=None) -> Matrix:
+    """``autodiff.attention_sublayer`` as seven ops: the query, key and value
+    projections, multi-head attention, the output projection, the residual
+    add and the layer norm."""
+    merged = ad.multi_head_attention(ad.linear(h, wq, bq), ad.linear(h, wk, bk),
+                                     ad.linear(h, wv, bv), num_heads, segments)
+    return ad.layer_norm_rows(ad.add(h, ad.linear(merged, wo, bo)), gain, bias)
+
+
+def composite_feed_forward_sublayer(h: Matrix, w1: Matrix, b1: Matrix, w2: Matrix,
+                                    b2: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
+    """``autodiff.feed_forward_sublayer`` as five ops: a projection, ReLU,
+    a projection, the residual add and the layer norm."""
+    out = ad.linear(ad.relu(ad.linear(h, w1, b1)), w2, b2)
+    return ad.layer_norm_rows(ad.add(h, out), gain, bias)
 
 
 def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:

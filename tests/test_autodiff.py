@@ -12,6 +12,7 @@ from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Parameter, Tape
 
 from gradcheck import check_against_fd, mse, weighted_scalar
+from oracles import composite_attention_sublayer, composite_feed_forward_sublayer
 
 
 def test_matrix_rejects_non_finite():
@@ -452,6 +453,10 @@ F32_OPS = {
     "multi_head_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2),
     "masked_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2, [0, 1, 1, 0]),
     "sum_all": lambda a, b: ad.sum_all(a),
+    "attention_sublayer": lambda a, b: ad.attention_sublayer(
+        a, *[b, ad.take_rows(b, [0])] * 4, ad.take_rows(b, [1]), ad.take_rows(b, [2]), 2),
+    "feed_forward_sublayer": lambda a, b: ad.feed_forward_sublayer(
+        a, *[b, ad.take_rows(b, [0])] * 2, ad.take_rows(b, [1]), ad.take_rows(b, [2])),
 }
 
 
@@ -541,7 +546,7 @@ def test_cast_keeps_no_replaced_value_alive():
     assert old() is None
 
 
-# -- the ops the tracked student runs, pinned bit for bit to plain numpy
+# -- the formulas the tracked student runs, pinned bit for bit to plain numpy
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("width", [1, 3, 100, 255, 256, 1024])
@@ -610,8 +615,17 @@ def _huge(dtype, shape=(2, 4)):
     return Matrix(np.full(shape, np.finfo(dtype).max * 0.75, dtype=dtype))
 
 
-# each op the student and the fusion run, on finite operands whose result
-# overflows; relu has no case, as the relu of a finite matrix is finite
+def _identity_projection(dtype, width=4):
+    return [Matrix(np.eye(width, dtype=dtype)), Matrix(np.zeros((1, width), dtype=dtype))]
+
+
+def _unit_norm(dtype, width=4):
+    return [Matrix(np.ones((1, width), dtype=dtype)), Matrix(np.zeros((1, width), dtype=dtype))]
+
+
+# each op the student and the fusion run, and each small op the sublayers
+# compose, on finite operands whose result overflows; relu has no case, as
+# the relu of a finite matrix is finite
 STUDENT_OPS = {
     "linear": lambda m: ad.linear(m, _huge(m.data.dtype, (4, 3)),
                                   Matrix(np.zeros((1, 3), dtype=m.data.dtype))),
@@ -623,6 +637,10 @@ STUDENT_OPS = {
         m, Matrix(np.ones((1, 4), dtype=m.data.dtype)),
         Matrix(np.zeros((1, 4), dtype=m.data.dtype))),
     "multi_head_attention": lambda m: ad.multi_head_attention(m, m, m, 2),
+    "attention_sublayer": lambda m: ad.attention_sublayer(
+        m, *_identity_projection(m.data.dtype) * 4, *_unit_norm(m.data.dtype), 2),
+    "feed_forward_sublayer": lambda m: ad.feed_forward_sublayer(
+        m, *_identity_projection(m.data.dtype) * 2, *_unit_norm(m.data.dtype)),
 }
 
 
@@ -671,3 +689,195 @@ def test_a_leaf_keeps_a_gradient_made_for_it_and_copies_a_view():
     assert np.array_equal(weight.value.grad, x.data.T @ np.ones((5, 4)))
     assert other.value.grad.base is None
     assert np.array_equal(other.value.grad, np.ones((4, 5)))
+
+
+# -- the transformer sublayers: one op each, the bits of their composition
+
+def attention_arrays(rng, rows=5, width=8, dtype=np.float64) -> list[np.ndarray]:
+    """h and an attention sublayer's ten weights, in argument order."""
+    shapes = [(rows, width)] + [(width, width), (1, width)] * 4 + [(1, width)] * 2
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    arrays[9] += 1.0   # a layer-norm gain about 1
+    return [a.astype(dtype) for a in arrays]
+
+
+def feed_forward_arrays(rng, rows=5, width=8, dtype=np.float64) -> list[np.ndarray]:
+    """h and a feed-forward sublayer's six weights, in argument order."""
+    hidden = 2 * width
+    shapes = [(rows, width), (width, hidden), (1, hidden), (hidden, width), (1, width),
+              (1, width), (1, width)]
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    arrays[5] += 1.0
+    return [a.astype(dtype) for a in arrays]
+
+
+# segment labels of up to 7 rows: three segments, interleaved, one of a single row
+SUBLAYER_SEGMENTS = [1, 0, 1, 1, 0, 2, 0]
+
+
+def _attention_case(segmented: bool):
+    def segments(h):
+        return SUBLAYER_SEGMENTS[:h.rows] if segmented else None
+
+    return (lambda h, *m: ad.attention_sublayer(h, *m, 2, segments(h)),
+            lambda h, *m: composite_attention_sublayer(h, *m, 2, segments(h)),
+            attention_arrays)
+
+
+# a sublayer, its composition of small ops, and its inputs
+SUBLAYERS = {
+    "attention": _attention_case(False),
+    "attention-segments": _attention_case(True),
+    "feed_forward": (ad.feed_forward_sublayer, composite_feed_forward_sublayer,
+                     feed_forward_arrays),
+}
+
+
+@pytest.mark.parametrize("segments", [None, SUBLAYER_SEGMENTS[:5]], ids=["one-set", "segments"])
+def test_attention_sublayer_matches_fd(segments):
+    arrays = attention_arrays(np.random.default_rng(900))
+    check_against_fd(weighted_scalar(lambda *m: ad.attention_sublayer(*m, 2, segments)),
+                     arrays, label=f"attention_sublayer[{segments}]")
+
+
+def test_feed_forward_sublayer_matches_fd():
+    arrays = feed_forward_arrays(np.random.default_rng(901))
+    check_against_fd(weighted_scalar(ad.feed_forward_sublayer), arrays,
+                     label="feed_forward_sublayer")
+
+
+@pytest.mark.parametrize("size", [(5, 8), (7, 64)], ids=["5x8", "7x64"])
+@pytest.mark.parametrize("produced", [False, True], ids=["leaf", "produced"])
+@pytest.mark.parametrize("case", SUBLAYERS)
+def test_a_sublayer_equals_its_composition_bit_for_bit(case, produced, size):
+    # the value, and the gradient of every input, whether h is a leaf or was
+    # produced on the tape
+    op, composite, make = SUBLAYERS[case]
+    rows, width = size
+    arrays = make(np.random.default_rng(910 + width), rows, width)
+    upstream = Matrix(np.random.default_rng(911).standard_normal((rows, width)))
+    results = []
+    for f in (op, composite):
+        leaves = [Matrix(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            h = ad.scale(leaves[0], 2.0) if produced else leaves[0]
+            out = f(h, *leaves[1:])
+            tape.backward(ad.sum_all(ad.multiply(out, upstream)))
+        results.append([out.data] + [m.grad for m in leaves])
+    for k, (got, expected) in enumerate(zip(*results, strict=True)):
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes(), f"{case}: entry {k} differs"
+
+
+@pytest.mark.parametrize("case", SUBLAYERS)
+def test_a_float32_sublayer_equals_its_float32_composition(case):
+    op, composite, make = SUBLAYERS[case]
+    arrays = make(np.random.default_rng(920), 7, 64, np.float32)
+    got = op(*map(Matrix, arrays)).data
+    expected = composite(*map(Matrix, arrays)).data
+    assert got.dtype == expected.dtype == np.float32
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", SUBLAYERS)
+def test_a_tape_refuses_a_float32_sublayer(case):
+    op, _, make = SUBLAYERS[case]
+    h, *weights = make(np.random.default_rng(930))
+    narrow = [Parameter(w).cast(np.float32) for w in weights]
+    with Tape():
+        with pytest.raises(TypeError, match="float64"):
+            op(Matrix(h.astype(np.float32)), *narrow)
+
+
+def _planted(m: Matrix, value: float) -> Matrix:
+    """``m`` with ``value`` at [0, 0]: a matrix no constructor would make,
+    standing for a non-finite value that reached an op's input."""
+    data = m.data.copy()
+    data[0, 0] = value
+    out = Matrix(m.data)
+    out.data = data
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", SUBLAYERS)
+def test_a_non_finite_input_still_raises(case, dtype):
+    # the sublayer scans the intermediates the softmax's exp and relu could
+    # turn finite, so a bad value raises wherever it enters, as the
+    # composition's per-op scans raise
+    op, composite, make = SUBLAYERS[case]
+    inputs = [Matrix(a) for a in make(np.random.default_rng(940), dtype=dtype)]
+    for position in range(len(inputs)):
+        for value in (np.inf, -np.inf, np.nan):
+            bad = list(inputs)
+            bad[position] = _planted(inputs[position], value)
+            for f in (op, composite):
+                with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+                    f(*bad)
+
+
+def test_a_float32_overflow_that_relu_would_zero_still_raises():
+    # every hidden unit overflows to -inf in float32, which relu makes 0 and
+    # the rest of the sublayer finite again
+    h = np.full((2, 4), 1e20)
+    weights = [np.full((4, 3), -1e20), np.zeros((1, 3)), np.ones((3, 4)), np.zeros((1, 4)),
+               np.ones((1, 4)), np.zeros((1, 4))]
+    wide = ad.feed_forward_sublayer(Matrix(h), *map(Matrix, weights))
+    assert np.array_equal(wide.data, np.zeros((2, 4)))
+    for f in (ad.feed_forward_sublayer, composite_feed_forward_sublayer):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            f(*(Matrix(a.astype(np.float32)) for a in [h] + weights))
+
+
+def test_a_float32_overflow_that_the_softmax_would_zero_still_raises():
+    # the first key overflows to -inf in float32: its logits are -inf, so
+    # the softmax gives it a weight of exactly 0 and the output is finite
+    h = np.array([[1e20, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    wq, wk = np.zeros((4, 4)), np.zeros((4, 4))
+    wq[0, 0], wq[1, 0] = 1e-20, 1.0
+    wk[0, 0], wk[1, 0] = -1e20, 1.0
+    zero = np.zeros((1, 4))
+    inputs = [h, wq, zero, wk, zero, np.zeros((4, 4)), zero, np.eye(4), zero,
+              np.ones((1, 4)), zero]
+    assert np.all(np.isfinite(ad.attention_sublayer(*map(Matrix, inputs), 1).data))
+    for f in (ad.attention_sublayer, composite_attention_sublayer):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            f(*(Matrix(a.astype(np.float32)) for a in inputs), 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_attention_sublayer_over_no_rows_raises(dtype):
+    h, *weights = attention_arrays(np.random.default_rng(950), rows=0, dtype=dtype)
+    with pytest.raises(DimensionError, match="at least one row"):
+        ad.attention_sublayer(Matrix(h), *map(Matrix, weights), 2)
+    with pytest.raises(DimensionError, match="at least one row"):
+        ad.multi_head_attention(Matrix(h), Matrix(h), Matrix(h), 2)
+
+
+def _resized(arrays, shapes: dict) -> list[Matrix]:
+    """The arrays as matrices, with ones of ``shapes[i]`` at each position ``i``."""
+    return [Matrix(np.ones(shapes[i]) if i in shapes else a) for i, a in enumerate(arrays)]
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ({1: (7, 8)}, "linear"), ({4: (1, 7)}, "bias"), ({5: (8, 4), 6: (1, 4)}, "equal q/k/v"),
+    ({7: (8, 6)}, "residual"), ({9: (1, 7)}, "layer norm")],
+    ids=["query", "key-bias", "value", "output", "gain"])
+def test_attention_sublayer_shape_errors(shapes, message):
+    arrays = attention_arrays(np.random.default_rng(960))
+    with pytest.raises(DimensionError, match=message):
+        ad.attention_sublayer(*_resized(arrays, shapes), 2)
+    with pytest.raises(DimensionError, match="divisible"):
+        ad.attention_sublayer(*map(Matrix, arrays), 3)
+    with pytest.raises(DimensionError, match="segment"):
+        ad.attention_sublayer(*map(Matrix, arrays), 2, [0, 1])
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ({1: (7, 16)}, "linear"), ({2: (1, 8)}, "bias"), ({3: (15, 8)}, "linear"),
+    ({3: (16, 6)}, "residual"), ({6: (1, 7)}, "layer norm")],
+    ids=["first", "first-bias", "second", "second-width", "bias"])
+def test_feed_forward_sublayer_shape_errors(shapes, message):
+    arrays = feed_forward_arrays(np.random.default_rng(970))
+    with pytest.raises(DimensionError, match=message):
+        ad.feed_forward_sublayer(*_resized(arrays, shapes))

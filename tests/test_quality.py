@@ -8,7 +8,7 @@ from semtrack.autodiff import DimensionError, Matrix, Tape
 from semtrack.quality import DswrHead, QualityRanges, assess_quality
 
 from gradcheck import check_against_fd, mse, weighted_scalar
-from oracles import composite_blend_rows
+from oracles import composite_blend_rows, reference_quality_figures
 
 
 def checkerboard(h=64, w=64, cell=4):
@@ -38,6 +38,25 @@ def test_constant_frame_scores_one_third():
 def test_frame_too_small():
     with pytest.raises(ValueError):
         assess_quality(np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_pixel_raises(value):
+    frame = np.full((8, 9), 0.5)
+    frame[3, 4] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        assess_quality(frame)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 7), (96, 128)])
+def test_figures_equal_the_plain_numpy_expressions_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    strided = rng.random((2 * shape[0], 3 * shape[1]))[::2, ::3]
+    for frame in (rng.random(shape), blur3(rng.random(shape)), strided,
+                  np.clip(0.5 + rng.normal(0.0, 0.3, shape), 0.0, 1.0)):
+        report = assess_quality(frame)
+        figures = (report.clarity, report.noise_sigma, report.contrast)
+        assert [x.hex() for x in figures] == [x.hex() for x in reference_quality_figures(frame)]
 
 
 @pytest.mark.parametrize("sigma", [0.02, 0.04, 0.08])

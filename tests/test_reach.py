@@ -29,6 +29,12 @@ KEPT = {
                             "attention from it",
     "autodiff.concat_rows": "oracle: oracles.per_frame_scene_losses stacks its box "
                             "predictions with it",
+    "autodiff.multi_head_attention": "oracle: the sublayer ops are tested bit for bit "
+                                     "against their composition",
+    "autodiff.layer_norm_rows": "oracle: the sublayer ops are tested bit for bit "
+                                "against their composition",
+    "autodiff.relu": "oracle: the sublayer ops are tested bit for bit against their "
+                     "composition",
     "scenes.crossing_preset": "ROADMAP item 1: its association-hard workloads",
     "experiment.run_sweep": "ROADMAP items 1 and 10: the seed sweep and the CLI's sweep",
     "experiment.ablation_trend": "ROADMAP item 10: the CLI's sweep command",

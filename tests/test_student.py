@@ -177,3 +177,10 @@ def test_forward_rejects_segments_of_the_wrong_shape(segments):
     model = StudentModel(SMALL, seed=1)
     with pytest.raises(DimensionError, match="segment"):
         model(Matrix(np.zeros((4, FEATURE_DIM))), segments)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_over_no_rows_raises_a_dimension_error(dtype):
+    model = StudentModel(SMALL, seed=2)
+    with pytest.raises(DimensionError, match="at least one row"):
+        model(Matrix(np.zeros((0, FEATURE_DIM), dtype=dtype)))

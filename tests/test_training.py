@@ -18,7 +18,8 @@ from semtrack.training import (LOG_COLUMNS, SceneSample, TrainConfig, scene_loss
                                train, write_training_log)
 
 from gradcheck import assert_grad_close, finite_diff
-from oracles import composite_blend_rows, per_frame_scene_losses
+from oracles import (composite_attention_sublayer, composite_blend_rows,
+                     composite_feed_forward_sublayer, per_frame_scene_losses)
 
 # scene_losses total for make_sample(seed=2, num_frames=5) and a full model with
 # seed 3, as computed when the student still ran twice per frame
@@ -224,6 +225,29 @@ def test_a_step_records_fewer_ops_than_the_composite_fusion(monkeypatch, variant
     assert total == composite_total
     for got, expected in zip(grads, composite_grads, strict=True):
         assert (got is None and expected is None) or np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("variant", ["full", "dcsd", "distill"])
+def test_a_step_records_30_fewer_ops_than_the_composite_sublayers(monkeypatch, variant):
+    # a step runs the student once: each of its 3 layers records 2 ops where
+    # the small ops would record 12, with the same loss and gradients
+    sample = make_sample(seed=2, num_frames=5)
+
+    def step():
+        model = TrackerModel(variant, TINY_STUDENT, seed=3)
+        with Tape() as tape:
+            total = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())["total"]
+            tape.backward(total)
+        return len(tape._records), total.item(), [p.value.grad for p in model.parameters()]
+
+    ops, total, grads = step()
+    monkeypatch.setattr(ad, "attention_sublayer", composite_attention_sublayer)
+    monkeypatch.setattr(ad, "feed_forward_sublayer", composite_feed_forward_sublayer)
+    composite_ops, composite_total, composite_grads = step()
+    assert composite_ops == ops + 30
+    assert total == composite_total
+    for got, expected in zip(grads, composite_grads, strict=True):
+        assert (got is None and expected is None) or got.tobytes() == expected.tobytes()
 
 
 def test_a_changed_key_gives_the_losses_of_a_fresh_sample():
