@@ -44,7 +44,8 @@ finite again: the inputs of the softmax's ``exp`` (the query, key and value
 projections) and of a ReLU, both of which make ``-inf`` a finite 0. Every
 other step carries a non-finite value through to the result, so a
 non-finite value raises ``ValueError`` wherever in the chain it appears, as
-the small ops' own scans would make it.
+the small ops' own scans would make it. Attention has no unmasked path:
+every call labels its rows' segments, and a row attends within its own.
 """
 
 from __future__ import annotations
@@ -396,16 +397,14 @@ def _relu(x: np.ndarray):
 
 
 def _attention_labels(shape: tuple[int, int], num_heads: int,
-                      segments: Sequence[int] | None) -> np.ndarray | None:
+                      segments: Sequence[int]) -> np.ndarray:
     """Check attention's n x width operands against ``num_heads`` and
-    ``segments``; the segment labels as an array, or None."""
+    ``segments``; the segment labels as an array."""
     n, width = shape
     if n == 0:
         raise DimensionError("attention needs at least one row")
     if num_heads < 1 or width % num_heads:
         raise DimensionError(f"width {width} is not divisible by {num_heads} heads")
-    if segments is None:
-        return None
     labels = np.asarray(segments)
     if labels.shape != (n,):
         raise DimensionError(
@@ -414,7 +413,7 @@ def _attention_labels(shape: tuple[int, int], num_heads: int,
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int,
-               labels: np.ndarray | None):
+               labels: np.ndarray):
     """:func:`multi_head_attention` on checked arrays; the rule gives the
     gradients of q, k and v."""
     n, width = q.shape
@@ -435,8 +434,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int,
     # the logits' softmax, in place in one buffer
     attn = qh @ kt
     attn *= inv_scale
-    if labels is not None:
-        attn = np.where(labels[:, None] == labels[None, :], attn, -np.inf)
+    attn = np.where(labels[:, None] == labels[None, :], attn, -np.inf)
     attn -= attn.max(axis=2, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=2, keepdims=True)
@@ -648,7 +646,7 @@ def softmax_rows(m: Matrix) -> Matrix:
 
 
 def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int,
-                         segments: Sequence[int] | None = None) -> Matrix:
+                         segments: Sequence[int]) -> Matrix:
     """Scaled dot-product self-attention over ``num_heads`` column blocks,
     recorded as one op.
 
@@ -659,10 +657,10 @@ def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int,
     head's matrices laid out as the per-head slices would be, so the result
     equals the slice/softmax/concat composition.
 
-    ``segments``, one label per row, makes the attention block-diagonal: a
-    row attends only to rows with its own label, as if each segment ran on
-    its own. The logits between segments are ``-inf`` before the softmax, so
-    their weights are exactly 0 and the backward rule needs no mask.
+    Every call is masked by ``segments``, one label per row: a row attends
+    only to rows with its own label, as if each segment ran on its own. The
+    logits between segments are ``-inf`` before the softmax, so their
+    weights are exactly 0 and the backward rule needs no mask.
     """
     if not q.shape == k.shape == v.shape:
         raise DimensionError(
@@ -703,7 +701,7 @@ def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
 def attention_sublayer(h: Matrix, wq: Matrix, bq: Matrix, wk: Matrix, bk: Matrix,
                        wv: Matrix, bv: Matrix, wo: Matrix, bo: Matrix,
                        gain: Matrix, bias: Matrix, num_heads: int,
-                       segments: Sequence[int] | None = None) -> Matrix:
+                       segments: Sequence[int]) -> Matrix:
     """``layer_norm_rows(h + linear(multi_head_attention(linear(h, wq, bq),
     linear(h, wk, bk), linear(h, wv, bv), num_heads, segments), wo, bo),
     gain, bias)``, recorded as one op.

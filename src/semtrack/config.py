@@ -21,11 +21,11 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, DegradationOp
+from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, DegradationOp, GaussianNoise
 from semtrack.quality import QualityRanges
 from semtrack.scenes import MAX_FALSE_BOX, DetectorNoise
 from semtrack.student import StudentConfig
-from semtrack.tracker import TrackerConfig, unique_keys
+from semtrack.tracker import unique_keys
 from semtrack.training import TrainConfig
 
 # evaluation scene i takes the scene and detector seeds of training scene
@@ -59,6 +59,15 @@ class Seeds:
     degradation: int = 500
     partition: int = 600
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a value of the wrong type is the checker's to reject
+            if isinstance(value, int) and value < 0:
+                raise ValueError(f"seeds.{f.name} must be >= 0, got {value}")
+        if isinstance(self.degradation, int) and self.degradation >= 2 ** 64:
+            raise ValueError(f"seeds.degradation must be < 2**64, got {self.degradation}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -80,6 +89,10 @@ class ExperimentConfig:
     def __post_init__(self):
         # a field of the wrong type fails here, however the config was built
         _check_value(self, ExperimentConfig, "")
+        for i, op in enumerate(self.degradation_chain):
+            if isinstance(op, GaussianNoise) and not 0 <= op.seed < 2 ** 32:
+                raise ValueError(f"degradation_chain[{i}].seed must be in [0, 2**32), "
+                                 f"got {op.seed}")
         for name in ("num_train_scenes", "num_eval_scenes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -103,8 +116,10 @@ class ExperimentConfig:
     def chain(self) -> DegradationChain:
         return DegradationChain(self.degradation_chain, master_seed=self.seeds.degradation)
 
-    def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(quality_ranges=self.dswr)
+    def tracker_config(self) -> QualityRanges:
+        """``dswr``, the tracking settings; the benchmark's workloads call this
+        and pass the result on to ``train`` and ``track_sequence``."""
+        return self.dswr
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(alpha=self.alpha, teacher_seed=self.seeds.teacher,

@@ -139,10 +139,11 @@ def _blur(frame: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def _noise_rng(chain: DegradationChain, op: GaussianNoise,
                sequence_id: str, frame_index: int) -> np.random.Generator:
+    # the seeds enter the key whole: a masked seed would draw another's noise
     seq_key = zlib.crc32(sequence_id.encode("utf-8")) & 0xFFFFFFFF
     seq = np.random.SeedSequence(
-        entropy=chain.master_seed & 0xFFFFFFFFFFFFFFFF,
-        spawn_key=(op.seed & 0xFFFFFFFF, seq_key, frame_index & 0xFFFFFFFF))
+        entropy=chain.master_seed,
+        spawn_key=(op.seed, seq_key, frame_index & 0xFFFFFFFF))
     return np.random.Generator(np.random.Philox(seq))
 
 

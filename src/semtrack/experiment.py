@@ -101,15 +101,13 @@ def evaluation_corpus(config: ExperimentConfig) -> list[SceneSample]:
 def train_variant(config: ExperimentConfig, variant: str
                   ) -> tuple[TrackerModel, list[dict]]:
     model = build_model(config, variant)
-    log = train(model, training_corpus(config), config.train_config(),
-                config.tracker_config())
+    log = train(model, training_corpus(config), config.train_config(), config.dswr)
     return model, log
 
 
 def track_samples(model: TrackerModel, samples: list[SceneSample],
                   config: ExperimentConfig) -> dict[str, TrackSet]:
-    tracker_config = config.tracker_config()
-    return {s.name: track_sequence(s.frames, s.detections, model, tracker_config)
+    return {s.name: track_sequence(s.frames, s.detections, model, config.dswr)
             for s in samples}
 
 

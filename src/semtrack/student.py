@@ -20,10 +20,10 @@ each parameter's float32 copy (:meth:`~semtrack.autodiff.Parameter.cast`),
 so every step stays float32; a float64 input (training) reads the float64
 values.
 
-Attention is the only step that mixes rows, so many independent sets (the
-frames of a training scene) run as one stacked call: ``segments`` labels
-each row with its set, and attention stays within a set. Every other step
-is row-wise, so each set's rows come out as the set would alone.
+Attention is the only step that mixes rows, and it stays within a frame:
+``segments`` labels each row with its frame, in training (a scene's frames
+stacked) as in tracking (one frame's rows). Every other step is row-wise, so
+each frame's rows come out as the frame would alone.
 """
 
 from __future__ import annotations
@@ -107,10 +107,9 @@ class StudentModel:
         """The parameters ``names`` in the float type ``dtype``."""
         return [self._params[name].cast(dtype) for name in names]
 
-    def forward(self, x: Matrix, segments: Sequence[int] | None = None) -> Matrix:
-        """Encode an n x 256 query sequence to n x 256 features; with
-        ``segments`` (one label per row), each labelled set of rows on its
-        own."""
+    def forward(self, x: Matrix, segments: Sequence[int]) -> Matrix:
+        """Encode n x 256 queries to n x 256 features, each set of rows that
+        ``segments`` (one label per row) labels alike on its own."""
         if x.cols != FEATURE_DIM:
             raise DimensionError(
                 f"student expects {FEATURE_DIM} input columns, got {x.cols}")
@@ -121,6 +120,3 @@ class StudentModel:
                                       self.config.num_heads, segments)
             h = ad.feed_forward_sublayer(h, *self._cast(feed_forward, dtype))
         return ad.add(ad.linear(h, *self._cast(_OUTPUT_PROJ, dtype)), x)
-
-    def __call__(self, x: Matrix, segments: Sequence[int] | None = None) -> Matrix:
-        return self.forward(x, segments)

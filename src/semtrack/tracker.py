@@ -11,9 +11,12 @@ confidence above 0.5 / 0.7 ~ 0.714. Every variant but ``baseline`` runs the
 student encoder, which turns the stacked queries into semantic features that
 are fused back into the queries, with a fixed ratio or (``full``) a
 quality-driven one; a frame without detections runs none of this, since
-nothing would read its features. Fused track and proposal features are
-associated one-to-one per frame by Hungarian assignment on cosine-plus-IoU
-cost, whose IoU term is one track-by-detection IoU matrix.
+nothing would read its features. The model is called as training calls it:
+the sequence's whole quality column, and each query row labelled with its
+frame's segment. Fused track and proposal features are associated
+one-to-one per frame by Hungarian assignment on cosine-plus-IoU cost: the
+cosine of the rows :func:`~semtrack.autodiff.l2_normalize_rows` gives, as
+in training's contrastive term, and one track-by-detection IoU matrix.
 
 What no tracking state feeds is computed once per sequence, before the frame
 loop: :func:`sequence_rows` stacks the detections of the frames that have
@@ -88,11 +91,6 @@ MISS_DECAY = 0.7
 FIXED_FUSION_WEIGHT = 0.5           # used when the student runs without DSWR
 # the float type of the queries a tracked student reads
 INFERENCE_DTYPE = np.float32
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    quality_ranges: QualityRanges = QualityRanges()
 
 
 def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> np.ndarray:
@@ -274,29 +272,27 @@ class TrackerModel:
             return None
         return np.array([[assess_quality(frame, ranges).q] for frame in frames])
 
-    def fusion_weight(self, quality: np.ndarray | None, rows: np.ndarray) -> Matrix:
-        """n x 1 fusion weight: row ``i`` gets the weight of frame ``rows[i]``,
-        from row ``rows[i]`` of the :meth:`quality_column` (DSWR) or fixed."""
+    def fusion_weight(self, quality: np.ndarray | None, segments: np.ndarray) -> Matrix:
+        """n x 1 fusion weight: row ``i`` gets frame ``segments[i]``'s, from
+        that row of the :meth:`quality_column` (DSWR) or fixed."""
         if self.dswr is not None:
-            return self.dswr.semantic_weight(Matrix(quality[rows]))
-        return Matrix(np.full((len(rows), 1), FIXED_FUSION_WEIGHT))
+            return self.dswr.semantic_weight(Matrix(quality[segments]))
+        return Matrix(np.full((len(segments), 1), FIXED_FUSION_WEIGHT))
 
     def encode_queries(self, x: Matrix, quality: np.ndarray | None,
-                       segments: np.ndarray | None = None) -> tuple[Matrix, Matrix | None]:
+                       segments: np.ndarray) -> tuple[Matrix, Matrix | None]:
         """Queries -> (fused features, the student's semantic features).
 
         Row ``i`` of ``x`` comes from frame ``segments[i]``, and ``quality``
-        is the frames' :meth:`quality_column`; without ``segments`` every row
-        comes from frame 0, as in tracking. The student attends within a frame
-        only, and each row is fused at its frame's weight. The bare tracker
-        returns ``(x, None)``. Training feeds the semantic features to the
-        distillation loss, so the student runs once per scene.
+        is the frames' :meth:`quality_column`. The student attends within a
+        frame only, and each row is fused at its frame's weight. The bare
+        tracker returns ``(x, None)``. Training feeds the semantic features to
+        the distillation loss, so the student runs once per scene.
         """
         if self.student is None:
             return x, None
-        semantic = self.student(x, segments)
-        rows = np.zeros(x.rows, dtype=np.intp) if segments is None else segments
-        return ad.blend_rows(self.fusion_weight(quality, rows), semantic, x), semantic
+        semantic = self.student.forward(x, segments)
+        return ad.blend_rows(self.fusion_weight(quality, segments), semantic, x), semantic
 
     def predict_boxes(self, features: Matrix) -> Matrix:
         return ad.linear(features, self.box_weight.value, self.box_bias.value)
@@ -419,22 +415,16 @@ class _ActiveTrack:
     confidence: float
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    an = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
-    bn = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-12)
-    return an @ bn.T
-
-
 def track_sequence(frames: list[np.ndarray], detections: list[Detection],
                    model: TrackerModel,
-                   config: TrackerConfig = TrackerConfig()) -> TrackSet:
+                   quality_ranges: QualityRanges = QualityRanges()) -> TrackSet:
     """Run the tracker over a frame sequence; returns per-frame records.
 
     Between frames ``active`` holds exactly the tracks that are carried into
     the next one: those with confidence above ``PROPAGATE_CONFIDENCE``, in
     birth order."""
     rows = sequence_rows(frames, detections)
-    quality = model.quality_column(rows.frames, config.quality_ranges)
+    quality = model.quality_column(rows.frames, quality_ranges)
     segment_of = {frame_index: k for k, frame_index in enumerate(rows.frame_ids)}
     output = TrackSet()
     active: list[_ActiveTrack] = []
@@ -449,16 +439,17 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
             queries = np.concatenate([trk.feature for trk in active] + [proposals], axis=0)
             if model.student is not None:
                 queries = queries.astype(INFERENCE_DTYPE)
-            frame_quality = None if quality is None else quality[segment:segment + 1]
-            fused = model.encode_queries(Matrix(queries), frame_quality)[0].data
-            track_feats, prop_feats = fused[:len(active)], fused[len(active):]
+            fused = model.encode_queries(Matrix(queries), quality,
+                                         np.full(len(queries), segment))[0]
+            prop_feats = fused.data[len(active):]
 
         # every track misses unless a match below gives it its detection's confidence
         for trk in active:
             trk.confidence *= MISS_DECAY
         matched: set[int] = set()
         if active and dets:
-            cost = (1.0 - _cosine(track_feats, prop_feats)
+            normed = ad.l2_normalize_rows(fused).data
+            cost = (1.0 - normed[:len(active)] @ normed[len(active):].T
                     + IOU_WEIGHT * (1.0 - iou_matrix([trk.box for trk in active],
                                                      rows.boxes[block])))
             gated = np.where(cost <= MATCH_GATE, cost, 1e9)

@@ -39,9 +39,10 @@ from scipy.optimize import linear_sum_assignment
 
 from semtrack import autodiff as ad
 from semtrack.autodiff import Matrix, Tape
+from semtrack.quality import QualityRanges
 from semtrack.scenes import Detection
 from semtrack.teacher import pseudo_teacher
-from semtrack.tracker import SequenceRows, TrackerConfig, TrackerModel, sequence_rows
+from semtrack.tracker import SequenceRows, TrackerModel, sequence_rows
 from semtrack.tracks import TrackSet, iou_matrix
 
 LOG_COLUMNS = ("step", "l_local", "l_global", "w1", "w2", "l_distill", "l_mot", "total")
@@ -196,7 +197,7 @@ def _constant(sample: SceneSample, key, build):
 
 
 def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
-                 tracker_config: TrackerConfig) -> dict:
+                 quality_ranges: QualityRanges) -> dict:
     """Differentiable distillation + tracking losses for one scene.
 
     The rows of every frame with detections are embedded, encoded and
@@ -213,9 +214,8 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
     if not plan.rows.frame_ids:
         return losses
     frames = plan.rows.frames
-    ranges = tracker_config.quality_ranges
-    quality = _constant(sample, ("quality", ranges),
-                        lambda: model.quality_column(frames, ranges))
+    quality = _constant(sample, ("quality", quality_ranges),
+                        lambda: model.quality_column(frames, quality_ranges))
     x = model.embed_descriptors(plan.rows.descriptors)
     fused, semantic = model.encode_queries(x, quality, plan.rows.segments)
 
@@ -250,7 +250,7 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
 
 
 def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: TrainConfig,
-          tracker_config: TrackerConfig = TrackerConfig()) -> list[dict]:
+          quality_ranges: QualityRanges = QualityRanges()) -> list[dict]:
     """Run the full schedule; returns the step log, which
     :func:`write_training_log` writes."""
     if not samples:
@@ -265,7 +265,7 @@ def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: Tra
         for sample in samples:
             step += 1
             with Tape() as tape:
-                losses = scene_losses(model, sample, train_config, tracker_config)
+                losses = scene_losses(model, sample, train_config, quality_ranges)
                 tape.backward(losses["total"])
             # the tape keeps every activation and the weights it read; free it
             # before the update allocates the new weights

@@ -31,11 +31,12 @@ from semtrack.autodiff import Matrix
 from semtrack.degrade import (DegradationChain, Downsample, GaussianBlur, GaussianNoise,
                               _gaussian_kernel, _noise_rng)
 from semtrack.frames import resize
+from semtrack.quality import QualityRanges
 from semtrack.scenes import detections_by_frame
 from semtrack.student import FEATURE_DIM
 from semtrack.teacher import pseudo_teacher
 from semtrack.tracker import (BIRTH_CONFIDENCE, IOU_WEIGHT, MATCH_GATE, MISS_DECAY, PATCH,
-                              PROPAGATE_CONFIDENCE, TrackerConfig, _cosine, box_descriptor)
+                              PROPAGATE_CONFIDENCE, box_descriptor)
 from semtrack.training import CONTRASTIVE_TEMPERATURE, match_detections_to_gt
 from semtrack.tracks import TrackRecord, TrackSet, box_iou, iou_matrix
 
@@ -317,7 +318,7 @@ def composite_blend_rows(w: Matrix, a: Matrix, b: Matrix) -> Matrix:
 def composite_attention_sublayer(h: Matrix, wq: Matrix, bq: Matrix, wk: Matrix, bk: Matrix,
                                  wv: Matrix, bv: Matrix, wo: Matrix, bo: Matrix,
                                  gain: Matrix, bias: Matrix, num_heads: int,
-                                 segments=None) -> Matrix:
+                                 segments) -> Matrix:
     """``autodiff.attention_sublayer`` as seven ops: the query, key and value
     projections, multi-head attention, the output projection, the residual
     add and the layer norm."""
@@ -334,7 +335,7 @@ def composite_feed_forward_sublayer(h: Matrix, w1: Matrix, b1: Matrix, w2: Matri
     return ad.layer_norm_rows(ad.add(h, out), gain, bias)
 
 
-def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
+def per_frame_scene_losses(model, sample, train, quality_ranges) -> dict:
     """The dict :func:`semtrack.training.scene_losses` returns, computed one
     frame at a time."""
     per_frame = detections_by_frame(sample.detections, len(sample.frames))
@@ -352,8 +353,8 @@ def per_frame_scene_losses(model, sample, train, tracker_config) -> dict:
         frame, dets = sample.frames[f], per_frame[f]
         descriptors = box_descriptor([frame], [[det.box for det in dets]])
         x = model.embed_descriptors(Matrix(descriptors))
-        quality = model.quality_column([frame], tracker_config.quality_ranges)
-        fused[f], semantic = model.encode_queries(x, quality)
+        quality = model.quality_column([frame], quality_ranges)
+        fused[f], semantic = model.encode_queries(x, quality, [0] * x.rows)
         labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []))
         if semantic is not None:
             teacher = Matrix(pseudo_teacher(frame, train.teacher_seed))
@@ -417,8 +418,15 @@ class _ReferenceTrack:
     misses: int = 0
 
 
+def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every row of ``a`` with every row of ``b``."""
+    an = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
+    bn = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-12)
+    return an @ bn.T
+
+
 def reference_track_sequence(frames, detections, model,
-                             config: TrackerConfig = TrackerConfig()) -> TrackSet:
+                             quality_ranges: QualityRanges = QualityRanges()) -> TrackSet:
     """:func:`semtrack.tracker.track_sequence` with every track kept for up
     to ``MAX_AGE`` misses, carried only while its confidence exceeds
     ``PROPAGATE_CONFIDENCE``."""
@@ -437,8 +445,8 @@ def reference_track_sequence(frames, detections, model,
         x = Matrix(np.concatenate(rows, axis=0)) if rows else None
         fused = None
         if x is not None:
-            quality = model.quality_column([frame], config.quality_ranges)
-            fused = model.encode_queries(x, quality)[0].data
+            quality = model.quality_column([frame], quality_ranges)
+            fused = model.encode_queries(x, quality, [0] * x.rows)[0].data
 
         track_feats = fused[:n_carried] if fused is not None else np.zeros((0, FEATURE_DIM))
         prop_feats = (fused[n_carried:] if fused is not None

@@ -331,7 +331,8 @@ def test_linear_shape_errors():
 def test_multi_head_attention_matches_fd(rows, num_heads):
     rng = np.random.default_rng(500 + 10 * rows + num_heads)
     q, k, v = (rng.standard_normal((rows, 8)) for _ in range(3))
-    attention = weighted_scalar(lambda a, b, c: ad.multi_head_attention(a, b, c, num_heads))
+    attention = weighted_scalar(
+        lambda a, b, c: ad.multi_head_attention(a, b, c, num_heads, [0] * rows))
     check_against_fd(attention, [q, k, v],
                      label=f"multi_head_attention[{rows}x8, {num_heads} heads]")
 
@@ -340,7 +341,7 @@ def test_multi_head_attention_matches_fd(rows, num_heads):
 def test_multi_head_attention_matches_composition(rows, num_heads):
     rng = np.random.default_rng(600 + rows)
     q, k, v = (Matrix(rng.standard_normal((rows, 64)) * 3.0) for _ in range(3))
-    fused = ad.multi_head_attention(q, k, v, num_heads).data
+    fused = ad.multi_head_attention(q, k, v, num_heads, [0] * rows).data
     reference = composed_attention(q, k, v, num_heads).data
     assert fused.shape == (rows, 64)
     assert np.max(np.abs(fused - reference)) <= 1e-12
@@ -355,11 +356,12 @@ def test_multi_head_attention_gradient_through_projections_equals_composition(ro
     weights = [rng.standard_normal((32, 32)) for _ in range(3)]
     upstream = rng.standard_normal((rows, 32))
     grads = []
-    for attention in (ad.multi_head_attention, composed_attention):
+    for attention in (lambda q, k, v: ad.multi_head_attention(q, k, v, 4, [0] * rows),
+                      lambda q, k, v: composed_attention(q, k, v, 4)):
         leaf = Matrix(x, requires_grad=True)
         with Tape() as tape:
             q, k, v = (ad.matmul(leaf, Matrix(w)) for w in weights)
-            out = attention(q, k, v, 4)
+            out = attention(q, k, v)
             tape.backward(ad.sum_all(ad.multiply(out, Matrix(upstream))))
         grads.append(leaf.grad)
     assert np.array_equal(grads[0], grads[1])
@@ -368,13 +370,13 @@ def test_multi_head_attention_gradient_through_projections_equals_composition(ro
 def test_multi_head_attention_shape_errors():
     m = Matrix(np.zeros((3, 8)))
     with pytest.raises(DimensionError, match="shapes"):
-        ad.multi_head_attention(m, Matrix(np.zeros((2, 8))), m, 2)
+        ad.multi_head_attention(m, Matrix(np.zeros((2, 8))), m, 2, [0] * 3)
     with pytest.raises(DimensionError, match="shapes"):
-        ad.multi_head_attention(m, m, Matrix(np.zeros((3, 4))), 2)
+        ad.multi_head_attention(m, m, Matrix(np.zeros((3, 4))), 2, [0] * 3)
     with pytest.raises(DimensionError, match="divisible"):
-        ad.multi_head_attention(m, m, m, 3)
+        ad.multi_head_attention(m, m, m, 3, [0] * 3)
     with pytest.raises(DimensionError, match="divisible"):
-        ad.multi_head_attention(m, m, m, 0)
+        ad.multi_head_attention(m, m, m, 0, [0] * 3)
 
 
 # three segments, interleaved and of unequal sizes, one of a single row
@@ -401,15 +403,8 @@ def test_masked_attention_equals_each_segment_on_its_own(num_heads):
     for segment in set(SEGMENTS):
         rows = labels == segment
         alone = ad.multi_head_attention(Matrix(q[rows]), Matrix(k[rows]), Matrix(v[rows]),
-                                        num_heads).data
+                                        num_heads, labels[rows]).data
         assert np.max(np.abs(masked[rows] - alone)) <= 1e-12
-
-
-def test_one_segment_mask_changes_nothing():
-    rng = np.random.default_rng(820)
-    q, k, v = (Matrix(rng.standard_normal((5, 8))) for _ in range(3))
-    assert np.array_equal(ad.multi_head_attention(q, k, v, 2, [7] * 5).data,
-                          ad.multi_head_attention(q, k, v, 2).data)
 
 
 @pytest.mark.parametrize("segments", [[0, 0, 1], [0, 0, 1, 1, 1], [[0, 0, 1, 1]], 0])
@@ -450,11 +445,12 @@ F32_OPS = {
     "l2_normalize_rows": lambda a, b: ad.l2_normalize_rows(a),
     "layer_norm_rows": lambda a, b: ad.layer_norm_rows(a, ad.take_rows(b, [0]),
                                                        ad.take_rows(b, [1])),
-    "multi_head_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2),
+    "multi_head_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2, [0] * a.rows),
     "masked_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2, [0, 1, 1, 0]),
     "sum_all": lambda a, b: ad.sum_all(a),
     "attention_sublayer": lambda a, b: ad.attention_sublayer(
-        a, *[b, ad.take_rows(b, [0])] * 4, ad.take_rows(b, [1]), ad.take_rows(b, [2]), 2),
+        a, *[b, ad.take_rows(b, [0])] * 4, ad.take_rows(b, [1]), ad.take_rows(b, [2]), 2,
+        [0] * a.rows),
     "feed_forward_sublayer": lambda a, b: ad.feed_forward_sublayer(
         a, *[b, ad.take_rows(b, [0])] * 2, ad.take_rows(b, [1]), ad.take_rows(b, [2])),
 }
@@ -592,8 +588,9 @@ def test_relu_equals_where_including_negative_zero(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("segments", [None, [0, 1, 1, 0, 1]])
+@pytest.mark.parametrize("segments", [pytest.param([7] * 5, id="one-set"), [0, 1, 1, 0, 1]])
 def test_multi_head_attention_equals_numpys_softmax(dtype, segments):
+    # one label masks nothing: the result is numpy's plain softmax attention
     rng = np.random.default_rng(42)
     q, k, v = (rng.standard_normal((5, 8)).astype(dtype) for _ in range(3))
     out = ad.multi_head_attention(Matrix(q), Matrix(k), Matrix(v), 2, segments).data
@@ -602,7 +599,7 @@ def test_multi_head_attention_equals_numpys_softmax(dtype, segments):
         return np.ascontiguousarray(m.reshape(5, 2, 4).transpose(1, 0, 2))
 
     z = (heads(q) @ np.ascontiguousarray(heads(k).transpose(0, 2, 1))) * (1.0 / math.sqrt(4))
-    if segments is not None:
+    if len(set(segments)) > 1:
         labels = np.asarray(segments)
         z = np.where(labels[:, None] == labels[None, :], z, -np.inf)
     e = np.exp(z - z.max(axis=2, keepdims=True))
@@ -636,9 +633,10 @@ STUDENT_OPS = {
     "layer_norm_rows": lambda m: ad.layer_norm_rows(
         m, Matrix(np.ones((1, 4), dtype=m.data.dtype)),
         Matrix(np.zeros((1, 4), dtype=m.data.dtype))),
-    "multi_head_attention": lambda m: ad.multi_head_attention(m, m, m, 2),
+    "multi_head_attention": lambda m: ad.multi_head_attention(m, m, m, 2, [0] * m.rows),
     "attention_sublayer": lambda m: ad.attention_sublayer(
-        m, *_identity_projection(m.data.dtype) * 4, *_unit_norm(m.data.dtype), 2),
+        m, *_identity_projection(m.data.dtype) * 4, *_unit_norm(m.data.dtype), 2,
+        [0] * m.rows),
     "feed_forward_sublayer": lambda m: ad.feed_forward_sublayer(
         m, *_identity_projection(m.data.dtype) * 2, *_unit_norm(m.data.dtype)),
 }
@@ -717,7 +715,7 @@ SUBLAYER_SEGMENTS = [1, 0, 1, 1, 0, 2, 0]
 
 def _attention_case(segmented: bool):
     def segments(h):
-        return SUBLAYER_SEGMENTS[:h.rows] if segmented else None
+        return SUBLAYER_SEGMENTS[:h.rows] if segmented else [0] * h.rows
 
     return (lambda h, *m: ad.attention_sublayer(h, *m, 2, segments(h)),
             lambda h, *m: composite_attention_sublayer(h, *m, 2, segments(h)),
@@ -733,7 +731,8 @@ SUBLAYERS = {
 }
 
 
-@pytest.mark.parametrize("segments", [None, SUBLAYER_SEGMENTS[:5]], ids=["one-set", "segments"])
+@pytest.mark.parametrize("segments", [[0] * 5, SUBLAYER_SEGMENTS[:5]],
+                         ids=["one-set", "segments"])
 def test_attention_sublayer_matches_fd(segments):
     arrays = attention_arrays(np.random.default_rng(900))
     check_against_fd(weighted_scalar(lambda *m: ad.attention_sublayer(*m, 2, segments)),
@@ -839,19 +838,19 @@ def test_a_float32_overflow_that_the_softmax_would_zero_still_raises():
     zero = np.zeros((1, 4))
     inputs = [h, wq, zero, wk, zero, np.zeros((4, 4)), zero, np.eye(4), zero,
               np.ones((1, 4)), zero]
-    assert np.all(np.isfinite(ad.attention_sublayer(*map(Matrix, inputs), 1).data))
+    assert np.all(np.isfinite(ad.attention_sublayer(*map(Matrix, inputs), 1, [0, 0]).data))
     for f in (ad.attention_sublayer, composite_attention_sublayer):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            f(*(Matrix(a.astype(np.float32)) for a in inputs), 1)
+            f(*(Matrix(a.astype(np.float32)) for a in inputs), 1, [0, 0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_an_attention_sublayer_over_no_rows_raises(dtype):
     h, *weights = attention_arrays(np.random.default_rng(950), rows=0, dtype=dtype)
     with pytest.raises(DimensionError, match="at least one row"):
-        ad.attention_sublayer(Matrix(h), *map(Matrix, weights), 2)
+        ad.attention_sublayer(Matrix(h), *map(Matrix, weights), 2, [])
     with pytest.raises(DimensionError, match="at least one row"):
-        ad.multi_head_attention(Matrix(h), Matrix(h), Matrix(h), 2)
+        ad.multi_head_attention(Matrix(h), Matrix(h), Matrix(h), 2, [])
 
 
 def _resized(arrays, shapes: dict) -> list[Matrix]:
@@ -866,9 +865,9 @@ def _resized(arrays, shapes: dict) -> list[Matrix]:
 def test_attention_sublayer_shape_errors(shapes, message):
     arrays = attention_arrays(np.random.default_rng(960))
     with pytest.raises(DimensionError, match=message):
-        ad.attention_sublayer(*_resized(arrays, shapes), 2)
+        ad.attention_sublayer(*_resized(arrays, shapes), 2, [0] * 5)
     with pytest.raises(DimensionError, match="divisible"):
-        ad.attention_sublayer(*map(Matrix, arrays), 3)
+        ad.attention_sublayer(*map(Matrix, arrays), 3, [0] * 5)
     with pytest.raises(DimensionError, match="segment"):
         ad.attention_sublayer(*map(Matrix, arrays), 2, [0, 1])
 

@@ -6,12 +6,11 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig, SceneParams
+from semtrack.config import EVAL_SEED_OFFSET, ExperimentConfig, SceneParams, Seeds
 from semtrack.degrade import DEFAULT_CHAIN, DegradationOp, Downsample, GaussianBlur, GaussianNoise
 from semtrack.quality import QualityRanges
 from semtrack.scenes import MAX_FALSE_BOX, DetectorNoise
 from semtrack.student import StudentConfig
-from semtrack.tracker import TrackerConfig
 from semtrack.training import TrainConfig
 
 
@@ -127,8 +126,8 @@ def test_alpha_outside_open_unit_interval_raises(alpha):
 
 def test_tracker_config_takes_quality_ranges_from_dswr():
     config = custom_config()
-    assert config.tracker_config().quality_ranges == config.dswr
-    assert ExperimentConfig().tracker_config().quality_ranges == QualityRanges()
+    assert config.tracker_config() is config.dswr
+    assert ExperimentConfig().tracker_config() == QualityRanges()
 
 
 def section(raw, where):
@@ -272,6 +271,45 @@ def test_scene_params_check_their_values(field, value):
                 motion_jitter=0.0)
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(Seeds)])
+def test_a_negative_seed_raises_when_built(name):
+    with pytest.raises(ValueError, match=rf"^seeds\.{name} must be >= 0, got -3$"):
+        ExperimentConfig(seeds=Seeds(**{name: -3}))
+    raw = json.loads(ExperimentConfig().to_json())
+    raw["seeds"][name] = -3
+    with pytest.raises(ValueError, match=rf"^seeds\.{name} must be >= 0, got -3$"):
+        ExperimentConfig.from_dict(raw)
+    ExperimentConfig(seeds=Seeds(**{name: 0}))
+
+
+@pytest.mark.parametrize("seed, match", [
+    (2 ** 32, r"^degradation_chain\[2\]\.seed must be in \[0, 2\*\*32\), got 4294967296$"),
+    (-1, r"^degradation_chain\[2\]\.seed must be in \[0, 2\*\*32\), got -1$"),
+], ids=["beyond-32-bits", "negative"])
+def test_a_noise_seed_outside_its_key_word_raises_when_built(seed, match):
+    # the noise key would otherwise draw the noise of another seed
+    chain = DEFAULT_CHAIN[:2] + (GaussianNoise(sigma=0.03, seed=seed),)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(degradation_chain=chain)
+    raw = json.loads(ExperimentConfig().to_json())
+    raw["degradation_chain"][2]["seed"] = seed
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict(raw)
+    ExperimentConfig(degradation_chain=DEFAULT_CHAIN[:2]
+                     + (GaussianNoise(sigma=0.03, seed=2 ** 32 - 1),))
+
+
+def test_a_degradation_seed_beyond_64_bits_raises_when_built():
+    match = r"^seeds\.degradation must be < 2\*\*64, got 18446744073709551616$"
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(seeds=Seeds(degradation=2 ** 64))
+    raw = json.loads(ExperimentConfig().to_json())
+    raw["seeds"]["degradation"] = 2 ** 64
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict(raw)
+    ExperimentConfig(seeds=Seeds(degradation=2 ** 64 - 1))
+
+
 @pytest.mark.parametrize("where, key, value, accepted", [
     ("seeds", "model", True, False),
     ("training", "epochs", False, False),
@@ -294,7 +332,7 @@ def test_module_dict_defaults_are_the_module_defaults():
     assert config.student == StudentConfig()
     assert config.degradation_chain == DEFAULT_CHAIN
     assert config.train_config() == TrainConfig(teacher_seed=config.seeds.teacher)
-    assert config.tracker_config() == TrackerConfig()
+    assert config.tracker_config() == QualityRanges()
     assert config.training == {"epochs": 12}
     assert config.detector == DetectorNoise(jitter_sigma=0.6, fp_rate=0.1, fn_rate=0.05)
 

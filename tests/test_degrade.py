@@ -75,6 +75,20 @@ def test_blur_lowers_clarity_noise_raises_estimate():
     assert assess_quality(noisy).noise_sigma > assess_quality(flat).noise_sigma
 
 
+@pytest.mark.parametrize("seed, master_seed", [(2 ** 32, 0), (0, 2 ** 64)],
+                         ids=["noise-seed", "master-seed"])
+def test_a_seed_beyond_its_key_word_draws_noise_of_its_own(seed, master_seed):
+    # masked to the key's word width, it would draw the noise of seed 0
+    flat = np.full((16, 16), 0.5)
+
+    def noisy(seed, master_seed):
+        chain = DegradationChain(ops=(GaussianNoise(sigma=0.1, seed=seed),),
+                                 master_seed=master_seed)
+        return apply_chain(chain, [flat])[0]
+
+    assert not np.array_equal(noisy(seed, master_seed), noisy(0, 0))
+
+
 DEFAULT = DegradationChain(DEFAULT_CHAIN, master_seed=5)
 NOISE_FIRST = DegradationChain(ops=(GaussianNoise(sigma=0.1, seed=3),
                                     Downsample(scale=0.5, resample="bilinear"),

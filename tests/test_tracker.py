@@ -10,11 +10,12 @@ from semtrack.config import ExperimentConfig
 from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, apply_chain
 from semtrack.experiment import build_model, evaluation_corpus
 from semtrack.metrics import evaluate
+from semtrack.quality import QualityRanges
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
 from semtrack.tracker import (DESCRIPTOR_DIM, INFERENCE_DTYPE, PROPAGATE_CONFIDENCE, VARIANTS,
-                              TrackerModel, box_descriptor, track_sequence)
+                              TrackerModel, box_descriptor, sequence_rows, track_sequence)
 from semtrack.tracks import TrackSet
 
 from oracles import per_box_descriptor, reference_track_sequence
@@ -309,7 +310,7 @@ def test_a_frame_without_detections_runs_no_student(monkeypatch, variant):
     calls = []
     forward = StudentModel.forward
 
-    def counting(self, x, segments=None):
+    def counting(self, x, segments):
         calls.append(x.rows)
         return forward(self, x, segments)
 
@@ -589,7 +590,7 @@ def test_only_a_student_reads_float32_queries(monkeypatch, variant):
     seen = set()
     encode = TrackerModel.encode_queries
 
-    def spy(self, x, quality, segments=None):
+    def spy(self, x, quality, segments):
         fused, semantic = encode(self, x, quality, segments)
         seen.add((x.data.dtype.type, fused.data.dtype.type))
         return fused, semantic
@@ -599,6 +600,36 @@ def test_only_a_student_reads_float32_queries(monkeypatch, variant):
     # the fusion promotes back to float64, so the association costs are float64
     queries = np.float64 if variant == "baseline" else INFERENCE_DTYPE
     assert seen == {(queries, np.float64)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tracking_hands_the_model_what_training_does(monkeypatch, variant):
+    # the sequence's whole F x 1 quality column, and each query row labelled
+    # with its frame's segment: frame 0 has no detections, so segment k is
+    # frame k + 1 or later
+    frames, dets = noisy_scene()
+    dets = [d for d in dets if d.frame not in (0, 7)]
+    model = TrackerModel(variant, TINY_STUDENT, seed=3)
+    rows = sequence_rows(frames, dets)
+    column = model.quality_column(rows.frames, QualityRanges())
+    seen = []
+    encode = TrackerModel.encode_queries
+
+    def spy(self, x, quality, segments):
+        seen.append((x.rows, quality, np.array(segments)))
+        return encode(self, x, quality, segments)
+
+    monkeypatch.setattr(TrackerModel, "encode_queries", spy)
+    records_of(frames, dets, model)
+    assert len(seen) == len(rows.frame_ids)
+    for segment, (n, quality, labels) in enumerate(seen):
+        assert n >= len(rows.detections[segment])
+        assert labels.shape == (n,) and np.all(labels == segment)
+        if variant == "full":
+            assert quality.shape == (len(rows.frame_ids), 1)
+            assert quality.tobytes() == column.tobytes()
+        else:
+            assert quality is None and column is None
 
 
 def holding_weights_of(model):

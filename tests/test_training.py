@@ -13,7 +13,7 @@ from semtrack.scenes import (Detection, DetectorNoise, detections_by_frame,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
 from semtrack.teacher import TEACHER_DIM
-from semtrack.tracker import VARIANTS, TrackerConfig, TrackerModel
+from semtrack.tracker import VARIANTS, TrackerModel
 from semtrack.training import (LOG_COLUMNS, SceneSample, TrainConfig, scene_losses,
                                train, write_training_log)
 
@@ -49,10 +49,10 @@ def test_train_config_validation():
 def test_alpha_mixing_identities():
     sample = make_sample(seed=2, num_frames=5)
     model = TrackerModel("full", TINY_STUDENT, seed=3)
-    tracker_config = TrackerConfig()
+    quality_ranges = QualityRanges()
 
     def parts(alpha):
-        losses = scene_losses(model, sample, TrainConfig(alpha=alpha), tracker_config)
+        losses = scene_losses(model, sample, TrainConfig(alpha=alpha), quality_ranges)
         return (losses["l_distill"].item(), losses["l_mot"].item(),
                 losses["total"].item())
 
@@ -72,13 +72,13 @@ def test_student_runs_once_per_scene_on_all_rows(monkeypatch):
     calls = []
     forward = StudentModel.forward
 
-    def counted(self, x, segments=None):
+    def counted(self, x, segments):
         calls.append((x.rows, list(segments)))
         return forward(self, x, segments)
 
     monkeypatch.setattr(StudentModel, "forward", counted)
     with Tape():
-        losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+        losses = scene_losses(model, sample, TrainConfig(alpha=0.4), QualityRanges())
     per_frame = detections_by_frame(sample.detections, len(sample.frames))
     rows = [k for k, f in enumerate(sorted(per_frame)) for _ in per_frame[f]]
     assert calls == [(len(rows), rows)]
@@ -90,7 +90,7 @@ LOSS_KEYS = ("total", "l_mot", "l_distill", "l_local", "l_global", "w1", "w2")
 
 def losses_and_grads(loss_fn, model, sample):
     with Tape() as tape:
-        losses = loss_fn(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+        losses = loss_fn(model, sample, TrainConfig(alpha=0.4), QualityRanges())
         tape.backward(losses["total"])
     values = {k: v.item() if k in ("total", "l_mot", "l_distill") else v
               for k, v in losses.items()}
@@ -149,7 +149,7 @@ def test_later_steps_on_a_sample_reuse_its_constants(monkeypatch):
 
     def step(scene):
         before = dict(calls)
-        total = scene_losses(model, scene, config, TrackerConfig())["total"].item()
+        total = scene_losses(model, scene, config, QualityRanges())["total"].item()
         return total, {name: calls[name] - before[name] for name in calls}
 
     total, first = step(sample)
@@ -213,7 +213,7 @@ def test_a_step_records_fewer_ops_than_the_composite_fusion(monkeypatch, variant
     def step():
         model = TrackerModel(variant, TINY_STUDENT, seed=3)
         with Tape() as tape:
-            total = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())["total"]
+            total = scene_losses(model, sample, TrainConfig(alpha=0.4), QualityRanges())["total"]
             tape.backward(total)
         grads = [p.value.grad for p in model.parameters()]
         return len(tape._records), total.item(), grads
@@ -236,7 +236,7 @@ def test_a_step_records_30_fewer_ops_than_the_composite_sublayers(monkeypatch, v
     def step():
         model = TrackerModel(variant, TINY_STUDENT, seed=3)
         with Tape() as tape:
-            total = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())["total"]
+            total = scene_losses(model, sample, TrainConfig(alpha=0.4), QualityRanges())["total"]
             tape.backward(total)
         return len(tape._records), total.item(), [p.value.grad for p in model.parameters()]
 
@@ -254,22 +254,22 @@ def test_a_changed_key_gives_the_losses_of_a_fresh_sample():
     sample = make_sample(seed=2, degraded=True, num_frames=5)
     model = TrackerModel("full", TINY_STUDENT, seed=3)
 
-    def values(scene, train_config, tracker_config):
-        losses = scene_losses(model, scene, train_config, tracker_config)
+    def values(scene, train_config, quality_ranges):
+        losses = scene_losses(model, scene, train_config, quality_ranges)
         return {k: v.item() if isinstance(v, Matrix) else v for k, v in losses.items()}
 
     # a model without DSWR reads no quality, so it leaves none for the next
     scene_losses(TrackerModel("distill", TINY_STUDENT, seed=3), sample,
-                 TrainConfig(alpha=0.4), TrackerConfig())
-    default = values(sample, TrainConfig(alpha=0.4), TrackerConfig())
-    for train_config, tracker_config in [
-            (TrainConfig(alpha=0.4, teacher_seed=1), TrackerConfig()),
-            (TrainConfig(alpha=0.4), TrackerConfig(QualityRanges(contrast=(0.0, 0.2)))),
-            (TrainConfig(alpha=0.4), TrackerConfig())]:
-        got = values(sample, train_config, tracker_config)
-        assert got == values(replace(sample), train_config, tracker_config)
+                 TrainConfig(alpha=0.4), QualityRanges())
+    default = values(sample, TrainConfig(alpha=0.4), QualityRanges())
+    for train_config, quality_ranges in [
+            (TrainConfig(alpha=0.4, teacher_seed=1), QualityRanges()),
+            (TrainConfig(alpha=0.4), QualityRanges(contrast=(0.0, 0.2))),
+            (TrainConfig(alpha=0.4), QualityRanges())]:
+        got = values(sample, train_config, quality_ranges)
+        assert got == values(replace(sample), train_config, quality_ranges)
         assert (got == default) == (train_config.teacher_seed == 0
-                                    and tracker_config == TrackerConfig())
+                                    and quality_ranges == QualityRanges())
 
 
 def test_a_sample_cannot_be_reassigned():
@@ -280,7 +280,7 @@ def test_a_sample_cannot_be_reassigned():
 
 def test_a_sample_cannot_be_changed_in_place():
     sample = make_sample(seed=2, num_frames=5)
-    scene_losses(TrackerModel("baseline", seed=3), sample, TrainConfig(), TrackerConfig())
+    scene_losses(TrackerModel("baseline", seed=3), sample, TrainConfig(), QualityRanges())
     with pytest.raises(TypeError):
         sample.detections[:] = [d for d in sample.detections if d.frame != 2]
     with pytest.raises(TypeError):
@@ -319,7 +319,7 @@ def test_detection_free_frames_keep_numbering_and_pairing(monkeypatch):
     segments, pairs = [], []
     forward, cross_entropy = StudentModel.forward, ad.cross_entropy_rows
 
-    def recorded_forward(self, x, labels=None):
+    def recorded_forward(self, x, labels):
         segments.append(list(labels))
         return forward(self, x, labels)
 
@@ -330,7 +330,7 @@ def test_detection_free_frames_keep_numbering_and_pairing(monkeypatch):
     monkeypatch.setattr(StudentModel, "forward", recorded_forward)
     monkeypatch.setattr(ad, "cross_entropy_rows", recorded_cross_entropy)
     with Tape():
-        scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+        scene_losses(model, sample, TrainConfig(alpha=0.4), QualityRanges())
     per_frame = detections_by_frame(sample.detections, len(sample.frames))
     assert sorted(per_frame) == [0, 1, 3, 4]
     assert segments == [[k for k, f in enumerate([0, 1, 3, 4]) for _ in per_frame[f]]]
@@ -343,7 +343,7 @@ def test_scene_without_detections_trains_a_zero_step(variant):
     model = TrackerModel(variant, TINY_STUDENT, seed=27)
     before = {name: p.value.data.copy() for name, p in model.named_parameters().items()}
     with Tape() as tape:
-        losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+        losses = scene_losses(model, sample, TrainConfig(alpha=0.4), QualityRanges())
         tape.backward(losses["total"])
     assert all(p.value.grad is None for p in model.parameters())
     (row,) = train(model, [sample], TrainConfig(alpha=0.4, epochs=1))
@@ -359,13 +359,13 @@ def test_detection_outside_the_scene_is_rejected():
                      + (Detection(frame=37, box=(0, 0, 5, 5), confidence=0.9),))
     with pytest.raises(ValueError, match="frame 37 outside sequence of 32"):
         scene_losses(TrackerModel("baseline", seed=5), sample, TrainConfig(alpha=0.4),
-                     TrackerConfig())
+                     QualityRanges())
 
 
 def test_baseline_total_is_mot_loss():
     sample = make_sample(seed=4, num_frames=5)
     model = TrackerModel("baseline", seed=5)
-    losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+    losses = scene_losses(model, sample, TrainConfig(alpha=0.4), QualityRanges())
     assert losses["total"].item() == losses["l_mot"].item()
     assert losses["l_distill"].item() == 0.0
 
@@ -442,7 +442,7 @@ def test_dswr_parameters_receive_gradients():
     sample = make_sample(seed=18, degraded=True, num_frames=5)
     model = TrackerModel("full", TINY_STUDENT, seed=19)
     with Tape() as tape:
-        losses = scene_losses(model, sample, TrainConfig(alpha=0.4), TrackerConfig())
+        losses = scene_losses(model, sample, TrainConfig(alpha=0.4), QualityRanges())
         tape.backward(losses["total"])
     assert model.dswr.w.value.grad is not None
     assert model.dswr.b.value.grad is not None
@@ -453,10 +453,10 @@ def test_mot_loss_gradient_matches_fd_on_embed_bias():
     sample = make_sample(seed=20, num_frames=4)
     model = TrackerModel("baseline", seed=21)
     train_config = TrainConfig(alpha=0.4)
-    tracker_config = TrackerConfig()
+    quality_ranges = QualityRanges()
 
     with Tape() as tape:
-        losses = scene_losses(model, sample, train_config, tracker_config)
+        losses = scene_losses(model, sample, train_config, quality_ranges)
         tape.backward(losses["total"])
     analytic = model.embed_bias.value.grad.copy()
 
@@ -465,7 +465,7 @@ def test_mot_loss_gradient_matches_fd_on_embed_bias():
     def f(x):
         from semtrack.autodiff import Parameter
         model.embed_bias = Parameter(x, name="embed.bias")
-        value = scene_losses(model, sample, train_config, tracker_config)["total"].item()
+        value = scene_losses(model, sample, train_config, quality_ranges)["total"].item()
         model.embed_bias = Parameter(base, name="embed.bias")
         return value
 
