@@ -21,7 +21,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, DegradationOp, GaussianNoise
+from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, DegradationOp
 from semtrack.quality import QualityRanges
 from semtrack.scenes import MAX_FALSE_BOX, DetectorNoise
 from semtrack.student import StudentConfig
@@ -89,10 +89,6 @@ class ExperimentConfig:
     def __post_init__(self):
         # a field of the wrong type fails here, however the config was built
         _check_value(self, ExperimentConfig, "")
-        for i, op in enumerate(self.degradation_chain):
-            if isinstance(op, GaussianNoise) and not 0 <= op.seed < 2 ** 32:
-                raise ValueError(f"degradation_chain[{i}].seed must be in [0, 2**32), "
-                                 f"got {op.seed}")
         for name in ("num_train_scenes", "num_eval_scenes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -5,7 +5,10 @@ A chain applies its operators in listed order (first entry first). Downsample
 restores the original resolution immediately afterwards so frame geometry and
 ground-truth boxes stay valid; every chain output is clamped to [0, 1]. Noise
 draws are keyed by (master seed, op seed, sequence id, frame index), so whole
-corpora regenerate bit-identically without global RNG state. An
+corpora regenerate bit-identically without global RNG state; a
+:class:`GaussianNoise` refuses a seed outside the key's 32-bit word and a
+:class:`DegradationChain` a master seed outside its 64-bit one, so no seed
+draws another's noise. An
 ``ExperimentConfig`` holds its chain as op instances, and a snapshot stores
 each op as an object whose ``kind`` names its class; frames stay in memory.
 
@@ -66,6 +69,10 @@ class GaussianNoise:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
+        # the noise key holds the seed in one 32-bit word; a value of the
+        # wrong type is the config checker's to reject
+        if isinstance(self.seed, int) and not 0 <= self.seed < 2 ** 32:
+            raise ValueError(f"seed must be in [0, 2**32), got {self.seed}")
 
 
 DegradationOp = GaussianBlur | Downsample | GaussianNoise
@@ -79,6 +86,11 @@ DEFAULT_CHAIN = (GaussianBlur(sigma=1.5, kernel_size=7),
 class DegradationChain:
     ops: tuple[DegradationOp, ...] = ()
     master_seed: int = 0
+
+    def __post_init__(self):
+        # the noise key's entropy word is 64 bits wide
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
 
 def _gaussian_kernel(sigma: float, size: int) -> np.ndarray:

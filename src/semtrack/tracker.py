@@ -28,9 +28,13 @@ embedding and the student stay per frame: one matmul over a sequence's
 stacked rows rounds some row blocks differently from the per-frame calls, so
 track records would change.
 
-When tracking, the student runs in :data:`INFERENCE_DTYPE` (float32): a
-frame's call sees a few rows, so its cost is the reading of the student's
-weights, which float32 halves. Training, the query embedding, the
+When tracking, the student runs in :data:`INFERENCE_DTYPE` (float32), which
+halves the bytes of every weight its products read. A frame's call sees a
+few rows (3-7 on the default corpus), and at that size OpenBLAS packs a
+whole weight before a product unless the product is small;
+:func:`~semtrack.autodiff.linear` therefore runs a float32 product of a few
+rows as column blocks small enough to be read in place, which halves the
+time of the feed-forward products. Training, the query embedding, the
 quality-driven weight and the association costs stay float64, and the bare
 tracker casts nothing. The fusion is one
 :func:`~semtrack.autodiff.blend_rows` op: its float64 weight column promotes
@@ -38,12 +42,13 @@ the float32 features back to float64.
 
 Where a tracked frame's time goes, for the untrained ``full`` model on the
 default degraded corpus (one BLAS thread on the 2-CPU target host): about
-2.1 ms a frame. The student takes four fifths of it, about 1.65 ms, of which
-about 1.15 ms are its 20 float32 matmuls and the rest the small-array
+1.6 ms a frame, against 1.9 ms with every product made whole. The student
+takes three quarters of it, about 1.2 ms, of which about 0.7 ms are its 20
+float32 products (1.07 ms made whole) and the rest the small-array
 arithmetic of its norms, attention, bias rows and finiteness scans (each
 layer is two recorded ops). :func:`~semtrack.quality.assess_quality` takes
-about 0.15 ms, and the query embedding, fusion and association the
-remaining 0.27 ms.
+about 0.14 ms, and the query embedding, fusion and association the
+remaining 0.2 ms.
 """
 
 from __future__ import annotations

@@ -78,25 +78,35 @@ class TrackSet:
 
     @classmethod
     def read(cls, path: str | Path) -> "TrackSet":
+        """The records of a MOTChallenge text file. A line that gives no valid
+        record raises ``ValueError`` starting ``path:lineno``."""
         out = cls()
         with open(path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                parts = line.split(",")
-                if len(parts) < 7:
-                    raise ValueError(f"{path}:{lineno}: expected >= 7 fields")
-                values = [float(v) for v in parts[:7]]
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"{path}:{lineno}: non-finite field")
-                if not (values[0].is_integer() and values[1].is_integer()):
-                    raise ValueError(f"{path}:{lineno}: frame and id must be integers")
-                if values[0] < 1:
-                    raise ValueError(f"{path}:{lineno}: frames start at 1, got {parts[0]}")
-                out.add(TrackRecord(frame=int(values[0]) - 1, track_id=int(values[1]),
-                                    box=tuple(values[2:6]), confidence=values[6]))
+                try:
+                    out.add(_parse_record(line))
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
         return out
+
+
+def _parse_record(line: str) -> TrackRecord:
+    """One MOTChallenge line's record, with its frame made 0-based."""
+    parts = line.split(",")
+    if len(parts) < 7:
+        raise ValueError("expected >= 7 fields")
+    values = [float(v) for v in parts[:7]]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite field")
+    if not (values[0].is_integer() and values[1].is_integer()):
+        raise ValueError("frame and id must be integers")
+    if values[0] < 1:
+        raise ValueError(f"frames start at 1, got {parts[0]}")
+    return TrackRecord(frame=int(values[0]) - 1, track_id=int(values[1]),
+                       box=tuple(values[2:6]), confidence=values[6])
 
 
 def box_iou(a: tuple[float, float, float, float],

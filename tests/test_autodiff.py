@@ -565,15 +565,126 @@ def test_layer_norm_rows_equals_numpys_mean_and_var(dtype, width):
     (np.float32, np.float32, np.float64), (np.float32, np.float64, np.float32),
     (np.float64, np.float32, np.float32)])
 def test_linear_equals_matmul_plus_bias(x_type, weight_type, bias_type):
-    # a float64 bias on a float32 product must still promote the sum to float64
+    # a float64 bias on a float32 product must still promote the sum to float64.
+    # A 256-deep float32 product in column blocks is x @ weight bit for bit; a
+    # 1024-deep one sums in another order, so that case has more rows than
+    # BLOCKED_MAX_ROWS, and the blocks are pinned by the test below
     rng = np.random.default_rng(41)
-    x = rng.standard_normal((5, 256)).astype(x_type)
-    weight = (rng.standard_normal((256, 1024)) / 16.0).astype(weight_type)
-    bias = rng.standard_normal((1, 1024)).astype(bias_type)
+    for rows, depth, width in ((5, 256, 1024), (16, 1024, 256)):
+        x = rng.standard_normal((rows, depth)).astype(x_type)
+        weight = (rng.standard_normal((depth, width)) / math.sqrt(depth)).astype(weight_type)
+        bias = rng.standard_normal((1, width)).astype(bias_type)
+        out = ad.linear(Matrix(x), Matrix(weight), Matrix(bias)).data
+        expected = x @ weight + bias
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+
+# -- float32 products of a few rows run as column blocks
+
+STUDENT_SHAPES = [(256, 256), (256, 1024), (1024, 256)]
+
+
+def column_blocks(rows, depth, width):
+    """The (start, width) column blocks of a float32 ``rows x depth`` by
+    ``depth x width`` product, by the documented rule: one block unless it
+    has at most BLOCKED_MAX_ROWS rows and rows * depth * width exceeds
+    SMALL_PRODUCT_LIMIT; then the fewest equal blocks, each a multiple of 16
+    wide (the last takes what is left), that keep rows * depth * block within
+    the limit."""
+    if rows > ad.BLOCKED_MAX_ROWS or rows * depth * width <= ad.SMALL_PRODUCT_LIMIT:
+        return [(0, width)]
+    blocks = 2
+    while rows * depth * (math.ceil(width / blocks / 16) * 16) > ad.SMALL_PRODUCT_LIMIT:
+        blocks += 1
+    step = math.ceil(width / blocks / 16) * 16
+    return [(s, min(step, width - s)) for s in range(0, width, step)]
+
+
+@pytest.mark.parametrize("depth, width", STUDENT_SHAPES, ids=["256x256", "256x1024", "1024x256"])
+@pytest.mark.parametrize("rows", range(1, 17))
+def test_a_few_rows_of_float32_are_the_concatenation_of_their_blocks(rows, depth, width):
+    rng = np.random.default_rng(rows * 7 + depth + width)
+    x = rng.standard_normal((rows, depth)).astype(np.float32)
+    weight = (rng.uniform(-1.0, 1.0, (depth, width)) / math.sqrt(depth)).astype(np.float32)
+    bias = (rng.uniform(-1.0, 1.0, (1, width)) / math.sqrt(depth)).astype(np.float32)
     out = ad.linear(Matrix(x), Matrix(weight), Matrix(bias)).data
-    expected = x @ weight + bias
-    assert out.dtype == expected.dtype
+    blocks = column_blocks(rows, depth, width)
+    expected = np.concatenate([x @ weight[:, s:s + w] for s, w in blocks], axis=1) + bias
+    assert out.dtype == np.float32
     assert out.tobytes() == expected.tobytes()
+    if depth == 256:   # a 256-deep block sums as the whole product does
+        assert out.tobytes() == (x @ weight + bias).tobytes()
+    # Higham's bound for a float32 dot product of depth terms and one more
+    # rounding for the bias, against the float64 value of the same inputs
+    exact = x.astype(np.float64) @ weight.astype(np.float64) + bias
+    scale = np.abs(x).astype(np.float64) @ np.abs(weight) + np.abs(bias)
+    assert np.all(np.abs(out - exact) <= (depth + 2) * 2.0 ** -24 * scale)
+
+
+def test_a_product_too_deep_for_16_columns_of_blocks_stays_whole():
+    # 8 rows x 8192 deep: even a 16-column block would exceed the limit
+    rng = np.random.default_rng(8192)
+    x = rng.standard_normal((8, 8192)).astype(np.float32)
+    weight = rng.standard_normal((8192, 32)).astype(np.float32)
+    bias = np.zeros((1, 32), dtype=np.float32)
+    assert 8 * 8192 * 16 > ad.SMALL_PRODUCT_LIMIT
+    out = ad.linear(Matrix(x), Matrix(weight), Matrix(bias)).data
+    assert out.tobytes() == (x @ weight + bias).tobytes()
+
+
+class RecordedWeight(np.ndarray):
+    """A weight whose products record themselves: each ``x @ w`` with this
+    weight, or a view of it, as ``w`` appends ``(x.shape, w)`` to ``log``."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and isinstance(inputs[1], RecordedWeight):
+            RecordedWeight.log.append((inputs[0].shape, inputs[1]))
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+
+def student_forward(monkeypatch, dtype, rows, taped):
+    """The products with a weight, as ``(x.shape, w)``, of one forward of the
+    default student on ``rows`` rows in ``dtype``, recorded under a tape when
+    ``taped``; and the weights, as the forward reads them."""
+    from semtrack.student import StudentModel
+    model = StudentModel(seed=3)
+    weights = []
+    for name, parameter in model.named_parameters().items():
+        if name.endswith(".weight"):
+            matrix = parameter.cast(dtype)
+            matrix.data = matrix.data.view(RecordedWeight)
+            weights.append(matrix.data)
+    monkeypatch.setattr(RecordedWeight, "log", [])
+    x = Matrix(np.random.default_rng(rows).standard_normal((rows, 256)).astype(dtype))
+    if taped:
+        with Tape():
+            model.forward(x, [0] * rows)
+    else:
+        model.forward(x, [0] * rows)
+    return RecordedWeight.log, weights
+
+
+@pytest.mark.parametrize("rows", range(1, 13))
+def test_no_product_of_a_few_float32_rows_leaves_the_small_kernel(monkeypatch, rows):
+    products, weights = student_forward(monkeypatch, np.float32, rows, taped=False)
+    assert len(products) >= len(weights) == 20
+    for (m, k), w in products:
+        assert m * k * w.shape[1] <= ad.SMALL_PRODUCT_LIMIT
+        assert w.shape[1] % 16 == 0   # every student width is, so every block is too
+
+
+@pytest.mark.parametrize("dtype, rows, taped", [
+    (np.float64, 6, False), (np.float64, 6, True), (np.float32, 13, False),
+    (np.float32, 40, False)], ids=["float64", "taped", "float32-13-rows", "float32-40-rows"])
+def test_other_forwards_make_one_product_per_weight(monkeypatch, dtype, rows, taped):
+    # the input and output projections and six per layer, each on the whole
+    # weight
+    products, weights = student_forward(monkeypatch, dtype, rows, taped)
+    assert len(weights) == 20
+    assert sorted(id(w) for _, w in products) == sorted(map(id, weights))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

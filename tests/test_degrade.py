@@ -75,10 +75,20 @@ def test_blur_lowers_clarity_noise_raises_estimate():
     assert assess_quality(noisy).noise_sigma > assess_quality(flat).noise_sigma
 
 
-@pytest.mark.parametrize("seed, master_seed", [(2 ** 32, 0), (0, 2 ** 64)],
-                         ids=["noise-seed", "master-seed"])
-def test_a_seed_beyond_its_key_word_draws_noise_of_its_own(seed, master_seed):
-    # masked to the key's word width, it would draw the noise of seed 0
+@pytest.mark.parametrize("seed, master_seed, message", [
+    (2 ** 32, 0, r"^seed must be in \[0, 2\*\*32\), got 4294967296$"),
+    (-1, 0, r"^seed must be in \[0, 2\*\*32\), got -1$"),
+    (0, 2 ** 64, r"^master_seed must be in \[0, 2\*\*64\), got 18446744073709551616$"),
+    (0, -1, r"^master_seed must be in \[0, 2\*\*64\), got -1$"),
+], ids=["noise-seed", "negative-noise-seed", "master-seed", "negative-master-seed"])
+def test_a_seed_outside_its_key_word_is_refused(seed, master_seed, message):
+    # a seed beyond the key's word would draw another seed's noise, and a
+    # negative one would fail only inside numpy, naming no field
+    with pytest.raises(ValueError, match=message):
+        DegradationChain(ops=(GaussianNoise(sigma=0.1, seed=seed),), master_seed=master_seed)
+
+
+def test_the_last_seed_of_each_key_word_draws_noise_of_its_own():
     flat = np.full((16, 16), 0.5)
 
     def noisy(seed, master_seed):
@@ -86,7 +96,8 @@ def test_a_seed_beyond_its_key_word_draws_noise_of_its_own(seed, master_seed):
                                  master_seed=master_seed)
         return apply_chain(chain, [flat])[0]
 
-    assert not np.array_equal(noisy(seed, master_seed), noisy(0, 0))
+    assert not np.array_equal(noisy(2 ** 32 - 1, 0), noisy(0, 0))
+    assert not np.array_equal(noisy(0, 2 ** 64 - 1), noisy(0, 0))
 
 
 DEFAULT = DegradationChain(DEFAULT_CHAIN, master_seed=5)

@@ -143,6 +143,20 @@ def test_read_rejects_a_fractional_or_out_of_range_frame_or_id(tmp_path, frame, 
         TrackSet.read(path)
 
 
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["1,2", "1,2"], 2, "duplicate record for frame 0, id 2"),
+    (["1,2", "3,0"], 2, "track ids start at 1, got 0"),
+    (["1,2", "3,2", "2,2"], 3, "frames must be increasing within id 2"),
+    (["1,2", "2,x"], 2, "could not convert string to float: 'x'")],
+    ids=["repeated-frame-and-id", "id-zero", "decreasing-frame", "non-numeric"])
+def test_read_names_the_line_of_every_record_it_refuses(tmp_path, lines, lineno, message):
+    path = tmp_path / "pred.txt"
+    path.write_text("".join(f"{line},3.00,4.00,10.00,12.00,1.000000,-1,-1,-1\n"
+                            for line in lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
+        TrackSet.read(path)
+
+
 def test_read_accepts_integers_written_as_floats(tmp_path):
     path = tmp_path / "pred.txt"
     path.write_text("2.0,3.00,0.00,0.00,5.00,5.00,0.500000,-1,-1,-1\n")

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -684,13 +683,24 @@ def test_tracking_leaves_the_model_file_unchanged(tmp_path):
     assert all(p.value.data.dtype == np.float64 for p in model.parameters())
 
 
-@pytest.mark.parametrize("variant", ["distill", "full"])
-def test_the_default_student_tracked_in_float32_gives_the_float64_records(variant):
-    # the full-size student on the first two sequences of the default
-    # evaluation corpus; the reference runs it in float64
-    config = replace(ExperimentConfig(), num_eval_scenes=2)
+@pytest.fixture(scope="module")
+def default_evaluation():
+    config = ExperimentConfig()
+    return config, evaluation_corpus(config)
+
+
+# the default evaluation sequences each variant tracks, all eight between them
+DEFAULT_SEQUENCES = {"distill": slice(0, 4), "dcsd": slice(2, 6), "full": slice(4, 8)}
+
+
+@pytest.mark.parametrize("variant", list(DEFAULT_SEQUENCES))
+def test_the_default_student_tracked_in_float32_gives_the_float64_records(
+        variant, default_evaluation):
+    # the full-size student, whose float32 products of a few rows run in
+    # column blocks; the reference runs it in float64, in single products
+    config, corpus = default_evaluation
     model = build_model(config, variant)
-    for sample in evaluation_corpus(config):
+    for sample in corpus[DEFAULT_SEQUENCES[variant]]:
         records = [(r.frame, r.track_id, r.box, r.confidence)
                    for r in track_sequence(sample.frames, sample.detections, model,
                                            config.tracker_config())]
