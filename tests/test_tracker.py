@@ -5,9 +5,8 @@ import pytest
 
 from semtrack import tracker
 from semtrack.autodiff import Matrix
-from semtrack.config import ExperimentConfig
 from semtrack.degrade import DEFAULT_CHAIN, DegradationChain, apply_chain
-from semtrack.experiment import build_model, evaluation_corpus
+from semtrack.experiment import build_model
 from semtrack.metrics import evaluate
 from semtrack.quality import QualityRanges
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
@@ -681,12 +680,6 @@ def test_tracking_leaves_the_model_file_unchanged(tmp_path):
     model.save(tmp_path / "after.bin")
     assert (tmp_path / "after.bin").read_bytes() == (tmp_path / "before.bin").read_bytes()
     assert all(p.value.data.dtype == np.float64 for p in model.parameters())
-
-
-@pytest.fixture(scope="module")
-def default_evaluation():
-    config = ExperimentConfig()
-    return config, evaluation_corpus(config)
 
 
 # the default evaluation sequences each variant tracks, all eight between them
