@@ -31,7 +31,9 @@ weighs about as much as its arithmetic. Each op therefore makes one
 finiteness scan of its result and nothing else beyond its arithmetic: a
 C-ordered float result is kept without a copy, a bias row is added in
 place where that keeps numpy's result type, and a leaf keeps as its
-``grad`` a gradient that its rule made for it alone. Every result is bit
+``grad`` a gradient that its rule made for it alone. :meth:`Parameter.step`
+takes that buffer over: it writes the update into it and keeps it as the new
+value, so a training step makes no model-sized temporary. Every result is bit
 for bit the plain numpy expression's, with one exception: a float32 product
 of a few rows that OpenBLAS would otherwise compute by packing all of its
 weight first runs as column blocks that each stay on its small-matrix
@@ -206,8 +208,9 @@ class Parameter:
     """A (possibly frozen) model weight with an accumulated gradient.
 
     Gradients accumulate in ``value.grad`` across backward passes until
-    :meth:`zero_grad`; frozen parameters never receive gradient. ``value``
-    is float64; :meth:`cast` gives it in float32 for inference.
+    :meth:`zero_grad` or :meth:`step`, which takes the gradient's buffer
+    over as the new ``value``; frozen parameters never receive gradient.
+    ``value`` is float64; :meth:`cast` gives it in float32 for inference.
     """
 
     def __init__(self, value, trainable: bool = True, name: str = ""):
@@ -236,11 +239,39 @@ class Parameter:
         self.value.grad = None
 
     def step(self, learning_rate: float) -> None:
-        """Gradient-descent update; no-op for frozen or gradient-less params."""
-        if not self.trainable or self.value.grad is None:
+        """Gradient-descent update, bit for bit ``value - learning_rate *
+        grad``; no-op for frozen or gradient-less params.
+
+        The update is written into the gradient's buffer, which becomes the
+        new ``value``, so a step copies nothing; the gradient is spent and
+        ``value.grad`` is ``None`` afterwards. That buffer must therefore be
+        the gradient's alone, as the tape makes it: a writable float64 array
+        of the value's shape that owns its memory. Anything else, or a
+        non-finite learning rate, raises before anything is written. A
+        non-finite update raises ``ValueError`` and leaves ``value`` as it
+        was, with the spent gradient dropped.
+        """
+        if not math.isfinite(learning_rate):
+            raise ValueError(f"{self!r}: learning rate must be finite, got {learning_rate}")
+        value = self.value
+        g = value.grad
+        if not self.trainable or g is None:
             return
-        self.value = Matrix._wrap(self.value.data - learning_rate * self.value.grad,
-                                  requires_grad=True)
+        if not isinstance(g, np.ndarray) or g.dtype != _FLOAT64:
+            raise ValueError(f"{self!r}: gradient must be a float64 ndarray, "
+                             f"got {getattr(g, 'dtype', type(g).__name__)}")
+        if not g.flags.writeable or g.base is not None:
+            raise ValueError(f"{self!r}: gradient must be writable and own its memory")
+        if g.shape != value.shape:
+            raise DimensionError(f"{self!r}: gradient of shape {g.shape} for a value "
+                                 f"of shape {value.shape}")
+        value.grad = None
+        g *= learning_rate
+        np.subtract(value.data, g, out=g)
+        try:
+            self.value = Matrix._wrap(g, requires_grad=True)
+        except ValueError:
+            raise ValueError(f"{self!r}: the update is not finite") from None
 
     def __repr__(self) -> str:
         tag = "trainable" if self.trainable else "frozen"

@@ -268,10 +268,10 @@ def train(model: TrackerModel, samples: Sequence[SceneSample], train_config: Tra
                 losses = scene_losses(model, sample, train_config, quality_ranges)
                 tape.backward(losses["total"])
             # the tape keeps every activation and the weights it read; free it
-            # before the update allocates the new weights
+            # before the update, so each old weight goes as it is replaced
             del tape
+            # the step spends every gradient, so none is left to zero
             model.step(lr)
-            model.zero_grads()
             log.append({
                 "step": step,
                 "l_local": losses["l_local"],

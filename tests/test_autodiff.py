@@ -149,6 +149,81 @@ def test_parameter_step_applies_gradient_descent():
     assert np.allclose(p.value.data, [[0.0]])  # 1 - 0.5 * 2
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_step_is_bit_for_bit_value_minus_scaled_gradient(seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 40, size=2))
+    p = Parameter(rng.standard_normal(shape))
+    grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+    for learning_rate in (5e-3, 5e-4, 0.1, 1 / 3, 0.7):
+        p.value.grad = grad.copy()
+        expected = p.value.data - learning_rate * grad
+        p.step(learning_rate)
+        assert p.value.data.tobytes() == expected.tobytes()
+
+
+def test_step_turns_the_spent_gradient_into_the_value():
+    p = Parameter([[1.0, -2.0], [0.5, 3.0]])
+    with Tape() as tape:
+        tape.backward(mse(p.value, Matrix(np.zeros((2, 2)))))
+    old, grad = p.value, p.value.grad
+    p.step(0.1)
+    assert p.value is not old and p.value.grad is None and old.grad is None
+    assert p.value.data is grad and not grad.flags.writeable
+    assert np.array_equal(old.data, [[1.0, -2.0], [0.5, 3.0]])
+
+
+@pytest.mark.parametrize("trainable", [True, False], ids=["gradient-less", "frozen"])
+def test_a_parameter_without_an_update_keeps_its_value_object(trainable):
+    p = Parameter(np.ones((2, 3)), trainable=trainable)
+    value = p.value
+    p.step(0.1)
+    assert p.value is value and p.value.grad is None
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize("learning_rate, grad, error, message", [
+    (math.nan, np.ones((2, 3)), ValueError, "learning rate must be finite"),
+    (math.inf, np.ones((2, 3)), ValueError, "learning rate must be finite"),
+    (-math.inf, np.ones((2, 3)), ValueError, "learning rate must be finite"),
+    (0.1, np.ones((1, 1)), DimensionError, r"gradient of shape \(1, 1\) for a value of shape \(2, 3\)"),
+    (0.1, np.ones((3, 2)), DimensionError, r"gradient of shape \(3, 2\)"),
+    (0.1, np.ones((2, 3), dtype=np.float32), ValueError, "float64 ndarray, got float32"),
+    (0.1, [[1.0] * 3] * 2, ValueError, "float64 ndarray, got list"),
+    (0.1, _read_only(np.ones((2, 3))), ValueError, "writable and own its memory"),
+    (0.1, np.ones((4, 3))[::2], ValueError, "writable and own its memory"),
+], ids=["nan-rate", "inf-rate", "minus-inf-rate", "1x1-gradient", "transposed-gradient",
+        "float32-gradient", "list-gradient", "read-only-gradient", "view-gradient"])
+def test_step_rejects_bad_inputs_before_writing(learning_rate, grad, error, message):
+    p = Parameter(np.arange(6.0).reshape(2, 3), name="w")
+    value = p.value
+    p.value.grad = grad
+    before = np.array(grad, copy=True)
+    with pytest.raises(error, match=message):
+        p.step(learning_rate)
+    assert p.value is value and np.array_equal(value.data, np.arange(6.0).reshape(2, 3))
+    assert p.value.grad is grad and np.array_equal(grad, before)
+
+
+@pytest.mark.parametrize("grad", [np.full((2, 3), np.inf), np.full((2, 3), -1e308)],
+                         ids=["infinite-gradient", "overflowing-update"])
+def test_a_non_finite_update_keeps_the_value_and_drops_the_gradient(grad):
+    p = Parameter(np.full((2, 3), 1e308), name="w")
+    value, bits = p.value, p.value.data.tobytes()
+    p.value.grad = grad
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"Parameter\(w, 2x3, trainable\): the update is not finite"):
+            p.step(10.0)
+    assert p.value is value and value.data.tobytes() == bits
+    assert p.value.grad is None
+    p.step(10.0)   # nothing left to apply
+    assert p.value is value and value.data.tobytes() == bits
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_elementwise_ops_match_fd(seed):
     rng = np.random.default_rng(seed)

@@ -448,6 +448,30 @@ def test_dswr_parameters_receive_gradients():
     assert model.dswr.b.value.grad is not None
 
 
+def test_a_full_step_gives_every_leaf_a_gradient_buffer_of_its_own():
+    # Parameter.step writes its update into the gradient, which is safe only
+    # while no other leaf's gradient and no parameter value share its memory
+    sample = make_sample(seed=18, degraded=True, num_frames=5)
+    model = TrackerModel("full", seed=19)
+    with Tape() as tape:
+        tape.backward(scene_losses(model, sample, TrainConfig(alpha=0.4),
+                                   QualityRanges())["total"])
+    params = model.parameters()
+    grads = [p.value.grad for p in params if p.value.grad is not None]
+    assert len(grads) == sum(p.trainable for p in params)
+    for i, grad in enumerate(grads):
+        assert grad.base is None and grad.flags.writeable
+        assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(grad, p.value.data) for p in params)
+
+
+def test_training_leaves_no_gradient_behind():
+    sample = make_sample(seed=18, degraded=True, num_frames=5)
+    model = TrackerModel("full", TINY_STUDENT, seed=19)
+    train(model, [sample], TrainConfig(alpha=0.4, epochs=2))
+    assert all(p.value.grad is None for p in model.parameters())
+
+
 def test_mot_loss_gradient_matches_fd_on_embed_bias():
     # spot-check the full tracking-loss graph against finite differences
     sample = make_sample(seed=20, num_frames=4)
