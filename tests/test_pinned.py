@@ -28,8 +28,9 @@ from semtrack.metrics import evaluate
 from semtrack.training import train
 from semtrack.tracker import VARIANTS
 
-# eval002-eval005: eval004 is the one default sequence that a student variant
-# (untrained or after one epoch, only ``full``) tracks differently
+# eval002-eval005: eval004 is the one default sequence whose records tell the
+# variants apart (untrained ``full`` and every student after one epoch differ
+# there from the others)
 SEQUENCES = slice(2, 6)
 TRAIN_SCENES = 2
 
