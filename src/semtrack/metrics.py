@@ -16,16 +16,32 @@ Definitions follow the reference evaluators for the three metric families:
   association Jaccard over TPs, HOTA(alpha) = sqrt(DetA*AssA); final scores
   average over the alpha grid :data:`ALPHAS` (0.05, 0.10, ..., 0.95).
 
-The three metrics read one :class:`FrameTable` of the sequence: every frame
-either track set has, its ground-truth and prediction records in
+The three metrics read one :class:`FrameTable` of the sequence, built once by
+:func:`frame_table` and handed by :func:`evaluate` to :func:`hota`,
+:func:`mota` and :func:`idf1`, which each take it as a required argument and
+stay three module-level calls so that each can be timed on its own. The
+table is flat: each side's records become arrays once, in
 ``TrackSet.by_frame`` order (row and column order decide assignment ties),
-their positions in the sorted id lists, and the frame's ground-truth-by-
-prediction IoU block. :func:`frame_table` computes the blocks of every frame
-in one :func:`semtrack.tracks.broadcast_iou` call over all within-frame box
-pairs; :func:`evaluate` builds the table once and hands it to :func:`hota`,
-:func:`mota` and :func:`idf1`, which each take it as a required argument.
-They stay three module-level calls so that each can be timed on its own.
-HOTA gates a frame's matches at every alpha with one comparison.
+and every within-frame (ground truth, prediction) pair of the sequence is one
+entry of the pair arrays, its IoU from one
+:func:`semtrack.tracks.broadcast_iou` call over all of them. A frame's pairs
+are consecutive and row-major, so its IoU block is a reshaped slice.
+
+Only the Hungarian calls loop over frames, one per frame with both sides in
+HOTA and in MOTA, each on such a slice. Every sum is one array call over the
+whole sequence that adds in the order the per-frame computation did, so
+scores are bit for bit those of summing frame by frame:
+
+* ``np.bincount`` adds in array order, one value after another. It gives a
+  block column's sum (numpy's ``sum(axis=0)`` adds the rows in turn), a row
+  of fewer than 8 entries, HOTA's potential (a cell gets at most one term a
+  frame, in frame order) and the count grids.
+* numpy's ``sum`` adds 8 or more contiguous values pairwise. A longer block
+  row, or the column of a frame's only prediction, is summed again as a row
+  of a stacked array of rows of its length, one call per length; AssA sums
+  each alpha's grid as one row of an ``alphas x cells`` array.
+* MOTA's identity switches come from a stable sort of the matches by
+  ground-truth id, which keeps each id's matches in frame order.
 
 All scores are fractions in [0, 1] (MOTA can go negative).
 """
@@ -33,13 +49,13 @@ All scores are fractions in [0, 1] (MOTA can go negative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # box_iou is unused here but stays bound: the benchmark's harness tests read it
-from semtrack.tracks import TrackRecord, TrackSet, box_iou, broadcast_iou
+from semtrack.tracks import TrackSet, box_iou, broadcast_iou
 
 ALPHAS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2).tolist())
 IOU_THRESHOLD = 0.5
@@ -71,84 +87,144 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class FrameTable:
-    """Per-frame view of one sequence that every metric reads. Lists run over
-    ``frames`` (sorted); frame k's IoU block ``ious[k]`` has one row per
-    ``gt[k]`` record and one column per ``pred[k]`` record, in that order, and
-    ``gt_index[k]`` / ``pred_index[k]`` give each record's position in
-    ``gt_ids`` / ``pred_ids``."""
-    frames: list[int]
-    gt: list[list[TrackRecord]]
-    pred: list[list[TrackRecord]]
-    gt_ids: list[int]
-    pred_ids: list[int]
-    gt_index: list[np.ndarray]
-    pred_index: list[np.ndarray]
-    ious: list[np.ndarray]
+    """Flat view of one sequence that every metric reads.
+
+    Records of each side are numbered in ``TrackSet.by_frame`` order: by
+    frame, and within a frame in the order they were added, which decides
+    assignment ties. ``gt_index`` / ``pred_index`` give each record's
+    position in the sorted ``gt_ids`` / ``pred_ids``. ``frames`` are the
+    sorted frames either side has, with ``n_gt`` / ``n_pred`` records each.
+
+    A pair is one ground-truth and one prediction record of the same frame.
+    Pairs run frame by frame, each frame row-major (its first ground-truth
+    record against every prediction of the frame, then the next), so a
+    frame's pairs reshaped ``n_gt x n_pred`` are its IoU block. ``pair_gt``,
+    ``pair_pred`` and ``pair_iou`` give each pair's records and IoU, and
+    ``pair_cell`` its flat position in a ``gt_ids x pred_ids`` grid."""
+    frames: np.ndarray
+    n_gt: np.ndarray
+    n_pred: np.ndarray
+    gt_ids: np.ndarray
+    pred_ids: np.ndarray
+    gt_index: np.ndarray
+    pred_index: np.ndarray
+    pair_gt: np.ndarray
+    pair_pred: np.ndarray
+    pair_cell: np.ndarray
+    pair_iou: np.ndarray
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First pair, row count and column count of the IoU block of every
+        frame that has both sides, in frame order."""
+        n_pairs = self.n_gt * self.n_pred
+        both = np.flatnonzero(n_pairs)
+        return (np.cumsum(n_pairs)[both] - n_pairs[both], self.n_gt[both],
+                self.n_pred[both])
 
 
-def _split(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
-    """``flat`` cut into consecutive pieces of ``sizes`` items."""
-    return [flat[end - n:end] for end, n in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
-
-
-def _side(by_frame: dict[int, list[TrackRecord]], frames: list[int], ids: list[int]):
-    """(records per frame, record count per frame, the boxes of all of them
-    as an n x 4 array, each record's position in the sorted ``ids``)."""
-    records = [by_frame.get(f, []) for f in frames]
-    flat = [r for recs in records for r in recs]
-    sizes = np.array([len(recs) for recs in records], dtype=np.intp)
-    boxes = np.array([r.box for r in flat], dtype=np.float64).reshape(-1, 4)
-    index = np.searchsorted(np.array(ids, dtype=np.int64),
-                            np.array([r.track_id for r in flat], dtype=np.int64))
-    return records, sizes, boxes, index
+def _side(tracks: TrackSet, name: str):
+    """(frame, id position, box) arrays of the records of ``tracks`` in
+    ``by_frame`` order, and the sorted ids."""
+    n = len(tracks)
+    frame = np.fromiter([r.frame for r in tracks], np.int64, n)
+    track_id = np.fromiter([r.track_id for r in tracks], np.int64, n)
+    boxes = np.fromiter(chain.from_iterable([r.box for r in tracks]), np.float64,
+                        4 * n).reshape(n, 4)
+    if not np.isfinite(boxes).all():
+        raise ValueError(f"{name} has a non-finite box")
+    order = np.argsort(frame, kind="stable")
+    ids, index = np.unique(track_id, return_inverse=True)
+    return frame[order], index[order], boxes[order], ids
 
 
 def frame_table(gt: TrackSet, pred: TrackSet) -> FrameTable:
-    """The :class:`FrameTable` of ``gt`` against ``pred``; every frame's IoU
-    block comes from one aligned IoU call over all within-frame pairs."""
-    gt_by_frame = gt.by_frame()
-    pred_by_frame = pred.by_frame()
-    frames = sorted(set(gt_by_frame) | set(pred_by_frame))
-    gt_ids, pred_ids = gt.ids(), pred.ids()
-    gt_recs, n_gt, gt_boxes, gt_index = _side(gt_by_frame, frames, gt_ids)
-    pred_recs, n_pred, pred_boxes, pred_index = _side(pred_by_frame, frames, pred_ids)
+    """The :class:`FrameTable` of ``gt`` against ``pred``, with the IoUs of
+    all within-frame pairs from one aligned IoU call. A non-finite box on
+    either side raises ``ValueError`` naming the side."""
+    gt_frame, gt_index, gt_boxes, gt_ids = _side(gt, "gt")
+    pred_frame, pred_index, pred_boxes, pred_ids = _side(pred, "pred")
+    frames = np.union1d(gt_frame, pred_frame)
+    n_gt = np.bincount(np.searchsorted(frames, gt_frame), minlength=frames.size)
+    n_pred = np.bincount(np.searchsorted(frames, pred_frame), minlength=frames.size)
 
-    # pair p of frame k, counted from the frame's first pair, is gt row
-    # p // n_pred[k] and pred column p % n_pred[k] of that frame
-    n_pairs = n_gt * n_pred
-    p = np.arange(n_pairs.sum()) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
-    width = np.repeat(n_pred, n_pairs)
-    rows = np.repeat(np.cumsum(n_gt) - n_gt, n_pairs) + p // width
-    cols = np.repeat(np.cumsum(n_pred) - n_pred, n_pairs) + p % width
-    pair_ious = broadcast_iou(gt_boxes[rows], pred_boxes[cols])
-    ious = [block.reshape(g, q) for block, g, q in
-            zip(_split(pair_ious, n_pairs), n_gt.tolist(), n_pred.tolist())]
-    return FrameTable(frames, gt_recs, pred_recs, gt_ids, pred_ids,
-                      _split(gt_index, n_gt), _split(pred_index, n_pred), ious)
+    # a ground-truth record pairs with every prediction of its frame, in order
+    row_len = np.repeat(n_pred, n_gt)
+    pair_gt = np.repeat(np.arange(row_len.size), row_len)
+    first_pred = np.repeat(np.cumsum(n_pred) - n_pred, n_gt)
+    pair_pred = (np.repeat(first_pred - (np.cumsum(row_len) - row_len), row_len)
+                 + np.arange(pair_gt.size))
+    pair_cell = gt_index[pair_gt] * pred_ids.size + pred_index[pair_pred]
+    pair_iou = broadcast_iou(gt_boxes[pair_gt], pred_boxes[pair_pred])
+    return FrameTable(frames, n_gt, n_pred, gt_ids, pred_ids, gt_index, pred_index,
+                      pair_gt, pair_pred, pair_cell, pair_iou)
+
+
+def _assign(table: FrameTable, cost: np.ndarray) -> np.ndarray:
+    """The pairs each frame's optimal assignment on ``cost`` (one entry per
+    pair) picks, in frame order and by row within a frame."""
+    starts, n_rows, n_cols = table.blocks()
+    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for start, stop, width in zip(starts.tolist(), (starts + n_rows * n_cols).tolist(),
+                                  n_cols.tolist()):
+        r, c = linear_sum_assignment(cost[start:stop].reshape(-1, width))
+        rows.append(r)
+        cols.append(c)
+    picks = np.minimum(n_rows, n_cols)   # a rectangular assignment fills the shorter side
+    return (np.repeat(starts, picks) + np.concatenate(rows) * np.repeat(n_cols, picks)
+            + np.concatenate(cols))
+
+
+def _sums(values: np.ndarray, owner: np.ndarray, size: int, first: np.ndarray,
+          count: np.ndarray) -> np.ndarray:
+    """Each owner's sum of ``values``, bit for bit as numpy's ``sum`` adds the
+    owner's row or column of its IoU block. ``first`` and ``count`` mark the
+    runs of contiguous values numpy sums as one. ``np.bincount`` adds in pair
+    order, as numpy sums a block's column or a run of fewer than 8 values; a
+    run of 8 or more numpy sums pairwise, so those runs are summed again,
+    stacked as rows of one length."""
+    sums = np.bincount(owner, values, minlength=size)
+    for n in np.unique(count[count >= 8]).tolist():
+        run = first[count == n]
+        sums[owner[run]] = values[run[:, None] + np.arange(n)].sum(axis=1)
+    return sums
+
+
+def _potential(table: FrameTable) -> np.ndarray:
+    """The HOTA alignment potential, ground-truth ids by prediction ids: over
+    frames, the sum of each pair's IoU over its row sum plus its column sum
+    minus itself."""
+    iou = table.pair_iou
+    # a record's row is one contiguous run of pairs, and so is the column of
+    # a frame's only prediction
+    row_len = np.repeat(table.n_pred, table.n_gt)
+    row_sum = _sums(iou, table.pair_gt, row_len.size, np.cumsum(row_len) - row_len, row_len)
+    starts, n_rows, n_cols = table.blocks()
+    alone = n_cols == 1
+    col_sum = _sums(iou, table.pair_pred, table.pred_index.size, starts[alone], n_rows[alone])
+    denom = col_sum[table.pair_pred] + row_sum[table.pair_gt] - iou
+    ratio = np.divide(iou, denom, out=np.zeros_like(iou), where=denom > 1e-12)
+    # a frame adds at most one ratio to a cell, so each cell sums in frame
+    # order (bincount of no pairs gives integer zeros)
+    shape = (len(table.gt_ids), len(table.pred_ids))
+    return np.bincount(table.pair_cell, ratio, minlength=shape[0] * shape[1]).reshape(
+        shape).astype(np.float64, copy=False)
 
 
 def mota(gt: TrackSet, pred: TrackSet, table: FrameTable) -> tuple[float, MetricCounts]:
     """CLEAR-style accuracy with per-frame count-then-IoU optimal matching."""
     if len(gt) == 0:
         raise UndefinedMetricError("MOTA is undefined for empty ground truth")
-    counts = MetricCounts()
-    last_match: dict[int, int] = {}  # gt id -> pred id at last matched frame
-    for gt_recs, pred_recs, ious in zip(table.gt, table.pred, table.ious):
-        matches = []
-        if gt_recs and pred_recs:
-            cost = np.where(ious >= IOU_THRESHOLD, 1.0 - ious, _BIG_COST)
-            rows, cols = linear_sum_assignment(cost)
-            kept = ious[rows, cols] >= IOU_THRESHOLD
-            matches = list(zip(rows[kept].tolist(), cols[kept].tolist()))
-        counts.tp += len(matches)
-        counts.fn += len(gt_recs) - len(matches)
-        counts.fp += len(pred_recs) - len(matches)
-        for r, c in matches:
-            gid = gt_recs[r].track_id
-            pid = pred_recs[c].track_id
-            if gid in last_match and last_match[gid] != pid:
-                counts.idsw += 1
-            last_match[gid] = pid
+    iou = table.pair_iou
+    match = _assign(table, np.where(iou >= IOU_THRESHOLD, 1.0 - iou, _BIG_COST))
+    match = match[iou[match] >= IOU_THRESHOLD]
+    # a stable sort by ground-truth id keeps each id's matches in frame order,
+    # so neighbours of one id are its consecutive matches
+    gid = table.gt_index[table.pair_gt[match]]
+    order = np.argsort(gid, kind="stable")
+    gid, pid = gid[order], table.pred_index[table.pair_pred[match]][order]
+    idsw = int(np.count_nonzero((gid[1:] == gid[:-1]) & (pid[1:] != pid[:-1])))
+    tp = int(match.size)
+    counts = MetricCounts(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp, idsw=idsw)
     value = 1.0 - (counts.fn + counts.fp + counts.idsw) / len(gt)
     return value, counts
 
@@ -157,11 +233,11 @@ def idf1(gt: TrackSet, pred: TrackSet, table: FrameTable) -> float:
     """F1 over identity-consistent matches under optimal global id pairing."""
     if len(gt) == 0:
         raise UndefinedMetricError("IDF1 is undefined for empty ground truth")
-    overlap = np.zeros((len(table.gt_ids), len(table.pred_ids)))
-    for gi, pj, ious in zip(table.gt_index, table.pred_index, table.ious):
-        r, c = np.nonzero(ious >= IOU_THRESHOLD)
-        # a frame holds each id once, so no (gt, pred) cell repeats
-        overlap[gi[r], pj[c]] += 1
+    n_gt_ids, n_pred_ids = len(table.gt_ids), len(table.pred_ids)
+    # a frame holds each id once, so a (gt, pred) cell counts frames
+    hits = table.pair_cell[table.pair_iou >= IOU_THRESHOLD]
+    overlap = np.bincount(hits, minlength=n_gt_ids * n_pred_ids).reshape(
+        n_gt_ids, n_pred_ids).astype(np.float64)
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
     idfn = len(gt) - idtp
@@ -175,55 +251,36 @@ def hota(gt: TrackSet, pred: TrackSet, table: FrameTable
     """HOTA / DetA / AssA averaged over the alpha grid, plus per-alpha values."""
     if len(gt) == 0:
         raise UndefinedMetricError("HOTA is undefined for empty ground truth")
-    shape = (len(ALPHAS), len(table.gt_ids), len(table.pred_ids))
-
-    frame_data = []
-    potential = np.zeros(shape[1:])
-    for gi, pj, sim in zip(table.gt_index, table.pred_index, table.ious):
-        if gi.size and pj.size:
-            denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
-            ratio = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
-            potential[gi[:, None], pj] += ratio
-            frame_data.append((gi, pj, sim))
-    gt_count = np.bincount(np.concatenate(table.gt_index),
-                           minlength=shape[1]).astype(np.float64)
-    pred_count = np.bincount(np.concatenate(table.pred_index),
-                             minlength=shape[2]).astype(np.float64)
-
-    union = gt_count[:, None] + pred_count[None, :] - potential
+    n_gt_ids, n_pred_ids = len(table.gt_ids), len(table.pred_ids)
+    n_cells = n_gt_ids * n_pred_ids
+    iou, cell = table.pair_iou, table.pair_cell
+    potential = _potential(table)
+    gt_count = np.bincount(table.gt_index, minlength=n_gt_ids).astype(np.float64)
+    pred_count = np.bincount(table.pred_index, minlength=n_pred_ids).astype(np.float64)
+    pair_count = gt_count[:, None] + pred_count[None, :]
+    union = pair_count - potential
     alignment = np.where(union > 0, potential / np.maximum(union, 1e-12), 0.0)
 
     # each frame's optimal matching; a match counts at every alpha its
     # similarity reaches, so one (alphas x matches) comparison serves them all
-    matched = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
-    for gi, pj, sim in frame_data:
-        rows, cols = linear_sum_assignment(-(alignment[gi[:, None], pj] * sim))
-        matched.append((gi[rows], pj[cols], sim[rows, cols]))
-    match_g, match_p, match_sim = (np.concatenate(part) for part in zip(*matched))
-    kept = match_sim[None, :] >= np.array(ALPHAS)[:, None]
+    match = _assign(table, -(alignment.ravel()[cell] * iou))
+    kept = iou[match][None, :] >= np.array(ALPHAS)[:, None]
     a_idx, m_idx = np.nonzero(kept)
-    cells = np.ravel_multi_index((a_idx, match_g[m_idx], match_p[m_idx]), shape)
-    match_counts = np.bincount(cells, minlength=prod(shape)).reshape(shape)
+    match_counts = np.bincount(a_idx * n_cells + cell[match][m_idx],
+                               minlength=len(ALPHAS) * n_cells).reshape(len(ALPHAS), -1)
     tp = kept.sum(axis=1).astype(np.float64)
     fn = len(gt) - tp
     fp = len(pred) - tp
 
-    per_alpha: dict[float, tuple[float, float, float]] = {}
-    for a, alpha in enumerate(ALPHAS):
-        det_denom = tp[a] + fn[a] + fp[a]
-        deta = tp[a] / det_denom if det_denom else 0.0
-        if tp[a]:
-            pair_union = gt_count[:, None] + pred_count[None, :] - match_counts[a]
-            jaccard = match_counts[a] / np.maximum(pair_union, 1.0)
-            assa = float((match_counts[a] * jaccard).sum() / tp[a])
-        else:
-            assa = 0.0
-        per_alpha[alpha] = (float(np.sqrt(deta * assa)), float(deta), assa)
-
-    hota_avg = float(np.mean([v[0] for v in per_alpha.values()]))
-    deta_avg = float(np.mean([v[1] for v in per_alpha.values()]))
-    assa_avg = float(np.mean([v[2] for v in per_alpha.values()]))
-    return hota_avg, deta_avg, assa_avg, per_alpha
+    det_denom = tp + fn + fp
+    deta = np.divide(tp, det_denom, out=np.zeros_like(tp), where=det_denom > 0)
+    jaccard = match_counts / np.maximum(pair_count.ravel() - match_counts, 1.0)
+    # a row of an alpha's cells sums pairwise, as a sum over its G x P grid does
+    assa = np.divide((match_counts * jaccard).sum(axis=1), tp, out=np.zeros_like(tp),
+                     where=tp > 0)
+    hota_a = np.sqrt(deta * assa)
+    per_alpha = dict(zip(ALPHAS, zip(hota_a.tolist(), deta.tolist(), assa.tolist())))
+    return float(hota_a.mean()), float(deta.mean()), float(assa.mean()), per_alpha
 
 
 def evaluate(gt: TrackSet, pred: TrackSet) -> MetricReport:

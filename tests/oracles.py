@@ -7,6 +7,10 @@ with its miss counter.
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
 matching instead of the Hungarian algorithm the implementation uses.
+:func:`reference_evaluate` is the exact reference instead: the metrics as
+they were computed one frame at a time, each frame's IoU block summed and
+matched on its own, so the flat-array :func:`semtrack.metrics.evaluate` must
+reproduce every field of its report bit for bit.
 
 :func:`per_frame_scene_losses` computes the losses of one training scene the
 way the tracker sees frames: one embedding, one student call and one fusion
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -31,6 +36,8 @@ from semtrack.autodiff import Matrix
 from semtrack.degrade import (DegradationChain, Downsample, GaussianBlur, GaussianNoise,
                               _gaussian_kernel, _noise_rng)
 from semtrack.frames import resize
+from semtrack.metrics import (_BIG_COST, ALPHAS, IOU_THRESHOLD, MetricCounts, MetricReport,
+                              UndefinedMetricError)
 from semtrack.quality import QualityRanges
 from semtrack.scenes import detections_by_frame
 from semtrack.student import FEATURE_DIM
@@ -38,7 +45,7 @@ from semtrack.teacher import pseudo_teacher
 from semtrack.tracker import (BIRTH_CONFIDENCE, IOU_WEIGHT, MATCH_GATE, MISS_DECAY, PATCH,
                               PROPAGATE_CONFIDENCE, box_descriptor)
 from semtrack.training import CONTRASTIVE_TEMPERATURE, match_detections_to_gt
-from semtrack.tracks import TrackRecord, TrackSet, box_iou, iou_matrix
+from semtrack.tracks import TrackRecord, TrackSet, box_iou, broadcast_iou, iou_matrix
 
 
 def all_matchings(n: int, m: int):
@@ -190,6 +197,211 @@ def brute_hota(gt: TrackSet, pred: TrackSet, alphas) -> tuple[float, float, floa
         assas.append(assa)
     k = len(alphas)
     return sum(hotas) / k, sum(detas) / k, sum(assas) / k
+
+
+@dataclass(frozen=True)
+class ReferenceFrameTable:
+    """Per-frame view of one sequence: lists run over ``frames`` (sorted);
+    frame k's IoU block ``ious[k]`` has one row per ``gt[k]`` record and one
+    column per ``pred[k]`` record, and ``gt_index[k]`` / ``pred_index[k]``
+    give each record's position in ``gt_ids`` / ``pred_ids``."""
+    frames: list[int]
+    gt: list[list[TrackRecord]]
+    pred: list[list[TrackRecord]]
+    gt_ids: list[int]
+    pred_ids: list[int]
+    gt_index: list[np.ndarray]
+    pred_index: list[np.ndarray]
+    ious: list[np.ndarray]
+
+
+def _split(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    return [flat[end - n:end] for end, n in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
+
+
+def _reference_side(by_frame: dict[int, list[TrackRecord]], frames: list[int],
+                    ids: list[int]):
+    records = [by_frame.get(f, []) for f in frames]
+    flat = [r for recs in records for r in recs]
+    sizes = np.array([len(recs) for recs in records], dtype=np.intp)
+    boxes = np.array([r.box for r in flat], dtype=np.float64).reshape(-1, 4)
+    index = np.searchsorted(np.array(ids, dtype=np.int64),
+                            np.array([r.track_id for r in flat], dtype=np.int64))
+    return records, sizes, boxes, index
+
+
+def reference_frame_table(gt: TrackSet, pred: TrackSet) -> ReferenceFrameTable:
+    """Every frame's records in ``TrackSet.by_frame`` order and its IoU block."""
+    gt_by_frame = gt.by_frame()
+    pred_by_frame = pred.by_frame()
+    frames = sorted(set(gt_by_frame) | set(pred_by_frame))
+    gt_ids, pred_ids = gt.ids(), pred.ids()
+    gt_recs, n_gt, gt_boxes, gt_index = _reference_side(gt_by_frame, frames, gt_ids)
+    pred_recs, n_pred, pred_boxes, pred_index = _reference_side(pred_by_frame, frames,
+                                                                pred_ids)
+    n_pairs = n_gt * n_pred
+    p = np.arange(n_pairs.sum()) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    width = np.repeat(n_pred, n_pairs)
+    rows = np.repeat(np.cumsum(n_gt) - n_gt, n_pairs) + p // width
+    cols = np.repeat(np.cumsum(n_pred) - n_pred, n_pairs) + p % width
+    pair_ious = broadcast_iou(gt_boxes[rows], pred_boxes[cols])
+    ious = [block.reshape(g, q) for block, g, q in
+            zip(_split(pair_ious, n_pairs), n_gt.tolist(), n_pred.tolist())]
+    return ReferenceFrameTable(frames, gt_recs, pred_recs, gt_ids, pred_ids,
+                               _split(gt_index, n_gt), _split(pred_index, n_pred), ious)
+
+
+def reference_mota(gt: TrackSet, pred: TrackSet, table: ReferenceFrameTable):
+    """MOTA and its counts, one frame's matching and ID switches at a time."""
+    if len(gt) == 0:
+        raise UndefinedMetricError("MOTA is undefined for empty ground truth")
+    counts = MetricCounts()
+    last_match: dict[int, int] = {}  # gt id -> pred id at last matched frame
+    for gt_recs, pred_recs, ious in zip(table.gt, table.pred, table.ious):
+        matches = []
+        if gt_recs and pred_recs:
+            cost = np.where(ious >= IOU_THRESHOLD, 1.0 - ious, _BIG_COST)
+            rows, cols = linear_sum_assignment(cost)
+            kept = ious[rows, cols] >= IOU_THRESHOLD
+            matches = list(zip(rows[kept].tolist(), cols[kept].tolist()))
+        counts.tp += len(matches)
+        counts.fn += len(gt_recs) - len(matches)
+        counts.fp += len(pred_recs) - len(matches)
+        for r, c in matches:
+            gid = gt_recs[r].track_id
+            pid = pred_recs[c].track_id
+            if gid in last_match and last_match[gid] != pid:
+                counts.idsw += 1
+            last_match[gid] = pid
+    value = 1.0 - (counts.fn + counts.fp + counts.idsw) / len(gt)
+    return value, counts
+
+
+def reference_idf1(gt: TrackSet, pred: TrackSet, table: ReferenceFrameTable) -> float:
+    """IDF1 with the id overlap counted one frame at a time."""
+    if len(gt) == 0:
+        raise UndefinedMetricError("IDF1 is undefined for empty ground truth")
+    overlap = np.zeros((len(table.gt_ids), len(table.pred_ids)))
+    for gi, pj, ious in zip(table.gt_index, table.pred_index, table.ious):
+        r, c = np.nonzero(ious >= IOU_THRESHOLD)
+        overlap[gi[r], pj[c]] += 1
+    rows, cols = linear_sum_assignment(-overlap)
+    idtp = overlap[rows, cols].sum()
+    idfn = len(gt) - idtp
+    idfp = len(pred) - idtp
+    denominator = 2 * idtp + idfp + idfn
+    return float(2 * idtp / denominator) if denominator else 0.0
+
+
+def reference_potential(table: ReferenceFrameTable) -> np.ndarray:
+    """HOTA's alignment potential, ground-truth ids by prediction ids, added
+    up one frame's IoU block at a time."""
+    potential = np.zeros((len(table.gt_ids), len(table.pred_ids)))
+    for gi, pj, sim in zip(table.gt_index, table.pred_index, table.ious):
+        if sim.size:
+            denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
+            ratio = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
+            potential[gi[:, None], pj] += ratio
+    return potential
+
+
+def reference_hota(gt: TrackSet, pred: TrackSet, table: ReferenceFrameTable):
+    """HOTA / DetA / AssA and the per-alpha values, with each frame's row and
+    column sums, alignment potential and matching computed on its own block
+    and one AssA sum per alpha."""
+    if len(gt) == 0:
+        raise UndefinedMetricError("HOTA is undefined for empty ground truth")
+    shape = (len(ALPHAS), len(table.gt_ids), len(table.pred_ids))
+    potential = reference_potential(table)
+    frame_data = [(gi, pj, sim) for gi, pj, sim in
+                  zip(table.gt_index, table.pred_index, table.ious) if sim.size]
+    gt_count = np.bincount(np.concatenate(table.gt_index),
+                           minlength=shape[1]).astype(np.float64)
+    pred_count = np.bincount(np.concatenate(table.pred_index),
+                             minlength=shape[2]).astype(np.float64)
+
+    union = gt_count[:, None] + pred_count[None, :] - potential
+    alignment = np.where(union > 0, potential / np.maximum(union, 1e-12), 0.0)
+
+    matched = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+    for gi, pj, sim in frame_data:
+        rows, cols = linear_sum_assignment(-(alignment[gi[:, None], pj] * sim))
+        matched.append((gi[rows], pj[cols], sim[rows, cols]))
+    match_g, match_p, match_sim = (np.concatenate(part) for part in zip(*matched))
+    kept = match_sim[None, :] >= np.array(ALPHAS)[:, None]
+    a_idx, m_idx = np.nonzero(kept)
+    cells = np.ravel_multi_index((a_idx, match_g[m_idx], match_p[m_idx]), shape)
+    match_counts = np.bincount(cells, minlength=prod(shape)).reshape(shape)
+    tp = kept.sum(axis=1).astype(np.float64)
+    fn = len(gt) - tp
+    fp = len(pred) - tp
+
+    per_alpha: dict[float, tuple[float, float, float]] = {}
+    for a, alpha in enumerate(ALPHAS):
+        det_denom = tp[a] + fn[a] + fp[a]
+        deta = tp[a] / det_denom if det_denom else 0.0
+        if tp[a]:
+            pair_union = gt_count[:, None] + pred_count[None, :] - match_counts[a]
+            jaccard = match_counts[a] / np.maximum(pair_union, 1.0)
+            assa = float((match_counts[a] * jaccard).sum() / tp[a])
+        else:
+            assa = 0.0
+        per_alpha[alpha] = (float(np.sqrt(deta * assa)), float(deta), assa)
+
+    hota_avg = float(np.mean([v[0] for v in per_alpha.values()]))
+    deta_avg = float(np.mean([v[1] for v in per_alpha.values()]))
+    assa_avg = float(np.mean([v[2] for v in per_alpha.values()]))
+    return hota_avg, deta_avg, assa_avg, per_alpha
+
+
+def reference_evaluate(gt: TrackSet, pred: TrackSet) -> MetricReport:
+    """The :class:`MetricReport` of the three per-frame reference metrics."""
+    table = reference_frame_table(gt, pred)
+    hota_v, deta_v, assa_v, per_alpha = reference_hota(gt, pred, table)
+    mota_v, counts = reference_mota(gt, pred, table)
+    return MetricReport(hota=hota_v, deta=deta_v, assa=assa_v, mota=mota_v,
+                        idf1=reference_idf1(gt, pred, table), counts=counts,
+                        per_alpha=per_alpha)
+
+
+def random_sequence(rng, n_ids: int, n_frames: int) -> tuple[TrackSet, TrackSet]:
+    """A ground-truth and prediction pair over ``n_frames`` frames with up to
+    ``n_ids`` targets a frame. Frames hold both sides, ground truth only,
+    predictions only or nothing. Boxes sit on an integer grid, so IoUs tie;
+    some boxes are degenerate, some predictions copy a box exactly, ids
+    switch, and each frame's records are added in shuffled id order."""
+    base = np.column_stack([rng.integers(0, 60, (n_ids, 2)), rng.integers(4, 20, (n_ids, 2))])
+    velocity = rng.integers(-2, 3, (n_ids, 2))
+    pred_id = np.arange(1, n_ids + 1) + 100
+    gt, pred = TrackSet(), TrackSet()
+    for frame in range(n_frames):
+        kind = rng.choice(["both", "both", "both", "gt", "pred", "none"])
+        if rng.uniform() < 0.15:                     # an identity switch
+            a, b = rng.integers(0, n_ids, 2)
+            pred_id[[a, b]] = pred_id[[b, a]]
+        gt_recs, pred_recs = [], []
+        for k in rng.permutation(n_ids).tolist():
+            if rng.uniform() < 0.2:
+                continue
+            box = base[k].astype(float)
+            box[:2] += velocity[k] * frame
+            if rng.uniform() < 0.05:                 # zero width or negative height
+                box[2 + int(rng.integers(0, 2))] = float(rng.integers(-3, 1))
+            if kind in ("both", "gt"):
+                gt_recs.append(TrackRecord(frame, k + 1, tuple(box.tolist())))
+            if kind in ("both", "pred") and rng.uniform() < 0.85:
+                jitter = rng.integers(-2, 3, 4) * (rng.uniform() < 0.6)
+                pred_recs.append(TrackRecord(frame, int(pred_id[k]),
+                                             tuple((box + jitter).tolist())))
+        if kind in ("both", "pred") and pred_recs and rng.uniform() < 0.3:
+            # a false positive on another prediction's exact box
+            copied = pred_recs[int(rng.integers(0, len(pred_recs)))].box
+            pred_recs.append(TrackRecord(frame, 1000 + frame, copied))
+        for record in gt_recs:
+            gt.add(record)
+        for record in pred_recs:
+            pred.add(record)
+    return gt, pred
 
 
 def random_tiny_case(rng, max_ids=3, max_frames=4):

@@ -310,6 +310,50 @@ def test_take_rows_gradient_never_adds_into_a_shared_buffer():
     check_against_fd(build, [a], label="take_rows[after a shared gradient]")
 
 
+@pytest.mark.parametrize("rows, increasing", [
+    ([0, 3, 5, 9], True), ([7], True), ([2, 0, 2], False), ([3, 2, 1, 0], False),
+    ([1, 1, 4], False)])
+def test_take_rows_adds_its_rows_as_np_add_at_does(rows, increasing):
+    rng = np.random.default_rng(170)
+    with Tape() as tape:
+        ad.take_rows(Parameter(rng.standard_normal((10, 6))).value, rows)
+    (delta,) = tape._records[-1][2](rng.standard_normal((len(rows), 6)))
+    assert delta.increasing is increasing
+    buffer = rng.standard_normal((10, 6))
+    expected = buffer.copy()
+    np.add.at(expected, delta.index, delta.values)
+    delta.add_to(buffer)
+    assert buffer.tobytes() == expected.tobytes()
+    summed = np.zeros((10, 6))
+    delta.add_to(summed)
+    for r in set(rows):   # a row taken more than once gets the sum of its copies' gradients
+        assert np.array_equal(summed[r],
+                              sum(delta.values[i] for i, k in enumerate(rows) if k == r))
+
+
+def test_take_rows_gradients_equal_the_np_add_at_path_bit_for_bit(monkeypatch):
+    # rows taken from a leaf and from a recorded op, in increasing order and
+    # repeated, on a tape that runs backward twice
+    rng = np.random.default_rng(171)
+    data, weight = rng.standard_normal((12, 5)), rng.standard_normal((12, 5))
+
+    def grads():
+        p = Parameter(data.copy())
+        with Tape() as tape:
+            h = ad.multiply(p.value, Matrix(weight))
+            parts = [ad.take_rows(p.value, [0, 4, 7]), ad.take_rows(h, [1, 2, 11]),
+                     ad.take_rows(h, [5, 5, 0]), ad.take_rows(p.value, [9, 3])]
+            loss = weighted_scalar(lambda m: m)(ad.concat_rows(parts))
+            tape.backward(loss)
+            tape.backward(loss)
+        return p.value.grad.tobytes()
+
+    fast = grads()
+    monkeypatch.setattr(ad._Rows, "add_to",
+                        lambda self, buffer: np.add.at(buffer, self.index, self.values))
+    assert fast == grads()
+
+
 @pytest.mark.parametrize("rows", [[], [4], [-1], [[0, 1]], [0.0], [True, False]],
                          ids=["empty", "past-end", "negative", "2-D", "float", "bool"])
 def test_take_rows_rejects_bad_index_lists(rows):

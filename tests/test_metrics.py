@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import semtrack
 from semtrack import experiment, metrics
@@ -14,7 +15,8 @@ from semtrack.metrics import (ALPHAS, UndefinedMetricError, evaluate, frame_tabl
 from semtrack.tracker import track_sequence
 from semtrack.tracks import TrackRecord, TrackSet, box_iou, broadcast_iou, iou_matrix
 
-from oracles import brute_hota, brute_idf1, brute_mota, random_tiny_case
+from oracles import (brute_hota, brute_idf1, brute_mota, random_sequence, random_tiny_case,
+                     reference_evaluate, reference_frame_table, reference_potential)
 
 
 def simple_track(track_id, frames, box):
@@ -182,24 +184,80 @@ def test_frame_table_blocks_equal_iou_matrix_bit_for_bit(empty_pred):
         pred = TrackSet()
     table = frame_table(gt, pred)
     gt_by_frame, pred_by_frame = gt.by_frame(), pred.by_frame()
-    assert table.frames == sorted(set(gt_by_frame) | set(pred_by_frame))
-    assert (table.gt_ids, table.pred_ids) == (gt.ids(), pred.ids())
-    assert len(table.gt) == len(table.pred) == len(table.ious) == len(table.frames)
-    shapes = set()
-    for k, frame in enumerate(table.frames):
-        gt_recs, pred_recs = table.gt[k], table.pred[k]
-        assert gt_recs == gt_by_frame.get(frame, [])
-        assert pred_recs == pred_by_frame.get(frame, [])
-        assert table.gt_index[k].tolist() == [gt.ids().index(r.track_id) for r in gt_recs]
-        assert table.pred_index[k].tolist() == \
-            [pred.ids().index(r.track_id) for r in pred_recs]
-        expected = iou_matrix([r.box for r in gt_recs], [r.box for r in pred_recs])
-        assert table.ious[k].shape == expected.shape
-        assert [v.hex() for v in table.ious[k].ravel().tolist()] == \
-            [v.hex() for v in expected.ravel().tolist()]
-        shapes.add((bool(gt_recs), bool(pred_recs)))
+    frames = sorted(set(gt_by_frame) | set(pred_by_frame))
+    assert table.frames.tolist() == frames
+    assert (table.gt_ids.tolist(), table.pred_ids.tolist()) == (gt.ids(), pred.ids())
+    gt_recs = [gt_by_frame.get(f, []) for f in frames]
+    pred_recs = [pred_by_frame.get(f, []) for f in frames]
+    assert table.n_gt.tolist() == [len(recs) for recs in gt_recs]
+    assert table.n_pred.tolist() == [len(recs) for recs in pred_recs]
+    # records are numbered frame by frame in by_frame order
+    assert table.gt_index.tolist() == \
+        [gt.ids().index(r.track_id) for recs in gt_recs for r in recs]
+    assert table.pred_index.tolist() == \
+        [pred.ids().index(r.track_id) for recs in pred_recs for r in recs]
+    # each frame's pairs, row-major, are its IoU block
+    pairs, ious, blocks = [], [], []
+    first_gt = first_pred = 0
+    for g_recs, p_recs in zip(gt_recs, pred_recs):
+        if g_recs and p_recs:
+            blocks.append((len(pairs), len(g_recs), len(p_recs)))
+        pairs += [(first_gt + i, first_pred + j)
+                  for i in range(len(g_recs)) for j in range(len(p_recs))]
+        ious += iou_matrix([r.box for r in g_recs], [r.box for r in p_recs]).ravel().tolist()
+        first_gt += len(g_recs)
+        first_pred += len(p_recs)
+    assert list(zip(table.pair_gt.tolist(), table.pair_pred.tolist())) == pairs
+    assert table.pair_cell.tolist() == \
+        [table.gt_index[i] * len(pred.ids()) + table.pred_index[j] for i, j in pairs]
+    assert [v.hex() for v in table.pair_iou.tolist()] == [v.hex() for v in ious]
+    assert [tuple(b) for b in zip(*(a.tolist() for a in table.blocks()))] == blocks
+    shapes = {(bool(g), bool(q)) for g, q in zip(gt_recs, pred_recs)}
     assert shapes == ({(True, False)} if empty_pred
                       else {(True, True), (True, False), (False, True)})
+
+
+def report_bits(report):
+    """Every field of a MetricReport, each float as its hex string."""
+    c = report.counts
+    return ([v.hex() for v in (report.hota, report.deta, report.assa, report.mota,
+                               report.idf1)],
+            (c.tp, c.fp, c.fn, c.idsw),
+            [(alpha, [type(v).__name__ + v.hex() for v in values])
+             for alpha, values in report.per_alpha.items()])
+
+
+@pytest.mark.parametrize("n_ids, n_frames, cases", [(3, 5, 120), (6, 8, 60), (16, 12, 12)],
+                         ids=["tiny", "small", "crowded"])
+def test_evaluate_equals_the_per_frame_reference_bit_for_bit(n_ids, n_frames, cases):
+    # crowded frames hold rows of 9 or more IoUs, which numpy sums pairwise
+    rng = np.random.default_rng(n_ids)
+    compared = 0
+    for case in range(cases):
+        gt, pred = random_sequence(rng, n_ids, n_frames)
+        if len(gt) == 0:
+            continue
+        assert report_bits(evaluate(gt, pred)) == report_bits(reference_evaluate(gt, pred)), \
+            f"case {case}"
+        compared += 1
+    assert compared >= cases * 3 // 4
+
+
+def test_hota_potential_equals_the_per_frame_sums_bit_for_bit():
+    # the potential only steers HOTA's matching, so a last-bit change in a
+    # row or column sum rarely moves a score; compare it directly, with
+    # frames of a single prediction against 8 or more ground truths
+    rng = np.random.default_rng(12)
+    for case in range(30):
+        gt, pred = random_sequence(rng, int(rng.integers(1, 20)), 6)
+        if case % 3 == 0:   # one wide prediction a frame overlaps most ground truths
+            pred = TrackSet(TrackRecord(f, 1, tuple(rng.uniform(0, 5, 2).tolist())
+                                        + (70.0, 70.0)) for f in range(6))
+        got = metrics._potential(frame_table(gt, pred))
+        expected = reference_potential(reference_frame_table(gt, pred))
+        assert got.shape == expected.shape
+        assert [v.hex() for v in got.ravel().tolist()] == \
+            [v.hex() for v in expected.ravel().tolist()], f"case {case}"
 
 
 def test_evaluate_equals_the_standalone_metrics():
@@ -236,6 +294,30 @@ def test_evaluate_builds_the_frame_table_once(monkeypatch):
 CROWDED_PIN = dict(hota=0.71803192749447, deta=0.834929090418565,
                    assa=0.6175810011989172, mota=0.927734375, idf1=0.7986006996501749)
 CROWDED_COUNTS = (974, 3, 50, 21)   # tp, fp, fn, idsw
+# (HOTA, DetA, AssA) at every alpha, as float.hex, from the code that summed
+# one frame at a time: a reordered sum at one alpha shows even where the
+# means hide it
+CROWDED_PER_ALPHA = {
+    0.05: ('0x1.9fb827aa70602p-1', '0x1.e593d12325a3cp-1', '0x1.63e957cb24638p-1'),
+    0.1: ('0x1.9fb827aa70602p-1', '0x1.e593d12325a3cp-1', '0x1.63e957cb24638p-1'),
+    0.15: ('0x1.9fb827aa70602p-1', '0x1.e593d12325a3cp-1', '0x1.63e957cb24638p-1'),
+    0.2: ('0x1.9fb827aa70602p-1', '0x1.e593d12325a3cp-1', '0x1.63e957cb24638p-1'),
+    0.25: ('0x1.9fb827aa70602p-1', '0x1.e593d12325a3cp-1', '0x1.63e957cb24638p-1'),
+    0.3: ('0x1.9f0a63b77b9e2p-1', '0x1.e49b649b649b6p-1', '0x1.6375e8891a775p-1'),
+    0.35: ('0x1.9dbcdf14ec866p-1', '0x1.e2abfe02fb86bp-1', '0x1.62a61238bf7fdp-1'),
+    0.4: ('0x1.9dbcdf14ec866p-1', '0x1.e2abfe02fb86bp-1', '0x1.62a61238bf7fdp-1'),
+    0.45: ('0x1.9d143d5bc90f7p-1', '0x1.e1b5033a59e2bp-1', '0x1.623a760900c08p-1'),
+    0.5: ('0x1.9c7073c0782fap-1', '0x1.e0be82fa0be83p-1', '0x1.61d6d7315fafdp-1'),
+    0.55: ('0x1.9bd157ed40632p-1', '0x1.dfc87ce6f8515p-1', '0x1.617aeff8ce814p-1'),
+    0.6: ('0x1.9b7d127fadedap-1', '0x1.ded2f0a6600fep-1', '0x1.619f4ef19955ap-1'),
+    0.65: ('0x1.9adde6c16cf7cp-1', '0x1.ddddddddddddep-1', '0x1.6142bf70082d9p-1'),
+    0.7: ('0x1.99f17bd59ae11p-1', '0x1.dbf5234d44e02p-1', '0x1.6115c64e77395p-1'),
+    0.75: ('0x1.91b01e3913557p-1', '0x1.d196792909c56p-1', '0x1.5a8edf9440f16p-1'),
+    0.8: ('0x1.6acc4d64f87e3p-1', '0x1.9f29019f2901ap-1', '0x1.3d0a44a3ff028p-1'),
+    0.85: ('0x1.0eaa52894e82ap-1', '0x1.3839aabc3dc93p-1', '0x1.d5465651d0fcfp-2'),
+    0.9: ('0x1.0268de306a5cep-2', '0x1.24da7d09df186p-2', '0x1.c808a7e4c86dbp-3'),
+    0.95: ('0x1.de928a174b3efp-5', '0x1.e11e11e11e11ep-5', '0x1.dc0a749b4fd62p-5'),
+}
 
 
 def test_crowded_sequence_scores_are_pinned():
@@ -250,6 +332,43 @@ def test_crowded_sequence_scores_are_pinned():
     assert {k: getattr(report, k) for k in CROWDED_PIN} == CROWDED_PIN
     c = report.counts
     assert (c.tp, c.fp, c.fn, c.idsw) == CROWDED_COUNTS
+    assert {alpha: tuple(v.hex() for v in values)
+            for alpha, values in report.per_alpha.items()} == CROWDED_PER_ALPHA
+
+
+@pytest.mark.parametrize("side", ["gt", "pred"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_box_is_refused_naming_its_side(side, bad):
+    sets = {"gt": simple_track(1, [0, 1], (0.0, 0.0, 10.0, 10.0)),
+            "pred": simple_track(1, [0, 1], (0.0, 0.0, 10.0, 10.0))}
+    sets[side].append(TrackRecord(frame=1, track_id=2, box=(5.0, bad, 10.0, 10.0)))
+    with pytest.raises(ValueError, match=f"^{side} has a non-finite box$"):
+        evaluate(TrackSet(sets["gt"]), TrackSet(sets["pred"]))
+
+
+def test_evaluate_calls_the_assignment_once_a_frame_and_the_iou_once(monkeypatch):
+    # the sums are whole-sequence array calls; only the per-frame Hungarian
+    # calls of HOTA and MOTA and IDF1's one global call may loop
+    calls = {"lsa": [], "iou": 0}
+
+    def counting_lsa(cost):
+        calls["lsa"].append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    def counting_iou(a, b):
+        calls["iou"] += 1
+        return broadcast_iou(a, b)
+
+    monkeypatch.setattr(metrics, "linear_sum_assignment", counting_lsa)
+    monkeypatch.setattr(metrics, "broadcast_iou", counting_iou)
+    gt, pred = random_sequence(np.random.default_rng(8), 6, 12)
+    gt_by_frame, pred_by_frame = gt.by_frame(), pred.by_frame()
+    blocks = [(len(gt_by_frame[f]), len(pred_by_frame[f]))
+              for f in sorted(set(gt_by_frame) & set(pred_by_frame))]
+    assert len(set(gt_by_frame) ^ set(pred_by_frame)) > 0   # one-sided frames exist
+    evaluate(gt, pred)
+    assert calls["iou"] == 1
+    assert calls["lsa"] == blocks + blocks + [(len(gt.ids()), len(pred.ids()))]
 
 
 def test_perfect_prediction_scores():
