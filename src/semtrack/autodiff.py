@@ -55,6 +55,11 @@ other step carries a non-finite value through to the result, so a
 non-finite value raises ``ValueError`` wherever in the chain it appears, as
 the small ops' own scans would make it. Attention has no unmasked path:
 every call labels its rows' segments, and a row attends within its own.
+
+Training's contrastive association term is one op as well
+(:func:`contrastive_pairs`): a crowded scene has dozens of consecutive-frame
+pairs, and as small ops each pair cost seven records, whose fixed costs
+outweighed its small products.
 """
 
 from __future__ import annotations
@@ -92,6 +97,7 @@ __all__ = [
     "feed_forward_sublayer",
     "mean_abs_diff",
     "cross_entropy_rows",
+    "contrastive_pairs",
     "sum_all",
 ]
 
@@ -660,16 +666,21 @@ def slice_cols(m: Matrix, start: int, stop: int) -> Matrix:
     return _emit((m,), m.data[:, start:stop].copy(), vjp)
 
 
+def _row_index(m: Matrix, rows: Sequence[int], op: str) -> tuple[np.ndarray, bool]:
+    """``rows`` as an index array into ``m``, checked for ``op``, and whether
+    it is strictly increasing."""
+    index = np.asarray(rows)
+    if index.ndim != 1 or index.size == 0 or index.dtype.kind not in "iu":
+        raise DimensionError(f"{op} needs a non-empty 1-D list of ints, got {rows!r}")
+    if index.min() < 0 or index.max() >= m.rows:
+        raise DimensionError(f"row index out of range for {m.shape}: {rows!r}")
+    return index, bool((index[1:] > index[:-1]).all())
+
+
 def take_rows(m: Matrix, rows: Sequence[int]) -> Matrix:
     """The rows of ``m`` at the given indices, in that order; the gradient of
     a row taken more than once is the sum of its copies' gradients."""
-    index = np.asarray(rows)
-    if index.ndim != 1 or index.size == 0 or index.dtype.kind not in "iu":
-        raise DimensionError(f"take_rows needs a non-empty 1-D list of ints, got {rows!r}")
-    if index.min() < 0 or index.max() >= m.rows:
-        raise DimensionError(f"row index out of range for {m.shape}: {rows!r}")
-
-    increasing = bool((index[1:] > index[:-1]).all())
+    index, increasing = _row_index(m, rows, "take_rows")
     return _emit((m,), m.data[index], lambda g: (_Rows(index, g, increasing),))
 
 
@@ -880,22 +891,86 @@ def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:
     return _emit((a, b), np.array([[float(np.abs(diff).mean())]]), vjp)
 
 
-def cross_entropy_rows(logits: Matrix, targets: Sequence[int]) -> Matrix:
-    """Mean cross-entropy of row-wise softmax against integer targets."""
+def _cross_entropy(logits: np.ndarray, targets: Sequence[int]):
+    """:func:`cross_entropy_rows` on an array: the loss as a float, and a rule
+    from the 1 x 1 output gradient to the logits' gradient."""
     targets = np.asarray(list(targets), dtype=np.int64)
-    if targets.shape != (logits.rows,):
-        raise DimensionError(f"need {logits.rows} targets, got {targets.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.cols):
+    rows, cols = logits.shape
+    if targets.shape != (rows,):
+        raise DimensionError(f"need {rows} targets, got {targets.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() >= cols):
         raise DimensionError("target index out of range")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    rows = np.arange(logits.rows)
-    losses = -np.log(np.maximum(p[rows, targets], 1e-300))
+    picked = np.arange(rows)
+    losses = -np.log(np.maximum(p[picked, targets], 1e-300))
+
+    def rule(g):
+        d = p.copy()
+        d[picked, targets] -= 1.0
+        return g[0, 0] * d / rows
+
+    return float(losses.mean()), rule
+
+
+def cross_entropy_rows(logits: Matrix, targets: Sequence[int]) -> Matrix:
+    """Mean cross-entropy of row-wise softmax against integer targets."""
+    value, rule = _cross_entropy(logits.data, targets)
+    return _emit((logits,), np.array([[value]]), lambda g: (rule(g),))
+
+
+def contrastive_pairs(m: Matrix, pairs: Sequence[tuple[Sequence[int], Sequence[int],
+                                                       Sequence[int]]],
+                      factor: float) -> Matrix:
+    """The sum over ``(anchors, targets, candidates)`` pairs of
+    ``cross_entropy_rows(scale(matmul(take_rows(m, anchors),
+    transpose(take_rows(m, candidates))), factor), targets)``, recorded as one
+    1 x 1 op.
+
+    Its value and ``m``'s gradient are those of that composition with its
+    terms summed by a chain of ``add``, bit for bit, because the op keeps the
+    composition's orders:
+
+    * each pair makes its own product, with the candidates' rows transposed
+      into a C-ordered copy, as ``transpose`` makes them (BLAS rounds a
+      product by its shape and layout);
+    * the pair values are added left to right, as the ``add`` chain adds them;
+    * the gradient goes through the pairs in reverse and, within a pair, adds
+      the candidates' rows, then the anchors', into one zeroed buffer, as a
+      tape replaying the composition adds its ``take_rows`` gradients. A leaf
+      ``m`` with a gradient from an earlier pass receives that buffer in one
+      addition.
+
+    A non-finite logit raises ``ValueError``, as the composition's ``matmul``
+    or ``scale`` would; an empty pair list or an empty or out-of-range row
+    list, and targets that do not give one candidate per anchor, raise
+    :class:`DimensionError`."""
+    if not pairs:
+        raise DimensionError("contrastive_pairs needs at least one pair")
+    factor = float(factor)
+    steps = []
+    total = None
+    for anchors, targets, candidates in pairs:
+        anchor_rows = _row_index(m, anchors, "contrastive_pairs")
+        candidate_rows = _row_index(m, candidates, "contrastive_pairs")
+        a = m.data[anchor_rows[0]]
+        ct = m.data[candidate_rows[0]].T.copy()
+        logits = a @ ct
+        logits *= factor
+        _require_finite(logits)
+        value, rule = _cross_entropy(logits, targets)
+        total = value if total is None else total + value
+        steps.append((a, ct, rule, anchor_rows, candidate_rows))
 
     def vjp(g):
-        d = p.copy()
-        d[rows, targets] -= 1.0
-        return (g[0, 0] * d / logits.rows,)
+        grad = np.zeros(m.shape)
+        for a, ct, rule, anchor_rows, candidate_rows in reversed(steps):
+            glogits = rule(g) * factor
+            index, increasing = candidate_rows
+            _Rows(index, (a.T @ glogits).T, increasing).add_to(grad)
+            index, increasing = anchor_rows
+            _Rows(index, glogits @ ct.T, increasing).add_to(grad)
+        return (grad,)
 
-    return _emit((logits,), np.array([[float(losses.mean())]]), vjp)
+    return _emit((m,), np.array([[total]]), vjp)

@@ -122,7 +122,7 @@ class FrameTable:
                 self.n_pred[both])
 
 
-def _side(tracks: TrackSet, name: str):
+def _side(tracks: TrackSet):
     """(frame, id position, box) arrays of the records of ``tracks`` in
     ``by_frame`` order, and the sorted ids."""
     n = len(tracks)
@@ -130,8 +130,6 @@ def _side(tracks: TrackSet, name: str):
     track_id = np.fromiter([r.track_id for r in tracks], np.int64, n)
     boxes = np.fromiter(chain.from_iterable([r.box for r in tracks]), np.float64,
                         4 * n).reshape(n, 4)
-    if not np.isfinite(boxes).all():
-        raise ValueError(f"{name} has a non-finite box")
     order = np.argsort(frame, kind="stable")
     ids, index = np.unique(track_id, return_inverse=True)
     return frame[order], index[order], boxes[order], ids
@@ -139,10 +137,10 @@ def _side(tracks: TrackSet, name: str):
 
 def frame_table(gt: TrackSet, pred: TrackSet) -> FrameTable:
     """The :class:`FrameTable` of ``gt`` against ``pred``, with the IoUs of
-    all within-frame pairs from one aligned IoU call. A non-finite box on
-    either side raises ``ValueError`` naming the side."""
-    gt_frame, gt_index, gt_boxes, gt_ids = _side(gt, "gt")
-    pred_frame, pred_index, pred_boxes, pred_ids = _side(pred, "pred")
+    all within-frame pairs from one aligned IoU call. Every box is finite, as
+    :meth:`~semtrack.tracks.TrackSet.add` checks."""
+    gt_frame, gt_index, gt_boxes, gt_ids = _side(gt)
+    pred_frame, pred_index, pred_boxes, pred_ids = _side(pred)
     frames = np.union1d(gt_frame, pred_frame)
     n_gt = np.bincount(np.searchsorted(frames, gt_frame), minlength=frames.size)
     n_pred = np.bincount(np.searchsorted(frames, pred_frame), minlength=frames.size)

@@ -23,7 +23,9 @@ class TrackRecord:
 
 
 class TrackSet:
-    """Validated collection of (frame, id, box, confidence) records."""
+    """Validated collection of (frame, id, box, confidence) records: each
+    (frame, id) once, frames from 0 and increasing within an id, ids from 1,
+    and a finite box and confidence."""
 
     def __init__(self, records=()):
         self._records: list[TrackRecord] = []
@@ -41,6 +43,12 @@ class TrackSet:
             raise ValueError(f"negative frame index {record.frame}")
         if record.track_id < 1:
             raise ValueError(f"track ids start at 1, got {record.track_id}")
+        # a non-finite record would be written as a file that read refuses
+        l, t, w, h = record.box
+        if not (math.isfinite(l) and math.isfinite(t) and math.isfinite(w)
+                and math.isfinite(h) and math.isfinite(record.confidence)):
+            raise ValueError(f"non-finite box or confidence for frame {record.frame},"
+                             f" id {record.track_id}")
         last = self._last_frame.get(record.track_id)
         if last is not None and record.frame <= last:
             raise ValueError(f"frames must be increasing within id {record.track_id}")

@@ -12,8 +12,10 @@ distillation loss is the mean of the per-frame losses.
 
 A scene's frames are independent sets of queries, so a step runs the whole
 scene as one stack of rows: one query embedding, one student call (its
-attention masked to each frame's rows) and one box-head call per scene. The
-losses are those of running the frames one by one, up to summation order.
+attention masked to each frame's rows), one box-head call and one
+contrastive op (:func:`semtrack.autodiff.contrastive_pairs`, every
+consecutive-frame pair's association term) per scene. The losses are those of
+running the frames one by one, up to summation order.
 
 The teacher is frozen, so on a fixed corpus everything a step computes
 before the model runs is a constant of the scene: the scene's stacked rows
@@ -219,22 +221,18 @@ def scene_losses(model: TrackerModel, sample: SceneSample, train: TrainConfig,
     x = model.embed_descriptors(plan.rows.descriptors)
     fused, semantic = model.encode_queries(x, quality, plan.rows.segments)
 
+    # the mean of the pairs' association terms and the box term
     mot_terms = []
-    normed = ad.l2_normalize_rows(fused)
-    for anchor_rows, targets, candidates in plan.pairs:
-        sims = ad.matmul(ad.take_rows(normed, anchor_rows),
-                         ad.transpose(ad.take_rows(normed, candidates)))
-        logits = ad.scale(sims, 1.0 / CONTRASTIVE_TEMPERATURE)
-        mot_terms.append(ad.cross_entropy_rows(logits, targets))
+    if plan.pairs:
+        mot_terms.append(ad.contrastive_pairs(ad.l2_normalize_rows(fused), plan.pairs,
+                                              1.0 / CONTRASTIVE_TEMPERATURE))
     if plan.box_rows:
         predicted = model.predict_boxes(ad.take_rows(fused, plan.box_rows))
         mot_terms.append(ad.mean_abs_diff(predicted, Matrix(plan.box_targets)))
-
     if mot_terms:
-        l_mot = mot_terms[0]
-        for term in mot_terms[1:]:
-            l_mot = ad.add(l_mot, term)
-        losses["total"] = losses["l_mot"] = ad.scale(l_mot, 1.0 / len(mot_terms))
+        l_mot = ad.add(*mot_terms) if len(mot_terms) == 2 else mot_terms[0]
+        count = len(plan.pairs) + bool(plan.box_rows)
+        losses["total"] = losses["l_mot"] = ad.scale(l_mot, 1.0 / count)
     if semantic is None:
         return losses
     seed = train.teacher_seed

@@ -1,6 +1,7 @@
 """Reference implementations for tests: brute-force metric oracles for tiny
 cases, the bilinear resize formula, a one-box-at-a-time proposal descriptor,
-the fusion as a composite of element-wise ops, a frame-by-frame reference
+the fusion as a composite of element-wise ops, the contrastive term as a
+composite of per-pair ops, a frame-by-frame reference
 for the training losses, a one-frame degradation chain, and the tracker loop
 with its miss counter.
 
@@ -545,6 +546,19 @@ def composite_feed_forward_sublayer(h: Matrix, w1: Matrix, b1: Matrix, w2: Matri
     a projection, the residual add and the layer norm."""
     out = ad.linear(ad.relu(ad.linear(h, w1, b1)), w2, b2)
     return ad.layer_norm_rows(ad.add(h, out), gain, bias)
+
+
+def composite_contrastive_pairs(m: Matrix, pairs, factor: float) -> Matrix:
+    """``autodiff.contrastive_pairs`` as seven ops a pair: both row picks, the
+    transpose, the product, the scale and the cross-entropy, and the ``add``
+    that sums the pair terms left to right."""
+    total = None
+    for anchors, targets, candidates in pairs:
+        logits = ad.scale(ad.matmul(ad.take_rows(m, anchors),
+                                    ad.transpose(ad.take_rows(m, candidates))), factor)
+        term = ad.cross_entropy_rows(logits, targets)
+        total = term if total is None else ad.add(total, term)
+    return total
 
 
 def per_frame_scene_losses(model, sample, train, quality_ranges) -> dict:

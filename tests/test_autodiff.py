@@ -12,7 +12,8 @@ from semtrack import autodiff as ad
 from semtrack.autodiff import DimensionError, Matrix, Parameter, Tape
 
 from gradcheck import check_against_fd, mse, weighted_scalar
-from oracles import composite_attention_sublayer, composite_feed_forward_sublayer
+from oracles import (composite_attention_sublayer, composite_contrastive_pairs,
+                     composite_feed_forward_sublayer)
 
 
 def test_matrix_rejects_non_finite():
@@ -1110,3 +1111,75 @@ def test_feed_forward_sublayer_shape_errors(shapes, message):
     arrays = feed_forward_arrays(np.random.default_rng(970))
     with pytest.raises(DimensionError, match=message):
         ad.feed_forward_sublayer(*_resized(arrays, shapes))
+
+
+# -- the contrastive association term: one op for a scene's pairs
+
+# (anchors, targets, candidates) over 8 rows, in order: anchors among their own
+# candidates, in the pair a backward pass reaches last, so that rows 2 and 6
+# collect a later pair's gradient first and the order of the next two decides
+# their bits; increasing anchors; anchors that decrease (np.add.at) and overlap
+# the previous pair's candidates; one candidate; a repeated anchor with
+# candidates out of order
+CONTRASTIVE_PAIRS = [([2, 6], [0, 1], [6, 2, 3]), ([0, 2], [1, 0], range(3, 6)),
+                     ([5, 3, 4], [0, 0, 1], [6, 7]), ([7], [0], [1]),
+                     ([1, 1], [2, 0], [4, 0, 2])]
+
+
+@pytest.mark.parametrize("pairs", [CONTRASTIVE_PAIRS, CONTRASTIVE_PAIRS[2:3],
+                                   CONTRASTIVE_PAIRS[3:4]],
+                         ids=["all", "decreasing-anchors", "one-candidate"])
+@pytest.mark.parametrize("width", [5, 64])
+@pytest.mark.parametrize("produced", [False, True], ids=["leaf", "normalized"])
+def test_contrastive_pairs_equals_its_composition_bit_for_bit(pairs, width, produced):
+    arr = np.random.default_rng(950 + width).standard_normal((8, width))
+    results = []
+    for f in (ad.contrastive_pairs, composite_contrastive_pairs):
+        leaf = Matrix(arr, requires_grad=True)
+        with Tape() as tape:
+            m = ad.l2_normalize_rows(leaf) if produced else leaf
+            out = f(m, pairs, 1.0 / 0.1)
+            tape.backward(ad.scale(out, 0.37))
+        results.append((out.data, leaf.grad))
+    (value, grad), (expected_value, expected_grad) = results
+    assert value.shape == (1, 1)
+    assert value.tobytes() == expected_value.tobytes()
+    assert grad.tobytes() == expected_grad.tobytes()
+
+
+def test_contrastive_pairs_is_one_record():
+    m = Matrix(np.random.default_rng(951).standard_normal((8, 5)), requires_grad=True)
+    with Tape() as tape:
+        ad.contrastive_pairs(m, CONTRASTIVE_PAIRS, 2.0)
+    assert len(tape._records) == 1
+
+
+def test_contrastive_pairs_matches_fd():
+    arr = np.random.default_rng(952).standard_normal((8, 5))
+    check_against_fd(lambda m: ad.contrastive_pairs(m, CONTRASTIVE_PAIRS, 0.5), [arr],
+                     label="contrastive_pairs")
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([], "at least one pair"),
+    ([([], [], [0, 1])], "contrastive_pairs needs a non-empty"),
+    ([([0], [0], [])], "contrastive_pairs needs a non-empty"),
+    ([([0, 1], [0], [2, 3])], "need 2 targets"),
+    ([([0, 1], [0, 2], [2, 3])], "target index out of range"),
+    ([([0], [0], [2, 8])], "out of range"),
+    ([([-1], [0], [2, 3])], "out of range")],
+    ids=["no-pairs", "no-anchors", "no-candidates", "targets-short", "target-past-end",
+         "candidate-past-end", "negative-anchor"])
+def test_contrastive_pairs_rejects_bad_pairs(pairs, message):
+    with pytest.raises(DimensionError, match=message):
+        ad.contrastive_pairs(Matrix(np.zeros((8, 3))), pairs, 1.0)
+
+
+@pytest.mark.parametrize("op", [ad.contrastive_pairs, composite_contrastive_pairs],
+                         ids=["op", "composition"])
+@pytest.mark.parametrize("scale, factor", [(1e200, 1.0), (1.0, math.inf)],
+                         ids=["overflow", "infinite-factor"])
+def test_contrastive_pairs_raises_on_a_non_finite_logit(op, scale, factor):
+    m = Matrix(np.random.default_rng(953).standard_normal((8, 5)) * scale)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        op(m, CONTRASTIVE_PAIRS, factor)

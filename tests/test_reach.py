@@ -35,6 +35,9 @@ KEPT = {
                                 "against their composition",
     "autodiff.relu": "oracle: the sublayer ops are tested bit for bit against their "
                      "composition",
+    "autodiff.cross_entropy_rows": "oracle: oracles.per_frame_scene_losses and the "
+                                   "contrastive_pairs tests build the per-pair "
+                                   "association term from it",
     "scenes.crossing_preset": "ROADMAP item 1: its association-hard workloads",
     "experiment.run_sweep": "ROADMAP items 1 and 10: the seed sweep and the CLI's sweep",
     "experiment.ablation_trend": "ROADMAP item 10: the CLI's sweep command",

@@ -317,24 +317,30 @@ def test_detection_free_frames_keep_numbering_and_pairing(monkeypatch):
     assert_matches_per_frame_reference(model, sample)
 
     segments, pairs = [], []
-    forward, cross_entropy = StudentModel.forward, ad.cross_entropy_rows
+    forward, contrastive = StudentModel.forward, ad.contrastive_pairs
 
     def recorded_forward(self, x, labels):
         segments.append(list(labels))
         return forward(self, x, labels)
 
-    def recorded_cross_entropy(logits, targets):
-        pairs.append(logits.shape)
-        return cross_entropy(logits, targets)
+    def recorded_contrastive(m, scene_pairs, factor):
+        pairs.extend(scene_pairs)
+        return contrastive(m, scene_pairs, factor)
 
     monkeypatch.setattr(StudentModel, "forward", recorded_forward)
-    monkeypatch.setattr(ad, "cross_entropy_rows", recorded_cross_entropy)
+    monkeypatch.setattr(ad, "contrastive_pairs", recorded_contrastive)
     with Tape():
         scene_losses(model, sample, TrainConfig(alpha=0.4), QualityRanges())
     per_frame = detections_by_frame(sample.detections, len(sample.frames))
     assert sorted(per_frame) == [0, 1, 3, 4]
     assert segments == [[k for k, f in enumerate([0, 1, 3, 4]) for _ in per_frame[f]]]
-    assert [cols for _, cols in pairs] == [len(per_frame[1]), len(per_frame[4])]
+    # segment k starts at row first[k]; each pair's candidates are all of the
+    # next segment's rows
+    first = np.cumsum([0] + [len(per_frame[f]) for f in [0, 1, 3, 4]]).tolist()
+    assert [candidates for _, _, candidates in pairs] == [range(first[1], first[2]),
+                                                          range(first[3], first[4])]
+    for anchors, targets, _ in pairs:
+        assert len(anchors) == len(targets) > 0
 
 
 @pytest.mark.parametrize("variant", ["baseline", "full"])
