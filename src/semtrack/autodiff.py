@@ -82,7 +82,6 @@ __all__ = [
     "multiply",
     "blend_rows",
     "scale",
-    "transpose",
     "slice_cols",
     "take_rows",
     "concat_cols",
@@ -650,10 +649,6 @@ def scale(m: Matrix, factor: float) -> Matrix:
     return _emit((m,), m.data * factor, lambda g: (g * factor,))
 
 
-def transpose(m: Matrix) -> Matrix:
-    return _emit((m,), m.data.T.copy(), lambda g: (g.T,))
-
-
 def slice_cols(m: Matrix, start: int, stop: int) -> Matrix:
     if not (0 <= start < stop <= m.cols):
         raise DimensionError(f"column slice [{start}:{stop}] out of range for {m.shape}")
@@ -771,9 +766,15 @@ def l2_normalize_rows(m: Matrix) -> Matrix:
     def vjp(g):
         # Degenerate rows (norm <= eps) get zero gradient: the forward
         # guard's kink, where 1/eps scaling would explode training.
+        # live * (g - data * inner) / safe, each step written into one buffer
         live = (norms > NORMALIZE_EPS).astype(np.float64)
-        inner = (g * data).sum(axis=1, keepdims=True)
-        return (live * (g - data * inner) / safe,)
+        out = np.multiply(g, data)
+        inner = out.sum(axis=1, keepdims=True)
+        np.multiply(data, inner, out=out)
+        np.subtract(g, out, out=out)
+        out *= live
+        out /= safe
+        return (out,)
 
     return _emit((m,), data, vjp)
 

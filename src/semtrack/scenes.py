@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from semtrack.tracks import TrackRecord, TrackSet
+from semtrack.tracks import TrackSet
 
 # the background's grey level and structure amplitude; a target's stripe amplitude
 BACKGROUND = 0.4
@@ -123,6 +123,7 @@ def generate_scene(config: SceneConfig) -> tuple[list[np.ndarray], TrackSet]:
     gt = TrackSet()
     for frame_index in range(config.num_frames):
         frame = background.copy()
+        ids, boxes = [], []
         for target in config.targets:
             end = target.end_frame if target.end_frame is not None else config.num_frames - 1
             jx = jy = 0.0
@@ -139,10 +140,9 @@ def generate_scene(config: SceneConfig) -> tuple[list[np.ndarray], TrackSet]:
             ix = min(max(ix, 0), config.width - target.width)
             iy = min(max(iy, 0), config.height - target.height)
             frame[iy:iy + target.height, ix:ix + target.width] = patches[target.track_id]
-            gt.add(TrackRecord(frame=frame_index, track_id=target.track_id,
-                               box=(float(ix), float(iy), float(target.width),
-                                    float(target.height)),
-                               confidence=1.0))
+            ids.append(target.track_id)
+            boxes.append((float(ix), float(iy), float(target.width), float(target.height)))
+        gt.add_frame(frame_index, ids, boxes, [1.0] * len(ids))
         frame.flags.writeable = False
         frames.append(frame)
     return frames, gt

@@ -18,15 +18,27 @@ one-to-one per frame by Hungarian assignment on cosine-plus-IoU cost: the
 cosine of the rows :func:`~semtrack.autodiff.l2_normalize_rows` gives, as
 in training's contrastive term, and one track-by-detection IoU matrix.
 
-What no tracking state feeds is computed once per sequence, before the frame
-loop: :func:`sequence_rows` stacks the detections of the frames that have
-any, with their boxes, per-row segments and every row's descriptor (one
-:func:`box_descriptor` call, wrapped in one :class:`~semtrack.autodiff.Matrix`
-whose row block each frame embeds without a copy), and one quality column
-covers the same frames. Training's scene plan reads the same rows. The query
-embedding and the student stay per frame: one matmul over a sequence's
-stacked rows rounds some row blocks differently from the per-frame calls, so
-track records would change.
+Tracking a sequence is one step per frame, the shape of the per-frame
+``update`` of SORT (Bewley et al., 2016) and ByteTrack (Zhang et al., 2022):
+:func:`prepare_sequence`, then per frame :func:`queries`,
+:meth:`TrackerModel.encode_queries` and :func:`associate`. The
+:class:`SequenceState` between steps holds the active tracks as parallel
+arrays (ids, boxes, confidences and float64 fused features), so a step
+decays, matches, updates and filters them by array indexing, and
+:func:`track_sequence` adds each frame's records to its
+:class:`~semtrack.tracks.TrackSet` as one validated block. Each record keeps
+its detection's own box tuple and confidence.
+
+What no tracking state feeds is computed once per sequence, by
+:func:`prepare_sequence`: :func:`sequence_rows` stacks the detections of the
+frames that have any, with their boxes, per-row segments and every row's
+descriptor (one :func:`box_descriptor` call, which works through blocks of
+frames so that its temporaries stay small, wrapped in one
+:class:`~semtrack.autodiff.Matrix` whose row block each frame embeds without
+a copy), and one quality column covers the same frames. Training's scene
+plan reads the same rows. The query embedding and the student stay per
+frame: one matmul over a sequence's stacked rows rounds some row blocks
+differently from the per-frame calls, so track records would change.
 
 When tracking, the student runs in :data:`INFERENCE_DTYPE` (float32), which
 halves the bytes of every weight its products read. A frame's call sees a
@@ -40,15 +52,18 @@ tracker casts nothing. The fusion is one
 :func:`~semtrack.autodiff.blend_rows` op: its float64 weight column promotes
 the float32 features back to float64.
 
-Where a tracked frame's time goes, for the untrained ``full`` model on the
-default degraded corpus (one BLAS thread on the 2-CPU target host): about
-1.6 ms a frame, against 1.9 ms with every product made whole. The student
-takes three quarters of it, about 1.2 ms, of which about 0.7 ms are its 20
-float32 products (1.07 ms made whole) and the rest the small-array
-arithmetic of its norms, attention, bias rows and finiteness scans (each
-layer is two recorded ops). :func:`~semtrack.quality.assess_quality` takes
-about 0.14 ms, and the query embedding, fusion and association the
-remaining 0.2 ms.
+Where a tracked frame's time goes (one BLAS thread on the 2-CPU target host,
+each step timed by a wrapper). For the untrained ``full`` model on the
+default degraded corpus, about 1.7 ms a frame: the student's
+:meth:`TrackerModel.encode_queries` takes four fifths of it,
+:func:`~semtrack.quality.assess_quality` about 8%, :func:`associate` about
+6%, and the descriptors, query embedding and records the rest. For
+``baseline`` on the benchmark's crowded corpus (about 15 detections and 16
+tracks a frame), about 0.3 ms a frame inside a benchmark run: the
+sequence's descriptors about 28%, :func:`associate` about 37% (the IoU
+matrix 11%, the row normalisation 10%, the Hungarian assignment 2%),
+:func:`queries` 16% (the embedding 11%) and adding the records
+15%, most of it building one :class:`~semtrack.tracks.TrackRecord` each.
 """
 
 from __future__ import annotations
@@ -57,7 +72,7 @@ import json
 import math
 import typing
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -72,7 +87,7 @@ from semtrack.quality import DswrHead, QualityRanges, assess_quality
 from semtrack.scenes import Detection, detections_by_frame
 from semtrack.student import FEATURE_DIM, StudentConfig, StudentModel
 # box_iou is unused here but stays bound: the benchmark's harness tests read it
-from semtrack.tracks import TrackRecord, TrackSet, box_iou, iou_matrix
+from semtrack.tracks import TrackSet, box_iou, iou_matrix
 
 PATCH = 8
 DESCRIPTOR_DIM = 4 + PATCH * PATCH + 2
@@ -96,6 +111,13 @@ MISS_DECAY = 0.7
 FIXED_FUSION_WEIGHT = 0.5           # used when the student runs without DSWR
 # the float type of the queries a tracked student reads
 INFERENCE_DTYPE = np.float32
+# the most boxes whose descriptors one block computes. A block's temporaries,
+# about 4 KB a box, then stay small enough that the allocator keeps and reuses
+# their memory from block to block; with a crowded sequence's thousand boxes
+# in one block (about 7 MB), it handed the memory back after each sequence,
+# and faulting it in again cost more than the arithmetic (13 600 page faults
+# a pass of the track-crowded corpus, against about 120)
+DESCRIPTOR_BLOCK_BOXES = 128
 
 
 def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> np.ndarray:
@@ -107,10 +129,11 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
     Equal bit for bit to cropping each box and calling
     ``frames.resize(crop, 8, 8)``. The frames share one shape, so the crop
     bounds, sample taps, interpolation, mean/std and geometry are computed
-    once for all boxes; per frame with boxes there is only one gather of its
-    boxes' sample points. The mean and std sum in the order ``resize``'s
-    result is laid out: by columns, except for a crop of exactly 8x8, which
-    ``resize`` copies row by row.
+    for many boxes at once: for each block of consecutive frames holding at
+    most :data:`DESCRIPTOR_BLOCK_BOXES` boxes (a frame with more is a block
+    alone), with one gather of each frame's sample points. The mean and std
+    sum in the order ``resize``'s result is laid out: by columns, except for
+    a crop of exactly 8x8, which ``resize`` copies row by row.
     """
     if len(frames) != len(boxes_per_frame):
         raise ValueError(f"{len(frames)} frames but boxes for {len(boxes_per_frame)}")
@@ -118,8 +141,25 @@ def box_descriptor(frames: Sequence[np.ndarray], boxes_per_frame: Sequence) -> n
     counts = [len(b) for b in per_frame]
     if not any(counts):
         return np.zeros((0, DESCRIPTOR_DIM))
+    out = np.empty((sum(counts), DESCRIPTOR_DIM))
+    shape = np.shape(frames[0])
+    first = row = size = 0
+    # a sentinel count past the limit closes the last block
+    for f, count in enumerate(counts + [DESCRIPTOR_BLOCK_BOXES + 1]):
+        if size and size + count > DESCRIPTOR_BLOCK_BOXES:
+            out[row:row + size] = _descriptor_block(frames[first:f], per_frame[first:f], shape)
+            first, row, size = f, row + size, 0
+        size += count
+    return out
+
+
+def _descriptor_block(frames: Sequence[np.ndarray], per_frame: list[np.ndarray],
+                      shape: tuple[int, int]) -> np.ndarray:
+    """:func:`box_descriptor` of frames that hold at least one box between
+    them, each a ``height x width`` frame with its ``k x 4`` boxes."""
+    counts = [len(b) for b in per_frame]
     boxes = np.concatenate(per_frame)
-    height, width = np.shape(frames[0])
+    height, width = shape
     l, t, w, h = boxes.T
     # pixel crop [top, bottom) x [left, right) of each box, at least 1x1
     left = np.clip(np.floor(l), 0, width - 1).astype(np.intp)
@@ -412,12 +452,109 @@ def _require_fields(path, where: str, raw, types: dict[str, type]) -> None:
                              f"got {value!r}")
 
 
-@dataclass
-class _ActiveTrack:
-    track_id: int
-    feature: np.ndarray            # 1 x 256 fused feature
-    box: tuple[float, float, float, float]
-    confidence: float
+@dataclass(slots=True)
+class SequenceState:
+    """What tracking one sequence carries from frame to frame: its
+    :class:`SequenceRows`, quality column and model, each detection row's
+    confidence, the next track id, the next frame to step and, as parallel
+    arrays in birth order, the active tracks: those carried into that frame.
+    Track ``i`` has id ``ids[i]``, (l, t, w, h) box ``boxes[i]``, confidence
+    ``confidences[i]`` and fused feature ``features[i]``."""
+
+    rows: SequenceRows
+    quality: np.ndarray | None
+    model: TrackerModel
+    detection_confidences: np.ndarray
+    next_id: int = 1
+    frame: int = 0
+    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    boxes: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    confidences: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    features: np.ndarray = field(default_factory=lambda: np.zeros((0, FEATURE_DIM)))
+
+
+def prepare_sequence(frames: Sequence[np.ndarray], detections: Sequence[Detection],
+                     model: TrackerModel, quality_ranges: QualityRanges) -> SequenceState:
+    """A sequence's :class:`SequenceState` before its first frame, with no
+    active track."""
+    rows = sequence_rows(frames, detections)
+    return SequenceState(rows, model.quality_column(rows.frames, quality_ranges), model,
+                         np.array([det.confidence for dets in rows.detections
+                                   for det in dets]))
+
+
+def queries(state: SequenceState, segment: int) -> Matrix:
+    """Segment ``segment``'s query rows: the active tracks' features, then
+    the embedding of each of its detections; in :data:`INFERENCE_DTYPE` for
+    a model with a student."""
+    rows = state.rows
+    block = rows.descriptors.row_block(slice(rows.starts[segment], rows.starts[segment + 1]))
+    stacked = np.concatenate([state.features, state.model.embed_descriptors(block).data])
+    if state.model.student is not None:
+        stacked = stacked.astype(INFERENCE_DTYPE)
+    return Matrix(stacked)
+
+
+def associate(state: SequenceState, frame_index: int, segment: int | None,
+              fused: Matrix | None) -> tuple[list[int], list[Detection]]:
+    """Step ``state`` through frame ``frame_index``, whose detections are
+    segment ``segment`` (``None`` for a frame without any) and whose
+    :func:`queries` the model encoded as ``fused``.
+
+    Every track's confidence decays by ``MISS_DECAY``. Tracks and detections
+    are matched one-to-one by Hungarian assignment on cosine-plus-IoU cost
+    within ``MATCH_GATE``; a match takes its detection's box, confidence and
+    fused feature. Each other detection of at least ``BIRTH_CONFIDENCE``
+    starts a track, in detection order. Only tracks above
+    ``PROPAGATE_CONFIDENCE`` stay active. Returns the frame's records as
+    track ids and their detections: the matches in track order, then the
+    births. Raises ``ValueError`` unless ``frame_index`` is the state's next
+    frame, since each step is one frame's decay."""
+    if frame_index != state.frame:
+        raise ValueError(f"stepped frame {frame_index}, but the sequence is at "
+                         f"frame {state.frame}")
+    state.frame += 1
+    state.confidences *= MISS_DECAY
+    ids: list[int] = []
+    chosen: list[Detection] = []
+    if segment is not None:
+        rows = state.rows
+        start, stop = rows.starts[segment], rows.starts[segment + 1]
+        dets = rows.detections[segment]
+        k = len(state.ids)
+        proposals = fused.data[k:]
+        boxes, confidences = rows.boxes[start:stop], state.detection_confidences[start:stop]
+        born = confidences >= BIRTH_CONFIDENCE
+        if k:
+            normed = ad.l2_normalize_rows(fused).data
+            cost = (1.0 - normed[:k] @ normed[k:].T
+                    + IOU_WEIGHT * (1.0 - iou_matrix(state.boxes, boxes)))
+            r, c = linear_sum_assignment(np.where(cost <= MATCH_GATE, cost, 1e9))
+            within = cost[r, c] <= MATCH_GATE
+            r, c = r[within], c[within]
+            state.boxes[r] = boxes[c]
+            state.confidences[r] = confidences[c]
+            state.features[r] = proposals[c]
+            born[c] = False
+            ids = state.ids[r].tolist()
+            chosen = [dets[i] for i in c.tolist()]
+        births = born.nonzero()[0]
+        if len(births):
+            new_ids = np.arange(state.next_id, state.next_id + len(births))
+            state.next_id += len(births)
+            state.ids = np.concatenate([state.ids, new_ids])
+            state.boxes = np.concatenate([state.boxes, boxes[births]])
+            state.confidences = np.concatenate([state.confidences, confidences[births]])
+            state.features = np.concatenate([state.features, proposals[births]])
+            ids += new_ids.tolist()
+            chosen += [dets[i] for i in births.tolist()]
+    # a birth's confidence is at least BIRTH_CONFIDENCE, so no birth goes
+    keep = state.confidences > PROPAGATE_CONFIDENCE
+    if np.count_nonzero(keep) < len(keep):
+        state.ids, state.boxes, state.confidences, state.features = (
+            state.ids[keep], state.boxes[keep], state.confidences[keep],
+            state.features[keep])
+    return ids, chosen
 
 
 def track_sequence(frames: list[np.ndarray], detections: list[Detection],
@@ -425,55 +562,22 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
                    quality_ranges: QualityRanges = QualityRanges()) -> TrackSet:
     """Run the tracker over a frame sequence; returns per-frame records.
 
-    Between frames ``active`` holds exactly the tracks that are carried into
-    the next one: those with confidence above ``PROPAGATE_CONFIDENCE``, in
-    birth order."""
-    rows = sequence_rows(frames, detections)
-    quality = model.quality_column(rows.frames, quality_ranges)
-    segment_of = {frame_index: k for k, frame_index in enumerate(rows.frame_ids)}
+    One :func:`prepare_sequence`, then per frame :func:`queries`,
+    :meth:`TrackerModel.encode_queries` and :func:`associate`, whose records
+    are added as one block. A frame without detections only goes through
+    :func:`associate`."""
+    state = prepare_sequence(frames, detections, model, quality_ranges)
+    segment_of = {frame_index: k for k, frame_index in enumerate(state.rows.frame_ids)}
     output = TrackSet()
-    active: list[_ActiveTrack] = []
-    next_id = 1
     for frame_index in range(len(frames)):
         segment = segment_of.get(frame_index)
-        dets = [] if segment is None else rows.detections[segment]
+        fused = None
         # without detections nothing reads the features: no match, no birth
-        if dets:
-            block = slice(rows.starts[segment], rows.starts[segment + 1])
-            proposals = model.embed_descriptors(rows.descriptors.row_block(block)).data
-            queries = np.concatenate([trk.feature for trk in active] + [proposals], axis=0)
-            if model.student is not None:
-                queries = queries.astype(INFERENCE_DTYPE)
-            fused = model.encode_queries(Matrix(queries), quality,
-                                         np.full(len(queries), segment))[0]
-            prop_feats = fused.data[len(active):]
-
-        # every track misses unless a match below gives it its detection's confidence
-        for trk in active:
-            trk.confidence *= MISS_DECAY
-        matched: set[int] = set()
-        if active and dets:
-            normed = ad.l2_normalize_rows(fused).data
-            cost = (1.0 - normed[:len(active)] @ normed[len(active):].T
-                    + IOU_WEIGHT * (1.0 - iou_matrix([trk.box for trk in active],
-                                                     rows.boxes[block])))
-            gated = np.where(cost <= MATCH_GATE, cost, 1e9)
-            for r, c in zip(*linear_sum_assignment(gated)):
-                if cost[r, c] <= MATCH_GATE:
-                    trk = active[r]
-                    trk.box, trk.confidence = dets[c].box, dets[c].confidence
-                    trk.feature = prop_feats[c:c + 1].copy()
-                    matched.add(c)
-                    output.add(TrackRecord(frame=frame_index, track_id=trk.track_id,
-                                           box=trk.box, confidence=trk.confidence))
-
-        for c, det in enumerate(dets):
-            if c in matched or det.confidence < BIRTH_CONFIDENCE:
-                continue
-            active.append(_ActiveTrack(track_id=next_id, feature=prop_feats[c:c + 1].copy(),
-                                       box=det.box, confidence=det.confidence))
-            output.add(TrackRecord(frame=frame_index, track_id=next_id,
-                                   box=det.box, confidence=det.confidence))
-            next_id += 1
-        active = [trk for trk in active if trk.confidence > PROPAGATE_CONFIDENCE]
+        if segment is not None:
+            x = queries(state, segment)
+            fused = model.encode_queries(x, state.quality, np.full(x.rows, segment))[0]
+        ids, dets = associate(state, frame_index, segment, fused)
+        if ids:
+            output.add_frame(frame_index, ids, [det.box for det in dets],
+                             [det.confidence for det in dets])
     return output

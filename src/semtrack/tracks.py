@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -23,38 +25,66 @@ class TrackRecord:
 
 
 class TrackSet:
-    """Validated collection of (frame, id, box, confidence) records: each
-    (frame, id) once, frames from 0 and increasing within an id, ids from 1,
-    and a finite box and confidence."""
+    """Validated collection of (frame, id, box, confidence) records: frames
+    from 0 and strictly increasing within an id, so each (frame, id) once, ids
+    from 1, and a finite box and confidence."""
 
     def __init__(self, records=()):
         self._records: list[TrackRecord] = []
-        self._seen: set[tuple[int, int]] = set()
         self._last_frame: dict[int, int] = {}
         for record in records:
             self.add(record)
 
     def add(self, record: TrackRecord) -> None:
-        key = (record.frame, record.track_id)
-        if key in self._seen:
-            raise ValueError(f"duplicate record for frame {record.frame},"
-                             f" id {record.track_id}")
-        if record.frame < 0:
-            raise ValueError(f"negative frame index {record.frame}")
-        if record.track_id < 1:
-            raise ValueError(f"track ids start at 1, got {record.track_id}")
-        # a non-finite record would be written as a file that read refuses
-        l, t, w, h = record.box
-        if not (math.isfinite(l) and math.isfinite(t) and math.isfinite(w)
-                and math.isfinite(h) and math.isfinite(record.confidence)):
-            raise ValueError(f"non-finite box or confidence for frame {record.frame},"
-                             f" id {record.track_id}")
-        last = self._last_frame.get(record.track_id)
-        if last is not None and record.frame <= last:
-            raise ValueError(f"frames must be increasing within id {record.track_id}")
-        self._seen.add(key)
-        self._last_frame[record.track_id] = record.frame
-        self._records.append(record)
+        """Add one record: :meth:`add_frame`'s one-record case."""
+        self.add_frame(record.frame, (record.track_id,), (record.box,),
+                       (record.confidence,))
+
+    def add_frame(self, frame: int, ids: Sequence[int], boxes: Sequence,
+                  confidences: Sequence[float]) -> None:
+        """Add frame ``frame``'s records, ``ids[i]`` with ``boxes[i]`` and
+        ``confidences[i]``, in order. Each record keeps the box and confidence
+        objects it is given. A block holding a record that adding the records
+        one at a time would refuse adds nothing and raises that record's
+        ``ValueError``."""
+        if not (len(ids) == len(boxes) == len(confidences)):
+            raise ValueError(f"{len(ids)} ids, {len(boxes)} boxes and "
+                             f"{len(confidences)} confidences for frame {frame}")
+        if not ids:
+            return
+        last_frame = self._last_frame
+        # one pass over the block; a sum is finite only if every term is
+        if (frame < 0 or min(ids) < 1 or len(set(ids)) < len(ids)
+                or max(map(last_frame.get, ids, repeat(-1))) >= frame
+                or set(map(len, boxes)) != {4}
+                or not math.isfinite(sum(chain.from_iterable(boxes), sum(confidences)))):
+            self._refuse(frame, ids, boxes, confidences)
+        self._records.extend(map(TrackRecord, repeat(frame), ids, boxes, confidences))
+        last_frame.update(zip(ids, repeat(frame)))
+
+    def _refuse(self, frame: int, ids, boxes, confidences) -> None:
+        """Raise the ``ValueError`` of the block's first record that adding
+        the records one at a time would refuse; return if there is none (a
+        sum of large finite values can overflow)."""
+        earlier: set[int] = set()
+        for track_id, box, confidence in zip(ids, boxes, confidences):
+            last = frame if track_id in earlier else self._last_frame.get(track_id)
+            if last == frame:
+                raise ValueError(f"duplicate record for frame {frame}, id {track_id}")
+            if frame < 0:
+                raise ValueError(f"negative frame index {frame}")
+            if track_id < 1:
+                raise ValueError(f"track ids start at 1, got {track_id}")
+            if len(box) != 4:
+                raise ValueError(f"a box is (l, t, w, h), got {box!r} for frame {frame},"
+                                 f" id {track_id}")
+            # a non-finite record would be written as a file that read refuses
+            if not (all(map(math.isfinite, box)) and math.isfinite(confidence)):
+                raise ValueError(f"non-finite box or confidence for frame {frame},"
+                                 f" id {track_id}")
+            if last is not None and frame < last:
+                raise ValueError(f"frames must be increasing within id {track_id}")
+            earlier.add(track_id)
 
     @property
     def records(self) -> list[TrackRecord]:
@@ -140,14 +170,21 @@ def broadcast_iou(a, b) -> np.ndarray:
     product, and aligned ``k x 4`` arrays give the IoU of each pair ``k``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    al, at, aw, ah = (a[..., k] for k in range(4))
-    bl, bt, bw, bh = (b[..., k] for k in range(4))
-    ix = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
-    iy = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
-    overlap = (aw > 0) & (ah > 0) & (bw > 0) & (bh > 0) & (ix > 0) & (iy > 0)
+    al, at, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bl, bt, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    # the formula's operations in its order, each full-size one written in place
+    ix = np.minimum(al + aw, bl + bw)
+    ix -= np.maximum(al, bl)
+    iy = np.minimum(at + ah, bt + bh)
+    iy -= np.maximum(at, bt)
+    # every side and both overlaps positive: then so is their minimum, which
+    # a NaN among them makes NaN
+    overlap = np.minimum(np.minimum(np.minimum(aw, ah), np.minimum(bw, bh)),
+                         np.minimum(ix, iy)) > 0
     inter = ix * iy
-    return np.divide(inter, aw * ah + bw * bh - inter, out=np.zeros(inter.shape),
-                     where=overlap)
+    union = aw * ah + bw * bh
+    union -= inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
 
 
 def iou_matrix(a, b) -> np.ndarray:

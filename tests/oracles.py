@@ -1,9 +1,9 @@
 """Reference implementations for tests: brute-force metric oracles for tiny
 cases, the bilinear resize formula, a one-box-at-a-time proposal descriptor,
 the fusion as a composite of element-wise ops, the contrastive term as a
-composite of per-pair ops, a frame-by-frame reference
-for the training losses, a one-frame degradation chain, and the tracker loop
-with its miss counter.
+composite of per-pair ops (with :func:`transpose`, an op no run records), a
+frame-by-frame reference for the training losses, a one-frame degradation
+chain, and the tracker loop with its miss counter.
 
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
@@ -548,6 +548,13 @@ def composite_feed_forward_sublayer(h: Matrix, w1: Matrix, b1: Matrix, w2: Matri
     return ad.layer_norm_rows(ad.add(h, out), gain, bias)
 
 
+def transpose(m: Matrix) -> Matrix:
+    """The transposed matrix as a recorded op, a C-ordered copy; its rule
+    hands back a view of the output gradient. No run transposes a matrix on
+    a tape, so the op lives here, beside the compositions that use it."""
+    return ad._emit((m,), m.data.T.copy(), lambda g: (g.T,))
+
+
 def composite_contrastive_pairs(m: Matrix, pairs, factor: float) -> Matrix:
     """``autodiff.contrastive_pairs`` as seven ops a pair: both row picks, the
     transpose, the product, the scale and the cross-entropy, and the ``add``
@@ -555,7 +562,7 @@ def composite_contrastive_pairs(m: Matrix, pairs, factor: float) -> Matrix:
     total = None
     for anchors, targets, candidates in pairs:
         logits = ad.scale(ad.matmul(ad.take_rows(m, anchors),
-                                    ad.transpose(ad.take_rows(m, candidates))), factor)
+                                    transpose(ad.take_rows(m, candidates))), factor)
         term = ad.cross_entropy_rows(logits, targets)
         total = term if total is None else ad.add(total, term)
     return total
@@ -597,7 +604,7 @@ def per_frame_scene_losses(model, sample, train, quality_ranges) -> dict:
             continue
         anchors = ad.take_rows(fused[f], [det for det, _ in pairs])
         sims = ad.matmul(ad.l2_normalize_rows(anchors),
-                         ad.transpose(ad.l2_normalize_rows(fused[f + 1])))
+                         transpose(ad.l2_normalize_rows(fused[f + 1])))
         mot_terms.append(ad.cross_entropy_rows(
             ad.scale(sims, 1.0 / CONTRASTIVE_TEMPERATURE), [nxt for _, nxt in pairs]))
 

@@ -13,7 +13,7 @@ from semtrack.autodiff import DimensionError, Matrix, Parameter, Tape
 
 from gradcheck import check_against_fd, mse, weighted_scalar
 from oracles import (composite_attention_sublayer, composite_contrastive_pairs,
-                     composite_feed_forward_sublayer)
+                     composite_feed_forward_sublayer, transpose)
 
 
 def test_matrix_rejects_non_finite():
@@ -97,6 +97,25 @@ def test_l2_normalize_unit_norm_and_idempotent():
     assert np.all(np.abs(norms - 1.0) < 1e-9)
     again = ad.l2_normalize_rows(out)
     assert np.allclose(again.data, out.data, atol=1e-12)
+
+
+def test_l2_normalize_gradient_is_its_formula_bit_for_bit():
+    # the backward writes each step into one buffer; a zero row gets no gradient
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((9, 256))
+    x[4] = 0.0
+    g = rng.standard_normal((9, 256))
+    with Tape() as tape:
+        ad.l2_normalize_rows(Matrix(x, requires_grad=True))
+        (_, _, vjp), = tape._records
+    (grad,) = vjp(g)
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    safe = np.maximum(norms, ad.NORMALIZE_EPS)
+    data = x / safe
+    live = (norms > ad.NORMALIZE_EPS).astype(np.float64)
+    expected = live * (g - data * (g * data).sum(axis=1, keepdims=True)) / safe
+    assert grad.tobytes() == expected.tobytes()
+    assert not grad[4].any()
 
 
 def test_backward_closed_form_on_mse():
@@ -237,7 +256,7 @@ def test_elementwise_ops_match_fd(seed):
     check_against_fd(lambda x, y: ad.sum_all(ad.multiply(x, y)), [a, b], label="multiply")
     check_against_fd(ad.sum_all, [a], label="sum_all")
     check_against_fd(weighted_scalar(lambda x: ad.scale(x, -1.7)), [a], label="scale")
-    check_against_fd(weighted_scalar(ad.transpose), [a], label="transpose")
+    check_against_fd(weighted_scalar(transpose), [a], label="transpose")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -424,7 +443,7 @@ def composed_attention(q, k, v, num_heads):
     for i in range(num_heads):
         lo, hi = i * head_dim, (i + 1) * head_dim
         logits = ad.scale(ad.matmul(ad.slice_cols(q, lo, hi),
-                                    ad.transpose(ad.slice_cols(k, lo, hi))),
+                                    transpose(ad.slice_cols(k, lo, hi))),
                           1.0 / math.sqrt(head_dim))
         heads.append(ad.matmul(ad.softmax_rows(logits), ad.slice_cols(v, lo, hi)))
     return heads[0] if num_heads == 1 else ad.concat_cols(heads)
@@ -554,8 +573,8 @@ def test_tape_is_freed_without_the_cyclic_gc():
 # -- float types: float32 serves untaped inference, everything else is float64
 
 F32_OPS = {
-    "matmul": lambda a, b: ad.matmul(a, ad.transpose(b)),
-    "linear": lambda a, b: ad.linear(a, ad.transpose(b), ad.take_rows(a, [0])),
+    "matmul": lambda a, b: ad.matmul(a, transpose(b)),
+    "linear": lambda a, b: ad.linear(a, transpose(b), ad.take_rows(a, [0])),
     "add": ad.add,
     "multiply": ad.multiply,
     "scale": lambda a, b: ad.scale(a, 0.3),
@@ -860,7 +879,7 @@ STUDENT_OPS = {
     "add": lambda m: ad.add(m, m),
     "sub": lambda m: ad.sub(m, ad.scale(m, -1.0)),
     "multiply": lambda m: ad.multiply(m, m),
-    "matmul": lambda m: ad.matmul(m, ad.transpose(m)),
+    "matmul": lambda m: ad.matmul(m, transpose(m)),
     "layer_norm_rows": lambda m: ad.layer_norm_rows(
         m, Matrix(np.ones((1, 4), dtype=m.data.dtype)),
         Matrix(np.zeros((1, 4), dtype=m.data.dtype))),
@@ -912,7 +931,7 @@ def test_a_leaf_keeps_a_gradient_made_for_it_and_copies_a_view():
 
         tape._records[0] = (out_node, inputs, spy)
         # the transpose's rule hands ``other`` a view of its output gradient
-        tape.backward(ad.add(ad.sum_all(out), ad.sum_all(ad.transpose(other.value))))
+        tape.backward(ad.add(ad.sum_all(out), ad.sum_all(transpose(other.value))))
     # x.T @ g is made for the weight alone, so the weight keeps it
     assert weight.value.grad is made[0]
     assert np.array_equal(weight.value.grad, x.data.T @ np.ones((5, 4)))

@@ -120,6 +120,73 @@ def test_trackset_frames_monotone_within_id():
         ts.add(TrackRecord(frame=1, track_id=1, box=(0, 0, 5, 5)))
 
 
+@pytest.mark.parametrize("frame", [2, 1], ids=["same-frame", "earlier-frame"])
+def test_add_refuses_a_repeated_frame_and_id(frame):
+    ts = TrackSet(simple_track(1, [0, 2], (0, 0, 5, 5)))
+    message = ("duplicate record for frame 2, id 1" if frame == 2
+               else "frames must be increasing within id 1")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ts.add(TrackRecord(frame=frame, track_id=1, box=(0, 0, 5, 5)))
+    assert len(ts) == 2
+
+
+BOX = (0.0, 0.0, 5.0, 5.0)
+
+# each block's first refused record and the message add gives it; the set
+# already holds id 1 at frames 0 and 2
+REFUSED_BLOCKS = {
+    "id-zero": (3, [2, 0, 3], [BOX] * 3, [0.9] * 3, "track ids start at 1, got 0"),
+    "repeated-id": (3, [2, 4, 2], [BOX] * 3, [0.9] * 3,
+                    "duplicate record for frame 3, id 2"),
+    "last-frame-of-an-id": (2, [3, 1], [BOX] * 2, [0.9] * 2,
+                            "duplicate record for frame 2, id 1"),
+    "before-last-frame-of-an-id": (1, [3, 1], [BOX] * 2, [0.9] * 2,
+                                   "frames must be increasing within id 1"),
+    "negative-frame": (-1, [2], [BOX], [0.9], "negative frame index -1"),
+    "nan-box": (3, [2, 3], [BOX, (0.0, np.nan, 5.0, 5.0)], [0.9] * 2,
+                "non-finite box or confidence for frame 3, id 3"),
+    "inf-confidence": (3, [2, 3], [BOX] * 2, [0.9, float("inf")],
+                       "non-finite box or confidence for frame 3, id 3"),
+    "minus-inf-width": (3, [2], [(0.0, 0.0, -np.inf, 5.0)], [0.9],
+                        "non-finite box or confidence for frame 3, id 2"),
+    "short-box": (3, [2, 3], [BOX, (0.0, 0.0, 5.0)], [0.9] * 2,
+                  r"a box is \(l, t, w, h\), got \(0.0, 0.0, 5.0\) for frame 3, id 3"),
+}
+
+
+@pytest.mark.parametrize("block", REFUSED_BLOCKS.values(), ids=REFUSED_BLOCKS.keys())
+def test_add_frame_refuses_a_block_as_add_refuses_its_record(block):
+    frame, ids, boxes, confidences, message = block
+    held = simple_track(1, [0, 2], BOX)
+    ts = TrackSet(held)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ts.add_frame(frame, ids, boxes, confidences)
+    assert ts.records == held      # a refused block adds nothing
+    one_by_one = TrackSet(held)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        for record in map(TrackRecord, [frame] * len(ids), ids, boxes, confidences):
+            one_by_one.add(record)
+
+
+def test_add_frame_refuses_blocks_of_unequal_lengths():
+    with pytest.raises(ValueError, match="2 ids, 1 boxes and 2 confidences for frame 0"):
+        TrackSet().add_frame(0, [1, 2], [BOX], [0.9, 0.9])
+
+
+def test_add_frame_adds_records_in_order_keeping_their_boxes_and_confidences():
+    boxes = [(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)]
+    confidences = [0.75, 0.5]
+    ts = TrackSet(simple_track(7, [0], BOX))
+    ts.add_frame(1, [7, 3], boxes, confidences)
+    ts.add_frame(2, [], [], [])
+    assert [(r.frame, r.track_id) for r in ts] == [(0, 7), (1, 7), (1, 3)]
+    assert all(r.box is box and r.confidence is confidence
+               for r, box, confidence in zip(ts.records[1:], boxes, confidences))
+    # a sum of finite values that overflows is no non-finite record
+    ts.add_frame(3, [7, 3], [(1e308, 0.0, 5.0, 5.0), (1e308, 0.0, 5.0, 5.0)], [0.5, 0.5])
+    assert len(ts) == 5
+
+
 def test_mot_file_round_trip(tmp_path):
     ts = TrackSet(simple_track(1, [0, 1], (3.0, 4.0, 10.0, 12.0))
                   + simple_track(2, [1], (20.0, 21.0, 8.0, 9.0)))

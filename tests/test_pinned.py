@@ -15,6 +15,11 @@ old and new values and the reason.
   benchmark's ``track-crowded`` scene parameters: 16 targets, 64 frames, 63
   contrastive pairs): pinned are the step's ``total``, the squared size of
   its update and, for ``baseline``, a digest of the updated parameters.
+* Untrained ``baseline`` and ``full`` track the first two evaluation
+  sequences of those crowded scenes (about 15 detections a frame, where the
+  default sequences have 3-7): pinned is a digest of the track records. The
+  two variants' records differ there on both sequences, while on the default
+  sequences they differ only on ``eval004``.
 
 Records and scores are discrete or ratios of counts; losses and parameters
 are float64 sums whose order numpy and the BLAS fix, so every pin is exact.
@@ -32,7 +37,8 @@ import numpy as np
 import pytest
 
 from semtrack.config import SceneParams
-from semtrack.experiment import build_model, track_samples, training_corpus
+from semtrack.experiment import (build_model, evaluation_corpus, track_samples,
+                                 training_corpus)
 from semtrack.metrics import evaluate
 from semtrack.training import train
 from semtrack.tracker import VARIANTS
@@ -84,6 +90,13 @@ CROWDED = {
     "full": ("0x1.9b10ddc632232p+0", 6.652395187858304e-07, None),
 }
 UPDATE_REL_TOL = 1e-12
+
+CROWDED_EVAL_SCENES = 2
+# variant: records digest of the untrained model on the crowded sequences
+CROWDED_RECORDS = {
+    "baseline": "2ba9ce82b77116c4442e7f0f5fbc41405bf95ba5fc620c0dbdb524e9253e4df2",
+    "full": "30cc1c19d588bb121ffe5afcfe0ca5c58f9397e37f6e73a180e13b20fdc57f98",
+}
 
 
 def records_digest(tracks):
@@ -168,3 +181,17 @@ def test_one_step_on_a_crowded_scene_is_pinned(variant, crowded_training):
     assert moved == pytest.approx(update, rel=UPDATE_REL_TOL)
     if parameters is not None:
         assert parameters_digest(model) == parameters
+
+
+@pytest.fixture(scope="module")
+def crowded_evaluation(default_evaluation):
+    config, _ = default_evaluation
+    config = replace(config, scene=CROWDED_SCENE, num_eval_scenes=CROWDED_EVAL_SCENES)
+    return config, evaluation_corpus(config)
+
+
+@pytest.mark.parametrize("variant", CROWDED_RECORDS)
+def test_untrained_records_on_crowded_sequences_are_pinned(variant, crowded_evaluation):
+    config, samples = crowded_evaluation
+    tracks = track_samples(build_model(config, variant), samples, config)
+    assert records_digest(tracks) == CROWDED_RECORDS[variant]

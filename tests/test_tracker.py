@@ -12,8 +12,10 @@ from semtrack.quality import QualityRanges
 from semtrack.scenes import (Detection, DetectorNoise, SceneConfig, TargetSpec,
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.student import StudentConfig, StudentModel
-from semtrack.tracker import (DESCRIPTOR_DIM, INFERENCE_DTYPE, PROPAGATE_CONFIDENCE, VARIANTS,
-                              TrackerModel, box_descriptor, sequence_rows, track_sequence)
+from semtrack.tracker import (DESCRIPTOR_BLOCK_BOXES, DESCRIPTOR_DIM, INFERENCE_DTYPE,
+                              PROPAGATE_CONFIDENCE, VARIANTS, TrackerModel, associate,
+                              box_descriptor, prepare_sequence, queries, sequence_rows,
+                              track_sequence)
 from semtrack.tracks import TrackSet
 
 from oracles import per_box_descriptor, reference_track_sequence
@@ -94,11 +96,15 @@ def random_boxes(rng, count, height, width):
 
 
 # boxes per frame of a 7-frame sequence; 0 marks a frame without boxes
+B = DESCRIPTOR_BLOCK_BOXES
 SEQUENCE_COUNTS = {
     "empty-start-middle-end": [0, 3, 5, 0, 1, 4, 0],
     "every-frame": [2, 1, 6, 3, 1, 1, 2],
     "one-frame": [0, 0, 0, 9, 0, 0, 0],
     "no-boxes": [0] * 7,
+    # blocks of frames of up to B boxes; a frame of more is a block alone
+    "blocks": [B // 2, 0, B // 3, B // 4, 0, B + 12, B // 2],
+    "full-blocks": [B // 2, B // 2, 1, B - 1, 1, B, 0],
 }
 
 
@@ -403,6 +409,48 @@ def test_a_sequence_wraps_its_descriptors_once(monkeypatch, variant):
     detected = len({d.frame for d in dets})
     assert built[0] == (len(dets), DESCRIPTOR_DIM)
     assert len(built) == 1 + detected * (1 if variant == "baseline" else 2)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "full"])
+def test_the_steps_carry_exactly_the_tracks_above_the_threshold(variant):
+    # stepping a sequence by hand gives track_sequence's records frame by
+    # frame, and between frames the state holds, in birth order, the tracks
+    # carried into the next one, each with its last match's box and its
+    # confidence decayed since
+    frames, dets = noisy_scene()
+    dets = [d for d in dets if d.frame not in (3, 4)]
+    model = TrackerModel(variant, TINY_STUDENT, seed=3)
+    expected = track_sequence(frames, dets, model).by_frame()
+    state = prepare_sequence(frames, dets, model, QualityRanges())
+    segment_of = {f: k for k, f in enumerate(state.rows.frame_ids)}
+    confidence, box = {}, {}
+    for frame_index in range(len(frames)):
+        segment, fused = segment_of.get(frame_index), None
+        if segment is not None:
+            x = queries(state, segment)
+            assert x.rows == len(state.ids) + len(state.rows.detections[segment])
+            fused = model.encode_queries(x, state.quality, np.full(x.rows, segment))[0]
+        ids, chosen = associate(state, frame_index, segment, fused)
+        assert [(r.track_id, r.box, r.confidence) for r in expected.get(frame_index, [])] \
+            == [(i, d.box, d.confidence) for i, d in zip(ids, chosen, strict=True)]
+        confidence = {i: c * tracker.MISS_DECAY for i, c in confidence.items()}
+        for i, det in zip(ids, chosen):
+            confidence[i], box[i] = det.confidence, det.box
+        confidence = {i: c for i, c in confidence.items() if c > PROPAGATE_CONFIDENCE}
+        carried = sorted(confidence)       # ids are given in birth order
+        assert state.ids.tolist() == carried
+        assert state.confidences.tolist() == [confidence[i] for i in carried]
+        assert state.boxes.tolist() == [list(box[i]) for i in carried]
+        assert state.features.shape == (len(carried), 256)
+        assert state.features.dtype == np.float64
+    assert state.next_id == max(box) + 1
+
+
+def test_a_sequence_is_stepped_one_frame_at_a_time():
+    frames, dets = noisy_scene()
+    state = prepare_sequence(frames, dets, TrackerModel("baseline", seed=3), QualityRanges())
+    with pytest.raises(ValueError, match="stepped frame 1, but the sequence is at frame 0"):
+        associate(state, 1, None, None)
 
 
 def test_track_survives_short_gap_with_same_id():
