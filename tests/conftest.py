@@ -1,5 +1,13 @@
+import os
 import sys
 import pathlib
+
+# one BLAS thread, as the benchmark runs: set before numpy first loads, so the
+# tests' time does not hang on another process holding the second CPU, and
+# every product rounds as in a benchmark run
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 import pytest

@@ -20,18 +20,25 @@ old and new values and the reason.
   default sequences have 3-7): pinned is a digest of the track records. The
   two variants' records differ there on both sequences, while on the default
   sequences they differ only on ``eval004``.
+* Untrained ``baseline`` tracks two such crowded sequences at the
+  benchmark's workload seed 31 (input seeds shifted by 31 x 100 000): pinned
+  are a digest of the track records and the mean HOTA, MOTA and IDF1, which
+  the metrics compute from their largest gathers there.
 
 Records and scores are discrete or ratios of counts; losses and parameters
 are float64 sums whose order numpy and the BLAS fix, so every pin is exact.
-They came out the same on one BLAS thread and on two, except the updated
+The tests run on one BLAS thread, as the benchmark does (``conftest.py``).
+The pins came out the same on one thread and on two, except the updated
 parameters of ``full`` on the crowded scene: its products of about a thousand
 rows round differently when the BLAS splits them over another number of
 threads, so that pin is the update's squared size, within a stated relative
 tolerance.
 """
 
+import ctypes
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +104,15 @@ CROWDED_RECORDS = {
     "baseline": "2ba9ce82b77116c4442e7f0f5fbc41405bf95ba5fc620c0dbdb524e9253e4df2",
     "full": "30cc1c19d588bb121ffe5afcfe0ca5c58f9397e37f6e73a180e13b20fdc57f98",
 }
+
+# the input seeds the benchmark's workload seed 31 shifts, and by how much
+SHIFTED_SEEDS = ("scenes", "detector", "degradation", "partition")
+SECOND_SEED_OFFSET = 31 * 100_000
+# untrained baseline on the first two crowded sequences at that seed:
+# (records digest, mean hota, mota, idf1)
+CROWDED_SECOND_SEED = (
+    "a7c585db06dbe5a3f61a1990ec1be3bbefa2ff230166a6efeec68bc5a9942e61",
+    0.7231739887015736, 0.92431640625, 0.8068412063499737)
 
 
 def records_digest(tracks):
@@ -195,3 +211,30 @@ def test_untrained_records_on_crowded_sequences_are_pinned(variant, crowded_eval
     config, samples = crowded_evaluation
     tracks = track_samples(build_model(config, variant), samples, config)
     assert records_digest(tracks) == CROWDED_RECORDS[variant]
+
+
+def test_untrained_baseline_on_crowded_sequences_at_a_second_seed_is_pinned(
+        crowded_evaluation):
+    config, _ = crowded_evaluation
+    seeds = {name: getattr(config.seeds, name) + SECOND_SEED_OFFSET
+             for name in SHIFTED_SEEDS}
+    config = replace(config, seeds=replace(config.seeds, **seeds))
+    samples = evaluation_corpus(config)
+    tracks = track_samples(build_model(config, "baseline"), samples, config)
+    assert (records_digest(tracks), *mean_scores(samples, tracks)) == CROWDED_SECOND_SEED
+
+
+def test_the_blas_runs_on_one_thread():
+    """``conftest.py`` fixes one BLAS thread before numpy loads; ask every
+    OpenBLAS this process mapped how many threads it runs."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        pytest.skip("no /proc/self/maps to find the BLAS in")
+    paths = {line.split()[-1] for line in maps.read_text().splitlines()
+             if "openblas" in line.lower()}
+    queries = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+    counts = [getattr(library, name)() for library in map(ctypes.CDLL, paths)
+              for name in queries if hasattr(library, name)]
+    if not counts:
+        pytest.skip("no OpenBLAS thread count to ask for")
+    assert set(counts) == {1}
