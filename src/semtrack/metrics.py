@@ -20,8 +20,9 @@ The three metrics read one :class:`FrameTable` of the sequence, built once by
 :func:`frame_table` and handed by :func:`evaluate` to :func:`hota`,
 :func:`mota` and :func:`idf1`, which each take it as a required argument and
 stay three module-level calls so that each can be timed on its own. The
-table is flat: each side's records become arrays once, in
-``TrackSet.by_frame`` order (row and column order decide assignment ties),
+table is flat: each side's columns (:meth:`~semtrack.tracks.TrackSet.columns`)
+are put in frame order once, by a stable sort that keeps each frame's records
+in the order they were added (row and column order decide assignment ties),
 and every within-frame (ground truth, prediction) pair of the sequence is one
 entry of the pair arrays, its IoU from one
 :func:`semtrack.tracks.broadcast_iou` call over all of them. A frame's pairs
@@ -56,8 +57,6 @@ All scores are fractions in [0, 1] (MOTA can go negative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -96,11 +95,11 @@ class MetricReport:
 class FrameTable:
     """Flat view of one sequence that every metric reads.
 
-    Records of each side are numbered in ``TrackSet.by_frame`` order: by
-    frame, and within a frame in the order they were added, which decides
-    assignment ties. ``gt_index`` / ``pred_index`` give each record's
-    position in the sorted ``gt_ids`` / ``pred_ids``. ``frames`` are the
-    sorted frames either side has, with ``n_gt`` / ``n_pred`` records each.
+    Records of each side are numbered in frame order: by frame, and within
+    a frame in the order they were added, which decides assignment ties.
+    ``gt_index`` / ``pred_index`` give each record's position in the sorted
+    ``gt_ids`` / ``pred_ids``. ``frames`` are the sorted frames either side
+    has, with ``n_gt`` / ``n_pred`` records each.
 
     A pair is one ground-truth and one prediction record of the same frame.
     Pairs run frame by frame, each frame row-major (its first ground-truth
@@ -131,12 +130,8 @@ class FrameTable:
 
 def _side(tracks: TrackSet):
     """(frame, id position, box) arrays of the records of ``tracks`` in
-    ``by_frame`` order, and the sorted ids."""
-    n = len(tracks)
-    frame = np.fromiter([r.frame for r in tracks], np.int64, n)
-    track_id = np.fromiter([r.track_id for r in tracks], np.int64, n)
-    boxes = np.fromiter(chain.from_iterable([r.box for r in tracks]), np.float64,
-                        4 * n).reshape(n, 4)
+    frame order, and the sorted ids."""
+    frame, track_id, boxes, _ = tracks.columns()
     order = np.argsort(frame, kind="stable")
     ids, index = np.unique(track_id, return_inverse=True)
     return frame.take(order), index.take(order), boxes.take(order, axis=0), ids

@@ -234,13 +234,17 @@ def synth_detector(frames: list[np.ndarray], gt: TrackSet,
         raise ValueError(f"false boxes need frames of at least {MAX_FALSE_BOX}x"
                          f"{MAX_FALSE_BOX} (MAX_FALSE_BOX), got {height}x{width}")
     rng = np.random.default_rng(np.random.PCG64(seed))
-    by_frame = gt.by_frame()
+    gt_blocks = gt.frame_blocks()
     detections: list[Detection] = []
     for frame_index in range(len(frames)):
-        for record in sorted(by_frame.get(frame_index, []), key=lambda r: r.track_id):
+        block = gt_blocks.get(frame_index)
+        # the frame's ground-truth boxes by id, as Python floats: a detection's
+        # box holds Python floats wherever no noise is added
+        gt_boxes = ([] if block is None
+                    else block.boxes.take(np.argsort(block.ids), axis=0).tolist())
+        for l, t, w, h in gt_boxes:
             if noise.fn_rate > 0.0 and rng.uniform() < noise.fn_rate:
                 continue
-            l, t, w, h = record.box
             if noise.jitter_sigma > 0.0:
                 dl, dt = rng.normal(0.0, noise.jitter_sigma, size=2)
                 dw, dh = rng.normal(0.0, noise.jitter_sigma / 2.0, size=2)

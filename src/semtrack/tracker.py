@@ -26,8 +26,9 @@ Tracking a sequence is one step per frame, the shape of the per-frame
 arrays (ids, boxes, confidences and float64 fused features), so a step
 decays, matches, updates and filters them by array indexing, and
 :func:`track_sequence` adds each frame's records to its
-:class:`~semtrack.tracks.TrackSet` as one validated block. Each record keeps
-its detection's own box tuple and confidence.
+:class:`~semtrack.tracks.TrackSet` as one validated block of arrays:
+:func:`associate` gives the records' track ids and detection rows, and the
+boxes and confidences are gathered from the sequence's rows.
 
 What no tracking state feeds is computed once per sequence, by
 :func:`prepare_sequence`: :func:`sequence_rows` stacks the detections of the
@@ -62,8 +63,8 @@ default degraded corpus, about 1.7 ms a frame: the student's
 tracks a frame), about 0.3 ms a frame inside a benchmark run: the
 sequence's descriptors about 28%, :func:`associate` about 37% (the IoU
 matrix 11%, the row normalisation 10%, the Hungarian assignment 2%),
-:func:`queries` 16% (the embedding 11%) and adding the records
-15%, most of it building one :class:`~semtrack.tracks.TrackRecord` each.
+:func:`queries` 16% (the embedding 11%) and adding the records about 6%
+(18 µs a frame to check and copy its block of arrays).
 """
 
 from __future__ import annotations
@@ -452,6 +453,11 @@ def _require_fields(path, where: str, raw, types: dict[str, type]) -> None:
                              f"got {value!r}")
 
 
+# a step's records when it has none: no ids and no detection rows
+_NO_RECORDS = np.zeros(0, dtype=np.int64)
+_NO_RECORDS.flags.writeable = False
+
+
 @dataclass(slots=True)
 class SequenceState:
     """What tracking one sequence carries from frame to frame: its
@@ -496,7 +502,7 @@ def queries(state: SequenceState, segment: int) -> Matrix:
 
 
 def associate(state: SequenceState, frame_index: int, segment: int | None,
-              fused: Matrix | None) -> tuple[list[int], list[Detection]]:
+              fused: Matrix | None) -> tuple[np.ndarray, np.ndarray]:
     """Step ``state`` through frame ``frame_index``, whose detections are
     segment ``segment`` (``None`` for a frame without any) and whose
     :func:`queries` the model encoded as ``fused``.
@@ -507,23 +513,22 @@ def associate(state: SequenceState, frame_index: int, segment: int | None,
     fused feature. Each other detection of at least ``BIRTH_CONFIDENCE``
     starts a track, in detection order. Only tracks above
     ``PROPAGATE_CONFIDENCE`` stay active. Returns the frame's records as
-    track ids and their detections: the matches in track order, then the
-    births. Raises ``ValueError`` unless ``frame_index`` is the state's next
-    frame, since each step is one frame's decay."""
+    int64 arrays of track ids and of their detections' rows in
+    ``state.rows``: the matches in track order, then the births. Raises
+    ``ValueError`` unless ``frame_index`` is the state's next frame, since
+    each step is one frame's decay."""
     if frame_index != state.frame:
         raise ValueError(f"stepped frame {frame_index}, but the sequence is at "
                          f"frame {state.frame}")
     state.frame += 1
     state.confidences *= MISS_DECAY
-    ids: list[int] = []
-    chosen: list[Detection] = []
+    ids = rows = _NO_RECORDS
     if segment is not None:
-        rows = state.rows
-        start, stop = rows.starts[segment], rows.starts[segment + 1]
-        dets = rows.detections[segment]
+        start, stop = state.rows.starts[segment], state.rows.starts[segment + 1]
         k = len(state.ids)
         proposals = fused.data[k:]
-        boxes, confidences = rows.boxes[start:stop], state.detection_confidences[start:stop]
+        boxes = state.rows.boxes[start:stop]
+        confidences = state.detection_confidences[start:stop]
         born = confidences >= BIRTH_CONFIDENCE
         if k:
             normed = ad.l2_normalize_rows(fused).data
@@ -536,8 +541,7 @@ def associate(state: SequenceState, frame_index: int, segment: int | None,
             state.confidences[r] = confidences[c]
             state.features[r] = proposals[c]
             born[c] = False
-            ids = state.ids[r].tolist()
-            chosen = [dets[i] for i in c.tolist()]
+            ids, rows = state.ids.take(r), c + start
         births = born.nonzero()[0]
         if len(births):
             new_ids = np.arange(state.next_id, state.next_id + len(births))
@@ -546,15 +550,14 @@ def associate(state: SequenceState, frame_index: int, segment: int | None,
             state.boxes = np.concatenate([state.boxes, boxes[births]])
             state.confidences = np.concatenate([state.confidences, confidences[births]])
             state.features = np.concatenate([state.features, proposals[births]])
-            ids += new_ids.tolist()
-            chosen += [dets[i] for i in births.tolist()]
+            ids, rows = np.concatenate([ids, new_ids]), np.concatenate([rows, births + start])
     # a birth's confidence is at least BIRTH_CONFIDENCE, so no birth goes
     keep = state.confidences > PROPAGATE_CONFIDENCE
     if np.count_nonzero(keep) < len(keep):
         state.ids, state.boxes, state.confidences, state.features = (
             state.ids[keep], state.boxes[keep], state.confidences[keep],
             state.features[keep])
-    return ids, chosen
+    return ids, rows
 
 
 def track_sequence(frames: list[np.ndarray], detections: list[Detection],
@@ -576,8 +579,8 @@ def track_sequence(frames: list[np.ndarray], detections: list[Detection],
         if segment is not None:
             x = queries(state, segment)
             fused = model.encode_queries(x, state.quality, np.full(x.rows, segment))[0]
-        ids, dets = associate(state, frame_index, segment, fused)
-        if ids:
-            output.add_frame(frame_index, ids, [det.box for det in dets],
-                             [det.confidence for det in dets])
+        ids, rows = associate(state, frame_index, segment, fused)
+        if len(ids):
+            output.add_frame(frame_index, ids, state.rows.boxes.take(rows, axis=0),
+                             state.detection_confidences.take(rows))
     return output

@@ -139,26 +139,30 @@ class _ScenePlan:
     box_targets: np.ndarray
 
 
-def match_detections_to_gt(dets: Sequence[Detection], gt_records) -> dict[int, int]:
-    """Index of detection -> ground-truth id, by optimal IoU matching."""
-    if not dets or not gt_records:
+def match_detections_to_gt(dets: Sequence[Detection], gt_ids: Sequence[int],
+                           gt_boxes) -> dict[int, int]:
+    """Index of detection -> ground-truth id, by optimal IoU matching of
+    ``dets`` with the ground-truth boxes ``gt_boxes`` of ids ``gt_ids``."""
+    if not dets or not len(gt_ids):
         return {}
-    ious = iou_matrix([g.box for g in gt_records], [d.box for d in dets])
+    ious = iou_matrix(gt_boxes, [d.box for d in dets])
     cost = np.where(ious >= MATCH_IOU, 1.0 - ious, 1e9)
     rows, cols = linear_sum_assignment(cost)
-    return {int(c): gt_records[r].track_id for r, c in zip(rows, cols)
-            if ious[r, c] >= MATCH_IOU}
+    return {int(c): gt_ids[r] for r, c in zip(rows, cols) if ious[r, c] >= MATCH_IOU}
 
 
 def _scene_plan(sample: SceneSample) -> _ScenePlan:
     """The scene's :class:`_ScenePlan`, computed afresh."""
     rows = sequence_rows(sample.frames, sample.detections)
-    gt_by_frame = sample.gt.by_frame()
+    gt_blocks = sample.gt.frame_blocks()
     height, width = sample.frames[0].shape
     # segment k is frame frame_ids[k], rows first_row[k] to first_row[k + 1]
     frame_ids, first_row = rows.frame_ids, rows.starts.tolist()
-    labels = [match_detections_to_gt(dets, gt_by_frame.get(frame_index, []))
-              for frame_index, dets in zip(frame_ids, rows.detections)]
+    # each segment's ground truth: its ids and boxes, as Python values
+    gt = [(block.ids.tolist(), block.boxes.tolist()) if block is not None else ([], [])
+          for block in map(gt_blocks.get, frame_ids)]
+    labels = [match_detections_to_gt(dets, *frame_gt)
+              for dets, frame_gt in zip(rows.detections, gt)]
 
     # association: every gt id seen in consecutive frames must pick its own
     # detection among all of the next frame's candidates
@@ -181,10 +185,10 @@ def _scene_plan(sample: SceneSample) -> _ScenePlan:
     box_rows = []
     box_targets = []
     for segment, frame_labels in enumerate(labels):
-        gt_recs = {r.track_id: r for r in gt_by_frame.get(frame_ids[segment], [])}
+        gt_boxes = dict(zip(*gt[segment]))
         for det_idx in sorted(frame_labels):
             box_rows.append(first_row[segment] + det_idx)
-            l, t, w, h = gt_recs[frame_labels[det_idx]].box
+            l, t, w, h = gt_boxes[frame_labels[det_idx]]
             box_targets.append([l / width, t / height, w / width, h / height])
     return _ScenePlan(rows, pairs, box_rows, np.array(box_targets))
 

@@ -68,9 +68,23 @@ def all_matchings(n: int, m: int):
     yield from extend(0, set(), [])
 
 
+def track_ids(tracks: TrackSet) -> list[int]:
+    """The sorted ids of ``tracks``, from its records one at a time."""
+    return sorted({r.track_id for r in tracks})
+
+
+def by_frame(tracks: TrackSet) -> dict[int, list[TrackRecord]]:
+    """The records of ``tracks`` grouped by frame, each frame's in the order
+    they were added, from its records one at a time."""
+    out: dict[int, list[TrackRecord]] = {}
+    for r in tracks:
+        out.setdefault(r.frame, []).append(r)
+    return out
+
+
 def _frames(gt: TrackSet, pred: TrackSet):
-    gt_by_frame = gt.by_frame()
-    pred_by_frame = pred.by_frame()
+    gt_by_frame = by_frame(gt)
+    pred_by_frame = by_frame(pred)
     for frame in sorted(set(gt_by_frame) | set(pred_by_frame)):
         yield frame, gt_by_frame.get(frame, []), pred_by_frame.get(frame, [])
 
@@ -110,8 +124,8 @@ def brute_mota(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5):
 
 def brute_idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     """IDF1 by enumerating every ground-truth-id to prediction-id pairing."""
-    gt_ids = gt.ids()
-    pred_ids = pred.ids()
+    gt_ids = track_ids(gt)
+    pred_ids = track_ids(pred)
     if not pred_ids:
         return 0.0
     overlap = {(g, p): 0 for g in gt_ids for p in pred_ids}
@@ -130,8 +144,8 @@ def brute_idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> floa
 
 def brute_hota(gt: TrackSet, pred: TrackSet, alphas) -> tuple[float, float, float]:
     """HOTA/DetA/AssA with the per-frame optimization done by enumeration."""
-    gt_ids = gt.ids()
-    pred_ids = pred.ids()
+    gt_ids = track_ids(gt)
+    pred_ids = track_ids(pred)
     if not pred_ids:
         return 0.0, 0.0, 0.0
 
@@ -220,9 +234,9 @@ def _split(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     return [flat[end - n:end] for end, n in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
 
 
-def _reference_side(by_frame: dict[int, list[TrackRecord]], frames: list[int],
+def _reference_side(grouped: dict[int, list[TrackRecord]], frames: list[int],
                     ids: list[int]):
-    records = [by_frame.get(f, []) for f in frames]
+    records = [grouped.get(f, []) for f in frames]
     flat = [r for recs in records for r in recs]
     sizes = np.array([len(recs) for recs in records], dtype=np.intp)
     boxes = np.array([r.box for r in flat], dtype=np.float64).reshape(-1, 4)
@@ -232,11 +246,12 @@ def _reference_side(by_frame: dict[int, list[TrackRecord]], frames: list[int],
 
 
 def reference_frame_table(gt: TrackSet, pred: TrackSet) -> ReferenceFrameTable:
-    """Every frame's records in ``TrackSet.by_frame`` order and its IoU block."""
-    gt_by_frame = gt.by_frame()
-    pred_by_frame = pred.by_frame()
+    """Every frame's records, in the order they were added, and its IoU
+    block."""
+    gt_by_frame = by_frame(gt)
+    pred_by_frame = by_frame(pred)
     frames = sorted(set(gt_by_frame) | set(pred_by_frame))
-    gt_ids, pred_ids = gt.ids(), pred.ids()
+    gt_ids, pred_ids = track_ids(gt), track_ids(pred)
     gt_recs, n_gt, gt_boxes, gt_index = _reference_side(gt_by_frame, frames, gt_ids)
     pred_recs, n_pred, pred_boxes, pred_index = _reference_side(pred_by_frame, frames,
                                                                 pred_ids)
@@ -572,7 +587,7 @@ def per_frame_scene_losses(model, sample, train, quality_ranges) -> dict:
     """The dict :func:`semtrack.training.scene_losses` returns, computed one
     frame at a time."""
     per_frame = detections_by_frame(sample.detections, len(sample.frames))
-    gt_by_frame = sample.gt.by_frame()
+    gt_by_frame = by_frame(sample.gt)
     height, width = sample.frames[0].shape
 
     def mean(terms):
@@ -588,7 +603,9 @@ def per_frame_scene_losses(model, sample, train, quality_ranges) -> dict:
         x = model.embed_descriptors(Matrix(descriptors))
         quality = model.quality_column([frame], quality_ranges)
         fused[f], semantic = model.encode_queries(x, quality, [0] * x.rows)
-        labels[f] = match_detections_to_gt(dets, gt_by_frame.get(f, []))
+        gt_recs = gt_by_frame.get(f, [])
+        labels[f] = match_detections_to_gt(dets, [r.track_id for r in gt_recs],
+                                           [r.box for r in gt_recs])
         if semantic is not None:
             teacher = Matrix(pseudo_teacher(frame, train.teacher_seed))
             breakdowns.append(model.dcsd.loss(semantic, [0] * semantic.rows, teacher))

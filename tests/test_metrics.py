@@ -13,10 +13,12 @@ from semtrack.config import ExperimentConfig, SceneParams
 from semtrack.metrics import (ALPHAS, UndefinedMetricError, evaluate, frame_table, hota,
                               idf1, mota)
 from semtrack.tracker import track_sequence
-from semtrack.tracks import TrackRecord, TrackSet, box_iou, broadcast_iou, iou_matrix
+from semtrack.tracks import (Records, TrackRecord, TrackSet, box_iou, broadcast_iou,
+                             iou_matrix)
 
-from oracles import (brute_hota, brute_idf1, brute_mota, random_sequence, random_tiny_case,
-                     reference_evaluate, reference_frame_table, reference_potential)
+from oracles import (brute_hota, brute_idf1, brute_mota, by_frame, random_sequence,
+                     random_tiny_case, reference_evaluate, reference_frame_table,
+                     reference_potential, track_ids)
 
 
 def simple_track(track_id, frames, box):
@@ -168,20 +170,171 @@ def test_add_frame_refuses_a_block_as_add_refuses_its_record(block):
             one_by_one.add(record)
 
 
+# the blocks above as arrays, n x 4 boxes and all, and an n x 3 box array
+ARRAY_BLOCKS = {name: block for name, block in REFUSED_BLOCKS.items()
+                if name != "short-box"}
+ARRAY_BLOCKS["three-column-boxes"] = (
+    3, [2, 3], [(0.0, 0.0, 5.0)] * 2, [0.9] * 2,
+    r"a box is \(l, t, w, h\), got \(0.0, 0.0, 5.0\) for frame 3, id 2")
+
+
+@pytest.mark.parametrize("block", ARRAY_BLOCKS.values(), ids=ARRAY_BLOCKS.keys())
+def test_add_frame_refuses_an_array_block_as_add_refuses_its_record(block):
+    frame, ids, boxes, confidences, message = block
+    held = simple_track(1, [0, 2], BOX)
+    ts = TrackSet(held)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ts.add_frame(frame, np.array(ids), np.array(boxes), np.array(confidences))
+    one_by_one = TrackSet(held)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        for record in map(TrackRecord, [frame] * len(ids), ids, boxes, confidences):
+            one_by_one.add(record)
+    # the refused block added no record and claimed no (frame, id)
+    assert ts.records == held and len(ts) == 2
+    ts.add_frame(3, np.array([2, 3, 4]), np.array([BOX] * 3), np.array([0.9] * 3))
+    assert len(ts) == 5
+
+
+@pytest.mark.parametrize("ids, shown", [
+    ([1.5], "1.5"), ([2, 1.5], "1.5"), (np.array([2.0, 0.5]), "0.5"),
+    ([float("nan")], "nan"), ([np.inf], "inf"), (["2"], "2")])
+def test_add_frame_refuses_a_non_integer_id(ids, shown):
+    # an int64 cast would make 1.5 id 1; written as it is, read refuses it
+    ts = TrackSet()
+    with pytest.raises(ValueError, match=f"^track ids must be integers, got {shown}$"):
+        ts.add_frame(0, ids, [BOX] * len(ids), [0.5] * len(ids))
+    assert len(ts) == 0
+
+
+@pytest.mark.parametrize("frame", [1.5, float("nan"), "1"])
+def test_add_frame_refuses_a_non_integer_frame(frame):
+    with pytest.raises(ValueError, match=f"^frames must be integers, got {frame}$"):
+        TrackSet().add_frame(frame, [1], [BOX], [0.5])
+
+
+# blocks add_frame accepts, of every input kind it takes
+ACCEPTED_BLOCKS = [
+    (0, [1], [(0, 0, 5, 5)], [1]),
+    (np.int64(1), [2.0, 3], [[1.5, -2.25, 1e308, 0.0], (0.125, 3.0, 7.0, 8.0)],
+     [0.5, np.float64(1e-7)]),
+    (2.0, np.array([3, 2 ** 62 + 1], dtype=np.int64),
+     np.array([(-1e-3, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)]), np.array([0.25, -3.0])),
+    (4, np.array([9], dtype=np.uint8), np.array([(1.0, 1.0, 2.0, 2.0)], dtype=np.float32),
+     np.array([0.75], dtype=np.float32)),
+    (7, np.array([2.0, 1.0]), [np.array([1.0, 2.0, 3.0, 4.0])] * 2, (0.5, 0.5)),
+]
+
+
+def test_whatever_add_frame_accepts_round_trips_through_write_and_read(tmp_path):
+    ts = TrackSet()
+    for block in ACCEPTED_BLOCKS:
+        ts.add_frame(*block)
+    path = tmp_path / "pred.txt"
+    ts.write(path)
+    back = TrackSet.read(path)
+    ordered = sorted(ts, key=lambda r: (r.frame, r.track_id))
+    assert [(r.frame, r.track_id) for r in back] == [(r.frame, r.track_id) for r in ordered]
+    assert [(r.box, r.confidence) for r in back] == \
+        [(tuple(float(f"{v:.2f}") for v in r.box), float(f"{r.confidence:.6f}"))
+         for r in ordered]
+    again = tmp_path / "again.txt"
+    back.write(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def records_case():
+    ts = TrackSet(simple_track(7, [0, 1], (0.5, 1.0, 10.0, 12.0)))
+    ts.add_frame(1, np.array([3, 9]), np.array([(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)]),
+                 np.array([0.25, 1.0]))
+    ts.add_frame(0, [2], [(-1.0, 0.0, 2.0, 2.0)], [0.5])
+    listed = [TrackRecord(0, 7, (0.5, 1.0, 10.0, 12.0), 1.0),
+              TrackRecord(1, 7, (0.5, 1.0, 10.0, 12.0), 1.0),
+              TrackRecord(1, 3, (1.0, 2.0, 3.0, 4.0), 0.25),
+              TrackRecord(1, 9, (5.0, 6.0, 7.0, 8.0), 1.0),
+              TrackRecord(0, 2, (-1.0, 0.0, 2.0, 2.0), 0.5)]
+    return ts, listed
+
+
+def test_records_equal_a_list_of_records_and_records_of_equal_columns():
+    ts, listed = records_case()
+    records = ts.records
+    assert isinstance(records, Records) and len(records) == len(ts) == 5
+    assert records == listed and listed == records
+    assert records != listed[:-1] and records != listed[::-1]
+    assert records == TrackSet(listed).records
+    assert records != TrackSet(listed[:-1]).records
+    assert records != TrackSet(listed[:-1] + [listed[-1]._replace(confidence=0.75)]).records
+    assert records != tuple(listed)     # a list, not any sequence
+    with pytest.raises(TypeError):
+        hash(records)
+
+
+def test_records_repr_is_the_list_repr():
+    ts, listed = records_case()
+    assert repr(ts.records) == repr(listed)
+    assert repr(listed[2]) == \
+        "TrackRecord(frame=1, track_id=3, box=(1.0, 2.0, 3.0, 4.0), confidence=0.25)"
+    assert repr(TrackSet().records) == "[]"
+
+
+def test_records_slices_and_indices_read_the_columns():
+    ts, listed = records_case()
+    records = ts.records
+    for index in (slice(1, 3), slice(None, None, -2), slice(4, 1), slice(None)):
+        assert isinstance(records[index], Records)
+        assert records[index] == listed[index]
+    assert [records[i] for i in range(-5, 5)] == listed[-5:] + listed
+    with pytest.raises(IndexError):
+        records[5]
+    assert list(reversed(records)) == listed[::-1] and listed[3] in records
+    assert TrackSet(records[1:]).records == listed[1:]
+
+
+def test_records_hold_python_ints_and_floats():
+    ts, _ = records_case()
+    records = ts.records
+    for record in [*records, *(records[i] for i in range(len(records)))]:
+        assert type(record.frame) is int and type(record.track_id) is int
+        assert type(record.box) is tuple
+        assert [type(v) for v in (*record.box, record.confidence)] == [float] * 5
+
+
+def test_columns_are_read_only_and_a_set_grows_after_reading_them():
+    ts, listed = records_case()
+    columns = ts.columns()
+    with pytest.raises(ValueError):
+        columns.boxes[0, 0] = 1.0
+    ts.add_frame(2, [7], [(0.0, 0.0, 1.0, 1.0)], [0.5])
+    assert ts.records == listed + [TrackRecord(2, 7, (0.0, 0.0, 1.0, 1.0), 0.5)]
+    assert columns.frames.tolist() == [r.frame for r in listed]   # unchanged
+
+
+def test_frame_blocks_keep_each_frames_records_in_the_order_added():
+    ts, listed = records_case()
+    blocks = ts.frame_blocks()
+    assert list(blocks) == [0, 1]
+    for frame, block in blocks.items():
+        assert Records(block) == [r for r in listed if r.frame == frame]
+    assert TrackSet().frame_blocks() == {}
+
+
 def test_add_frame_refuses_blocks_of_unequal_lengths():
     with pytest.raises(ValueError, match="2 ids, 1 boxes and 2 confidences for frame 0"):
         TrackSet().add_frame(0, [1, 2], [BOX], [0.9, 0.9])
 
 
-def test_add_frame_adds_records_in_order_keeping_their_boxes_and_confidences():
-    boxes = [(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)]
-    confidences = [0.75, 0.5]
+def test_add_frame_adds_records_in_order_as_copies_of_their_values():
+    boxes = np.array([(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)])
+    confidences = np.array([0.75, 0.5])
     ts = TrackSet(simple_track(7, [0], BOX))
-    ts.add_frame(1, [7, 3], boxes, confidences)
+    ts.add_frame(1, np.array([7, 3]), boxes, confidences)
     ts.add_frame(2, [], [], [])
-    assert [(r.frame, r.track_id) for r in ts] == [(0, 7), (1, 7), (1, 3)]
-    assert all(r.box is box and r.confidence is confidence
-               for r, box, confidence in zip(ts.records[1:], boxes, confidences))
+    # the set copies the arrays it is given
+    boxes[:] = 0.0
+    confidences[:] = 0.0
+    assert ts.records == [TrackRecord(0, 7, BOX, 1.0),
+                          TrackRecord(1, 7, (1.0, 2.0, 3.0, 4.0), 0.75),
+                          TrackRecord(1, 3, (5.0, 6.0, 7.0, 8.0), 0.5)]
     # a sum of finite values that overflows is no non-finite record
     ts.add_frame(3, [7, 3], [(1e308, 0.0, 5.0, 5.0), (1e308, 0.0, 5.0, 5.0)], [0.5, 0.5])
     assert len(ts) == 5
@@ -264,19 +417,19 @@ def test_frame_table_blocks_equal_iou_matrix_bit_for_bit(empty_pred):
     if empty_pred:
         pred = TrackSet()
     table = frame_table(gt, pred)
-    gt_by_frame, pred_by_frame = gt.by_frame(), pred.by_frame()
+    gt_by_frame, pred_by_frame = by_frame(gt), by_frame(pred)
     frames = sorted(set(gt_by_frame) | set(pred_by_frame))
     assert table.frames.tolist() == frames
-    assert (table.gt_ids.tolist(), table.pred_ids.tolist()) == (gt.ids(), pred.ids())
+    assert (table.gt_ids.tolist(), table.pred_ids.tolist()) == (track_ids(gt), track_ids(pred))
     gt_recs = [gt_by_frame.get(f, []) for f in frames]
     pred_recs = [pred_by_frame.get(f, []) for f in frames]
     assert table.n_gt.tolist() == [len(recs) for recs in gt_recs]
     assert table.n_pred.tolist() == [len(recs) for recs in pred_recs]
     # records are numbered frame by frame in by_frame order
     assert table.gt_index.tolist() == \
-        [gt.ids().index(r.track_id) for recs in gt_recs for r in recs]
+        [track_ids(gt).index(r.track_id) for recs in gt_recs for r in recs]
     assert table.pred_index.tolist() == \
-        [pred.ids().index(r.track_id) for recs in pred_recs for r in recs]
+        [track_ids(pred).index(r.track_id) for recs in pred_recs for r in recs]
     # each frame's pairs, row-major, are its IoU block
     pairs, ious, blocks = [], [], []
     first_gt = first_pred = 0
@@ -290,7 +443,7 @@ def test_frame_table_blocks_equal_iou_matrix_bit_for_bit(empty_pred):
         first_pred += len(p_recs)
     assert list(zip(table.pair_gt.tolist(), table.pair_pred.tolist())) == pairs
     assert table.pair_cell.tolist() == \
-        [table.gt_index[i] * len(pred.ids()) + table.pred_index[j] for i, j in pairs]
+        [table.gt_index[i] * len(track_ids(pred)) + table.pred_index[j] for i, j in pairs]
     assert [v.hex() for v in table.pair_iou.tolist()] == [v.hex() for v in ious]
     assert [tuple(b) for b in zip(*(a.tolist() for a in table.blocks()))] == blocks
     shapes = {(bool(g), bool(q)) for g, q in zip(gt_recs, pred_recs)}
@@ -433,13 +586,13 @@ def test_evaluate_calls_the_assignment_once_a_frame_and_the_iou_once(monkeypatch
     monkeypatch.setattr(metrics, "linear_sum_assignment", counting_lsa)
     monkeypatch.setattr(metrics, "broadcast_iou", counting_iou)
     gt, pred = random_sequence(np.random.default_rng(8), 6, 12)
-    gt_by_frame, pred_by_frame = gt.by_frame(), pred.by_frame()
+    gt_by_frame, pred_by_frame = by_frame(gt), by_frame(pred)
     blocks = [(len(gt_by_frame[f]), len(pred_by_frame[f]))
               for f in sorted(set(gt_by_frame) & set(pred_by_frame))]
     assert len(set(gt_by_frame) ^ set(pred_by_frame)) > 0   # one-sided frames exist
     evaluate(gt, pred)
     assert calls["iou"] == 1
-    assert calls["lsa"] == blocks + blocks + [(len(gt.ids()), len(pred.ids()))]
+    assert calls["lsa"] == blocks + blocks + [(len(track_ids(gt)), len(track_ids(pred)))]
 
 
 def test_perfect_prediction_scores():
@@ -536,7 +689,7 @@ def test_hota_geometric_mean_identity():
 def test_id_relabeling_does_not_change_scores():
     rng = np.random.default_rng(1)
     gt, pred = random_tiny_case(rng)
-    relabel = {pid: 10 + i for i, pid in enumerate(pred.ids())}
+    relabel = {pid: 10 + i for i, pid in enumerate(track_ids(pred))}
     shuffled = TrackSet(TrackRecord(frame=r.frame, track_id=relabel[r.track_id],
                                     box=r.box, confidence=r.confidence)
                         for r in pred)

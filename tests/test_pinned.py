@@ -20,6 +20,10 @@ old and new values and the reason.
   default sequences have 3-7): pinned is a digest of the track records. The
   two variants' records differ there on both sequences, while on the default
   sequences they differ only on ``eval004``.
+* The MOTChallenge file of untrained ``baseline``'s records on the first
+  crowded sequence is pinned by its sha256. Its records, kept after tracking
+  as the benchmark keeps every pass's, may cost at most ``RECORD_BYTES``
+  each.
 * Untrained ``baseline`` tracks two such crowded sequences at the
   benchmark's workload seed 31 (input seeds shifted by 31 x 100 000): pinned
   are a digest of the track records and the mean HOTA, MOTA and IDF1, which
@@ -37,6 +41,7 @@ tolerance.
 
 import ctypes
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -104,6 +109,12 @@ CROWDED_RECORDS = {
     "baseline": "2ba9ce82b77116c4442e7f0f5fbc41405bf95ba5fc620c0dbdb524e9253e4df2",
     "full": "30cc1c19d588bb121ffe5afcfe0ca5c58f9397e37f6e73a180e13b20fdc57f98",
 }
+# sha256 of the MOTChallenge file untrained baseline's records on the first
+# crowded sequence write
+CROWDED_FILE = "0db433bc3d52d8aa5e1f1c1eefeb36317f3a64eeb4c1332f8420041e38317eab"
+# the tracemalloc bytes a kept record may cost: the benchmark keeps every
+# tracking pass's records, so they count in its peak memory
+RECORD_BYTES = 64
 
 # the input seeds the benchmark's workload seed 31 shifts, and by how much
 SHIFTED_SEEDS = ("scenes", "detector", "degradation", "partition")
@@ -211,6 +222,30 @@ def test_untrained_records_on_crowded_sequences_are_pinned(variant, crowded_eval
     config, samples = crowded_evaluation
     tracks = track_samples(build_model(config, variant), samples, config)
     assert records_digest(tracks) == CROWDED_RECORDS[variant]
+
+
+def test_the_file_written_from_a_crowded_tracked_set_is_pinned(crowded_evaluation,
+                                                               tmp_path):
+    config, samples = crowded_evaluation
+    (tracks,) = track_samples(build_model(config, "baseline"), samples[:1], config).values()
+    path = tmp_path / "pred.txt"
+    tracks.write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CROWDED_FILE
+
+
+def test_kept_records_of_crowded_sequences_stay_small(crowded_evaluation):
+    config, samples = crowded_evaluation
+    model = build_model(config, "baseline")
+    track_samples(model, samples[:1], config)     # whatever a first call allocates
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kept = [track_samples(model, [samples[i % len(samples)]], config).popitem()[1].records
+                for i in range(5)]
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown <= RECORD_BYTES * sum(map(len, kept))
 
 
 def test_untrained_baseline_on_crowded_sequences_at_a_second_seed_is_pinned(

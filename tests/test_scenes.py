@@ -8,6 +8,8 @@ from semtrack.scenes import (MAX_FALSE_BOX, Detection, DetectorNoise, SceneConfi
                              generate_scene, random_scene_config, synth_detector)
 from semtrack.tracks import TrackSet, box_iou
 
+from oracles import by_frame
+
 
 def test_scene_determinism():
     config = random_scene_config(seed=3)
@@ -71,9 +73,9 @@ def test_scene_validation():
 def test_crossing_preset_overlaps_mid_sequence():
     config = crossing_preset(seed=2)
     _, gt = generate_scene(config)
-    by_frame = gt.by_frame()
+    grouped = by_frame(gt)
     overlaps = []
-    for frame, records in by_frame.items():
+    for frame, records in grouped.items():
         if len(records) == 2:
             overlaps.append(box_iou(records[0].box, records[1].box))
     assert max(overlaps) > 0.3  # the two targets really cross

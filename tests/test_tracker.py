@@ -18,7 +18,7 @@ from semtrack.tracker import (DESCRIPTOR_BLOCK_BOXES, DESCRIPTOR_DIM, INFERENCE_
                               track_sequence)
 from semtrack.tracks import TrackSet
 
-from oracles import per_box_descriptor, reference_track_sequence
+from oracles import by_frame, per_box_descriptor, reference_track_sequence, track_ids
 
 TINY_STUDENT = StudentConfig(hidden_dim=32, num_heads=2, ff_dim=64)
 
@@ -260,7 +260,7 @@ def test_association_is_one_to_one_per_frame():
                           seed=3)
     model = TrackerModel("baseline", seed=1)
     pred = track_sequence(frames, dets, model)
-    for frame, records in pred.by_frame().items():
+    for frame, records in by_frame(pred).items():
         ids = [r.track_id for r in records]
         assert len(ids) == len(set(ids))
 
@@ -420,9 +420,10 @@ def test_the_steps_carry_exactly_the_tracks_above_the_threshold(variant):
     frames, dets = noisy_scene()
     dets = [d for d in dets if d.frame not in (3, 4)]
     model = TrackerModel(variant, TINY_STUDENT, seed=3)
-    expected = track_sequence(frames, dets, model).by_frame()
+    expected = by_frame(track_sequence(frames, dets, model))
     state = prepare_sequence(frames, dets, model, QualityRanges())
     segment_of = {f: k for k, f in enumerate(state.rows.frame_ids)}
+    row_dets = [det for segment in state.rows.detections for det in segment]
     confidence, box = {}, {}
     for frame_index in range(len(frames)):
         segment, fused = segment_of.get(frame_index), None
@@ -430,7 +431,10 @@ def test_the_steps_carry_exactly_the_tracks_above_the_threshold(variant):
             x = queries(state, segment)
             assert x.rows == len(state.ids) + len(state.rows.detections[segment])
             fused = model.encode_queries(x, state.quality, np.full(x.rows, segment))[0]
-        ids, chosen = associate(state, frame_index, segment, fused)
+        ids, rows = associate(state, frame_index, segment, fused)
+        assert ids.dtype == rows.dtype == np.int64
+        # the records are the track ids and their detections' rows in the state
+        ids, chosen = ids.tolist(), [row_dets[row] for row in rows.tolist()]
         assert [(r.track_id, r.box, r.confidence) for r in expected.get(frame_index, [])] \
             == [(i, d.box, d.confidence) for i, d in zip(ids, chosen, strict=True)]
         confidence = {i: c * tracker.MISS_DECAY for i, c in confidence.items()}
@@ -460,7 +464,7 @@ def test_track_survives_short_gap_with_same_id():
     dets = [d for d in dets if d.frame != 5]
     model = TrackerModel("baseline", seed=0)
     pred = track_sequence(frames, dets, model)
-    assert len(pred.ids()) == 2
+    assert len(track_ids(pred)) == 2
 
 
 def test_parameter_counts():
