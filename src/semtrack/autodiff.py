@@ -1,18 +1,17 @@
 """Dense float matrices with reverse-mode gradient recording.
 
 Values are immutable 2-D numpy arrays wrapped in :class:`Matrix`; every op
-takes :class:`Matrix` operands (``concat_*`` a list of them), never raw
-arrays. One :class:`Tape` records at a time: an operation executed while it
-is active records its output, its inputs and a backward rule. The rule maps
-the gradient of the output to one gradient per input, or ``None`` for an
-input that needs none; it does not know where those gradients go. A gradient
-is a full array, except that ``take_rows`` returns only the rows it took,
-which the tape adds in place into a buffer of its own. A later
-``tape.backward(loss)`` replays the records in reverse and routes every
-gradient itself: into the tape's buffer for an input that an earlier record
-produced, or into the ``grad`` of a leaf matrix that requires it (typically
-the value of a :class:`Parameter`). Outside a tape, operations are plain
-numpy math.
+takes :class:`Matrix` operands, never raw arrays. One :class:`Tape` records
+at a time: an operation executed while it is active records its output, its
+inputs and a backward rule. The rule maps the gradient of the output to one
+gradient per input, or ``None`` for an input that needs none; it does not
+know where those gradients go. A gradient is a full array, except that
+``take_rows`` returns only the rows it took, which the tape adds in place
+into a buffer of its own. A later ``tape.backward(loss)`` replays the
+records in reverse and routes every gradient itself: into the tape's buffer
+for an input that an earlier record produced, or into the ``grad`` of a leaf
+matrix that requires it (typically the value of a :class:`Parameter`).
+Outside a tape, operations are plain numpy math.
 
 A backward rule closes over its op's inputs and forward arrays, never over
 the tape. Nothing in a recorded graph points back at its tape, so a tape and
@@ -44,17 +43,18 @@ another order, within float32 rounding of it. Float64, and so training and
 every taped op, always makes the single product.
 
 The student's two sublayer ops (:func:`attention_sublayer` and
-:func:`feed_forward_sublayer`) each run a chain of the small ops' formulas
-and record it as one op, so a forward pays 9 wrappings and scans, not 39.
-The small ops stay, as the composition the sublayers are tested against,
-and share each formula with them through a private helper. A fused op scans
+:func:`feed_forward_sublayer`) each run a chain of private formulas and
+record it as one op, so a forward pays 9 wrappings and scans, not 39. No run
+records a step alone, so no op here does: the test oracles
+(``tests/oracles.py``) record each formula through :func:`_emit` and compose
+the reference each fused op is tested against bit for bit. A fused op scans
 its result and, besides, each intermediate that a later step could turn
 finite again: the inputs of the softmax's ``exp`` (the query, key and value
 projections) and of a ReLU, both of which make ``-inf`` a finite 0. Every
 other step carries a non-finite value through to the result, so a
 non-finite value raises ``ValueError`` wherever in the chain it appears, as
-the small ops' own scans would make it. Attention has no unmasked path:
-every call labels its rows' segments, and a row attends within its own.
+a scan after each step would make it. Attention has no unmasked path: every
+call labels its rows' segments, and a row attends within its own.
 
 Training's contrastive association term is one op as well
 (:func:`contrastive_pairs`): a crowded scene has dozens of consecutive-frame
@@ -84,18 +84,12 @@ __all__ = [
     "scale",
     "slice_cols",
     "take_rows",
-    "concat_cols",
-    "concat_rows",
-    "relu",
     "sigmoid",
     "softmax_rows",
-    "multi_head_attention",
     "l2_normalize_rows",
-    "layer_norm_rows",
     "attention_sublayer",
     "feed_forward_sublayer",
     "mean_abs_diff",
-    "cross_entropy_rows",
     "contrastive_pairs",
     "sum_all",
 ]
@@ -440,8 +434,8 @@ def _add_row(data: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# formulas: one per op, on plain arrays, shared by the op that records it
-# alone and by the sublayer ops that record it inside one. Each returns the
+# formulas on plain arrays, shared by the ops that record them inside one
+# (and by the test oracles' ops that record one alone). Each returns the
 # result and its backward rule.
 
 
@@ -514,8 +508,12 @@ def _attention_labels(shape: tuple[int, int], num_heads: int,
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int,
                labels: np.ndarray):
-    """:func:`multi_head_attention` on checked arrays; the rule gives the
-    gradients of q, k and v."""
+    """Self-attention on checked arrays: head ``i``, columns ``[i*d, (i+1)*d)``
+    of each, gives ``softmax_rows(q_i @ k_i^T / sqrt(d)) @ v_i``, the heads
+    batched as their column slices lie and concatenated in order. A row
+    attends only to rows of its own label: logits between segments are
+    ``-inf``, so their weights are exactly 0 and the rule, which gives the
+    gradients of q, k and v, needs no mask."""
     n, width = q.shape
     head_dim = width // num_heads
     inv_scale = 1.0 / math.sqrt(head_dim)
@@ -558,7 +556,8 @@ def _check_norm(width: int, gain: Matrix, bias: Matrix) -> None:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """:func:`layer_norm_rows` on checked arrays; the rule gives the
+    """Per-row layer normalization of ``x`` with 1 x cols ``gain`` and
+    ``bias``, the variance plus :data:`LAYER_NORM_EPS`; the rule gives the
     gradients of x, the gain and the bias."""
     # numpy's mean and var, with the row mean taken once: each row sum is
     # divided by the intp column count under unsafe casting, so a float32 sum
@@ -694,41 +693,8 @@ def take_rows(m: Matrix, rows: Sequence[int]) -> Matrix:
     return _emit((m,), m.data.take(index, axis=0), lambda g: (_Rows(index, g, increasing),))
 
 
-def concat_cols(parts: list[Matrix]) -> Matrix:
-    if not parts:
-        raise DimensionError("concat_cols needs at least one matrix")
-    rows = parts[0].rows
-    if any(p.rows != rows for p in parts):
-        raise DimensionError("concat_cols row mismatch")
-    edges = np.cumsum([0] + [p.cols for p in parts])
-
-    def vjp(g):
-        return [g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-
-    return _emit(parts, np.concatenate([p.data for p in parts], axis=1), vjp)
-
-
-def concat_rows(parts: list[Matrix]) -> Matrix:
-    if not parts:
-        raise DimensionError("concat_rows needs at least one matrix")
-    cols = parts[0].cols
-    if any(p.cols != cols for p in parts):
-        raise DimensionError("concat_rows column mismatch")
-    edges = np.cumsum([0] + [p.rows for p in parts])
-
-    def vjp(g):
-        return [g[lo:hi, :] for lo, hi in zip(edges[:-1], edges[1:])]
-
-    return _emit(parts, np.concatenate([p.data for p in parts], axis=0), vjp)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def relu(m: Matrix) -> Matrix:
-    data, rule = _relu(m.data)
-    return _emit((m,), data, lambda g: (rule(g),))
 
 
 def sigmoid(m: Matrix) -> Matrix:
@@ -745,31 +711,6 @@ def softmax_rows(m: Matrix) -> Matrix:
         return (data * (g - (g * data).sum(axis=1, keepdims=True)),)
 
     return _emit((m,), data, vjp)
-
-
-def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int,
-                         segments: Sequence[int]) -> Matrix:
-    """Scaled dot-product self-attention over ``num_heads`` column blocks,
-    recorded as one op.
-
-    Head ``i`` takes columns ``[i*d, (i+1)*d)`` of ``q``, ``k`` and ``v``
-    (``d = cols / num_heads``) and computes
-    ``softmax_rows(q_i @ k_i^T / sqrt(d)) @ v_i``; the heads' outputs are
-    concatenated in head order. The heads run as one batched matmul, each
-    head's matrices laid out as the per-head slices would be, so the result
-    equals the slice/softmax/concat composition.
-
-    Every call is masked by ``segments``, one label per row: a row attends
-    only to rows with its own label, as if each segment ran on its own. The
-    logits between segments are ``-inf`` before the softmax, so their
-    weights are exactly 0 and the backward rule needs no mask.
-    """
-    if not q.shape == k.shape == v.shape:
-        raise DimensionError(
-            f"attention needs equal q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
-    labels = _attention_labels(q.shape, num_heads, segments)
-    data, vjp = _attention(q.data, k.data, v.data, num_heads, labels)
-    return _emit((q, k, v), data, vjp)
 
 
 def l2_normalize_rows(m: Matrix) -> Matrix:
@@ -792,14 +733,6 @@ def l2_normalize_rows(m: Matrix) -> Matrix:
         return (out,)
 
     return _emit((m,), data, vjp)
-
-
-def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
-    """Per-row layer normalization with 1 x cols gain and bias; the variance
-    gets :data:`LAYER_NORM_EPS` added."""
-    _check_norm(x.cols, gain, bias)
-    data, vjp = _layer_norm(x.data, gain.data, bias.data)
-    return _emit((x, gain, bias), data, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +841,9 @@ def mean_abs_diff(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _cross_entropy(logits: np.ndarray, targets: Sequence[int]):
-    """:func:`cross_entropy_rows` on an array: the loss as a float, and a rule
-    from the 1 x 1 output gradient to the logits' gradient."""
+    """The mean cross-entropy of the row-wise softmax of ``logits`` against
+    integer ``targets``, as a float, and a rule from the 1 x 1 output
+    gradient to the logits' gradient."""
     targets = np.asarray(list(targets), dtype=np.int64)
     rows, cols = logits.shape
     if targets.shape != (rows,):
@@ -928,12 +862,6 @@ def _cross_entropy(logits: np.ndarray, targets: Sequence[int]):
         return g[0, 0] * d / rows
 
     return float(losses.mean()), rule
-
-
-def cross_entropy_rows(logits: Matrix, targets: Sequence[int]) -> Matrix:
-    """Mean cross-entropy of row-wise softmax against integer targets."""
-    value, rule = _cross_entropy(logits.data, targets)
-    return _emit((logits,), np.array([[value]]), lambda g: (rule(g),))
 
 
 def contrastive_pairs(m: Matrix, pairs: Sequence[tuple[Sequence[int], Sequence[int],

@@ -229,25 +229,25 @@ def synth_detector(frames: list[np.ndarray], gt: TrackSet,
 
     False boxes are up to ``MAX_FALSE_BOX`` pixels a side, so with
     ``fp_rate > 0`` a frame smaller than that raises ``ValueError``."""
-    height, width = frames[0].shape
+    height, width = map(float, frames[0].shape)
     if noise.fp_rate > 0.0 and min(height, width) < MAX_FALSE_BOX:
         raise ValueError(f"false boxes need frames of at least {MAX_FALSE_BOX}x"
-                         f"{MAX_FALSE_BOX} (MAX_FALSE_BOX), got {height}x{width}")
+                         f"{MAX_FALSE_BOX} (MAX_FALSE_BOX), got {height:g}x{width:g}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     gt_blocks = gt.frame_blocks()
     detections: list[Detection] = []
     for frame_index in range(len(frames)):
         block = gt_blocks.get(frame_index)
-        # the frame's ground-truth boxes by id, as Python floats: a detection's
-        # box holds Python floats wherever no noise is added
+        # the frame's ground-truth boxes by id, as Python floats, as are the
+        # noise draws and the frame size: a detection's box holds Python floats
         gt_boxes = ([] if block is None
                     else block.boxes.take(np.argsort(block.ids), axis=0).tolist())
         for l, t, w, h in gt_boxes:
             if noise.fn_rate > 0.0 and rng.uniform() < noise.fn_rate:
                 continue
             if noise.jitter_sigma > 0.0:
-                dl, dt = rng.normal(0.0, noise.jitter_sigma, size=2)
-                dw, dh = rng.normal(0.0, noise.jitter_sigma / 2.0, size=2)
+                dl, dt = rng.normal(0.0, noise.jitter_sigma, size=2).tolist()
+                dw, dh = rng.normal(0.0, noise.jitter_sigma / 2.0, size=2).tolist()
             else:
                 dl = dt = dw = dh = 0.0
             w = min(max(w + dw, 4.0), width)

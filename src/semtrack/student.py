@@ -11,9 +11,10 @@ feed-forward -> add -> norm), and each layer is two recorded ops:
 multi-head attention, the output projection, the residual and the norm) and
 ``autodiff.feed_forward_sublayer`` (two projections around a ReLU, the
 residual and the norm). With the input and output projections and the
-shortcut, a forward is 9 ops. The sublayers equal the composition of the
-small ops bit for bit, in value and every gradient, and save each small
-op's wrapping and scan, a fixed cost that a tracked frame's few rows feel.
+shortcut, a forward is 9 ops. Each sublayer equals, bit for bit in value
+and every gradient, its steps recorded one op each (the reference
+compositions in ``tests/oracles.py``), and saves each step's wrapping and
+scan, a fixed cost that a tracked frame's few rows feel.
 
 The forward runs in the input's float type: a float32 input (tracking) reads
 each parameter's float32 copy (:meth:`~semtrack.autodiff.Parameter.cast`),

@@ -1,9 +1,18 @@
 """Reference implementations for tests: brute-force metric oracles for tiny
 cases, the bilinear resize formula, a one-box-at-a-time proposal descriptor,
-the fusion as a composite of element-wise ops, the contrastive term as a
-composite of per-pair ops (with :func:`transpose`, an op no run records), a
-frame-by-frame reference for the training losses, a one-frame degradation
-chain, and the tracker loop with its miss counter.
+the ops no run records alone and the compositions of them that the fused ops
+of :mod:`semtrack.autodiff` are tested against (the fusion, both transformer
+sublayers and the contrastive term), a frame-by-frame reference for the
+training losses, a one-frame degradation chain, and the tracker loop with its
+miss counter.
+
+The ops :func:`transpose`, :func:`concat`, :func:`relu`,
+:func:`multi_head_attention`, :func:`layer_norm_rows` and
+:func:`cross_entropy_rows` record through ``autodiff._emit`` as the package's
+ops do. The last four run the private formula a fused op chains (``_relu``,
+``_attention``, ``_layer_norm``, ``_cross_entropy``), so a composition of
+them is the fused op step by step, recorded one op a step, and must equal it
+bit for bit in value and every gradient.
 
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
@@ -33,7 +42,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from semtrack import autodiff as ad
-from semtrack.autodiff import Matrix
+from semtrack.autodiff import DimensionError, Matrix
 from semtrack.degrade import (DegradationChain, Downsample, GaussianBlur, GaussianNoise,
                               _gaussian_kernel, _noise_rng)
 from semtrack.frames import resize
@@ -533,6 +542,53 @@ def reference_quality_figures(frame: np.ndarray) -> tuple[float, float, float]:
     return float(lap.var()), noise_sigma, float(frame.std())
 
 
+def transpose(m: Matrix) -> Matrix:
+    """The transposed matrix as a recorded op, a C-ordered copy; its rule
+    hands back a view of the output gradient."""
+    return ad._emit((m,), m.data.T.copy(), lambda g: (g.T,))
+
+
+def concat(parts: list[Matrix], axis: int) -> Matrix:
+    """The matrices stacked (``axis=0``) or side by side (``axis=1``); each
+    part's gradient is its block of the output's, a view."""
+    if len({p.shape[1 - axis] for p in parts}) != 1:
+        raise DimensionError(f"concat along axis {axis} needs matrices of one "
+                             f"{('width', 'height')[axis]}, got {[p.shape for p in parts]}")
+    edges = np.cumsum([0] + [p.shape[axis] for p in parts]).tolist()
+    spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def vjp(g):
+        return [g[span] if axis == 0 else g[:, span] for span in spans]
+
+    return ad._emit(parts, np.concatenate([p.data for p in parts], axis=axis), vjp)
+
+
+def relu(m: Matrix) -> Matrix:
+    data, rule = ad._relu(m.data)
+    return ad._emit((m,), data, lambda g: (rule(g),))
+
+
+def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int,
+                         segments) -> Matrix:
+    """Attention over ``num_heads`` heads, each row within its segment."""
+    if not q.shape == k.shape == v.shape:
+        raise DimensionError(
+            f"attention needs equal q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
+    labels = ad._attention_labels(q.shape, num_heads, segments)
+    return ad._emit((q, k, v), *ad._attention(q.data, k.data, v.data, num_heads, labels))
+
+
+def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
+    ad._check_norm(x.cols, gain, bias)
+    return ad._emit((x, gain, bias), *ad._layer_norm(x.data, gain.data, bias.data))
+
+
+def cross_entropy_rows(logits: Matrix, targets) -> Matrix:
+    """Mean cross-entropy of the row-wise softmax against integer targets."""
+    value, rule = ad._cross_entropy(logits.data, targets)
+    return ad._emit((logits,), np.array([[value]]), lambda g: (rule(g),))
+
+
 def composite_blend_rows(w: Matrix, a: Matrix, b: Matrix) -> Matrix:
     """``autodiff.blend_rows`` as five ops: the n x 1 weight spread over the
     columns by a product with a row of ones, then ``w*a + (1 - w)*b``
@@ -550,24 +606,17 @@ def composite_attention_sublayer(h: Matrix, wq: Matrix, bq: Matrix, wk: Matrix, 
     """``autodiff.attention_sublayer`` as seven ops: the query, key and value
     projections, multi-head attention, the output projection, the residual
     add and the layer norm."""
-    merged = ad.multi_head_attention(ad.linear(h, wq, bq), ad.linear(h, wk, bk),
+    merged = multi_head_attention(ad.linear(h, wq, bq), ad.linear(h, wk, bk),
                                      ad.linear(h, wv, bv), num_heads, segments)
-    return ad.layer_norm_rows(ad.add(h, ad.linear(merged, wo, bo)), gain, bias)
+    return layer_norm_rows(ad.add(h, ad.linear(merged, wo, bo)), gain, bias)
 
 
 def composite_feed_forward_sublayer(h: Matrix, w1: Matrix, b1: Matrix, w2: Matrix,
                                     b2: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
     """``autodiff.feed_forward_sublayer`` as five ops: a projection, ReLU,
     a projection, the residual add and the layer norm."""
-    out = ad.linear(ad.relu(ad.linear(h, w1, b1)), w2, b2)
-    return ad.layer_norm_rows(ad.add(h, out), gain, bias)
-
-
-def transpose(m: Matrix) -> Matrix:
-    """The transposed matrix as a recorded op, a C-ordered copy; its rule
-    hands back a view of the output gradient. No run transposes a matrix on
-    a tape, so the op lives here, beside the compositions that use it."""
-    return ad._emit((m,), m.data.T.copy(), lambda g: (g.T,))
+    out = ad.linear(relu(ad.linear(h, w1, b1)), w2, b2)
+    return layer_norm_rows(ad.add(h, out), gain, bias)
 
 
 def composite_contrastive_pairs(m: Matrix, pairs, factor: float) -> Matrix:
@@ -578,7 +627,7 @@ def composite_contrastive_pairs(m: Matrix, pairs, factor: float) -> Matrix:
     for anchors, targets, candidates in pairs:
         logits = ad.scale(ad.matmul(ad.take_rows(m, anchors),
                                     transpose(ad.take_rows(m, candidates))), factor)
-        term = ad.cross_entropy_rows(logits, targets)
+        term = cross_entropy_rows(logits, targets)
         total = term if total is None else ad.add(total, term)
     return total
 
@@ -622,7 +671,7 @@ def per_frame_scene_losses(model, sample, train, quality_ranges) -> dict:
         anchors = ad.take_rows(fused[f], [det for det, _ in pairs])
         sims = ad.matmul(ad.l2_normalize_rows(anchors),
                          transpose(ad.l2_normalize_rows(fused[f + 1])))
-        mot_terms.append(ad.cross_entropy_rows(
+        mot_terms.append(cross_entropy_rows(
             ad.scale(sims, 1.0 / CONTRASTIVE_TEMPERATURE), [nxt for _, nxt in pairs]))
 
     preds, targets = [], []
@@ -636,7 +685,7 @@ def per_frame_scene_losses(model, sample, train, quality_ranges) -> dict:
             l, t, w, h = gt_recs[frame_labels[det]].box
             targets.append([l / width, t / height, w / width, h / height])
     if preds:
-        mot_terms.append(ad.mean_abs_diff(ad.concat_rows(preds), Matrix(np.array(targets))))
+        mot_terms.append(ad.mean_abs_diff(concat(preds, axis=0), Matrix(np.array(targets))))
 
     zero = Matrix([[0.0]])
     l_mot = mean(mot_terms) if mot_terms else zero

@@ -13,7 +13,8 @@ from semtrack.autodiff import DimensionError, Matrix, Parameter, Tape
 
 from gradcheck import check_against_fd, mse, weighted_scalar
 from oracles import (composite_attention_sublayer, composite_contrastive_pairs,
-                     composite_feed_forward_sublayer, transpose)
+                     composite_feed_forward_sublayer, concat, cross_entropy_rows,
+                     layer_norm_rows, multi_head_attention, relu, transpose)
 
 
 def test_matrix_rejects_non_finite():
@@ -271,11 +272,11 @@ def test_structural_ops_match_fd(seed):
     check_against_fd(weighted_scalar(lambda m: ad.take_rows(m, [3, 1])), [a],
                      label="take_rows")
     b = rng.standard_normal((4, 3))
-    check_against_fd(weighted_scalar(lambda x, y: ad.concat_cols([x, y])), [a, b],
-                     label="concat_cols")
+    check_against_fd(weighted_scalar(lambda x, y: concat([x, y], axis=1)), [a, b],
+                     label="concat[cols]")
     c = rng.standard_normal((2, 6))
-    check_against_fd(weighted_scalar(lambda x, y: ad.concat_rows([x, y])), [a, c],
-                     label="concat_rows")
+    check_against_fd(weighted_scalar(lambda x, y: concat([x, y], axis=0)), [a, c],
+                     label="concat[rows]")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -283,13 +284,13 @@ def test_nonlinear_ops_match_fd(seed):
     rng = np.random.default_rng(200 + seed)
     a = rng.standard_normal((3, 7))
     a = a + 0.2 * np.sign(a)  # keep clear of the relu kink for central diffs
-    check_against_fd(weighted_scalar(ad.relu), [a], label="relu")
+    check_against_fd(weighted_scalar(relu), [a], label="relu")
     check_against_fd(weighted_scalar(ad.sigmoid), [a], label="sigmoid")
     check_against_fd(weighted_scalar(ad.softmax_rows), [a], label="softmax_rows")
     check_against_fd(weighted_scalar(ad.l2_normalize_rows), [a], label="l2_normalize_rows")
     gain = rng.standard_normal((1, 7))
     bias = rng.standard_normal((1, 7))
-    check_against_fd(weighted_scalar(lambda x, g, b: ad.layer_norm_rows(x, g, b)),
+    check_against_fd(weighted_scalar(lambda x, g, b: layer_norm_rows(x, g, b)),
                      [a, gain, bias], label="layer_norm_rows")
 
 
@@ -301,7 +302,7 @@ def test_reduction_ops_match_fd(seed):
     check_against_fd(lambda x, y: ad.mean_abs_diff(x, y), [a, b], label="mean_abs_diff")
     logits = rng.standard_normal((4, 6))
     targets = rng.integers(0, 6, size=4).tolist()
-    check_against_fd(lambda m: ad.cross_entropy_rows(m, targets), [logits],
+    check_against_fd(lambda m: cross_entropy_rows(m, targets), [logits],
                      label="cross_entropy_rows")
 
 
@@ -363,7 +364,7 @@ def test_take_rows_gradients_equal_the_np_add_at_path_bit_for_bit(monkeypatch):
             h = ad.multiply(p.value, Matrix(weight))
             parts = [ad.take_rows(p.value, [0, 4, 7]), ad.take_rows(h, [1, 2, 11]),
                      ad.take_rows(h, [5, 5, 0]), ad.take_rows(p.value, [9, 3])]
-            loss = weighted_scalar(lambda m: m)(ad.concat_rows(parts))
+            loss = weighted_scalar(lambda m: m)(concat(parts, axis=0))
             tape.backward(loss)
             tape.backward(loss)
         return p.value.grad.tobytes()
@@ -412,6 +413,9 @@ def test_every_op_has_an_fd_gradcheck():
                 if isinstance(value, ast.Constant) and isinstance(value.value, str):
                     labels.add(value.value.split("[")[0])
     ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))}
+    # and the oracles' ops, from which the fused ops' references are built
+    ops |= {"transpose", "concat", "relu", "multi_head_attention", "layer_norm_rows",
+            "cross_entropy_rows"}
     assert ops and sorted(ops - labels) == []
 
 
@@ -446,7 +450,7 @@ def composed_attention(q, k, v, num_heads):
                                     transpose(ad.slice_cols(k, lo, hi))),
                           1.0 / math.sqrt(head_dim))
         heads.append(ad.matmul(ad.softmax_rows(logits), ad.slice_cols(v, lo, hi)))
-    return heads[0] if num_heads == 1 else ad.concat_cols(heads)
+    return heads[0] if num_heads == 1 else concat(heads, axis=1)
 
 
 def test_linear_single_row_matches_fd_and_numpy():
@@ -471,7 +475,7 @@ def test_multi_head_attention_matches_fd(rows, num_heads):
     rng = np.random.default_rng(500 + 10 * rows + num_heads)
     q, k, v = (rng.standard_normal((rows, 8)) for _ in range(3))
     attention = weighted_scalar(
-        lambda a, b, c: ad.multi_head_attention(a, b, c, num_heads, [0] * rows))
+        lambda a, b, c: multi_head_attention(a, b, c, num_heads, [0] * rows))
     check_against_fd(attention, [q, k, v],
                      label=f"multi_head_attention[{rows}x8, {num_heads} heads]")
 
@@ -480,7 +484,7 @@ def test_multi_head_attention_matches_fd(rows, num_heads):
 def test_multi_head_attention_matches_composition(rows, num_heads):
     rng = np.random.default_rng(600 + rows)
     q, k, v = (Matrix(rng.standard_normal((rows, 64)) * 3.0) for _ in range(3))
-    fused = ad.multi_head_attention(q, k, v, num_heads, [0] * rows).data
+    fused = multi_head_attention(q, k, v, num_heads, [0] * rows).data
     reference = composed_attention(q, k, v, num_heads).data
     assert fused.shape == (rows, 64)
     assert np.max(np.abs(fused - reference)) <= 1e-12
@@ -495,7 +499,7 @@ def test_multi_head_attention_gradient_through_projections_equals_composition(ro
     weights = [rng.standard_normal((32, 32)) for _ in range(3)]
     upstream = rng.standard_normal((rows, 32))
     grads = []
-    for attention in (lambda q, k, v: ad.multi_head_attention(q, k, v, 4, [0] * rows),
+    for attention in (lambda q, k, v: multi_head_attention(q, k, v, 4, [0] * rows),
                       lambda q, k, v: composed_attention(q, k, v, 4)):
         leaf = Matrix(x, requires_grad=True)
         with Tape() as tape:
@@ -509,13 +513,13 @@ def test_multi_head_attention_gradient_through_projections_equals_composition(ro
 def test_multi_head_attention_shape_errors():
     m = Matrix(np.zeros((3, 8)))
     with pytest.raises(DimensionError, match="shapes"):
-        ad.multi_head_attention(m, Matrix(np.zeros((2, 8))), m, 2, [0] * 3)
+        multi_head_attention(m, Matrix(np.zeros((2, 8))), m, 2, [0] * 3)
     with pytest.raises(DimensionError, match="shapes"):
-        ad.multi_head_attention(m, m, Matrix(np.zeros((3, 4))), 2, [0] * 3)
+        multi_head_attention(m, m, Matrix(np.zeros((3, 4))), 2, [0] * 3)
     with pytest.raises(DimensionError, match="divisible"):
-        ad.multi_head_attention(m, m, m, 3, [0] * 3)
+        multi_head_attention(m, m, m, 3, [0] * 3)
     with pytest.raises(DimensionError, match="divisible"):
-        ad.multi_head_attention(m, m, m, 0, [0] * 3)
+        multi_head_attention(m, m, m, 0, [0] * 3)
 
 
 # three segments, interleaved and of unequal sizes, one of a single row
@@ -527,7 +531,7 @@ def test_masked_multi_head_attention_matches_fd(num_heads):
     rng = np.random.default_rng(800 + num_heads)
     q, k, v = (rng.standard_normal((len(SEGMENTS), 8)) for _ in range(3))
     attention = weighted_scalar(
-        lambda a, b, c: ad.multi_head_attention(a, b, c, num_heads, SEGMENTS))
+        lambda a, b, c: multi_head_attention(a, b, c, num_heads, SEGMENTS))
     check_against_fd(attention, [q, k, v],
                      label=f"multi_head_attention[segments {SEGMENTS}, {num_heads} heads]")
 
@@ -536,13 +540,12 @@ def test_masked_multi_head_attention_matches_fd(num_heads):
 def test_masked_attention_equals_each_segment_on_its_own(num_heads):
     rng = np.random.default_rng(810 + num_heads)
     q, k, v = (rng.standard_normal((len(SEGMENTS), 16)) * 3.0 for _ in range(3))
-    masked = ad.multi_head_attention(Matrix(q), Matrix(k), Matrix(v), num_heads,
-                                     SEGMENTS).data
+    masked = multi_head_attention(Matrix(q), Matrix(k), Matrix(v), num_heads, SEGMENTS).data
     labels = np.array(SEGMENTS)
     for segment in set(SEGMENTS):
         rows = labels == segment
-        alone = ad.multi_head_attention(Matrix(q[rows]), Matrix(k[rows]), Matrix(v[rows]),
-                                        num_heads, labels[rows]).data
+        alone = multi_head_attention(Matrix(q[rows]), Matrix(k[rows]), Matrix(v[rows]),
+                                     num_heads, labels[rows]).data
         assert np.max(np.abs(masked[rows] - alone)) <= 1e-12
 
 
@@ -550,7 +553,7 @@ def test_masked_attention_equals_each_segment_on_its_own(num_heads):
 def test_multi_head_attention_rejects_segments_of_the_wrong_shape(segments):
     m = Matrix(np.zeros((4, 8)))
     with pytest.raises(DimensionError, match="segment"):
-        ad.multi_head_attention(m, m, m, 2, segments)
+        multi_head_attention(m, m, m, 2, segments)
 
 
 def test_tape_is_freed_without_the_cyclic_gc():
@@ -561,7 +564,7 @@ def test_tape_is_freed_without_the_cyclic_gc():
     try:
         with Tape() as tape:
             h = ad.add(ad.matmul(Matrix(rng.standard_normal((3, 8))), w.value), b.value)
-            tape.backward(ad.sum_all(ad.relu(h)))
+            tape.backward(ad.sum_all(relu(h)))
         freed = weakref.ref(tape)
         del tape
         assert freed() is None
@@ -578,14 +581,14 @@ F32_OPS = {
     "add": ad.add,
     "multiply": ad.multiply,
     "scale": lambda a, b: ad.scale(a, 0.3),
-    "relu": lambda a, b: ad.relu(a),
+    "relu": lambda a, b: relu(a),
     "sigmoid": lambda a, b: ad.sigmoid(a),
     "softmax_rows": lambda a, b: ad.softmax_rows(a),
     "l2_normalize_rows": lambda a, b: ad.l2_normalize_rows(a),
-    "layer_norm_rows": lambda a, b: ad.layer_norm_rows(a, ad.take_rows(b, [0]),
-                                                       ad.take_rows(b, [1])),
-    "multi_head_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2, [0] * a.rows),
-    "masked_attention": lambda a, b: ad.multi_head_attention(a, b, a, 2, [0, 1, 1, 0]),
+    "layer_norm_rows": lambda a, b: layer_norm_rows(a, ad.take_rows(b, [0]),
+                                                    ad.take_rows(b, [1])),
+    "multi_head_attention": lambda a, b: multi_head_attention(a, b, a, 2, [0] * a.rows),
+    "masked_attention": lambda a, b: multi_head_attention(a, b, a, 2, [0, 1, 1, 0]),
     "sum_all": lambda a, b: ad.sum_all(a),
     "attention_sublayer": lambda a, b: ad.attention_sublayer(
         a, *[b, ad.take_rows(b, [0])] * 4, ad.take_rows(b, [1]), ad.take_rows(b, [2]), 2,
@@ -644,9 +647,9 @@ def test_a_tape_refuses_to_record_a_float32_op():
         with pytest.raises(TypeError, match="float64"):
             ad.linear(narrow, weight.value, bias.value)
         with pytest.raises(TypeError, match="float64"):
-            ad.relu(Matrix(narrow.data, requires_grad=True))
+            relu(Matrix(narrow.data, requires_grad=True))
         # nothing to record, so nothing to refuse: a constant may be float32
-        assert ad.relu(narrow).data.dtype == np.float32
+        assert relu(narrow).data.dtype == np.float32
         tape.backward(ad.sum_all(ad.linear(Matrix(narrow.data.astype(np.float64)),
                                            weight.value, bias.value)))
     assert weight.value.grad.dtype == np.float64
@@ -692,7 +695,7 @@ def test_layer_norm_rows_equals_numpys_mean_and_var(dtype, width):
     x = (rng.standard_normal((7, width)) * 30.0 + 5.0).astype(dtype)
     gain = rng.standard_normal((1, width)).astype(dtype)
     bias = rng.standard_normal((1, width)).astype(dtype)
-    out = ad.layer_norm_rows(Matrix(x), Matrix(gain), Matrix(bias)).data
+    out = layer_norm_rows(Matrix(x), Matrix(gain), Matrix(bias)).data
     inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + ad.LAYER_NORM_EPS)
     expected = (x - x.mean(axis=1, keepdims=True)) * inv * gain + bias
     assert out.dtype == expected.dtype == dtype
@@ -830,7 +833,7 @@ def test_other_forwards_make_one_product_per_weight(monkeypatch, dtype, rows, ta
 def test_relu_equals_where_including_negative_zero(dtype):
     top = np.finfo(dtype).max
     x = np.array([[-0.0, 0.0, -1.5, 2.5, 1e-40, -1e-40, -top, top]] * 3, dtype=dtype)
-    out = ad.relu(Matrix(x)).data
+    out = relu(Matrix(x)).data
     expected = np.where(x > 0, x, 0.0)
     assert out.dtype == expected.dtype == dtype
     assert out.tobytes() == expected.tobytes()
@@ -843,7 +846,7 @@ def test_multi_head_attention_equals_numpys_softmax(dtype, segments):
     # one label masks nothing: the result is numpy's plain softmax attention
     rng = np.random.default_rng(42)
     q, k, v = (rng.standard_normal((5, 8)).astype(dtype) for _ in range(3))
-    out = ad.multi_head_attention(Matrix(q), Matrix(k), Matrix(v), 2, segments).data
+    out = multi_head_attention(Matrix(q), Matrix(k), Matrix(v), 2, segments).data
 
     def heads(m):
         return np.ascontiguousarray(m.reshape(5, 2, 4).transpose(1, 0, 2))
@@ -880,10 +883,10 @@ STUDENT_OPS = {
     "sub": lambda m: ad.sub(m, ad.scale(m, -1.0)),
     "multiply": lambda m: ad.multiply(m, m),
     "matmul": lambda m: ad.matmul(m, transpose(m)),
-    "layer_norm_rows": lambda m: ad.layer_norm_rows(
+    "layer_norm_rows": lambda m: layer_norm_rows(
         m, Matrix(np.ones((1, 4), dtype=m.data.dtype)),
         Matrix(np.zeros((1, 4), dtype=m.data.dtype))),
-    "multi_head_attention": lambda m: ad.multi_head_attention(m, m, m, 2, [0] * m.rows),
+    "multi_head_attention": lambda m: multi_head_attention(m, m, m, 2, [0] * m.rows),
     "attention_sublayer": lambda m: ad.attention_sublayer(
         m, *_identity_projection(m.data.dtype) * 4, *_unit_norm(m.data.dtype), 2,
         [0] * m.rows),
@@ -1100,7 +1103,7 @@ def test_an_attention_sublayer_over_no_rows_raises(dtype):
     with pytest.raises(DimensionError, match="at least one row"):
         ad.attention_sublayer(Matrix(h), *map(Matrix, weights), 2, [])
     with pytest.raises(DimensionError, match="at least one row"):
-        ad.multi_head_attention(Matrix(h), Matrix(h), Matrix(h), 2, [])
+        multi_head_attention(Matrix(h), Matrix(h), Matrix(h), 2, [])
 
 
 def _resized(arrays, shapes: dict) -> list[Matrix]:

@@ -15,6 +15,10 @@ The match is by name alone, so a function whose name the program also uses
 for something else (``TrackSet.write`` and a file's ``write``) passes
 whether or not a run reaches it. The guard finds the names nothing mentions,
 not every path no run takes.
+
+A module that has an ``__all__`` lists in it exactly what the module offers,
+so a function that moves out cannot stay listed and a new one cannot be left
+out.
 """
 
 import ast
@@ -25,19 +29,6 @@ SOURCES = ROOT / "src" / "semtrack"
 
 # qualified name -> why it stays although no run reaches it
 KEPT = {
-    "autodiff.concat_cols": "oracle: the attention oracle composes multi-head "
-                            "attention from it",
-    "autodiff.concat_rows": "oracle: oracles.per_frame_scene_losses stacks its box "
-                            "predictions with it",
-    "autodiff.multi_head_attention": "oracle: the sublayer ops are tested bit for bit "
-                                     "against their composition",
-    "autodiff.layer_norm_rows": "oracle: the sublayer ops are tested bit for bit "
-                                "against their composition",
-    "autodiff.relu": "oracle: the sublayer ops are tested bit for bit against their "
-                     "composition",
-    "autodiff.cross_entropy_rows": "oracle: oracles.per_frame_scene_losses and the "
-                                   "contrastive_pairs tests build the per-pair "
-                                   "association term from it",
     "scenes.crossing_preset": "ROADMAP item 1: its association-hard workloads",
     "experiment.run_sweep": "ROADMAP items 1 and 10: the seed sweep and the CLI's sweep",
     "experiment.ablation_trend": "ROADMAP item 10: the CLI's sweep command",
@@ -104,8 +95,37 @@ def test_the_scan_sees_the_program():
     assert {"autodiff.matmul", "tracker.TrackerModel.encode_queries",
             "autodiff.Matrix.rows", "autodiff.Tape.backward"} <= definitions.keys()
     assert {"matmul", "encode_queries", "rows", "backward"} <= read
-    # __all__ lists every op and reaches none
-    assert "concat_cols" not in read
+
+
+def test_a_name_in_all_is_not_read():
+    # ``__all__`` lists a name and reaches nothing; a name read elsewhere counts
+    assert names_read(ast.parse('__all__ = ["listed"]')) == {"__all__"}
+    assert names_read(ast.parse('__all__ = ["x"]\nx()')) == {"__all__", "x"}
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """What a module offers: its public top-level functions and classes, and
+    the names it imports from ``semtrack``, which it passes on."""
+    names = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names |= {alias.asname or alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("semtrack")
+              for alias in node.names}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_all_lists_exactly_what_its_module_offers():
+    checked = []
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        listed = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+        if listed:
+            (names,) = listed
+            assert sorted(names) == sorted(set(names)) == sorted(exported(tree)), path.name
+            checked.append(path.stem)
+    assert {"__init__", "autodiff"} <= set(checked)
 
 
 def test_every_public_function_and_method_is_reached_by_a_run():

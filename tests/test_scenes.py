@@ -6,7 +6,7 @@ import pytest
 from semtrack.scenes import (MAX_FALSE_BOX, Detection, DetectorNoise, SceneConfig,
                              TargetSpec, crossing_preset, detections_by_frame,
                              generate_scene, random_scene_config, synth_detector)
-from semtrack.tracks import TrackSet, box_iou
+from semtrack.tracks import TrackRecord, TrackSet, box_iou
 
 from oracles import by_frame
 
@@ -164,3 +164,15 @@ def test_jittered_confidence_below_point_nine():
     dets = synth_detector(frames, gt, DetectorNoise(jitter_sigma=2.0), seed=7)
     assert all(0.05 <= d.confidence <= 0.9 for d in dets)
     assert any(d.confidence < 0.9 for d in dets)
+
+
+def test_every_field_of_a_jittered_detection_is_a_python_float(default_evaluation):
+    # the default corpus jitters every box; boxes that fill their frame are
+    # clamped to the frame's size, and half of them to each side
+    _, corpus = default_evaluation
+    dets = [d for sample in corpus for d in sample.detections]
+    gt = TrackSet([TrackRecord(f, 1, (0.0, 0.0, 32.0, 24.0)) for f in range(8)])
+    filled = synth_detector([np.zeros((24, 32))] * 8, gt, DetectorNoise(jitter_sigma=3.0),
+                            seed=0)
+    assert any(d.box[2:] == (32.0, 24.0) for d in filled)
+    assert all(type(v) is float for d in dets + filled for v in (*d.box, d.confidence))
