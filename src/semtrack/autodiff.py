@@ -60,6 +60,20 @@ Training's contrastive association term is one op as well
 (:func:`contrastive_pairs`): a crowded scene has dozens of consecutive-frame
 pairs, and as small ops each pair cost seven records, whose fixed costs
 outweighed its small products.
+
+A training step uses a second CPU in the backward rule of every linear
+product that needs both gradients (:func:`_handoff`): it hands the weight's,
+``x.T @ g``, to a thread of the process's shared worker pool
+(:mod:`semtrack.workers`), makes the input's, ``g @ weight.T``, meanwhile,
+and joins before the rule returns. Each product is the BLAS call it would
+be on one thread, with the same operands in the same layout, so every
+gradient is the serial one's bit for bit. The worker writes into a buffer
+that the caller's thread allocates: a gradient that the worker allocated
+came from that thread's own malloc arena, and keeping such gradients raised
+a training run's peak resident memory by about 17 MB. A product under
+:data:`HANDOFF_MIN_PRODUCT` and a process that may run on one CPU only
+compute inline and call no pool, and an untaped call (float32 tracking
+among them) runs no backward rule, so it never reaches the pool.
 """
 
 from __future__ import annotations
@@ -69,6 +83,8 @@ import weakref
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+
+from semtrack import workers as _workers
 
 __all__ = [
     "DimensionError",
@@ -107,6 +123,18 @@ SMALL_PRODUCT_LIMIT = 10**6
 # the most rows a float32 product splits into such blocks: on that host the
 # blocks took 0.4-0.9x the time of one call at 4-12 rows, 1.0-1.9x at 16-40
 BLOCKED_MAX_ROWS = 12
+# the least m·k·n of a weight gradient that a linear's rule hands to a worker
+# (:func:`_handoff`). On that host, with one BLAS thread, a hop to the pool
+# and back costs 27-41 µs. Handed off while the caller made the input
+# gradient, a weight gradient and its input gradient took, against the
+# serial pair: 2.4-3.3x for the box head's 91 x 256 x 4 (m·k·n 9·10^4),
+# 1.3-1.6x at 94 x 256 x 32 (8·10^5), 0.9-1.2x at 94 x 256 x 64
+# (1.5·10^6), 0.65x for a crowded box head's 984 x 256 x 4 (10^6) and
+# 0.6-0.8x for a 94 x 256 x 256 projection (6·10^6). A narrow product runs
+# far below the host's peak, so it gains at a smaller m·k·n than a wide
+# one. The benchmark's steps make no weight gradient with both gradients
+# needed between the default box head's 9·10^4 and the crowded one's 10^6
+HANDOFF_MIN_PRODUCT = 5 * 10**5
 
 
 class _Rows(NamedTuple):
@@ -439,6 +467,25 @@ def _add_row(data: np.ndarray, row: np.ndarray) -> np.ndarray:
 # result and its backward rule.
 
 
+def _handoff(a: np.ndarray, b: np.ndarray) -> Callable[[], np.ndarray]:
+    """Start the float64 product ``a @ b``; the call this returns waits for
+    it and gives it.
+
+    When the process may run on two CPUs or more
+    (:func:`semtrack.workers.cpus`) and the product's m·k·n reaches
+    :data:`HANDOFF_MIN_PRODUCT`, a thread of the shared pool runs it, into a
+    buffer allocated here, while the caller's thread goes on with its own
+    work; a worker's exception re-raises at the call. Otherwise the call
+    makes it inline. Either way it is one BLAS call on the same operands, so
+    the same bits."""
+    m, k = a.shape
+    n = b.shape[1]
+    if m * k * n < HANDOFF_MIN_PRODUCT or _workers.cpus() < 2:
+        return lambda: a @ b
+    out = np.empty((m, n))
+    return _workers.pool().submit(np.matmul, a, b, out=out).result
+
+
 def _check_linear(x_shape: tuple[int, int], weight: Matrix, bias: Matrix) -> None:
     if x_shape[1] != weight.rows:
         raise DimensionError(f"linear shape mismatch: {x_shape} @ {weight.shape}")
@@ -466,7 +513,16 @@ def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, need_x: bool,
     """``x @ weight + bias``; the rule gives the gradients of x and of the
     weight (each None unless needed) and of the bias. A float32 product of at
     most :data:`BLOCKED_MAX_ROWS` rows whose m·k·n exceeds
-    :data:`SMALL_PRODUCT_LIMIT` runs in :func:`_column_blocks`."""
+    :data:`SMALL_PRODUCT_LIMIT` runs in :func:`_column_blocks`.
+
+    When both the x and the weight gradients are needed, the rule hands the
+    weight's, ``x.T @ g``, to :func:`_handoff` and makes x's, ``g @
+    weight.T``, meanwhile: on two CPUs the two products overlap. Each is the
+    BLAS call it would be alone, on the same operands, so the gradients are
+    the serial rule's bit for bit. The worker writes the weight's into a
+    buffer that the caller's thread allocated, so it comes from the main
+    malloc arena, not a worker's; a leaf keeps that buffer as its ``grad``
+    and :meth:`Parameter.step` takes it over."""
     if (x.size * weight.shape[1] > SMALL_PRODUCT_LIMIT and len(x) <= BLOCKED_MAX_ROWS
             and x.dtype == _FLOAT32 and weight.dtype == _FLOAT32):
         product = _column_blocks(x, weight)
@@ -475,6 +531,11 @@ def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, need_x: bool,
     data = _add_row(product, bias)
 
     def vjp(g):
+        if need_x and need_weight:
+            weight_grad = _handoff(x.T, g)
+            gx = g @ weight.T
+            gb = g.sum(axis=0, keepdims=True)
+            return gx, weight_grad(), gb
         return (g @ weight.T if need_x else None,
                 x.T @ g if need_weight else None,
                 g.sum(axis=0, keepdims=True))

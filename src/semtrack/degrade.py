@@ -13,24 +13,22 @@ draws another's noise. An
 each op as an object whose ``kind`` names its class; frames stay in memory.
 
 :func:`apply_chain` degrades one whole sequence per call. Its frames are
-independent, so they are spread over a thread per CPU; each frame's result
-is what the chain gives that frame alone, bit for bit, whatever the number
-of workers.
+independent, so they are spread over the process's shared worker threads
+(:mod:`semtrack.workers`), one per CPU; each frame's result is what the
+chain gives that frame alone, bit for bit, whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from semtrack import workers
 from semtrack.frames import resize
 
 
@@ -181,21 +179,6 @@ def _degrade_frame(chain: DegradationChain, frame: np.ndarray, sequence_id: str,
     return frame
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _frame_pool() -> ThreadPoolExecutor:
-    """The module's frame workers, built on first use: at most one thread
-    per CPU this process may run on."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
-                                       thread_name_prefix="semtrack-degrade")
-        return _pool
-
-
 def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
                 sequence_id: str = "") -> list[np.ndarray]:
     """Run the full operator chain on every frame of one sequence; frame i
@@ -204,12 +187,13 @@ def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
     read-only too, so no frame can change after a caller has used it.
 
     Every frame is checked before any is degraded: each must be a non-empty
-    2-D array of finite values in [0, 1], all of one shape. The module's
-    worker threads degrade frames 1 to F - 1 and the caller's thread frame 0,
-    one task per frame, each clamping its frame into its own slice of the
-    block; NumPy releases the interpreter lock in the arithmetic, so frames
-    run on every CPU, and since no frame reads another's result the output
-    does not depend on the number of workers.
+    2-D array of finite values in [0, 1], all of one shape. The process's
+    shared worker threads (:func:`semtrack.workers.pool`) degrade frames 1
+    to F - 1 and the caller's thread frame 0, one task per frame, each
+    clamping its frame into its own slice of the block; NumPy releases the
+    interpreter lock in the arithmetic, so frames run on every CPU, and
+    since no frame reads another's result the output does not depend on the
+    number of workers.
     """
     frames = [np.ascontiguousarray(frame, dtype=np.float64) for frame in frames]
     if not frames:
@@ -230,7 +214,7 @@ def apply_chain(chain: DegradationChain, frames: Sequence[np.ndarray],
         np.clip(_degrade_frame(chain, frames[index], sequence_id, index), 0.0, 1.0,
                 out=block[index])
 
-    tasks = _frame_pool().map(degrade, range(1, len(frames)))
+    tasks = workers.pool().map(degrade, range(1, len(frames)))
     degrade(0)
     for _ in tasks:   # re-raises a worker's exception here
         pass

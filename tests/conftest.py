@@ -2,9 +2,11 @@ import os
 import sys
 import pathlib
 
-# one BLAS thread, as the benchmark runs: set before numpy first loads, so the
-# tests' time does not hang on another process holding the second CPU, and
-# every product rounds as in a benchmark run
+# one BLAS thread, as the benchmark runs: set before numpy first loads, so
+# every product rounds as in a benchmark run, and the second CPU is left to
+# the process's shared worker threads (semtrack.workers), which degrade frames
+# and make a taped linear's weight gradient, not to BLAS threads that would
+# compete with them
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

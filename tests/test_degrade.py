@@ -3,14 +3,18 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semtrack import degrade
+from semtrack import degrade, workers
+from semtrack.config import ExperimentConfig
 from semtrack.degrade import (DEFAULT_CHAIN, DegradationChain, Downsample, GaussianBlur,
                               GaussianNoise, apply_chain, partition_sequences)
+from semtrack.experiment import build_model, training_corpus
 from semtrack.quality import assess_quality
+from semtrack.training import train
 
 from oracles import reference_apply_chain
 
@@ -185,8 +189,8 @@ def test_the_returned_block_cannot_be_written(chain):
             array[0, 0] = 0.5
 
 
-@pytest.mark.parametrize("workers", [1, 8])
-def test_output_does_not_depend_on_the_worker_count(monkeypatch, workers):
+@pytest.mark.parametrize("count", [1, 8])
+def test_output_does_not_depend_on_the_worker_count(monkeypatch, count):
     # 8 workers, more than the CPUs, switching often: a frame written into
     # another's slice, or read from another's buffers, would show
     frames = random_sequence(12, (24, 32))
@@ -194,8 +198,8 @@ def test_output_does_not_depend_on_the_worker_count(monkeypatch, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            monkeypatch.setattr(degrade, "_pool", pool)
+        with ThreadPoolExecutor(max_workers=count) as pool:
+            monkeypatch.setattr(workers, "_pool", pool)
             got = apply_chain(DEFAULT, frames, sequence_id="seq-1")
     finally:
         sys.setswitchinterval(interval)
@@ -209,7 +213,7 @@ def test_degrading_never_leaves_more_threads_than_cpus(monkeypatch):
     def started():
         return set(threading.enumerate()) - before
 
-    monkeypatch.setattr(degrade, "_pool", None)
+    monkeypatch.setattr(workers, "_pool", None)
     try:
         apply_chain(DEFAULT, random_sequence(1, (8, 8)))
         assert started() == set()           # the caller's thread degrades frame 0
@@ -218,8 +222,13 @@ def test_degrading_never_leaves_more_threads_than_cpus(monkeypatch):
         for _ in range(3):
             apply_chain(DEFAULT, random_sequence(4 * cpus, (8, 8)))
             assert 1 <= len(started()) <= cpus
+        # a training step hands its products to the same pool
+        config = replace(ExperimentConfig(), num_train_scenes=1)
+        train(build_model(config, "full"), training_corpus(config), config.train_config(),
+              config.dswr)
+        assert 1 <= len(started()) <= cpus
     finally:
-        degrade._pool.shutdown(wait=True)
+        workers._pool.shutdown(wait=True)
     assert started() == set()
 
 
