@@ -61,25 +61,31 @@ Training's contrastive association term is one op as well
 pairs, and as small ops each pair cost seven records, whose fixed costs
 outweighed its small products.
 
-A training step uses a second CPU in the backward rule of every linear
-product that needs both gradients (:func:`_handoff`): it hands the weight's,
-``x.T @ g``, to a thread of the process's shared worker pool
-(:mod:`semtrack.workers`), makes the input's, ``g @ weight.T``, meanwhile,
-and joins before the rule returns. Each product is the BLAS call it would
-be on one thread, with the same operands in the same layout, so every
-gradient is the serial one's bit for bit. The worker writes into a buffer
-that the caller's thread allocates: a gradient that the worker allocated
-came from that thread's own malloc arena, and keeping such gradients raised
-a training run's peak resident memory by about 17 MB. A product under
-:data:`HANDOFF_MIN_PRODUCT` and a process that may run on one CPU only
-compute inline and call no pool, and an untaped call (float32 tracking
-among them) runs no backward rule, so it never reaches the pool.
+A training step uses a second CPU in two places. In the backward rule of
+every linear product that needs both gradients (:func:`_handoff`), it hands
+the weight's, ``x.T @ g``, to a thread of the process's shared worker pool
+(:mod:`semtrack.workers`) and makes the input's, ``g @ weight.T``, meanwhile.
+The rule returns the weight's as a :class:`Future`, and the tape joins it
+only when it must (:meth:`Tape.backward`), so the worker's product overlaps
+the rest of the backward pass. And a taped float64 forward product of enough
+rows (:func:`_splits_rows`) makes its second half of rows on a worker while
+the caller makes the first (:func:`_row_halves`). Each product is the BLAS
+call it would be on one thread, or its rows halves where that gives the same
+bits, so every value and gradient is the serial one's bit for bit. A worker
+writes into a buffer that the caller's thread allocates: a gradient that the
+worker allocated came from that thread's own malloc arena, and keeping such
+gradients raised a training run's peak resident memory by about 17 MB. A
+product under its limit and a process that may run on one CPU only compute
+inline and call no pool, and an untaped call (float32 tracking among them)
+neither splits a product nor runs a backward rule, so it never reaches the
+pool.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from concurrent.futures import Future, wait
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -126,14 +132,17 @@ BLOCKED_MAX_ROWS = 12
 # the least m·k·n of a weight gradient that a linear's rule hands to a worker
 # (:func:`_handoff`). On that host, with one BLAS thread, a hop to the pool
 # and back costs 27-41 µs. Handed off while the caller made the input
-# gradient, a weight gradient and its input gradient took, against the
-# serial pair: 2.4-3.3x for the box head's 91 x 256 x 4 (m·k·n 9·10^4),
-# 1.3-1.6x at 94 x 256 x 32 (8·10^5), 0.9-1.2x at 94 x 256 x 64
-# (1.5·10^6), 0.65x for a crowded box head's 984 x 256 x 4 (10^6) and
-# 0.6-0.8x for a 94 x 256 x 256 projection (6·10^6). A narrow product runs
-# far below the host's peak, so it gains at a smaller m·k·n than a wide
-# one. The benchmark's steps make no weight gradient with both gradients
-# needed between the default box head's 9·10^4 and the crowded one's 10^6
+# gradient and then one 96 x 256 x 256 linear's backward products before the
+# tape joined it, a weight gradient and its input gradient took, against the
+# serial pair: 4.0-4.1x for the box head's 91 x 256 x 4 (m·k·n 9·10^4),
+# 1.3-1.4x at 94 x 256 x 32 (8·10^5), 0.7-0.9x at 94 x 256 x 64
+# (1.5·10^6), 0.6-0.7x for a crowded box head's 984 x 256 x 4 (10^6) and
+# 0.6-0.7x for a 94 x 256 x 256 projection (6·10^6); joined before the rule
+# returned, the same pairs took 6.0x, 2.4x, 1.3-1.6x, 0.9-1.2x and 0.7-0.8x.
+# A narrow product runs far below the host's peak, so it gains at a smaller
+# m·k·n than a wide one. The benchmark's steps make no weight gradient with
+# both gradients needed between the default box head's 9·10^4 and the
+# crowded one's 10^6
 HANDOFF_MIN_PRODUCT = 5 * 10**5
 
 
@@ -166,8 +175,9 @@ class _Rows(NamedTuple):
         return buffer
 
 
-# A backward rule: output gradient -> one gradient (or None) per input.
-Vjp = Callable[[np.ndarray], Sequence["np.ndarray | _Rows | None"]]
+# A backward rule: output gradient -> one gradient (or None) per input; a
+# weight gradient that a worker is still making is a Future of it.
+Vjp = Callable[[np.ndarray], Sequence["np.ndarray | _Rows | Future | None"]]
 
 
 class DimensionError(ValueError):
@@ -357,7 +367,16 @@ class Tape:
         _active = None
 
     def backward(self, loss: Matrix) -> None:
-        """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``."""
+        """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
+
+        A rule may return a leaf's gradient as a :class:`Future` that a
+        worker is still making (:func:`_handoff`). The pass joins it only
+        when it must: before it adds a later gradient to the same leaf, so
+        each leaf's additions keep the replay's order; at once for an input
+        that a record produced; and, for every leaf still waiting, when the
+        replay ends. If a rule or a worker raises, the pass waits for every
+        future it was handed before the first error propagates, so no
+        worker writes into a gradient after backward returns."""
         if loss.shape != (1, 1):
             raise DimensionError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
         produced = self._produced
@@ -365,37 +384,59 @@ class Tape:
         # buffers this pass allocated: only these may be added into in place,
         # since a rule may hand one array to several inputs
         owned: set[int] = set()
-        for out, inputs, vjp in reversed(self._records):
-            # every consumer of ``out`` comes later on the tape, so its
-            # gradient is complete here and the buffer can go
-            g = grads.pop(id(out), None)
-            if g is None:
-                continue
-            owned.discard(id(out))
-            deltas = vjp(g)
-            for node, delta in zip(inputs, deltas):
-                if delta is None:
+        # the leaves whose latest gradient a worker is still making, and every
+        # future this pass was handed
+        waiting: dict[int, tuple[Matrix, Future]] = {}
+        futures: list[Future] = []
+        try:
+            for out, inputs, vjp in reversed(self._records):
+                # every consumer of ``out`` comes later on the tape, so its
+                # gradient is complete here and the buffer can go
+                g = grads.pop(id(out), None)
+                if g is None:
                     continue
-                key = id(node)
-                if key not in produced:
-                    if node.requires_grad:
-                        _leaf_accum(node, delta, _made_for_one(delta, g, deltas))
-                    continue
-                prev = grads.get(key)
-                if isinstance(delta, _Rows):
-                    if prev is None:
-                        prev = delta.zeros_plus(node.shape)
+                owned.discard(id(out))
+                deltas = vjp(g)
+                for node, delta in zip(inputs, deltas):
+                    if delta is None:
+                        continue
+                    key = id(node)
+                    handed = isinstance(delta, Future)
+                    if handed:
+                        futures.append(delta)
+                    if key not in produced:
+                        if node.requires_grad:
+                            earlier = waiting.pop(key, None)
+                            if earlier is not None:
+                                _leaf_accum(node, earlier[1].result(), owned=True)
+                            if handed:
+                                waiting[key] = (node, delta)
+                            else:
+                                _leaf_accum(node, delta, _made_for_one(delta, g, deltas))
+                        continue
+                    if handed:
+                        delta = delta.result()
+                    prev = grads.get(key)
+                    if isinstance(delta, _Rows):
+                        if prev is None:
+                            prev = delta.zeros_plus(node.shape)
+                        else:
+                            if key not in owned:
+                                prev = prev.copy()
+                            delta.add_to(prev)
+                        owned.add(key)
+                        grads[key] = prev
+                    elif prev is None:
+                        grads[key] = delta
                     else:
-                        if key not in owned:
-                            prev = prev.copy()
-                        delta.add_to(prev)
-                    owned.add(key)
-                    grads[key] = prev
-                elif prev is None:
-                    grads[key] = delta
-                else:
-                    grads[key] = prev + delta
-                    owned.add(key)
+                        grads[key] = prev + delta
+                        owned.add(key)
+            # a handed-off gradient is a buffer made for its leaf alone
+            for node, future in waiting.values():
+                _leaf_accum(node, future.result(), owned=True)
+        except BaseException:
+            wait(futures)
+            raise
         # the seed is a leaf only when the "loss" was never produced by a
         # recorded op
         if loss.requires_grad and id(loss) not in produced:
@@ -467,23 +508,45 @@ def _add_row(data: np.ndarray, row: np.ndarray) -> np.ndarray:
 # result and its backward rule.
 
 
-def _handoff(a: np.ndarray, b: np.ndarray) -> Callable[[], np.ndarray]:
-    """Start the float64 product ``a @ b``; the call this returns waits for
-    it and gives it.
+def _handoff(a: np.ndarray, b: np.ndarray) -> "np.ndarray | Future":
+    """The float64 product ``a @ b``, or a :class:`Future` of it that a
+    worker is making.
 
     When the process may run on two CPUs or more
     (:func:`semtrack.workers.cpus`) and the product's m·k·n reaches
     :data:`HANDOFF_MIN_PRODUCT`, a thread of the shared pool runs it, into a
-    buffer allocated here, while the caller's thread goes on with its own
-    work; a worker's exception re-raises at the call. Otherwise the call
-    makes it inline. Either way it is one BLAS call on the same operands, so
-    the same bits."""
+    buffer allocated here, and the caller's thread goes on with its own work
+    until it asks for the result; a worker's exception re-raises then.
+    Otherwise it is made inline, here. Either way it is one BLAS call on the
+    same operands, so the same bits."""
     m, k = a.shape
     n = b.shape[1]
     if m * k * n < HANDOFF_MIN_PRODUCT or _workers.cpus() < 2:
-        return lambda: a @ b
+        return a @ b
     out = np.empty((m, n))
-    return _workers.pool().submit(np.matmul, a, b, out=out).result
+    return _workers.pool().submit(np.matmul, a, b, out=out)
+
+
+def _splits_rows(m: int, k: int, n: int) -> bool:
+    """Whether a taped float64 product of m x k by k x n makes its rows
+    ``[m//2:]`` on a worker (:func:`_row_halves`): on two CPUs or more, when
+    each half has at least 2 rows and a half's m·k·n exceeds
+    :data:`SMALL_PRODUCT_LIMIT`. A product split so comes out bit for bit the
+    single product's; halves of one row or within the limit do not."""
+    half = m // 2
+    return half >= 2 and half * k * n > SMALL_PRODUCT_LIMIT and _workers.cpus() >= 2
+
+
+def _row_halves(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x @ weight`` with the rows ``[m//2:]`` made on a worker while the
+    caller's thread makes the rows before them, both into one buffer the
+    caller allocates."""
+    half = len(x) // 2
+    out = np.empty((len(x), weight.shape[1]))
+    rest = _workers.pool().submit(np.matmul, x[half:], weight, out=out[half:])
+    np.matmul(x[:half], weight, out=out[:half])
+    rest.result()
+    return out
 
 
 def _check_linear(x_shape: tuple[int, int], weight: Matrix, bias: Matrix) -> None:
@@ -513,19 +576,28 @@ def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, need_x: bool,
     """``x @ weight + bias``; the rule gives the gradients of x and of the
     weight (each None unless needed) and of the bias. A float32 product of at
     most :data:`BLOCKED_MAX_ROWS` rows whose m·k·n exceeds
-    :data:`SMALL_PRODUCT_LIMIT` runs in :func:`_column_blocks`.
+    :data:`SMALL_PRODUCT_LIMIT` runs in :func:`_column_blocks`; a float64
+    product while a tape records runs in :func:`_row_halves` where
+    :func:`_splits_rows` allows.
 
-    When both the x and the weight gradients are needed, the rule hands the
-    weight's, ``x.T @ g``, to :func:`_handoff` and makes x's, ``g @
-    weight.T``, meanwhile: on two CPUs the two products overlap. Each is the
-    BLAS call it would be alone, on the same operands, so the gradients are
-    the serial rule's bit for bit. The worker writes the weight's into a
-    buffer that the caller's thread allocated, so it comes from the main
-    malloc arena, not a worker's; a leaf keeps that buffer as its ``grad``
-    and :meth:`Parameter.step` takes it over."""
-    if (x.size * weight.shape[1] > SMALL_PRODUCT_LIMIT and len(x) <= BLOCKED_MAX_ROWS
-            and x.dtype == _FLOAT32 and weight.dtype == _FLOAT32):
-        product = _column_blocks(x, weight)
+    When both the x and the weight gradients are needed, the rule starts the
+    weight's, ``x.T @ g``, through :func:`_handoff`, makes x's, ``g @
+    weight.T``, and returns the weight's as it stands: on two CPUs a
+    :class:`Future` that the tape joins when it needs it, so the worker's
+    product overlaps the rest of the backward pass. Each is the BLAS call it
+    would be alone, on the same operands, so the gradients are the serial
+    rule's bit for bit. The worker writes the weight's into a buffer that
+    the caller's thread allocated, so it comes from the main malloc arena,
+    not a worker's; a leaf keeps that buffer as its ``grad`` and
+    :meth:`Parameter.step` takes it over."""
+    if x.dtype == _FLOAT32 and weight.dtype == _FLOAT32:
+        if x.size * weight.shape[1] > SMALL_PRODUCT_LIMIT and len(x) <= BLOCKED_MAX_ROWS:
+            product = _column_blocks(x, weight)
+        else:
+            product = x @ weight
+    elif (_active is not None and x.dtype == _FLOAT64 and weight.dtype == _FLOAT64
+            and _splits_rows(*x.shape, weight.shape[1])):
+        product = _row_halves(x, weight)
     else:
         product = x @ weight
     data = _add_row(product, bias)
@@ -533,9 +605,7 @@ def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, need_x: bool,
     def vjp(g):
         if need_x and need_weight:
             weight_grad = _handoff(x.T, g)
-            gx = g @ weight.T
-            gb = g.sum(axis=0, keepdims=True)
-            return gx, weight_grad(), gb
+            return g @ weight.T, weight_grad, g.sum(axis=0, keepdims=True)
         return (g @ weight.T if need_x else None,
                 x.T @ g if need_weight else None,
                 g.sum(axis=0, keepdims=True))
