@@ -53,8 +53,16 @@ finite again: the inputs of the softmax's ``exp`` (the query, key and value
 projections) and of a ReLU, both of which make ``-inf`` a finite 0. Every
 other step carries a non-finite value through to the result, so a
 non-finite value raises ``ValueError`` wherever in the chain it appears, as
-a scan after each step would make it. Attention has no unmasked path: every
-call labels its rows' segments, and a row attends within its own.
+a scan after each step would make it.
+
+Every attention call labels its rows' segments, and a row attends within
+its own. Each segment's rows are contiguous (a label that comes back raises
+:class:`DimensionError`), so :func:`_attention` pads the segments to the
+longest and attends over heads x segments x longest x longest in one batched
+pass rather than over every n x n row pair, so a training scene's attention
+grows with its frames times the square of its longest one, not with the
+square of all its rows. A single-segment call, every tracked frame's, pads
+and masks nothing.
 
 Training's contrastive association term is one op as well
 (:func:`contrastive_pairs`): a crowded scene has dozens of consecutive-frame
@@ -621,10 +629,14 @@ def _relu(x: np.ndarray):
     return data, lambda g: g * (x > 0)
 
 
-def _attention_labels(shape: tuple[int, int], num_heads: int,
-                      segments: Sequence[int]) -> np.ndarray:
+def _attention_segments(shape: tuple[int, int], num_heads: int,
+                        segments: Sequence[int]) -> np.ndarray | None:
     """Check attention's n x width operands against ``num_heads`` and
-    ``segments``; the segment labels as an array."""
+    ``segments``, one label per row; the bounds of the segments' runs of
+    rows, segment ``i`` being rows ``[bounds[i], bounds[i + 1])``, or
+    ``None`` when every row has one label. Each segment's rows must be
+    contiguous: a label that comes back after another raises
+    :class:`DimensionError`."""
     n, width = shape
     if n == 0:
         raise DimensionError("attention needs at least one row")
@@ -634,48 +646,105 @@ def _attention_labels(shape: tuple[int, int], num_heads: int,
     if labels.shape != (n,):
         raise DimensionError(
             f"attention needs one segment label per row ({n}), got shape {labels.shape}")
-    return labels
+    starts = np.flatnonzero(labels[1:] != labels[:-1])
+    if not starts.size:
+        return None
+    starts += 1
+    runs = labels.take(np.concatenate(([0], starts)))
+    if np.unique(runs).size < runs.size:
+        raise DimensionError(
+            f"attention needs each segment's rows together, got labels {labels.tolist()}")
+    return np.concatenate(([0], starts, [n]))
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int,
-               labels: np.ndarray):
+               bounds: np.ndarray | None):
     """Self-attention on checked arrays: head ``i``, columns ``[i*d, (i+1)*d)``
-    of each, gives ``softmax_rows(q_i @ k_i^T / sqrt(d)) @ v_i``, the heads
-    batched as their column slices lie and concatenated in order. A row
-    attends only to rows of its own label: logits between segments are
-    ``-inf``, so their weights are exactly 0 and the rule, which gives the
-    gradients of q, k and v, needs no mask."""
+    of each, gives ``softmax_rows(q_i @ k_i^T / sqrt(d)) @ v_i`` over the rows
+    of each segment in ``bounds`` (:func:`_attention_segments`, ``None``
+    for one segment) on its own, and the heads are concatenated in order.
+    The rule gives the gradients of q, k and v.
+
+    The segments are padded to the longest, L rows, and every head and
+    segment attends in one batched pass over heads x segments x L x L:
+    a padded row copies its segment's first row, a padded key's logit is
+    ``-inf``, so its weight is exactly 0, a padded row's output is dropped,
+    and the gradient that reaches it is zero. With one segment nothing is
+    gathered or masked: the pass is the heads' plain attention, each product
+    on the same operands as a single-segment call always made."""
     n, width = q.shape
     head_dim = width // num_heads
     inv_scale = 1.0 / math.sqrt(head_dim)
 
-    def heads(m: np.ndarray) -> np.ndarray:   # n x width -> heads x n x head_dim
+    def split(m: np.ndarray) -> np.ndarray:   # n x width -> heads x n x head_dim
         return m.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
 
-    def merge(m: np.ndarray) -> np.ndarray:   # heads x n x head_dim -> n x width
-        # C order always: a reshape that happens to be a view can come out
-        # column-major, and BLAS rounds a product differently for that layout
-        return np.ascontiguousarray(m.transpose(1, 0, 2).reshape(n, width))
+    if bounds is None:
+        qh = np.ascontiguousarray(split(q))
+        kt = np.ascontiguousarray(split(k).transpose(0, 2, 1))
+        vh = np.ascontiguousarray(split(v))
 
-    qh = np.ascontiguousarray(heads(q))
-    kt = np.ascontiguousarray(heads(k).transpose(0, 2, 1))
-    vh = np.ascontiguousarray(heads(v))
+        def merge(m: np.ndarray) -> np.ndarray:   # heads x n x head_dim -> n x width
+            # C order always: a reshape that happens to be a view can come out
+            # column-major, and BLAS rounds a product differently for that layout
+            return np.ascontiguousarray(m.transpose(1, 0, 2).reshape(n, width))
+    else:
+        lengths = np.diff(bounds)
+        count, longest = len(lengths), int(lengths.max())
+        padded = count * longest
+        # padded row s·L + j holds row bounds[s] + j, or past the segment's
+        # end a copy of its first row
+        within = np.arange(longest) < lengths[:, None]
+        first = bounds[:-1, None]
+        source = np.where(within, first + np.arange(longest), first).ravel()
+        slot = np.flatnonzero(within)   # the padded row of each row, in row order
+        pad = np.where(within, 0.0, -np.inf).astype(q.dtype)[:, None, :]
+        # each array is gathered in one copy of head_dim-wide pieces: piece
+        # h·padded + p of the heads is piece source[p]·heads + h of the rows
+        # (an n x width array seen as (n·heads) x head_dim), and piece
+        # i·heads + h of the rows is piece h·padded + slot[i] of the heads
+        gather = (source * num_heads + np.arange(num_heads)[:, None]).ravel()
+        drop = (slot[:, None] + np.arange(num_heads) * padded).ravel()
+
+        def heads(m: np.ndarray) -> np.ndarray:
+            # n x width -> (heads·segments) x L x head_dim
+            return (m.reshape(n * num_heads, head_dim).take(gather, axis=0)
+                    .reshape(num_heads * count, longest, head_dim))
+
+        def merge(m: np.ndarray) -> np.ndarray:
+            # (heads·segments) x L x head_dim -> n x width, padded rows dropped
+            return m.reshape(num_heads * padded, head_dim).take(drop, axis=0).reshape(n, width)
+
+        # the keys stay row-major: BLAS reads them transposed in place
+        qh, kt, vh = heads(q), heads(k).transpose(0, 2, 1), heads(v)
+
     # the logits' softmax, in place in one buffer
     attn = qh @ kt
     attn *= inv_scale
-    attn = np.where(labels[:, None] == labels[None, :], attn, -np.inf)
+    if bounds is not None:
+        logits = attn.reshape(num_heads, count, longest, longest)
+        logits += pad   # -inf at every padded key
     attn -= attn.max(axis=2, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=2, keepdims=True)
     data = merge(attn @ vh)
 
     def vjp(g):
-        gh = heads(g)
+        if bounds is None:
+            gh = split(g)
+        else:
+            # zero at the padded rows
+            gh = np.zeros((num_heads * padded, head_dim))
+            gh[drop] = g.reshape(n * num_heads, head_dim)
+            gh = gh.reshape(num_heads * count, longest, head_dim)
         dattn = gh @ vh.transpose(0, 2, 1)
         inner = (dattn * attn).sum(axis=2, keepdims=True)
         dz = attn * (dattn - inner) * inv_scale
-        return (merge(dz @ kt.transpose(0, 2, 1)),
-                merge((qh.transpose(0, 2, 1) @ dz).transpose(0, 2, 1)),
+        # the keys' gradient as a single-segment call makes it; padded, as
+        # the C-ordered product dz^T @ q
+        gk = ((qh.transpose(0, 2, 1) @ dz).transpose(0, 2, 1) if bounds is None
+              else dz.transpose(0, 2, 1) @ qh)
+        return (merge(dz @ kt.transpose(0, 2, 1)), merge(gk),
                 merge(attn.transpose(0, 2, 1) @ gh))
 
     return data, vjp
@@ -889,7 +958,7 @@ def attention_sublayer(h: Matrix, wq: Matrix, bq: Matrix, wk: Matrix, bk: Matrix
     if not wq.shape == wk.shape == wv.shape:
         raise DimensionError(f"attention needs equal q/k/v projections, "
                              f"got {wq.shape}, {wk.shape}, {wv.shape}")
-    labels = _attention_labels((n, wq.cols), num_heads, segments)
+    bounds = _attention_segments((n, wq.cols), num_heads, segments)
     _check_residual(width, wo)
     _check_linear((n, wq.cols), wo, bo)
     _check_norm(width, gain, bias)
@@ -899,7 +968,7 @@ def attention_sublayer(h: Matrix, wq: Matrix, bq: Matrix, wk: Matrix, bk: Matrix
     v, v_rule = _linear(x, wv.data, bv.data, need_h, wv.requires_grad)
     # the softmax's exp would turn a -inf logit into a finite weight of 0
     _require_finite(q, k, v)
-    merged, attention_rule = _attention(q, k, v, num_heads, labels)
+    merged, attention_rule = _attention(q, k, v, num_heads, bounds)
     out, out_rule = _linear(merged, wo.data, bo.data, True, wo.requires_grad)
     out += x   # the residual, as x + out: addition commutes bit for bit
     data, norm_rule = _layer_norm(out, gain.data, bias.data)

@@ -136,35 +136,47 @@ class TrackSet:
         last_frame.update(zip(listed, repeat(frame)))
 
     def _refuse(self, frame: int, ids, boxes, confidences) -> NoReturn:
-        """Raise the ``ValueError`` of the block's first record that adding
-        the records one at a time would refuse, or, if there is none, the
-        block's: an id beyond int64, or a value numpy cannot store."""
+        """Raise the :class:`_Refused` error of the block's first record that
+        adding the records one at a time would refuse, with that record's
+        position in the block; or, if there is none, the block's, with no
+        position: an id beyond int64, or a value numpy cannot store."""
         if isinstance(boxes, np.ndarray):
             boxes = list(map(tuple, boxes.tolist()))
         earlier: set[int] = set()
-        for track_id, box, confidence in zip(_listed(ids), boxes, _listed(confidences)):
-            last = frame if track_id in earlier else self._last_frame.get(track_id)
-            if last == frame:
-                raise ValueError(f"duplicate record for frame {frame}, id {track_id}")
-            if frame < 0:
-                raise ValueError(f"negative frame index {frame}")
-            # an id cast to int64 would change; as written, read would refuse it
-            if not _is_integer(track_id):
-                raise ValueError(f"track ids must be integers, got {track_id}")
-            if track_id < 1:
-                raise ValueError(f"track ids start at 1, got {track_id}")
-            if len(box) != 4:
-                raise ValueError(f"a box is (l, t, w, h), got {box!r} for frame {frame},"
-                                 f" id {track_id}")
-            # a non-finite record would be written as a file that read refuses
-            if not (all(map(math.isfinite, box)) and math.isfinite(confidence)):
-                raise ValueError(f"non-finite box or confidence for frame {frame},"
-                                 f" id {track_id}")
-            if last is not None and frame < last:
-                raise ValueError(f"frames must be increasing within id {track_id}")
+        for position, (track_id, box, confidence) in enumerate(
+                zip(_listed(ids), boxes, _listed(confidences))):
+            message = self._refusal(frame, track_id, box, confidence, earlier)
+            if message is not None:
+                raise _Refused(message, position)
             earlier.add(track_id)
-        raise ValueError(f"the records of frame {frame} do not fit int64 ids and "
-                         f"float64 boxes and confidences")
+        raise _Refused(f"the records of frame {frame} do not fit int64 ids and "
+                       f"float64 boxes and confidences", None)
+
+    def _refusal(self, frame: int, track_id, box, confidence,
+                 earlier: set[int]) -> str | None:
+        """Why adding one record would be refused after this set's records
+        and the ``earlier`` ids of its own frame's block, or ``None``."""
+        last = frame if track_id in earlier else self._last_frame.get(track_id)
+        if last == frame:
+            return f"duplicate record for frame {frame}, id {track_id}"
+        if frame < 0:
+            return f"negative frame index {frame}"
+        # an id cast to int64 would change; as written, read would refuse it
+        if not _is_integer(track_id):
+            return f"track ids must be integers, got {track_id}"
+        if track_id < 1:
+            return f"track ids start at 1, got {track_id}"
+        if len(box) != 4:
+            return f"a box is (l, t, w, h), got {box!r} for frame {frame}, id {track_id}"
+        # a non-finite record would be written as a file that read refuses
+        if not (all(map(math.isfinite, box)) and math.isfinite(confidence)):
+            return f"non-finite box or confidence for frame {frame}, id {track_id}"
+        if last is not None and frame < last:
+            return f"frames must be increasing within id {track_id}"
+        if _block(frame, (track_id,), (box,), (confidence,)) is None:
+            return (f"the records of frame {frame} do not fit int64 ids and "
+                    f"float64 boxes and confidences")
+        return None
 
     def columns(self) -> Columns:
         """Every record's fields as read-only :class:`Columns`, in the order
@@ -213,19 +225,51 @@ class TrackSet:
 
     @classmethod
     def read(cls, path: str | Path) -> "TrackSet":
-        """The records of a MOTChallenge text file. A line that gives no valid
-        record raises ``ValueError`` starting ``path:lineno``."""
+        """The records of a MOTChallenge text file, each run of consecutive
+        lines of one frame added as one :meth:`add_frame` block. The first
+        line that gives no valid record raises ``ValueError`` starting
+        ``path:lineno``, as adding the lines one at a time would."""
         out = cls()
+        run: list[tuple[int, TrackRecord]] = []   # (lineno, record) of one frame
         with open(path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    out.add(_parse_record(line))
+                    record = _parse_record(line)
                 except ValueError as err:
+                    # a refused record on an earlier line comes first
+                    out._add_lines(path, run)
                     raise ValueError(f"{path}:{lineno}: {err}") from None
+                if run and record.frame != run[-1][1].frame:
+                    out._add_lines(path, run)
+                    run = []
+                run.append((lineno, record))
+        out._add_lines(path, run)
         return out
+
+    def _add_lines(self, path: str | Path, run: list[tuple[int, TrackRecord]]) -> None:
+        """Add a file's run of one frame's ``(lineno, record)`` lines as one
+        block; a refused record raises its error starting ``path:lineno``."""
+        if not run:
+            return
+        linenos, records = zip(*run)
+        try:
+            self.add_frame(records[0].frame, [r.track_id for r in records],
+                           [r.box for r in records], [r.confidence for r in records])
+        except _Refused as err:
+            lineno = linenos[0 if err.position is None else err.position]
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+
+
+class _Refused(ValueError):
+    """A record :meth:`TrackSet.add_frame` refuses, with its position in the
+    block (``None`` for the block as a whole)."""
+
+    def __init__(self, message: str, position: int | None):
+        super().__init__(message)
+        self.position = position
 
 
 def _is_integer(value) -> bool:

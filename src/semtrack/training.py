@@ -12,7 +12,8 @@ distillation loss is the mean of the per-frame losses.
 
 A scene's frames are independent sets of queries, so a step runs the whole
 scene as one stack of rows: one query embedding, one student call (its
-attention masked to each frame's rows), one box-head call and one
+attention within each frame's rows, the frames padded to the longest and
+attended in one batched pass), one box-head call and one
 contrastive op (:func:`semtrack.autodiff.contrastive_pairs`, every
 consecutive-frame pair's association term) per scene. The losses are those of
 running the frames one by one, up to summation order.

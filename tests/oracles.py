@@ -12,7 +12,9 @@ The ops :func:`transpose`, :func:`concat`, :func:`relu`,
 ops do. The last four run the private formula a fused op chains (``_relu``,
 ``_attention``, ``_layer_norm``, ``_cross_entropy``), so a composition of
 them is the fused op step by step, recorded one op a step, and must equal it
-bit for bit in value and every gradient.
+bit for bit in value and every gradient. :func:`masked_attention` is the
+reference for ``_attention``: the masked n x n formula, for labels in any
+order.
 
 The metric oracles recompute everything from the metric definitions with
 plain loops and dicts; optimal assignments are found by enumerating every
@@ -570,12 +572,59 @@ def relu(m: Matrix) -> Matrix:
 
 def multi_head_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int,
                          segments) -> Matrix:
-    """Attention over ``num_heads`` heads, each row within its segment."""
+    """Attention over ``num_heads`` heads, each row within its segment, as
+    one op of ``autodiff._attention``: each segment's rows are contiguous."""
+    _check_attention(q, k, v)
+    bounds = ad._attention_segments(q.shape, num_heads, segments)
+    return ad._emit((q, k, v), *ad._attention(q.data, k.data, v.data, num_heads, bounds))
+
+
+def masked_attention(q: Matrix, k: Matrix, v: Matrix, num_heads: int, segments) -> Matrix:
+    """The reference for :func:`multi_head_attention`, for any labels: every
+    head's n x n logits, those between rows of different labels ``-inf``,
+    so that their weights are exactly 0 and the rule needs no mask."""
+    _check_attention(q, k, v)
+    n, width = q.shape
+    if width % num_heads:
+        raise DimensionError(f"width {width} is not divisible by {num_heads} heads")
+    labels = np.asarray(segments)
+    if labels.shape != (n,):
+        raise DimensionError(f"need one segment label per row ({n}), got {labels.shape}")
+    head_dim = width // num_heads
+    inv_scale = 1.0 / math.sqrt(head_dim)
+
+    def heads(m: np.ndarray) -> np.ndarray:   # n x width -> heads x n x head_dim
+        return m.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
+
+    def merge(m: np.ndarray) -> np.ndarray:   # heads x n x head_dim -> n x width
+        return np.ascontiguousarray(m.transpose(1, 0, 2).reshape(n, width))
+
+    qh = np.ascontiguousarray(heads(q.data))
+    kt = np.ascontiguousarray(heads(k.data).transpose(0, 2, 1))
+    vh = np.ascontiguousarray(heads(v.data))
+    attn = qh @ kt
+    attn *= inv_scale
+    attn = np.where(labels[:, None] == labels[None, :], attn, -np.inf)
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
+
+    def vjp(g):
+        gh = heads(g)
+        dattn = gh @ vh.transpose(0, 2, 1)
+        inner = (dattn * attn).sum(axis=2, keepdims=True)
+        dz = attn * (dattn - inner) * inv_scale
+        return (merge(dz @ kt.transpose(0, 2, 1)),
+                merge((qh.transpose(0, 2, 1) @ dz).transpose(0, 2, 1)),
+                merge(attn.transpose(0, 2, 1) @ gh))
+
+    return ad._emit((q, k, v), merge(attn @ vh), vjp)
+
+
+def _check_attention(q: Matrix, k: Matrix, v: Matrix) -> None:
     if not q.shape == k.shape == v.shape:
         raise DimensionError(
             f"attention needs equal q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
-    labels = ad._attention_labels(q.shape, num_heads, segments)
-    return ad._emit((q, k, v), *ad._attention(q.data, k.data, v.data, num_heads, labels))
 
 
 def layer_norm_rows(x: Matrix, gain: Matrix, bias: Matrix) -> Matrix:

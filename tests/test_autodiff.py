@@ -14,7 +14,8 @@ from semtrack.autodiff import DimensionError, Matrix, Parameter, Tape
 from gradcheck import check_against_fd, mse, weighted_scalar
 from oracles import (composite_attention_sublayer, composite_contrastive_pairs,
                      composite_feed_forward_sublayer, concat, cross_entropy_rows,
-                     layer_norm_rows, multi_head_attention, relu, transpose)
+                     layer_norm_rows, masked_attention, multi_head_attention, relu,
+                     transpose)
 
 
 def test_matrix_rejects_non_finite():
@@ -414,8 +415,8 @@ def test_every_op_has_an_fd_gradcheck():
                     labels.add(value.value.split("[")[0])
     ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))}
     # and the oracles' ops, from which the fused ops' references are built
-    ops |= {"transpose", "concat", "relu", "multi_head_attention", "layer_norm_rows",
-            "cross_entropy_rows"}
+    ops |= {"transpose", "concat", "relu", "multi_head_attention", "masked_attention",
+            "layer_norm_rows", "cross_entropy_rows"}
     assert ops and sorted(ops - labels) == []
 
 
@@ -522,7 +523,8 @@ def test_multi_head_attention_shape_errors():
         multi_head_attention(m, m, m, 0, [0] * 3)
 
 
-# three segments, interleaved and of unequal sizes, one of a single row
+# three segments, interleaved and of unequal sizes, one of a single row: the
+# reference's masked formula takes labels in any order
 SEGMENTS = [2, 0, 0, 1, 2, 0, 2]
 
 
@@ -531,22 +533,94 @@ def test_masked_multi_head_attention_matches_fd(num_heads):
     rng = np.random.default_rng(800 + num_heads)
     q, k, v = (rng.standard_normal((len(SEGMENTS), 8)) for _ in range(3))
     attention = weighted_scalar(
-        lambda a, b, c: multi_head_attention(a, b, c, num_heads, SEGMENTS))
+        lambda a, b, c: masked_attention(a, b, c, num_heads, SEGMENTS))
     check_against_fd(attention, [q, k, v],
-                     label=f"multi_head_attention[segments {SEGMENTS}, {num_heads} heads]")
+                     label=f"masked_attention[segments {SEGMENTS}, {num_heads} heads]")
 
 
 @pytest.mark.parametrize("num_heads", [1, 2, 4])
 def test_masked_attention_equals_each_segment_on_its_own(num_heads):
     rng = np.random.default_rng(810 + num_heads)
     q, k, v = (rng.standard_normal((len(SEGMENTS), 16)) * 3.0 for _ in range(3))
-    masked = multi_head_attention(Matrix(q), Matrix(k), Matrix(v), num_heads, SEGMENTS).data
+    masked = masked_attention(Matrix(q), Matrix(k), Matrix(v), num_heads, SEGMENTS).data
     labels = np.array(SEGMENTS)
     for segment in set(SEGMENTS):
         rows = labels == segment
         alone = multi_head_attention(Matrix(q[rows]), Matrix(k[rows]), Matrix(v[rows]),
                                      num_heads, labels[rows]).data
         assert np.max(np.abs(masked[rows] - alone)) <= 1e-12
+
+
+# contiguous segments of unequal lengths, one of a single row, in label order
+# and not: the lengths a scene's frames give
+RUNS = {"runs-3-1-4-2": np.repeat([0, 1, 2, 3], [3, 1, 4, 2]),
+        "runs-unordered": np.repeat([5, 2, 9], [1, 6, 2]),
+        "runs-equal": np.repeat([0, 1, 2], [3, 3, 3])}
+# relative to the largest output or gradient entry: padding sums each
+# softmax over other lengths than the masked n x n formula, and BLAS rounds
+# products of other shapes differently; measured at most 2e-15
+SEGMENT_ATTENTION_RTOL = 1e-13
+
+
+def attention_and_gradients(attention, q, k, v, upstream):
+    leaves = [Matrix(m, requires_grad=True) for m in (q, k, v)]
+    with Tape() as tape:
+        out = attention(*leaves)
+        tape.backward(ad.sum_all(ad.multiply(out, Matrix(upstream))))
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("num_heads", [1, 4])
+@pytest.mark.parametrize("labels", RUNS.values(), ids=RUNS.keys())
+def test_segment_attention_equals_the_masked_formula(labels, num_heads):
+    rng = np.random.default_rng(820 + len(labels))
+    q, k, v, upstream = (rng.standard_normal((len(labels), 16)) * 3.0 for _ in range(4))
+    got = attention_and_gradients(
+        lambda *m: multi_head_attention(*m, num_heads, labels), q, k, v, upstream)
+    expected = attention_and_gradients(
+        lambda *m: masked_attention(*m, num_heads, labels), q, k, v, upstream)
+    for name, a, b in zip(("out", "q", "k", "v"), got, expected):
+        assert np.max(np.abs(a - b)) <= SEGMENT_ATTENTION_RTOL * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("num_heads", [1, 4])
+@pytest.mark.parametrize("labels", RUNS.values(), ids=RUNS.keys())
+def test_segment_attention_matches_fd(labels, num_heads):
+    rng = np.random.default_rng(830 + len(labels))
+    q, k, v = (rng.standard_normal((len(labels), 8)) for _ in range(3))
+    attention = weighted_scalar(
+        lambda a, b, c: multi_head_attention(a, b, c, num_heads, labels))
+    check_against_fd(attention, [q, k, v],
+                     label=f"multi_head_attention[runs {labels.tolist()}, {num_heads} heads]")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows, num_heads", [(1, 1), (5, 2), (17, 4)])
+def test_one_segment_equals_the_masked_formula_bit_for_bit(dtype, rows, num_heads):
+    rng = np.random.default_rng(840 + rows)
+    q, k, v = (rng.standard_normal((rows, 16)).astype(dtype) * 3 for _ in range(3))
+    labels = [3] * rows
+    core = multi_head_attention(Matrix(q), Matrix(k), Matrix(v), num_heads, labels).data
+    reference = masked_attention(Matrix(q), Matrix(k), Matrix(v), num_heads, labels).data
+    assert core.dtype == reference.dtype == dtype
+    assert core.tobytes() == reference.tobytes()
+    if dtype == np.float64:
+        upstream = rng.standard_normal((rows, 16))
+        got, expected = (attention_and_gradients(lambda *m, op=op: op(*m, num_heads, labels),
+                                                 q, k, v, upstream)
+                         for op in (multi_head_attention, masked_attention))
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("segments", [[0, 1, 0, 1], [0, 0, 1, 0], [2, 1, 1, 2]])
+def test_attention_refuses_a_segment_whose_rows_are_apart(segments):
+    m = Matrix(np.zeros((4, 8)))
+    with pytest.raises(DimensionError, match="rows together"):
+        multi_head_attention(m, m, m, 2, segments)
+    h, *weights = attention_arrays(np.random.default_rng(850), rows=4)
+    with pytest.raises(DimensionError, match="rows together"):
+        ad.attention_sublayer(Matrix(h), *map(Matrix, weights), 2, segments)
 
 
 @pytest.mark.parametrize("segments", [[0, 0, 1], [0, 0, 1, 1, 1], [[0, 0, 1, 1]], 0])
@@ -588,7 +662,7 @@ F32_OPS = {
     "layer_norm_rows": lambda a, b: layer_norm_rows(a, ad.take_rows(b, [0]),
                                                     ad.take_rows(b, [1])),
     "multi_head_attention": lambda a, b: multi_head_attention(a, b, a, 2, [0] * a.rows),
-    "masked_attention": lambda a, b: multi_head_attention(a, b, a, 2, [0, 1, 1, 0]),
+    "masked_attention": lambda a, b: multi_head_attention(a, b, a, 2, [0, 0, 1, 1]),
     "sum_all": lambda a, b: ad.sum_all(a),
     "attention_sublayer": lambda a, b: ad.attention_sublayer(
         a, *[b, ad.take_rows(b, [0])] * 4, ad.take_rows(b, [1]), ad.take_rows(b, [2]), 2,
@@ -843,10 +917,12 @@ def test_relu_equals_where_including_negative_zero(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("segments", [pytest.param([7] * 5, id="one-set"), [0, 1, 1, 0, 1]])
 def test_multi_head_attention_equals_numpys_softmax(dtype, segments):
-    # one label masks nothing: the result is numpy's plain softmax attention
+    # one label masks nothing: the result is numpy's plain softmax attention,
+    # from the core as from the masked reference; labels in any order go to
+    # the reference alone
     rng = np.random.default_rng(42)
     q, k, v = (rng.standard_normal((5, 8)).astype(dtype) for _ in range(3))
-    out = multi_head_attention(Matrix(q), Matrix(k), Matrix(v), 2, segments).data
+    ops = [masked_attention] + ([multi_head_attention] if len(set(segments)) == 1 else [])
 
     def heads(m):
         return np.ascontiguousarray(m.reshape(5, 2, 4).transpose(1, 0, 2))
@@ -857,8 +933,10 @@ def test_multi_head_attention_equals_numpys_softmax(dtype, segments):
         z = np.where(labels[:, None] == labels[None, :], z, -np.inf)
     e = np.exp(z - z.max(axis=2, keepdims=True))
     expected = ((e / e.sum(axis=2, keepdims=True)) @ heads(v)).transpose(1, 0, 2).reshape(5, 8)
-    assert out.dtype == expected.dtype == dtype
-    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+    for op in ops:
+        out = op(Matrix(q), Matrix(k), Matrix(v), 2, segments).data
+        assert out.dtype == expected.dtype == dtype
+        assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def _huge(dtype, shape=(2, 4)):
@@ -962,8 +1040,9 @@ def feed_forward_arrays(rng, rows=5, width=8, dtype=np.float64) -> list[np.ndarr
     return [a.astype(dtype) for a in arrays]
 
 
-# segment labels of up to 7 rows: three segments, interleaved, one of a single row
-SUBLAYER_SEGMENTS = [1, 0, 1, 1, 0, 2, 0]
+# segment labels of up to 7 rows: four contiguous segments of unequal
+# lengths, two of a single row
+SUBLAYER_SEGMENTS = [1, 0, 0, 0, 2, 2, 3]
 
 
 def _attention_case(segmented: bool):

@@ -393,6 +393,53 @@ def test_read_names_the_line_of_every_record_it_refuses(tmp_path, lines, lineno,
         TrackSet.read(path)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1,2,3.00,4.00,10.00,12.00,1.000000", "duplicate record for frame 0, id 2"),
+    ("1,0,3.00,4.00,10.00,12.00,1.000000", "track ids start at 1, got 0"),
+    ("1,9,3.00,4.00,nan,12.00,1.000000", "non-finite field"),
+    ("1,99999999999999999999,3.00,4.00,10.00,12.00,1.000000",
+     "the records of frame 0 do not fit int64 ids and float64 boxes and confidences")],
+    ids=["repeated-id", "id-zero", "non-finite", "id-beyond-int64"])
+def test_a_bad_line_inside_a_frames_run_names_its_own_line(tmp_path, bad, message):
+    # frame 1's lines 2-6 are read as one block; its fourth line is refused
+    lines = [
+        "1,1,0.00,0.00,5.00,5.00,0.500000", "2,1,0.00,0.00,5.00,5.00,0.500000",
+        "2,2,0.00,0.00,5.00,5.00,0.500000", "2,3,0.00,0.00,5.00,5.00,0.500000",
+        "2,2,0.00,0.00,5.00,5.00,0.500000", "2,4,0.00,0.00,5.00,5.00,0.500000"]
+    lines[4] = "2" + bad[1:]
+    message = message.replace("frame 0", "frame 1")
+    path = tmp_path / "pred.txt"
+    path.write_text("".join(f"{line},-1,-1,-1\n" for line in lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:5: {message}')}$"):
+        TrackSet.read(path)
+
+
+def test_a_refused_record_before_an_unparsable_line_is_named_first(tmp_path):
+    path = tmp_path / "pred.txt"
+    path.write_text("1,1,0.00,0.00,5.00,5.00,0.500000,-1,-1,-1\n"
+                    "1,1,3.00,4.00,10.00,12.00,1.000000,-1,-1,-1\n"
+                    "1,x,3.00,4.00,10.00,12.00,1.000000,-1,-1,-1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: duplicate record for frame 0, id 1")):
+        TrackSet.read(path)
+
+
+def test_a_written_crowded_set_reads_back_to_equal_records(tmp_path):
+    rng = np.random.default_rng(7)
+    ts = TrackSet()
+    for frame in range(64):
+        ids = rng.permutation(np.arange(1, 20))[:rng.integers(0, 17)]
+        boxes = np.round(rng.uniform(0, 200, size=(len(ids), 4)), 2)
+        ts.add_frame(frame, np.sort(ids), boxes, np.round(rng.uniform(0, 1, len(ids)), 6))
+    path = tmp_path / "pred.txt"
+    ts.write(path)
+    back = TrackSet.read(path)
+    # one block a frame, before reading the records joins them
+    assert len(back._blocks) == len({r.frame for r in ts})
+    assert list(back) == [r._replace(box=tuple(float(f"{v:.2f}") for v in r.box),
+                                     confidence=float(f"{r.confidence:.6f}")) for r in ts]
+
+
 def test_read_accepts_integers_written_as_floats(tmp_path):
     path = tmp_path / "pred.txt"
     path.write_text("2.0,3.00,0.00,0.00,5.00,5.00,0.500000,-1,-1,-1\n")

@@ -82,14 +82,14 @@ TRAINED = {
     "baseline": (["0x1.72a8649055f4fp-1", "0x1.1a5f1f843aa7cp-1"],
         "e5468ca945f0175e1b512d3aeac60d7562c69b67e75c6b29c3977d1a6dffc64e",
         "664456b643407e9b9d7c86bd1650293609ca680de8b20f74d872e2a61cfb35b5"),
-    "distill": (["0x1.2749b2cb2e46bp-1", "0x1.005e27e3dbc79p-1"],
-        "7e488c54e1a0f5dde6337052ced97cf3bbf403b3a87e331fd8d33eef2e1f0cc4",
+    "distill": (["0x1.2749b2cb2e46bp-1", "0x1.005e27e3dbc7ap-1"],
+        "bc8539ff96d2df041a6c0b0eef3ccf2bec15dd3cbea6d31d5a081ade892ed544",
         "6e81b94f7a8a5599d14c559d982cc630241904b05a45f310948223c82f308222"),
-    "dcsd": (["0x1.2749b2cb2e46bp-1", "0x1.005e27702671dp-1"],
-        "98903834508e977eb38a2864f81620bdda7a6fbdf7d0f6cc9b09257a8c49f3b1",
+    "dcsd": (["0x1.2749b2cb2e46bp-1", "0x1.005e27702671ep-1"],
+        "ec459c712abaabe3b8a88910ea6867d082749801941cb1f659748f477b277e85",
         "6e81b94f7a8a5599d14c559d982cc630241904b05a45f310948223c82f308222"),
     "full": (["0x1.25d87a64d955cp-1", "0x1.03c44b3a950a2p-1"],
-        "b73b63f3b46ddbb0eed850c647c9c0d0ea630f999f6bc10ecdcb87414c0bbb77",
+        "10248c5f0f1ed04f5511f29239b0b204afa2ec715d4fe08faee99305e91552e8",
         "6e81b94f7a8a5599d14c559d982cc630241904b05a45f310948223c82f308222"),
 }
 

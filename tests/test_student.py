@@ -185,6 +185,13 @@ def test_forward_rejects_segments_of_the_wrong_shape(segments):
         model.forward(Matrix(np.zeros((4, FEATURE_DIM))), segments)
 
 
+@pytest.mark.parametrize("segments", [[0, 1, 0, 1], [0, 0, 1, 0]])
+def test_forward_refuses_a_segment_whose_rows_are_apart(segments):
+    model = StudentModel(SMALL, seed=1)
+    with pytest.raises(DimensionError, match="rows together"):
+        model.forward(Matrix(np.zeros((4, FEATURE_DIM))), segments)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_forward_over_no_rows_raises_a_dimension_error(dtype):
     model = StudentModel(SMALL, seed=2)

@@ -1,6 +1,8 @@
-"""The shared worker pool and the weight gradients a taped linear hands to
-it: the same bits as inline, buffers that :meth:`Parameter.step` can take
-over, no pool call while tracking, and no thread at all on one CPU."""
+"""The shared worker pool, the weight gradients a taped linear hands to it,
+which the tape joins only when it must, and the forward products it makes
+half of: the same bits as inline, buffers that :meth:`Parameter.step` can
+take over, every worker done before an error propagates, no pool call while
+tracking or outside a tape, and no thread at all on one CPU."""
 
 import os
 import pathlib
