@@ -26,11 +26,11 @@ Attention is the only step that mixes rows, and it stays within a frame:
 stacked) as in tracking (one frame's rows). A frame's rows must be
 contiguous, as stacking puts them; labels that come back after another raise
 :class:`~semtrack.autodiff.DimensionError`. Attention pads a stack's frames
-to the longest and runs them as one batch, so a scene costs the sum of its
-frames' work, not the square of its rows. Every other step is row-wise, so
-each frame's rows come out as the frame would alone, to within rounding: a
-frame padded among others sums its softmax over a longer row than it would
-alone.
+to the longest and runs them as one batch, so a scene's attention grows with
+its frames times the square of its longest one, not with the square of its
+rows. Every other step is row-wise, so each frame's rows come out as the
+frame would alone, to within rounding: a frame padded among others sums its
+softmax over a longer row than it would alone.
 """
 
 from __future__ import annotations
